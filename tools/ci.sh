@@ -29,6 +29,13 @@ cmake --preset default >/dev/null
 cmake --build --preset default -j "$jobs"
 ctest --preset default -j "$jobs"
 
+echo "== results ledger: every Table-1 circuit reproduces bench/ledger.txt =="
+# Tier-1 checks the small suite; this checks all 16 circuits, both EC
+# semantics, p=1..3: case counts, case-list digests, q and parity masks.
+# The tool pins its own thread count (4): no-store extraction strengthens
+# degraded tables by a thread-count-dependent amount.
+./build/bench/bench_ledger --check=bench/ledger.txt
+
 echo "== solver kernel: bit-sliced vs scalar q-equality =="
 # The cover kernel must be a pure speedup: the bit-sliced and scalar paths
 # have to select identical parities on the small suite (exit 1 otherwise).
