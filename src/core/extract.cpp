@@ -1,6 +1,7 @@
 #include "core/extract.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -41,25 +42,68 @@ struct StepClass {
   bool operator==(const StepClass&) const = default;
 };
 
-std::vector<StepClass> step_classes(const std::vector<std::uint64_t>& golden,
-                                    const std::vector<std::uint64_t>& faulty,
-                                    const fsm::FsmCircuit& c,
-                                    DiffSemantics semantics) {
-  std::vector<StepClass> classes;
-  classes.reserve(16);
-  for (std::size_t a = 0; a < golden.size(); ++a) {
-    StepClass cls;
-    cls.diff = golden[a] ^ faulty[a];
-    cls.next.bad = c.next_state_of(faulty[a]);
-    cls.next.good = semantics == DiffSemantics::kMachineLevel
-                        ? c.next_state_of(golden[a])
-                        : cls.next.bad;  // re-anchor to the real register
-    classes.push_back(cls);
+/// Groups one step's inputs into classes by hashing (difference word,
+/// successor pair) and sorts only the distinct classes. The result is the
+/// sorted duplicate-free class list a sort of every input's class gives, so
+/// the enumeration order and every path statistic are unchanged.
+class StepClassifier {
+ public:
+  void classify(const std::vector<std::uint64_t>& golden,
+                const std::vector<std::uint64_t>& faulty,
+                const fsm::FsmCircuit& c, DiffSemantics semantics,
+                std::vector<StepClass>& classes) {
+    classes.clear();
+    if (++epoch_ == 0) {  // stamps wrapped: clear them once
+      std::fill(stamps_.begin(), stamps_.end(), 0);
+      epoch_ = 1;
+    }
+    for (std::size_t a = 0; a < golden.size(); ++a) {
+      StepClass cls;
+      cls.diff = golden[a] ^ faulty[a];
+      cls.next.bad = c.next_state_of(faulty[a]);
+      cls.next.good = semantics == DiffSemantics::kMachineLevel
+                          ? c.next_state_of(golden[a])
+                          : cls.next.bad;  // re-anchor to the real register
+      // Neighbouring inputs often share a class: skip the probe for the
+      // class found last.
+      if (!classes.empty() && classes.back() == cls) continue;
+      if (2 * (classes.size() + 1) > slots_.size()) grow(classes);
+      if (insert(cls)) classes.push_back(cls);
+    }
+    std::sort(classes.begin(), classes.end());
   }
-  std::sort(classes.begin(), classes.end());
-  classes.erase(std::unique(classes.begin(), classes.end()), classes.end());
-  return classes;
-}
+
+ private:
+  /// Adds `cls` to the table; false if it was already there.
+  bool insert(const StepClass& cls) {
+    const std::size_t mask = slots_.size() - 1;
+    std::uint64_t h = (cls.diff * 0x9e3779b97f4a7c15ull) ^
+                      (cls.next.good * 0xc2b2ae3d27d4eb4full) ^
+                      (cls.next.bad * 0x165667b19e3779f9ull);
+    for (std::size_t i = (h ^ (h >> 32)) & mask;; i = (i + 1) & mask) {
+      if (stamps_[i] != epoch_) {
+        stamps_[i] = epoch_;
+        slots_[i] = cls;
+        return true;
+      }
+      if (slots_[i] == cls) return false;
+    }
+  }
+
+  /// Doubles the table (sized by the distinct classes seen, not by the
+  /// input count) and re-adds the classes found so far.
+  void grow(const std::vector<StepClass>& classes) {
+    const std::size_t n = std::max<std::size_t>(64, 2 * slots_.size());
+    slots_.assign(n, StepClass{});
+    stamps_.assign(n, 0);
+    epoch_ = 1;
+    for (const StepClass& cls : classes) insert(cls);
+  }
+
+  std::vector<StepClass> slots_;
+  std::vector<std::uint32_t> stamps_;  ///< slot live iff stamp == epoch_
+  std::uint32_t epoch_ = 0;
+};
 
 /// Canonical form of a path's difference sequence: the sorted set of its
 /// distinct nonzero step words. Coverage (exists step with odd overlap)
@@ -135,6 +179,12 @@ ErroneousCase strengthen(const ErroneousCase& ec, int k) {
   return s;
 }
 
+void add_sim_counters(obs::MetricsShard& shard,
+                      const sim::SimCounters& counters) {
+  counters.for_each(
+      [&](const char* name, std::uint64_t v) { shard.add(name, v); });
+}
+
 /// Budget state shared by every extraction worker. All flags and counters
 /// are polled with relaxed atomics — a tripped valve stops the workers
 /// cooperatively (each notices at its next check), which is exactly the
@@ -177,17 +227,17 @@ struct SharedValves {
 };
 
 /// One extraction worker: walks its shard of the fault list with a private
-/// FaultyCache per fault and private per-latency case sets, reading golden
-/// rows through a GoldenView over the pre-populated shared cache. Identical
-/// to the old serial Extractor except that the budget valves live in
-/// SharedValves.
+/// cone-restricted FaultyCache per fault and private per-latency case sets,
+/// reading golden rows through a GoldenView over the shared golden trace.
+/// Identical to the old serial Extractor except that the budget valves live
+/// in SharedValves.
 class ShardWorker {
  public:
   ShardWorker(const fsm::FsmCircuit& circuit, const ExtractOptions& opts,
-              const sim::GoldenCache& shared_golden,
+              const sim::GoldenTrace& trace,
               std::span<const std::uint64_t> activation_codes,
               SharedValves& valves, int num_shards)
-      : circuit_(circuit), opts_(opts), golden_(shared_golden),
+      : circuit_(circuit), opts_(opts), trace_(trace), golden_(trace),
         activation_codes_(activation_codes), valves_(valves),
         tables_(static_cast<std::size_t>(opts.latency)),
         sets_(static_cast<std::size_t>(opts.latency)),
@@ -196,7 +246,9 @@ class ShardWorker {
         max_words_(static_cast<std::size_t>(opts.latency), kMaxLatency),
         // Per-worker share of the degradation threshold so K workers
         // together hold at most ~degrade_threshold live cases. A single
-        // shard keeps the exact serial threshold.
+        // shard keeps the exact serial threshold. The share depends on the
+        // shard count, so whether (and how far) a large table is
+        // strengthened does too: see extract_cases_multi.
         degrade_threshold_(
             num_shards <= 1
                 ? opts.degrade_threshold
@@ -208,13 +260,16 @@ class ShardWorker {
   void run(std::span<const sim::StuckAtFault> faults) {
     for (const auto& f : faults) {
       if (stopped()) break;
-      sim::FaultyCache faulty(circuit_, f);
+      sim::FaultyCache faulty(trace_, f.injection());
       bool detectable = false;
       for (std::uint64_t c : activation_codes_) {
         if (stopped()) break;
         check_deadline();
-        const auto classes = step_classes(golden_.rows(c), faulty.rows(c),
-                                          circuit_, opts_.semantics);
+        const auto& good = golden_.rows(c);
+        const auto& bad = faulty.rows(c);
+        if (good == bad) continue;  // fault dormant in every input here
+        auto& classes = classes_[0];
+        classifier_.classify(good, bad, circuit_, opts_.semantics, classes);
         for (const auto& cls : classes) {
           if (cls.diff == 0) continue;  // fault dormant: not an activation
           detectable = true;
@@ -231,10 +286,12 @@ class ShardWorker {
       if (detectable) {
         for (auto& t : tables_) ++t.num_detectable_faults;
       }
+      sim_counters_ += faulty.counters();
     }
   }
 
   const std::vector<DetectabilityTable>& tables() const { return tables_; }
+  const sim::SimCounters& sim_counters() const { return sim_counters_; }
   std::vector<CaseSet>& sets() { return sets_; }
 
  private:
@@ -249,9 +306,11 @@ class ShardWorker {
   void descend(sim::FaultyCache& faulty, const Pair& pair, int depth) {
     if (depth == opts_.latency || stopped()) return;
     if ((++tick_ & 1023u) == 0) check_deadline();
-    const auto classes = step_classes(golden_.rows(pair.good),
-                                      faulty.rows(pair.bad), circuit_,
-                                      opts_.semantics);
+    // Each depth owns its class list: the loop below recurses into deeper
+    // ones while iterating this one.
+    auto& classes = classes_[static_cast<std::size_t>(depth)];
+    classifier_.classify(golden_.rows(pair.good), faulty.rows(pair.bad),
+                         circuit_, opts_.semantics, classes);
     for (const auto& cls : classes) {
       if (stopped()) return;
       diffs_[static_cast<std::size_t>(depth)] = cls.diff;
@@ -375,7 +434,11 @@ class ShardWorker {
 
   const fsm::FsmCircuit& circuit_;
   const ExtractOptions& opts_;
+  const sim::GoldenTrace& trace_;
   sim::GoldenView golden_;
+  StepClassifier classifier_;
+  std::array<std::vector<StepClass>, kMaxLatency> classes_;  ///< per depth
+  sim::SimCounters sim_counters_;
   std::span<const std::uint64_t> activation_codes_;
   SharedValves& valves_;
   std::vector<DetectabilityTable> tables_;  ///< local statistics only
@@ -416,18 +479,25 @@ std::vector<DetectabilityTable> extract_cases_multi(
     }
   }
 
-  // The golden model is shared read-only state across workers: simulate
-  // every activation code up front so the fan-out only reads it. (Faulty
-  // walks can still reach codes outside this set; those go through each
-  // worker's private GoldenView overlay.)
-  sim::GoldenCache golden(circuit);
-  golden.populate(activation_codes);
+  // The golden trace is shared read-only state across workers: every
+  // activation code is simulated up front so the fan-out only reads it.
+  // (Faulty walks can still reach codes outside this set; those take the
+  // full pass, with golden rows from each worker's GoldenView overlay.)
+  const sim::GoldenTrace trace(circuit, activation_codes);
+  if (opts.obs.metrics != nullptr) {
+    opts.obs.metrics->set_gauge(sim::kGoldenTraceBytesGauge,
+                                static_cast<double>(trace.bytes()));
+  }
 
-  // Shard the fault list in fixed contiguous blocks. The shard partition —
-  // not the execution interleaving — determines each worker's output, and
-  // the merged, compacted, sorted case lists are identical for every shard
-  // count (see DESIGN.md: the final antichain of subset-minimal canonical
-  // cases is invariant under enumeration order).
+  // Shard the fault list in fixed contiguous blocks, one per thread. The
+  // shard partition — not the execution interleaving — determines each
+  // worker's output. Without degradation the merged, compacted, sorted case
+  // lists are identical for every shard count (see DESIGN.md: the final
+  // antichain of subset-minimal canonical cases is invariant under
+  // enumeration order). A table large enough to degrade is NOT: each worker
+  // degrades against degrade_threshold / shard count, so the thread count
+  // decides how far it is strengthened (s1488 p=3: 181134 cases at 1, 4
+  // and 8 threads, 67097 at 16).
   const int threads = resolve_threads(opts.threads);
   const int num_shards = static_cast<int>(std::min<std::size_t>(
       static_cast<std::size_t>(threads), faults.empty() ? 1 : faults.size()));
@@ -444,7 +514,7 @@ std::vector<DetectabilityTable> extract_cases_multi(
     span.attr("faults",
               static_cast<std::uint64_t>(bounds[s + 1] - bounds[s]));
     auto worker = std::make_unique<ShardWorker>(
-        circuit, opts, golden, activation_codes, valves, num_shards);
+        circuit, opts, trace, activation_codes, valves, num_shards);
     worker->run(faults.subspan(bounds[s], bounds[s + 1] - bounds[s]));
     const DetectabilityTable& deep = worker->tables().back();
     span.attr("activations", static_cast<std::uint64_t>(deep.num_activations));
@@ -452,13 +522,14 @@ std::vector<DetectabilityTable> extract_cases_multi(
     if (opts.obs.metrics != nullptr) {
       obs::MetricsShard mshard(opts.obs.metrics);
       mshard.add("ced_extract_shards_total");
+      add_sim_counters(mshard, worker->sim_counters());
     }
     workers[s] = std::move(worker);
   });
 
   // Deterministic merge in fixed shard order, then the same
-  // compact-and-sort finish as the serial path: byte-identical tables for
-  // any thread count.
+  // compact-and-sort finish as the serial path: tables byte-identical for
+  // any thread count unless a table degraded (see above).
   for (int p = 1; p <= opts.latency; ++p) {
     const auto t = static_cast<std::size_t>(p - 1);
     auto& table = tables[t];
@@ -656,15 +727,18 @@ std::vector<DetectabilityTable> extract_cases_sharded(
         activation_codes.push_back(c);
       }
     }
-    sim::GoldenCache golden(circuit);
-    golden.populate(activation_codes);
+    const sim::GoldenTrace trace(circuit, activation_codes);
+    if (opts.obs.metrics != nullptr) {
+      opts.obs.metrics->set_gauge(sim::kGoldenTraceBytesGauge,
+                                  static_cast<double>(trace.bytes()));
+    }
 
     parallel_for(resolve_threads(opts.threads), allowed, [&](std::size_t i) {
       const std::uint32_t s = missing[i];
       obs::ScopedSpan span(opts.obs, "extract-shard");
       span.attr("shard", static_cast<std::uint64_t>(s));
       SharedValves valves(num_tables);
-      ShardWorker worker(circuit, opts, golden, activation_codes, valves,
+      ShardWorker worker(circuit, opts, trace, activation_codes, valves,
                          num_shards);
       const std::size_t begin = bounds[s];
       const std::size_t end = bounds[s + 1];
@@ -674,6 +748,7 @@ std::vector<DetectabilityTable> extract_cases_sharded(
         obs::MetricsShard mshard(opts.obs.metrics);
         mshard.add("ced_extract_shards_total");
         mshard.add("ced_extract_shards_computed_total");
+        add_sim_counters(mshard, worker.sim_counters());
       }
       ExtractShard sh =
           shard_from_worker(worker, valves, s,

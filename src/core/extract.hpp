@@ -63,10 +63,15 @@ struct ExtractOptions {
   /// fixed blocks across workers and the per-worker case sets merged
   /// deterministically). 1 = serial, 0 = CED_THREADS env or hardware
   /// concurrency (see common/parallel.hpp). The resulting `cases` vectors
-  /// are identical for every thread count on non-truncated runs; the
-  /// path-enumeration statistics (num_paths, num_loop_truncations) depend
-  /// on the shard partition because subtree pruning only sees a worker's
-  /// own cases.
+  /// are identical for every thread count on non-truncated runs whose
+  /// tables stay under the degrade threshold. extract_cases_multi shards by
+  /// thread count and gives each worker degrade_threshold / threads, so a
+  /// table that degrades is strengthened by an amount that depends on the
+  /// thread count (s1488 p=3: 181134 cases at 4 threads, 67097 at 16);
+  /// extract_cases_sharded's fixed partition does not have this defect.
+  /// The path-enumeration statistics (num_paths, num_loop_truncations)
+  /// depend on the shard partition because subtree pruning only sees a
+  /// worker's own cases.
   int threads = 0;
   /// Observability sinks: one span per extraction shard (nested under
   /// `parent_span`, typically the pipeline's extract stage span) plus

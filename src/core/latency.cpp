@@ -44,7 +44,6 @@ LatencyAnalysis analyze_useful_latency(
   LatencyAnalysis out;
   out.shortest_loop_per_fault.reserve(faults.size());
 
-  sim::GoldenCache golden(circuit);
   std::vector<std::uint64_t> activation_codes;
   if (opts.restrict_to_reachable) {
     activation_codes = sim::reachable_codes(circuit, circuit.enc.reset_code);
@@ -53,9 +52,11 @@ LatencyAnalysis analyze_useful_latency(
       activation_codes.push_back(c);
     }
   }
+  const sim::GoldenTrace trace(circuit, activation_codes);
+  sim::GoldenView golden(trace);
 
   for (const auto& f : faults) {
-    sim::FaultyCache faulty(circuit, f);
+    sim::FaultyCache faulty(trace, f.injection());
 
     // Roots: faulty successors of activation transitions (the first
     // erroneous state of every path, §2).

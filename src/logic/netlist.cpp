@@ -92,6 +92,7 @@ void Netlist::eval(std::span<const std::uint64_t> input_words,
   }
   values.assign(gates_.size(), 0);
   std::size_t next_input = 0;
+  const auto word = [&values](std::uint32_t f) { return values[f]; };
   for (std::uint32_t id = 0; id < gates_.size(); ++id) {
     const Gate& g = gates_[id];
     std::uint64_t v = 0;
@@ -105,29 +106,8 @@ void Netlist::eval(std::span<const std::uint64_t> input_words,
       case GateType::kConst1:
         v = ~std::uint64_t{0};
         break;
-      case GateType::kBuf:
-        v = values[g.fanins[0]];
-        break;
-      case GateType::kNot:
-        v = ~values[g.fanins[0]];
-        break;
-      case GateType::kAnd:
-      case GateType::kNand:
-        v = ~std::uint64_t{0};
-        for (auto f : g.fanins) v &= values[f];
-        if (g.type == GateType::kNand) v = ~v;
-        break;
-      case GateType::kOr:
-      case GateType::kNor:
-        v = 0;
-        for (auto f : g.fanins) v |= values[f];
-        if (g.type == GateType::kNor) v = ~v;
-        break;
-      case GateType::kXor:
-      case GateType::kXnor:
-        v = 0;
-        for (auto f : g.fanins) v ^= values[f];
-        if (g.type == GateType::kXnor) v = ~v;
+      default:
+        v = gate_word(g.type, g.fanins, word);
         break;
     }
     if (injection != nullptr && injection->net == id) {

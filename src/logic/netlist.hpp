@@ -31,6 +31,41 @@ struct Gate {
   std::vector<std::uint32_t> fanins;
 };
 
+/// Word-parallel value of a logic gate (kBuf .. kXnor) whose fan-in words
+/// are get(f) for each f in `fanins`. Shared by the full netlist pass and
+/// the cone-restricted fault simulator (sim/fault_sim.hpp), so both apply
+/// one gate semantics. Inputs and constants have no fan-ins: callers
+/// supply their words.
+template <typename Get>
+std::uint64_t gate_word(GateType type, std::span<const std::uint32_t> fanins,
+                        Get&& get) {
+  std::uint64_t v = 0;
+  switch (type) {
+    case GateType::kBuf:
+      return get(fanins[0]);
+    case GateType::kNot:
+      return ~get(fanins[0]);
+    case GateType::kAnd:
+    case GateType::kNand:
+      v = ~std::uint64_t{0};
+      for (const std::uint32_t f : fanins) v &= get(f);
+      return type == GateType::kNand ? ~v : v;
+    case GateType::kOr:
+    case GateType::kNor:
+      for (const std::uint32_t f : fanins) v |= get(f);
+      return type == GateType::kNor ? ~v : v;
+    case GateType::kXor:
+    case GateType::kXnor:
+      for (const std::uint32_t f : fanins) v ^= get(f);
+      return type == GateType::kXnor ? ~v : v;
+    case GateType::kInput:
+    case GateType::kConst0:
+    case GateType::kConst1:
+      break;
+  }
+  return v;
+}
+
 /// A forced value on one net during evaluation, used for fault injection.
 /// `value_word` is replicated across the 64 parallel patterns (all-zeros for
 /// stuck-at-0, all-ones for stuck-at-1).

@@ -84,7 +84,8 @@ struct ExhaustiveSearch {
 FaultVerdict judge_stuck_exhaustive(const ProtectedMachine& pm,
                                     const StuckAtFault& fault,
                                     std::uint64_t unit,
-                                    const CampaignOptions& opts, int horizon) {
+                                    const CampaignOptions& opts, int horizon,
+                                    SimCounters& counters) {
   FaultVerdict v;
   v.unit = unit;
   v.histogram.assign(static_cast<std::size_t>(horizon), 0);
@@ -111,13 +112,15 @@ FaultVerdict judge_stuck_exhaustive(const ProtectedMachine& pm,
       classify_episode(v, first, opts.latency_bound, horizon);
     }
   }
+  counters += session.counters();
   return v;
 }
 
 FaultVerdict judge_stuck_walks(const ProtectedMachine& pm,
                                const StuckAtFault& fault, std::uint64_t unit,
                                std::uint64_t unit_index,
-                               const CampaignOptions& opts, int horizon) {
+                               const CampaignOptions& opts, int horizon,
+                               SimCounters& counters) {
   FaultVerdict v;
   v.unit = unit;
   v.histogram.assign(static_cast<std::size_t>(horizon), 0);
@@ -172,6 +175,7 @@ FaultVerdict judge_stuck_walks(const ProtectedMachine& pm,
       }
     }
   }
+  counters += session.counters();
   return v;
 }
 
@@ -231,14 +235,15 @@ FaultVerdict judge_unit(const ProtectedMachine& pm,
                         std::span<const StuckAtFault> faults,
                         std::span<const std::uint64_t> units,
                         std::uint64_t unit_index, const CampaignOptions& opts,
-                        int horizon) {
+                        int horizon, SimCounters& counters) {
   const std::uint64_t unit = units[unit_index];
   if (opts.model == FaultModel::kStuckAt) {
     const StuckAtFault& fault = faults[unit_index];
     if (opts.policy == CampaignPolicy::kExhaustive) {
-      return judge_stuck_exhaustive(pm, fault, unit, opts, horizon);
+      return judge_stuck_exhaustive(pm, fault, unit, opts, horizon, counters);
     }
-    return judge_stuck_walks(pm, fault, unit, unit_index, opts, horizon);
+    return judge_stuck_walks(pm, fault, unit, unit_index, opts, horizon,
+                             counters);
   }
   return judge_flip_walks(pm, unit, unit_index, opts, horizon);
 }
@@ -421,6 +426,10 @@ CampaignReport run_campaign(const fsm::FsmCircuit& circuit,
       span.id() != 0 ? opts.obs.under(span.id()) : opts.obs;
 
   const ProtectedMachine pm(circuit, hw);
+  if (sinks.metrics != nullptr) {
+    sinks.metrics->set_gauge(kGoldenTraceBytesGauge,
+                             static_cast<double>(pm.trace().bytes()));
+  }
   const std::vector<std::uint64_t> units =
       campaign_units(circuit, faults, opts);
   span.attr("units", static_cast<std::uint64_t>(units.size()));
@@ -468,13 +477,15 @@ CampaignReport run_campaign(const fsm::FsmCircuit& circuit,
     CampaignShard sh;
     sh.index = static_cast<std::uint32_t>(i);
     sh.num_shards = static_cast<std::uint32_t>(num_shards);
+    SimCounters sim_counters;
     for (std::size_t u = bounds[i]; u < bounds[i + 1]; ++u) {
       if (opts.deadline.expired()) {
         tripped[i] = 1;
         break;
       }
-      FaultVerdict v = judge_unit(pm, faults, units,
-                                  static_cast<std::uint64_t>(u), opts, horizon);
+      FaultVerdict v =
+          judge_unit(pm, faults, units, static_cast<std::uint64_t>(u), opts,
+                     horizon, sim_counters);
       ms.add("ced_campaign_units_total");
       ms.add("ced_campaign_activations_total", v.activations);
       ms.add("ced_campaign_detected_in_bound_total", v.detected_in_bound);
@@ -487,6 +498,8 @@ CampaignReport run_campaign(const fsm::FsmCircuit& circuit,
       }
       sh.verdicts.push_back(std::move(v));
     }
+    sim_counters.for_each(
+        [&](const char* name, std::uint64_t n) { ms.add(name, n); });
     shards[i] = std::move(sh);
     have[i] = 1;
     if (!tripped[i] && hooks.save) hooks.save(shards[i]);

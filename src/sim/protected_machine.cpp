@@ -1,15 +1,20 @@
 #include "sim/protected_machine.hpp"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 namespace ced::sim {
+namespace {
 
-std::vector<std::uint64_t> checker_error_mask(
+/// The checker verdicts for `responses` at `state_code`, one word per
+/// 64-input batch. Given a reference row at the same code, a batch whose
+/// responses equal the reference's keeps its verdict word: the checker
+/// sees identical inputs there. Every other batch is one checker pass.
+std::vector<std::uint64_t> checker_errors(
     const core::CedHardware& hw, std::uint64_t state_code,
-    std::span<const std::uint64_t> responses) {
-  const int r = hw.r;
-  const int s = hw.s;
-  const int n = hw.n;
+    std::span<const std::uint64_t> responses,
+    const TransitionRow* reference) {
   const logic::Netlist& nl = hw.checker;
   const std::uint64_t num_inputs = responses.size();
   const std::size_t error_index =
@@ -17,43 +22,28 @@ std::vector<std::uint64_t> checker_error_mask(
   const std::uint32_t error_net = nl.outputs()[error_index];
 
   std::vector<std::uint64_t> mask((num_inputs + 63) / 64, 0);
-  std::vector<std::uint64_t> words(static_cast<std::size_t>(r + s + n), 0);
+  std::vector<std::uint64_t> words(static_cast<std::size_t>(hw.r + hw.s + hw.n));
   std::vector<std::uint64_t> values;
-
-  // Same batching scheme as simulate_all_inputs: pattern t of the batch at
-  // `base` is concrete input value base + t, so input bit i < 6 is a stripe
-  // constant and bits >= 6 are fixed within a batch.
-  static constexpr std::uint64_t kStripe[6] = {
-      0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
-      0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
-
-  for (int b = 0; b < s; ++b) {
-    words[static_cast<std::size_t>(r + b)] =
-        ((state_code >> b) & 1) ? ~std::uint64_t{0} : 0;
-  }
-
-  const std::uint64_t batch_count = (num_inputs + 63) / 64;
-  for (std::uint64_t batch = 0; batch < batch_count; ++batch) {
+  for (std::uint64_t batch = 0; batch < mask.size(); ++batch) {
     const std::uint64_t base = batch * 64;
     const std::uint64_t in_batch =
         std::min<std::uint64_t>(64, num_inputs - base);
-    for (int i = 0; i < r; ++i) {
-      if (i < 6) {
-        words[static_cast<std::size_t>(i)] = kStripe[i];
-      } else {
-        words[static_cast<std::size_t>(i)] =
-            ((base >> i) & 1) ? ~std::uint64_t{0} : 0;
-      }
+    const auto batch_responses = responses.subspan(base, in_batch);
+    if (reference != nullptr &&
+        std::equal(batch_responses.begin(), batch_responses.end(),
+                   reference->response.begin() +
+                       static_cast<std::ptrdiff_t>(base))) {
+      mask[batch] = reference->error[batch];
+      continue;
     }
-    // Observable bits: transpose the batch's response words so word r+s+o
-    // carries bit o of responses[base + t] at pattern position t.
-    for (int o = 0; o < n; ++o) {
-      std::uint64_t w = 0;
-      for (std::uint64_t t = 0; t < in_batch; ++t) {
-        w |= ((responses[base + t] >> o) & 1) << t;
-      }
-      words[static_cast<std::size_t>(r + s + o)] = w;
-    }
+    batch_input_words(hw.r, hw.s, state_code, batch, words);
+    // Observable bits: transposed, word r+s+o carries bit o of
+    // responses[base + t] at pattern position t.
+    std::array<std::uint64_t, 64> block{};
+    std::copy(batch_responses.begin(), batch_responses.end(), block.begin());
+    transpose64(block);
+    std::copy_n(block.begin(), hw.n,
+                words.begin() + static_cast<std::ptrdiff_t>(hw.r + hw.s));
     nl.eval(words, values);
     std::uint64_t err = values[error_net];
     if (in_batch < 64) err &= (std::uint64_t{1} << in_batch) - 1;
@@ -62,17 +52,34 @@ std::vector<std::uint64_t> checker_error_mask(
   return mask;
 }
 
-ProtectedMachine::ProtectedMachine(const fsm::FsmCircuit& circuit,
-                                   const core::CedHardware& hw)
-    : circuit_(circuit), hw_(hw) {
+const fsm::FsmCircuit& checked(const fsm::FsmCircuit& circuit,
+                               const core::CedHardware& hw) {
   if (hw.r != circuit.r() || hw.s != circuit.s() || hw.n != circuit.n()) {
     throw std::invalid_argument(
         "ProtectedMachine: checker interface does not match the circuit");
   }
-  reachable_ = reachable_codes(circuit, circuit.enc.reset_code);
+  return circuit;
+}
+
+}  // namespace
+
+std::vector<std::uint64_t> checker_error_mask(
+    const core::CedHardware& hw, std::uint64_t state_code,
+    std::span<const std::uint64_t> responses) {
+  return checker_errors(hw, state_code, responses, nullptr);
+}
+
+ProtectedMachine::ProtectedMachine(const fsm::FsmCircuit& circuit,
+                                   const core::CedHardware& hw)
+    : circuit_(checked(circuit, hw)),
+      hw_(hw),
+      reachable_(reachable_codes(circuit, circuit.enc.reset_code)),
+      trace_(circuit, reachable_) {
   for (const std::uint64_t code : reachable_) {
     TransitionRow row;
-    row.response = simulate_all_inputs(circuit_, code);
+    const std::vector<std::uint64_t>* traced = trace_.find(code);
+    row.response = traced != nullptr ? *traced
+                                     : simulate_all_inputs(circuit_, code);
     row.error = checker_error_mask(hw_, code, row.response);
     golden_.emplace(code, std::move(row));
   }
@@ -86,23 +93,21 @@ const TransitionRow* ProtectedMachine::golden_row(
 
 FaultSession::FaultSession(const ProtectedMachine& pm,
                            const logic::Injection* injection)
-    : pm_(pm), injection_(injection) {}
-
-TransitionRow FaultSession::simulate(std::uint64_t state_code,
-                                     const logic::Injection* injection) const {
-  TransitionRow row;
-  row.response = simulate_all_inputs(pm_.circuit(), state_code, injection);
-  row.error = checker_error_mask(pm_.hw(), state_code, row.response);
-  return row;
+    : pm_(pm) {
+  if (injection != nullptr) faulty_sim_.emplace(pm.trace(), *injection);
 }
 
 const TransitionRow& FaultSession::faulty_row(std::uint64_t state_code) {
   auto it = faulty_.find(state_code);
   if (it == faulty_.end()) {
-    if (injection_ == nullptr) {
+    if (!faulty_sim_) {
       throw std::logic_error("FaultSession: faulty_row without an injection");
     }
-    it = faulty_.emplace(state_code, simulate(state_code, injection_)).first;
+    TransitionRow row;
+    row.response = faulty_sim_->simulate(state_code);
+    row.error = checker_errors(pm_.hw(), state_code, row.response,
+                               pm_.golden_row(state_code));
+    it = faulty_.emplace(state_code, std::move(row)).first;
   }
   return it->second;
 }
@@ -113,8 +118,10 @@ const TransitionRow& FaultSession::golden_row(std::uint64_t state_code) {
   }
   auto it = golden_local_.find(state_code);
   if (it == golden_local_.end()) {
-    it = golden_local_.emplace(state_code, simulate(state_code, nullptr))
-             .first;
+    TransitionRow row;
+    row.response = simulate_all_inputs(pm_.circuit(), state_code);
+    row.error = checker_error_mask(pm_.hw(), state_code, row.response);
+    it = golden_local_.emplace(state_code, std::move(row)).first;
   }
   return it->second;
 }

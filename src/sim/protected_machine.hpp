@@ -6,18 +6,22 @@
 // core/parity_synth) watches every transition. The campaign engine
 // (sim/campaign.hpp) drives this model under injected faults; everything
 // here is batched the same way as the extraction fault simulator — 64
-// concrete input values per netlist pass — so exhaustive per-state sweeps
-// cost two netlist evaluations per (state, 64 inputs) block: one for the
-// FSM response row, one for the checker verdicts over that row.
+// concrete input values per netlist pass. A faulty row at a reachable state
+// comes from the cone-restricted FaultyCache over the machine's golden
+// trace, and the checker re-runs only on the 64-input batches whose
+// response differs from the golden one; every other batch keeps the golden
+// verdict word, since the checker sees identical inputs there.
 //
 // The split mirrors fault_sim.hpp: a ProtectedMachine holds the shared,
-// immutable golden data (reachable set, fault-free response rows, fault-free
-// checker verdicts), and each worker opens a private FaultSession per fault
-// whose caches may grow into corrupted state codes the golden machine never
-// visits. Sessions never write shared state, which is what lets the
-// campaign fan units out with parallel_for and stay deterministic.
+// immutable golden data (reachable set, golden trace, fault-free response
+// rows, fault-free checker verdicts), and each worker opens a private
+// FaultSession per fault whose caches may grow into corrupted state codes
+// the golden machine never visits. Sessions never write shared state, which
+// is what lets the campaign fan units out with parallel_for and stay
+// deterministic.
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -50,10 +54,11 @@ struct TransitionRow {
 };
 
 /// Shared, immutable-after-construction view of the protected design: the
-/// functional circuit, the checker hardware, the reachable state set, and
-/// the fault-free rows (response + checker verdict) for every reachable
-/// state. Construction runs the golden simulation once; afterwards the
-/// object is read-only and safe to share across campaign workers.
+/// functional circuit, the checker hardware, the reachable state set, its
+/// golden trace, and the fault-free rows (response + checker verdict) for
+/// every reachable state. Construction runs the golden simulation once;
+/// afterwards the object is read-only and safe to share across campaign
+/// workers.
 class ProtectedMachine {
  public:
   ProtectedMachine(const fsm::FsmCircuit& circuit,
@@ -62,6 +67,7 @@ class ProtectedMachine {
   const fsm::FsmCircuit& circuit() const { return circuit_; }
   const core::CedHardware& hw() const { return hw_; }
   const std::vector<std::uint64_t>& reachable() const { return reachable_; }
+  const GoldenTrace& trace() const { return trace_; }
   std::uint64_t num_inputs() const {
     return std::uint64_t{1} << circuit_.r();
   }
@@ -74,6 +80,7 @@ class ProtectedMachine {
   const fsm::FsmCircuit& circuit_;
   const core::CedHardware& hw_;
   std::vector<std::uint64_t> reachable_;
+  GoldenTrace trace_;
   std::unordered_map<std::uint64_t, TransitionRow> golden_;
 };
 
@@ -99,12 +106,15 @@ class FaultSession {
 
   const ProtectedMachine& machine() const { return pm_; }
 
- private:
-  TransitionRow simulate(std::uint64_t state_code,
-                         const logic::Injection* injection) const;
+  /// Simulator counters of the session's faulty rows (zero without an
+  /// injection).
+  SimCounters counters() const {
+    return faulty_sim_ ? faulty_sim_->counters() : SimCounters{};
+  }
 
+ private:
   const ProtectedMachine& pm_;
-  const logic::Injection* injection_;
+  std::optional<FaultyCache> faulty_sim_;
   std::unordered_map<std::uint64_t, TransitionRow> faulty_;
   std::unordered_map<std::uint64_t, TransitionRow> golden_local_;
 };

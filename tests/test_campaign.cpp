@@ -259,6 +259,35 @@ TEST(CampaignOracle, TableCoverageImpliesExhaustiveBoundHolds) {
   }
 }
 
+TEST(CampaignMachine, BatchCheckerReuseMatchesWholeRowChecker) {
+  // A faulty row keeps the golden checker verdict on every 64-input batch
+  // whose response is golden and re-runs the checker on the rest. Both
+  // halves must equal their oracles at every state code — reachable codes
+  // take the cone rows and the reuse, the others the full pass — for
+  // partial (dk16, 4 inputs) and two-batch (s386, 128 inputs) rows.
+  for (const char* name : {"dk16", "s386"}) {
+    SCOPED_TRACE(name);
+    const Design d = suite_design(name, 2);
+    const ProtectedMachine pm(d.circuit, d.hw);
+    std::uint64_t reused_rows = 0;
+    for (const StuckAtFault& f : d.faults) {
+      const logic::Injection inj = f.injection();
+      FaultSession session(pm, &inj);
+      for (std::uint64_t code = 0; code <= d.circuit.state_mask(); ++code) {
+        const TransitionRow& row = session.faulty_row(code);
+        ASSERT_EQ(row.response, simulate_all_inputs(d.circuit, code, &inj))
+            << f.to_string() << " code " << code;
+        ASSERT_EQ(row.error, checker_error_mask(d.hw, code, row.response))
+            << f.to_string() << " code " << code;
+        const TransitionRow* golden = pm.golden_row(code);
+        reused_rows += golden != nullptr && row.response == golden->response;
+      }
+      EXPECT_EQ(session.counters().cone_rows, pm.reachable().size());
+    }
+    EXPECT_GT(reused_rows, 0u);
+  }
+}
+
 TEST(CampaignOracle, WeakenedSchemeIsFalsifiedByCampaign) {
   const int p = 2;
   const Design d = suite_design("dk16", p);

@@ -19,6 +19,8 @@
 #include "kiss/kiss.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/campaign.hpp"
+#include "sim/fault_sim.hpp"
 
 namespace ced {
 namespace {
@@ -244,6 +246,39 @@ TEST(ObsDeterminism, ResultsAreByteIdenticalWithObsOnOrOff) {
     EXPECT_TRUE(saw_solve);
     const obs::MetricsSnapshot snap = metrics.snapshot();
     EXPECT_GT(snap.counters.at("ced_extract_cases_total"), 0u);
+    // The extraction shards' simulator counters and the trace gauge.
+    EXPECT_GT(snap.counters.at("ced_sim_cone_rows_total"), 0u);
+    EXPECT_GT(snap.counters.at("ced_sim_cone_gates_total"), 0u);
+    EXPECT_GT(snap.gauges.at(sim::kGoldenTraceBytesGauge), 0.0);
+  }
+}
+
+TEST(ObsDeterminism, CampaignVerdictsAreIdenticalWithObsOnOrOff) {
+  const fsm::Fsm f = machine("link_rx");
+  const core::PipelineReport rep = run_observed(f, 1, nullptr, nullptr);
+  const core::PipelineOptions opts;
+  const fsm::FsmCircuit circuit =
+      fsm::synthesize_fsm(f, opts.encoding, opts.synth);
+  const auto faults = sim::enumerate_stuck_at(circuit.netlist, opts.faults);
+  const core::CedHardware hw =
+      core::synthesize_ced(circuit, rep.parities, opts.ced);
+  for (const int threads : {1, 4}) {
+    sim::CampaignOptions co;
+    co.latency_bound = 2;
+    co.threads = threads;
+    const sim::CampaignReport plain =
+        sim::run_campaign(circuit, hw, faults, co);
+    obs::Tracer tracer;
+    obs::MetricsRegistry metrics;
+    co.obs = {&tracer, &metrics, 0};
+    const sim::CampaignReport observed =
+        sim::run_campaign(circuit, hw, faults, co);
+    EXPECT_TRUE(plain.verdicts == observed.verdicts) << "threads=" << threads;
+    EXPECT_GT(plain.activations, 0u);
+    const obs::MetricsSnapshot snap = metrics.snapshot();
+    EXPECT_GT(snap.counters.at("ced_sim_cone_rows_total"), 0u);
+    EXPECT_GT(snap.counters.at("ced_sim_cone_gates_total"), 0u);
+    EXPECT_GT(snap.gauges.at(sim::kGoldenTraceBytesGauge), 0.0);
   }
 }
 

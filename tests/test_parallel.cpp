@@ -9,7 +9,10 @@
 #include <atomic>
 #include <bit>
 #include <cstdlib>
+#include <map>
+#include <set>
 #include <stdexcept>
+#include <tuple>
 
 #include "benchdata/handwritten.hpp"
 #include "benchdata/suite.hpp"
@@ -18,6 +21,7 @@
 #include "core/run.hpp"
 #include "core/rng.hpp"
 #include "kiss/kiss.hpp"
+#include "sim/fault_sim.hpp"
 #include "sim/faults.hpp"
 
 namespace ced {
@@ -126,6 +130,163 @@ TEST(ParallelExtract, MachineLevelSemanticsAlsoDeterministic) {
   ASSERT_EQ(a.cases.size(), b.cases.size());
   for (std::size_t i = 0; i < a.cases.size(); ++i) {
     EXPECT_TRUE(a.cases[i] == b.cases[i]);
+  }
+}
+
+/// Reference extraction on the full-pass simulator: every path of every
+/// fault from every reachable activation, one distinct (difference word,
+/// successor pair) step at a time, with no golden trace, cone rows,
+/// pruning or sharding; the table is the subset-minimal canonical cases.
+class OracleExtractor {
+ public:
+  OracleExtractor(const fsm::FsmCircuit& c, int p, core::DiffSemantics sem)
+      : c_(c), p_(p), sem_(sem), sets_(static_cast<std::size_t>(p)) {}
+
+  void run(const sim::StuckAtFault& f) {
+    inj_ = f.injection();
+    good_rows_.clear();
+    bad_rows_.clear();
+    bool detectable = false;
+    for (const std::uint64_t code :
+         sim::reachable_codes(c_, c_.enc.reset_code)) {
+      for (const auto& [diff, next] : steps({code, code})) {
+        if (diff == 0) continue;
+        detectable = true;
+        ++activations;
+        diffs_ = {diff};
+        path_ = {next};
+        walk();
+      }
+    }
+    detectable_faults += detectable ? 1 : 0;
+  }
+
+  /// Sorted like extract_cases_multi's tables: by length, then words.
+  std::vector<core::ErroneousCase> table(int p) const {
+    const auto& set = sets_[static_cast<std::size_t>(p - 1)];
+    std::vector<core::ErroneousCase> out;
+    for (const Words& w : set) {
+      bool dominated = false;
+      for (unsigned mask = 1; mask + 1 < (1u << w.size()); ++mask) {
+        Words sub;
+        for (std::size_t k = 0; k < w.size(); ++k) {
+          if ((mask >> k) & 1) sub.push_back(w[k]);
+        }
+        dominated = dominated || set.count(sub) != 0;
+      }
+      if (dominated) continue;
+      core::ErroneousCase ec;
+      std::copy(w.begin(), w.end(), ec.diff.begin());
+      ec.length = static_cast<std::uint8_t>(w.size());
+      out.push_back(ec);
+    }
+    std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+      return a.length != b.length ? a.length < b.length : a.diff < b.diff;
+    });
+    return out;
+  }
+
+  std::size_t activations = 0;
+  std::size_t detectable_faults = 0;
+
+ private:
+  using Words = std::vector<std::uint64_t>;  ///< sorted distinct nonzero
+  using Pair = std::pair<std::uint64_t, std::uint64_t>;  ///< (good, bad)
+
+  const std::vector<std::uint64_t>& row(
+      std::map<std::uint64_t, std::vector<std::uint64_t>>& memo,
+      std::uint64_t code, const logic::Injection* inj) {
+    auto it = memo.find(code);
+    if (it == memo.end()) {
+      it = memo.emplace(code, sim::simulate_all_inputs(c_, code, inj)).first;
+    }
+    return it->second;
+  }
+
+  /// The distinct (difference word, successor pair) steps from `pair`.
+  std::set<std::pair<std::uint64_t, Pair>> steps(const Pair& pair) {
+    const auto& good = row(good_rows_, pair.first, nullptr);
+    const auto& bad = row(bad_rows_, pair.second, &inj_);
+    std::set<std::pair<std::uint64_t, Pair>> out;
+    for (std::size_t a = 0; a < good.size(); ++a) {
+      const std::uint64_t next_bad = c_.next_state_of(bad[a]);
+      const std::uint64_t next_good =
+          sem_ == core::DiffSemantics::kMachineLevel
+              ? c_.next_state_of(good[a])
+              : next_bad;
+      out.insert({good[a] ^ bad[a], {next_good, next_bad}});
+    }
+    return out;
+  }
+
+  void record(int table) {
+    Words w;
+    for (const std::uint64_t d : diffs_) {
+      if (d != 0) w.push_back(d);
+    }
+    std::sort(w.begin(), w.end());
+    w.erase(std::unique(w.begin(), w.end()), w.end());
+    sets_[static_cast<std::size_t>(table - 1)].insert(w);
+  }
+
+  /// Records the current path into its table and extends it; a step back
+  /// into a state of the path ends it, and its case then stands for every
+  /// longer bound too (the loop rule).
+  void walk() {
+    const int depth = static_cast<int>(diffs_.size());
+    record(depth);
+    if (depth == p_) return;
+    for (const auto& [diff, next] : steps(path_.back())) {
+      diffs_.push_back(diff);
+      if (std::find(path_.begin(), path_.end(), next) != path_.end()) {
+        for (int t = depth + 1; t <= p_; ++t) record(t);
+      } else {
+        path_.push_back(next);
+        walk();
+        path_.pop_back();
+      }
+      diffs_.pop_back();
+    }
+  }
+
+  const fsm::FsmCircuit& c_;
+  const int p_;
+  const core::DiffSemantics sem_;
+  logic::Injection inj_;
+  std::map<std::uint64_t, std::vector<std::uint64_t>> good_rows_, bad_rows_;
+  std::vector<std::set<Words>> sets_;
+  std::vector<std::uint64_t> diffs_;
+  std::vector<Pair> path_;
+};
+
+TEST(ParallelExtract, FourThreadTablesMatchFullPassOracle) {
+  // Four workers read one shared golden trace concurrently (this suite runs
+  // under TSan), and their cone-restricted rows must yield exactly the
+  // tables of a brute-force extraction over the full-pass simulator.
+  for (const char* name : {"link_rx", "traffic", "arbiter"}) {
+    for (const auto sem : {core::DiffSemantics::kImplementable,
+                           core::DiffSemantics::kMachineLevel}) {
+      SCOPED_TRACE(std::string(name) +
+                   (sem == core::DiffSemantics::kImplementable ? " impl"
+                                                               : " machine"));
+      const fsm::FsmCircuit c = circuit_for(name);
+      const auto faults = sim::enumerate_stuck_at(c.netlist);
+      core::ExtractOptions opts;
+      opts.latency = 3;
+      opts.semantics = sem;
+      opts.threads = 4;
+      const auto tables = core::extract_cases_multi(c, faults, opts);
+      OracleExtractor oracle(c, opts.latency, sem);
+      for (const auto& f : faults) oracle.run(f);
+      for (int p = 1; p <= opts.latency; ++p) {
+        const auto& t = tables[static_cast<std::size_t>(p - 1)];
+        EXPECT_FALSE(t.truncated);
+        EXPECT_FALSE(t.cases.empty());
+        EXPECT_TRUE(t.cases == oracle.table(p)) << "p=" << p;
+        EXPECT_EQ(t.num_activations, oracle.activations);
+        EXPECT_EQ(t.num_detectable_faults, oracle.detectable_faults);
+      }
+    }
   }
 }
 

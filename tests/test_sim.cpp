@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <set>
 
 #include "benchdata/handwritten.hpp"
@@ -100,8 +102,8 @@ TEST(FaultSim, AllInputsMatchesSingleEvalWithFault) {
   }
 }
 
-TEST(FaultSim, WideInputMachineBatches) {
-  // > 64 input combinations exercises the multi-batch path.
+// 7 inputs: 128 input combinations, two 64-input batches.
+fsm::FsmCircuit wide_circuit() {
   const char* wide = R"(.i 7
 .o 1
 ------- A B 1
@@ -110,12 +112,112 @@ TEST(FaultSim, WideInputMachineBatches) {
 .e
 )";
   const fsm::Fsm f = fsm::Fsm::from_kiss(kiss::parse(wide));
-  const fsm::FsmCircuit c = fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary, {});
+  return fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary, {});
+}
+
+TEST(FaultSim, WideInputMachineBatches) {
+  // > 64 input combinations exercises the multi-batch path.
+  const fsm::FsmCircuit c = wide_circuit();
   const auto rows = simulate_all_inputs(c, 0);
   ASSERT_EQ(rows.size(), 128u);
   for (std::uint64_t a = 0; a < 128; ++a) {
     EXPECT_EQ(rows[a], c.eval(a, 0));
   }
+}
+
+TEST(FaultSim, Transpose64SwapsRowsAndColumns) {
+  std::array<std::uint64_t, 64> m{};
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  for (auto& w : m) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    w = x;
+  }
+  const auto original = m;
+  transpose64(m);
+  for (std::size_t t = 0; t < 64; ++t) {
+    for (std::size_t o = 0; o < 64; ++o) {
+      ASSERT_EQ((m[t] >> o) & 1, (original[o] >> t) & 1) << t << "," << o;
+    }
+  }
+}
+
+/// Which kinds of fault net a differential run covered.
+struct FaultSites {
+  bool primary_input = false;
+  bool state_bit = false;
+  bool output = false;
+  bool internal = false;
+};
+
+/// Cone rows against the full-pass oracle simulate_all_inputs for every
+/// fault of the uncollapsed list (a superset of the collapsed one, with
+/// faults on every net) at every s-bit code: once over a trace of every code
+/// (the cone path everywhere, reachable or not) and once over a trace of the
+/// reachable codes only (the full-pass fallback at the others).
+void expect_cone_rows_match_oracle(const fsm::FsmCircuit& c,
+                                   FaultSites& sites) {
+  const auto faults = enumerate_stuck_at(c.netlist, FaultListOptions{false});
+  std::vector<std::uint64_t> codes;
+  for (std::uint64_t code = 0; code <= c.state_mask(); ++code) {
+    codes.push_back(code);
+  }
+  const auto reachable = reachable_codes(c, c.enc.reset_code);
+  const GoldenTrace every(c, codes);
+  const GoldenTrace reach(c, reachable);
+  for (const std::uint64_t code : codes) {
+    ASSERT_NE(every.find(code), nullptr);
+    EXPECT_EQ(*every.find(code), simulate_all_inputs(c, code));
+  }
+
+  const auto& ins = c.netlist.inputs();
+  const auto& outs = c.netlist.outputs();
+  for (const StuckAtFault& f : faults) {
+    const auto in = std::find(ins.begin(), ins.end(), f.net);
+    if (in != ins.end()) {
+      (in - ins.begin() < c.r() ? sites.primary_input : sites.state_bit) =
+          true;
+    } else if (std::find(outs.begin(), outs.end(), f.net) != outs.end()) {
+      sites.output = true;
+    } else {
+      sites.internal = true;
+    }
+    const logic::Injection inj = f.injection();
+    FaultyCache cone(every, inj);
+    FaultyCache mixed(reach, inj);
+    for (const std::uint64_t code : codes) {
+      const auto oracle = simulate_all_inputs(c, code, &inj);
+      EXPECT_EQ(cone.rows(code), oracle) << f.to_string() << " code " << code;
+      EXPECT_EQ(mixed.rows(code), oracle)
+          << f.to_string() << " code " << code;
+    }
+    EXPECT_EQ(cone.counters().cone_rows, codes.size());
+    EXPECT_EQ(cone.counters().full_rows, 0u);
+    EXPECT_EQ(mixed.counters().cone_rows, reachable.size());
+    EXPECT_EQ(mixed.counters().full_rows, codes.size() - reachable.size());
+  }
+}
+
+TEST(FaultSim, ConeRowsMatchFullPassOnHandwrittenMachines) {
+  // Fewer than 64 inputs: every row is one partial batch.
+  FaultSites sites;
+  for (const char* name : {"vending", "arbiter", "traffic", "link_rx",
+                           "modulo5", "seq_detect"}) {
+    SCOPED_TRACE(name);
+    expect_cone_rows_match_oracle(circuit_for(name), sites);
+  }
+  EXPECT_TRUE(sites.primary_input);
+  EXPECT_TRUE(sites.state_bit);
+  EXPECT_TRUE(sites.output);
+  EXPECT_TRUE(sites.internal);
+}
+
+TEST(FaultSim, ConeRowsMatchFullPassAcrossBatches) {
+  FaultSites sites;
+  expect_cone_rows_match_oracle(wide_circuit(), sites);
+  EXPECT_TRUE(sites.primary_input);
+  EXPECT_TRUE(sites.state_bit);
 }
 
 TEST(FaultSim, GoldenCacheIsConsistent) {
