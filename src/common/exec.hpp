@@ -1,45 +1,24 @@
 #pragma once
 
-// The unified execution policy: which cover-kernel backend, which LP
-// solver, and how many worker threads a run uses. These three knobs share
-// one property — none of them ever changes q or the selected parity
-// functions, only wall-clock — so they travel together as one value
-// instead of the three ad-hoc mechanisms that accreted over PRs 2/4/9
-// (CED_THREADS + PipelineOptions::threads, CED_KERNEL + ScopedKernelMode,
-// CED_LP + ScopedLpMode). The environment variables remain as
-// defaults-only fallbacks: an explicit policy always wins, an unset field
-// (kAuto / threads 0) defers to the env var, and an unset env var defers
-// to the library default.
+// The execution policy: how many worker threads a run uses. The thread
+// count never changes q or the selected parity functions, only
+// wall-clock. CED_THREADS remains a defaults-only fallback: an explicit
+// policy always wins, threads 0 defers to the env var, and an unset env
+// var defers to the hardware concurrency (see resolve_threads).
 //
 // The policy is ambient and thread-local: ScopedExecPolicy installs a
 // refinement for the current thread, and parallel_for re-installs the
 // caller's ambient policy inside every worker it spawns, so a policy
 // pinned around a run is seen by all of that run's workers and by nobody
 // else's. That is what makes per-request pinning in ced_serve sound:
-// two concurrent requests with different policies never observe each
-// other. Because the policy never shapes results, it is deliberately
+// two concurrent requests with different thread counts never observe
+// each other. Because the policy never shapes results, it is deliberately
 // EXCLUDED from RunConfig::digest() — two requests differing only in
 // policy dedup onto the same in-flight run and share one cache entry.
 
-#include <cstddef>
-#include <optional>
-#include <string_view>
-
 namespace ced {
 
-/// Cover-kernel backend selector (see core/coverkernel.hpp for what each
-/// mode does). kAuto defers to CED_KERNEL, then to the library default
-/// (simd — which itself degrades to the scalar word loop on hosts without
-/// a vector unit, see common/cpu.hpp).
-enum class KernelSel { kAuto, kScalar, kBitsliced, kSimd };
-
-/// LP solver selector (see lp/simplex.hpp). kAuto defers to CED_LP, then
-/// to the library default (revised).
-enum class LpSel { kAuto, kDense, kRevised };
-
 struct ExecPolicy {
-  KernelSel kernel = KernelSel::kAuto;
-  LpSel lp = LpSel::kAuto;
   /// Worker threads for the parallel stages: >= 1 exact, 0 = defer to
   /// CED_THREADS / hardware concurrency (see resolve_threads).
   int threads = 0;
@@ -49,13 +28,13 @@ namespace detail {
 inline thread_local ExecPolicy g_ambient_exec{};
 }
 
-/// The ambient policy of the calling thread (all-auto unless a
+/// The ambient policy of the calling thread (threads 0 unless a
 /// ScopedExecPolicy is active somewhere up the stack).
 inline const ExecPolicy& ambient_exec() { return detail::g_ambient_exec; }
 
-/// RAII refinement of the ambient policy for the current thread: fields
-/// set in `p` override the surrounding ambient value, kAuto / 0 fields
-/// inherit it, and destruction restores the previous policy exactly.
+/// RAII refinement of the ambient policy for the current thread: a
+/// thread count >= 1 in `p` overrides the surrounding ambient value, 0
+/// inherits it, and destruction restores the previous policy exactly.
 /// parallel_for captures the caller's ambient policy and installs it in
 /// each worker, so a scope opened around a parallel stage covers every
 /// thread of that stage.
@@ -63,11 +42,7 @@ class ScopedExecPolicy {
  public:
   explicit ScopedExecPolicy(const ExecPolicy& p)
       : saved_(detail::g_ambient_exec) {
-    ExecPolicy next = saved_;
-    if (p.kernel != KernelSel::kAuto) next.kernel = p.kernel;
-    if (p.lp != LpSel::kAuto) next.lp = p.lp;
-    if (p.threads > 0) next.threads = p.threads;
-    detail::g_ambient_exec = next;
+    if (p.threads > 0) detail::g_ambient_exec.threads = p.threads;
   }
   ~ScopedExecPolicy() { detail::g_ambient_exec = saved_; }
   ScopedExecPolicy(const ScopedExecPolicy&) = delete;
@@ -76,41 +51,5 @@ class ScopedExecPolicy {
  private:
   ExecPolicy saved_;
 };
-
-/// Spelling used by CED_KERNEL, the ced_serve wire schema and the docs.
-inline std::optional<KernelSel> parse_kernel_sel(std::string_view s) {
-  if (s == "scalar") return KernelSel::kScalar;
-  if (s == "bitsliced") return KernelSel::kBitsliced;
-  if (s == "simd") return KernelSel::kSimd;
-  if (s == "auto" || s.empty()) return KernelSel::kAuto;
-  return std::nullopt;
-}
-
-/// Spelling used by CED_LP, the ced_serve wire schema and the docs.
-inline std::optional<LpSel> parse_lp_sel(std::string_view s) {
-  if (s == "dense") return LpSel::kDense;
-  if (s == "revised") return LpSel::kRevised;
-  if (s == "auto" || s.empty()) return LpSel::kAuto;
-  return std::nullopt;
-}
-
-inline const char* to_string(KernelSel k) {
-  switch (k) {
-    case KernelSel::kScalar: return "scalar";
-    case KernelSel::kBitsliced: return "bitsliced";
-    case KernelSel::kSimd: return "simd";
-    case KernelSel::kAuto: break;
-  }
-  return "auto";
-}
-
-inline const char* to_string(LpSel l) {
-  switch (l) {
-    case LpSel::kDense: return "dense";
-    case LpSel::kRevised: return "revised";
-    case LpSel::kAuto: break;
-  }
-  return "auto";
-}
 
 }  // namespace ced

@@ -62,84 +62,39 @@ std::vector<ParityFunc> round_once(const std::vector<std::vector<double>>& x,
 
 /// Hill-climb repair over a row subset: flips bits of the candidate trees
 /// to reduce the number of uncovered rows (exact GF(2) evaluation, but only
-/// on `rows` — callers re-verify against the full table). On the kernel
-/// path each tree holds a BetaCursor over a subset kernel, so probing a
-/// flip is one column XOR per step plus a T-way OR, instead of a full
-/// per-case re-scan; acceptance rule and scan order match the scalar loop,
-/// so the repaired trees are identical.
+/// on `rows` — callers re-verify against the full table). Each tree holds
+/// a BetaCursor over a subset kernel. While only tree t moves, the union
+/// of the OTHER trees' covers is a constant base, so all n flip-candidates
+/// of tree t are probed in one blocked neighbor_counts sweep; counts are
+/// re-probed after every accepted flip, so the scan order and acceptance
+/// rule are those of a flip/count/flip-back loop over (t, j).
 bool repair_on(std::vector<ParityFunc>& betas, const DetectabilityTable& table,
                std::span<const std::uint32_t> rows, int n) {
-  if (kernel_mode() == KernelMode::kScalar) {
-    auto uncovered = uncovered_among(betas, table, rows);
-    bool improved = true;
-    while (!uncovered.empty() && improved) {
-      improved = false;
-      for (std::size_t t = 0; t < betas.size() && !uncovered.empty(); ++t) {
-        for (int j = 0; j < n; ++j) {
-          const ParityFunc saved = betas[t];
-          betas[t] ^= std::uint64_t{1} << j;
-          auto trial = uncovered_among(betas, table, rows);
-          if (trial.size() < uncovered.size()) {
-            uncovered = std::move(trial);
-            improved = true;
-          } else {
-            betas[t] = saved;
-          }
-        }
-      }
-    }
-    return uncovered.empty();
-  }
-
   const CoverKernel sub(table, rows);
   std::vector<BetaCursor> cur;
   cur.reserve(betas.size());
   for (const ParityFunc b : betas) cur.emplace_back(sub, b);
-  std::vector<std::uint64_t> acc(sub.num_words());
-  auto count_uncovered = [&]() {
-    std::fill(acc.begin(), acc.end(), 0);
-    for (const BetaCursor& c : cur) c.or_covered_into(acc.data());
-    return sub.num_rows() - sub.count(acc.data());
-  };
-  std::size_t unc = count_uncovered();
-  // Batched probing (simd mode): while only tree t moves, the union of
-  // the OTHER trees' covers is a constant base, so all n flip-candidates
-  // of tree t are probed in one blocked neighbor_counts sweep. Acceptance
-  // rule and scan order match the per-probe loop (counts are re-probed
-  // after every accepted flip), so the repaired trees are identical.
-  const bool batched = sub.engine() != nullptr;
-  std::vector<std::size_t> ncounts(batched ? static_cast<std::size_t>(n) : 0);
-  std::vector<std::uint64_t> base(batched ? sub.num_words() : 0);
+  std::vector<std::uint64_t> base(sub.num_words());
+  for (const BetaCursor& c : cur) c.or_covered_into(base.data());
+  std::size_t unc = sub.num_rows() - sub.count(base.data());
+  std::vector<std::size_t> ncounts(static_cast<std::size_t>(n));
   bool improved = true;
   while (unc > 0 && improved) {
     improved = false;
     for (std::size_t t = 0; t < cur.size() && unc > 0; ++t) {
-      if (batched) {
-        std::fill(base.begin(), base.end(), 0);
-        for (std::size_t o = 0; o < cur.size(); ++o) {
-          if (o != t) cur[o].or_covered_into(base.data());
-        }
-        cur[t].neighbor_counts(ncounts, base.data());
-        for (int j = 0; j < n; ++j) {
-          const std::size_t trial =
-              sub.num_rows() - ncounts[static_cast<std::size_t>(j)];
-          if (trial < unc) {
-            cur[t].flip(j);
-            unc = trial;
-            improved = true;
-            if (j + 1 < n) cur[t].neighbor_counts(ncounts, base.data());
-          }
-        }
-        continue;
+      std::fill(base.begin(), base.end(), 0);
+      for (std::size_t o = 0; o < cur.size(); ++o) {
+        if (o != t) cur[o].or_covered_into(base.data());
       }
+      cur[t].neighbor_counts(ncounts, base.data());
       for (int j = 0; j < n; ++j) {
-        cur[t].flip(j);
-        const std::size_t trial = count_uncovered();
+        const std::size_t trial =
+            sub.num_rows() - ncounts[static_cast<std::size_t>(j)];
         if (trial < unc) {
+          cur[t].flip(j);
           unc = trial;
           improved = true;
-        } else {
-          cur[t].flip(j);
+          if (j + 1 < n) cur[t].neighbor_counts(ncounts, base.data());
         }
       }
     }
@@ -148,17 +103,10 @@ bool repair_on(std::vector<ParityFunc>& betas, const DetectabilityTable& table,
   return unc == 0;
 }
 
-/// Full-table uncovered rows through the shared kernel when available.
-std::vector<std::uint32_t> full_uncovered(const SolverContext& ctx,
-                                          std::span<const ParityFunc> betas) {
-  if (ctx.kernel) return ctx.kernel->uncovered(betas);
-  return uncovered_cases(betas, *ctx.table);
-}
-
 }  // namespace
 
-SolverContext::SolverContext(const DetectabilityTable& t) : table(&t) {
-  if (kernel_mode() != KernelMode::kScalar) kernel.emplace(t);
+SolverContext::SolverContext(const DetectabilityTable& t)
+    : table(&t), kernel(t) {
   hardness.resize(t.cases.size());
   for (std::size_t i = 0; i < t.cases.size(); ++i) {
     hardness[i] = hardness_of(t.cases[i]);
@@ -222,7 +170,7 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
   // Full exact check with sample refinement: a candidate that covers the
   // sample but misses full-table rows teaches the sample those rows.
   auto full_check = [&](std::vector<ParityFunc>& betas) -> bool {
-    const auto missed = full_uncovered(*ctx, betas);
+    const auto missed = ctx->kernel.uncovered(betas);
     if (missed.empty()) return true;
     for (std::size_t i = 0; i < missed.size() && i < 64; ++i) {
       check.add(missed[i]);
@@ -243,8 +191,7 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
   // Basis reuse across formulations: every optimal solve deposits its basis
   // in the shared context; the next solve (same q next round, or the
   // adjacent q of the binary search) maps it onto the new formulation by
-  // identity keys and starts from there. Under CED_LP=dense the solver
-  // never returns a basis, so the memo stays empty and nothing changes.
+  // identity keys and starts from there.
   lp_opts.want_basis = true;
 
   for (int round = 0; round < opts.row_rounds; ++round) {
@@ -301,9 +248,7 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
       bool ran = false;
     };
     std::vector<Trial> trials(static_cast<std::size_t>(std::max(opts.iter, 0)));
-    const std::vector<std::uint32_t> screen = check.rows();
-    std::optional<CoverKernel> screen_kernel;
-    if (ctx->kernel) screen_kernel.emplace(table, screen);
+    const CoverKernel screen_kernel(table, check.rows());
     std::atomic<int> executed{0};
     parallel_for(threads, trials.size(), [&](std::size_t it) {
       if (opts.deadline.expired()) return;  // trial skipped, noted below
@@ -317,17 +262,9 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
           (static_cast<std::uint64_t>(round) << 32) + it);
       Trial& tr = trials[it];
       tr.betas = round_once(x, blend, trial_rng);
-      if (screen_kernel && screen_kernel->engine() != nullptr) {
-        // simd mode: screen the trial's whole candidate set in one
-        // blocked pass (union coverage is order-independent, so the
-        // batched count equals the per-beta accumulation exactly).
-        CoverBatch batch(*screen_kernel);
-        tr.uncov = batch.uncovered_count(tr.betas);
-      } else if (screen_kernel) {
-        tr.uncov = screen_kernel->uncovered_count(tr.betas);
-      } else {
-        tr.uncov = uncovered_among(tr.betas, table, screen).size();
-      }
+      // Screen the trial's whole candidate set in one blocked pass.
+      CoverBatch batch(screen_kernel);
+      tr.uncov = batch.uncovered_count(tr.betas);
       tr.ran = true;
       executed.fetch_add(1, std::memory_order_relaxed);
     });
@@ -337,15 +274,9 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
       stats->roundings += static_cast<int>(ran);
       // Screening-cost accounting at trial-batch granularity (outside the
       // decision path; the search never reads these).
-      const std::uint64_t evals = ran * screen.size();
-      if (screen_kernel) {
-        stats->kernel_case_evals += evals;
-      } else {
-        stats->scalar_case_evals += evals;
-      }
+      stats->kernel_case_evals += ran * screen_kernel.num_rows();
     }
-    if (opts.obs.metrics != nullptr && screen_kernel &&
-        screen_kernel->engine() != nullptr) {
+    if (opts.obs.metrics != nullptr) {
       // Batch-size distribution of the one-pass trial screens (write-only;
       // the search never reads it).
       obs::MetricsShard shard(opts.obs.metrics);
@@ -363,7 +294,7 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
         continue;
       }
       if (tr.uncov == 0 && full_check(tr.betas)) {
-        return prune_redundant(tr.betas, table, ctx->kernel_ptr());
+        return prune_redundant(tr.betas, table, &ctx->kernel);
       }
       if (tr.uncov < best_uncovered &&
           tr.betas.size() <= static_cast<std::size_t>(q)) {
@@ -416,7 +347,7 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
       if (stats) ++stats->repairs;
       if (!repair_on(best_attempt, table, check.rows(), table.num_bits)) break;
       if (full_check(best_attempt)) {
-        return prune_redundant(best_attempt, table, ctx->kernel_ptr());
+        return prune_redundant(best_attempt, table, &ctx->kernel);
       }
       // full_check extended the sample with missed cases; repair again.
     }
@@ -469,7 +400,7 @@ void drop_and_repair(std::vector<ParityFunc>& best,
       for (int attempt = 0; attempt < 4; ++attempt) {
         if (stats) ++stats->repairs;
         if (!repair_on(cand, table, check.rows(), table.num_bits)) break;
-        const auto missed = full_uncovered(ctx, cand);
+        const auto missed = ctx.kernel.uncovered(cand);
         if (missed.empty()) {
           covered = true;
           break;
@@ -479,7 +410,7 @@ void drop_and_repair(std::vector<ParityFunc>& best,
         }
       }
       if (covered) {
-        best = prune_redundant(cand, table, ctx.kernel_ptr());
+        best = prune_redundant(cand, table, &ctx.kernel);
         improved = true;
         break;
       }
@@ -526,20 +457,19 @@ std::vector<ParityFunc> minimize_parity_functions(
   greedy_opts.obs = obs_opts.obs;
   GreedyStats greedy_stats;
   const std::vector<ParityFunc> greedy =
-      greedy_cover(table, greedy_opts, &greedy_stats, ctx.kernel_ptr());
+      greedy_cover(table, greedy_opts, &greedy_stats, &ctx.kernel);
   if (stats && greedy_stats.deadline_hit) {
     stats->greedy_degraded = true;
     stats->deadline_hit = true;
   }
   std::vector<ParityFunc> best = greedy;
   bool from_greedy = true;
-  const bool warm_covers =
-      !warm_start.empty() && warm_start.size() <= best.size() &&
-      (ctx.kernel ? ctx.kernel->covers_all(warm_start)
-                  : covers_all(warm_start, table));
+  const bool warm_covers = !warm_start.empty() &&
+                           warm_start.size() <= best.size() &&
+                           ctx.kernel.covers_all(warm_start);
   if (warm_covers) {
     best.assign(warm_start.begin(), warm_start.end());
-    best = prune_redundant(best, table, ctx.kernel_ptr());
+    best = prune_redundant(best, table, &ctx.kernel);
     from_greedy = false;
   }
 
@@ -616,8 +546,6 @@ std::vector<ParityFunc> minimize_parity_functions(
               static_cast<std::uint64_t>(st->repairs - entry.repairs));
     shard.add("ced_solve_kernel_case_evals_total",
               st->kernel_case_evals - entry.kernel_case_evals);
-    shard.add("ced_solve_scalar_case_evals_total",
-              st->scalar_case_evals - entry.scalar_case_evals);
     shard.add("ced_solve_q_probes_total",
               static_cast<std::uint64_t>(st->qs_tried.size() -
                                          entry.qs_tried.size()));

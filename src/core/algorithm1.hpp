@@ -66,10 +66,10 @@ struct Algorithm1Stats {
   /// Simplex pivots consumed across all LP solves.
   int lp_iterations = 0;
   /// Pivots spent in the revised solver's composite phase 1 (subset of
-  /// lp_iterations; 0 under CED_LP=dense). A working warm start shows up
-  /// as this staying near zero after the first solve.
+  /// lp_iterations). A working warm start shows up as this staying near
+  /// zero after the first solve.
   int lp_phase1_iterations = 0;
-  /// Basis refactorizations across all LP solves (revised mode only).
+  /// Basis refactorizations across all LP solves.
   int lp_refactorizations = 0;
   /// LP solves that received a mapped warm-start basis, and how many of
   /// those the solver structurally applied (dimensions matched and the
@@ -93,11 +93,10 @@ struct Algorithm1Stats {
   /// table size when nothing was dominated.
   std::size_t condensed_cases = 0;
   std::vector<int> qs_tried;
-  /// Screening-check row evaluations performed through the bit-sliced
-  /// kernel vs the scalar path (trial-batch granularity: executed trials x
-  /// sample rows). Diagnostics only — never consulted by the search.
+  /// Screening-check row evaluations performed through the cover kernel
+  /// (trial-batch granularity: executed trials x sample rows).
+  /// Diagnostics only — never consulted by the search.
   std::uint64_t kernel_case_evals = 0;
-  std::uint64_t scalar_case_evals = 0;
 };
 
 struct ResilienceReport;
@@ -117,15 +116,12 @@ struct SolverContext {
   explicit SolverContext(const DetectabilityTable& table);
 
   const DetectabilityTable* table;
-  /// Engaged unless CED_KERNEL=scalar.
-  std::optional<CoverKernel> kernel;
+  CoverKernel kernel;
   /// Detecting (bit, step) entry count per row (fewest = hardest: those
   /// rows constrain the LP the most and are sampled first).
   std::vector<int> hardness;
   /// Every row index, stably sorted by ascending hardness.
   std::vector<std::uint32_t> hard_order;
-
-  const CoverKernel* kernel_ptr() const { return kernel ? &*kernel : nullptr; }
 
   // ---- run-scoped state (filled by the cascade driver, defaulted
   // ---- otherwise; solvers read these instead of taking five parameters).
@@ -143,13 +139,13 @@ struct SolverContext {
   std::chrono::steady_clock::time_point cascade_start =
       std::chrono::steady_clock::now();
 
-  /// Basis memory of the most recent optimal LP solve over this table
-  /// (revised LP mode): the next formulation — the adjacent q probe of the
-  /// binary search, the next row-generation round, or a re-solve after
-  /// condensation rebuilt the context — maps it onto itself by identity
-  /// keys (core/ilp.hpp) and warm-starts from it. Mutable because probing
-  /// q is logically const for the shared context; LP solves within one run
-  /// are sequential, so no synchronization is needed.
+  /// Basis memory of the most recent optimal LP solve over this table:
+  /// the next formulation — the adjacent q probe of the binary search,
+  /// the next row-generation round, or a re-solve after condensation
+  /// rebuilt the context — maps it onto itself by identity keys
+  /// (core/ilp.hpp) and warm-starts from it. Mutable because probing q is
+  /// logically const for the shared context; LP solves within one run are
+  /// sequential, so no synchronization is needed.
   mutable std::optional<LpBasisMemo> lp_memo;
 };
 

@@ -3,47 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
-#include <string_view>
 #include <unordered_set>
 
 #include "core/kernel_engine.hpp"
 
 namespace ced::core {
-namespace {
-
-/// CED_KERNEL fallback, read once. Unset / unknown spellings (and the
-/// explicit "auto") fall through to the library default, simd.
-KernelMode env_mode() {
-  static const KernelMode m = [] {
-    const char* e = std::getenv("CED_KERNEL");
-    if (e != nullptr) {
-      if (const auto sel = parse_kernel_sel(e);
-          sel.has_value() && *sel != KernelSel::kAuto) {
-        switch (*sel) {
-          case KernelSel::kScalar: return KernelMode::kScalar;
-          case KernelSel::kBitsliced: return KernelMode::kBitsliced;
-          default: break;
-        }
-      }
-    }
-    return KernelMode::kSimd;
-  }();
-  return m;
-}
-
-}  // namespace
-
-KernelMode kernel_mode() {
-  switch (ambient_exec().kernel) {
-    case KernelSel::kScalar: return KernelMode::kScalar;
-    case KernelSel::kBitsliced: return KernelMode::kBitsliced;
-    case KernelSel::kSimd: return KernelMode::kSimd;
-    case KernelSel::kAuto: break;
-  }
-  return env_mode();
-}
 
 // ---------------------------------------------------------------------------
 // CoverKernel
@@ -66,12 +30,9 @@ void CoverKernel::build(const DetectabilityTable& table,
                         : ((std::uint64_t{1} << n_) - 1);
   m_ = rows_.empty() ? table.cases.size() : rows_.size();
   words_ = (m_ + 63) / 64;
-  // Backend is captured once here: a kernel built while simd mode is
-  // ambient runs the vector engine for its whole life, regardless of
-  // later mode flips on other threads.
-  engine_ = kernel_mode() == KernelMode::kSimd
-                ? &detail::kernel_ops(simd_level())
-                : nullptr;
+  // Backend is captured once here: a kernel keeps its engine for its
+  // whole life, regardless of later ScopedSimdLevel flips.
+  engine_ = &detail::kernel_ops(simd_level());
 #ifndef NDEBUG
   table_ = &table;
 #endif
@@ -109,23 +70,6 @@ void CoverKernel::build(const DetectabilityTable& table,
 
 namespace {
 
-/// out = XOR of the selected columns (overwrite). `beta` nonzero.
-void xor_selected(const CoverKernel& k, int step, ParityFunc beta,
-                  std::uint64_t* out) {
-  bool first = true;
-  while (beta != 0) {
-    const int j = std::countr_zero(beta);
-    beta &= beta - 1;
-    const auto col = k.column(step, j);
-    if (first) {
-      std::memcpy(out, col.data(), col.size() * sizeof(std::uint64_t));
-      first = false;
-    } else {
-      for (std::size_t w = 0; w < col.size(); ++w) out[w] ^= col[w];
-    }
-  }
-}
-
 std::uint64_t last_word_mask(std::size_t m) {
   const std::size_t rem = m & 63;
   return rem == 0 ? ~std::uint64_t{0} : ((std::uint64_t{1} << rem) - 1);
@@ -155,27 +99,11 @@ void CoverKernel::covered_bitmap(ParityFunc beta, std::uint64_t* out) const {
 
 void CoverKernel::accumulate_covered(ParityFunc beta,
                                      std::uint64_t* acc) const {
-  std::vector<std::uint64_t> scratch;
-  accumulate_covered(beta, acc, scratch);
-}
-
-void CoverKernel::accumulate_covered(
-    ParityFunc beta, std::uint64_t* acc,
-    std::vector<std::uint64_t>& scratch) const {
   beta &= beta_mask_;
   if (beta == 0 || m_ == 0) return;
-  if (engine_ != nullptr) {
-    int bits[64];
-    const detail::BetaBits bb{bits, decompose_beta(beta, bits)};
-    engine_->or_covered(shape(), &bb, 1, acc);
-    return;
-  }
-  if (scratch.size() < words_) scratch.resize(words_);
-  std::uint64_t* const tmp = scratch.data();
-  for (int k = 0; k < steps_; ++k) {
-    xor_selected(*this, k, beta, tmp);
-    for (std::size_t w = 0; w < words_; ++w) acc[w] |= tmp[w];
-  }
+  int bits[64];
+  const detail::BetaBits bb{bits, decompose_beta(beta, bits)};
+  engine_->or_covered(shape(), &bb, 1, acc);
 }
 
 std::size_t CoverKernel::count(const std::uint64_t* bits) const {
@@ -187,20 +115,13 @@ std::size_t CoverKernel::count(const std::uint64_t* bits) const {
 }
 
 std::size_t CoverKernel::coverage_count(ParityFunc beta) const {
-  if (m_ == 0) return 0;
-  if (engine_ != nullptr) {
-    const ParityFunc masked = beta & beta_mask_;
-    if (masked == 0) return 0;
-    int bits[64];
-    const detail::BetaBits bb{bits, decompose_beta(masked, bits)};
-    std::size_t c = 0;
-    engine_->counts(shape(), &bb, 1, &c);
-    return c;
-  }
-  std::vector<std::uint64_t> cov(words_);
-  std::vector<std::uint64_t> scratch;
-  accumulate_covered(beta, cov.data(), scratch);
-  return count(cov.data());
+  const ParityFunc masked = beta & beta_mask_;
+  if (m_ == 0 || masked == 0) return 0;
+  int bits[64];
+  const detail::BetaBits bb{bits, decompose_beta(masked, bits)};
+  std::size_t c = 0;
+  engine_->counts(shape(), &bb, 1, &c);
+  return c;
 }
 
 bool CoverKernel::covers_all(std::span<const ParityFunc> betas) const {
@@ -221,8 +142,7 @@ std::size_t CoverKernel::uncovered_count(
     std::span<const ParityFunc> betas) const {
   if (m_ == 0) return 0;
   std::vector<std::uint64_t> acc(words_);
-  std::vector<std::uint64_t> scratch;
-  for (const ParityFunc b : betas) accumulate_covered(b, acc.data(), scratch);
+  for (const ParityFunc b : betas) accumulate_covered(b, acc.data());
   return m_ - count(acc.data());
 }
 
@@ -231,8 +151,7 @@ std::vector<std::uint32_t> CoverKernel::uncovered(
   std::vector<std::uint32_t> out;
   if (m_ == 0) return out;
   std::vector<std::uint64_t> acc(words_);
-  std::vector<std::uint64_t> scratch;
-  for (const ParityFunc b : betas) accumulate_covered(b, acc.data(), scratch);
+  for (const ParityFunc b : betas) accumulate_covered(b, acc.data());
   acc[words_ - 1] |= ~last_word_mask(m_);  // padding reads as covered
   for (std::size_t w = 0; w < words_; ++w) {
     std::uint64_t miss = ~acc[w];
@@ -288,63 +207,27 @@ BetaCursor::BetaCursor(const CoverKernel& kernel, ParityFunc beta)
 void BetaCursor::flip(int j) {
   beta_ ^= std::uint64_t{1} << j;
   const std::size_t W = k_->num_words();
-  if (const detail::KernelOps* ops = k_->engine()) {
-    for (int k = 0; k < k_->num_steps(); ++k) {
-      ops->xor_into(steps_.data() + static_cast<std::size_t>(k) * W,
-                    k_->column(k, j).data(), W);
-    }
-    return;
-  }
+  const detail::KernelOps& ops = k_->engine();
   for (int k = 0; k < k_->num_steps(); ++k) {
-    const auto col = k_->column(k, j);
-    std::uint64_t* step = steps_.data() + static_cast<std::size_t>(k) * W;
-    for (std::size_t w = 0; w < W; ++w) step[w] ^= col[w];
+    ops.xor_into(steps_.data() + static_cast<std::size_t>(k) * W,
+                 k_->column(k, j).data(), W);
   }
 }
 
 std::size_t BetaCursor::covered_count() const {
-  const std::size_t W = k_->num_words();
-  const int steps = k_->num_steps();
-  if (const detail::KernelOps* ops = k_->engine()) {
-    return ops->or_rows_count(steps_.data(), steps, W);
-  }
-  std::size_t c = 0;
-  for (std::size_t w = 0; w < W; ++w) {
-    std::uint64_t acc = 0;
-    for (int k = 0; k < steps; ++k) {
-      acc |= steps_[static_cast<std::size_t>(k) * W + w];
-    }
-    c += static_cast<std::size_t>(std::popcount(acc));
-  }
-  return c;
+  return k_->engine().or_rows_count(steps_.data(), k_->num_steps(),
+                                    k_->num_words());
 }
 
 void BetaCursor::or_covered_into(std::uint64_t* acc) const {
-  const std::size_t W = k_->num_words();
-  const int steps = k_->num_steps();
-  if (const detail::KernelOps* ops = k_->engine()) {
-    ops->or_rows_into(steps_.data(), steps, W, acc);
-    return;
-  }
-  for (std::size_t w = 0; w < W; ++w) {
-    std::uint64_t v = 0;
-    for (int k = 0; k < steps; ++k) {
-      v |= steps_[static_cast<std::size_t>(k) * W + w];
-    }
-    acc[w] |= v;
-  }
+  k_->engine().or_rows_into(steps_.data(), k_->num_steps(), k_->num_words(),
+                            acc);
 }
 
 void BetaCursor::neighbor_counts(std::span<std::size_t> out,
                                  const std::uint64_t* base) const {
   assert(out.size() >= static_cast<std::size_t>(k_->num_bits()));
-  // New entry point (no legacy word-loop twin): every mode goes through
-  // the engine — the kernel's captured backend in simd mode, the scalar
-  // word-loop instantiation otherwise. Results are mode-independent.
-  const detail::KernelOps* ops = k_->engine() != nullptr
-                                     ? k_->engine()
-                                     : &detail::kernel_ops(SimdLevel::kNone);
-  ops->neighbor_counts(k_->shape(), steps_.data(), base, out.data());
+  k_->engine().neighbor_counts(k_->shape(), steps_.data(), base, out.data());
 }
 
 // ---------------------------------------------------------------------------
@@ -352,10 +235,7 @@ void BetaCursor::neighbor_counts(std::span<std::size_t> out,
 // ---------------------------------------------------------------------------
 
 CoverBatch::CoverBatch(const CoverKernel& kernel)
-    : k_(&kernel),
-      ops_(kernel.engine() != nullptr
-               ? kernel.engine()
-               : &detail::kernel_ops(SimdLevel::kNone)) {}
+    : k_(&kernel), ops_(&kernel.engine()) {}
 
 void CoverBatch::prepare(std::span<const ParityFunc> betas) {
   bits_.clear();

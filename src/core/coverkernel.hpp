@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/cpu.hpp"
-#include "common/exec.hpp"
 #include "core/extract.hpp"
 #include "core/parity.hpp"
 
@@ -16,35 +15,14 @@ struct KernelOps;
 struct KernelShape;
 }  // namespace detail
 
-/// Which cover-evaluation implementation the solvers use — the oracle
-/// chain, slowest and most transparent first:
-///
-/// `kScalar` keeps the original per-case popcount loops from
-/// core/parity.hpp as a reference oracle; `kBitsliced` evaluates parity
-/// coverage on the transposed table (CoverKernel below) with plain
-/// 64-bit word loops; `kSimd` (the default) runs the same bit-sliced
-/// math through the runtime-dispatched vector engine (AVX2 / NEON, see
-/// common/cpu.hpp — degrading to scalar word loops on hosts without a
-/// vector unit) plus the cache-blocked CoverBatch passes that amortize
-/// one walk over the columns across many candidate betas. All three
-/// compute the same exact GF(2) quantities with the same acceptance
-/// order, so the final q and the selected parity functions are
-/// byte-identical — the slower modes exist for verification and as
-/// escape hatches, never to change results.
-enum class KernelMode {
-  kBitsliced,
-  kScalar,
-  kSimd,
-};
-
-/// Resolved evaluation mode: the ambient ExecPolicy's kernel field if
-/// pinned (ScopedExecPolicy / RunConfig::Builder::exec / a ced_serve
-/// request), else the CED_KERNEL environment variable
-/// ("scalar" | "bitsliced" | "simd", read once), else simd.
-KernelMode kernel_mode();
-
 /// Bit-sliced (transposed) view of a DetectabilityTable, built once and
-/// queried many times by the Statement-4 solvers.
+/// queried many times by the Statement-4 solvers. Every query runs on the
+/// runtime-dispatched vector engine (AVX2 / NEON, see common/cpu.hpp —
+/// the plain 64-bit word loop on hosts without a vector unit or under
+/// ScopedSimdLevel(kNone)). The per-case core::covers loop
+/// (core/parity.hpp) stays the reference oracle: all backends compute the
+/// same exact GF(2) quantities, so q and the selected parity functions
+/// never depend on the backend.
 ///
 /// Layout: for every (step k, observable bit j) there is a column of
 /// `num_words()` 64-bit words whose bit r is V(row r, j, k) — 64 cases per
@@ -107,13 +85,6 @@ class CoverKernel {
   /// ORs the covered bitmap of `beta` into `acc` (num_words() words).
   void accumulate_covered(ParityFunc beta, std::uint64_t* acc) const;
 
-  /// Same, with a caller-provided scratch buffer (resized to num_words()
-  /// on first use) so per-beta loops don't pay one heap allocation per
-  /// call. The kernel itself is immutable and thread-safe; give each
-  /// thread its own scratch.
-  void accumulate_covered(ParityFunc beta, std::uint64_t* acc,
-                          std::vector<std::uint64_t>& scratch) const;
-
   /// True iff the set covers every local row (exact Statement-4 test).
   bool covers_all(std::span<const ParityFunc> betas) const;
 
@@ -131,11 +102,9 @@ class CoverKernel {
   /// Popcount of `bits` restricted to real rows (num_words() words).
   std::size_t count(const std::uint64_t* bits) const;
 
-  /// Vector engine backing this kernel, or nullptr when it was built
-  /// under kScalar/kBitsliced mode (those keep the plain word loops so
-  /// the oracle chain stays three genuinely distinct implementations).
-  /// Captured once at construction from kernel_mode() and simd_level().
-  const detail::KernelOps* engine() const { return engine_; }
+  /// Vector engine backing this kernel, captured once at construction
+  /// from simd_level().
+  const detail::KernelOps& engine() const { return *engine_; }
 
   /// Borrowed view of the column store for the engine passes.
   detail::KernelShape shape() const;
@@ -151,7 +120,7 @@ class CoverKernel {
   std::uint64_t beta_mask_ = 0;  ///< low n_ bits
   std::vector<std::uint64_t> cols_;
   std::vector<std::uint32_t> rows_;  ///< empty = identity (full table)
-  const detail::KernelOps* engine_ = nullptr;  ///< simd mode only
+  const detail::KernelOps* engine_ = nullptr;
 
 #ifndef NDEBUG
   const DetectabilityTable* table_ = nullptr;  ///< scalar-oracle cross-check
@@ -185,7 +154,7 @@ class BetaCursor {
   /// all num_bits() candidates — the hill-climb's inner loop collapsed
   /// into a single blocked sweep. out.size() must be >= num_bits().
   /// Exact: out[j] == (copy of *this after flip(j)).covered_count()
-  /// (plus base) for every j, in every mode.
+  /// (plus base) for every j.
   void neighbor_counts(std::span<std::size_t> out,
                        const std::uint64_t* base = nullptr) const;
 
@@ -201,17 +170,15 @@ class BetaCursor {
 /// over the (step x bit) column layout, so candidates share column loads
 /// instead of each re-streaming the table (the per-beta loop costs
 /// ~|betas| table walks; the batch costs one). Used by the Algorithm-1
-/// concurrent-rounding trial screen and the greedy seeding scan in simd
-/// mode; always available in every mode (the batch is defined by the
-/// same GF(2) math, so batch-vs-loop results are identical — tests rely
-/// on this).
+/// concurrent-rounding trial screen and by prune_redundant; the batch is
+/// defined by the same GF(2) math as the per-beta queries, so
+/// batch-vs-loop results are identical (tests rely on this).
 ///
 /// A CoverBatch borrows its kernel and owns only scratch; it is cheap to
 /// construct and NOT thread-safe — give each thread its own.
 class CoverBatch {
  public:
-  /// Uses the kernel's captured engine when present (simd mode),
-  /// otherwise the scalar-word engine — results identical either way.
+  /// Runs on the kernel's captured engine.
   explicit CoverBatch(const CoverKernel& kernel);
 
   const CoverKernel& kernel() const { return *k_; }

@@ -10,36 +10,17 @@
 namespace ced::core {
 namespace {
 
-/// Enumerates every candidate parity function with its coverage set.
-/// Bit-sliced path: walk the 2^n - 1 nonzero betas in Gray-code order, so
-/// consecutive candidates differ in exactly one bit and the cursor moves by
-/// a single column XOR per step — then sort back to ascending beta so the
-/// candidate order (and with it dominance pruning and branch and bound)
-/// matches the scalar enumeration exactly.
+/// Enumerates every candidate parity function with its coverage set: walk
+/// the 2^n - 1 nonzero betas in Gray-code order on the bit-sliced kernel,
+/// so consecutive candidates differ in exactly one bit and the cursor
+/// moves by a single column XOR per step — then sort back to ascending
+/// beta, the candidate order dominance pruning and branch and bound use.
 void enumerate_candidates(const DetectabilityTable& table,
                           std::vector<ParityFunc>& candidates,
                           std::vector<logic::BitVec>& cover_sets) {
   const int n = table.num_bits;
   const std::size_t m = table.cases.size();
   const std::uint64_t num_candidates = (std::uint64_t{1} << n) - 1;
-
-  if (kernel_mode() == KernelMode::kScalar) {
-    candidates.reserve(num_candidates);
-    for (std::uint64_t beta = 1; beta <= num_candidates; ++beta) {
-      logic::BitVec cov(m);
-      bool any = false;
-      for (std::size_t i = 0; i < m; ++i) {
-        if (covers(beta, table.cases[i])) {
-          cov.set(i);
-          any = true;
-        }
-      }
-      if (!any) continue;
-      candidates.push_back(beta);
-      cover_sets.push_back(std::move(cov));
-    }
-    return;
-  }
 
   const CoverKernel kernel(table);
   BetaCursor cur(kernel, 0);
@@ -170,7 +151,7 @@ std::optional<std::vector<ParityFunc>> exact_min_cover(
   }
 
   // Enumerate all candidate parity functions with their coverage sets
-  // (Gray-code walk on the bit-sliced kernel; scalar under CED_KERNEL).
+  // (Gray-code walk on the bit-sliced kernel).
   std::vector<ParityFunc> candidates;
   std::vector<logic::BitVec> cover_sets;
   enumerate_candidates(table, candidates, cover_sets);

@@ -10,82 +10,28 @@
 namespace ced::core {
 namespace {
 
-std::size_t coverage_over(ParityFunc beta, const DetectabilityTable& table,
-                          const std::vector<std::uint32_t>& pending) {
-  std::size_t c = 0;
-  for (std::uint32_t i : pending) {
-    if (covers(beta, table.cases[i])) ++c;
-  }
-  return c;
-}
-
 /// Hill-climbs `beta` over single-bit flips to maximize coverage of the
-/// pending cases. Deterministic given the start point.
-ParityFunc climb(ParityFunc beta, int n, const DetectabilityTable& table,
-                 const std::vector<std::uint32_t>& pending) {
-  std::size_t best = coverage_over(beta, table, pending);
-  bool improved = true;
-  while (improved) {
-    improved = false;
-    for (int j = 0; j < n; ++j) {
-      const ParityFunc cand = beta ^ (std::uint64_t{1} << j);
-      if (cand == 0) continue;
-      const std::size_t c = coverage_over(cand, table, pending);
-      if (c > best) {
-        best = c;
-        beta = cand;
-        improved = true;
-      }
-    }
-  }
-  return beta;
-}
-
-/// Kernel twin of `climb`: the candidate at each step is the current beta
-/// with one bit flipped, so the cursor's per-step bitmaps move by a single
-/// column XOR per probe (flip back on rejection). Same starting points,
-/// same acceptance rule, same scan order — identical result, without the
-/// per-case popcount re-scan.
-std::pair<ParityFunc, std::size_t> climb_kernel(ParityFunc beta, int n,
-                                                const CoverKernel& kernel) {
+/// kernel's rows; returns the final beta and its coverage. Deterministic
+/// given the start point. All n flip-neighbors are probed in one blocked
+/// sweep; after an accepted flip the remaining candidates are re-probed
+/// against the new beta, so the climb visits the same sequence of betas as
+/// a flip/count/flip-back loop over j.
+std::pair<ParityFunc, std::size_t> climb(ParityFunc beta, int n,
+                                         const CoverKernel& kernel) {
   BetaCursor cur(kernel, beta);
   std::size_t best = cur.covered_count();
-  if (kernel.engine() != nullptr) {
-    // Batched twin (simd mode): probe all n flip-neighbors in one blocked
-    // sweep instead of flip/count/flip-back per candidate. The scan order
-    // and acceptance rule are unchanged — after an accepted flip the
-    // remaining candidates are re-probed against the new beta, exactly as
-    // the per-probe loop would see them — so the climb visits the same
-    // sequence of betas and returns the identical result.
-    std::vector<std::size_t> counts(static_cast<std::size_t>(n));
-    bool improved = true;
-    while (improved) {
-      improved = false;
-      cur.neighbor_counts(counts);
-      for (int j = 0; j < n; ++j) {
-        if ((cur.beta() ^ (std::uint64_t{1} << j)) == 0) continue;
-        if (counts[static_cast<std::size_t>(j)] > best) {
-          cur.flip(j);
-          best = counts[static_cast<std::size_t>(j)];
-          improved = true;
-          if (j + 1 < n) cur.neighbor_counts(counts);
-        }
-      }
-    }
-    return {cur.beta(), best};
-  }
+  std::vector<std::size_t> counts(static_cast<std::size_t>(n));
   bool improved = true;
   while (improved) {
     improved = false;
+    cur.neighbor_counts(counts);
     for (int j = 0; j < n; ++j) {
       if ((cur.beta() ^ (std::uint64_t{1} << j)) == 0) continue;
-      cur.flip(j);
-      const std::size_t c = cur.covered_count();
-      if (c > best) {
-        best = c;
-        improved = true;
-      } else {
+      if (counts[static_cast<std::size_t>(j)] > best) {
         cur.flip(j);
+        best = counts[static_cast<std::size_t>(j)];
+        improved = true;
+        if (j + 1 < n) cur.neighbor_counts(counts);
       }
     }
   }
@@ -100,26 +46,17 @@ void cover_subset(const DetectabilityTable& table, const GreedyOptions& opts,
   const int n = table.num_bits;
   const std::uint64_t mask =
       n == 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << n) - 1);
-  const bool bitsliced = kernel_mode() != KernelMode::kScalar;
   while (!pending.empty()) {
     if (opts.deadline.expired()) return;  // caller closes out the remainder
     // The pending set shrinks every round, so a fresh subset kernel per
     // round stays proportional to the remaining work.
-    std::optional<CoverKernel> sub;
-    if (bitsliced) sub.emplace(table, pending);
+    const CoverKernel sub(table, pending);
     ParityFunc best_beta = 0;
     std::size_t best_cov = 0;
 
     auto consider = [&](ParityFunc start) {
       ++climbs;
-      ParityFunc b;
-      std::size_t c;
-      if (sub) {
-        std::tie(b, c) = climb_kernel(start & mask, n, *sub);
-      } else {
-        b = climb(start & mask, n, table, pending);
-        c = coverage_over(b, table, pending);
-      }
+      const auto [b, c] = climb(start & mask, n, sub);
       if (b == 0) return;
       if (c > best_cov) {
         best_cov = c;
@@ -143,23 +80,16 @@ void cover_subset(const DetectabilityTable& table, const GreedyOptions& opts,
           break;
         }
       }
-      best_cov = sub ? sub->coverage_count(best_beta)
-                     : coverage_over(best_beta, table, pending);
+      best_cov = sub.coverage_count(best_beta);
     }
 
     solution.push_back(best_beta);
     std::vector<std::uint32_t> still;
     still.reserve(pending.size() - best_cov);
-    if (sub) {
-      std::vector<std::uint64_t> cov(sub->num_words());
-      sub->covered_bitmap(best_beta, cov.data());
-      for (std::size_t r = 0; r < pending.size(); ++r) {
-        if (!((cov[r >> 6] >> (r & 63)) & 1u)) still.push_back(pending[r]);
-      }
-    } else {
-      for (std::uint32_t i : pending) {
-        if (!covers(best_beta, table.cases[i])) still.push_back(i);
-      }
+    std::vector<std::uint64_t> cov(sub.num_words());
+    sub.covered_bitmap(best_beta, cov.data());
+    for (std::size_t r = 0; r < pending.size(); ++r) {
+      if (!((cov[r >> 6] >> (r & 63)) & 1u)) still.push_back(pending[r]);
     }
     pending = std::move(still);
   }
@@ -171,16 +101,9 @@ std::vector<ParityFunc> greedy_cover_impl(const DetectabilityTable& table,
                                           const CoverKernel* full_kernel) {
   Rng rng(opts.seed);
   std::vector<ParityFunc> solution;
-  const bool bitsliced = kernel_mode() != KernelMode::kScalar;
   std::optional<CoverKernel> own_kernel;
-  if (bitsliced && full_kernel == nullptr && !table.cases.empty()) {
-    own_kernel.emplace(table);
-  }
-  const CoverKernel* full = nullptr;
-  if (bitsliced) {
-    full = full_kernel != nullptr ? full_kernel
-                                  : (own_kernel ? &*own_kernel : nullptr);
-  }
+  if (full_kernel == nullptr) own_kernel.emplace(table);
+  const CoverKernel& full = full_kernel != nullptr ? *full_kernel : *own_kernel;
 
   // Work on samples of the uncovered set; re-verify against the full table
   // between rounds. Each round strictly shrinks the uncovered set, so this
@@ -228,11 +151,10 @@ std::vector<ParityFunc> greedy_cover_impl(const DetectabilityTable& table,
     }
     cover_subset(table, opts, std::move(sample), rng, solution,
                  stats->climbs);
-    pending = full != nullptr ? full->uncovered(solution)
-                              : uncovered_cases(solution, table);
+    pending = full.uncovered(solution);
   }
 
-  return prune_redundant(solution, table, full);
+  return prune_redundant(solution, table, &full);
 }
 
 }  // namespace

@@ -50,9 +50,8 @@ class CoverKernel;
 /// when chosen alone).
 ///
 /// The hill climbs run on the bit-sliced kernel (delta evaluation: one
-/// column XOR per flipped bit) unless CED_KERNEL=scalar; both paths pick
-/// identical functions. `full_kernel` optionally reuses a caller-held
-/// full-table kernel (else one is built internally when needed).
+/// column XOR per flipped bit). `full_kernel` optionally reuses a
+/// caller-held full-table kernel (else one is built internally).
 std::vector<ParityFunc> greedy_cover(const DetectabilityTable& table,
                                      const GreedyOptions& opts = {},
                                      GreedyStats* stats = nullptr,

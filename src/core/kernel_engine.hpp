@@ -1,6 +1,6 @@
 #pragma once
 
-// Internal engine behind CoverKernel's SIMD throughput mode: the blocked
+// Internal engine behind every CoverKernel query: the blocked
 // column-reduction passes, written once as templates over a tiny vector
 // trait `V` (a register of V::kWords 64-bit lanes with load/store, XOR,
 // OR and a lane-summed popcount) and instantiated per backend in
@@ -12,11 +12,11 @@
 // line of the (step x bit) column layout is loaded once per pass and
 // reused by every beta that selects that column while it is L1-resident —
 // the cache-blocked "many betas per column load" traversal, as opposed to
-// the per-beta column streaming of the bit-sliced word loop. The math is
-// exact bitwise GF(2) arithmetic in every backend, so results are
-// byte-identical across scalar / bitsliced / simd by construction; only
-// the traversal order of independent OR/XOR reductions differs, and those
-// are associative and commutative.
+// streaming the columns once per beta. The math is exact bitwise GF(2)
+// arithmetic in every backend, so results are byte-identical across the
+// plain word loop, AVX2 and NEON by construction (and equal to the
+// per-case core::covers oracle); only the traversal order of independent
+// OR/XOR reductions differs, and those are associative and commutative.
 //
 // Not part of the public surface; include core/coverkernel.hpp instead.
 
@@ -52,7 +52,7 @@ struct BetaBits {
 
 /// The per-backend entry points CoverKernel dispatches through. All
 /// functions are exact; `nb` may be 1 (the batch layer is also the
-/// single-beta path in simd mode).
+/// single-beta path).
 struct KernelOps {
   /// acc[w] |= OR over betas of covered(beta), one blocked pass.
   void (*or_covered)(const KernelShape&, const BetaBits*, std::size_t nb,

@@ -12,53 +12,25 @@ namespace {
 /// off for multi-beta queries on enough rows; both paths compute identical
 /// results, so the threshold affects speed only.
 bool route_to_kernel(std::size_t num_rows, std::size_t num_betas) {
-  return kernel_mode() != KernelMode::kScalar && num_betas >= 2 &&
-         num_rows >= 1024;
-}
-
-std::vector<ParityFunc> prune_scalar(std::span<const ParityFunc> betas,
-                                     const DetectabilityTable& table) {
-  std::vector<ParityFunc> kept(betas.begin(), betas.end());
-  // Try removing from the back so earlier (usually stronger) trees survive.
-  for (std::size_t i = kept.size(); i-- > 0;) {
-    std::vector<ParityFunc> trial;
-    trial.reserve(kept.size() - 1);
-    for (std::size_t j = 0; j < kept.size(); ++j) {
-      if (j != i) trial.push_back(kept[j]);
-    }
-    bool all = true;
-    for (const ErroneousCase& ec : table.cases) {
-      if (!covers(trial, ec)) {
-        all = false;
-        break;
-      }
-    }
-    if (all) kept = std::move(trial);
-  }
-  return kept;
+  return num_betas >= 2 && num_rows >= 1024;
 }
 
 /// One pass over per-tree coverage bitmaps instead of the O(q^2 * m)
-/// re-verification loop. Walking trees from the back, tree t is removable
-/// iff the union of every earlier tree (all still present when the scalar
-/// loop reaches t) and every kept later tree already covers all rows —
-/// i.e. no row is covered only by tree t. Prefix unions are precomputed
-/// and the kept-suffix union accumulates during the walk, reproducing the
-/// scalar back-to-front removal order exactly.
+/// back-to-front re-verification loop (try dropping the last tree, keep
+/// the drop if the rest still cover every row, move one tree forward).
+/// Walking trees from the back, tree t is removable iff the union of
+/// every earlier tree (all still present when that loop reaches t) and
+/// every kept later tree already covers all rows — i.e. no row is covered
+/// only by tree t. Prefix unions are precomputed and the kept-suffix
+/// union accumulates during the walk, reproducing the loop's removal
+/// order exactly.
 std::vector<ParityFunc> prune_kernel(std::span<const ParityFunc> betas,
                                      const CoverKernel& kernel) {
   const std::size_t q = betas.size();
   const std::size_t W = kernel.num_words();
   std::vector<std::uint64_t> cov(q * W, 0);
-  if (kernel.engine() != nullptr) {
-    // simd mode: all per-tree bitmaps in one blocked pass.
-    CoverBatch(kernel).bitmaps(betas, cov.data());
-  } else {
-    std::vector<std::uint64_t> scratch;
-    for (std::size_t t = 0; t < q; ++t) {
-      kernel.accumulate_covered(betas[t], cov.data() + t * W, scratch);
-    }
-  }
+  // All per-tree bitmaps in one blocked pass.
+  CoverBatch(kernel).bitmaps(betas, cov.data());
   std::vector<std::uint64_t> pre((q + 1) * W, 0);
   for (std::size_t t = 0; t < q; ++t) {
     for (std::size_t w = 0; w < W; ++w) {
@@ -116,7 +88,7 @@ std::vector<std::uint32_t> uncovered_among(
     const CoverKernel kernel(table, rows);
     std::vector<std::uint32_t> out = kernel.uncovered(betas);
     // Local subset rows -> table rows; local order follows `rows` order, so
-    // the result matches the scalar iteration exactly.
+    // the result matches the per-case iteration below exactly.
     for (std::uint32_t& r : out) r = rows[r];
     return out;
   }
@@ -130,9 +102,6 @@ std::vector<std::uint32_t> uncovered_among(
 std::vector<ParityFunc> prune_redundant(std::span<const ParityFunc> betas,
                                         const DetectabilityTable& table,
                                         const CoverKernel* kernel) {
-  if (kernel_mode() == KernelMode::kScalar) {
-    return prune_scalar(betas, table);
-  }
   if (kernel != nullptr) return prune_kernel(betas, *kernel);
   return prune_kernel(betas, CoverKernel(table));
 }

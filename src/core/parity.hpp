@@ -57,9 +57,9 @@ class CoverKernel;
 /// Drops parity functions that cover no case not already covered by the
 /// rest (cheap post-pass; keeps earlier functions preferentially). Runs in
 /// one pass over per-tree coverage bitmaps on the bit-sliced kernel
-/// (core/coverkernel.hpp), or as the original O(q^2 * m) re-verification
-/// loop under CED_KERNEL=scalar; both orders of removal — and hence the
-/// results — are identical.
+/// (core/coverkernel.hpp) and drops exactly the functions the O(q^2 * m)
+/// back-to-front re-verification loop would (the tests keep that loop as
+/// the reference).
 std::vector<ParityFunc> prune_redundant(std::span<const ParityFunc> betas,
                                         const DetectabilityTable& table);
 

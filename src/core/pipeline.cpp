@@ -263,24 +263,14 @@ std::vector<PipelineReport> run_latency_sweep_impl(
 
   // Install the run's execution policy ambiently: every stage below —
   // and, via parallel_for's propagation, every worker thread it spawns —
-  // resolves kernel_mode()/lp_mode()/resolve_threads against it. The
-  // policy never shapes results, only wall-clock.
+  // resolves its thread count against it. The policy never shapes
+  // results, only wall-clock.
   const ScopedExecPolicy exec_scope(opts.exec);
 
   try {
     obs::ScopedSpan run_span(opts.obs, "pipeline");
     run_span.attr("latencies", static_cast<std::uint64_t>(latencies.size()));
     const obs::Sinks run_obs = opts.obs.under(run_span.id());
-    if (opts.obs.metrics != nullptr) {
-      // Which kernel backend this run resolves to (0 scalar, 1 bitsliced,
-      // 2 simd) — lets dashboards correlate throughput with the mode.
-      const KernelMode km = kernel_mode();
-      opts.obs.metrics->set_gauge(
-          "ced_kernel_mode",
-          km == KernelMode::kScalar ? 0.0
-                                    : (km == KernelMode::kBitsliced ? 1.0
-                                                                    : 2.0));
-    }
 
     // Every stage boundary below is ONE clock sample shared by the closing
     // and the opening stage (obs::StageClock), so the per-report stage

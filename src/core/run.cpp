@@ -80,10 +80,6 @@ RunConfig::Builder& RunConfig::Builder::semantics(core::DiffSemantics s) {
   opts_.extract.semantics = s;
   return *this;
 }
-RunConfig::Builder& RunConfig::Builder::exec(const ExecPolicy& p) {
-  opts_.exec = p;
-  return *this;
-}
 RunConfig::Builder& RunConfig::Builder::threads(int n) {
   opts_.exec.threads = n;
   return *this;

@@ -11,7 +11,7 @@
 //   auto cfg = ced::RunConfig::Builder()
 //                  .latency(2)
 //                  .solver(core::SolverKind::kLpRounding)
-//                  .exec({.kernel = KernelSel::kSimd, .threads = 4})
+//                  .threads(4)
 //                  .budget(budget)
 //                  .observe({&tracer, &metrics})
 //                  .build();                 // Result<RunConfig>
@@ -48,11 +48,11 @@ class RunConfig {
 
   /// Stable 32-hex-char fingerprint of every result-shaping knob (solver,
   /// latency, budget, extraction shaping, seeds, shard partition).
-  /// Deliberately EXCLUDES pure execution knobs — the ExecPolicy (kernel
-  /// backend, LP solver, thread count), archive binding, resume, and the
-  /// obs sinks — which never change q or the selected parities; two runs
-  /// with equal digests and equal inputs produce the same scheme, so
-  /// requests differing only in policy dedup onto one cache entry.
+  /// Deliberately EXCLUDES pure execution knobs — the thread count,
+  /// archive binding, resume, and the obs sinks — which never change q or
+  /// the selected parities; two runs with equal digests and equal inputs
+  /// produce the same scheme, so requests differing only in thread count
+  /// dedup onto one cache entry.
   /// Recorded in the run manifest.
   std::string digest() const;
 
@@ -79,13 +79,10 @@ class RunConfig::Builder {
   Builder& solver(core::SolverKind kind);
   Builder& encoding(fsm::EncodingKind e);
   Builder& semantics(core::DiffSemantics s);
-  /// Execution policy for the run: cover-kernel backend, LP solver and
-  /// worker threads in one value (common/exec.hpp). kAuto / 0 fields
-  /// defer to the CED_KERNEL / CED_LP / CED_THREADS environment
-  /// variables, which remain as defaults-only fallbacks. Never part of
-  /// digest() — the policy cannot change results.
-  Builder& exec(const ExecPolicy& p);
-  /// Shorthand for exec({.threads = n}) keeping the other policy fields.
+  /// Worker threads for the run (ExecPolicy::threads, common/exec.hpp):
+  /// 0 defers to the CED_THREADS environment variable, then to the
+  /// hardware concurrency. Never part of digest() — the thread count
+  /// cannot change results.
   Builder& threads(int n);
   Builder& condense(bool on);
   Builder& seed(std::uint64_t s);

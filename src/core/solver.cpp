@@ -141,7 +141,7 @@ class GreedySolver final : public Solver {
     }
     if (ctx.obs.enabled()) greedy.obs = ctx.obs;
     GreedyStats gs;
-    auto sol = greedy_cover(table, greedy, &gs, ctx.kernel_ptr());
+    auto sol = greedy_cover(table, greedy, &gs, &ctx.kernel);
     if (gs.deadline_hit && ctx.resilience != nullptr) {
       ctx.resilience->record(
           Stage::kGreedy, StatusCode::kTruncated,

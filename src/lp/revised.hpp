@@ -1,7 +1,8 @@
 #pragma once
 
 // Internal entry point of the sparse revised simplex (see revised.cpp).
-// Callers go through lp::solve, which dispatches on lp_mode().
+// Callers go through lp::solve, which adds the observability wrapper and
+// the debug-build cross-check against lp::solve_dense.
 
 #include "lp/simplex.hpp"
 
@@ -9,7 +10,7 @@ namespace ced::lp {
 
 /// Bounded-variable revised primal simplex over CSC columns. Deterministic.
 /// Honors SolverOptions::warm / want_basis / refactor_interval; statuses
-/// and tolerances match the dense oracle.
+/// and tolerances match solve_dense.
 LpResult revised_solve(const LpProblem& p, const SolverOptions& opts);
 
 }  // namespace ced::lp

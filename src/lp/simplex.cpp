@@ -2,35 +2,11 @@
 
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
-#include <string_view>
 
-#include "common/exec.hpp"
 #include "lp/revised.hpp"
 
 namespace ced::lp {
-namespace {
-
-LpMode lp_env_mode() {
-  static const LpMode m = [] {
-    const char* e = std::getenv("CED_LP");
-    return (e != nullptr && std::string_view(e) == "dense") ? LpMode::kDense
-                                                            : LpMode::kRevised;
-  }();
-  return m;
-}
-
-}  // namespace
-
-LpMode lp_mode() {
-  switch (ambient_exec().lp) {
-    case LpSel::kDense: return LpMode::kDense;
-    case LpSel::kRevised: return LpMode::kRevised;
-    case LpSel::kAuto: break;
-  }
-  return lp_env_mode();
-}
 
 int LpProblem::add_variable(double lower, double upper, double objective) {
   if (!(lower <= upper)) throw std::invalid_argument("bad variable bounds");
@@ -228,7 +204,7 @@ double phase_objective(const Tableau& tb, const std::vector<double>& cost) {
 
 }  // namespace
 
-static LpResult solve_impl(const LpProblem& p, const SolverOptions& opts) {
+LpResult solve_dense(const LpProblem& p, const SolverOptions& opts) {
   const int nv = p.num_variables();
   const int m = p.num_constraints();
 
@@ -448,7 +424,7 @@ void cross_check(const LpProblem& p, const SolverOptions& opts,
   SolverOptions oracle_opts;
   oracle_opts.max_iterations = opts.max_iterations;
   oracle_opts.eps = opts.eps;
-  const LpResult oracle = solve_impl(p, oracle_opts);
+  const LpResult oracle = solve_dense(p, oracle_opts);
   if (oracle.status == Status::kIterLimit ||
       oracle.status == Status::kTimeLimit) {
     return;
@@ -482,8 +458,7 @@ void cross_check(const LpProblem& p, const SolverOptions& opts,
 }
 #endif
 
-LpResult solve_dispatch(const LpProblem& p, const SolverOptions& opts) {
-  if (lp_mode() == LpMode::kDense) return solve_impl(p, opts);
+LpResult solve_checked(const LpProblem& p, const SolverOptions& opts) {
   LpResult res = revised_solve(p, opts);
 #ifndef NDEBUG
   cross_check(p, opts, res);
@@ -507,23 +482,19 @@ const char* to_label(Status s) {
 LpResult solve(const LpProblem& p, const SolverOptions& opts) {
   // Observability wrapper: the solve itself never consults the sinks, so
   // the pivot sequence is identical whether or not anything is recording.
-  if (!opts.obs.enabled()) return solve_dispatch(p, opts);
+  if (!opts.obs.enabled()) return solve_checked(p, opts);
   obs::ScopedSpan span(opts.obs, "lp-solve");
-  const bool revised = lp_mode() == LpMode::kRevised;
-  const LpResult res = solve_dispatch(p, opts);
+  const LpResult res = solve_checked(p, opts);
   span.attr("vars", static_cast<std::uint64_t>(p.num_variables()));
   span.attr("rows", static_cast<std::uint64_t>(p.num_constraints()));
   span.attr("pivots", static_cast<std::uint64_t>(res.iterations));
   span.attr("status", to_label(res.status));
-  span.attr("mode", revised ? "revised" : "dense");
-  if (revised) {
-    span.attr("phase1_pivots",
-              static_cast<std::uint64_t>(res.phase1_iterations));
-    span.attr("refactorizations",
-              static_cast<std::uint64_t>(res.refactorizations));
-    if (opts.warm != nullptr) {
-      span.attr("warm", res.warm_applied ? "hit" : "miss");
-    }
+  span.attr("phase1_pivots",
+            static_cast<std::uint64_t>(res.phase1_iterations));
+  span.attr("refactorizations",
+            static_cast<std::uint64_t>(res.refactorizations));
+  if (opts.warm != nullptr) {
+    span.attr("warm", res.warm_applied ? "hit" : "miss");
   }
   if (opts.obs.metrics != nullptr) {
     obs::MetricsShard shard(opts.obs.metrics);
@@ -531,13 +502,11 @@ LpResult solve(const LpProblem& p, const SolverOptions& opts) {
     shard.add("ced_lp_pivots_total", static_cast<std::uint64_t>(res.iterations));
     shard.observe("ced_lp_pivots_per_solve",
                   static_cast<double>(res.iterations));
-    if (revised) {
-      shard.add("ced_lp_refactorizations_total",
-                static_cast<std::uint64_t>(res.refactorizations));
-      if (opts.warm != nullptr) {
-        shard.add("ced_lp_warm_attempts_total");
-        if (res.warm_applied) shard.add("ced_lp_warm_hits_total");
-      }
+    shard.add("ced_lp_refactorizations_total",
+              static_cast<std::uint64_t>(res.refactorizations));
+    if (opts.warm != nullptr) {
+      shard.add("ced_lp_warm_attempts_total");
+      if (res.warm_applied) shard.add("ced_lp_warm_hits_total");
     }
   }
   return res;

@@ -24,10 +24,10 @@ constexpr double kInfinity = std::numeric_limits<double>::infinity();
 /// A linear program over bounded variables:
 ///   optimize  c'x   s.t.  each constraint,  l <= x <= u.
 ///
-/// Built incrementally; solved by `solve`, which dispatches on lp_mode():
-/// a sparse revised simplex with bounded variables, composite phase 1 and
-/// Bland anti-cycling by default, or the dense two-phase tableau oracle
-/// under CED_LP=dense.
+/// Built incrementally; solved by `solve`, a sparse revised simplex with
+/// bounded variables, composite phase 1 and Bland anti-cycling.
+/// `solve_dense` keeps the original dense two-phase tableau as a
+/// reference oracle.
 class LpProblem {
  public:
   /// Adds a variable with bounds [lower, upper]; returns its index.
@@ -62,27 +62,6 @@ class LpProblem {
   Objective sense_ = Objective::kMinimize;
 };
 
-/// Which LP solve implementation lp::solve dispatches to.
-///
-/// `kRevised` (the default) is the sparse revised simplex over CSC columns
-/// with a product-form basis inverse (revised.cpp); `kDense` keeps the
-/// original dense-tableau solver as a reference oracle. Both are exact
-/// bounded-variable primal simplexes over the same problem, so they agree
-/// on feasibility and on the optimal objective value; the optimal *vertex*
-/// may differ on degenerate problems (either is a correct optimum).
-/// `CED_LP=dense` switches the process to the oracle, mirroring
-/// `CED_KERNEL=scalar`.
-enum class LpMode {
-  kRevised,
-  kDense,
-};
-
-/// Resolved solve mode: the ambient ExecPolicy's lp field if pinned
-/// (ScopedExecPolicy / RunConfig::Builder::exec / a ced_serve request),
-/// else the CED_LP environment variable ("dense" | "revised", read
-/// once), else revised.
-LpMode lp_mode();
-
 /// A basis of the revised solver, expressed in the problem's own indexing
 /// so callers can carry it across *related* problems (core/ilp.cpp maps it
 /// between formulations by variable/constraint identity). Logical columns
@@ -103,12 +82,12 @@ struct SolverOptions {
   /// THIS problem's variable/constraint indexing (see core/ilp.cpp for the
   /// key-based cross-problem mapping). Rows whose remembered basic
   /// variable no longer exists fall back to their logical; the composite
-  /// phase 1 repairs whatever infeasibility remains. The dense oracle
+  /// phase 1 repairs whatever infeasibility remains. solve_dense
   /// ignores it — a warm start changes the pivot path, never the optimum.
   const BasisSnapshot* warm = nullptr;
-  /// Fill LpResult::basis with the optimal basis (revised mode only).
+  /// Fill LpResult::basis with the optimal basis (solve only).
   bool want_basis = false;
-  /// Pivots between basis refactorizations (revised mode): the eta file is
+  /// Pivots between basis refactorizations (solve only): the eta file is
   /// rebuilt from the current basis every this-many pivots to keep rounding
   /// error from accumulating through the product-form updates.
   int refactor_interval = 64;
@@ -133,20 +112,30 @@ struct LpResult {
   /// budget accounting callers report in resilience diagnostics.
   int iterations = 0;
   /// Pivots spent inside the composite phase 1 (subset of `iterations`;
-  /// revised mode only). A successful warm start shows up as this dropping
+  /// solve only). A successful warm start shows up as this dropping
   /// to the handful of rows the previous basis did not already satisfy.
   int phase1_iterations = 0;
-  /// Basis refactorizations performed (revised mode only).
+  /// Basis refactorizations performed (solve only).
   int refactorizations = 0;
   /// True when a caller-provided warm basis was structurally applied (its
   /// dimensions matched and the mapped basis survived factorization).
   bool warm_applied = false;
-  /// The optimal basis when SolverOptions::want_basis was set and the
-  /// revised solve reached optimality; nullopt otherwise.
+  /// The optimal basis when SolverOptions::want_basis was set and solve
+  /// reached optimality; nullopt otherwise (and always from solve_dense).
   std::optional<BasisSnapshot> basis;
 };
 
-/// Solves the LP. Deterministic.
+/// Solves the LP with the sparse revised simplex (revised.cpp).
+/// Deterministic. Builds without NDEBUG re-solve every problem with
+/// solve_dense and assert agreement on status and objective.
 LpResult solve(const LpProblem& p, const SolverOptions& opts = {});
+
+/// Reference oracle: the dense two-phase tableau simplex with bounded
+/// variables. Agrees with `solve` on feasibility and on the optimal
+/// objective; the optimal *vertex* may differ on degenerate problems
+/// (either is a correct optimum). Ignores warm/want_basis/obs and never
+/// reports phase-1 or refactorization counts. Tests and solve's debug
+/// cross-check call it; nothing dispatches to it.
+LpResult solve_dense(const LpProblem& p, const SolverOptions& opts = {});
 
 }  // namespace ced::lp

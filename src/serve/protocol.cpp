@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "common/exec.hpp"
 #include "obs/json.hpp"
 
 namespace ced::serve {
@@ -210,18 +209,6 @@ Result<Request> parse_request(const Json& doc) {
     if (!n) return n.status();
     req.seed = static_cast<std::uint64_t>(*n);
   }
-  if (const Json* v = doc.get("kernel")) {
-    req.kernel = v->str_or("");
-    if (!parse_kernel_sel(req.kernel).has_value()) {
-      return bad("field 'kernel' must be scalar|bitsliced|simd|auto");
-    }
-  }
-  if (const Json* v = doc.get("lp")) {
-    req.lp = v->str_or("");
-    if (!parse_lp_sel(req.lp).has_value()) {
-      return bad("field 'lp' must be dense|revised|auto");
-    }
-  }
   if (const Json* v = doc.get("threads")) {
     auto n = int_field(*v, "threads", 0, 4096);
     if (!n) return n.status();
@@ -257,12 +244,6 @@ std::string encode_request(const Request& req) {
     append_kv(out, "semantics", req.semantics, &first);
     if (req.seed != 0) {
       append_kv_int(out, "seed", static_cast<std::int64_t>(req.seed), &first);
-    }
-    if (!req.kernel.empty() && req.kernel != "auto") {
-      append_kv(out, "kernel", req.kernel, &first);
-    }
-    if (!req.lp.empty() && req.lp != "auto") {
-      append_kv(out, "lp", req.lp, &first);
     }
     if (req.threads > 0) append_kv_int(out, "threads", req.threads, &first);
   }

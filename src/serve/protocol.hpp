@@ -48,21 +48,20 @@ struct Request {
   std::uint64_t seed = 0;          ///< 0 = library default
   double deadline_ms = 0;  ///< per-request budget; 0 = server default
 
-  // Per-request execution policy (protect/sweep; common/exec.hpp). The
-  // policy is pinned ambiently around this request's run only — results
-  // are policy-independent, so these fields do not enter the dedup/cache
-  // key, and two concurrent requests with different policies never
-  // observe each other.
-  std::string kernel = "auto";  ///< scalar | bitsliced | simd | auto
-  std::string lp = "auto";      ///< dense | revised | auto
-  /// Worker threads for this request: 0 = server default; values above
-  /// the server's threads_per_request cap are clamped to it.
+  /// Worker threads for this request (protect/sweep; common/exec.hpp):
+  /// 0 = server default; values above the server's threads_per_request
+  /// cap are clamped to it. Pinned ambiently around this request's run
+  /// only — results do not depend on it, so it does not enter the
+  /// dedup/cache key, and two concurrent requests with different counts
+  /// never observe each other.
   int threads = 0;
 };
 
 /// Validates and extracts a request from a parsed JSON document. Unknown
-/// keys are ignored (forward compatibility); wrong types and missing
-/// required fields are kInvalidInput with a field-naming message.
+/// keys are ignored (forward compatibility — and backward: clients that
+/// still send the retired `kernel`/`lp` fields keep working); wrong types
+/// and missing required fields are kInvalidInput with a field-naming
+/// message.
 Result<Request> parse_request(const Json& doc);
 
 /// Serializes a request (client side).

@@ -12,7 +12,6 @@
 #include <unistd.h>
 
 #include "common/digest.hpp"
-#include "common/exec.hpp"
 #include "core/run.hpp"
 #include "core/verify.hpp"
 #include "kiss/kiss.hpp"
@@ -566,18 +565,12 @@ Code code_for(const core::ResilienceReport& res) {
   return res.degraded() ? Code::kDegraded : Code::kOk;
 }
 
-/// Execution policy for one request: the request's kernel/lp selections
-/// (already validated by parse_request) with threads clamped to the
+/// Worker threads for one request: the request's own count clamped to the
 /// server's per-request cap. Pinned ambiently by the pipeline for the
 /// duration of this run only, so concurrent requests with different
-/// policies never observe each other.
-ExecPolicy request_policy(const Request& req, int threads_cap) {
-  ExecPolicy p;
-  if (const auto k = parse_kernel_sel(req.kernel)) p.kernel = *k;
-  if (const auto l = parse_lp_sel(req.lp)) p.lp = *l;
-  p.threads =
-      req.threads > 0 ? std::min(req.threads, threads_cap) : threads_cap;
-  return p;
+/// thread counts never observe each other.
+int request_threads(const Request& req, int threads_cap) {
+  return req.threads > 0 ? std::min(req.threads, threads_cap) : threads_cap;
 }
 
 }  // namespace
@@ -615,12 +608,12 @@ Response Server::run_protect(const Request& req, bool degraded_mode) {
   }
 
   obs::Tracer tracer;
-  const ExecPolicy exec = request_policy(req, opts_.threads_per_request);
+  const int threads = request_threads(req, opts_.threads_per_request);
   RunConfig::Builder builder;
   builder.latency(req.latency)
       .solver(solver)
       .encoding(encoding)
-      .exec(exec)
+      .threads(threads)
       .observe(obs::Sinks{&tracer, &registry_, 0})
       .tune([&](core::PipelineOptions& o) {
         o.budget.wall_seconds = wall_s;
@@ -696,7 +689,7 @@ Response Server::run_protect(const Request& req, bool degraded_mode) {
     man.extraction_key = key;
     man.circuit = "serve:" + req.tenant;
     man.latency = rep.latency;
-    man.threads = exec.threads;
+    man.threads = threads;
     man.parities = rep.parities;
     man.resilience = res;
     man.t_synth = rep.t_synth;
@@ -739,7 +732,7 @@ Response Server::run_sweep(const Request& req, bool degraded_mode) {
       .solver(degraded_mode ? core::SolverKind::kGreedy
                             : solver_kind(req.solver))
       .encoding(encoding_kind(req.encoding))
-      .exec(request_policy(req, opts_.threads_per_request))
+      .threads(request_threads(req, opts_.threads_per_request))
       .observe(obs::Sinks{&tracer, &registry_, 0})
       .tune([&](core::PipelineOptions& o) {
         o.budget.wall_seconds = wall_s;

@@ -1,17 +1,24 @@
 // Bit-sliced cover kernel (core/coverkernel.hpp): randomized equivalence
-// against the scalar popcount oracle, condensation soundness, and
-// scalar-vs-kernel / thread-count result identity for every solver that
-// routes through the kernel.
+// against the per-case core::covers oracle, condensation soundness, and
+// result identity for every solver that routes through the kernel — on
+// the dispatched SIMD backend and the forced word-loop fallback, at 1 and
+// 4 threads, against references kept here (a back-to-front prune loop, a
+// brute-force minimum q) and masks pinned from the former per-case solver
+// paths.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 #include <random>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "benchdata/suite.hpp"
+#include "common/cpu.hpp"
+#include "common/exec.hpp"
 #include "core/algorithm1.hpp"
 #include "core/coverkernel.hpp"
 #include "core/exact.hpp"
@@ -113,12 +120,16 @@ TEST(CoverKernel, MatchesScalarOnRandomTables) {
         EXPECT_EQ(bitmap.back() >> (t.cases.size() % 64), 0u);
       }
     }
-    // Set queries against the scalar module-level implementations.
-    ScopedExecPolicy scalar({.kernel = KernelSel::kScalar});
-    EXPECT_EQ(kernel.covers_all(set), covers_all(set, t));
-    const auto unc = kernel.uncovered(set);
-    EXPECT_EQ(unc, uncovered_cases(set, t));
-    EXPECT_EQ(kernel.uncovered_count(set), unc.size());
+    // Set queries against the per-case oracle.
+    std::vector<std::uint32_t> want;
+    for (std::size_t r = 0; r < t.cases.size(); ++r) {
+      if (!covers(set, t.cases[r])) {
+        want.push_back(static_cast<std::uint32_t>(r));
+      }
+    }
+    EXPECT_EQ(kernel.covers_all(set), want.empty());
+    EXPECT_EQ(kernel.uncovered(set), want);
+    EXPECT_EQ(kernel.uncovered_count(set), want.size());
   }
 }
 
@@ -137,12 +148,15 @@ TEST(CoverKernel, SubsetKernelMatchesScalarAmong) {
   }
   for (int i = 0; i < 8; ++i) {
     std::vector<ParityFunc> set = {random_beta(rng, 20), random_beta(rng, 20)};
-    std::vector<std::uint32_t> got;
+    std::vector<std::uint32_t> got, want;
     for (const std::uint32_t local : kernel.uncovered(set)) {
       got.push_back(rows[local]);
     }
-    ScopedExecPolicy scalar({.kernel = KernelSel::kScalar});
-    EXPECT_EQ(got, uncovered_among(set, t, rows));
+    for (const std::uint32_t r : rows) {
+      if (!covers(set, t.cases[r])) want.push_back(r);
+    }
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(uncovered_among(set, t, rows), want);
   }
 }
 
@@ -229,6 +243,63 @@ TEST(Condense, FinalQUnchangedOnBenchdata) {
   }
 }
 
+/// Runs `fn(level, threads)` on the backend this host dispatches to and on
+/// the forced word-loop fallback, each at an ambient 1 and 4 threads.
+template <typename Fn>
+void on_every_backend(Fn&& fn) {
+  for (const SimdLevel level : {detected_simd_level(), SimdLevel::kNone}) {
+    const ScopedSimdLevel cap(level);
+    for (const int threads : {1, 4}) {
+      const ScopedExecPolicy policy({.threads = threads});
+      fn(level, threads);
+    }
+  }
+}
+
+/// Reference prune: try dropping each tree from the back, keep the drop
+/// when the remaining set still covers every case (per-case check).
+std::vector<ParityFunc> prune_reference(std::span<const ParityFunc> betas,
+                                        const DetectabilityTable& t) {
+  std::vector<ParityFunc> kept(betas.begin(), betas.end());
+  for (std::size_t i = kept.size(); i-- > 0;) {
+    std::vector<ParityFunc> trial = kept;
+    trial.erase(trial.begin() + static_cast<std::ptrdiff_t>(i));
+    const bool all = std::all_of(
+        t.cases.begin(), t.cases.end(),
+        [&](const ErroneousCase& ec) { return covers(trial, ec); });
+    if (all) kept = std::move(trial);
+  }
+  return kept;
+}
+
+/// Brute-force minimum cover size over all 2^n - 1 parity functions
+/// (tables of at most 64 cases).
+std::size_t brute_force_min_q(const DetectabilityTable& t) {
+  const ParityFunc last = (ParityFunc{1} << t.num_bits) - 1;
+  std::vector<std::uint64_t> cov(last + 1, 0);
+  for (ParityFunc beta = 1; beta <= last; ++beta) {
+    for (std::size_t r = 0; r < t.cases.size(); ++r) {
+      if (covers(beta, t.cases[r])) cov[beta] |= std::uint64_t{1} << r;
+    }
+  }
+  const std::uint64_t full = t.cases.size() == 64
+                                 ? ~std::uint64_t{0}
+                                 : (std::uint64_t{1} << t.cases.size()) - 1;
+  // Is there a k-subset of {from..last} whose union with `acc` is full?
+  const auto fits = [&](auto&& self, int k, ParityFunc from,
+                        std::uint64_t acc) -> bool {
+    if (acc == full) return true;
+    if (k == 0) return false;
+    for (ParityFunc b = from; b <= last; ++b) {
+      if (self(self, k - 1, b + 1, acc | cov[b])) return true;
+    }
+    return false;
+  };
+  std::size_t q = 1;
+  while (!fits(fits, static_cast<int>(q), 1, 0)) ++q;
+  return q;
+}
+
 TEST(KernelScalar, PruneRedundantIdentical) {
   std::mt19937_64 rng(6);
   const DetectabilityTable t = random_table(rng, 14, 600, 3);
@@ -240,74 +311,68 @@ TEST(KernelScalar, PruneRedundantIdentical) {
     std::shuffle(betas.begin(), betas.end(), rng);
     if (!covers_all(betas, t)) continue;
 
-    std::vector<ParityFunc> pruned_bits, pruned_scalar;
-    {
-      ScopedExecPolicy mode({.kernel = KernelSel::kBitsliced});
-      pruned_bits = prune_redundant(betas, t);
-    }
-    {
-      ScopedExecPolicy mode({.kernel = KernelSel::kScalar});
-      pruned_scalar = prune_redundant(betas, t);
-    }
-    EXPECT_EQ(pruned_bits, pruned_scalar);
-    EXPECT_TRUE(covers_all(pruned_bits, t));
+    const std::vector<ParityFunc> want = prune_reference(betas, t);
+    on_every_backend([&](SimdLevel level, int threads) {
+      EXPECT_EQ(prune_redundant(betas, t), want)
+          << to_string(level) << " threads=" << threads;
+    });
   }
 }
 
 TEST(KernelScalar, GreedyIdentical) {
+  // Pinned: the functions the former per-case greedy path selected.
+  const std::vector<ParityFunc> kMasks[] = {
+      {0x5, 0x3},
+      {0xa23, 0x16, 0x1},
+      {0x1df651809, 0x1000081, 0x805},
+      {0x1},
+      {0x8100002, 0x210000005, 0x401},
+  };
   std::mt19937_64 rng(7);
-  for (const Shape& s : kShapes) {
+  for (std::size_t i = 0; i < std::size(kShapes); ++i) {
+    const Shape& s = kShapes[i];
     const DetectabilityTable t = random_table(rng, s.n, s.m, s.max_len);
-    std::vector<ParityFunc> bits, scalar;
-    {
-      ScopedExecPolicy mode({.kernel = KernelSel::kBitsliced});
-      bits = greedy_cover(t);
-    }
-    {
-      ScopedExecPolicy mode({.kernel = KernelSel::kScalar});
-      scalar = greedy_cover(t);
-    }
-    EXPECT_EQ(bits, scalar) << "n=" << s.n << " m=" << s.m;
-    EXPECT_TRUE(covers_all(bits, t));
+    on_every_backend([&](SimdLevel level, int threads) {
+      const auto sol = greedy_cover(t);
+      EXPECT_EQ(sol, kMasks[i]) << to_string(level) << " threads=" << threads
+                                << " n=" << s.n << " m=" << s.m;
+      EXPECT_TRUE(covers_all(sol, t));
+    });
   }
 }
 
 TEST(KernelScalar, ExactIdentical) {
+  // Pinned: the covers the former per-case candidate enumeration found.
+  const std::vector<ParityFunc> kMasks[] = {
+      {0xd, 0x30}, {0x1, 0xa, 0x16}, {0x4, 0x19}, {0x8, 0x10}};
   std::mt19937_64 rng(8);
   for (int trial = 0; trial < 4; ++trial) {
     const DetectabilityTable t = random_table(rng, 6, 40, 2);
-    std::optional<std::vector<ParityFunc>> bits, scalar;
-    {
-      ScopedExecPolicy mode({.kernel = KernelSel::kBitsliced});
-      bits = exact_min_cover(t);
-    }
-    {
-      ScopedExecPolicy mode({.kernel = KernelSel::kScalar});
-      scalar = exact_min_cover(t);
-    }
-    ASSERT_EQ(bits.has_value(), scalar.has_value());
-    if (bits) {
-      EXPECT_EQ(*bits, *scalar);
-    }
+    const std::size_t min_q = brute_force_min_q(t);
+    on_every_backend([&](SimdLevel level, int threads) {
+      const auto sol = exact_min_cover(t);
+      ASSERT_TRUE(sol.has_value()) << to_string(level);
+      EXPECT_EQ(*sol, kMasks[trial])
+          << to_string(level) << " threads=" << threads;
+      EXPECT_EQ(sol->size(), min_q) << "trial " << trial;
+      EXPECT_TRUE(covers_all(*sol, t));
+    });
   }
 }
 
 TEST(KernelScalar, Algorithm1Identical) {
+  // Pinned: the cover the former per-case solver paths selected.
+  const std::vector<ParityFunc> kMasks = {0x43,    0x23,    0x1c466,
+                                          0xa00,   0x1800c, 0x1};
   std::mt19937_64 rng(9);
   const DetectabilityTable t = random_table(rng, 18, 2000, 3);
-  Algorithm1Options opts;
-  opts.threads = 1;
-  std::vector<ParityFunc> bits, scalar;
-  {
-    ScopedExecPolicy mode({.kernel = KernelSel::kBitsliced});
-    bits = minimize_parity_functions(t, opts);
-  }
-  {
-    ScopedExecPolicy mode({.kernel = KernelSel::kScalar});
-    scalar = minimize_parity_functions(t, opts);
-  }
-  EXPECT_EQ(bits, scalar);
-  EXPECT_TRUE(covers_all(bits, t));
+  on_every_backend([&](SimdLevel level, int threads) {
+    Algorithm1Options opts;
+    opts.threads = threads;
+    const auto sol = minimize_parity_functions(t, opts);
+    EXPECT_EQ(sol, kMasks) << to_string(level) << " threads=" << threads;
+    EXPECT_TRUE(covers_all(sol, t));
+  });
 }
 
 TEST(Determinism, IdenticalAcrossThreadCounts) {

@@ -1,20 +1,22 @@
-// SIMD cover-kernel backend (core/kernel_engine.hpp, common/cpu.hpp):
-// byte-identity of the three-kernel oracle chain. Every query — counts,
-// bitmaps, cursor flips, batched neighborhood probes, whole-set batch
-// passes — must return the exact same bits under scalar, bitsliced, and
-// simd modes, on tail-word shapes (rows % 64 != 0) and the n = 64
-// full-mask edge, and with the vector unit forcibly disabled
-// (ScopedSimdLevel) so the dispatch fallback is proven on every host.
+// Cover-kernel engine (core/kernel_engine.hpp, common/cpu.hpp) against the
+// per-case core::covers oracle. Every query — counts, bitmaps, uncovered
+// lists, cursor flips, batched neighborhood probes, whole-set batch passes
+// — must return exactly the bits a per-case loop gives, on tail-word
+// shapes (rows % 64 != 0) and the n = 64 full-mask edge, both on the
+// backend this host dispatches to and with the vector unit forcibly
+// disabled (ScopedSimdLevel) so the fallback word loop is proven on every
+// host. The solvers must select the same parity functions on both
+// backends at 1 and 4 threads.
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <bit>
 #include <random>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "common/cpu.hpp"
-#include "common/exec.hpp"
 #include "core/algorithm1.hpp"
 #include "core/coverkernel.hpp"
 #include "core/greedy.hpp"
@@ -55,8 +57,33 @@ ParityFunc random_beta(std::mt19937_64& rng, int n) {
   return beta != 0 ? beta : 1;
 }
 
-const KernelSel kModes[] = {KernelSel::kScalar, KernelSel::kBitsliced,
-                            KernelSel::kSimd};
+/// Oracle covered bitmap: bit r set iff core::covers(betas, case r).
+std::vector<std::uint64_t> oracle_bitmap(std::span<const ParityFunc> betas,
+                                         const DetectabilityTable& t) {
+  std::vector<std::uint64_t> bits((t.cases.size() + 63) / 64, 0);
+  for (std::size_t r = 0; r < t.cases.size(); ++r) {
+    if (covers(betas, t.cases[r])) bits[r >> 6] |= std::uint64_t{1} << (r & 63);
+  }
+  return bits;
+}
+
+std::vector<std::uint64_t> oracle_bitmap(ParityFunc beta,
+                                         const DetectabilityTable& t) {
+  return oracle_bitmap(std::span<const ParityFunc>(&beta, 1), t);
+}
+
+std::size_t popcount_all(const std::vector<std::uint64_t>& bits) {
+  std::size_t c = 0;
+  for (const std::uint64_t w : bits) {
+    c += static_cast<std::size_t>(std::popcount(w));
+  }
+  return c;
+}
+
+/// The backends every test runs on: whatever this host dispatches to, and
+/// the plain word loop (the same level twice on hosts without a vector
+/// unit).
+const SimdLevel kLevels[] = {detected_simd_level(), SimdLevel::kNone};
 
 // Tail words (rows % 64 != 0), a single-row table, and the n = 64
 // full-mask edge; lengths span 1..kMaxLatency.
@@ -70,61 +97,47 @@ const Shape kShapes[] = {
     {64, 1, 4}, {64, 193, kMaxLatency},
 };
 
-TEST(KernelSimd, CountsAndBitmapsIdenticalAcrossModes) {
+TEST(KernelSimd, CountsAndBitmapsMatchPerCaseOracle) {
   std::mt19937_64 rng(41);
   for (const Shape& s : kShapes) {
     const DetectabilityTable t = random_table(rng, s.n, s.m, s.max_len);
     std::vector<ParityFunc> betas;
     for (int i = 0; i < 24; ++i) betas.push_back(random_beta(rng, s.n));
 
-    // Reference: scalar mode (the PR-1 per-case popcount oracle).
-    std::vector<std::size_t> ref_counts;
-    std::vector<std::uint64_t> ref_bits;
-    {
-      const ScopedExecPolicy mode({.kernel = KernelSel::kScalar});
+    for (const SimdLevel level : kLevels) {
+      const ScopedSimdLevel cap(level);
       const CoverKernel k(t);
-      EXPECT_EQ(k.engine(), nullptr);
-      ref_bits.resize(betas.size() * k.num_words());
-      for (std::size_t i = 0; i < betas.size(); ++i) {
-        ref_counts.push_back(k.coverage_count(betas[i]));
-        k.covered_bitmap(betas[i], ref_bits.data() + i * k.num_words());
-      }
-    }
-    for (const KernelSel sel : kModes) {
-      const ScopedExecPolicy mode({.kernel = sel});
-      const CoverKernel k(t);
-      if (sel == KernelSel::kSimd) {
-        EXPECT_NE(k.engine(), nullptr);
-      }
       std::vector<std::uint64_t> bits(k.num_words());
-      for (std::size_t i = 0; i < betas.size(); ++i) {
-        EXPECT_EQ(k.coverage_count(betas[i]), ref_counts[i])
-            << to_string(sel) << " n=" << s.n << " m=" << s.m;
-        k.covered_bitmap(betas[i], bits.data());
-        EXPECT_EQ(0, std::memcmp(bits.data(),
-                                 ref_bits.data() + i * k.num_words(),
-                                 k.num_words() * sizeof(std::uint64_t)))
-            << to_string(sel) << " n=" << s.n << " beta=" << betas[i];
-        // Padding bits beyond num_rows stay zero in every backend.
-        if (k.num_rows() % 64 != 0) {
-          EXPECT_EQ(bits.back() >> (k.num_rows() % 64), 0u);
+      for (const ParityFunc beta : betas) {
+        const auto want = oracle_bitmap(beta, t);
+        EXPECT_EQ(k.coverage_count(beta), popcount_all(want))
+            << to_string(level) << " n=" << s.n << " m=" << s.m;
+        k.covered_bitmap(beta, bits.data());
+        EXPECT_EQ(bits, want) << to_string(level) << " n=" << s.n
+                              << " beta=" << beta;
+      }
+      std::vector<std::uint32_t> want_unc;
+      for (std::size_t r = 0; r < t.cases.size(); ++r) {
+        if (!covers(betas, t.cases[r])) {
+          want_unc.push_back(static_cast<std::uint32_t>(r));
         }
       }
-      EXPECT_EQ(k.covers_all(betas),
-                k.uncovered_count(betas) == 0);
+      EXPECT_EQ(k.uncovered(betas), want_unc) << to_string(level);
+      EXPECT_EQ(k.uncovered_count(betas), want_unc.size()) << to_string(level);
+      EXPECT_EQ(k.covers_all(betas), want_unc.empty()) << to_string(level);
     }
   }
 }
 
-TEST(KernelSimd, BatchMatchesPerBetaLoopInEveryMode) {
+TEST(KernelSimd, BatchMatchesPerCaseOracle) {
   std::mt19937_64 rng(43);
   for (const Shape& s : kShapes) {
     const DetectabilityTable t = random_table(rng, s.n, s.m, s.max_len);
     std::vector<ParityFunc> betas;
     for (int i = 0; i < 17; ++i) betas.push_back(random_beta(rng, s.n));
 
-    for (const KernelSel sel : kModes) {
-      const ScopedExecPolicy mode({.kernel = sel});
+    for (const SimdLevel level : kLevels) {
+      const ScopedSimdLevel cap(level);
       const CoverKernel k(t);
       const std::size_t W = k.num_words();
       CoverBatch batch(k);
@@ -133,78 +146,72 @@ TEST(KernelSimd, BatchMatchesPerBetaLoopInEveryMode) {
       batch.counts(betas, got_counts);
       std::vector<std::uint64_t> got_bits(betas.size() * W);
       batch.bitmaps(betas, got_bits.data());
-      std::vector<std::uint64_t> got_acc(W, 0), want_acc(W, 0);
+      std::vector<std::uint64_t> got_acc(W, 0);
       batch.or_covered(betas, got_acc.data());
 
-      std::vector<std::uint64_t> want(W);
       for (std::size_t i = 0; i < betas.size(); ++i) {
-        EXPECT_EQ(got_counts[i], k.coverage_count(betas[i]))
-            << to_string(sel) << " n=" << s.n;
-        k.covered_bitmap(betas[i], want.data());
-        EXPECT_EQ(0, std::memcmp(got_bits.data() + i * W, want.data(),
-                                 W * sizeof(std::uint64_t)))
-            << to_string(sel) << " n=" << s.n << " i=" << i;
-        k.accumulate_covered(betas[i], want_acc.data());
+        const auto want = oracle_bitmap(betas[i], t);
+        EXPECT_EQ(got_counts[i], popcount_all(want))
+            << to_string(level) << " n=" << s.n;
+        EXPECT_EQ(std::vector<std::uint64_t>(got_bits.begin() + i * W,
+                                             got_bits.begin() + (i + 1) * W),
+                  want)
+            << to_string(level) << " n=" << s.n << " i=" << i;
       }
-      EXPECT_EQ(got_acc, want_acc) << to_string(sel);
-      EXPECT_EQ(batch.uncovered_count(betas), k.uncovered_count(betas))
-          << to_string(sel);
+      const auto want_union = oracle_bitmap(betas, t);
+      EXPECT_EQ(got_acc, want_union) << to_string(level);
+      EXPECT_EQ(batch.uncovered_count(betas),
+                t.cases.size() - popcount_all(want_union))
+          << to_string(level);
 
       const CoverBatch::Evaluation ev = batch.evaluate_many(betas);
-      EXPECT_EQ(ev.counts, got_counts) << to_string(sel);
-      EXPECT_EQ(ev.bitmaps, got_bits) << to_string(sel);
+      EXPECT_EQ(ev.counts, got_counts) << to_string(level);
+      EXPECT_EQ(ev.bitmaps, got_bits) << to_string(level);
     }
   }
 }
 
-TEST(KernelSimd, CursorFlipsAndNeighborCountsIdenticalAcrossModes) {
+TEST(KernelSimd, CursorFlipsAndNeighborCountsMatchPerCaseOracle) {
   std::mt19937_64 rng(47);
   for (const Shape& s : kShapes) {
     const DetectabilityTable t = random_table(rng, s.n, s.m, s.max_len);
-    // The same flip schedule replayed under every mode.
     std::vector<int> flips;
     for (int i = 0; i < 60; ++i) {
       flips.push_back(static_cast<int>(rng() % static_cast<unsigned>(s.n)));
     }
-    std::vector<std::uint64_t> base(
-        (t.cases.size() + 63) / 64);
+    std::vector<std::uint64_t> base((t.cases.size() + 63) / 64);
     for (auto& w : base) w = rng();
+    if (t.cases.size() % 64 != 0) {
+      base.back() &= (std::uint64_t{1} << (t.cases.size() % 64)) - 1;
+    }
 
-    std::vector<std::size_t> ref_trace;      // covered_count after each flip
-    std::vector<std::size_t> ref_neigh;      // final neighborhood, no base
-    std::vector<std::size_t> ref_neigh_base; // final neighborhood, with base
-    for (const KernelSel sel : kModes) {
-      const ScopedExecPolicy mode({.kernel = sel});
+    for (const SimdLevel level : kLevels) {
+      const ScopedSimdLevel cap(level);
       const CoverKernel k(t);
       BetaCursor cur(k, 1);
-      std::vector<std::size_t> trace;
       for (const int j : flips) {
         if (cur.beta() == (std::uint64_t{1} << j)) continue;  // keep beta != 0
         cur.flip(j);
-        trace.push_back(cur.covered_count());
+        EXPECT_EQ(cur.covered_count(),
+                  popcount_all(oracle_bitmap(cur.beta(), t)))
+            << to_string(level) << " n=" << s.n << " beta=" << cur.beta();
       }
       std::vector<std::size_t> neigh(static_cast<std::size_t>(s.n));
-      cur.neighbor_counts(neigh);
-      // Exactness against brute force: flip, count, flip back.
-      BetaCursor probe(k, cur.beta());
-      for (int j = 0; j < s.n; ++j) {
-        probe.flip(j);
-        EXPECT_EQ(neigh[static_cast<std::size_t>(j)], probe.covered_count())
-            << to_string(sel) << " j=" << j;
-        probe.flip(j);
-      }
       std::vector<std::size_t> neigh_base(static_cast<std::size_t>(s.n));
+      cur.neighbor_counts(neigh);
       cur.neighbor_counts(neigh_base, base.data());
-
-      if (sel == KernelSel::kScalar) {
-        ref_trace = trace;
-        ref_neigh = neigh;
-        ref_neigh_base = neigh_base;
-      } else {
-        EXPECT_EQ(trace, ref_trace) << to_string(sel) << " n=" << s.n;
-        EXPECT_EQ(neigh, ref_neigh) << to_string(sel) << " n=" << s.n;
-        EXPECT_EQ(neigh_base, ref_neigh_base)
-            << to_string(sel) << " n=" << s.n;
+      for (int j = 0; j < s.n; ++j) {
+        const ParityFunc flipped = cur.beta() ^ (std::uint64_t{1} << j);
+        const auto want = oracle_bitmap(flipped, t);
+        EXPECT_EQ(neigh[static_cast<std::size_t>(j)], popcount_all(want))
+            << to_string(level) << " n=" << s.n << " j=" << j;
+        std::vector<std::uint64_t> with_base = want;
+        for (std::size_t w = 0; w < with_base.size(); ++w) {
+          with_base[w] |= base[w];
+        }
+        EXPECT_EQ(neigh_base[static_cast<std::size_t>(j)],
+                  popcount_all(with_base))
+            << to_string(level) << " n=" << s.n << " j=" << j;
       }
     }
   }
@@ -216,24 +223,21 @@ TEST(KernelSimd, ForcedFallbackMatchesVectorBackend) {
   std::vector<ParityFunc> betas;
   for (int i = 0; i < 12; ++i) betas.push_back(random_beta(rng, 22));
 
-  const ScopedExecPolicy mode({.kernel = KernelSel::kSimd});
   std::vector<std::size_t> native_counts(betas.size());
   std::vector<std::uint64_t> native_bits;
   {
     const CoverKernel k(t);
-    ASSERT_NE(k.engine(), nullptr);
     CoverBatch batch(k);
     batch.counts(betas, native_counts);
     native_bits.resize(betas.size() * k.num_words());
     batch.bitmaps(betas, native_bits.data());
   }
   {
-    // Cap the dispatch at kNone: still simd mode (an engine is captured),
-    // but it must be the universal scalar word engine.
+    // Cap the dispatch at kNone: the kernel must run the universal word
+    // loop and produce the same bits.
     const ScopedSimdLevel cap(SimdLevel::kNone);
     ASSERT_EQ(simd_level(), SimdLevel::kNone);
     const CoverKernel k(t);
-    ASSERT_NE(k.engine(), nullptr);
     CoverBatch batch(k);
     std::vector<std::size_t> counts(betas.size());
     batch.counts(betas, counts);
@@ -246,7 +250,7 @@ TEST(KernelSimd, ForcedFallbackMatchesVectorBackend) {
   EXPECT_EQ(simd_level(), detected_simd_level());
 }
 
-TEST(KernelSimd, SubsetKernelIdenticalAcrossModes) {
+TEST(KernelSimd, SubsetKernelMatchesPerCaseOracle) {
   std::mt19937_64 rng(59);
   const DetectabilityTable t = random_table(rng, 18, 300, 3);
   std::vector<std::uint32_t> rows;
@@ -256,45 +260,42 @@ TEST(KernelSimd, SubsetKernelIdenticalAcrossModes) {
   std::vector<ParityFunc> betas = {random_beta(rng, 18),
                                    random_beta(rng, 18),
                                    random_beta(rng, 18)};
-  std::vector<std::uint32_t> ref;
-  for (const KernelSel sel : kModes) {
-    const ScopedExecPolicy mode({.kernel = sel});
-    const CoverKernel k(t, rows);
-    const auto unc = k.uncovered(betas);
-    if (sel == KernelSel::kScalar) {
-      ref = unc;
-    } else {
-      EXPECT_EQ(unc, ref) << to_string(sel);
+  // Local (position-in-rows) indices of the rows the set misses.
+  std::vector<std::uint32_t> want;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    if (!covers(betas, t.cases[rows[r]])) {
+      want.push_back(static_cast<std::uint32_t>(r));
     }
+  }
+  for (const SimdLevel level : kLevels) {
+    const ScopedSimdLevel cap(level);
+    const CoverKernel k(t, rows);
+    EXPECT_EQ(k.uncovered(betas), want) << to_string(level);
     CoverBatch batch(k);
-    EXPECT_EQ(batch.uncovered_count(betas), ref.size()) << to_string(sel);
+    EXPECT_EQ(batch.uncovered_count(betas), want.size()) << to_string(level);
   }
 }
 
-TEST(KernelSimd, SolversIdenticalAcrossModesAndThreads) {
+// Pinned: the parity functions the former per-case solver paths selected
+// on this table (Algorithm 1 and greedy happen to agree here).
+const std::vector<ParityFunc> kSolverMasks = {0x101a, 0xcbba, 0x8102, 0x6,
+                                              0x21};
+
+TEST(KernelSimd, SolversIdenticalAcrossLevelsAndThreads) {
   std::mt19937_64 rng(61);
   const DetectabilityTable t = random_table(rng, 16, 900, 3);
   Algorithm1Options opts;
   opts.iter = 6;
   opts.row_rounds = 2;
 
-  std::vector<ParityFunc> ref_algo1, ref_greedy;
-  for (const int threads : {1, 4}) {
-    opts.threads = threads;
-    for (const KernelSel sel : kModes) {
-      const ScopedExecPolicy mode({.kernel = sel});
-      const auto sol = minimize_parity_functions(t, opts);
-      const auto greedy = greedy_cover(t);
-      EXPECT_TRUE(covers_all(sol, t)) << to_string(sel);
-      if (ref_algo1.empty()) {
-        ref_algo1 = sol;
-        ref_greedy = greedy;
-      } else {
-        EXPECT_EQ(sol, ref_algo1)
-            << to_string(sel) << " threads=" << threads;
-        EXPECT_EQ(greedy, ref_greedy)
-            << to_string(sel) << " threads=" << threads;
-      }
+  for (const SimdLevel level : kLevels) {
+    const ScopedSimdLevel cap(level);
+    for (const int threads : {1, 4}) {
+      opts.threads = threads;
+      EXPECT_EQ(minimize_parity_functions(t, opts), kSolverMasks)
+          << to_string(level) << " threads=" << threads;
+      EXPECT_EQ(greedy_cover(t), kSolverMasks)
+          << to_string(level) << " threads=" << threads;
     }
   }
 }

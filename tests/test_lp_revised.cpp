@@ -1,23 +1,29 @@
 // Sparse revised simplex (lp/revised.cpp): equivalence against the dense
-// tableau oracle on random problems, degenerate/cycling guards (Bland
-// fallback), and the warm-start contract — a basis carried across cover-LP
+// tableau oracle (lp::solve_dense) on random problems and on the cover LPs
+// of the ledger's small suite, degenerate/cycling guards (Bland fallback),
+// and the warm-start contract — a basis carried across cover-LP
 // formulations (core/ilp.hpp identity keys) must never change feasibility
-// verdicts or optimal objectives, and the full solver must select the same
-// q warm or cold, at 1 and 4 threads.
+// verdicts or optimal objectives, and the full solver must select the q
+// the cold dense oracle selected, at 1 and 4 threads.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <optional>
 #include <random>
 #include <set>
+#include <string>
 #include <vector>
 
-#include "common/exec.hpp"
+#include "benchdata/suite.hpp"
 #include "core/algorithm1.hpp"
 #include "core/extract.hpp"
 #include "core/ilp.hpp"
 #include "core/parity.hpp"
+#include "fsm/synthesize.hpp"
 #include "lp/simplex.hpp"
+#include "sim/faults.hpp"
 
 namespace ced {
 namespace {
@@ -111,15 +117,8 @@ TEST(RevisedLp, MatchesDenseOracleOnRandomProblems) {
   int optimal_seen = 0;
   for (int t = 0; t < 300; ++t) {
     const lp::LpProblem p = random_lp(rng, nv_dist(rng), m_dist(rng));
-    lp::LpResult revised, dense;
-    {
-      ScopedExecPolicy mode({.lp = LpSel::kRevised});
-      revised = lp::solve(p);
-    }
-    {
-      ScopedExecPolicy mode({.lp = LpSel::kDense});
-      dense = lp::solve(p);
-    }
+    const lp::LpResult revised = lp::solve(p);
+    const lp::LpResult dense = lp::solve_dense(p);
     ASSERT_EQ(revised.status, dense.status) << "instance " << t;
     if (revised.status != lp::Status::kOptimal) continue;
     ++optimal_seen;
@@ -136,7 +135,6 @@ TEST(RevisedLp, MatchesDenseOracleOnRandomProblems) {
 // ties cycles forever without anti-cycling; the stall counter must hand
 // over to Bland's rule and terminate at the optimum.
 TEST(RevisedLp, BealeCyclingExampleTerminates) {
-  const ScopedExecPolicy mode({.lp = LpSel::kRevised});
   lp::LpProblem p;
   const int x1 = p.add_variable(0, lp::kInfinity, -0.75);
   const int x2 = p.add_variable(0, lp::kInfinity, 150.0);
@@ -156,7 +154,6 @@ TEST(RevisedLp, BealeCyclingExampleTerminates) {
 // optimal vertex and duplicated several times, so nearly every ratio test
 // ties at zero. The solver must still reach the optimum within its budget.
 TEST(RevisedLp, MassDegeneracyReachesOptimum) {
-  const ScopedExecPolicy mode({.lp = LpSel::kRevised});
   lp::LpProblem p;
   const int n = 8;
   std::vector<int> xs;
@@ -178,7 +175,6 @@ TEST(RevisedLp, MassDegeneracyReachesOptimum) {
 // Warm-starting a solve from its own optimal basis must apply structurally,
 // re-prove optimality with zero phase-1 work, and reproduce the objective.
 TEST(RevisedLp, WarmFromOwnBasisIsFree) {
-  const ScopedExecPolicy mode({.lp = LpSel::kRevised});
   std::mt19937_64 rng(11);
   const DetectabilityTable t = random_table(rng, 12, 40, 3);
   const std::vector<std::uint32_t> rows = [&] {
@@ -208,7 +204,6 @@ TEST(RevisedLp, WarmFromOwnBasisIsFree) {
 // optimal objective and the feasibility verdict identical to a cold solve
 // — a warm start changes the pivot path, never the answer.
 TEST(RevisedLp, WarmAcrossQMatchesColdOracle) {
-  const ScopedExecPolicy mode({.lp = LpSel::kRevised});
   std::mt19937_64 rng(23);
   for (int inst = 0; inst < 100; ++inst) {
     const int n = 6 + static_cast<int>(rng() % 8);
@@ -244,11 +239,17 @@ TEST(RevisedLp, WarmAcrossQMatchesColdOracle) {
   }
 }
 
-// End-to-end oracle: the full Algorithm-1 solver must pick the same q with
-// warm-started revised LPs (the default) as with the cold dense oracle
-// (CED_LP=dense ignores warm starts and yields no bases), at 1 and at 4
+// End-to-end oracle: the full Algorithm-1 solver, warm-starting its
+// revised LPs, must pick the q the cold dense oracle picked (pinned from
+// the former dense LP path, which ignored warm starts), at 1 and at 4
 // threads. Covers 100 random instances.
 TEST(RevisedLp, SolverQIdenticalWarmVsColdThreads1And4) {
+  const int kDenseQ[100] = {
+      3, 3, 3, 3, 3, 2, 3, 2, 2, 2, 2, 3, 3, 3, 2, 3, 2, 2, 2, 2,
+      3, 2, 2, 3, 3, 3, 3, 4, 2, 2, 3, 4, 3, 3, 3, 2, 2, 3, 3, 3,
+      3, 2, 2, 3, 2, 3, 3, 2, 2, 3, 2, 3, 3, 3, 2, 2, 3, 2, 3, 2,
+      3, 3, 2, 3, 3, 3, 3, 4, 3, 2, 2, 3, 4, 2, 2, 2, 2, 2, 3, 3,
+      3, 2, 3, 3, 2, 3, 4, 2, 2, 3, 3, 3, 3, 3, 4, 3, 2, 3, 3, 3};
   std::mt19937_64 rng(31);
   for (int inst = 0; inst < 100; ++inst) {
     const int n = 8 + static_cast<int>(rng() % 8);
@@ -261,28 +262,84 @@ TEST(RevisedLp, SolverQIdenticalWarmVsColdThreads1And4) {
     opts.row_rounds = 2;
     opts.seed = 0x5eed + static_cast<std::uint64_t>(inst);
 
-    int q_by_mode[2][2];
     for (const int threads : {1, 4}) {
       opts.threads = threads;
-      for (const bool dense : {false, true}) {
-        const ScopedExecPolicy mode(
-            {.lp = dense ? LpSel::kDense : LpSel::kRevised});
-        core::Algorithm1Stats stats;
-        const auto sol = core::minimize_parity_functions(t, opts, &stats);
-        ASSERT_TRUE(core::covers_all(sol, t))
-            << "instance " << inst << " threads " << threads
-            << (dense ? " dense" : " revised");
-        q_by_mode[threads == 4][dense] = static_cast<int>(sol.size());
-        if (!dense) {
-          // Warm starts must actually engage on multi-probe searches.
-          EXPECT_GE(stats.lp_warm_hits, 0);
-          EXPECT_LE(stats.lp_warm_hits, stats.lp_warm_attempts);
-        }
-      }
-      EXPECT_EQ(q_by_mode[threads == 4][0], q_by_mode[threads == 4][1])
+      core::Algorithm1Stats stats;
+      const auto sol = core::minimize_parity_functions(t, opts, &stats);
+      ASSERT_TRUE(core::covers_all(sol, t))
           << "instance " << inst << " threads " << threads;
+      EXPECT_EQ(static_cast<int>(sol.size()), kDenseQ[inst])
+          << "instance " << inst << " threads " << threads;
+      EXPECT_LE(stats.lp_warm_hits, stats.lp_warm_attempts);
     }
-    EXPECT_EQ(q_by_mode[0][0], q_by_mode[1][0]) << "instance " << inst;
+  }
+}
+
+/// q of `circuit` (impl semantics) at latency p in the committed results
+/// ledger (bench/ledger.txt); -1 when the line is missing.
+int ledger_q(const std::string& circuit, int p) {
+  std::ifstream in(CED_LEDGER_PATH);
+  const std::string prefix = circuit + " impl p=" + std::to_string(p) + " ";
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind(prefix, 0) != 0) continue;
+    const std::size_t at = line.find(" q=");
+    if (at != std::string::npos) return std::stoi(line.substr(at + 3));
+  }
+  return -1;
+}
+
+// The real cover LPs: for every circuit of the ledger's small suite at
+// p=3, the Statement-4 relaxation over the 48 hardest rows at every q from
+// 1 to the ledger's q, solved cold with lp::solve, warm from q-1's basis,
+// and with the dense oracle. Statuses must match, objectives agree, and
+// the revised points satisfy every row. This is the check lp::solve runs
+// on every solve in builds without NDEBUG.
+TEST(RevisedLp, MatchesDenseOnSmallSuiteCoverLps) {
+  constexpr int kLatency = 3;
+  constexpr std::size_t kRows = 48;
+  for (const char* name : {"s27", "tav", "dk14", "donfile", "dk16", "s386"}) {
+    const int q_max = ledger_q(name, kLatency);
+    ASSERT_GT(q_max, 0) << name << " missing from " << CED_LEDGER_PATH;
+    const fsm::FsmCircuit c = fsm::synthesize_fsm(
+        benchdata::suite_fsm(name), fsm::EncodingKind::kBinary, {});
+    core::ExtractOptions ex;
+    ex.latency = kLatency;
+    ex.threads = 1;
+    const DetectabilityTable t =
+        core::extract_cases(c, sim::enumerate_stuck_at(c.netlist), ex);
+    const core::SolverContext ctx(t);
+    const std::vector<std::uint32_t> rows(
+        ctx.hard_order.begin(),
+        ctx.hard_order.begin() +
+            static_cast<std::ptrdiff_t>(std::min(kRows, t.cases.size())));
+
+    std::optional<core::LpBasisMemo> memo;
+    for (int q = 1; q <= q_max; ++q) {
+      const core::LpFormulation f = core::build_lp(t, rows, q);
+      lp::SolverOptions cold_opts;
+      cold_opts.want_basis = true;
+      const lp::LpResult cold = lp::solve(f.problem, cold_opts);
+      const lp::LpResult dense = lp::solve_dense(f.problem);
+      std::vector<lp::LpResult> revised = {cold};
+      if (memo) {
+        const lp::BasisSnapshot snap = core::map_basis_to(*memo, f);
+        lp::SolverOptions warm_opts;
+        warm_opts.warm = &snap;
+        revised.push_back(lp::solve(f.problem, warm_opts));
+      }
+      for (const lp::LpResult& r : revised) {
+        ASSERT_EQ(r.status, dense.status) << name << " q=" << q;
+        if (dense.status != lp::Status::kOptimal) continue;
+        EXPECT_NEAR(r.objective, dense.objective,
+                    1e-6 * (1.0 + std::abs(dense.objective)))
+            << name << " q=" << q;
+        EXPECT_LE(violation(f.problem, r.x), 1e-6) << name << " q=" << q;
+      }
+      memo.reset();
+      if (cold.basis) {
+        memo = core::LpBasisMemo{f.var_key, f.row_key, *cold.basis};
+      }
+    }
   }
 }
 

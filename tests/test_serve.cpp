@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -21,7 +22,6 @@
 
 #include "benchdata/generator.hpp"
 #include "benchdata/handwritten.hpp"
-#include "common/exec.hpp"
 #include "common/retry.hpp"
 #include "core/resilience.hpp"
 #include "core/run.hpp"
@@ -257,8 +257,6 @@ TEST(Protocol, RequestRoundTrip) {
   req.semantics = "machine";
   req.seed = 99;
   req.deadline_ms = 1500;
-  req.kernel = "bitsliced";
-  req.lp = "dense";
   req.threads = 3;
   auto doc = Json::parse(encode_request(req));
   ASSERT_TRUE(doc.has_value()) << doc.status().to_text();
@@ -273,27 +271,22 @@ TEST(Protocol, RequestRoundTrip) {
   EXPECT_EQ(back->semantics, req.semantics);
   EXPECT_EQ(back->seed, req.seed);
   EXPECT_EQ(back->deadline_ms, req.deadline_ms);
-  EXPECT_EQ(back->kernel, req.kernel);
-  EXPECT_EQ(back->lp, req.lp);
   EXPECT_EQ(back->threads, req.threads);
 }
 
-// Requests that never mention the policy fields come back all-auto, and
-// the encoder omits them — old clients and new servers interoperate.
+// Requests that never mention the thread count come back with the server
+// default (0), and the encoder omits it — old clients and new servers
+// interoperate.
 TEST(Protocol, ExecPolicyFieldsDefaultToAuto) {
   Request req;
   req.op = "protect";
   req.kiss = ".i 1";
   const std::string wire = encode_request(req);
-  EXPECT_EQ(wire.find("kernel"), std::string::npos);
-  EXPECT_EQ(wire.find("\"lp\":"), std::string::npos);
   EXPECT_EQ(wire.find("threads"), std::string::npos);
   auto doc = Json::parse(wire);
   ASSERT_TRUE(doc.has_value());
   auto back = parse_request(*doc);
   ASSERT_TRUE(back.has_value()) << back.status().to_text();
-  EXPECT_EQ(back->kernel, "auto");
-  EXPECT_EQ(back->lp, "auto");
   EXPECT_EQ(back->threads, 0);
 }
 
@@ -323,8 +316,6 @@ TEST(Protocol, InvalidRequestsAreStructurallyRejected) {
       {"bad-solver", R"({"op":"protect","kiss":"x","solver":"quantum"})"},
       {"bad-encoding", R"({"op":"protect","kiss":"x","encoding":"morse"})"},
       {"sweep-without-latencies", R"({"op":"sweep","kiss":"x"})"},
-      {"bad-kernel", R"({"op":"protect","kiss":"x","kernel":"fpga"})"},
-      {"bad-lp", R"({"op":"protect","kiss":"x","lp":"interior"})"},
       {"bad-threads", R"({"op":"protect","kiss":"x","threads":-1})"},
       {"oversized-id",
        R"({"op":"health","id":")"
@@ -364,9 +355,7 @@ TEST(RunConfigDigest, GoldenPinForKnownConfig) {
   // test_obs's exclusion checks).
   obs::MetricsRegistry registry;
   const auto ctx = RunConfig::Builder(*cfg)
-                       .exec({.kernel = KernelSel::kScalar,
-                              .lp = LpSel::kDense,
-                              .threads = 8})
+                       .threads(8)
                        .observe(obs::Sinks{nullptr, &registry, 0})
                        .build();
   ASSERT_TRUE(ctx.has_value());
@@ -480,11 +469,9 @@ TEST_F(ServeTest, ColdThenWarmProtect) {
   server.drain();
 }
 
-// A request may pin its own execution policy (kernel/lp/threads). The
-// policy changes wall-clock only, never results: a run pinned to the
-// scalar oracle produces the same parities as the default, and — because
-// the policy is excluded from the cache key — a later default-policy
-// request warm-hits the scalar run's cache entry.
+// A request may pin its own thread count. It changes wall-clock only,
+// never results: because it is excluded from the cache key, a later
+// default-policy request warm-hits the pinned run's cache entry.
 TEST_F(ServeTest, ExecPolicyPinnedPerRequestSharesCache) {
   Server server(base_options());
   ASSERT_TRUE(server.start().ok());
@@ -492,8 +479,6 @@ TEST_F(ServeTest, ExecPolicyPinnedPerRequestSharesCache) {
   const std::string kiss = benchdata::handwritten_kiss("traffic");
 
   Request pinned = protect_request(kiss);
-  pinned.kernel = "scalar";
-  pinned.lp = "dense";
   pinned.threads = 1;
   auto cold = client.call_once(pinned);
   ASSERT_TRUE(cold.has_value()) << cold.status().to_text();
@@ -505,6 +490,41 @@ TEST_F(ServeTest, ExecPolicyPinnedPerRequestSharesCache) {
   ASSERT_EQ(warm->code, Code::kOk) << warm->error;
   EXPECT_TRUE(warm->cached);
   EXPECT_EQ(warm->parities, cold->parities);
+  server.drain();
+}
+
+// Clients built when requests could pin a cover kernel and an LP solver
+// still send "kernel"/"lp". Unknown keys are ignored, so such a request
+// must be served (kOk) with the parities of the same request without
+// them. No store: both requests are solved cold.
+TEST_F(ServeTest, RetiredKernelAndLpFieldsAreIgnored) {
+  ServerOptions opts = base_options();
+  opts.store_dir.clear();
+  Server server(opts);
+  ASSERT_TRUE(server.start().ok());
+  const std::string kiss = benchdata::handwritten_kiss("traffic");
+
+  std::string payload = encode_request(protect_request(kiss));
+  ASSERT_EQ(payload.front(), '{');
+  payload.insert(1, R"("kernel":"scalar","lp":"dense",)");
+  const int fd = raw_connect();
+  ASSERT_TRUE(write_frame(fd, payload).ok());
+  std::string reply;
+  ASSERT_EQ(read_frame(fd, reply), FrameStatus::kOk);
+  ::close(fd);
+  auto doc = Json::parse(reply);
+  ASSERT_TRUE(doc.has_value()) << reply;
+  auto old_client = parse_response(*doc);
+  ASSERT_TRUE(old_client.has_value()) << old_client.status().to_text();
+  ASSERT_EQ(old_client->code, Code::kOk) << old_client->error;
+
+  Client client(client_options());
+  auto plain = client.call_once(protect_request(kiss));
+  ASSERT_TRUE(plain.has_value()) << plain.status().to_text();
+  ASSERT_EQ(plain->code, Code::kOk) << plain->error;
+  EXPECT_FALSE(plain->cached);
+  EXPECT_EQ(old_client->parities, plain->parities);
+  EXPECT_EQ(old_client->q, plain->q);
   server.drain();
 }
 
@@ -735,6 +755,12 @@ TEST_F(ServeTest, MalformedWireCorpusNeverKillsTheDaemon) {
   ASSERT_TRUE(resp.has_value()) << resp.status().to_text();
   EXPECT_EQ(resp->state, "ready");
   EXPECT_GE(counter(server, "ced_serve_invalid_frames_total"), 6u);
+  // The torn connection is read on its own thread, which may notice the
+  // disconnect only after the health request was answered.
+  for (int i = 0;
+       i < 200 && counter(server, "ced_serve_torn_frames_total") == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
   EXPECT_GE(counter(server, "ced_serve_torn_frames_total"), 1u);
   server.drain();
 }

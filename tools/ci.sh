@@ -36,24 +36,14 @@ echo "== results ledger: every Table-1 circuit reproduces bench/ledger.txt =="
 # degraded tables by a thread-count-dependent amount.
 ./build/bench/bench_ledger --check=bench/ledger.txt
 
-echo "== solver kernel: bit-sliced vs scalar q-equality =="
-# The cover kernel must be a pure speedup: the bit-sliced and scalar paths
-# have to select identical parities on the small suite (exit 1 otherwise).
-./build/bench/bench_perf --smoke
-
-echo "== kernel modes: scalar/bitsliced/simd q-equality on s1488 =="
-# The SIMD engine oracle chain: all three kernel modes must select
-# byte-identical parities on the paper's largest instance at p=2, at
-# threads 1 AND 4 (exit 1 otherwise). Dispatches on this host's vector
-# unit (AVX2/NEON) and prints which one it used.
+echo "== kernel backends: dispatched SIMD vs word loop on s1488 =="
+# The vector engine must be a pure speedup: the backend this host
+# dispatches to (AVX2/NEON, printed) and the plain word loop forced by
+# ScopedSimdLevel(kNone) must select byte-identical parities on the
+# paper's largest instance at p=2, at threads 1 AND 4 (exit 1 otherwise).
+# Tier-1 checks every kernel query and the solvers against the per-case
+# core::covers oracle, and the revised LP against lp::solve_dense.
 ./build/bench/bench_perf --kernel-smoke --circuits=s1488
-
-echo "== lp solver: revised vs dense q/feasibility equality =="
-# Same contract for the LP layer: the revised sparse solver and the dense
-# tableau oracle must agree on q and produce complete covers across the
-# small suite at p=3, threads 1 and 4 (exit 1 otherwise). The gate pins
-# both modes internally (ScopedExecPolicy), so the ambient CED_LP is moot.
-./build/bench/bench_perf --lp-smoke
 
 echo "== obs smoke: exporters parse, q unaffected =="
 # Observability must be write-only: run s1488 p=2 with and without the
@@ -189,8 +179,8 @@ cmake --build build-deprec -j "$jobs"
 
 echo "== no-SIMD build: the scalar fallback stands alone =="
 # Compile with the vector backends removed entirely (-DCED_NO_SIMD) and
-# prove the universal scalar word loop passes the kernel suites on its
-# own — the portability floor for hosts with no AVX2/NEON.
+# prove the universal word loop passes the kernel suites on its own — the
+# portability floor for hosts with no AVX2/NEON.
 cmake -B build-nosimd -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-DCED_NO_SIMD" >/dev/null
 cmake --build build-nosimd -j "$jobs" \
