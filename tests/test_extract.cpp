@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "benchdata/handwritten.hpp"
+#include "benchdata/suite.hpp"
+#include "common/digest.hpp"
 #include "core/greedy.hpp"
 #include "core/parity.hpp"
+#include "core/pipeline.hpp"
 #include "kiss/kiss.hpp"
 #include "sim/faults.hpp"
 
@@ -262,6 +266,70 @@ TEST(Extract, CaseLimitTruncatesInsteadOfThrowing) {
       }
     }
     EXPECT_TRUE(found);
+  }
+}
+
+/// bench_ledger's case-list digest: the count, then each case's length and
+/// words in table order.
+std::string cases_digest(const DetectabilityTable& table) {
+  Digest128 d;
+  d.absorb(static_cast<std::uint64_t>(table.cases.size()));
+  for (const ErroneousCase& ec : table.cases) {
+    d.absorb(static_cast<std::uint64_t>(ec.length));
+    for (int k = 0; k < ec.length; ++k) {
+      d.absorb(ec.diff[static_cast<std::size_t>(k)]);
+    }
+  }
+  return d.hex();
+}
+
+/// True if no case's word set is contained in another's (duplicates
+/// included): the table is the subset-minimal antichain.
+bool is_antichain(const std::vector<ErroneousCase>& cases) {
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const auto& a = cases[i];
+    for (std::size_t j = 0; j < cases.size(); ++j) {
+      const auto& b = cases[j];
+      if (i == j || a.length > b.length) continue;
+      if (std::includes(b.diff.begin(), b.diff.begin() + b.length,
+                        a.diff.begin(), a.diff.begin() + a.length)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST(Extract, DegradedTablesArePinnedAtOneAndFourThreads) {
+  // dk14's machine-level p=3 table holds 4266 cases. A 4000-case degrade
+  // threshold strengthens it serially to two-word cases; at 4 threads each
+  // worker's share is the 1024-case floor of 4000 / 4, and the table steps
+  // down to single words.
+  const PipelineOptions po;
+  const fsm::FsmCircuit c = fsm::synthesize_fsm(
+      benchdata::suite_fsm("dk14"), po.encoding, po.synth);
+  const auto faults = sim::enumerate_stuck_at(c.netlist, po.faults);
+  struct Pin {
+    int threads;
+    int words;
+    std::size_t cases;
+    const char* digest;
+  };
+  for (const Pin& pin : {Pin{1, 2, 2470, "8d22b19d65dda3c1ef83c416a5379de9"},
+                         Pin{4, 1, 168, "b134a6817a5597bd28630874b92c8874"}}) {
+    SCOPED_TRACE("threads=" + std::to_string(pin.threads));
+    ExtractOptions opts;
+    opts.latency = 3;
+    opts.semantics = DiffSemantics::kMachineLevel;
+    opts.degrade_threshold = 4000;
+    opts.threads = pin.threads;
+    const DetectabilityTable t = extract_cases_multi(c, faults, opts).back();
+    EXPECT_TRUE(t.strengthened);
+    EXPECT_FALSE(t.truncated);
+    for (const auto& ec : t.cases) EXPECT_LE(ec.length, pin.words);
+    EXPECT_TRUE(is_antichain(t.cases));
+    EXPECT_EQ(t.cases.size(), pin.cases);
+    EXPECT_EQ(cases_digest(t), pin.digest);
   }
 }
 

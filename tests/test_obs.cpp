@@ -209,11 +209,11 @@ fsm::Fsm machine(const std::string& name) {
   return fsm::Fsm::from_kiss(kiss::parse(benchdata::handwritten_kiss(name)));
 }
 
-core::PipelineReport run_observed(const fsm::Fsm& f, int threads,
-                                  obs::Tracer* tracer,
+core::PipelineReport run_observed(const fsm::Fsm& f, int latency,
+                                  int threads, obs::Tracer* tracer,
                                   obs::MetricsRegistry* metrics) {
   RunConfig::Builder b;
-  b.latency(2).threads(threads);
+  b.latency(latency).threads(threads);
   if (tracer != nullptr || metrics != nullptr) {
     b.observe({tracer, metrics, 0});
   }
@@ -223,16 +223,17 @@ core::PipelineReport run_observed(const fsm::Fsm& f, int threads,
 }
 
 TEST(ObsDeterminism, ResultsAreByteIdenticalWithObsOnOrOff) {
+  // p=3: link_rx's smallest bound whose merge compaction removes cases.
   const fsm::Fsm f = machine("link_rx");
   const core::PipelineReport baseline =
-      run_observed(f, 1, nullptr, nullptr);
+      run_observed(f, 3, 1, nullptr, nullptr);
   for (const int threads : {1, 4}) {
     obs::Tracer tracer;
     obs::MetricsRegistry metrics;
     const core::PipelineReport plain =
-        run_observed(f, threads, nullptr, nullptr);
+        run_observed(f, 3, threads, nullptr, nullptr);
     const core::PipelineReport observed =
-        run_observed(f, threads, &tracer, &metrics);
+        run_observed(f, 3, threads, &tracer, &metrics);
     EXPECT_EQ(plain.parities, baseline.parities) << "threads=" << threads;
     EXPECT_EQ(observed.parities, baseline.parities) << "threads=" << threads;
     EXPECT_EQ(observed.num_trees, baseline.num_trees);
@@ -250,12 +251,21 @@ TEST(ObsDeterminism, ResultsAreByteIdenticalWithObsOnOrOff) {
     EXPECT_GT(snap.counters.at("ced_sim_cone_rows_total"), 0u);
     EXPECT_GT(snap.counters.at("ced_sim_cone_gates_total"), 0u);
     EXPECT_GT(snap.gauges.at(sim::kGoldenTraceBytesGauge), 0.0);
+    // The extraction workers' case-set counters.
+    for (const char* name :
+         {"ced_extract_case_inserts_total", "ced_extract_cases_dominated_total",
+          "ced_extract_subset_probes_total", "ced_extract_compactions_total",
+          "ced_extract_cases_compacted_total",
+          "ced_extract_step_classes_total"}) {
+      ASSERT_TRUE(snap.counters.contains(name)) << name;
+      EXPECT_GT(snap.counters.at(name), 0u) << name;
+    }
   }
 }
 
 TEST(ObsDeterminism, CampaignVerdictsAreIdenticalWithObsOnOrOff) {
   const fsm::Fsm f = machine("link_rx");
-  const core::PipelineReport rep = run_observed(f, 1, nullptr, nullptr);
+  const core::PipelineReport rep = run_observed(f, 2, 1, nullptr, nullptr);
   const core::PipelineOptions opts;
   const fsm::FsmCircuit circuit =
       fsm::synthesize_fsm(f, opts.encoding, opts.synth);
