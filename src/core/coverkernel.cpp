@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <unordered_set>
 
+#include "core/case_set.hpp"
 #include "core/kernel_engine.hpp"
 
 namespace ced::core {
@@ -334,31 +334,11 @@ CondensedTable condense_table(const DetectabilityTable& table) {
   out.table.cases.reserve(table.cases.size());
   out.kept_rows.reserve(table.cases.size());
 
-  std::unordered_set<ErroneousCase, ErroneousCaseHash> all(
-      table.cases.begin(), table.cases.end(), table.cases.size() * 2 + 1);
-
+  const CaseSet all(table.cases);
+  std::uint64_t probes = 0;
   for (std::size_t i = 0; i < table.cases.size(); ++i) {
     const ErroneousCase& ec = table.cases[i];
-    bool dominated = false;
-    if (ec.length > 1) {
-      // Probe every nonempty proper subset of the word set; the subset of a
-      // sorted distinct sequence is itself sorted and distinct, hence
-      // canonical and directly hashable.
-      const unsigned full = (1u << ec.length) - 1u;
-      for (unsigned sel = 1; sel < full && !dominated; ++sel) {
-        ErroneousCase sub;
-        sub.length = static_cast<std::uint8_t>(std::popcount(sel));
-        int t = 0;
-        for (int k = 0; k < ec.length; ++k) {
-          if ((sel >> k) & 1u) {
-            sub.diff[static_cast<std::size_t>(t++)] =
-                ec.diff[static_cast<std::size_t>(k)];
-          }
-        }
-        dominated = all.contains(sub);
-      }
-    }
-    if (dominated) {
+    if (dominated(ec, all, probes)) {
       ++out.removed;
     } else {
       out.kept_rows.push_back(static_cast<std::uint32_t>(i));

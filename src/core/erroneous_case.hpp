@@ -32,16 +32,4 @@ struct ErroneousCase {
   bool operator==(const ErroneousCase&) const = default;
 };
 
-struct ErroneousCaseHash {
-  std::size_t operator()(const ErroneousCase& ec) const {
-    std::uint64_t h = 0x9e3779b97f4a7c15ull * (ec.length + 1);
-    for (int k = 0; k < ec.length; ++k) {
-      h ^= ec.diff[static_cast<std::size_t>(k)] + 0x9e3779b97f4a7c15ull +
-           (h << 6) + (h >> 2);
-      h *= 0xff51afd7ed558ccdull;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
 }  // namespace ced::core

@@ -262,17 +262,20 @@ class OracleExtractor {
 TEST(ParallelExtract, FourThreadTablesMatchFullPassOracle) {
   // Four workers read one shared golden trace concurrently (this suite runs
   // under TSan), and their cone-restricted rows must yield exactly the
-  // tables of a brute-force extraction over the full-pass simulator.
-  for (const char* name : {"link_rx", "traffic", "arbiter"}) {
+  // tables of a brute-force extraction over the full-pass simulator. One
+  // machine also runs p = 4: its machine-level table has four-word cases.
+  const std::pair<const char*, int> runs[] = {
+      {"link_rx", 3}, {"traffic", 3}, {"arbiter", 3}, {"link_rx", 4}};
+  for (const auto& [name, latency] : runs) {
     for (const auto sem : {core::DiffSemantics::kImplementable,
                            core::DiffSemantics::kMachineLevel}) {
-      SCOPED_TRACE(std::string(name) +
+      SCOPED_TRACE(std::string(name) + " p=" + std::to_string(latency) +
                    (sem == core::DiffSemantics::kImplementable ? " impl"
                                                                : " machine"));
       const fsm::FsmCircuit c = circuit_for(name);
       const auto faults = sim::enumerate_stuck_at(c.netlist);
       core::ExtractOptions opts;
-      opts.latency = 3;
+      opts.latency = latency;
       opts.semantics = sem;
       opts.threads = 4;
       const auto tables = core::extract_cases_multi(c, faults, opts);

@@ -6,10 +6,12 @@
 #                          # + full ctest under sanitizers, then TSan build
 #                          # + full ctest with 4 worker threads
 #   tools/ci.sh --fast     # ASan+UBSan pass runs only the resilience,
-#                          # parser, storage and LP-solver suites (the
-#                          # crash-prone surface: budget valves, malformed
-#                          # input, corrupt-artifact fault injection, and
-#                          # the sparse simplex's pointer arithmetic);
+#                          # parser, storage, LP-solver, case-set and
+#                          # extraction suites (the crash-prone surface:
+#                          # budget valves, malformed input,
+#                          # corrupt-artifact fault injection, the sparse
+#                          # simplex's pointer arithmetic, and the case
+#                          # set's open-addressing index);
 #                          # TSan pass runs only the concurrency-bearing
 #                          # suites (parallel extraction, pipeline,
 #                          # resume, and the warm-started LP under a
@@ -193,7 +195,7 @@ cmake --preset asan-ubsan >/dev/null
 cmake --build --preset asan-ubsan -j "$jobs"
 if [[ "$fast" == 1 ]]; then
   ctest --preset asan-ubsan -j "$jobs" \
-      -R 'Resilience|KissMalformed|KissParse|Storage|RevisedLp|Simplex'
+      -R 'Resilience|KissMalformed|KissParse|Storage|RevisedLp|Simplex|CaseSet|Extract'
 else
   ctest --preset asan-ubsan -j "$jobs"
 fi
