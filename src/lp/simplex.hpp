@@ -77,6 +77,9 @@ struct BasisSnapshot {
 
 struct SolverOptions {
   int max_iterations = 200000;
+  /// Zero tolerance of pricing and the ratio test. Must be positive: the
+  /// revised solver's ratio test scans only the entering column's nonzero
+  /// rows, which is the same as scanning every row only when eps > 0.
   double eps = 1e-9;
   /// Optional warm-start basis for the revised solver, already mapped to
   /// THIS problem's variable/constraint indexing (see core/ilp.cpp for the
