@@ -19,13 +19,17 @@ int hardness_of(const ErroneousCase& ec) {
   return total;
 }
 
-/// Insertion-ordered row list with O(1) duplicate rejection: the LP rows
-/// and the stride spread overlap, and full-table checks keep teaching the
-/// sample rows it already knows — without dedup every screening trial
-/// re-evaluates those indices.
+/// The verification sample: an insertion-ordered row list with O(1)
+/// duplicate rejection (the LP rows and the stride spread overlap, and
+/// full-table checks keep teaching the sample rows it already knows), plus
+/// the subset kernel over those rows that the trial screens, the row
+/// generation and the repairs all query. The kernel is rebuilt only after
+/// rows were added, so consecutive rounds and repairs over an unchanged
+/// sample share one.
 class RowSet {
  public:
-  explicit RowSet(std::size_t universe) : in_(universe, false) {}
+  explicit RowSet(const DetectabilityTable& table)
+      : table_(&table), in_(table.cases.size(), false) {}
 
   void add(std::uint32_t r) {
     if (in_[r]) return;
@@ -35,10 +39,38 @@ class RowSet {
 
   const std::vector<std::uint32_t>& rows() const { return rows_; }
 
+  /// Subset kernel over rows(); local row r is rows()[r]. Not thread-safe:
+  /// fetch it before sharing it with workers.
+  const CoverKernel& kernel(Algorithm1Stats* stats) {
+    if (!kernel_ || kernel_->num_rows() != rows_.size()) {
+      kernel_.emplace(*table_, rows_);
+      if (stats) ++stats->kernel_builds;
+    }
+    return *kernel_;
+  }
+
  private:
+  const DetectabilityTable* table_;
   std::vector<bool> in_;
   std::vector<std::uint32_t> rows_;
+  std::optional<CoverKernel> kernel_;
 };
+
+/// Adds a spread over the whole table to the verification sample: every
+/// row when the table fits under `cap`, else every (size / cap)-th row.
+void seed_verification_sample(RowSet& check, const DetectabilityTable& table,
+                              std::size_t cap) {
+  if (table.cases.size() > cap) {
+    const std::size_t stride = table.cases.size() / cap;
+    for (std::size_t i = 0; i < table.cases.size(); i += stride) {
+      check.add(static_cast<std::uint32_t>(i));
+    }
+  } else {
+    for (std::size_t i = 0; i < table.cases.size(); ++i) {
+      check.add(static_cast<std::uint32_t>(i));
+    }
+  }
+}
 
 /// One randomized rounding per eq. (1), with a mild late-iteration blend
 /// toward 1/2 on fractional bits to escape repeatedly failing extreme
@@ -62,15 +94,16 @@ std::vector<ParityFunc> round_once(const std::vector<std::vector<double>>& x,
 
 /// Hill-climb repair over a row subset: flips bits of the candidate trees
 /// to reduce the number of uncovered rows (exact GF(2) evaluation, but only
-/// on `rows` — callers re-verify against the full table). Each tree holds
-/// a BetaCursor over a subset kernel. While only tree t moves, the union
-/// of the OTHER trees' covers is a constant base, so all n flip-candidates
-/// of tree t are probed in one blocked neighbor_counts sweep; counts are
-/// re-probed after every accepted flip, so the scan order and acceptance
-/// rule are those of a flip/count/flip-back loop over (t, j).
-bool repair_on(std::vector<ParityFunc>& betas, const DetectabilityTable& table,
-               std::span<const std::uint32_t> rows, int n) {
-  const CoverKernel sub(table, rows);
+/// on the rows of the subset kernel `sub` — callers re-verify against the
+/// full table). Each tree holds a BetaCursor over `sub`. While only tree t
+/// moves, the union of the OTHER trees' covers is a constant base, so all
+/// n flip-candidates of tree t are probed in one blocked neighbor_counts
+/// sweep; counts are re-probed after every accepted flip, so the scan
+/// order and acceptance rule are those of a flip/count/flip-back loop over
+/// (t, j). Runs under a `repair` span.
+bool repair_on(std::vector<ParityFunc>& betas, const CoverKernel& sub, int n,
+               const obs::Sinks& obs) {
+  const obs::ScopedSpan span(obs, "repair");
   std::vector<BetaCursor> cur;
   cur.reserve(betas.size());
   for (const ParityFunc b : betas) cur.emplace_back(sub, b);
@@ -154,18 +187,9 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
   // (deduplicated — the spread overlaps the LP rows). Roundings are
   // screened against it; only screen-passing candidates pay for the exact
   // full-table Statement-4 check.
-  RowSet check(table.cases.size());
+  RowSet check(table);
   for (auto rid : rows) check.add(rid);
-  if (table.cases.size() > opts.verify_sample_cap) {
-    const std::size_t stride = table.cases.size() / opts.verify_sample_cap;
-    for (std::size_t i = 0; i < table.cases.size(); i += stride) {
-      check.add(static_cast<std::uint32_t>(i));
-    }
-  } else {
-    for (std::size_t i = 0; i < table.cases.size(); ++i) {
-      check.add(static_cast<std::uint32_t>(i));
-    }
-  }
+  seed_verification_sample(check, table, opts.verify_sample_cap);
 
   // Full exact check with sample refinement: a candidate that covers the
   // sample but misses full-table rows teaches the sample those rows.
@@ -248,7 +272,8 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
       bool ran = false;
     };
     std::vector<Trial> trials(static_cast<std::size_t>(std::max(opts.iter, 0)));
-    const CoverKernel screen_kernel(table, check.rows());
+    obs::ScopedSpan screen(opts.obs, "screen");
+    const CoverKernel& screen_kernel = check.kernel(stats);
     std::atomic<int> executed{0};
     parallel_for(threads, trials.size(), [&](std::size_t it) {
       if (opts.deadline.expired()) return;  // trial skipped, noted below
@@ -287,6 +312,7 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
         }
       }
     }
+    screen.end();
     bool trials_skipped = false;
     for (Trial& tr : trials) {
       if (!tr.ran) {
@@ -311,7 +337,9 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
     // Row generation: add the hardest still-violated sample rows of the
     // best attempt and re-solve.
     if (best_attempt.empty()) break;
-    auto uncov = uncovered_among(best_attempt, table, check.rows());
+    std::vector<std::uint32_t> uncov =
+        check.kernel(stats).uncovered(best_attempt);
+    for (std::uint32_t& r : uncov) r = check.rows()[r];
     std::stable_sort(uncov.begin(), uncov.end(),
                      [&](std::uint32_t a, std::uint32_t b) {
                        return ctx->hardness[a] < ctx->hardness[b];
@@ -345,7 +373,10 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
         break;
       }
       if (stats) ++stats->repairs;
-      if (!repair_on(best_attempt, table, check.rows(), table.num_bits)) break;
+      if (!repair_on(best_attempt, check.kernel(stats), table.num_bits,
+                     opts.obs)) {
+        break;
+      }
       if (full_check(best_attempt)) {
         return prune_redundant(best_attempt, table, &ctx->kernel);
       }
@@ -357,31 +388,15 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
 
 namespace {
 
-/// Seeds the post-optimization verification sample: a spread over the
-/// whole table (missed full-table rows are added — deduplicated — as the
-/// pass learns them).
-void seed_verification_sample(RowSet& check, const DetectabilityTable& table,
-                              std::size_t cap) {
-  if (table.cases.size() > cap) {
-    const std::size_t stride = table.cases.size() / cap;
-    for (std::size_t i = 0; i < table.cases.size(); i += stride) {
-      check.add(static_cast<std::uint32_t>(i));
-    }
-  } else {
-    for (std::size_t i = 0; i < table.cases.size(); ++i) {
-      check.add(static_cast<std::uint32_t>(i));
-    }
-  }
-}
-
 /// Tries to shrink `best` by dropping one tree and hill-climb repairing the
-/// remainder (sample-screened, full-table verified). Loops until no single
+/// remainder (screened against a spread sample that learns the full-table
+/// rows each repair missed, full-table verified). Loops until no single
 /// drop can be repaired.
 void drop_and_repair(std::vector<ParityFunc>& best,
                      const DetectabilityTable& table,
                      const Algorithm1Options& opts, Algorithm1Stats* stats,
                      const SolverContext& ctx) {
-  RowSet check(table.cases.size());
+  RowSet check(table);
   seed_verification_sample(check, table, opts.verify_sample_cap);
   bool improved = true;
   while (improved && best.size() > 1) {
@@ -399,7 +414,9 @@ void drop_and_repair(std::vector<ParityFunc>& best,
       bool covered = false;
       for (int attempt = 0; attempt < 4; ++attempt) {
         if (stats) ++stats->repairs;
-        if (!repair_on(cand, table, check.rows(), table.num_bits)) break;
+        if (!repair_on(cand, check.kernel(stats), table.num_bits, opts.obs)) {
+          break;
+        }
         const auto missed = ctx.kernel.uncovered(cand);
         if (missed.empty()) {
           covered = true;
@@ -506,14 +523,16 @@ std::vector<ParityFunc> minimize_parity_functions(
 
   if (opts.post_optimize && !opts.deadline.expired()) {
     obs::ScopedSpan post(obs_opts.obs, "post-optimize");
+    Algorithm1Options post_opts = obs_opts;
+    post_opts.obs = obs_opts.obs.under(post.id());
     const std::size_t before = best.size();
-    drop_and_repair(best, table, opts, st, ctx);
+    drop_and_repair(best, table, post_opts, st, ctx);
     if (best.size() < before) from_greedy = false;
     // The incumbent may be a warm start the local search cannot shrink;
     // give the independent greedy solution the same chance when it ties.
     if (!from_greedy && greedy.size() <= best.size()) {
       std::vector<ParityFunc> alt = greedy;
-      drop_and_repair(alt, table, opts, st, ctx);
+      drop_and_repair(alt, table, post_opts, st, ctx);
       if (alt.size() < best.size()) best = std::move(alt);
     }
   }
@@ -546,6 +565,8 @@ std::vector<ParityFunc> minimize_parity_functions(
               static_cast<std::uint64_t>(st->repairs - entry.repairs));
     shard.add("ced_solve_kernel_case_evals_total",
               st->kernel_case_evals - entry.kernel_case_evals);
+    shard.add("ced_solve_kernel_builds_total",
+              st->kernel_builds - entry.kernel_builds);
     shard.add("ced_solve_q_probes_total",
               static_cast<std::uint64_t>(st->qs_tried.size() -
                                          entry.qs_tried.size()));

@@ -97,6 +97,10 @@ struct Algorithm1Stats {
   /// (trial-batch granularity: executed trials x sample rows).
   /// Diagnostics only — never consulted by the search.
   std::uint64_t kernel_case_evals = 0;
+  /// Subset cover kernels built over verification samples (one per sample
+  /// state the screens, row generation and repairs queried).
+  /// Diagnostics only — never consulted by the search.
+  std::uint64_t kernel_builds = 0;
 };
 
 struct ResilienceReport;

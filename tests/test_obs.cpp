@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -242,11 +244,23 @@ TEST(ObsDeterminism, ResultsAreByteIdenticalWithObsOnOrOff) {
     const std::vector<obs::SpanRecord> spans = tracer.snapshot();
     ASSERT_FALSE(spans.empty());
     EXPECT_EQ(spans.front().name, "pipeline");
-    bool saw_solve = false;
-    for (const obs::SpanRecord& s : spans) saw_solve |= s.name == "solve";
-    EXPECT_TRUE(saw_solve);
+    // The solve stage's sub-spans, by the name of their parent: the trial
+    // screens under solve-q, the repairs under solve-q and post-optimize.
+    std::map<std::uint64_t, std::string> name_of;
+    for (const obs::SpanRecord& s : spans) name_of[s.id] = s.name;
+    std::set<std::string> seen;
+    for (const obs::SpanRecord& s : spans) {
+      const auto parent = name_of.find(s.parent);
+      seen.insert(parent == name_of.end() ? s.name
+                                          : parent->second + "/" + s.name);
+    }
+    for (const char* edge : {"pipeline/solve", "solve-q/screen",
+                             "solve-q/repair", "post-optimize/repair"}) {
+      EXPECT_TRUE(seen.contains(edge)) << edge << " threads=" << threads;
+    }
     const obs::MetricsSnapshot snap = metrics.snapshot();
     EXPECT_GT(snap.counters.at("ced_extract_cases_total"), 0u);
+    EXPECT_GT(snap.counters.at("ced_solve_kernel_builds_total"), 0u);
     // The extraction shards' simulator counters and the trace gauge.
     EXPECT_GT(snap.counters.at("ced_sim_cone_rows_total"), 0u);
     EXPECT_GT(snap.counters.at("ced_sim_cone_gates_total"), 0u);
