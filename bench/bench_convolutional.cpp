@@ -16,7 +16,6 @@
 #include "core/extract.hpp"
 #include "core/rng.hpp"
 #include "core/run.hpp"
-#include "core/verify.hpp"
 #include "sim/faults.hpp"
 
 namespace {

@@ -3,10 +3,13 @@
 //
 // For every circuit, both EC semantics and p = 1..3, one ledger line holds
 // the detectability table's case count and a digest of its sorted case list
-// (core::extract_cases_multi) and the selected scheme's q and parity masks
-// (ced::run_latency_sweep). Both run at a fixed 4 threads: the no-store
-// extraction path divides the degrade threshold among its workers, so a
-// strengthened table (s1488 p=3) depends on the thread count.
+// (core::extract_cases_multi), the selected scheme's q and parity masks
+// (ced::run_latency_sweep), and whether the exhaustive stuck-at campaign
+// (sim::run_campaign) proves the bound p on the scheme's synthesized
+// checker (bound=holds|violated). All three run at a fixed 4 threads: the
+// no-store extraction path divides the degrade threshold among its
+// workers, so a strengthened table (s1488 p=3) depends on the thread
+// count.
 //
 //   bench_ledger --check=bench/ledger.txt [--quick | --circuits=a,b]
 //   bench_ledger --write=bench/ledger.txt [--quick | --circuits=a,b]
@@ -25,6 +28,7 @@
 #include "common.hpp"
 #include "common/digest.hpp"
 #include "core/run.hpp"
+#include "sim/campaign.hpp"
 
 namespace {
 
@@ -51,6 +55,21 @@ std::string cases_digest(const core::DetectabilityTable& table) {
     }
   }
   return d.hex();
+}
+
+/// "holds" when the exhaustive stuck-at campaign proves bound p on the
+/// checker synthesized for `parities`, else "violated".
+const char* bound_verdict(const fsm::FsmCircuit& circuit,
+                          std::span<const sim::StuckAtFault> faults,
+                          std::span<const core::ParityFunc> parities,
+                          const core::CedSynthOptions& ced, int p) {
+  const core::CedHardware hw = core::synthesize_ced(circuit, parities, ced);
+  sim::CampaignOptions co;
+  co.latency_bound = p;
+  co.threads = kThreads;
+  return sim::run_campaign(circuit, hw, faults, co).bound_holds()
+             ? "holds"
+             : "violated";
 }
 
 /// The ledger lines of one circuit: "<circuit> <impl|machine> p=<p> ...".
@@ -103,6 +122,8 @@ std::vector<std::string> ledger_lines(const std::string& name) {
                       static_cast<unsigned long long>(rep.parities[i]));
         line += buf;
       }
+      line += std::string(" bound=") +
+              bound_verdict(circuit, faults, rep.parities, po.ced, p);
       lines.push_back(std::move(line));
     }
   }

@@ -62,4 +62,7 @@
 #include "core/resilience.hpp"
 #include "core/run.hpp"
 #include "core/solver.hpp"
-#include "core/verify.hpp"
+
+// Sequential proof of the bound: the fault-injection campaign engine
+// (library ced_campaign).
+#include "sim/campaign.hpp"

@@ -30,7 +30,7 @@ namespace ced::core {
 /// see the faulty logic differ from the fault-free logic evaluated at the
 /// same (corrupted) state — `kImplementable`. This is the sound semantics:
 /// a cover of the implementable table provably yields bounded-latency
-/// detection in sequential simulation (see core/verify.hpp), at a somewhat
+/// detection in sequential simulation (see sim/campaign.hpp), at a somewhat
 /// higher parity cost. The bench suite quantifies the gap.
 enum class DiffSemantics {
   kImplementable,

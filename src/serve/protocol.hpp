@@ -91,7 +91,8 @@ struct Response {
   bool degraded = false;   ///< resilience report had degradations
   double t_extract_s = 0, t_solve_s = 0;
 
-  // verify payload
+  // verify payload: the campaign's activations, and its late and silent
+  // episodes plus false alarms
   std::uint64_t activations = 0, violations = 0;
 
   // health payload

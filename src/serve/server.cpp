@@ -13,10 +13,10 @@
 
 #include "common/digest.hpp"
 #include "core/run.hpp"
-#include "core/verify.hpp"
 #include "kiss/kiss.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
+#include "sim/campaign.hpp"
 
 namespace ced::serve {
 
@@ -801,16 +801,19 @@ Response Server::run_verify(const Request& req) {
   }
   const core::CedHardware hw =
       core::synthesize_ced(circuit, scheme->parities, {});
-  const core::VerifyResult vr =
-      core::verify_bounded_detection(circuit, hw, faults, scheme->latency);
+  sim::CampaignOptions co;
+  co.latency_bound = scheme->latency;
+  co.threads = request_threads(req, opts_.threads_per_request);
+  const sim::CampaignReport rep = sim::run_campaign(circuit, hw, faults, co);
   Response resp;
   resp.id = req.id;
-  resp.code = vr.ok() ? Code::kOk : Code::kDegraded;
+  resp.code =
+      rep.bound_holds() && !rep.truncated ? Code::kOk : Code::kDegraded;
   resp.latency = scheme->latency;
   resp.q = static_cast<int>(scheme->parities.size());
   resp.parities = scheme->parities;
-  resp.activations = vr.activations_checked;
-  resp.violations = vr.violations;
+  resp.activations = rep.activations;
+  resp.violations = rep.detected_late + rep.silent_escape + rep.false_alarms;
   return resp;
 }
 

@@ -373,7 +373,7 @@ std::string campaign_digest(const fsm::FsmCircuit& circuit,
                             std::span<const StuckAtFault> faults,
                             const CampaignOptions& opts, int num_shards) {
   Digest128 d;
-  d.absorb(std::uint64_t{1});  // digest schema version; bump on change
+  d.absorb(std::uint64_t{2});  // digest schema version; bump on change
   // Functional circuit: interface, encoding, the reference netlist.
   d.absorb(static_cast<std::uint64_t>(circuit.r()));
   d.absorb(static_cast<std::uint64_t>(circuit.s()));
@@ -426,6 +426,14 @@ CampaignReport run_campaign(const fsm::FsmCircuit& circuit,
       span.id() != 0 ? opts.obs.under(span.id()) : opts.obs;
 
   const ProtectedMachine pm(circuit, hw);
+  // The fault-free sweep: the golden rows already hold the checker's
+  // verdict for every reachable (state, input), tail bits masked.
+  std::uint64_t false_alarms = 0;
+  for (const std::uint64_t c : pm.reachable()) {
+    for (const std::uint64_t word : pm.golden_row(c)->error) {
+      false_alarms += static_cast<std::uint64_t>(std::popcount(word));
+    }
+  }
   if (sinks.metrics != nullptr) {
     sinks.metrics->set_gauge(kGoldenTraceBytesGauge,
                              static_cast<double>(pm.trace().bytes()));
@@ -519,6 +527,7 @@ CampaignReport run_campaign(const fsm::FsmCircuit& circuit,
   rep.walk_length = opts.walk_length;
   rep.seed = opts.seed;
   rep.num_units = units.size();
+  rep.false_alarms = false_alarms;
   rep.histogram.assign(static_cast<std::size_t>(horizon), 0);
   bool any_tripped = false;
   for (int i = 0; i < num_shards; ++i) {
@@ -589,6 +598,7 @@ std::string campaign_report_json(const CampaignReport& report,
   num("detected_late", report.detected_late);
   num("silent_escape", report.silent_escape);
   num("benign_units", report.benign_units);
+  num("false_alarms", report.false_alarms);
   num("max_latency", static_cast<std::uint64_t>(report.max_latency));
   boolean("hard_guarantee", report.hard_guarantee());
   boolean("bound_holds", report.bound_holds());

@@ -44,6 +44,10 @@
 //   benign             a unit with no activation at all (stuck-at faults
 //                      masked by the logic; flips that reconverge silently)
 //
+// Independently of the model, every campaign sweeps the fault-free design
+// over every reachable (state, input): each transition on which the checker
+// fires is a false alarm, and any false alarm falsifies the scheme.
+//
 // The engine reuses the house substrate: units are partitioned into a fixed
 // shard count independent of the worker-thread count, shards run under
 // parallel_for with private deadline polling, completed shards persist
@@ -178,6 +182,9 @@ struct CampaignReport {
   std::uint64_t detected_late = 0;
   std::uint64_t silent_escape = 0;
   std::uint64_t benign_units = 0;
+  /// Fault-free (reachable state, input) transitions on which the checker
+  /// fires.
+  std::uint64_t false_alarms = 0;
   int max_latency = 0;
   std::vector<std::uint64_t> histogram;  ///< summed over units
 
@@ -195,10 +202,11 @@ struct CampaignReport {
            (persistence == 0 || persistence >= latency_bound);
   }
   /// Empirical form of the paper's claim: every activation detected within
-  /// the bound. A hard-guarantee campaign with bound_holds() false is a
-  /// falsified scheme (run_campaign reports it; callers decide the exit).
+  /// the bound, and no alarm without a fault. A hard-guarantee campaign
+  /// with bound_holds() false is a falsified scheme (run_campaign reports
+  /// it; callers decide the exit).
   bool bound_holds() const {
-    return detected_late == 0 && silent_escape == 0;
+    return detected_late == 0 && silent_escape == 0 && false_alarms == 0;
   }
 };
 

@@ -974,6 +974,7 @@ std::string encode_campaign_report(const sim::CampaignReport& rep) {
   w.u64(rep.detected_late);
   w.u64(rep.silent_escape);
   w.u64(rep.benign_units);
+  w.u64(rep.false_alarms);
   w.u32(static_cast<std::uint32_t>(rep.max_latency));
   w.u32(static_cast<std::uint32_t>(rep.histogram.size()));
   for (const std::uint64_t h : rep.histogram) w.u64(h);
@@ -1007,6 +1008,7 @@ Result<sim::CampaignReport> decode_campaign_report(std::string_view bytes) {
   rep.detected_late = r.u64();
   rep.silent_escape = r.u64();
   rep.benign_units = r.u64();
+  rep.false_alarms = r.u64();
   rep.max_latency = static_cast<int>(r.u32());
   if (!r.ok() || model > 2 || policy > 1) {
     return corrupt("campaign report header malformed");

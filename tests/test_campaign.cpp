@@ -246,6 +246,7 @@ TEST(CampaignOracle, TableCoverageImpliesExhaustiveBoundHolds) {
         run_campaign(d.circuit, d.hw, d.faults, opts);
     EXPECT_TRUE(rep.hard_guarantee());
     EXPECT_TRUE(rep.bound_holds()) << spec.name;
+    EXPECT_EQ(rep.false_alarms, 0u) << spec.name;
     EXPECT_LE(rep.max_latency, p) << spec.name;
 
     // Latency-1 refinement: when the scheme already covers every one-step
@@ -326,6 +327,36 @@ TEST(CampaignOracle, WeakenedSchemeIsFalsifiedByCampaign) {
   EXPECT_TRUE(rep.hard_guarantee());
   EXPECT_FALSE(rep.bound_holds());
   EXPECT_GT(rep.detected_late + rep.silent_escape, 0u);
+}
+
+TEST(CampaignOracle, StuckErrorCheckerIsFalsified) {
+  // A checker whose error output is stuck at 1 "detects" every activation
+  // on its first cycle. Only the fault-free sweep exposes it: the healthy
+  // machine raises the alarm on every reachable transition.
+  const int p = 2;
+  const Design d = suite_design("dk16", p);
+  ASSERT_FALSE(d.hw.two_rail);
+  core::CedHardware stuck = d.hw;
+  logic::Netlist checker;
+  for (int i = 0; i < d.hw.r + d.hw.s + d.hw.n; ++i) {
+    checker.add_input("x" + std::to_string(i));
+  }
+  const std::uint32_t zero = checker.add_const(false);
+  for (int l = 0; l < 2 * d.hw.q; ++l) {
+    checker.mark_output(zero, "parity" + std::to_string(l));
+  }
+  checker.mark_output(checker.add_const(true), "error");
+  stuck.checker = std::move(checker);
+
+  CampaignOptions opts;
+  opts.latency_bound = p;
+  const CampaignReport rep = run_campaign(d.circuit, stuck, d.faults, opts);
+  EXPECT_TRUE(rep.hard_guarantee());
+  EXPECT_GT(rep.activations, 0u);
+  EXPECT_EQ(rep.detected_late + rep.silent_escape, 0u);
+  EXPECT_EQ(rep.max_latency, 1);
+  EXPECT_EQ(rep.false_alarms, 27u * 4u);  // reachable states x input values
+  EXPECT_FALSE(rep.bound_holds());
 }
 
 // ---------------------------------------------------------------------------
@@ -644,6 +675,7 @@ TEST(CampaignCodec, ShardAndReportRoundTripByteIdentical) {
   rep.detected_late = 2;
   rep.silent_escape = 5;
   rep.benign_units = 0;
+  rep.false_alarms = 6;
   rep.max_latency = 3;
   rep.histogram = {9, 2, 2, 0};
   rep.truncated = true;
@@ -655,6 +687,7 @@ TEST(CampaignCodec, ShardAndReportRoundTripByteIdentical) {
   EXPECT_EQ(storage::encode_campaign_report(*rdecoded), rbytes);
   EXPECT_EQ(rdecoded->verdicts, rep.verdicts);
   EXPECT_EQ(rdecoded->truncation_reason, rep.truncation_reason);
+  EXPECT_EQ(rdecoded->false_alarms, rep.false_alarms);
   EXPECT_TRUE(rdecoded->hard_guarantee() == rep.hard_guarantee());
 }
 

@@ -1,4 +1,4 @@
-// End-to-end integration: pipeline + sequential verification of the
+// End-to-end integration: pipeline + the exhaustive campaign's proof of the
 // bounded-latency guarantee on every hand-written machine, across
 // encodings and latency bounds.
 
@@ -9,11 +9,20 @@
 #include "core/latency.hpp"
 #include "core/pipeline.hpp"
 #include "core/run.hpp"
-#include "core/verify.hpp"
 #include "kiss/kiss.hpp"
+#include "sim/campaign.hpp"
 
 namespace ced::core {
 namespace {
+
+/// The sequential proof: the exhaustive stuck-at campaign at bound p.
+sim::CampaignReport prove(const fsm::FsmCircuit& circuit,
+                          const CedHardware& hw,
+                          std::span<const sim::StuckAtFault> faults, int p) {
+  sim::CampaignOptions co;
+  co.latency_bound = p;
+  return sim::run_campaign(circuit, hw, faults, co);
+}
 
 class EndToEnd : public ::testing::TestWithParam<std::tuple<const char*, int>> {
 };
@@ -34,12 +43,11 @@ TEST_P(EndToEnd, BoundedDetectionHolds) {
       fsm::synthesize_fsm(f, opts.encoding, opts.synth);
   const auto faults = sim::enumerate_stuck_at(circuit.netlist, opts.faults);
   const CedHardware hw = synthesize_ced(circuit, rep.parities, opts.ced);
-  const VerifyResult vr =
-      verify_bounded_detection(circuit, hw, faults, p);
-  EXPECT_EQ(vr.violations, 0u) << name << " p=" << p;
-  EXPECT_EQ(vr.false_alarms, 0u) << name << " p=" << p;
-  EXPECT_GT(vr.activations_checked, 0u);
-  EXPECT_LE(vr.max_latency_observed, p);
+  const sim::CampaignReport cr = prove(circuit, hw, faults, p);
+  EXPECT_EQ(cr.detected_late + cr.silent_escape, 0u) << name << " p=" << p;
+  EXPECT_EQ(cr.false_alarms, 0u) << name << " p=" << p;
+  EXPECT_GT(cr.activations, 0u);
+  EXPECT_LE(cr.max_latency, p);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -59,8 +67,7 @@ TEST(EndToEndExtra, GreedySolverAlsoVerifies) {
       fsm::synthesize_fsm(f, opts.encoding, opts.synth);
   const auto faults = sim::enumerate_stuck_at(circuit.netlist);
   const CedHardware hw = synthesize_ced(circuit, rep.parities, opts.ced);
-  const VerifyResult vr = verify_bounded_detection(circuit, hw, faults, 2);
-  EXPECT_TRUE(vr.ok());
+  EXPECT_TRUE(prove(circuit, hw, faults, 2).bound_holds());
 }
 
 TEST(EndToEndExtra, ExactSolverAlsoVerifies) {
@@ -74,8 +81,7 @@ TEST(EndToEndExtra, ExactSolverAlsoVerifies) {
       fsm::synthesize_fsm(f, opts.encoding, opts.synth);
   const auto faults = sim::enumerate_stuck_at(circuit.netlist);
   const CedHardware hw = synthesize_ced(circuit, rep.parities, opts.ced);
-  const VerifyResult vr = verify_bounded_detection(circuit, hw, faults, 2);
-  EXPECT_TRUE(vr.ok());
+  EXPECT_TRUE(prove(circuit, hw, faults, 2).bound_holds());
 }
 
 TEST(EndToEndExtra, GrayEncodingVerifies) {
@@ -89,7 +95,7 @@ TEST(EndToEndExtra, GrayEncodingVerifies) {
       fsm::synthesize_fsm(f, opts.encoding, opts.synth);
   const auto faults = sim::enumerate_stuck_at(circuit.netlist);
   const CedHardware hw = synthesize_ced(circuit, rep.parities, opts.ced);
-  EXPECT_TRUE(verify_bounded_detection(circuit, hw, faults, 2).ok());
+  EXPECT_TRUE(prove(circuit, hw, faults, 2).bound_holds());
 }
 
 TEST(EndToEndExtra, LatencySweepSharesExtraction) {
@@ -133,9 +139,9 @@ TEST(EndToEndExtra, DeliberatelyWeakCoverIsCaughtByVerifier) {
   const std::vector<ParityFunc> weak{std::uint64_t{1}
                                      << (circuit.n() - 1)};
   const CedHardware hw = synthesize_ced(circuit, weak);
-  const VerifyResult vr = verify_bounded_detection(circuit, hw, faults, 1);
-  EXPECT_GT(vr.violations, 0u);
-  EXPECT_EQ(vr.false_alarms, 0u);  // a correct predictor never false-alarms
+  const sim::CampaignReport cr = prove(circuit, hw, faults, 1);
+  EXPECT_GT(cr.detected_late + cr.silent_escape, 0u);
+  EXPECT_EQ(cr.false_alarms, 0u);  // a correct predictor never false-alarms
 }
 
 TEST(EndToEndExtra, MachineLevelCoverCanMissOnRealHardware) {
@@ -154,7 +160,7 @@ TEST(EndToEndExtra, MachineLevelCoverCanMissOnRealHardware) {
   const auto ti = extract_cases(circuit, faults, impl);
   const auto cover = minimize_parity_functions(ti);
   const CedHardware hw = synthesize_ced(circuit, cover);
-  EXPECT_TRUE(verify_bounded_detection(circuit, hw, faults, 2).ok());
+  EXPECT_TRUE(prove(circuit, hw, faults, 2).bound_holds());
 }
 
 TEST(EndToEndExtra, SyntheticSuiteSmallCircuitVerifies) {
@@ -166,13 +172,10 @@ TEST(EndToEndExtra, SyntheticSuiteSmallCircuitVerifies) {
       fsm::synthesize_fsm(f, opts.encoding, opts.synth);
   const auto faults = sim::enumerate_stuck_at(circuit.netlist);
   const CedHardware hw = synthesize_ced(circuit, rep.parities, opts.ced);
-  VerifyOptions vo;
-  vo.walks = 8;
-  vo.walk_length = 64;
-  const VerifyResult vr =
-      verify_bounded_detection(circuit, hw, faults, 2, vo);
-  EXPECT_TRUE(vr.ok()) << "violations=" << vr.violations
-                       << " false_alarms=" << vr.false_alarms;
+  const sim::CampaignReport cr = prove(circuit, hw, faults, 2);
+  EXPECT_TRUE(cr.bound_holds())
+      << "violations=" << cr.detected_late + cr.silent_escape
+      << " false_alarms=" << cr.false_alarms;
 }
 
 }  // namespace

@@ -23,8 +23,8 @@
 #include "core/parity_synth.hpp"
 #include "core/pipeline.hpp"
 #include "core/run.hpp"
-#include "core/verify.hpp"
 #include "kiss/kiss.hpp"
+#include "sim/campaign.hpp"
 #include "sim/faults.hpp"
 #include "storage/format.hpp"
 
@@ -172,10 +172,12 @@ TEST_F(StorageTest, SchemeRoundTripIsCanonicalAndVerifies) {
   const fsm::FsmCircuit c = circuit_for("traffic");
   const auto faults = sim::enumerate_stuck_at(c.netlist);
   const core::CedHardware hw = core::synthesize_ced(c, loaded->parities, {});
-  const core::VerifyResult vr =
-      core::verify_bounded_detection(c, hw, faults, loaded->latency);
-  EXPECT_TRUE(vr.ok()) << vr.violations << " violations, " << vr.false_alarms
-                       << " false alarms";
+  sim::CampaignOptions co;
+  co.latency_bound = loaded->latency;
+  const sim::CampaignReport cr = sim::run_campaign(c, hw, faults, co);
+  EXPECT_TRUE(cr.bound_holds())
+      << cr.detected_late + cr.silent_escape << " violations, "
+      << cr.false_alarms << " false alarms";
 }
 
 TEST_F(StorageTest, ReportRoundTripIsCanonical) {

@@ -61,7 +61,6 @@
 #include "core/area_aware.hpp"
 #include "core/latency.hpp"
 #include "core/run.hpp"
-#include "core/verify.hpp"
 #include "fsm/analysis.hpp"
 #include "fsm/minimize_states.hpp"
 #include "kiss/kiss.hpp"
@@ -186,7 +185,8 @@ int cmd_help() {
       "  --semantics=KIND     impl       impl | machine (see DESIGN.md)\n"
       "  --minimize-states               merge compatible states first\n"
       "  --area-aware                    area-driven parity refinement\n"
-      "  --verify                        sequential bounded-latency proof\n"
+      "  --verify                        prove the bound: exhaustive stuck-at\n"
+      "                                  campaign plus fault-free sweep\n"
       "\n"
       "Artifact store flags (protect):\n"
       "  --store=DIR                     cache extraction tables, shard\n"
@@ -346,6 +346,23 @@ core::RunBudget budget_from_args(int argc, char** argv) {
   return b;
 }
 
+/// --solver and --encoding, shared by protect and the stored-scheme
+/// loader (they are part of a stored scheme's key).
+core::SolverKind solver_from_args(int argc, char** argv) {
+  const std::string solver = arg_value(argc, argv, "--solver", "lp");
+  return solver == "greedy"  ? core::SolverKind::kGreedy
+         : solver == "exact" ? core::SolverKind::kExact
+                             : core::SolverKind::kLpRounding;
+}
+
+fsm::EncodingKind encoding_from_args(int argc, char** argv) {
+  const std::string enc = arg_value(argc, argv, "--encoding", "binary");
+  return enc == "gray"     ? fsm::EncodingKind::kGray
+         : enc == "onehot" ? fsm::EncodingKind::kOneHot
+         : enc == "spread" ? fsm::EncodingKind::kSpread
+                           : fsm::EncodingKind::kBinary;
+}
+
 /// Canonical solver tag used in stored-scheme names.
 const char* solver_tag(core::SolverKind solver) {
   switch (solver) {
@@ -361,6 +378,107 @@ void write_text_file(const std::string& path, const std::string& text) {
   if (!out) throw InvalidInputError("cannot write " + path);
   out << text;
   if (!out.flush()) throw InvalidInputError("cannot write " + path);
+}
+
+/// `--store=DIR` of a command that reads a stored scheme; throws when
+/// absent.
+std::string required_store(int argc, char** argv, const char* command) {
+  const std::string dir = arg_value(argc, argv, "--store", "");
+  if (dir.empty()) {
+    throw InvalidInputError(std::string(command) + " requires --store=DIR");
+  }
+  return dir;
+}
+
+/// A scheme stored by an earlier `protect --store` run and the design it
+/// protects: the machine synthesized again, its fault list and the Fig. 3
+/// hardware for the stored parities.
+struct StoredDesign {
+  fsm::FsmCircuit circuit;
+  std::vector<sim::StuckAtFault> faults;
+  int latency = 0;
+  core::CedHardware hw;
+};
+
+/// Loads the scheme the shape flags name. They must match the protect run:
+/// they are part of the cache key the scheme is filed under.
+StoredDesign load_stored_design(int argc, char** argv,
+                                storage::ArtifactStore& store) {
+  fsm::Fsm f = load_machine(argv[2]);
+  if (has_flag(argc, argv, "--minimize-states")) {
+    f = fsm::merge_compatible_states(f).machine;
+  }
+  const int latency =
+      std::atoi(arg_value(argc, argv, "--latency", "2").c_str());
+  StoredDesign d{fsm::synthesize_fsm(f, encoding_from_args(argc, argv), {}),
+                 {}, 0, {}};
+  d.faults = sim::enumerate_stuck_at(d.circuit.netlist);
+
+  core::ExtractOptions ex;
+  ex.latency = latency;
+  if (arg_value(argc, argv, "--semantics", "impl") == std::string("machine")) {
+    ex.semantics = core::DiffSemantics::kMachineLevel;
+  }
+  const int num_shards = core::resolve_checkpoint_shards(
+      std::atoi(arg_value(argc, argv, "--checkpoint-shards", "0").c_str()),
+      d.faults.size());
+  const std::string key =
+      core::extraction_digest(d.circuit, d.faults, ex, num_shards);
+  const std::string name = storage::scheme_name(
+      key, latency, solver_tag(solver_from_args(argc, argv)));
+
+  auto scheme = storage::load_scheme(store, name);
+  for (const auto& e : store.drain_events()) {
+    std::fprintf(stderr, "  [store] %s\n", e.c_str());
+  }
+  if (!scheme) {
+    const std::string dir = arg_value(argc, argv, "--store", "");
+    throw InvalidInputError("no stored scheme " + name + " in " + dir + " (" +
+                            scheme.status().message +
+                            "); run `ced_cli protect <machine> --store=" +
+                            dir + "` with the same shape flags first");
+  }
+  std::printf("scheme %s: p=%d, q=%zu parity trees\n", name.c_str(),
+              scheme->latency, scheme->parities.size());
+  d.latency = scheme->latency;
+  d.hw = core::synthesize_ced(d.circuit, scheme->parities, {});
+  return d;
+}
+
+/// Names the first unit with a late or silent episode on stderr, so a
+/// falsified scheme's failure is actionable.
+void report_first_violation(const sim::CampaignReport& rep) {
+  for (const sim::FaultVerdict& v : rep.verdicts) {
+    if (v.detected_late > 0 || v.silent_escape > 0) {
+      std::fprintf(stderr,
+                   "  first violating unit: %s (late %llu, silent %llu)\n",
+                   sim::unit_label(rep.model, v.unit).c_str(),
+                   static_cast<unsigned long long>(v.detected_late),
+                   static_cast<unsigned long long>(v.silent_escape));
+      return;
+    }
+  }
+}
+
+/// The sequential proof behind `protect --verify` and `verify`: the
+/// exhaustive stuck-at campaign at bound `latency`. Prints one
+/// verification line; true when the bound holds.
+bool prove_bound(const fsm::FsmCircuit& circuit, const core::CedHardware& hw,
+                 std::span<const sim::StuckAtFault> faults, int latency,
+                 int threads) {
+  sim::CampaignOptions co;
+  co.latency_bound = latency;
+  co.threads = threads;
+  const sim::CampaignReport rep = sim::run_campaign(circuit, hw, faults, co);
+  std::printf("verification: %llu activations, %llu violations, "
+              "%llu false alarms -> %s\n",
+              static_cast<unsigned long long>(rep.activations),
+              static_cast<unsigned long long>(rep.detected_late +
+                                              rep.silent_escape),
+              static_cast<unsigned long long>(rep.false_alarms),
+              rep.bound_holds() ? "OK" : "FAILED");
+  report_first_violation(rep);
+  return rep.bound_holds();
 }
 
 int cmd_protect(int argc, char** argv) {
@@ -398,8 +516,6 @@ int cmd_protect(int argc, char** argv) {
     archive.emplace(*store);
   }
 
-  const std::string solver = arg_value(argc, argv, "--solver", "lp");
-  const std::string enc = arg_value(argc, argv, "--encoding", "binary");
   // 0 = auto (CED_THREADS env or hardware concurrency); negatives mean auto
   // too rather than wrapping.
   const int threads =
@@ -407,13 +523,8 @@ int cmd_protect(int argc, char** argv) {
 
   RunConfig::Builder builder;
   builder.latency(std::atoi(arg_value(argc, argv, "--latency", "2").c_str()))
-      .solver(solver == "greedy"  ? core::SolverKind::kGreedy
-              : solver == "exact" ? core::SolverKind::kExact
-                                  : core::SolverKind::kLpRounding)
-      .encoding(enc == "gray"     ? fsm::EncodingKind::kGray
-                : enc == "onehot" ? fsm::EncodingKind::kOneHot
-                : enc == "spread" ? fsm::EncodingKind::kSpread
-                                  : fsm::EncodingKind::kBinary)
+      .solver(solver_from_args(argc, argv))
+      .encoding(encoding_from_args(argc, argv))
       .threads(threads >= 1 ? threads : 0)
       .budget(budget_from_args(argc, argv))
       .observe(sinks)
@@ -537,13 +648,8 @@ int cmd_protect(int argc, char** argv) {
   if (has_flag(argc, argv, "--verify")) {
     const core::CedHardware hw =
         core::synthesize_ced(circuit, rep.parities, opts.ced);
-    const core::VerifyResult vr =
-        core::verify_bounded_detection(circuit, hw, faults, opts.latency);
-    std::printf("verification: %zu activations, %zu violations, "
-                "%zu false alarms -> %s\n",
-                vr.activations_checked, vr.violations, vr.false_alarms,
-                vr.ok() ? "OK" : "FAILED");
-    verify_failed = !vr.ok();
+    verify_failed = !prove_bound(circuit, hw, faults, opts.latency,
+                                 opts.exec.threads);
   }
 
   // Exports go last so they cover the whole run, store traffic included.
@@ -576,77 +682,14 @@ int cmd_protect(int argc, char** argv) {
 }
 
 /// `ced_cli verify <machine.kiss> --store=DIR`: load the parity scheme a
-/// previous `protect --store` run persisted (after full deserialization +
-/// integrity checks) and re-prove the bounded-detection property against a
-/// freshly synthesized circuit. The shape flags must match the protect run:
-/// they are part of the cache key the scheme is filed under.
+/// previous `protect --store` run persisted and re-prove the
+/// bounded-detection property against a freshly synthesized circuit.
 int cmd_verify(int argc, char** argv) {
   if (argc < 3) return usage();
-  const std::string store_dir = arg_value(argc, argv, "--store", "");
-  if (store_dir.empty()) {
-    throw InvalidInputError("verify requires --store=DIR");
-  }
-  fsm::Fsm f = load_machine(argv[2]);
-  if (has_flag(argc, argv, "--minimize-states")) {
-    f = fsm::merge_compatible_states(f).machine;
-  }
-  const int latency =
-      std::atoi(arg_value(argc, argv, "--latency", "2").c_str());
-  const std::string solver = arg_value(argc, argv, "--solver", "lp");
-  const core::SolverKind solver_kind =
-      solver == "greedy"  ? core::SolverKind::kGreedy
-      : solver == "exact" ? core::SolverKind::kExact
-                          : core::SolverKind::kLpRounding;
-  const std::string enc = arg_value(argc, argv, "--encoding", "binary");
-  const fsm::EncodingKind encoding =
-      enc == "gray"     ? fsm::EncodingKind::kGray
-      : enc == "onehot" ? fsm::EncodingKind::kOneHot
-      : enc == "spread" ? fsm::EncodingKind::kSpread
-                        : fsm::EncodingKind::kBinary;
-
-  const fsm::FsmCircuit circuit = fsm::synthesize_fsm(f, encoding, {});
-  const auto faults = sim::enumerate_stuck_at(circuit.netlist);
-
-  core::ExtractOptions ex;
-  ex.latency = latency;
-  if (arg_value(argc, argv, "--semantics", "impl") == std::string("machine")) {
-    ex.semantics = core::DiffSemantics::kMachineLevel;
-  }
-  const int num_shards = core::resolve_checkpoint_shards(
-      std::atoi(arg_value(argc, argv, "--checkpoint-shards", "0").c_str()),
-      faults.size());
-  const std::string key =
-      core::extraction_digest(circuit, faults, ex, num_shards);
-  const std::string name =
-      storage::scheme_name(key, latency, solver_tag(solver_kind));
-
-  storage::ArtifactStore store(store_dir);
-  auto scheme = storage::load_scheme(store, name);
-  for (const auto& e : store.drain_events()) {
-    std::fprintf(stderr, "  [store] %s\n", e.c_str());
-  }
-  if (!scheme) {
-    throw InvalidInputError(
-        "no stored scheme " + name + " in " + store_dir + " (" +
-        scheme.status().message +
-        "); run `ced_cli protect <machine> --store=" + store_dir +
-        "` with the same shape flags first");
-  }
-
-  std::printf("scheme %s: p=%d, q=%zu parity trees\n", name.c_str(),
-              scheme->latency, scheme->parities.size());
-  const core::CedHardware hw =
-      core::synthesize_ced(circuit, scheme->parities, {});
-  const core::VerifyResult vr =
-      core::verify_bounded_detection(circuit, hw, faults, scheme->latency);
-  std::printf("verification: %zu activations, %zu violations, "
-              "%zu false alarms -> %s\n",
-              vr.activations_checked, vr.violations, vr.false_alarms,
-              vr.ok() ? "OK" : "FAILED");
-  for (const auto& m : vr.messages) {
-    std::fprintf(stderr, "  %s\n", m.c_str());
-  }
-  return vr.ok() ? kExitOk : kExitDegraded;
+  storage::ArtifactStore store(required_store(argc, argv, "verify"));
+  const StoredDesign d = load_stored_design(argc, argv, store);
+  return prove_bound(d.circuit, d.hw, d.faults, d.latency, 0) ? kExitOk
+                                                              : kExitDegraded;
 }
 
 /// Runs one campaign, prints its verdict summary, persists the verdict
@@ -683,11 +726,12 @@ int run_one_campaign(const fsm::FsmCircuit& circuit,
               static_cast<unsigned long long>(rep.num_units),
               static_cast<unsigned long long>(rep.activations), ckey.c_str());
   std::printf("  in bound: %llu  late: %llu  silent escapes: %llu  "
-              "benign units: %llu\n",
+              "benign units: %llu  false alarms: %llu\n",
               static_cast<unsigned long long>(rep.detected_in_bound),
               static_cast<unsigned long long>(rep.detected_late),
               static_cast<unsigned long long>(rep.silent_escape),
-              static_cast<unsigned long long>(rep.benign_units));
+              static_cast<unsigned long long>(rep.benign_units),
+              static_cast<unsigned long long>(rep.false_alarms));
   std::printf("  max latency: %d (bound p=%d, horizon %d)\n", rep.max_latency,
               rep.latency_bound, rep.horizon);
   if (rep.truncated) {
@@ -696,19 +740,7 @@ int run_one_campaign(const fsm::FsmCircuit& circuit,
   if (rep.hard_guarantee()) {
     std::printf("  guarantee: %s\n",
                 rep.bound_holds() ? "HOLDS" : "VIOLATED");
-    if (!rep.bound_holds()) {
-      // Name the first offending fault so the failure is actionable.
-      for (const sim::FaultVerdict& v : rep.verdicts) {
-        if (v.detected_late > 0 || v.silent_escape > 0) {
-          std::fprintf(stderr,
-                       "  first violating unit: %s (late %llu, silent %llu)\n",
-                       sim::unit_label(rep.model, v.unit).c_str(),
-                       static_cast<unsigned long long>(v.detected_late),
-                       static_cast<unsigned long long>(v.silent_escape));
-          break;
-        }
-      }
-    }
+    report_first_violation(rep);
   } else {
     const double covered =
         rep.activations > 0
@@ -740,31 +772,6 @@ int run_one_campaign(const fsm::FsmCircuit& circuit,
 /// asserted (violations exit 1), for flip models coverage is measured.
 int cmd_campaign(int argc, char** argv) {
   if (argc < 3) return usage();
-  const std::string store_dir = arg_value(argc, argv, "--store", "");
-  if (store_dir.empty()) {
-    throw InvalidInputError("campaign requires --store=DIR");
-  }
-  fsm::Fsm f = load_machine(argv[2]);
-  if (has_flag(argc, argv, "--minimize-states")) {
-    f = fsm::merge_compatible_states(f).machine;
-  }
-
-  // Shape flags: must match the protect run that stored the scheme (they
-  // are part of the scheme's cache key).
-  const int latency =
-      std::atoi(arg_value(argc, argv, "--latency", "2").c_str());
-  const std::string solver = arg_value(argc, argv, "--solver", "lp");
-  const core::SolverKind solver_kind =
-      solver == "greedy"  ? core::SolverKind::kGreedy
-      : solver == "exact" ? core::SolverKind::kExact
-                          : core::SolverKind::kLpRounding;
-  const std::string enc = arg_value(argc, argv, "--encoding", "binary");
-  const fsm::EncodingKind encoding =
-      enc == "gray"     ? fsm::EncodingKind::kGray
-      : enc == "onehot" ? fsm::EncodingKind::kOneHot
-      : enc == "spread" ? fsm::EncodingKind::kSpread
-                        : fsm::EncodingKind::kBinary;
-
   const std::string metrics_out = arg_value(argc, argv, "--metrics-out", "");
   const std::string trace_out = arg_value(argc, argv, "--trace-out", "");
   const bool observing = !metrics_out.empty() || !trace_out.empty();
@@ -773,43 +780,13 @@ int cmd_campaign(int argc, char** argv) {
   const obs::Sinks sinks =
       observing ? obs::Sinks{&tracer, &metrics, 0} : obs::Sinks{};
 
-  const fsm::FsmCircuit circuit = fsm::synthesize_fsm(f, encoding, {});
-  const auto faults = sim::enumerate_stuck_at(circuit.netlist);
-
-  core::ExtractOptions ex;
-  ex.latency = latency;
-  if (arg_value(argc, argv, "--semantics", "impl") == std::string("machine")) {
-    ex.semantics = core::DiffSemantics::kMachineLevel;
-  }
-  const int scheme_shards = core::resolve_checkpoint_shards(
-      std::atoi(arg_value(argc, argv, "--checkpoint-shards", "0").c_str()),
-      faults.size());
-  const std::string key =
-      core::extraction_digest(circuit, faults, ex, scheme_shards);
-  const std::string name =
-      storage::scheme_name(key, latency, solver_tag(solver_kind));
-
-  storage::ArtifactStore store(store_dir);
+  storage::ArtifactStore store(required_store(argc, argv, "campaign"));
   store.set_sinks(sinks);
-  auto scheme = storage::load_scheme(store, name);
-  for (const auto& e : store.drain_events()) {
-    std::fprintf(stderr, "  [store] %s\n", e.c_str());
-  }
-  if (!scheme) {
-    throw InvalidInputError(
-        "no stored scheme " + name + " in " + store_dir + " (" +
-        scheme.status().message +
-        "); run `ced_cli protect <machine> --store=" + store_dir +
-        "` with the same shape flags first");
-  }
-  std::printf("scheme %s: p=%d, q=%zu parity trees\n", name.c_str(),
-              scheme->latency, scheme->parities.size());
-  const core::CedHardware hw =
-      core::synthesize_ced(circuit, scheme->parities, {});
+  const StoredDesign d = load_stored_design(argc, argv, store);
 
   const bool soak = has_flag(argc, argv, "--soak");
   sim::CampaignOptions base;
-  base.latency_bound = scheme->latency;
+  base.latency_bound = d.latency;
   base.horizon = std::atoi(arg_value(argc, argv, "--horizon", "0").c_str());
   base.persistence =
       std::atoi(arg_value(argc, argv, "--persistence", "0").c_str());
@@ -863,8 +840,9 @@ int cmd_campaign(int argc, char** argv) {
   try {
     for (const sim::CampaignOptions& copts : runs) {
       exit_code = std::max(
-          exit_code, run_one_campaign(circuit, hw, faults, copts, sharding,
-                                      store, resume, argv[2], json_entries));
+          exit_code, run_one_campaign(d.circuit, d.hw, d.faults, copts,
+                                      sharding, store, resume, argv[2],
+                                      json_entries));
     }
   } catch (const std::invalid_argument& e) {
     throw InvalidInputError(e.what());

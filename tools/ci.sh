@@ -6,12 +6,14 @@
 #                          # + full ctest under sanitizers, then TSan build
 #                          # + full ctest with 4 worker threads
 #   tools/ci.sh --fast     # ASan+UBSan pass runs only the resilience,
-#                          # parser, storage, LP-solver, case-set and
-#                          # extraction suites (the crash-prone surface:
-#                          # budget valves, malformed input,
-#                          # corrupt-artifact fault injection, the sparse
-#                          # simplex's pointer arithmetic, and the case
-#                          # set's open-addressing index);
+#                          # parser, storage, LP-solver, case-set,
+#                          # extraction, campaign and end-to-end suites
+#                          # (the crash-prone surface: budget valves,
+#                          # malformed input, corrupt-artifact fault
+#                          # injection, the sparse simplex's pointer
+#                          # arithmetic, the case set's open-addressing
+#                          # index, and the protected machine's batched
+#                          # checker rows behind every sequential proof);
 #                          # TSan pass runs only the concurrency-bearing
 #                          # suites (parallel extraction, pipeline,
 #                          # resume, and the warm-started LP under a
@@ -33,9 +35,11 @@ ctest --preset default -j "$jobs"
 
 echo "== results ledger: every Table-1 circuit reproduces bench/ledger.txt =="
 # Tier-1 checks the small suite; this checks all 16 circuits, both EC
-# semantics, p=1..3: case counts, case-list digests, q and parity masks.
-# The tool pins its own thread count (4): no-store extraction strengthens
-# degraded tables by a thread-count-dependent amount.
+# semantics, p=1..3: case counts, case-list digests, q, parity masks and
+# whether the exhaustive campaign proves the bound on the synthesized
+# checker (bound=holds|violated). The tool pins its own thread count (4):
+# no-store extraction strengthens degraded tables by a
+# thread-count-dependent amount.
 ./build/bench/bench_ledger --check=bench/ledger.txt
 
 echo "== kernel backends: dispatched SIMD vs word loop on s1488 =="
@@ -132,10 +136,12 @@ echo "== campaign smoke: empirical bounded-latency gate =="
 # Protect a small Table-1 circuit, then *prove the bound empirically*: the
 # exhaustive campaign drives every persistent stuck-at fault over every
 # bounded input path and must classify zero episodes detected_late or
-# silent_escape. The verdict artifact must be byte-identical at 1 vs 4
-# threads, and a campaign interrupted by the deterministic shard valve
-# (the reproducible analogue of the kill -9 chaos_serve.sh throws at the
-# daemon) must resume from its checkpoints to the same bytes.
+# silent_escape, and its fault-free sweep must see zero false alarms;
+# `ced_cli verify` runs the same proof and must exit 0. The verdict
+# artifact must be byte-identical at 1 vs 4 threads, and a campaign
+# interrupted by the deterministic shard valve (the reproducible analogue
+# of the kill -9 chaos_serve.sh throws at the daemon) must resume from its
+# checkpoints to the same bytes.
 ./build/tools/ced_cli generate --suite=dk16 > "$obs_tmp/dk16.kiss"
 for t in 1 4; do
   ./build/tools/ced_cli protect "$obs_tmp/dk16.kiss" --latency=2 \
@@ -151,6 +157,7 @@ assert c["model"] == "stuck-at" and c["policy"] == "exhaustive", c
 assert c["hard_guarantee"] and not c["truncated"], c
 assert c["detected_late"] == 0, "detected_late episodes: %d" % c["detected_late"]
 assert c["silent_escape"] == 0, "silent escapes: %d" % c["silent_escape"]
+assert c["false_alarms"] == 0, "false alarms: %d" % c["false_alarms"]
 assert c["activations"] > 0 and c["max_latency"] <= c["latency_bound"], c
 print("campaign gate: %d units, %d activations, max latency %d <= p=%d"
       % (c["units_judged"], c["activations"], c["max_latency"],
@@ -158,6 +165,9 @@ print("campaign gate: %d units, %d activations, max latency %d <= p=%d"
 PYEOF
 cmp "$obs_tmp"/camp-1/camp-*.ced "$obs_tmp"/camp-4/camp-*.ced \
   || { echo "campaign verdicts differ across thread counts"; exit 1; }
+./build/tools/ced_cli verify "$obs_tmp/dk16.kiss" --latency=2 \
+    --store="$obs_tmp/camp-1" > "$obs_tmp/verify.out" \
+  || { echo "ced_cli verify rejected the stored dk16 scheme"; exit 1; }
 ./build/tools/ced_cli protect "$obs_tmp/dk16.kiss" --latency=2 \
     --store="$obs_tmp/camp-r" > /dev/null
 if ./build/tools/ced_cli campaign "$obs_tmp/dk16.kiss" --latency=2 \
@@ -207,7 +217,7 @@ cmake --preset asan-ubsan >/dev/null
 cmake --build --preset asan-ubsan -j "$jobs"
 if [[ "$fast" == 1 ]]; then
   ctest --preset asan-ubsan -j "$jobs" \
-      -R 'Resilience|KissMalformed|KissParse|Storage|RevisedLp|Simplex|CaseSet|Extract'
+      -R 'Resilience|KissMalformed|KissParse|Storage|RevisedLp|Simplex|CaseSet|Extract|Campaign|EndToEnd'
 else
   ctest --preset asan-ubsan -j "$jobs"
 fi
