@@ -91,9 +91,9 @@ int main(int argc, char** argv) {
     const std::vector<int> ps{1, 2, 3};
     const auto reps = ced::run_latency_sweep(f, ps, RunConfig::wrap(popts));
 
-    const fsm::FsmCircuit circuit =
-        fsm::synthesize_fsm(f, popts.encoding, popts.synth);
-    const auto faults = sim::enumerate_stuck_at(circuit.netlist);
+    const core::Design design = core::derive_design(f, popts);
+    const fsm::FsmCircuit& circuit = design.circuit;
+    const auto& faults = design.faults;
     core::ExtractOptions ex;
     ex.latency = 1;
     const auto p1 = core::extract_cases(circuit, faults, ex);

@@ -34,10 +34,8 @@ int main(int argc, char** argv) {
     const fsm::Fsm f = benchdata::suite_fsm(name);
     const core::PipelineReport& rep = sweeps[c][0];
 
-    const fsm::FsmCircuit circuit =
-        fsm::synthesize_fsm(f, opts.encoding, opts.synth);
-    const core::DuplicationReport dup =
-        core::duplication_baseline(circuit, opts.library);
+    const core::DuplicationReport dup = core::duplication_baseline(
+        core::derive_design(f, opts).circuit, opts.library);
 
     const double fr = bench::reduction_pct(
         static_cast<double>(dup.functions), rep.num_trees);

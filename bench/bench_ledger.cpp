@@ -5,11 +5,11 @@
 // the detectability table's case count and a digest of its sorted case list
 // (core::extract_cases_multi), the selected scheme's q and parity masks
 // (ced::run_latency_sweep), and whether the exhaustive stuck-at campaign
-// (sim::run_campaign) proves the bound p on the scheme's synthesized
-// checker (bound=holds|violated). All three run at a fixed 4 threads: the
-// no-store extraction path divides the degrade threshold among its
-// workers, so a strengthened table (s1488 p=3) depends on the thread
-// count.
+// (sim::run_campaign) proves the bound p on the checker the sweep
+// synthesized for the scheme (PipelineReport::hw; bound=holds|violated).
+// All three run at a fixed 4 threads: the no-store extraction path
+// divides the degrade threshold among its workers, so a strengthened
+// table (s1488 p=3) depends on the thread count.
 //
 //   bench_ledger --check=bench/ledger.txt [--quick | --circuits=a,b]
 //   bench_ledger --write=bench/ledger.txt [--quick | --circuits=a,b]
@@ -57,17 +57,15 @@ std::string cases_digest(const core::DetectabilityTable& table) {
   return d.hex();
 }
 
-/// "holds" when the exhaustive stuck-at campaign proves bound p on the
-/// checker synthesized for `parities`, else "violated".
-const char* bound_verdict(const fsm::FsmCircuit& circuit,
-                          std::span<const sim::StuckAtFault> faults,
-                          std::span<const core::ParityFunc> parities,
-                          const core::CedSynthOptions& ced, int p) {
-  const core::CedHardware hw = core::synthesize_ced(circuit, parities, ced);
+/// "holds" when the exhaustive stuck-at campaign proves bound p on
+/// `design` protected by `hw`, else "violated".
+const char* bound_verdict(const core::Design& design,
+                          const core::CedHardware& hw, int p) {
   sim::CampaignOptions co;
   co.latency_bound = p;
   co.threads = kThreads;
-  return sim::run_campaign(circuit, hw, faults, co).bound_holds()
+  return sim::run_campaign(design.circuit, hw, design.faults, co)
+                 .bound_holds()
              ? "holds"
              : "violated";
 }
@@ -93,13 +91,12 @@ std::vector<std::string> ledger_lines(const std::string& name) {
     const auto reps = ced::run_latency_sweep(f, ps, *cfg);
 
     const core::PipelineOptions& po = cfg->options();
-    const fsm::FsmCircuit circuit =
-        fsm::synthesize_fsm(f, po.encoding, po.synth);
-    const auto faults = sim::enumerate_stuck_at(circuit.netlist, po.faults);
+    const core::Design design = core::derive_design(f, po);
     core::ExtractOptions ex = po.extract;
     ex.latency = kMaxP;
     ex.threads = kThreads;
-    const auto tables = core::extract_cases_multi(circuit, faults, ex);
+    const auto tables =
+        core::extract_cases_multi(design.circuit, design.faults, ex);
 
     for (int p = 1; p <= kMaxP; ++p) {
       const core::PipelineReport& rep = reps[static_cast<std::size_t>(p - 1)];
@@ -122,8 +119,7 @@ std::vector<std::string> ledger_lines(const std::string& name) {
                       static_cast<unsigned long long>(rep.parities[i]));
         line += buf;
       }
-      line += std::string(" bound=") +
-              bound_verdict(circuit, faults, rep.parities, po.ced, p);
+      line += std::string(" bound=") + bound_verdict(design, rep.hw, p);
       lines.push_back(std::move(line));
     }
   }

@@ -34,13 +34,11 @@ int main(int argc, char** argv) {
     opts.extract.semantics = core::DiffSemantics::kMachineLevel;
     const auto reps = ced::run_latency_sweep(f, ps, RunConfig::wrap(opts));
 
-    const fsm::FsmCircuit circuit =
-        fsm::synthesize_fsm(f, opts.encoding, opts.synth);
-    const auto faults = sim::enumerate_stuck_at(circuit.netlist, opts.faults);
+    const core::Design design = core::derive_design(f, opts);
     core::LatencyAnalysisOptions lo;
     lo.max_latency = 4;
     const core::LatencyAnalysis la =
-        core::analyze_useful_latency(circuit, faults, lo);
+        core::analyze_useful_latency(design.circuit, design.faults, lo);
 
     // First p after which q stops strictly decreasing.
     int saturated = 1;

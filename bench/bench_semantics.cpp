@@ -65,18 +65,15 @@ int main(int argc, char** argv) {
     const auto impl_reps =
         ced::run_latency_sweep(f, ps, RunConfig::wrap(impl));
 
-    // The exhaustive campaign of the p=2 covers on the real checker.
-    const fsm::FsmCircuit circuit =
-        fsm::synthesize_fsm(f, impl.encoding, impl.synth);
-    const auto faults = sim::enumerate_stuck_at(circuit.netlist);
-    const core::CedHardware hw_ml =
-        core::synthesize_ced(circuit, ml_reps[1].parities);
-    const core::CedHardware hw_impl =
-        core::synthesize_ced(circuit, impl_reps[1].parities);
+    // The exhaustive campaign of the p=2 covers on their real checkers.
+    // Both semantics share the design: they differ only in extraction.
+    const core::Design design = core::derive_design(f, impl);
     sim::CampaignOptions co;
     co.latency_bound = 2;
-    const auto rep_ml = sim::run_campaign(circuit, hw_ml, faults, co);
-    const auto rep_impl = sim::run_campaign(circuit, hw_impl, faults, co);
+    const auto rep_ml = sim::run_campaign(design.circuit, ml_reps[1].hw,
+                                          design.faults, co);
+    const auto rep_impl = sim::run_campaign(design.circuit, impl_reps[1].hw,
+                                            design.faults, co);
 
     std::printf("%-8s | %5d %5d %5d | %5d %5d %5d | %20s | %20s\n",
                 name.c_str(), ml_reps[0].num_trees, ml_reps[1].num_trees,

@@ -28,13 +28,11 @@ int main(int argc, char** argv) {
       ced::run_latency_sweep(machine, latencies, RunConfig::wrap(opts));
 
   // Loop analysis: the latency beyond which no further benefit is possible.
-  const fsm::FsmCircuit circuit =
-      fsm::synthesize_fsm(machine, opts.encoding, opts.synth);
-  const auto faults = sim::enumerate_stuck_at(circuit.netlist, opts.faults);
+  const core::Design design = core::derive_design(machine, opts);
   core::LatencyAnalysisOptions lo;
   lo.max_latency = 4;
   const core::LatencyAnalysis la =
-      core::analyze_useful_latency(circuit, faults, lo);
+      core::analyze_useful_latency(design.circuit, design.faults, lo);
 
   std::printf("\n%3s | %6s | %10s | %10s | %s\n", "p", "trees", "CED gates",
               "CED cost", "cost vs p=1");

@@ -47,20 +47,18 @@ int main() {
   std::printf("CED hardware   : %zu gates, area %.1f (%.1f%% of original)\n",
               rep.ced_gates, rep.ced_area, 100.0 * rep.ced_area / rep.orig_area);
 
-  // 3. Re-synthesize and prove the bound: the exhaustive campaign drives
-  // every stuck-at fault over every bounded input path from every
-  // reachable state, and sweeps the fault-free design for false alarms.
-  const fsm::FsmCircuit circuit =
-      fsm::synthesize_fsm(machine, opts.encoding, opts.synth);
-  const auto faults = sim::enumerate_stuck_at(circuit.netlist);
-  const core::CedHardware hw =
-      core::synthesize_ced(circuit, rep.parities, opts.ced);
+  // 3. Prove the bound on the checker the run costed (rep.hw): the
+  // exhaustive campaign drives every stuck-at fault of the run's design
+  // over every bounded input path from every reachable state, and sweeps
+  // the fault-free design for false alarms.
+  const core::Design design = core::derive_design(machine, opts);
   sim::CampaignOptions co;
   co.latency_bound = opts.latency;
-  const sim::CampaignReport proof = sim::run_campaign(circuit, hw, faults, co);
+  const sim::CampaignReport proof =
+      sim::run_campaign(design.circuit, rep.hw, design.faults, co);
   std::printf("verification   : %zu faults, %llu activations checked, "
               "%llu violations, %llu false alarms -> %s\n",
-              faults.size(),
+              design.faults.size(),
               static_cast<unsigned long long>(proof.activations),
               static_cast<unsigned long long>(proof.detected_late +
                                               proof.silent_escape),

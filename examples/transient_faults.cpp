@@ -64,11 +64,9 @@ int main(int argc, char** argv) {
   const auto reps =
       ced::run_latency_sweep(machine, ps, ced::RunConfig::wrap(opts));
   const core::PipelineReport& rep = reps[1];
-  const fsm::FsmCircuit circuit =
-      fsm::synthesize_fsm(machine, opts.encoding, opts.synth);
-  const auto faults = sim::enumerate_stuck_at(circuit.netlist, opts.faults);
-  const core::CedHardware hw =
-      core::synthesize_ced(circuit, rep.parities, opts.ced);
+  const core::Design design = core::derive_design(machine, opts);
+  const fsm::FsmCircuit& circuit = design.circuit;
+  const auto& faults = design.faults;
 
   core::ExtractOptions e1;
   e1.latency = 1;
@@ -82,7 +80,7 @@ int main(int argc, char** argv) {
   std::printf("\n%-22s | %9s | %9s | %9s | %9s\n", "fault duration",
               "scenarios", "at once", "later", "ESCAPED");
   for (int duration : {1, p, 1000}) {
-    const Outcome o = measure(circuit, hw, faults, p, duration);
+    const Outcome o = measure(circuit, rep.hw, faults, p, duration);
     std::printf("%-22s | %9zu | %9zu | %9zu | %9zu\n",
                 duration == 1000 ? "persistent"
                 : duration == 1  ? "1 cycle (SEU-like)"

@@ -30,11 +30,7 @@ int main(int argc, char** argv) {
   std::printf("%s at latency bound p=%d: %d parity trees, CED area %.1f\n",
               name.c_str(), p, rep.num_trees, rep.ced_area);
 
-  const fsm::FsmCircuit circuit =
-      fsm::synthesize_fsm(machine, opts.encoding, opts.synth);
-  const auto faults = sim::enumerate_stuck_at(circuit.netlist, opts.faults);
-  const core::CedHardware hw =
-      core::synthesize_ced(circuit, rep.parities, opts.ced);
+  const core::Design design = core::derive_design(machine, opts);
 
   // Persistent stuck-at campaign on random input walks: every fault walked
   // from every reachable activation state, detection past the bound counts
@@ -49,7 +45,7 @@ int main(int argc, char** argv) {
   copts.walk_length = 80;
   copts.seed = 0xd15ea5e;
   const sim::CampaignReport report =
-      sim::run_campaign(circuit, hw, faults, copts);
+      sim::run_campaign(design.circuit, rep.hw, design.faults, copts);
   const std::size_t violations =
       static_cast<std::size_t>(report.detected_late + report.silent_escape);
 

@@ -39,8 +39,7 @@ struct KernelShape;
 ///
 /// A kernel can be built over the whole table or over a row subset; local
 /// row r of a subset kernel corresponds to table row rows[r] (queries
-/// report local indices in `rows` order, which matches the scalar
-/// uncovered_among iteration order).
+/// report local indices in `rows` order).
 ///
 /// The kernel is immutable after construction and safe to share across
 /// threads.

@@ -81,24 +81,6 @@ std::vector<std::uint32_t> uncovered_cases(std::span<const ParityFunc> betas,
   return out;
 }
 
-std::vector<std::uint32_t> uncovered_among(
-    std::span<const ParityFunc> betas, const DetectabilityTable& table,
-    std::span<const std::uint32_t> rows) {
-  if (route_to_kernel(rows.size(), betas.size())) {
-    const CoverKernel kernel(table, rows);
-    std::vector<std::uint32_t> out = kernel.uncovered(betas);
-    // Local subset rows -> table rows; local order follows `rows` order, so
-    // the result matches the per-case iteration below exactly.
-    for (std::uint32_t& r : out) r = rows[r];
-    return out;
-  }
-  std::vector<std::uint32_t> out;
-  for (std::uint32_t i : rows) {
-    if (!covers(betas, table.cases[i])) out.push_back(i);
-  }
-  return out;
-}
-
 std::vector<ParityFunc> prune_redundant(std::span<const ParityFunc> betas,
                                         const DetectabilityTable& table,
                                         const CoverKernel* kernel) {

@@ -46,12 +46,6 @@ bool covers_all(std::span<const ParityFunc> betas,
 std::vector<std::uint32_t> uncovered_cases(std::span<const ParityFunc> betas,
                                            const DetectabilityTable& table);
 
-/// Subset variant: indices (from `rows`) of cases not covered by the set.
-/// Lets solvers work on samples of very large tables.
-std::vector<std::uint32_t> uncovered_among(std::span<const ParityFunc> betas,
-                                           const DetectabilityTable& table,
-                                           std::span<const std::uint32_t> rows);
-
 class CoverKernel;
 
 /// Drops parity functions that cover no case not already covered by the

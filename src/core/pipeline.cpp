@@ -16,14 +16,14 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-PipelineReport report_for(const fsm::FsmCircuit& circuit,
-                          const std::vector<sim::StuckAtFault>& faults,
+PipelineReport report_for(const Design& design,
                           const DetectabilityTable& table,
                           const PipelineOptions& opts,
                           const Deadline& deadline,
                           std::span<const ParityFunc> warm_start,
                           bool warm_is_lower_latency_cover,
                           obs::StageClock& clock, const obs::Sinks& run_obs) {
+  const fsm::FsmCircuit& circuit = design.circuit;
   PipelineReport rep;
   rep.inputs = circuit.r();
   rep.state_bits = circuit.s();
@@ -33,7 +33,7 @@ PipelineReport report_for(const fsm::FsmCircuit& circuit,
       static_cast<std::size_t>(circuit.s()));  // state register flip-flops
   rep.orig_gates = orig.gates;
   rep.orig_area = orig.area;
-  rep.num_faults = faults.size();
+  rep.num_faults = design.faults.size();
   rep.num_detectable_faults = table.num_detectable_faults;
   rep.num_cases = table.cases.size();
   rep.latency = table.latency;
@@ -78,8 +78,8 @@ PipelineReport report_for(const fsm::FsmCircuit& circuit,
 
   const std::uint64_t ced_span =
       clock.open(run_obs.tracer, "ced-synth", run_obs.parent_span);
-  const CedHardware hw = synthesize_ced(circuit, rep.parities, opts.ced);
-  const auto cost = hw.cost(opts.library);
+  rep.hw = synthesize_ced(circuit, rep.parities, opts.ced);
+  const auto cost = rep.hw.cost(opts.library);
   rep.ced_gates = cost.gates;
   rep.ced_area = cost.area;
   rep.t_ced = clock.close(run_obs.tracer, ced_span);
@@ -231,18 +231,19 @@ std::vector<ParityFunc> select_parities_resilient(
   return sol;
 }
 
-std::vector<ParityFunc> select_parities(const DetectabilityTable& table,
-                                        SolverKind solver,
-                                        const Algorithm1Options& algo,
-                                        Algorithm1Stats* stats,
-                                        std::span<const ParityFunc> warm_start) {
-  PipelineOptions opts;
-  opts.solver = solver;
-  opts.algo = algo;
-  opts.exec.threads = algo.threads;
-  ResilienceReport scratch;
-  return select_parities_resilient(table, opts, algo.deadline, stats,
-                                   warm_start, scratch);
+Design derive_design(const fsm::Fsm& f, const PipelineOptions& opts) {
+  Design d{fsm::synthesize_fsm(f, opts.encoding, opts.synth), {}};
+  d.faults = sim::enumerate_stuck_at(d.circuit.netlist, opts.faults);
+  return d;
+}
+
+std::string extraction_key(const Design& design, const PipelineOptions& opts,
+                           int latency) {
+  ExtractOptions ex = opts.extract;
+  ex.latency = latency;
+  return extraction_digest(
+      design.circuit, design.faults, ex,
+      resolve_checkpoint_shards(opts.checkpoint_shards, design.faults.size()));
 }
 
 std::vector<PipelineReport> run_latency_sweep_impl(
@@ -274,13 +275,16 @@ std::vector<PipelineReport> run_latency_sweep_impl(
 
     // Every stage boundary below is ONE clock sample shared by the closing
     // and the opening stage (obs::StageClock), so the per-report stage
-    // times telescope exactly to the run total.
+    // times telescope exactly to the run total. The synth lap covers the
+    // whole derive_design (synthesis and fault enumeration); extract
+    // starts at the same sample, so the laps stay gap-free.
     obs::StageClock clock;
     const std::uint64_t synth_span =
         clock.open(run_obs.tracer, "synth", run_obs.parent_span);
-    const fsm::FsmCircuit circuit = fsm::synthesize_fsm(f, opts.encoding,
-                                                        opts.synth);
+    const Design design = derive_design(f, opts);
     const double t_synth = clock.close(run_obs.tracer, synth_span);
+    const fsm::FsmCircuit& circuit = design.circuit;
+    const std::vector<sim::StuckAtFault>& faults = design.faults;
     if (circuit.n() > 64) {
       return classified_reports(
           latencies, opts,
@@ -288,13 +292,8 @@ std::vector<PipelineReport> run_latency_sweep_impl(
                                 "more than 64 observable bits"));
     }
 
-    // The extract stage covers fault enumeration too: it is part of
-    // producing the detectability tables, and folding it in keeps the
-    // stage laps gap-free.
     const std::uint64_t extract_span =
         clock.open(run_obs.tracer, "extract", run_obs.parent_span);
-    const std::vector<sim::StuckAtFault> faults =
-        sim::enumerate_stuck_at(circuit.netlist, opts.faults);
 
     const int p_max = *std::max_element(latencies.begin(), latencies.end());
     ExtractOptions ex = opts.extract;
@@ -311,9 +310,7 @@ std::vector<PipelineReport> run_latency_sweep_impl(
       // Content-addressed cache: the key pins circuit, fault list, the
       // result-shaping extraction options and the shard partition, so a hit
       // is byte-identical to what extraction would have produced.
-      const int num_shards =
-          resolve_checkpoint_shards(opts.checkpoint_shards, faults.size());
-      extraction_key = extraction_digest(circuit, faults, ex, num_shards);
+      extraction_key = core::extraction_key(design, opts, p_max);
       tables = opts.archive->load_tables(extraction_key);
       const bool shape_ok =
           tables.size() == static_cast<std::size_t>(p_max) &&
@@ -328,7 +325,7 @@ std::vector<PipelineReport> run_latency_sweep_impl(
       archive_hit = !tables.empty();
       if (tables.empty()) {
         ShardedExtractOptions sharding;
-        sharding.num_shards = num_shards;
+        sharding.num_shards = opts.checkpoint_shards;
         sharding.max_new_shards = opts.max_new_shards;
         ExtractCheckpointHooks hooks;
         if (opts.resume) {
@@ -397,7 +394,7 @@ std::vector<PipelineReport> run_latency_sweep_impl(
       // argument between latencies).
       const bool ascending = warm.empty() || p >= reports.back().latency;
       PipelineReport rep =
-          report_for(circuit, faults, table, opts, deadline, warm,
+          report_for(design, table, opts, deadline, warm,
                      ascending && !any_truncated, clock, run_obs);
       rep.t_synth = t_synth;
       rep.t_extract = t_extract;

@@ -111,17 +111,44 @@ struct PipelineReport {
   /// overall status classification for this report.
   ResilienceReport resilience;
 
-  /// Content-addressed extraction cache key (extraction_digest) when the
-  /// run had an artifact archive; empty otherwise. Diagnostic only (names
-  /// the run-manifest artifact); not persisted by encode_report.
+  /// The Fig. 3 checker for `parities`, synthesized with the run's
+  /// CedSynthOptions; ced_gates and ced_area are its cost. Empty on
+  /// classified (failed) reports.
+  CedHardware hw;
+
+  /// Content-addressed extraction cache key (extraction_key()) when the
+  /// run had an artifact archive; empty otherwise. storage::record_run
+  /// files the run's scheme and manifest under it.
   std::string extraction_key;
 
   // Wall-clock seconds per stage, measured on shared boundaries (one clock
   // sample ends a stage and starts the next — obs::StageClock), so
   // t_synth + t_extract + t_solve + t_ced telescopes to the exact span
-  // from run start to the last stage boundary.
+  // from run start to the last stage boundary. t_synth covers
+  // derive_design (synthesis and fault enumeration).
   double t_synth = 0, t_extract = 0, t_solve = 0, t_ced = 0;
 };
+
+/// The design a configuration protects: the synthesized reference circuit
+/// and its collapsed stuck-at fault list.
+struct Design {
+  fsm::FsmCircuit circuit;
+  std::vector<sim::StuckAtFault> faults;
+};
+
+/// Synthesizes `f` under opts.encoding and opts.synth and enumerates its
+/// faults under opts.faults. The pipeline derives its design here, so a
+/// caller holding the run's options proves, keys and costs the circuit the
+/// run extracted from.
+Design derive_design(const fsm::Fsm& f, const PipelineOptions& opts);
+
+/// The extraction cache key of `design` at `latency`: the result-shaping
+/// opts.extract and the checkpoint partition resolved from
+/// opts.checkpoint_shards. The only caller of extraction_digest in the
+/// library; PipelineReport::extraction_key is this key at the sweep's
+/// largest latency.
+std::string extraction_key(const Design& design, const PipelineOptions& opts,
+                           int latency);
 
 /// The engine behind ced::run_pipeline / ced::run_latency_sweep
 /// (core/run.hpp): synthesizes once, extracts the table once at
@@ -132,14 +159,6 @@ struct PipelineReport {
 std::vector<PipelineReport> run_latency_sweep_impl(
     const fsm::Fsm& f, std::span<const int> latencies,
     const PipelineOptions& opts);
-
-/// Solver dispatch shared by the pipeline and the benches. `warm_start`
-/// optionally seeds the incumbent (see minimize_parity_functions).
-std::vector<ParityFunc> select_parities(const DetectabilityTable& table,
-                                        SolverKind solver,
-                                        const Algorithm1Options& algo,
-                                        Algorithm1Stats* stats = nullptr,
-                                        std::span<const ParityFunc> warm_start = {});
 
 /// The degradation cascade: runs the requested solver under the budget,
 /// falling back exact -> LP+RR -> greedy -> duplication-style single-bit

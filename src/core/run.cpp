@@ -183,7 +183,7 @@ Result<RunConfig> RunConfig::Builder::build() const {
 core::PipelineReport run_pipeline(const fsm::Fsm& f, const RunConfig& cfg) {
   auto sweep = run_latency_sweep(
       f, std::vector<int>{cfg.options().latency}, cfg);
-  return sweep.front();
+  return std::move(sweep.front());
 }
 
 std::vector<core::PipelineReport> run_latency_sweep(

@@ -30,15 +30,6 @@ core::SolverKind solver_kind(const std::string& s) {
   return core::SolverKind::kLpRounding;
 }
 
-const char* solver_tag(core::SolverKind solver) {
-  switch (solver) {
-    case core::SolverKind::kGreedy: return "greedy";
-    case core::SolverKind::kExact: return "exact";
-    case core::SolverKind::kLpRounding: break;
-  }
-  return "lp";
-}
-
 fsm::EncodingKind encoding_kind(const std::string& s) {
   if (s == "gray") return fsm::EncodingKind::kGray;
   if (s == "onehot") return fsm::EncodingKind::kOneHot;
@@ -573,6 +564,23 @@ int request_threads(const Request& req, int threads_cap) {
   return req.threads > 0 ? std::min(req.threads, threads_cap) : threads_cap;
 }
 
+/// The result-shaping part of a protect or verify request's configuration.
+/// Both ops build it here, so a verify looks a scheme up under the key its
+/// protect filed it under.
+RunConfig::Builder request_shape(const Request& req, core::SolverKind solver,
+                                 int checkpoint_shards) {
+  RunConfig::Builder b;
+  b.latency(req.latency)
+      .solver(solver)
+      .encoding(encoding_kind(req.encoding))
+      .checkpoint_shards(checkpoint_shards);
+  if (req.semantics == "machine") {
+    b.semantics(core::DiffSemantics::kMachineLevel);
+  }
+  if (req.seed != 0) b.seed(req.seed);
+  return b;
+}
+
 }  // namespace
 
 Response Server::run_protect(const Request& req, bool degraded_mode) {
@@ -584,7 +592,6 @@ Response Server::run_protect(const Request& req, bool degraded_mode) {
 
   const core::SolverKind solver =
       degraded_mode ? core::SolverKind::kGreedy : solver_kind(req.solver);
-  const fsm::EncodingKind encoding = encoding_kind(req.encoding);
 
   // Per-request wall budget: explicit deadline > server default; degraded
   // mode clamps hard so overflow traffic stays cheap.
@@ -609,54 +616,38 @@ Response Server::run_protect(const Request& req, bool degraded_mode) {
 
   obs::Tracer tracer;
   const int threads = request_threads(req, opts_.threads_per_request);
-  RunConfig::Builder builder;
-  builder.latency(req.latency)
-      .solver(solver)
-      .encoding(encoding)
-      .threads(threads)
+  RunConfig::Builder builder =
+      request_shape(req, solver, opts_.checkpoint_shards);
+  builder.threads(threads)
       .observe(obs::Sinks{&tracer, &registry_, 0})
       .tune([&](core::PipelineOptions& o) {
         o.budget.wall_seconds = wall_s;
         o.budget.interrupt = &drain_trip_;
       });
-  if (req.semantics == "machine") {
-    builder.semantics(core::DiffSemantics::kMachineLevel);
-  }
-  if (req.seed != 0) builder.seed(req.seed);
   if (arch != nullptr) {
-    builder.archive(arch)
-        .resume(true)  // always pick up checkpoints left by a crashed run
-        .checkpoint_shards(opts_.checkpoint_shards);
+    // Always pick up checkpoints left by a crashed run.
+    builder.archive(arch).resume(true);
   }
   const Result<RunConfig> cfg = builder.build();
   if (!cfg) {
     return error_response(Code::kInvalidInput, cfg.status().message, req.id);
   }
 
-  // Warm path: a scheme persisted under the extraction key means a prior
-  // full-quality run already answered this exact question — serve it
-  // without touching extraction or the solver.
-  std::string key;
-  if (store_ != nullptr && !degraded_mode) {
-    const fsm::FsmCircuit circuit =
-        fsm::synthesize_fsm(*machine, encoding, cfg->options().synth);
-    const auto faults =
-        sim::enumerate_stuck_at(circuit.netlist, cfg->options().faults);
-    core::ExtractOptions ex = cfg->options().extract;
-    ex.latency = req.latency;
-    const int num_shards = core::resolve_checkpoint_shards(
-        opts_.checkpoint_shards, faults.size());
-    key = core::extraction_digest(circuit, faults, ex, num_shards);
-    auto scheme = storage::load_scheme(
-        *store_, storage::scheme_name(key, req.latency, solver_tag(solver)));
-    if (scheme) {
+  // Warm path: a scheme filed for this machine and configuration means a
+  // prior full-quality run already answered this exact question — serve
+  // it without touching extraction or the solver.
+  if (arch != nullptr) {
+    const storage::StoredScheme stored = storage::load_stored_scheme(
+        *store_, core::derive_design(*machine, cfg->options()),
+        cfg->options());
+    if (stored.scheme) {
       registry_.add("ced_serve_warm_hits_total");
       Response resp;
       resp.id = req.id;
       resp.code = Code::kOk;
-      resp.latency = scheme->latency;
-      resp.q = static_cast<int>(scheme->parities.size());
-      resp.parities = scheme->parities;
+      resp.latency = stored.scheme->latency;
+      resp.q = static_cast<int>(stored.scheme->parities.size());
+      resp.parities = stored.scheme->parities;
       resp.cached = true;
       return resp;
     }
@@ -672,34 +663,11 @@ Response Server::run_protect(const Request& req, bool degraded_mode) {
     return error_response(code_for(res), res.status.to_text(), req.id);
   }
 
-  if (store_ != nullptr && !degraded_mode && !key.empty()) {
-    // Mirror ced_cli: full-quality schemes become warm cache entries;
-    // manifests are the audit record and are stored even for degraded
-    // runs (a drain-tripped run documents exactly where it stopped).
-    if (!res.degraded()) {
-      storage::SchemeArtifact scheme;
-      scheme.latency = rep.latency;
-      scheme.parities = rep.parities;
-      storage::store_scheme(
-          *store_,
-          storage::scheme_name(key, rep.latency, solver_tag(solver)), scheme);
-    }
-    storage::ManifestArtifact man;
-    man.config_digest = cfg->digest();
-    man.extraction_key = key;
-    man.circuit = "serve:" + req.tenant;
-    man.latency = rep.latency;
-    man.threads = threads;
-    man.parities = rep.parities;
-    man.resilience = res;
-    man.t_synth = rep.t_synth;
-    man.t_extract = rep.t_extract;
-    man.t_solve = rep.t_solve;
-    man.t_ced = rep.t_ced;
-    man.spans = tracer.snapshot();
-    storage::store_manifest(
-        *store_, storage::manifest_name(key, rep.latency, solver_tag(solver)),
-        man);
+  if (arch != nullptr) {
+    // Full-quality schemes become warm cache entries; the manifest is the
+    // audit record even of a drain-tripped run.
+    storage::record_run(*store_, *cfg, rep, "serve:" + req.tenant,
+                        tracer.snapshot());
   }
 
   Response resp;
@@ -778,40 +746,33 @@ Response Server::run_verify(const Request& req) {
     return error_response(Code::kInvalidInput, machine.status().message,
                           req.id);
   }
-  const fsm::EncodingKind encoding = encoding_kind(req.encoding);
-  const fsm::FsmCircuit circuit = fsm::synthesize_fsm(*machine, encoding, {});
-  const auto faults = sim::enumerate_stuck_at(circuit.netlist);
-  core::ExtractOptions ex;
-  ex.latency = req.latency;
-  if (req.semantics == "machine") {
-    ex.semantics = core::DiffSemantics::kMachineLevel;
+  const Result<RunConfig> cfg =
+      request_shape(req, solver_kind(req.solver), opts_.checkpoint_shards)
+          .build();
+  if (!cfg) {
+    return error_response(Code::kInvalidInput, cfg.status().message, req.id);
   }
-  const int num_shards =
-      core::resolve_checkpoint_shards(opts_.checkpoint_shards, faults.size());
-  const std::string key =
-      core::extraction_digest(circuit, faults, ex, num_shards);
-  auto scheme = storage::load_scheme(
-      *store_,
-      storage::scheme_name(key, req.latency, solver_tag(solver_kind(req.solver))));
-  if (!scheme) {
+  const core::Design design = core::derive_design(*machine, cfg->options());
+  const storage::StoredScheme stored =
+      storage::load_stored_checker(*store_, design, cfg->options());
+  if (!stored.scheme) {
     return error_response(Code::kNotFound,
                           "no stored scheme for this machine/config: " +
-                              scheme.status().message,
+                              stored.scheme.status().message,
                           req.id);
   }
-  const core::CedHardware hw =
-      core::synthesize_ced(circuit, scheme->parities, {});
   sim::CampaignOptions co;
-  co.latency_bound = scheme->latency;
+  co.latency_bound = stored.scheme->latency;
   co.threads = request_threads(req, opts_.threads_per_request);
-  const sim::CampaignReport rep = sim::run_campaign(circuit, hw, faults, co);
+  const sim::CampaignReport rep =
+      sim::run_campaign(design.circuit, stored.hw, design.faults, co);
   Response resp;
   resp.id = req.id;
   resp.code =
       rep.bound_holds() && !rep.truncated ? Code::kOk : Code::kDegraded;
-  resp.latency = scheme->latency;
-  resp.q = static_cast<int>(scheme->parities.size());
-  resp.parities = scheme->parities;
+  resp.latency = stored.scheme->latency;
+  resp.q = static_cast<int>(stored.scheme->parities.size());
+  resp.parities = stored.scheme->parities;
   resp.activations = rep.activations;
   resp.violations = rep.detected_late + rep.silent_escape + rep.false_alarms;
   return resp;

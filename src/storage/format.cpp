@@ -16,14 +16,9 @@ constexpr std::uint32_t tag4(char a, char b, char c, char d) {
          static_cast<std::uint32_t>(static_cast<unsigned char>(d)) << 24;
 }
 
-constexpr std::uint32_t kTagEncoding = tag4('E', 'N', 'C', '_');
-constexpr std::uint32_t kTagNetlist = tag4('N', 'E', 'T', '_');
-constexpr std::uint32_t kTagCovers = tag4('C', 'O', 'V', '_');
-constexpr std::uint32_t kTagFaults = tag4('F', 'L', 'T', '_');
 constexpr std::uint32_t kTagTables = tag4('T', 'A', 'B', '_');
 constexpr std::uint32_t kTagShard = tag4('S', 'H', 'R', 'D');
 constexpr std::uint32_t kTagScheme = tag4('S', 'C', 'H', 'M');
-constexpr std::uint32_t kTagReport = tag4('R', 'E', 'P', 'T');
 constexpr std::uint32_t kTagManifest = tag4('M', 'A', 'N', 'F');
 constexpr std::uint32_t kTagCampaignShard = tag4('C', 'S', 'H', 'D');
 constexpr std::uint32_t kTagCampaignReport = tag4('C', 'R', 'P', 'T');
@@ -32,8 +27,7 @@ Status corrupt(const std::string& what) {
   return Status::invalid_input(Stage::kStore, what);
 }
 
-// Resilience reports appear in two artifacts (report + manifest); one
-// writer/reader pair keeps the wire layouts identical.
+// The manifest's resilience-report layout.
 void put_resilience(ByteWriter& w, const core::ResilienceReport& res) {
   w.u8(static_cast<std::uint8_t>(res.status.code));
   w.u8(static_cast<std::uint8_t>(res.status.stage));
@@ -105,11 +99,8 @@ const char* get_resilience(ByteReader& r, core::ResilienceReport& res) {
 
 const char* to_string(ArtifactKind k) {
   switch (k) {
-    case ArtifactKind::kCircuit: return "circuit";
-    case ArtifactKind::kFaultList: return "fault-list";
     case ArtifactKind::kTableBundle: return "table-bundle";
     case ArtifactKind::kParityScheme: return "parity-scheme";
-    case ArtifactKind::kReport: return "report";
     case ArtifactKind::kShard: return "shard";
     case ArtifactKind::kManifest: return "manifest";
     case ArtifactKind::kCampaignShard: return "campaign-shard";
@@ -296,46 +287,6 @@ Status validate_envelope(std::string_view bytes) {
 
 namespace {
 
-void put_bitvec(ByteWriter& w, const logic::BitVec& bv) {
-  w.u64(bv.size());
-  w.u64(bv.words().size());
-  for (const std::uint64_t word : bv.words()) w.u64(word);
-}
-
-bool get_bitvec(ByteReader& r, logic::BitVec& out) {
-  const std::uint64_t size = r.u64();
-  const std::uint64_t words = r.u64();
-  if (!r.ok()) return false;
-  if (words != (size + 63) / 64) return false;
-  out = logic::BitVec(static_cast<std::size_t>(size));
-  for (std::uint64_t wi = 0; wi < words; ++wi) {
-    const std::uint64_t word = r.u64();
-    if (!r.ok()) return false;
-    for (int b = 0; b < 64; ++b) {
-      if (!((word >> b) & 1)) continue;
-      const std::uint64_t idx = wi * 64 + static_cast<std::uint64_t>(b);
-      if (idx >= size) return false;  // trailing bit set: non-canonical
-      out.set(static_cast<std::size_t>(idx));
-    }
-  }
-  return true;
-}
-
-void put_spec(ByteWriter& w, const logic::SopSpec& s) {
-  w.u32(static_cast<std::uint32_t>(s.num_vars));
-  put_bitvec(w, s.on);
-  put_bitvec(w, s.dc);
-}
-
-bool get_spec(ByteReader& r, logic::SopSpec& out) {
-  const std::uint32_t vars = r.u32();
-  if (!r.ok() || vars > logic::TruthTable::kMaxVars) return false;
-  out = logic::SopSpec(static_cast<int>(vars));
-  return get_bitvec(r, out.on) && get_bitvec(r, out.dc) &&
-         out.on.size() == (std::size_t{1} << vars) &&
-         out.dc.size() == (std::size_t{1} << vars);
-}
-
 void put_table(ByteWriter& w, const core::DetectabilityTable& t) {
   w.u32(static_cast<std::uint32_t>(t.num_bits));
   w.u32(static_cast<std::uint32_t>(t.latency));
@@ -411,229 +362,6 @@ bool get_tables(ByteReader& r, std::vector<core::DetectabilityTable>& tabs) {
 }
 
 }  // namespace
-
-// ----------------------------------------------------------- FsmCircuit
-
-std::string encode_circuit(const fsm::FsmCircuit& c) {
-  ArtifactWriter art(ArtifactKind::kCircuit);
-
-  ByteWriter enc;
-  enc.u32(static_cast<std::uint32_t>(c.enc.num_inputs));
-  enc.u32(static_cast<std::uint32_t>(c.enc.num_state_bits));
-  enc.u32(static_cast<std::uint32_t>(c.enc.num_outputs));
-  enc.u64(c.enc.reset_code);
-  enc.u32(static_cast<std::uint32_t>(c.enc.encoding.num_bits));
-  enc.u64(c.enc.encoding.codes.size());
-  for (const std::uint64_t code : c.enc.encoding.codes) enc.u64(code);
-  enc.u64(c.enc.next_state.size());
-  for (const auto& s : c.enc.next_state) put_spec(enc, s);
-  enc.u64(c.enc.outputs.size());
-  for (const auto& s : c.enc.outputs) put_spec(enc, s);
-  art.section(kTagEncoding, enc.take());
-
-  ByteWriter net;
-  const logic::Netlist& n = c.netlist;
-  net.u64(n.num_nets());
-  std::size_t input_idx = 0;
-  for (std::uint32_t g = 0; g < n.num_nets(); ++g) {
-    const logic::Gate& gate = n.gate(g);
-    net.u8(static_cast<std::uint8_t>(gate.type));
-    if (gate.type == logic::GateType::kInput) {
-      net.str(n.input_name(input_idx++));
-    } else if (gate.type != logic::GateType::kConst0 &&
-               gate.type != logic::GateType::kConst1) {
-      net.u32(static_cast<std::uint32_t>(gate.fanins.size()));
-      for (const std::uint32_t f : gate.fanins) net.u32(f);
-    }
-  }
-  net.u64(n.num_outputs());
-  for (std::size_t o = 0; o < n.num_outputs(); ++o) {
-    net.u32(n.outputs()[o]);
-    net.str(n.output_name(o));
-  }
-  art.section(kTagNetlist, net.take());
-
-  ByteWriter cov;
-  cov.u64(c.covers.size());
-  for (const logic::Cover& cv : c.covers) {
-    cov.u32(static_cast<std::uint32_t>(cv.num_vars()));
-    cov.u64(cv.cubes().size());
-    for (const logic::Cube& cube : cv.cubes()) {
-      cov.u64(cube.care);
-      cov.u64(cube.val);
-    }
-  }
-  art.section(kTagCovers, cov.take());
-
-  return art.seal();
-}
-
-Result<fsm::FsmCircuit> decode_circuit(std::string_view bytes) {
-  auto art = ArtifactReader::open(bytes, ArtifactKind::kCircuit);
-  if (!art) return art.status();
-
-  fsm::FsmCircuit c;
-
-  auto enc_bytes = art->section(kTagEncoding);
-  if (!enc_bytes) return enc_bytes.status();
-  {
-    ByteReader r(*enc_bytes);
-    c.enc.num_inputs = static_cast<int>(r.u32());
-    c.enc.num_state_bits = static_cast<int>(r.u32());
-    c.enc.num_outputs = static_cast<int>(r.u32());
-    c.enc.reset_code = r.u64();
-    c.enc.encoding.num_bits = static_cast<int>(r.u32());
-    const std::uint64_t num_codes = r.u64();
-    if (!r.ok() || c.enc.num_inputs < 0 || c.enc.num_state_bits < 0 ||
-        c.enc.num_outputs < 0 || num_codes > (std::uint64_t{1} << 20)) {
-      return corrupt("circuit encoding section malformed");
-    }
-    for (std::uint64_t i = 0; i < num_codes; ++i) {
-      c.enc.encoding.codes.push_back(r.u64());
-    }
-    const std::uint64_t num_ns = r.u64();
-    if (!r.ok() || num_ns != static_cast<std::uint64_t>(c.enc.num_state_bits)) {
-      return corrupt("circuit next-state spec count mismatch");
-    }
-    for (std::uint64_t i = 0; i < num_ns; ++i) {
-      logic::SopSpec s(0);
-      if (!get_spec(r, s)) return corrupt("circuit next-state spec malformed");
-      c.enc.next_state.push_back(std::move(s));
-    }
-    const std::uint64_t num_out = r.u64();
-    if (!r.ok() || num_out != static_cast<std::uint64_t>(c.enc.num_outputs)) {
-      return corrupt("circuit output spec count mismatch");
-    }
-    for (std::uint64_t i = 0; i < num_out; ++i) {
-      logic::SopSpec s(0);
-      if (!get_spec(r, s)) return corrupt("circuit output spec malformed");
-      c.enc.outputs.push_back(std::move(s));
-    }
-    if (!r.at_end()) return corrupt("circuit encoding section has extra bytes");
-  }
-
-  auto net_bytes = art->section(kTagNetlist);
-  if (!net_bytes) return net_bytes.status();
-  {
-    ByteReader r(*net_bytes);
-    const std::uint64_t num_nets = r.u64();
-    if (!r.ok() || num_nets > (std::uint64_t{1} << 28)) {
-      return corrupt("netlist size malformed");
-    }
-    for (std::uint64_t g = 0; g < num_nets; ++g) {
-      const std::uint8_t type_raw = r.u8();
-      if (!r.ok() ||
-          type_raw > static_cast<std::uint8_t>(logic::GateType::kXnor)) {
-        return corrupt("netlist gate type out of range");
-      }
-      const auto type = static_cast<logic::GateType>(type_raw);
-      if (type == logic::GateType::kInput) {
-        c.netlist.add_input(r.str());
-      } else if (type == logic::GateType::kConst0) {
-        c.netlist.add_const(false);
-      } else if (type == logic::GateType::kConst1) {
-        c.netlist.add_const(true);
-      } else {
-        const std::uint32_t fanin_count = r.u32();
-        if (!r.ok() || fanin_count > num_nets) {
-          return corrupt("netlist fanin count malformed");
-        }
-        std::vector<std::uint32_t> fanins;
-        fanins.reserve(fanin_count);
-        for (std::uint32_t i = 0; i < fanin_count; ++i) {
-          const std::uint32_t f = r.u32();
-          if (!r.ok() || f >= g) return corrupt("netlist fanin out of range");
-          fanins.push_back(f);
-        }
-        try {
-          c.netlist.add_gate(type, std::move(fanins));
-        } catch (const std::exception& e) {
-          return corrupt(std::string("netlist gate rejected: ") + e.what());
-        }
-      }
-    }
-    const std::uint64_t num_outputs = r.u64();
-    if (!r.ok() || num_outputs > num_nets) {
-      return corrupt("netlist output count malformed");
-    }
-    for (std::uint64_t o = 0; o < num_outputs; ++o) {
-      const std::uint32_t net = r.u32();
-      if (!r.ok() || net >= num_nets) {
-        return corrupt("netlist output net out of range");
-      }
-      c.netlist.mark_output(net, r.str());
-    }
-    if (!r.at_end()) return corrupt("netlist section has extra bytes");
-  }
-
-  auto cov_bytes = art->section(kTagCovers);
-  if (!cov_bytes) return cov_bytes.status();
-  {
-    ByteReader r(*cov_bytes);
-    const std::uint64_t num_covers = r.u64();
-    if (!r.ok() || num_covers > (std::uint64_t{1} << 20)) {
-      return corrupt("cover count malformed");
-    }
-    for (std::uint64_t i = 0; i < num_covers; ++i) {
-      const std::uint32_t vars = r.u32();
-      const std::uint64_t cubes = r.u64();
-      if (!r.ok() || vars > 64 || cubes > (std::uint64_t{1} << 28)) {
-        return corrupt("cover header malformed");
-      }
-      logic::Cover cv(static_cast<int>(vars));
-      for (std::uint64_t k = 0; k < cubes; ++k) {
-        logic::Cube cube;
-        cube.care = r.u64();
-        cube.val = r.u64();
-        cv.add(cube);
-      }
-      if (!r.ok()) return corrupt("cover cubes truncated");
-      c.covers.push_back(std::move(cv));
-    }
-    if (!r.at_end()) return corrupt("cover section has extra bytes");
-  }
-
-  return c;
-}
-
-// ----------------------------------------------------------- fault lists
-
-std::string encode_fault_list(std::span<const sim::StuckAtFault> faults) {
-  ArtifactWriter art(ArtifactKind::kFaultList);
-  ByteWriter w;
-  w.u64(faults.size());
-  for (const auto& f : faults) {
-    w.u32(f.net);
-    w.u8(f.stuck_value ? 1 : 0);
-  }
-  art.section(kTagFaults, w.take());
-  return art.seal();
-}
-
-Result<std::vector<sim::StuckAtFault>> decode_fault_list(
-    std::string_view bytes) {
-  auto art = ArtifactReader::open(bytes, ArtifactKind::kFaultList);
-  if (!art) return art.status();
-  auto payload = art->section(kTagFaults);
-  if (!payload) return payload.status();
-  ByteReader r(*payload);
-  const std::uint64_t count = r.u64();
-  if (!r.ok() || count > (std::uint64_t{1} << 32)) {
-    return corrupt("fault count malformed");
-  }
-  std::vector<sim::StuckAtFault> out;
-  out.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    sim::StuckAtFault f;
-    f.net = r.u32();
-    const std::uint8_t stuck = r.u8();
-    if (!r.ok() || stuck > 1) return corrupt("fault entry malformed");
-    f.stuck_value = stuck != 0;
-    out.push_back(f);
-  }
-  if (!r.at_end()) return corrupt("fault list has extra bytes");
-  return out;
-}
 
 // ------------------------------------------------------------ tables
 
@@ -717,96 +445,6 @@ Result<SchemeArtifact> decode_scheme(std::string_view bytes) {
   for (std::uint64_t i = 0; i < count; ++i) s.parities.push_back(r.u64());
   if (!r.at_end()) return corrupt("scheme has extra bytes");
   return s;
-}
-
-// ------------------------------------------------------------ reports
-
-std::string encode_report(const core::PipelineReport& rep) {
-  ArtifactWriter art(ArtifactKind::kReport);
-  ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(rep.inputs));
-  w.u32(static_cast<std::uint32_t>(rep.state_bits));
-  w.u32(static_cast<std::uint32_t>(rep.outputs));
-  w.u64(rep.orig_gates);
-  w.f64(rep.orig_area);
-  w.u64(rep.num_faults);
-  w.u64(rep.num_detectable_faults);
-  w.u64(rep.num_cases);
-  w.u32(static_cast<std::uint32_t>(rep.latency));
-  w.u32(static_cast<std::uint32_t>(rep.num_trees));
-  w.u64(rep.ced_gates);
-  w.f64(rep.ced_area);
-  w.u64(rep.parities.size());
-  for (const core::ParityFunc p : rep.parities) w.u64(p);
-  const core::Algorithm1Stats& st = rep.algo_stats;
-  w.u32(static_cast<std::uint32_t>(st.lp_solves));
-  w.u32(static_cast<std::uint32_t>(st.roundings));
-  w.u32(static_cast<std::uint32_t>(st.repairs));
-  w.u32(static_cast<std::uint32_t>(st.final_q));
-  w.u32(static_cast<std::uint32_t>(st.lp_iterations));
-  w.u8(st.greedy_fallback ? 1 : 0);
-  w.u8(st.lp_budget_hit ? 1 : 0);
-  w.u8(st.deadline_hit ? 1 : 0);
-  w.u8(st.greedy_degraded ? 1 : 0);
-  w.u64(st.qs_tried.size());
-  for (const int q : st.qs_tried) w.u32(static_cast<std::uint32_t>(q));
-  put_resilience(w, rep.resilience);
-  w.f64(rep.t_synth);
-  w.f64(rep.t_extract);
-  w.f64(rep.t_solve);
-  w.f64(rep.t_ced);
-  art.section(kTagReport, w.take());
-  return art.seal();
-}
-
-Result<core::PipelineReport> decode_report(std::string_view bytes) {
-  auto art = ArtifactReader::open(bytes, ArtifactKind::kReport);
-  if (!art) return art.status();
-  auto payload = art->section(kTagReport);
-  if (!payload) return payload.status();
-  ByteReader r(*payload);
-  core::PipelineReport rep;
-  rep.inputs = static_cast<int>(r.u32());
-  rep.state_bits = static_cast<int>(r.u32());
-  rep.outputs = static_cast<int>(r.u32());
-  rep.orig_gates = r.u64();
-  rep.orig_area = r.f64();
-  rep.num_faults = r.u64();
-  rep.num_detectable_faults = r.u64();
-  rep.num_cases = r.u64();
-  rep.latency = static_cast<int>(r.u32());
-  rep.num_trees = static_cast<int>(r.u32());
-  rep.ced_gates = r.u64();
-  rep.ced_area = r.f64();
-  const std::uint64_t num_parities = r.u64();
-  if (!r.ok() || num_parities > 64) return corrupt("report parities malformed");
-  for (std::uint64_t i = 0; i < num_parities; ++i) {
-    rep.parities.push_back(r.u64());
-  }
-  core::Algorithm1Stats& st = rep.algo_stats;
-  st.lp_solves = static_cast<int>(r.u32());
-  st.roundings = static_cast<int>(r.u32());
-  st.repairs = static_cast<int>(r.u32());
-  st.final_q = static_cast<int>(r.u32());
-  st.lp_iterations = static_cast<int>(r.u32());
-  st.greedy_fallback = r.u8() != 0;
-  st.lp_budget_hit = r.u8() != 0;
-  st.deadline_hit = r.u8() != 0;
-  st.greedy_degraded = r.u8() != 0;
-  const std::uint64_t num_qs = r.u64();
-  if (!r.ok() || num_qs > 4096) return corrupt("report qs_tried malformed");
-  for (std::uint64_t i = 0; i < num_qs; ++i) {
-    st.qs_tried.push_back(static_cast<int>(r.u32()));
-  }
-  if (const char* err = get_resilience(r, rep.resilience)) {
-    return corrupt(std::string("report ") + err);
-  }
-  rep.t_synth = r.f64();
-  rep.t_extract = r.f64();
-  rep.t_solve = r.f64();
-  rep.t_ced = r.f64();
-  if (!r.at_end()) return corrupt("report has extra bytes");
-  return rep;
 }
 
 // ------------------------------------------------------------ manifests

@@ -19,7 +19,6 @@
 // store layer (store.hpp) quarantines files this module rejects.
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,22 +26,20 @@
 #include "common/status.hpp"
 #include "core/extract.hpp"
 #include "core/pipeline.hpp"
-#include "fsm/synthesize.hpp"
 #include "obs/trace.hpp"
 #include "sim/campaign.hpp"
-#include "sim/faults.hpp"
 
 namespace ced::storage {
 
 inline constexpr char kMagic[4] = {'C', 'E', 'D', 'A'};
 inline constexpr std::uint16_t kFormatVersion = 1;
 
+/// The kinds the store writes. Ids 1, 2 and 5 are reserved: they named
+/// circuit, fault-list and report artifacts that nothing wrote, and an
+/// artifact claiming one of them fails every kind check.
 enum class ArtifactKind : std::uint16_t {
-  kCircuit = 1,
-  kFaultList = 2,
   kTableBundle = 3,
   kParityScheme = 4,
-  kReport = 5,
   kShard = 6,
   kManifest = 7,
   kCampaignShard = 8,
@@ -128,7 +125,7 @@ class ArtifactReader {
   ArtifactKind kind() const { return kind_; }
 
  private:
-  ArtifactKind kind_ = ArtifactKind::kCircuit;
+  ArtifactKind kind_ = ArtifactKind::kTableBundle;
   std::vector<std::pair<std::uint32_t, std::string_view>> sections_;
 };
 
@@ -141,13 +138,6 @@ Status validate_envelope(std::string_view bytes);
 // decoder validates the envelope and every field. encode(decode(bytes))
 // reproduces `bytes` exactly — the format is canonical, which is what lets
 // tests assert byte-identity of resumed runs.
-
-std::string encode_circuit(const fsm::FsmCircuit& c);
-Result<fsm::FsmCircuit> decode_circuit(std::string_view bytes);
-
-std::string encode_fault_list(std::span<const sim::StuckAtFault> faults);
-Result<std::vector<sim::StuckAtFault>> decode_fault_list(
-    std::string_view bytes);
 
 std::string encode_tables(const std::vector<core::DetectabilityTable>& tabs);
 Result<std::vector<core::DetectabilityTable>> decode_tables(
@@ -165,9 +155,6 @@ struct SchemeArtifact {
 
 std::string encode_scheme(const SchemeArtifact& s);
 Result<SchemeArtifact> decode_scheme(std::string_view bytes);
-
-std::string encode_report(const core::PipelineReport& rep);
-Result<core::PipelineReport> decode_report(std::string_view bytes);
 
 /// The signed-off record of one pipeline run: which configuration ran
 /// (RunConfig::digest()), on which extraction input (the content-addressed

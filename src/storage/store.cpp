@@ -13,6 +13,67 @@ namespace ced::storage {
 
 namespace fs = std::filesystem;
 
+namespace {
+
+/// The one checked-load path: reads `name` as `kind` and decodes it. An
+/// artifact that passes the envelope check but fails decoding is
+/// quarantined with the decoder's message; either failure reads as a miss.
+template <typename Decode>
+auto load_checked(ArtifactStore& store, const std::string& name,
+                  ArtifactKind kind, Decode decode)
+    -> decltype(decode(std::string_view{})) {
+  auto bytes = store.get_validated(name, kind);
+  if (!bytes) return bytes.status();
+  auto decoded = decode(*bytes);
+  if (!decoded) store.discard_corrupt(name, decoded.status().message);
+  return decoded;
+}
+
+/// Checked load of a checkpoint shard that must be shard `index` of
+/// `num_shards`; one that names another partition is quarantined with
+/// `mismatch`.
+template <typename Shard, typename Decode>
+bool load_shard_checked(ArtifactStore& store, const std::string& name,
+                        ArtifactKind kind, Decode decode, std::uint32_t index,
+                        std::uint32_t num_shards, const char* mismatch,
+                        Shard& out) {
+  auto shard = load_checked(store, name, kind, decode);
+  if (!shard) return false;
+  if (shard->index != index || shard->num_shards != num_shards) {
+    store.discard_corrupt(name, mismatch);
+    return false;
+  }
+  out = std::move(*shard);
+  return true;
+}
+
+/// Removes every artifact whose name starts with `prefix`.
+void remove_prefixed(ArtifactStore& store, const std::string& prefix) {
+  for (const std::string& name : store.list()) {
+    if (name.rfind(prefix, 0) == 0) store.remove(name);
+  }
+}
+
+/// The key of a checkpoint-shard name `<prefix><key>-NNN`; empty when
+/// `name` is not one.
+std::string shard_key(const std::string& name, const std::string& prefix) {
+  if (name.rfind(prefix, 0) != 0) return {};
+  const std::size_t dash = name.rfind('-');
+  if (dash == std::string::npos || dash <= prefix.size()) return {};
+  return name.substr(prefix.size(), dash - prefix.size());
+}
+
+const char* solver_tag(core::SolverKind solver) {
+  switch (solver) {
+    case core::SolverKind::kGreedy: return "greedy";
+    case core::SolverKind::kExact: return "exact";
+    case core::SolverKind::kLpRounding: break;
+  }
+  return "lp";
+}
+
+}  // namespace
+
 StoreLock::StoreLock(const fs::path& dir, bool exclusive) {
   const std::string path = (dir / ".store.lock").string();
   fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
@@ -192,26 +253,14 @@ GcStats ArtifactStore::gc() {
     std::error_code rec;
     if (fs::remove(it->path(), rec)) ++stats.quarantine_removed;
   }
-  // Checkpoint shards whose complete table bundle exists are redundant:
-  // shard-<key>-NNN is superseded by tab-<key>.
+  // Checkpoint shards whose finished artifact exists are redundant:
+  // shard-<key>-NNN is superseded by the table bundle tab-<key>, and
+  // cshard-<key>-NNN by the campaign verdict sheet camp-<key>.
   for (const std::string& name : list()) {
-    if (name.rfind("shard-", 0) != 0) continue;
-    const std::size_t dash = name.rfind('-');
-    if (dash == std::string::npos || dash <= 6) continue;
-    const std::string key = name.substr(6, dash - 6);
-    if (exists(table_name(key))) {
-      remove(name);
-      ++stats.stale_shards_removed;
-    }
-  }
-  // Same for campaign checkpoints: cshard-<key>-NNN is superseded by the
-  // finished verdict sheet camp-<key>.
-  for (const std::string& name : list()) {
-    if (name.rfind("cshard-", 0) != 0) continue;
-    const std::size_t dash = name.rfind('-');
-    if (dash == std::string::npos || dash <= 7) continue;
-    const std::string key = name.substr(7, dash - 7);
-    if (exists(campaign_report_name(key))) {
+    const std::string tab_key = shard_key(name, "shard-");
+    const std::string camp_key = shard_key(name, "cshard-");
+    if ((!tab_key.empty() && exists(table_name(tab_key))) ||
+        (!camp_key.empty() && exists(campaign_report_name(camp_key)))) {
       remove(name);
       ++stats.stale_shards_removed;
     }
@@ -230,27 +279,24 @@ std::string shard_name(const std::string& key, std::uint32_t index) {
 }
 
 std::string scheme_name(const std::string& key, int latency,
-                        const std::string& solver) {
-  return "scheme-" + key + "-p" + std::to_string(latency) + "-" + solver;
+                        core::SolverKind solver) {
+  return "scheme-" + key + "-p" + std::to_string(latency) + "-" +
+         solver_tag(solver);
 }
 
 std::string manifest_name(const std::string& key, int latency,
-                          const std::string& solver) {
-  return "man-" + key + "-p" + std::to_string(latency) + "-" + solver;
+                          core::SolverKind solver) {
+  return "man-" + key + "-p" + std::to_string(latency) + "-" +
+         solver_tag(solver);
 }
 
 // -------------------------------------------------------- StoreArchive
 
 std::vector<core::DetectabilityTable> StoreArchive::load_tables(
     const std::string& key) {
-  const std::string name = table_name(key);
-  auto bytes = store_.get_validated(name, ArtifactKind::kTableBundle);
-  if (!bytes) return {};
-  auto tables = decode_tables(*bytes);
-  if (!tables) {
-    store_.discard_corrupt(name, tables.status().message);
-    return {};
-  }
+  auto tables = load_checked(store_, table_name(key),
+                             ArtifactKind::kTableBundle, decode_tables);
+  if (!tables) return {};
   return std::move(*tables);
 }
 
@@ -263,20 +309,9 @@ void StoreArchive::store_tables(
 bool StoreArchive::load_shard(const std::string& key, std::uint32_t shard,
                               std::uint32_t num_shards,
                               core::ExtractShard& out) {
-  const std::string name = shard_name(key, shard);
-  auto bytes = store_.get_validated(name, ArtifactKind::kShard);
-  if (!bytes) return false;
-  auto decoded = decode_shard(*bytes);
-  if (!decoded) {
-    store_.discard_corrupt(name, decoded.status().message);
-    return false;
-  }
-  if (decoded->index != shard || decoded->num_shards != num_shards) {
-    store_.discard_corrupt(name, "shard identity mismatch");
-    return false;
-  }
-  out = std::move(*decoded);
-  return true;
+  return load_shard_checked(store_, shard_name(key, shard),
+                            ArtifactKind::kShard, decode_shard, shard,
+                            num_shards, "shard identity mismatch", out);
 }
 
 void StoreArchive::store_shard(const std::string& key,
@@ -285,9 +320,7 @@ void StoreArchive::store_shard(const std::string& key,
 }
 
 void StoreArchive::drop_shards(const std::string& key) {
-  for (const std::string& name : store_.list()) {
-    if (name.rfind("shard-" + key + "-", 0) == 0) store_.remove(name);
-  }
+  remove_prefixed(store_, "shard-" + key + "-");
 }
 
 std::vector<std::string> StoreArchive::drain_events() {
@@ -303,11 +336,8 @@ Status store_scheme(ArtifactStore& store, const std::string& name,
 
 Result<SchemeArtifact> load_scheme(ArtifactStore& store,
                                    const std::string& name) {
-  auto bytes = store.get_validated(name, ArtifactKind::kParityScheme);
-  if (!bytes) return bytes.status();
-  auto scheme = decode_scheme(*bytes);
-  if (!scheme) store.discard_corrupt(name, scheme.status().message);
-  return scheme;
+  return load_checked(store, name, ArtifactKind::kParityScheme,
+                      decode_scheme);
 }
 
 // ------------------------------------------------------------ manifests
@@ -319,11 +349,59 @@ Status store_manifest(ArtifactStore& store, const std::string& name,
 
 Result<ManifestArtifact> load_manifest(ArtifactStore& store,
                                        const std::string& name) {
-  auto bytes = store.get_validated(name, ArtifactKind::kManifest);
-  if (!bytes) return bytes.status();
-  auto manifest = decode_manifest(*bytes);
-  if (!manifest) store.discard_corrupt(name, manifest.status().message);
-  return manifest;
+  return load_checked(store, name, ArtifactKind::kManifest, decode_manifest);
+}
+
+// ----------------------------------------------------------------- runs
+
+StoredScheme load_stored_scheme(ArtifactStore& store,
+                                const core::Design& design,
+                                const core::PipelineOptions& opts) {
+  std::string name =
+      scheme_name(core::extraction_key(design, opts, opts.latency),
+                  opts.latency, opts.solver);
+  Result<SchemeArtifact> scheme = load_scheme(store, name);
+  return {std::move(name), std::move(scheme), {}};
+}
+
+StoredScheme load_stored_checker(ArtifactStore& store,
+                                 const core::Design& design,
+                                 const core::PipelineOptions& opts) {
+  StoredScheme stored = load_stored_scheme(store, design, opts);
+  if (stored.scheme) {
+    stored.hw = core::synthesize_ced(design.circuit, stored.scheme->parities,
+                                     opts.ced);
+  }
+  return stored;
+}
+
+std::string record_run(ArtifactStore& store, const RunConfig& cfg,
+                       const core::PipelineReport& rep,
+                       const std::string& label,
+                       std::vector<obs::SpanRecord> spans) {
+  const core::PipelineOptions& opts = cfg.options();
+  if (!rep.resilience.degraded()) {
+    store_scheme(store,
+                 scheme_name(rep.extraction_key, rep.latency, opts.solver),
+                 {rep.latency, rep.parities});
+  }
+  ManifestArtifact man;
+  man.config_digest = cfg.digest();
+  man.extraction_key = rep.extraction_key;
+  man.circuit = label;
+  man.latency = rep.latency;
+  man.threads = opts.exec.threads;
+  man.parities = rep.parities;
+  man.resilience = rep.resilience;
+  man.t_synth = rep.t_synth;
+  man.t_extract = rep.t_extract;
+  man.t_solve = rep.t_solve;
+  man.t_ced = rep.t_ced;
+  man.spans = std::move(spans);
+  std::string name =
+      manifest_name(rep.extraction_key, rep.latency, opts.solver);
+  store_manifest(store, name, man);
+  return name;
 }
 
 // ------------------------------------------------------------ campaigns
@@ -343,20 +421,10 @@ sim::CampaignCheckpointHooks make_campaign_hooks(ArtifactStore& store,
   sim::CampaignCheckpointHooks hooks;
   hooks.load = [&store, key](std::uint32_t shard, std::uint32_t num_shards,
                              sim::CampaignShard& out) {
-    const std::string name = campaign_shard_name(key, shard);
-    auto bytes = store.get_validated(name, ArtifactKind::kCampaignShard);
-    if (!bytes) return false;
-    auto decoded = decode_campaign_shard(*bytes);
-    if (!decoded) {
-      store.discard_corrupt(name, decoded.status().message);
-      return false;
-    }
-    if (decoded->index != shard || decoded->num_shards != num_shards) {
-      store.discard_corrupt(name, "campaign shard identity mismatch");
-      return false;
-    }
-    out = std::move(*decoded);
-    return true;
+    return load_shard_checked(store, campaign_shard_name(key, shard),
+                              ArtifactKind::kCampaignShard,
+                              decode_campaign_shard, shard, num_shards,
+                              "campaign shard identity mismatch", out);
   };
   hooks.save = [&store, key](const sim::CampaignShard& shard) {
     store.put(campaign_shard_name(key, shard.index),
@@ -366,9 +434,7 @@ sim::CampaignCheckpointHooks make_campaign_hooks(ArtifactStore& store,
 }
 
 void drop_campaign_shards(ArtifactStore& store, const std::string& key) {
-  for (const std::string& name : store.list()) {
-    if (name.rfind("cshard-" + key + "-", 0) == 0) store.remove(name);
-  }
+  remove_prefixed(store, "cshard-" + key + "-");
 }
 
 Status store_campaign_report(ArtifactStore& store, const std::string& name,
@@ -378,12 +444,8 @@ Status store_campaign_report(ArtifactStore& store, const std::string& name,
 
 Result<sim::CampaignReport> load_campaign_report(ArtifactStore& store,
                                                  const std::string& name) {
-  auto bytes = store.get_validated(name, ArtifactKind::kCampaignReport);
-  if (!bytes) return bytes.status();
-  auto report = decode_campaign_report(*bytes);
-  if (!report) store.discard_corrupt(name, report.status().message);
-  return report;
+  return load_checked(store, name, ArtifactKind::kCampaignReport,
+                      decode_campaign_report);
 }
-
 
 }  // namespace ced::storage

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/extract.hpp"
+#include "core/run.hpp"
 #include "storage/format.hpp"
 
 namespace ced::storage {
@@ -149,13 +150,14 @@ class StoreArchive final : public core::ExtractArchive {
   ArtifactStore& store_;
 };
 
-/// Canonical artifact names.
+/// Canonical artifact names. Scheme and manifest names end in the
+/// solver's tag (lp, greedy or exact), spelled in store.cpp only.
 std::string table_name(const std::string& key);
 std::string shard_name(const std::string& key, std::uint32_t index);
 std::string scheme_name(const std::string& key, int latency,
-                        const std::string& solver);
+                        core::SolverKind solver);
 std::string manifest_name(const std::string& key, int latency,
-                          const std::string& solver);
+                          core::SolverKind solver);
 
 /// Scheme round-trip through a store (corruption-checked like any other
 /// artifact; a corrupt scheme is quarantined and reported as a miss).
@@ -169,6 +171,38 @@ Status store_manifest(ArtifactStore& store, const std::string& name,
                       const ManifestArtifact& manifest);
 Result<ManifestArtifact> load_manifest(ArtifactStore& store,
                                        const std::string& name);
+
+/// A machine's stored scheme, looked up where record_run files a
+/// full-quality run of the same configuration:
+/// scheme_name(core::extraction_key(design, opts, opts.latency),
+/// opts.latency, opts.solver).
+struct StoredScheme {
+  std::string name;               ///< the artifact looked up
+  Result<SchemeArtifact> scheme;  ///< a miss or a quarantine is the Status
+  core::CedHardware hw;           ///< set by load_stored_checker on a hit
+};
+
+StoredScheme load_stored_scheme(ArtifactStore& store,
+                                const core::Design& design,
+                                const core::PipelineOptions& opts);
+
+/// load_stored_scheme plus, on a hit, the scheme's Fig. 3 checker
+/// synthesized with opts.ced: the protected design that `ced_cli verify`,
+/// `ced_cli campaign` and the serve verify op prove.
+StoredScheme load_stored_checker(ArtifactStore& store,
+                                 const core::Design& design,
+                                 const core::PipelineOptions& opts);
+
+/// Files a finished run under rep.extraction_key, so `rep` must come from
+/// a run bound to an archive. The scheme is written for full-quality runs
+/// only: a degraded scheme covers what was seen, not necessarily the full
+/// fault set. The manifest is written for every run, since a degraded
+/// manifest documents how the run degraded; it records cfg's digest and
+/// thread count, `label` and `spans`. Returns the manifest's name.
+std::string record_run(ArtifactStore& store, const RunConfig& cfg,
+                       const core::PipelineReport& rep,
+                       const std::string& label,
+                       std::vector<obs::SpanRecord> spans);
 
 /// Campaign artifacts: the finished verdict sheet under `camp-<key>.ced`,
 /// checkpoint shards under `cshard-<key>-NNN.ced`. `key` is the campaign's

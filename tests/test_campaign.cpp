@@ -69,9 +69,9 @@ Design build_design(const fsm::Fsm& machine, int p) {
   EXPECT_TRUE(cfg.has_value());
   const core::PipelineOptions& opts = cfg->options();
   const core::PipelineReport rep = ced::run_pipeline(machine, *cfg);
-  Design d{fsm::synthesize_fsm(machine, opts.encoding, opts.synth), {}, {}, {}};
-  d.faults = enumerate_stuck_at(d.circuit.netlist, opts.faults);
-  d.parities = rep.parities;
+  core::Design derived = core::derive_design(machine, opts);
+  Design d{std::move(derived.circuit), std::move(derived.faults), rep.parities,
+           {}};
   core::CedSynthOptions copts = opts.ced;
   copts.dc_unreachable = false;
   d.hw = core::synthesize_ced(d.circuit, d.parities, copts);

@@ -39,11 +39,8 @@ TEST_P(EndToEnd, BoundedDetectionHolds) {
   EXPECT_GT(rep.num_cases, 0u);
   EXPECT_GT(rep.ced_area, 0.0);
 
-  const fsm::FsmCircuit circuit =
-      fsm::synthesize_fsm(f, opts.encoding, opts.synth);
-  const auto faults = sim::enumerate_stuck_at(circuit.netlist, opts.faults);
-  const CedHardware hw = synthesize_ced(circuit, rep.parities, opts.ced);
-  const sim::CampaignReport cr = prove(circuit, hw, faults, p);
+  const Design d = derive_design(f, opts);
+  const sim::CampaignReport cr = prove(d.circuit, rep.hw, d.faults, p);
   EXPECT_EQ(cr.detected_late + cr.silent_escape, 0u) << name << " p=" << p;
   EXPECT_EQ(cr.false_alarms, 0u) << name << " p=" << p;
   EXPECT_GT(cr.activations, 0u);
@@ -63,11 +60,8 @@ TEST(EndToEndExtra, GreedySolverAlsoVerifies) {
   opts.latency = 2;
   opts.solver = SolverKind::kGreedy;
   const PipelineReport rep = ced::run_pipeline(f, RunConfig::wrap(opts));
-  const fsm::FsmCircuit circuit =
-      fsm::synthesize_fsm(f, opts.encoding, opts.synth);
-  const auto faults = sim::enumerate_stuck_at(circuit.netlist);
-  const CedHardware hw = synthesize_ced(circuit, rep.parities, opts.ced);
-  EXPECT_TRUE(prove(circuit, hw, faults, 2).bound_holds());
+  const Design d = derive_design(f, opts);
+  EXPECT_TRUE(prove(d.circuit, rep.hw, d.faults, 2).bound_holds());
 }
 
 TEST(EndToEndExtra, ExactSolverAlsoVerifies) {
@@ -77,11 +71,8 @@ TEST(EndToEndExtra, ExactSolverAlsoVerifies) {
   opts.latency = 2;
   opts.solver = SolverKind::kExact;
   const PipelineReport rep = ced::run_pipeline(f, RunConfig::wrap(opts));
-  const fsm::FsmCircuit circuit =
-      fsm::synthesize_fsm(f, opts.encoding, opts.synth);
-  const auto faults = sim::enumerate_stuck_at(circuit.netlist);
-  const CedHardware hw = synthesize_ced(circuit, rep.parities, opts.ced);
-  EXPECT_TRUE(prove(circuit, hw, faults, 2).bound_holds());
+  const Design d = derive_design(f, opts);
+  EXPECT_TRUE(prove(d.circuit, rep.hw, d.faults, 2).bound_holds());
 }
 
 TEST(EndToEndExtra, GrayEncodingVerifies) {
@@ -91,11 +82,8 @@ TEST(EndToEndExtra, GrayEncodingVerifies) {
   opts.latency = 2;
   opts.encoding = fsm::EncodingKind::kGray;
   const PipelineReport rep = ced::run_pipeline(f, RunConfig::wrap(opts));
-  const fsm::FsmCircuit circuit =
-      fsm::synthesize_fsm(f, opts.encoding, opts.synth);
-  const auto faults = sim::enumerate_stuck_at(circuit.netlist);
-  const CedHardware hw = synthesize_ced(circuit, rep.parities, opts.ced);
-  EXPECT_TRUE(prove(circuit, hw, faults, 2).bound_holds());
+  const Design d = derive_design(f, opts);
+  EXPECT_TRUE(prove(d.circuit, rep.hw, d.faults, 2).bound_holds());
 }
 
 TEST(EndToEndExtra, LatencySweepSharesExtraction) {
@@ -168,11 +156,8 @@ TEST(EndToEndExtra, SyntheticSuiteSmallCircuitVerifies) {
   PipelineOptions opts;
   opts.latency = 2;
   const PipelineReport rep = ced::run_pipeline(f, RunConfig::wrap(opts));
-  const fsm::FsmCircuit circuit =
-      fsm::synthesize_fsm(f, opts.encoding, opts.synth);
-  const auto faults = sim::enumerate_stuck_at(circuit.netlist);
-  const CedHardware hw = synthesize_ced(circuit, rep.parities, opts.ced);
-  const sim::CampaignReport cr = prove(circuit, hw, faults, 2);
+  const Design d = derive_design(f, opts);
+  const sim::CampaignReport cr = prove(d.circuit, rep.hw, d.faults, 2);
   EXPECT_TRUE(cr.bound_holds())
       << "violations=" << cr.detected_late + cr.silent_escape
       << " false_alarms=" << cr.false_alarms;

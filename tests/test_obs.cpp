@@ -280,12 +280,10 @@ TEST(ObsDeterminism, ResultsAreByteIdenticalWithObsOnOrOff) {
 TEST(ObsDeterminism, CampaignVerdictsAreIdenticalWithObsOnOrOff) {
   const fsm::Fsm f = machine("link_rx");
   const core::PipelineReport rep = run_observed(f, 2, 1, nullptr, nullptr);
-  const core::PipelineOptions opts;
-  const fsm::FsmCircuit circuit =
-      fsm::synthesize_fsm(f, opts.encoding, opts.synth);
-  const auto faults = sim::enumerate_stuck_at(circuit.netlist, opts.faults);
-  const core::CedHardware hw =
-      core::synthesize_ced(circuit, rep.parities, opts.ced);
+  const core::Design d = core::derive_design(f, core::PipelineOptions{});
+  const fsm::FsmCircuit& circuit = d.circuit;
+  const auto& faults = d.faults;
+  const core::CedHardware& hw = rep.hw;
   for (const int threads : {1, 4}) {
     sim::CampaignOptions co;
     co.latency_bound = 2;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "benchdata/handwritten.hpp"
+#include "benchdata/suite.hpp"
 #include "core/parity.hpp"
 #include "kiss/kiss.hpp"
 
@@ -33,6 +34,48 @@ TEST(Pipeline, ReportFieldsAreConsistent) {
   EXPECT_GT(rep.ced_area, 0.0);
   EXPECT_GE(rep.t_extract, 0.0);
   EXPECT_GE(rep.t_solve, 0.0);
+}
+
+TEST(Pipeline, ReportCarriesTheCostedChecker) {
+  // The checker Table 1 costs is the one the report hands out, and it is
+  // the checker synthesize_ced builds for the run's own design with the
+  // run's own CED options (two-rail on one pass, so a report built with
+  // default options would differ).
+  const std::vector<int> ps{1, 2, 3};
+  for (const std::string& name : benchdata::small_suite_names()) {
+    const fsm::Fsm f = benchdata::suite_fsm(name);
+    for (const auto& [threads, two_rail] :
+         {std::pair{1, false}, std::pair{4, false}, std::pair{4, true}}) {
+      const RunConfig cfg =
+          *RunConfig::Builder()
+               .threads(threads)
+               .tune([&](PipelineOptions& o) { o.ced.two_rail = two_rail; })
+               .build();
+      const PipelineOptions& opts = cfg.options();
+      const Design design = derive_design(f, opts);
+      for (const PipelineReport& rep : ced::run_latency_sweep(f, ps, cfg)) {
+        const std::string where = name + " p=" + std::to_string(rep.latency) +
+                                  " threads=" + std::to_string(threads) +
+                                  (two_rail ? " two-rail" : "");
+        EXPECT_EQ(rep.num_faults, design.faults.size()) << where;
+        EXPECT_EQ(rep.hw.two_rail, two_rail) << where;
+        EXPECT_EQ(rep.hw.parities, rep.parities) << where;
+        const logic::AreaReport cost = rep.hw.cost(opts.library);
+        EXPECT_EQ(cost.gates, rep.ced_gates) << where;
+        EXPECT_EQ(cost.area, rep.ced_area) << where;
+
+        const logic::Netlist& got = rep.hw.checker;
+        const logic::Netlist want =
+            synthesize_ced(design.circuit, rep.parities, opts.ced).checker;
+        ASSERT_EQ(got.num_nets(), want.num_nets()) << where;
+        for (std::uint32_t g = 0; g < got.num_nets(); ++g) {
+          EXPECT_EQ(got.gate(g).type, want.gate(g).type) << where;
+          EXPECT_EQ(got.gate(g).fanins, want.gate(g).fanins) << where;
+        }
+        EXPECT_EQ(got.outputs(), want.outputs()) << where;
+      }
+    }
+  }
 }
 
 TEST(Pipeline, SweepIsMonotoneAndShares) {

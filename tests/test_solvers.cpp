@@ -2,6 +2,7 @@
 
 #include "benchdata/handwritten.hpp"
 #include "core/algorithm1.hpp"
+#include "core/coverkernel.hpp"
 #include "core/exact.hpp"
 #include "core/extract.hpp"
 #include "core/greedy.hpp"
@@ -74,7 +75,10 @@ TEST(ParityCover, UncoveredAmongSubset) {
   const DetectabilityTable t = tiny_table();
   const std::vector<ParityFunc> betas{0b0001};
   const std::vector<std::uint32_t> rows{1, 2};
-  const auto u = uncovered_among(betas, t, rows);
+  std::vector<std::uint32_t> u;
+  for (const std::uint32_t local : CoverKernel(t, rows).uncovered(betas)) {
+    u.push_back(rows[local]);
+  }
   ASSERT_EQ(u.size(), 1u);
   EXPECT_EQ(u[0], 1u);
 }

@@ -346,31 +346,47 @@ core::RunBudget budget_from_args(int argc, char** argv) {
   return b;
 }
 
-/// --solver and --encoding, shared by protect and the stored-scheme
-/// loader (they are part of a stored scheme's key).
-core::SolverKind solver_from_args(int argc, char** argv) {
+/// The shape flags protect, verify and campaign share: a stored scheme is
+/// filed under a key they determine (--latency, --solver, --encoding,
+/// --semantics, --checkpoint-shards), so all three parse them here.
+RunConfig::Builder shape_from_args(int argc, char** argv) {
   const std::string solver = arg_value(argc, argv, "--solver", "lp");
-  return solver == "greedy"  ? core::SolverKind::kGreedy
-         : solver == "exact" ? core::SolverKind::kExact
-                             : core::SolverKind::kLpRounding;
-}
-
-fsm::EncodingKind encoding_from_args(int argc, char** argv) {
   const std::string enc = arg_value(argc, argv, "--encoding", "binary");
-  return enc == "gray"     ? fsm::EncodingKind::kGray
-         : enc == "onehot" ? fsm::EncodingKind::kOneHot
-         : enc == "spread" ? fsm::EncodingKind::kSpread
-                           : fsm::EncodingKind::kBinary;
+  RunConfig::Builder b;
+  b.latency(std::atoi(arg_value(argc, argv, "--latency", "2").c_str()))
+      .solver(solver == "greedy"  ? core::SolverKind::kGreedy
+              : solver == "exact" ? core::SolverKind::kExact
+                                  : core::SolverKind::kLpRounding)
+      .encoding(enc == "gray"     ? fsm::EncodingKind::kGray
+                : enc == "onehot" ? fsm::EncodingKind::kOneHot
+                : enc == "spread" ? fsm::EncodingKind::kSpread
+                                  : fsm::EncodingKind::kBinary)
+      .checkpoint_shards(std::atoi(
+          arg_value(argc, argv, "--checkpoint-shards", "0").c_str()));
+  if (arg_value(argc, argv, "--semantics", "impl") == std::string("machine")) {
+    b.semantics(core::DiffSemantics::kMachineLevel);
+  }
+  return b;
 }
 
-/// Canonical solver tag used in stored-scheme names.
-const char* solver_tag(core::SolverKind solver) {
-  switch (solver) {
-    case core::SolverKind::kGreedy: return "greedy";
-    case core::SolverKind::kExact: return "exact";
-    case core::SolverKind::kLpRounding: break;
+/// Validates a configuration; an out-of-contract flag is invalid input.
+RunConfig build_config(const RunConfig::Builder& builder) {
+  Result<RunConfig> cfg = builder.build();
+  if (!cfg) throw InvalidInputError(cfg.status().message);
+  return std::move(*cfg);
+}
+
+/// The machine argv[2] names, with compatible states merged first under
+/// --minimize-states.
+fsm::Fsm machine_from_args(int argc, char** argv) {
+  fsm::Fsm f = load_machine(argv[2]);
+  if (has_flag(argc, argv, "--minimize-states")) {
+    const auto r = fsm::merge_compatible_states(f);
+    std::printf("state minimization: %d -> %d states\n", r.states_before,
+                r.states_after);
+    f = r.machine;
   }
-  return "lp";
+  return f;
 }
 
 void write_text_file(const std::string& path, const std::string& text) {
@@ -391,11 +407,10 @@ std::string required_store(int argc, char** argv, const char* command) {
 }
 
 /// A scheme stored by an earlier `protect --store` run and the design it
-/// protects: the machine synthesized again, its fault list and the Fig. 3
-/// hardware for the stored parities.
+/// protects: the machine's design under the shape flags, the scheme's
+/// latency bound and its Fig. 3 checker.
 struct StoredDesign {
-  fsm::FsmCircuit circuit;
-  std::vector<sim::StuckAtFault> faults;
+  core::Design design;
   int latency = 0;
   core::CedHardware hw;
 };
@@ -404,45 +419,24 @@ struct StoredDesign {
 /// they are part of the cache key the scheme is filed under.
 StoredDesign load_stored_design(int argc, char** argv,
                                 storage::ArtifactStore& store) {
-  fsm::Fsm f = load_machine(argv[2]);
-  if (has_flag(argc, argv, "--minimize-states")) {
-    f = fsm::merge_compatible_states(f).machine;
-  }
-  const int latency =
-      std::atoi(arg_value(argc, argv, "--latency", "2").c_str());
-  StoredDesign d{fsm::synthesize_fsm(f, encoding_from_args(argc, argv), {}),
-                 {}, 0, {}};
-  d.faults = sim::enumerate_stuck_at(d.circuit.netlist);
-
-  core::ExtractOptions ex;
-  ex.latency = latency;
-  if (arg_value(argc, argv, "--semantics", "impl") == std::string("machine")) {
-    ex.semantics = core::DiffSemantics::kMachineLevel;
-  }
-  const int num_shards = core::resolve_checkpoint_shards(
-      std::atoi(arg_value(argc, argv, "--checkpoint-shards", "0").c_str()),
-      d.faults.size());
-  const std::string key =
-      core::extraction_digest(d.circuit, d.faults, ex, num_shards);
-  const std::string name = storage::scheme_name(
-      key, latency, solver_tag(solver_from_args(argc, argv)));
-
-  auto scheme = storage::load_scheme(store, name);
+  const RunConfig cfg = build_config(shape_from_args(argc, argv));
+  core::Design design =
+      core::derive_design(machine_from_args(argc, argv), cfg.options());
+  storage::StoredScheme stored =
+      storage::load_stored_checker(store, design, cfg.options());
   for (const auto& e : store.drain_events()) {
     std::fprintf(stderr, "  [store] %s\n", e.c_str());
   }
-  if (!scheme) {
+  if (!stored.scheme) {
     const std::string dir = arg_value(argc, argv, "--store", "");
-    throw InvalidInputError("no stored scheme " + name + " in " + dir + " (" +
-                            scheme.status().message +
+    throw InvalidInputError("no stored scheme " + stored.name + " in " + dir +
+                            " (" + stored.scheme.status().message +
                             "); run `ced_cli protect <machine> --store=" +
                             dir + "` with the same shape flags first");
   }
-  std::printf("scheme %s: p=%d, q=%zu parity trees\n", name.c_str(),
-              scheme->latency, scheme->parities.size());
-  d.latency = scheme->latency;
-  d.hw = core::synthesize_ced(d.circuit, scheme->parities, {});
-  return d;
+  std::printf("scheme %s: p=%d, q=%zu parity trees\n", stored.name.c_str(),
+              stored.scheme->latency, stored.scheme->parities.size());
+  return {std::move(design), stored.scheme->latency, std::move(stored.hw)};
 }
 
 /// Names the first unit with a late or silent episode on stderr, so a
@@ -483,14 +477,7 @@ bool prove_bound(const fsm::FsmCircuit& circuit, const core::CedHardware& hw,
 
 int cmd_protect(int argc, char** argv) {
   if (argc < 3) return usage();
-  fsm::Fsm f = load_machine(argv[2]);
-
-  if (has_flag(argc, argv, "--minimize-states")) {
-    const auto r = fsm::merge_compatible_states(f);
-    std::printf("state minimization: %d -> %d states\n", r.states_before,
-                r.states_after);
-    f = r.machine;
-  }
+  const fsm::Fsm f = machine_from_args(argc, argv);
 
   // Observability: collectors are off unless an export flag asks for them
   // or a store is bound (run manifests embed the span tree). Results are
@@ -521,36 +508,27 @@ int cmd_protect(int argc, char** argv) {
   const int threads =
       std::atoi(arg_value(argc, argv, "--threads", "0").c_str());
 
-  RunConfig::Builder builder;
-  builder.latency(std::atoi(arg_value(argc, argv, "--latency", "2").c_str()))
-      .solver(solver_from_args(argc, argv))
-      .encoding(encoding_from_args(argc, argv))
-      .threads(threads >= 1 ? threads : 0)
+  RunConfig::Builder builder = shape_from_args(argc, argv);
+  builder.threads(threads >= 1 ? threads : 0)
       .budget(budget_from_args(argc, argv))
       .observe(sinks)
       .tune([](core::PipelineOptions& o) {
         o.budget.interrupt = &g_interrupted;
       });
-  if (arg_value(argc, argv, "--semantics", "impl") == std::string("machine")) {
-    builder.semantics(core::DiffSemantics::kMachineLevel);
-  }
   if (store) {
     builder.archive(&*archive)
         .resume(has_flag(argc, argv, "--resume"))
-        .checkpoint_shards(std::atoi(
-            arg_value(argc, argv, "--checkpoint-shards", "0").c_str()))
         .max_new_shards(
             std::atoi(arg_value(argc, argv, "--max-new-shards", "0").c_str()));
   }
-  const Result<RunConfig> cfg = builder.build();
-  if (!cfg) throw InvalidInputError(cfg.status().message);
-  const core::PipelineOptions& opts = cfg->options();
+  const RunConfig cfg = build_config(builder);
+  const core::PipelineOptions& opts = cfg.options();
 
   // Armed for the duration of the run (synthesis through store flush):
   // Ctrl-C trips the valve, the stages checkpoint and return truncated,
   // and the manifest below still records what happened.
   ScopedSigint sigint_guard;
-  const core::PipelineReport rep = ced::run_pipeline(f, *cfg);
+  const core::PipelineReport rep = ced::run_pipeline(f, cfg);
   const core::ResilienceReport& res = rep.resilience;
   if (res.status.code == StatusCode::kInvalidInput) {
     std::fprintf(stderr, "error: %s\n", res.status.to_text().c_str());
@@ -589,67 +567,32 @@ int cmd_protect(int argc, char** argv) {
     std::fputs(res_summary.c_str(), stderr);
   }
 
-  const fsm::FsmCircuit circuit =
-      fsm::synthesize_fsm(f, opts.encoding, opts.synth);
-  const auto faults = sim::enumerate_stuck_at(circuit.netlist, opts.faults);
-
   if (store) {
-    // Persist the scheme under the extraction cache key so `ced_cli verify`
-    // can re-prove it later. Degraded schemes (truncated tables, cascade
-    // floors) are deliberately not stored: they cover what was seen, not
-    // necessarily the full fault set.
-    std::string key = rep.extraction_key;
-    if (key.empty()) {
-      core::ExtractOptions ex = opts.extract;
-      ex.latency = opts.latency;
-      const int num_shards = core::resolve_checkpoint_shards(
-          opts.checkpoint_shards, faults.size());
-      key = core::extraction_digest(circuit, faults, ex, num_shards);
-    }
-    if (!res.degraded()) {
-      storage::SchemeArtifact scheme;
-      scheme.latency = rep.latency;
-      scheme.parities = rep.parities;
-      storage::store_scheme(
-          *store, storage::scheme_name(key, rep.latency, solver_tag(opts.solver)),
-          scheme);
-    }
-    // The run manifest is the audit record and is stored for degraded runs
-    // too — a degraded manifest documents exactly how the run degraded.
-    storage::ManifestArtifact man;
-    man.config_digest = cfg->digest();
-    man.extraction_key = key;
-    man.circuit = argv[2];
-    man.latency = rep.latency;
-    man.threads = opts.exec.threads;
-    man.parities = rep.parities;
-    man.resilience = res;
-    man.t_synth = rep.t_synth;
-    man.t_extract = rep.t_extract;
-    man.t_solve = rep.t_solve;
-    man.t_ced = rep.t_ced;
-    man.spans = tracer.snapshot();
+    // File the scheme where `ced_cli verify` and `campaign` look it up,
+    // and the run manifest as the audit record.
     const std::string man_name =
-        storage::manifest_name(key, rep.latency, solver_tag(opts.solver));
-    storage::store_manifest(*store, man_name, man);
+        storage::record_run(*store, cfg, rep, argv[2], tracer.snapshot());
     std::printf("manifest: %s\n", man_name.c_str());
   }
 
-  if (has_flag(argc, argv, "--area-aware")) {
-    core::ExtractOptions ex = opts.extract;
-    ex.latency = opts.latency;
-    const auto table = core::extract_cases(circuit, faults, ex);
-    const auto aa = core::minimize_parity_area(circuit, table);
-    std::printf("area-aware refinement: %.1f -> %.1f (%d evaluations)\n",
-                aa.initial_area, aa.final_area, aa.evaluations);
-  }
-
+  const bool area_aware = has_flag(argc, argv, "--area-aware");
+  const bool verify = has_flag(argc, argv, "--verify");
   bool verify_failed = false;
-  if (has_flag(argc, argv, "--verify")) {
-    const core::CedHardware hw =
-        core::synthesize_ced(circuit, rep.parities, opts.ced);
-    verify_failed = !prove_bound(circuit, hw, faults, opts.latency,
-                                 opts.exec.threads);
+  if (area_aware || verify) {
+    const core::Design design = core::derive_design(f, opts);
+    if (area_aware) {
+      core::ExtractOptions ex = opts.extract;
+      ex.latency = opts.latency;
+      const auto table =
+          core::extract_cases(design.circuit, design.faults, ex);
+      const auto aa = core::minimize_parity_area(design.circuit, table);
+      std::printf("area-aware refinement: %.1f -> %.1f (%d evaluations)\n",
+                  aa.initial_area, aa.final_area, aa.evaluations);
+    }
+    if (verify) {
+      verify_failed = !prove_bound(design.circuit, rep.hw, design.faults,
+                                   opts.latency, opts.exec.threads);
+    }
   }
 
   // Exports go last so they cover the whole run, store traffic included.
@@ -688,8 +631,9 @@ int cmd_verify(int argc, char** argv) {
   if (argc < 3) return usage();
   storage::ArtifactStore store(required_store(argc, argv, "verify"));
   const StoredDesign d = load_stored_design(argc, argv, store);
-  return prove_bound(d.circuit, d.hw, d.faults, d.latency, 0) ? kExitOk
-                                                              : kExitDegraded;
+  return prove_bound(d.design.circuit, d.hw, d.design.faults, d.latency, 0)
+             ? kExitOk
+             : kExitDegraded;
 }
 
 /// Runs one campaign, prints its verdict summary, persists the verdict
@@ -840,8 +784,8 @@ int cmd_campaign(int argc, char** argv) {
   try {
     for (const sim::CampaignOptions& copts : runs) {
       exit_code = std::max(
-          exit_code, run_one_campaign(d.circuit, d.hw, d.faults, copts,
-                                      sharding, store, resume, argv[2],
+          exit_code, run_one_campaign(d.design.circuit, d.hw, d.design.faults,
+                                      copts, sharding, store, resume, argv[2],
                                       json_entries));
     }
   } catch (const std::invalid_argument& e) {

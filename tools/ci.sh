@@ -85,7 +85,8 @@ diff -u "$obs_tmp/plain.q" "$obs_tmp/obs.q" \
 echo "== serve smoke: cold/warm protect, metrics endpoint, drain =="
 # The daemon must agree with the CLI (same q and parities for the same
 # machine), serve the repeat request from the store, expose Prometheus
-# metrics over HTTP, and exit 0 on a SIGTERM drain.
+# metrics over HTTP, exit 0 on a SIGTERM drain, and leave a scheme that
+# `ced_cli verify` finds and proves.
 ./build/tools/ced_cli generate --states=16 --inputs=3 --outputs=2 --seed=11 \
     > "$obs_tmp/serve.kiss"
 ./build/tools/ced_serve --tcp-port=0 --metrics-port=0 \
@@ -131,6 +132,12 @@ PYEOF
 kill -TERM "$serve_pid"
 wait "$serve_pid" || { echo "SIGTERM drain exited nonzero"; exit 1; }
 serve_pid=""
+# Cross-binary key check: the CLI must find and prove the scheme the
+# daemon filed. Both key stored schemes through one storage API, so the
+# two binaries cannot drift on the key.
+./build/tools/ced_cli verify "$obs_tmp/serve.kiss" --latency=3 \
+    --store="$obs_tmp/serve-store" > "$obs_tmp/serve-verify.out" \
+  || { echo "ced_cli verify rejected the daemon's stored scheme"; exit 1; }
 
 echo "== campaign smoke: empirical bounded-latency gate =="
 # Protect a small Table-1 circuit, then *prove the bound empirically*: the
