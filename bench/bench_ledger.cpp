@@ -7,9 +7,9 @@
 // (ced::run_latency_sweep), and whether the exhaustive stuck-at campaign
 // (sim::run_campaign) proves the bound p on the checker the sweep
 // synthesized for the scheme (PipelineReport::hw; bound=holds|violated).
-// All three run at a fixed 4 threads: the no-store extraction path
-// divides the degrade threshold among its workers, so a strengthened
-// table (s1488 p=3) depends on the thread count.
+// All three run at a fixed 4 threads: without a store, extraction runs
+// one shard per thread and divides the degrade threshold among the
+// shards, so a strengthened table (s1488 p=3) depends on the thread count.
 //
 //   bench_ledger --check=bench/ledger.txt [--quick | --circuits=a,b]
 //   bench_ledger --write=bench/ledger.txt [--quick | --circuits=a,b]

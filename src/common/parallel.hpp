@@ -84,9 +84,9 @@ void parallel_for(int threads, std::size_t n, Fn&& fn) {
 }
 
 /// Contiguous block partition of [0, n) into `shards` ranges; shard i is
-/// [bounds[i], bounds[i+1]). Deterministic in (n, shards): the parallel
-/// extraction relies on this so a fixed thread count always produces the
-/// same per-worker fault lists.
+/// [bounds[i], bounds[i+1]). Deterministic in (n, shards): extraction and
+/// the campaign rely on this so a fixed shard count always produces the
+/// same per-shard work lists.
 inline std::vector<std::size_t> shard_bounds(std::size_t n, int shards) {
   if (shards < 1) shards = 1;
   std::vector<std::size_t> bounds(static_cast<std::size_t>(shards) + 1, 0);
@@ -95,22 +95,6 @@ inline std::vector<std::size_t> shard_bounds(std::size_t n, int shards) {
         n * static_cast<std::size_t>(i) / static_cast<std::size_t>(shards);
   }
   return bounds;
-}
-
-/// Runs fn(shard, begin, end) for every nonempty shard of the contiguous
-/// block partition of [0, n), one worker per shard, concurrently. Exception
-/// semantics match parallel_for.
-template <typename Fn>
-void parallel_shards(int threads, std::size_t n, Fn&& fn) {
-  const int shards = static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(resolve_threads(threads)),
-                            n == 0 ? 1 : n));
-  const auto bounds = shard_bounds(n, shards);
-  parallel_for(shards, static_cast<std::size_t>(shards), [&](std::size_t s) {
-    const std::size_t begin = bounds[s];
-    const std::size_t end = bounds[s + 1];
-    if (begin < end) fn(static_cast<int>(s), begin, end);
-  });
 }
 
 }  // namespace ced

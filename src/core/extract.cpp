@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 
@@ -185,70 +182,39 @@ void add_counters(obs::MetricsShard& shard, const Counters& counters) {
       [&](const char* name, std::uint64_t v) { shard.add(name, v); });
 }
 
-/// Budget state shared by every extraction worker. All flags and counters
-/// are polled with relaxed atomics — a tripped valve stops the workers
-/// cooperatively (each notices at its next check), which is exactly the
-/// partial-but-honest truncation semantics of the serial path.
-struct SharedValves {
-  explicit SharedValves(std::size_t num_tables)
-      : frozen(num_tables), reasons(num_tables) {}
+bool case_less(const ErroneousCase& a, const ErroneousCase& b) {
+  if (a.length != b.length) return a.length < b.length;
+  return a.diff < b.diff;
+}
 
-  /// Global stop: every table frozen, or the deadline fired.
-  std::atomic<bool> stop{false};
-  /// Per-table freeze flags: a frozen table accepts no further cases
-  /// anywhere; workers keep the rows found so far.
-  std::vector<std::atomic<bool>> frozen;
-  /// Live erroneous cases across all workers' sets (inserts minus cases
-  /// removed by compaction) — the concurrent form of the serial
-  /// `set.size() > max_cases` valve.
-  std::atomic<std::int64_t> cases{0};
+bool any_truncated(const std::vector<DetectabilityTable>& tables) {
+  return std::any_of(tables.begin(), tables.end(),
+                     [](const DetectabilityTable& t) { return t.truncated; });
+}
 
-  std::mutex reason_mu;
-  std::vector<std::string> reasons;  ///< first freeze reason per table
-
-  bool all_frozen() const {
-    for (const auto& f : frozen) {
-      if (!f.load(std::memory_order_relaxed)) return false;
-    }
-    return true;
-  }
-
-  /// Freezes table t (first caller's reason wins) and stops the run once
-  /// every table is frozen.
-  void freeze(std::size_t t, const std::string& reason) {
-    bool expected = false;
-    if (frozen[t].compare_exchange_strong(expected, true,
-                                          std::memory_order_relaxed)) {
-      const std::lock_guard<std::mutex> lock(reason_mu);
-      reasons[t] = reason;
-    }
-    if (all_frozen()) stop.store(true, std::memory_order_relaxed);
-  }
-};
-
-/// One extraction worker: walks its shard of the fault list with a private
+/// One extraction shard: walks its block of the fault list with a private
 /// cone-restricted FaultyCache per fault and private per-latency case sets,
 /// reading golden rows through a GoldenView over the shared golden trace.
-/// Identical to the old serial Extractor except that the budget valves live
-/// in SharedValves.
+/// Its budget valves are private too: a tripped valve freezes only this
+/// shard's tables, so they are a pure function of (circuit, fault block,
+/// options, shard count), never of timing or of the other shards.
 class ShardWorker {
  public:
   ShardWorker(const fsm::FsmCircuit& circuit, const ExtractOptions& opts,
               const sim::GoldenTrace& trace,
-              std::span<const std::uint64_t> activation_codes,
-              SharedValves& valves, int num_shards)
+              std::span<const std::uint64_t> activation_codes, int num_shards)
       : circuit_(circuit), opts_(opts), trace_(trace), golden_(trace),
-        activation_codes_(activation_codes), valves_(valves),
+        activation_codes_(activation_codes),
         tables_(static_cast<std::size_t>(opts.latency)),
         sets_(static_cast<std::size_t>(opts.latency)),
         compact_threshold_(static_cast<std::size_t>(opts.latency),
                            kCompactStart),
         max_words_(static_cast<std::size_t>(opts.latency), kMaxLatency),
-        // Per-worker share of the degradation threshold so K workers
+        // Per-shard share of the degradation threshold so K shards
         // together hold at most ~degrade_threshold live cases. A single
-        // shard keeps the exact serial threshold. The share depends on the
-        // shard count, so whether (and how far) a large table is
-        // strengthened does too: see extract_cases_multi.
+        // shard keeps the whole threshold. The share depends on the shard
+        // count, so whether (and how far) a large table is strengthened
+        // does too; without a store that count is the thread count.
         degrade_threshold_(
             num_shards <= 1
                 ? opts.degrade_threshold
@@ -259,11 +225,11 @@ class ShardWorker {
 
   void run(std::span<const sim::StuckAtFault> faults) {
     for (const auto& f : faults) {
-      if (stopped()) break;
+      if (stopped_) break;
       sim::FaultyCache faulty(trace_, f.injection());
       bool detectable = false;
       for (std::uint64_t c : activation_codes_) {
-        if (stopped()) break;
+        if (stopped_) break;
         check_deadline();
         const auto& good = golden_.rows(c);
         const auto& bad = faulty.rows(c);
@@ -291,36 +257,49 @@ class ShardWorker {
     }
   }
 
-  const std::vector<DetectabilityTable>& tables() const { return tables_; }
   const sim::SimCounters& sim_counters() const { return sim_counters_; }
   const CaseCounters& counters() const { return counters_; }
+  bool truncated() const { return any_truncated(tables_); }
 
-  /// Hands over the worker's per-latency tables: local statistics, the
-  /// cases of its sets (compacted first if `compacted`) and the valves'
-  /// truncation state. The worker holds no cases afterwards.
-  std::vector<DetectabilityTable> take_tables(bool compacted) {
+  /// Hands over the shard's per-latency tables: local statistics,
+  /// truncation state and the cases of its sets, compacted and sorted
+  /// first if `persisted` (a checkpoint keeps canonical bytes; the merge
+  /// canonicalizes every other shard). The worker holds no cases
+  /// afterwards.
+  std::vector<DetectabilityTable> take_tables(bool persisted) {
     for (std::size_t t = 0; t < tables_.size(); ++t) {
-      if (compacted) compact(sets_[t], counters_);
+      if (persisted) compact(sets_[t], counters_);
       tables_[t].cases = sets_[t].release();
-      if (frozen(t)) {
-        tables_[t].truncated = true;
-        tables_[t].truncation_reason = valves_.reasons[t];
+      if (persisted) {
+        std::sort(tables_[t].cases.begin(), tables_[t].cases.end(),
+                  case_less);
       }
     }
     return std::move(tables_);
   }
 
  private:
-  bool stopped() const { return valves_.stop.load(std::memory_order_relaxed); }
+  /// A frozen table (its `truncated` flag set) accepts no further cases;
+  /// the shard keeps the rows found so far.
+  bool frozen(std::size_t t) const { return tables_[t].truncated; }
 
-  bool frozen(std::size_t t) const {
-    return valves_.frozen[t].load(std::memory_order_relaxed);
+  /// Freezes table t (the first reason wins) and stops the shard once
+  /// every table is frozen.
+  void freeze(std::size_t t, const std::string& reason) {
+    if (!frozen(t)) {
+      tables_[t].truncated = true;
+      tables_[t].truncation_reason = reason;
+    }
+    stopped_ = std::all_of(tables_.begin(), tables_.end(),
+                           [](const DetectabilityTable& x) {
+                             return x.truncated;
+                           });
   }
 
   /// Extends the current path from `pair` at step index `depth`
   /// (diffs_[0..depth-1] and path_states_[0..depth-1] are filled).
   void descend(sim::FaultyCache& faulty, const Pair& pair, int depth) {
-    if (depth == opts_.latency || stopped()) return;
+    if (depth == opts_.latency || stopped_) return;
     if ((++tick_ & 1023u) == 0) check_deadline();
     // Each depth owns its class list: the loop below recurses into deeper
     // ones while iterating this one.
@@ -329,7 +308,7 @@ class ShardWorker {
                          circuit_, opts_.semantics, classes);
     counters_.step_classes += classes.size();
     for (const auto& cls : classes) {
-      if (stopped()) return;
+      if (stopped_) return;
       diffs_[static_cast<std::size_t>(depth)] = cls.diff;
       record(depth + 1);
       bool loop = false;
@@ -383,32 +362,22 @@ class ShardWorker {
     insert(canonicalize(diffs_.data(), len), len);
   }
 
-  /// Cooperative wall-clock check: on expiry, every still-open table is
-  /// frozen with its partial contents and all workers' DFS unwinds.
+  /// Cooperative wall-clock check: on expiry, every still-open table of
+  /// the shard is frozen with its partial contents and the DFS unwinds.
   void check_deadline() {
-    if (stopped() || !opts_.deadline.armed() || !opts_.deadline.expired()) {
+    if (stopped_ || !opts_.deadline.armed() || !opts_.deadline.expired()) {
       return;
     }
-    for (std::size_t t = 0; t < valves_.frozen.size(); ++t) {
-      valves_.freeze(t, "wall-clock budget exhausted during extraction");
-    }
-    valves_.stop.store(true, std::memory_order_relaxed);
-  }
-
-  /// Applies a local set-size change to the shared live-case counter.
-  void credit_cases(std::size_t before, std::size_t after) {
-    if (after != before) {
-      valves_.cases.fetch_add(static_cast<std::int64_t>(after) -
-                                  static_cast<std::int64_t>(before),
-                              std::memory_order_relaxed);
+    for (std::size_t t = 0; t < tables_.size(); ++t) {
+      freeze(t, "wall-clock budget exhausted during extraction");
     }
   }
 
-  /// Compacts one of the worker's sets and credits the removed cases.
-  void compact_set(CaseSet& set) {
-    const std::size_t before = set.size();
-    compact(set, counters_);
-    credit_cases(before, set.size());
+  /// Cases held in the shard's sets, over every table.
+  std::size_t live_cases() const {
+    std::size_t n = 0;
+    for (const CaseSet& set : sets_) n += set.size();
+    return n;
   }
 
   void insert(ErroneousCase ec, int latency) {
@@ -422,10 +391,9 @@ class ShardWorker {
     }
     if (!set.insert(ec)) return;
     ++counters_.case_inserts;
-    valves_.cases.fetch_add(1, std::memory_order_relaxed);
     auto& threshold = compact_threshold_[t];
     if (set.size() > threshold) {
-      compact_set(set);
+      compact(set, counters_);
       threshold = std::max<std::size_t>(2 * set.size(), kCompactStart);
     }
     while (set.size() > degrade_threshold_ && max_words_[t] > 1) {
@@ -433,26 +401,19 @@ class ShardWorker {
       // rebuild the subset-minimal antichain.
       const int words = --max_words_[t];
       tables_[t].strengthened = true;
-      const std::size_t before = set.size();
       set.transform(
           [words](const ErroneousCase& c) { return strengthen(c, words); });
-      credit_cases(before, set.size());
-      compact_set(set);
+      compact(set, counters_);
       threshold = std::max<std::size_t>(2 * set.size(), kCompactStart);
     }
-    if (static_cast<std::size_t>(std::max<std::int64_t>(
-            valves_.cases.load(std::memory_order_relaxed), 0)) >
-        opts_.max_cases) {
+    if (live_cases() > opts_.max_cases) {
       // Recoverable truncation (the old behaviour threw here): compact this
-      // worker's set first; if the global count still overflows, keep the
-      // subset-minimal cases found so far and freeze the table everywhere.
-      compact_set(set);
-      if (static_cast<std::size_t>(std::max<std::int64_t>(
-              valves_.cases.load(std::memory_order_relaxed), 0)) >
-          opts_.max_cases) {
-        valves_.freeze(
-            t, "erroneous-case limit (" + std::to_string(opts_.max_cases) +
-                   ") exceeded; table holds the cases found so far");
+      // set first; if the shard still holds too many cases, keep the
+      // subset-minimal cases found so far and freeze the table.
+      compact(set, counters_);
+      if (live_cases() > opts_.max_cases) {
+        freeze(t, "erroneous-case limit (" + std::to_string(opts_.max_cases) +
+                      ") exceeded; table holds the cases found so far");
       }
     }
   }
@@ -468,21 +429,16 @@ class ShardWorker {
   sim::SimCounters sim_counters_;
   CaseCounters counters_;
   std::span<const std::uint64_t> activation_codes_;
-  SharedValves& valves_;
-  std::vector<DetectabilityTable> tables_;  ///< local statistics only
+  std::vector<DetectabilityTable> tables_;  ///< statistics and truncation
   std::vector<CaseSet> sets_;
   std::vector<std::size_t> compact_threshold_;
   std::vector<int> max_words_;
   const std::size_t degrade_threshold_;
+  bool stopped_ = false;  ///< every table frozen
   std::uint32_t tick_ = 0;
   std::array<std::uint64_t, kMaxLatency> diffs_{};
   std::array<Pair, kMaxLatency + 1> path_states_{};
 };
-
-bool case_less(const ErroneousCase& a, const ErroneousCase& b) {
-  if (a.length != b.length) return a.length < b.length;
-  return a.diff < b.diff;
-}
 
 /// Rejects a latency outside 1..kMaxLatency and more than 64 observable
 /// bits.
@@ -507,11 +463,11 @@ std::vector<std::uint64_t> activation_codes(const fsm::FsmCircuit& circuit,
   return codes;
 }
 
-/// The fixed-order merge of both entry points. `parts` holds, in shard
-/// order, each worker's or shard's per-latency tables; the table for bound
-/// p receives the union of the parts' cases, compacted to the
-/// subset-minimal antichain and sorted, their summed statistics and the
-/// first truncation reason. The parts' cases are consumed.
+/// The fixed-order merge of extraction. `parts` holds, in shard order, each
+/// shard's per-latency tables; the table for bound p receives the union of
+/// the parts' cases, compacted to the subset-minimal antichain and sorted,
+/// their summed statistics and the first truncation reason. The parts'
+/// cases are consumed.
 std::vector<DetectabilityTable> merge_parts(
     std::vector<std::vector<DetectabilityTable>>& parts,
     const fsm::FsmCircuit& circuit, std::size_t num_faults,
@@ -565,67 +521,8 @@ std::vector<DetectabilityTable> merge_parts(
 std::vector<DetectabilityTable> extract_cases_multi(
     const fsm::FsmCircuit& circuit,
     std::span<const sim::StuckAtFault> faults, const ExtractOptions& opts) {
-  check_options(circuit, opts);
-  const std::vector<std::uint64_t> codes = activation_codes(circuit, opts);
-
-  // The golden trace is shared read-only state across workers: every
-  // activation code is simulated up front so the fan-out only reads it.
-  // (Faulty walks can still reach codes outside this set; those take the
-  // full pass, with golden rows from each worker's GoldenView overlay.)
-  const sim::GoldenTrace trace(circuit, codes);
-  if (opts.obs.metrics != nullptr) {
-    opts.obs.metrics->set_gauge(sim::kGoldenTraceBytesGauge,
-                                static_cast<double>(trace.bytes()));
-  }
-
-  // Shard the fault list in fixed contiguous blocks, one per thread. The
-  // shard partition — not the execution interleaving — determines each
-  // worker's output. Without degradation the merged, compacted, sorted case
-  // lists are identical for every shard count (see DESIGN.md: the final
-  // antichain of subset-minimal canonical cases is invariant under
-  // enumeration order). A table large enough to degrade is NOT: each worker
-  // degrades against degrade_threshold / shard count, so the thread count
-  // decides how far it is strengthened (s1488 p=3: 181134 cases at 1, 4
-  // and 8 threads, 67097 at 16).
-  const int threads = resolve_threads(opts.threads);
-  const int num_shards = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(threads), faults.empty() ? 1 : faults.size()));
-  SharedValves valves(static_cast<std::size_t>(opts.latency));
-
-  std::vector<std::unique_ptr<ShardWorker>> workers(
-      static_cast<std::size_t>(num_shards));
-  const auto bounds = shard_bounds(faults.size(), num_shards);
-  parallel_for(num_shards, workers.size(), [&](std::size_t s) {
-    // Worker spans parent under the caller's extract-stage span via the
-    // explicit parent id — no thread-local ambient state (obs/trace.hpp).
-    obs::ScopedSpan span(opts.obs, "extract-shard");
-    span.attr("shard", static_cast<std::uint64_t>(s));
-    span.attr("faults",
-              static_cast<std::uint64_t>(bounds[s + 1] - bounds[s]));
-    auto worker = std::make_unique<ShardWorker>(circuit, opts, trace, codes,
-                                                valves, num_shards);
-    worker->run(faults.subspan(bounds[s], bounds[s + 1] - bounds[s]));
-    const DetectabilityTable& deep = worker->tables().back();
-    span.attr("activations", static_cast<std::uint64_t>(deep.num_activations));
-    span.attr("paths", static_cast<std::uint64_t>(deep.num_paths));
-    if (opts.obs.metrics != nullptr) {
-      obs::MetricsShard mshard(opts.obs.metrics);
-      mshard.add("ced_extract_shards_total");
-      add_counters(mshard, worker->sim_counters());
-      add_counters(mshard, worker->counters());
-    }
-    workers[s] = std::move(worker);
-  });
-
-  // Deterministic merge in fixed shard order, after every worker stopped
-  // (the valves' truncation reasons are final): tables byte-identical for
-  // any thread count unless a table degraded (see above).
-  std::vector<std::vector<DetectabilityTable>> parts;
-  for (auto& w : workers) {
-    parts.push_back(w->take_tables(/*compacted=*/false));
-    w.reset();
-  }
-  return merge_parts(parts, circuit, faults.size(), opts);
+  return extract_cases_sharded(circuit, faults, opts,
+                               {.num_shards = resolve_threads(opts.threads)});
 }
 
 DetectabilityTable extract_cases(const fsm::FsmCircuit& circuit,
@@ -635,17 +532,6 @@ DetectabilityTable extract_cases(const fsm::FsmCircuit& circuit,
 }
 
 // ------------------------------------------------- checkpointed extraction
-
-namespace {
-
-bool shard_truncated(const ExtractShard& sh) {
-  for (const auto& t : sh.tables) {
-    if (t.truncated) return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 int resolve_checkpoint_shards(int requested, std::size_t num_faults) {
   const int n = requested >= 1 ? requested : kDefaultCheckpointShards;
@@ -719,7 +605,7 @@ std::vector<DetectabilityTable> extract_cases_sharded(
         hooks.load(s, static_cast<std::uint32_t>(num_shards), sh) &&
         sh.index == s &&
         sh.num_shards == static_cast<std::uint32_t>(num_shards) &&
-        sh.tables.size() == num_tables && !shard_truncated(sh)) {
+        sh.tables.size() == num_tables && !any_truncated(sh.tables)) {
       present[s] = 1;
     } else {
       sh = ExtractShard{};
@@ -744,6 +630,10 @@ std::vector<DetectabilityTable> extract_cases_sharded(
   }
   const std::size_t skipped = missing.size() - allowed;
   if (allowed > 0) {
+    // The golden trace is shared read-only state across shards: every
+    // activation code is simulated up front so the fan-out only reads it.
+    // (Faulty walks can still reach codes outside this set; those take the
+    // full pass, with golden rows from each shard's GoldenView overlay.)
     const std::vector<std::uint64_t> codes = activation_codes(circuit, opts);
     const sim::GoldenTrace trace(circuit, codes);
     if (opts.obs.metrics != nullptr) {
@@ -753,25 +643,32 @@ std::vector<DetectabilityTable> extract_cases_sharded(
 
     parallel_for(resolve_threads(opts.threads), allowed, [&](std::size_t i) {
       const std::uint32_t s = missing[i];
+      // Shard spans parent under the caller's extract-stage span via the
+      // explicit parent id — no thread-local ambient state (obs/trace.hpp).
       obs::ScopedSpan span(opts.obs, "extract-shard");
       span.attr("shard", static_cast<std::uint64_t>(s));
-      SharedValves valves(num_tables);
-      ShardWorker worker(circuit, opts, trace, codes, valves, num_shards);
+      ShardWorker worker(circuit, opts, trace, codes, num_shards);
       const std::size_t begin = bounds[s];
       const std::size_t end = bounds[s + 1];
       span.attr("faults", static_cast<std::uint64_t>(end - begin));
       worker.run(faults.subspan(begin, end - begin));
-      // The shard's tables: local statistics and its own compacted, sorted
-      // cases. Within-shard compaction only removes rows the merge would
-      // remove anyway, so the final antichain is unchanged.
+      // Only complete shards become checkpoints; a valve-tripped shard
+      // keeps its partial cases in this run's (truncated) result but is
+      // recomputed from scratch on resume. Within-shard compaction only
+      // removes rows the merge would remove anyway, so the final antichain
+      // is the same whether or not a shard was compacted.
+      const bool persisted = hooks.save && !worker.truncated();
       ExtractShard sh;
       sh.index = s;
       sh.num_shards = static_cast<std::uint32_t>(num_shards);
-      sh.tables = worker.take_tables(/*compacted=*/true);
+      sh.tables = worker.take_tables(persisted);
       for (DetectabilityTable& table : sh.tables) {
         table.num_faults = end - begin;
-        std::sort(table.cases.begin(), table.cases.end(), case_less);
       }
+      const DetectabilityTable& deep = sh.tables.back();
+      span.attr("activations",
+                static_cast<std::uint64_t>(deep.num_activations));
+      span.attr("paths", static_cast<std::uint64_t>(deep.num_paths));
       if (opts.obs.metrics != nullptr) {
         obs::MetricsShard mshard(opts.obs.metrics);
         mshard.add("ced_extract_shards_total");
@@ -779,10 +676,7 @@ std::vector<DetectabilityTable> extract_cases_sharded(
         add_counters(mshard, worker.sim_counters());
         add_counters(mshard, worker.counters());
       }
-      // Only complete shards become checkpoints; a valve-tripped shard
-      // keeps its partial cases in this run's (truncated) result but is
-      // recomputed from scratch on resume.
-      if (!shard_truncated(sh) && hooks.save) hooks.save(sh);
+      if (persisted) hooks.save(sh);
       shards[s] = std::move(sh);
       present[s] = 1;
     });

@@ -51,27 +51,26 @@ struct ExtractOptions {
   /// removes detection alternatives, so results stay sound (possibly a few
   /// extra parity trees); the table's `strengthened` flag reports it.
   std::size_t degrade_threshold = 2'000'000;
-  /// Hard valve (after degradation to single-word cases). Reaching it no
-  /// longer throws: the affected table freezes with its cases found so far
-  /// and reports `truncated` — a cover of the frozen table is still a valid
+  /// Hard valve (after degradation to single-word cases), counted in each
+  /// extraction shard: once a shard's case sets hold more cases, the table
+  /// being filled freezes with its cases found so far, and the merged
+  /// table reports `truncated` — a cover of it is still a valid
   /// (partial-coverage) answer for exactly those cases.
   std::size_t max_cases = 5'000'000;
-  /// Cooperative wall-clock budget: when it expires mid-DFS, extraction
-  /// stops and every table still open is marked truncated.
+  /// Cooperative wall-clock budget: when it expires mid-DFS, each shard
+  /// stops at its next poll and every table still open is marked
+  /// truncated.
   Deadline deadline;
-  /// Worker threads for the per-fault enumeration (faults are sharded in
-  /// fixed blocks across workers and the per-worker case sets merged
-  /// deterministically). 1 = serial, 0 = CED_THREADS env or hardware
-  /// concurrency (see common/parallel.hpp). The resulting `cases` vectors
-  /// are identical for every thread count on non-truncated runs whose
-  /// tables stay under the degrade threshold. extract_cases_multi shards by
-  /// thread count and gives each worker degrade_threshold / threads, so a
-  /// table that degrades is strengthened by an amount that depends on the
-  /// thread count (s1488 p=3: 181134 cases at 4 threads, 67097 at 16);
-  /// extract_cases_sharded's fixed partition does not have this defect.
-  /// The path-enumeration statistics (num_paths, num_loop_truncations)
-  /// depend on the shard partition because subtree pruning only sees a
-  /// worker's own cases.
+  /// Worker threads for the shards still to compute. 1 = serial, 0 =
+  /// CED_THREADS env or hardware concurrency (see common/parallel.hpp).
+  /// extract_cases_multi also makes it the shard count, so without a store
+  /// the partition is the thread count: each shard degrades against
+  /// degrade_threshold / shards, and a table that degrades is strengthened
+  /// by an amount that depends on the thread count (s1488 p=3: 181134
+  /// cases at 4 threads, 67097 at 16). Cases of complete tables under the
+  /// degrade threshold are identical for every partition; the
+  /// path-enumeration statistics (num_paths, num_loop_truncations) are
+  /// not, because subtree pruning only sees a shard's own cases.
   int threads = 0;
   /// Observability sinks: one span per extraction shard (nested under
   /// `parent_span`, typically the pipeline's extract stage span) plus
@@ -122,6 +121,11 @@ struct DetectabilityTable {
 /// (a parity tree detects the case iff it has odd overlap with SOME step's
 /// difference), so canonicalization merges rows the cover problem cannot
 /// distinguish — exactness is preserved while path-order blowup collapses.
+///
+/// The extraction path without a store: extract_cases_sharded with one
+/// shard per thread (resolve_threads(opts.threads)) and no checkpoint
+/// hooks. A table the case valve truncates is a function of the inputs and
+/// the thread count, never of timing.
 std::vector<DetectabilityTable> extract_cases_multi(
     const fsm::FsmCircuit& circuit,
     std::span<const sim::StuckAtFault> faults, const ExtractOptions& opts);
@@ -134,20 +138,21 @@ DetectabilityTable extract_cases(const fsm::FsmCircuit& circuit,
 // ---------------------------------------------------------------------------
 // Checkpointed (shard-granular) extraction.
 //
-// The fault list is split into a FIXED contiguous-block partition whose
-// shard count is independent of the worker-thread count, and every shard is
-// extracted as a pure function of (circuit, its fault block, options, shard
-// count): each shard runs with private budget valves, so its result never
-// depends on what other shards did or on execution timing. That makes a
-// completed shard a durable unit of work — the storage layer persists each
-// one as it finishes, and a later run can load the completed shards and
-// compute only the remainder, producing tables byte-identical (cases AND
-// statistics) to an uninterrupted run at any thread count.
+// The fault list is split into a FIXED contiguous-block partition (with a
+// store, a shard count independent of the worker-thread count; without
+// one, a shard per thread), and every shard is extracted as a pure
+// function of (circuit, its fault block, options, shard count): each shard
+// runs with private budget valves, so its result never depends on what
+// other shards did or on execution timing. That makes a completed shard a
+// durable unit of work — the storage layer persists each one as it
+// finishes, and a later run can load the completed shards and compute only
+// the remainder, producing tables byte-identical (cases AND statistics) to
+// an uninterrupted run at any thread count.
 // ---------------------------------------------------------------------------
 
-/// One completed shard: the per-latency tables holding the shard's local
-/// statistics and its own compacted, sorted case lists. Mergeable in fixed
-/// shard order into the final tables.
+/// One completed shard as a checkpoint holds it: the per-latency tables
+/// holding the shard's local statistics and its own compacted, sorted case
+/// lists. Mergeable in fixed shard order into the final tables.
 struct ExtractShard {
   std::uint32_t index = 0;
   std::uint32_t num_shards = 0;
@@ -166,7 +171,8 @@ int resolve_checkpoint_shards(int requested, std::size_t num_faults);
 struct ShardedExtractOptions {
   /// Checkpoint shards (0 = kDefaultCheckpointShards), clamped to the
   /// fault count. Part of the cache key: different partitions produce
-  /// identical case lists but different path statistics.
+  /// identical case lists (unless a table degrades) but different path
+  /// statistics.
   int num_shards = 0;
   /// Stop (deterministically) after computing this many new shards this
   /// run; remaining shards are skipped and the tables report truncation
@@ -187,12 +193,15 @@ struct ExtractCheckpointHooks {
   std::function<void(const ExtractShard&)> save;
 };
 
-/// Sharded, checkpointable variant of extract_cases_multi. Shards still to
-/// compute run under opts.threads workers; loaded shards cost nothing. A
-/// wall-clock/case-valve trip mid-shard keeps that shard's partial cases in
-/// the returned (truncated) tables but never persists them. When every
-/// shard is available the result is byte-identical to any other complete
-/// run with the same `num_shards`, at any thread count.
+/// The extraction engine: every table comes from here, with a store or
+/// without one (extract_cases_multi). Shards still to compute run under
+/// opts.threads workers, each with private budget valves; loaded shards
+/// cost nothing. A wall-clock/case-valve trip mid-shard keeps that shard's
+/// partial cases in the returned (truncated) tables but never persists
+/// them; a shard passed to `hooks.save` holds compacted, sorted cases.
+/// Unless the deadline fires, the result — cases and statistics — depends
+/// only on the inputs and `num_shards`, never on the thread count or
+/// timing, and a complete run is byte-identical to a resumed one.
 std::vector<DetectabilityTable> extract_cases_sharded(
     const fsm::FsmCircuit& circuit, std::span<const sim::StuckAtFault> faults,
     const ExtractOptions& opts, const ShardedExtractOptions& sharding = {},

@@ -19,8 +19,10 @@ namespace ced::core {
 struct RunBudget {
   /// Wall-clock budget for the whole run, shared by all stages.
   double wall_seconds = 0.0;
-  /// Cap on erroneous cases per detectability table (overrides
-  /// ExtractOptions::max_cases when nonzero).
+  /// Cap on erroneous cases per detectability table, counted in each
+  /// extraction shard (one shard per thread without a store,
+  /// PipelineOptions::checkpoint_shards with one); overrides
+  /// ExtractOptions::max_cases when nonzero.
   std::size_t max_cases = 0;
   /// Cap on simplex iterations per LP solve.
   int max_lp_iterations = 0;

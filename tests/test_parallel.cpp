@@ -133,6 +133,66 @@ TEST(ParallelExtract, MachineLevelSemanticsAlsoDeterministic) {
   }
 }
 
+/// Asserts two table bundles equal in cases, flags and every statistic.
+void expect_same_tables(const std::vector<core::DetectabilityTable>& a,
+                        const std::vector<core::DetectabilityTable>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t p = 0; p < a.size(); ++p) {
+    SCOPED_TRACE("p=" + std::to_string(p + 1));
+    EXPECT_TRUE(a[p].cases == b[p].cases);
+    EXPECT_EQ(a[p].num_bits, b[p].num_bits);
+    EXPECT_EQ(a[p].latency, b[p].latency);
+    EXPECT_EQ(a[p].strengthened, b[p].strengthened);
+    EXPECT_EQ(a[p].truncated, b[p].truncated);
+    EXPECT_EQ(a[p].truncation_reason, b[p].truncation_reason);
+    EXPECT_EQ(a[p].num_faults, b[p].num_faults);
+    EXPECT_EQ(a[p].num_detectable_faults, b[p].num_detectable_faults);
+    EXPECT_EQ(a[p].num_activations, b[p].num_activations);
+    EXPECT_EQ(a[p].num_paths, b[p].num_paths);
+    EXPECT_EQ(a[p].num_loop_truncations, b[p].num_loop_truncations);
+  }
+}
+
+TEST(ParallelExtract, NoStorePathIsTheShardEngineAtTheThreadPartition) {
+  // Without a store, extraction is the checkpointed shard engine with one
+  // shard per thread and no hooks: equal tables, statistics included. ex1
+  // at p=2 under a small degrade threshold covers a strengthened table,
+  // whose size depends on that partition.
+  struct Input {
+    std::string name;
+    fsm::FsmCircuit circuit;
+    int latency;
+    std::size_t degrade_threshold;
+  };
+  std::vector<Input> inputs;
+  for (const char* name : {"link_rx", "arbiter", "traffic"}) {
+    inputs.push_back({name, circuit_for(name), 3, 2'000'000});
+  }
+  inputs.push_back(
+      {"ex1",
+       core::derive_design(benchdata::suite_fsm("ex1"), {}).circuit, 2,
+       4096});
+  for (const Input& in : inputs) {
+    const auto faults = sim::enumerate_stuck_at(in.circuit.netlist);
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(in.name + " threads=" + std::to_string(threads));
+      core::ExtractOptions opts;
+      opts.latency = in.latency;
+      opts.degrade_threshold = in.degrade_threshold;
+      opts.threads = threads;
+      const auto multi = core::extract_cases_multi(in.circuit, faults, opts);
+      const auto sharded = core::extract_cases_sharded(
+          in.circuit, faults, opts, {.num_shards = threads});
+      expect_same_tables(multi, sharded);
+      EXPECT_FALSE(multi.back().truncated);
+      if (in.name == "ex1") {
+        EXPECT_TRUE(multi.back().strengthened);
+        EXPECT_EQ(multi.back().cases.size(), threads == 1 ? 2857u : 2886u);
+      }
+    }
+  }
+}
+
 /// Reference extraction on the full-pass simulator: every path of every
 /// fault from every reachable activation, one distinct (difference word,
 /// successor pair) step at a time, with no golden trace, cone rows,
@@ -348,6 +408,26 @@ TEST(ParallelBudget, CaseValveTruncatesHonestlyUnderConcurrency) {
   EXPECT_TRUE(rep.resilience.extraction_truncated);
   EXPECT_TRUE(rep.resilience.degraded());
   EXPECT_FALSE(rep.parities.empty());
+}
+
+TEST(ParallelBudget, CaseValveCountsPerShard) {
+  // Each shard keeps its own case count, so a truncated no-store table is
+  // a function of the inputs and the thread count, never of timing: it
+  // equals the shard engine's at one shard per thread.
+  const fsm::FsmCircuit c = circuit_for("link_rx");
+  const auto faults = sim::enumerate_stuck_at(c.netlist);
+  core::ExtractOptions opts;
+  opts.latency = 3;
+  opts.threads = 4;
+  opts.max_cases = 8;
+  const auto first = core::extract_cases_multi(c, faults, opts);
+  const auto second = core::extract_cases_multi(c, faults, opts);
+  const auto sharded =
+      core::extract_cases_sharded(c, faults, opts, {.num_shards = 4});
+  expect_same_tables(first, second);
+  expect_same_tables(first, sharded);
+  EXPECT_TRUE(first.back().truncated);
+  EXPECT_EQ(first.back().cases.size(), 10u);
 }
 
 TEST(ParallelBudget, DeadlineStopsAllWorkers) {

@@ -165,7 +165,10 @@ int cmd_help() {
       "  flag                 default    meaning\n"
       "  --budget-seconds=F   unlimited  wall-clock budget for the whole "
       "run\n"
-      "  --max-cases=N        5000000    erroneous-case cap per table; on\n"
+      "  --max-cases=N        5000000    erroneous-case cap per table,\n"
+      "                                  counted in each extraction shard\n"
+      "                                  (one per thread without a store,\n"
+      "                                  --checkpoint-shards with one); on\n"
       "                                  overflow the table truncates and\n"
       "                                  keeps the cases found so far\n"
       "  --max-lp-iters=N     200000     simplex pivot cap per LP solve\n"
@@ -583,6 +586,7 @@ int cmd_protect(int argc, char** argv) {
     if (area_aware) {
       core::ExtractOptions ex = opts.extract;
       ex.latency = opts.latency;
+      ex.threads = opts.exec.threads;
       const auto table =
           core::extract_cases(design.circuit, design.faults, ex);
       const auto aa = core::minimize_parity_area(design.circuit, table);

@@ -72,6 +72,9 @@ m = json.load(open(d + "/m.json"))
 t = json.load(open(d + "/t.json"))
 assert m["counters"].get("ced_extract_cases_total", 0) > 0, \
     "metrics JSON parsed but carries no extraction counters"
+# Without a store, extraction is the shard engine at one shard per thread.
+assert m["counters"].get("ced_extract_shards_computed_total") == 4, \
+    "the --threads=4 no-store run did not extract on 4 shards"
 assert any(s["name"] == "pipeline" for s in t["spans"]), \
     "trace JSON parsed but has no pipeline root span"
 assert any(l.startswith("# TYPE") for l in open(d + "/p.prom")), \
