@@ -44,6 +44,7 @@
 #include "common/parallel.hpp"
 #include "core/coverkernel.hpp"
 #include "core/parity.hpp"
+#include "obs/json.hpp"
 
 namespace {
 
@@ -569,18 +570,18 @@ int main(int argc, char** argv) {
     // Names pass through json_escape and timings through json_number so the
     // file parses even with hostile circuit names or NaN/Inf timings.
     std::fprintf(out, "    {\"name\": \"%s\", \"cases\": %zu, \"runs\": [\n",
-                 bench::json_escape(cp.name).c_str(), cp.num_cases);
+                 obs::json_escape(cp.name).c_str(), cp.num_cases);
     for (std::size_t i = 0; i < cp.runs.size(); ++i) {
       const Run& r = cp.runs[i];
       std::fprintf(out,
                    "      {\"threads\": %d, \"t_synth\": %s, "
                    "\"t_extract\": %s, \"t_solve\": %s, \"t_ced\": %s, "
                    "\"t_total\": %s, \"q\": [",
-                   r.threads, bench::json_number(r.t_synth).c_str(),
-                   bench::json_number(r.t_extract).c_str(),
-                   bench::json_number(r.t_solve).c_str(),
-                   bench::json_number(r.t_ced).c_str(),
-                   bench::json_number(r.t_total).c_str());
+                   r.threads, obs::json_number(r.t_synth).c_str(),
+                   obs::json_number(r.t_extract).c_str(),
+                   obs::json_number(r.t_solve).c_str(),
+                   obs::json_number(r.t_ced).c_str(),
+                   obs::json_number(r.t_total).c_str());
       for (std::size_t k = 0; k < r.qs.size(); ++k) {
         std::fprintf(out, "%s%d", k ? ", " : "", r.qs[k]);
       }
@@ -598,17 +599,17 @@ int main(int argc, char** argv) {
                    "\"t_solve\": %s, \"q\": %zu, \"condensed_cases\": %zu, "
                    "\"degraded\": %s}%s\n",
                    r.condense ? "true" : "false",
-                   bench::json_number(r.t_solve).c_str(), r.parities.size(),
+                   obs::json_number(r.t_solve).c_str(), r.parities.size(),
                    r.condensed_cases, r.degraded ? "true" : "false",
                    i + 1 < cp.p2_runs.size() ? "," : "");
     }
     std::fprintf(out, "    ], \"kernel\": {\"build_s\": %s, \"rows\": [",
-                 bench::json_number(cp.kernel.build_s).c_str());
+                 obs::json_number(cp.kernel.build_s).c_str());
     for (std::size_t i = 0; i < cp.kernel.rows.size(); ++i) {
       const KernelRow& kr = cp.kernel.rows[i];
       std::fprintf(out, "%s{\"mode\": \"%s\", \"mcps\": %s}",
-                   i ? ", " : "", bench::json_escape(kr.mode).c_str(),
-                   bench::json_number(kr.mcps).c_str());
+                   i ? ", " : "", obs::json_escape(kr.mode).c_str(),
+                   obs::json_number(kr.mcps).c_str());
     }
     std::fprintf(out, "]}},\n");
     std::fprintf(out, "     \"solver_lp_p%d\": {\"cases\": %zu, \"runs\": [\n",
@@ -623,11 +624,11 @@ int main(int argc, char** argv) {
                    "\"lp_warm_hits\": %d, \"warm_hit_rate\": %s, "
                    "\"qs_tried\": [",
                    r.threads,
-                   bench::json_number(r.t_solve).c_str(), r.q,
+                   obs::json_number(r.t_solve).c_str(), r.q,
                    r.covers ? "true" : "false", r.lp_solves, r.lp_iterations,
                    r.lp_phase1_iterations, r.lp_refactorizations,
                    r.lp_warm_attempts, r.lp_warm_hits,
-                   bench::json_number(warm_hit_rate(r)).c_str());
+                   obs::json_number(warm_hit_rate(r)).c_str());
       for (std::size_t k = 0; k < r.qs_tried.size(); ++k) {
         std::fprintf(out, "%s%d", k ? ", " : "", r.qs_tried[k]);
       }

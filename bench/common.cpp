@@ -6,7 +6,6 @@
 
 #include "common/parallel.hpp"
 #include "core/run.hpp"
-#include "obs/json.hpp"
 #include "storage/store.hpp"
 
 namespace ced::bench {
@@ -58,10 +57,6 @@ std::string store_from_args(int argc, char** argv) {
   }
   return {};
 }
-
-std::string json_escape(std::string_view s) { return obs::json_escape(s); }
-
-std::string json_number(double v) { return obs::json_number(v); }
 
 std::vector<core::PipelineReport> sweep_circuit(const std::string& name,
                                                 const std::vector<int>& ps,

@@ -5,7 +5,6 @@
 
 #include <cstdio>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "benchdata/suite.hpp"
@@ -30,15 +29,6 @@ int threads_from_args(int argc, char** argv);
 /// Parses --store=DIR: directory of a crash-safe artifact store that caches
 /// extraction results between harness runs. Empty (the default) = no store.
 std::string store_from_args(int argc, char** argv);
-
-/// Escapes `s` for embedding inside a JSON string literal (quotes,
-/// backslashes, and control characters). Returns the escaped body only —
-/// the caller supplies the surrounding quotes.
-std::string json_escape(std::string_view s);
-
-/// Renders a double as a JSON number. NaN and infinities have no JSON
-/// representation; they come out as "null" so emitted files always parse.
-std::string json_number(double v);
 
 /// Runs the shared-extraction latency sweep for one circuit with the given
 /// latencies, printing progress to stderr. A non-empty `store_dir` routes

@@ -9,6 +9,7 @@
 #include "common/digest.hpp"
 #include "common/parallel.hpp"
 #include "core/case_set.hpp"
+#include "logic/netlist.hpp"
 
 namespace ced::core {
 namespace {
@@ -463,15 +464,15 @@ std::vector<std::uint64_t> activation_codes(const fsm::FsmCircuit& circuit,
   return codes;
 }
 
-/// The fixed-order merge of extraction. `parts` holds, in shard order, each
-/// shard's per-latency tables; the table for bound p receives the union of
-/// the parts' cases, compacted to the subset-minimal antichain and sorted,
-/// their summed statistics and the first truncation reason. The parts'
-/// cases are consumed.
-std::vector<DetectabilityTable> merge_parts(
-    std::vector<std::vector<DetectabilityTable>>& parts,
-    const fsm::FsmCircuit& circuit, std::size_t num_faults,
-    const ExtractOptions& opts) {
+/// The fixed-order merge of extraction. `parts` holds the present shards
+/// in shard order; the table for bound p receives the union of the parts'
+/// cases, compacted to the subset-minimal antichain and sorted, their
+/// summed statistics and the first truncation reason. The parts' cases are
+/// consumed.
+std::vector<DetectabilityTable> merge_parts(std::vector<ExtractShard>& parts,
+                                            const fsm::FsmCircuit& circuit,
+                                            std::size_t num_faults,
+                                            const ExtractOptions& opts) {
   std::vector<DetectabilityTable> tables(
       static_cast<std::size_t>(opts.latency));
   CaseCounters counters;
@@ -481,14 +482,14 @@ std::vector<DetectabilityTable> merge_parts(
     table.latency = static_cast<int>(t) + 1;
     table.num_faults = num_faults;
     std::size_t total = 0;
-    for (const auto& part : parts) total += part[t].cases.size();
+    for (const auto& part : parts) total += part.tables[t].cases.size();
     // The first part's cases become the merged rows without a copy (at
     // 4 threads s1488's shard 0 holds nearly all of them).
     CaseSet merged(parts.empty() ? std::vector<ErroneousCase>{}
-                                 : std::move(parts.front()[t].cases));
+                                 : std::move(parts.front().tables[t].cases));
     merged.reserve(total);
     for (auto& part : parts) {
-      DetectabilityTable& lt = part[t];
+      DetectabilityTable& lt = part.tables[t];
       for (const ErroneousCase& ec : lt.cases) merged.insert(ec);
       lt.cases = {};
       table.num_detectable_faults += lt.num_detectable_faults;
@@ -555,20 +556,7 @@ std::string extraction_digest(const fsm::FsmCircuit& circuit,
   d.absorb(circuit.enc.reset_code);
   d.absorb(static_cast<std::uint64_t>(circuit.enc.encoding.num_bits));
   for (const std::uint64_t c : circuit.enc.encoding.codes) d.absorb(c);
-  const logic::Netlist& net = circuit.netlist;
-  d.absorb(net.num_nets());
-  for (std::uint32_t g = 0; g < net.num_nets(); ++g) {
-    const logic::Gate& gate = net.gate(g);
-    d.absorb(static_cast<std::uint64_t>(gate.type));
-    d.absorb(gate.fanins.size());
-    for (const std::uint32_t f : gate.fanins) {
-      d.absorb(static_cast<std::uint64_t>(f));
-    }
-  }
-  d.absorb(net.num_outputs());
-  for (const std::uint32_t o : net.outputs()) {
-    d.absorb(static_cast<std::uint64_t>(o));
-  }
+  logic::absorb_netlist(d, circuit.netlist);
   // Fault model.
   d.absorb(faults.size());
   for (const auto& f : faults) {
@@ -587,49 +575,23 @@ std::string extraction_digest(const fsm::FsmCircuit& circuit,
 
 std::vector<DetectabilityTable> extract_cases_sharded(
     const fsm::FsmCircuit& circuit, std::span<const sim::StuckAtFault> faults,
-    const ExtractOptions& opts, const ShardedExtractOptions& sharding,
-    const ExtractCheckpointHooks& hooks) {
+    const ExtractOptions& opts, const ShardPlan& plan,
+    const ShardHooks<ExtractShard>& hooks) {
   check_options(circuit, opts);
   const auto num_tables = static_cast<std::size_t>(opts.latency);
   const int num_shards =
-      resolve_checkpoint_shards(sharding.num_shards, faults.size());
+      resolve_checkpoint_shards(plan.num_shards, faults.size());
   const auto bounds = shard_bounds(faults.size(), num_shards);
 
-  // Phase 1: collect checkpointed shards; list the rest.
-  std::vector<ExtractShard> shards(static_cast<std::size_t>(num_shards));
-  std::vector<char> present(static_cast<std::size_t>(num_shards), 0);
-  std::vector<std::uint32_t> missing;
-  for (std::uint32_t s = 0; s < static_cast<std::uint32_t>(num_shards); ++s) {
-    ExtractShard& sh = shards[s];
-    if (hooks.load &&
-        hooks.load(s, static_cast<std::uint32_t>(num_shards), sh) &&
-        sh.index == s &&
-        sh.num_shards == static_cast<std::uint32_t>(num_shards) &&
-        sh.tables.size() == num_tables && !any_truncated(sh.tables)) {
-      present[s] = 1;
-    } else {
-      sh = ExtractShard{};
-      missing.push_back(s);
-    }
-  }
+  ShardRun<ExtractShard> run(
+      plan, num_shards, hooks, [&](std::uint32_t, const ExtractShard& sh) {
+        return sh.tables.size() == num_tables && !any_truncated(sh.tables);
+      });
   if (opts.obs.metrics != nullptr) {
-    opts.obs.metrics->add(
-        "ced_extract_shards_resumed_total",
-        static_cast<std::uint64_t>(static_cast<std::size_t>(num_shards) -
-                                   missing.size()));
+    opts.obs.metrics->add("ced_extract_shards_resumed_total",
+                          static_cast<std::uint64_t>(run.resumed()));
   }
-
-  // Phase 2: compute (up to the quota) the missing shards, in index order.
-  // Each shard runs with PRIVATE valves, so its content is a pure function
-  // of (circuit, fault block, opts, num_shards) — never of timing or of the
-  // other shards — which is what makes checkpoints replayable.
-  std::size_t allowed = missing.size();
-  if (sharding.max_new_shards > 0) {
-    allowed = std::min<std::size_t>(
-        allowed, static_cast<std::size_t>(sharding.max_new_shards));
-  }
-  const std::size_t skipped = missing.size() - allowed;
-  if (allowed > 0) {
+  if (run.pending() > 0) {
     // The golden trace is shared read-only state across shards: every
     // activation code is simulated up front so the fan-out only reads it.
     // (Faulty walks can still reach codes outside this set; those take the
@@ -640,9 +602,7 @@ std::vector<DetectabilityTable> extract_cases_sharded(
       opts.obs.metrics->set_gauge(sim::kGoldenTraceBytesGauge,
                                   static_cast<double>(trace.bytes()));
     }
-
-    parallel_for(resolve_threads(opts.threads), allowed, [&](std::size_t i) {
-      const std::uint32_t s = missing[i];
+    run.compute(opts.threads, [&](std::uint32_t s, ExtractShard& sh) {
       // Shard spans parent under the caller's extract-stage span via the
       // explicit parent id — no thread-local ambient state (obs/trace.hpp).
       obs::ScopedSpan span(opts.obs, "extract-shard");
@@ -652,18 +612,15 @@ std::vector<DetectabilityTable> extract_cases_sharded(
       const std::size_t end = bounds[s + 1];
       span.attr("faults", static_cast<std::uint64_t>(end - begin));
       worker.run(faults.subspan(begin, end - begin));
-      // Only complete shards become checkpoints; a valve-tripped shard
-      // keeps its partial cases in this run's (truncated) result but is
-      // recomputed from scratch on resume. Within-shard compaction only
-      // removes rows the merge would remove anyway, so the final antichain
-      // is the same whether or not a shard was compacted.
-      const bool persisted = hooks.save && !worker.truncated();
-      ExtractShard sh;
-      sh.index = s;
-      sh.num_shards = static_cast<std::uint32_t>(num_shards);
-      sh.tables = worker.take_tables(persisted);
-      for (DetectabilityTable& table : sh.tables) {
-        table.num_faults = end - begin;
+      // Only a shard that is saved gets compacted; that removes only rows
+      // the merge would remove anyway, so the antichain is the same.
+      const bool complete = !worker.truncated();
+      sh.tables = worker.take_tables(complete && hooks.save);
+      // The store's decoder needs each table's bit count and latency.
+      for (std::size_t t = 0; t < num_tables; ++t) {
+        sh.tables[t].num_bits = circuit.n();
+        sh.tables[t].latency = static_cast<int>(t) + 1;
+        sh.tables[t].num_faults = end - begin;
       }
       const DetectabilityTable& deep = sh.tables.back();
       span.attr("activations",
@@ -676,28 +633,21 @@ std::vector<DetectabilityTable> extract_cases_sharded(
         add_counters(mshard, worker.sim_counters());
         add_counters(mshard, worker.counters());
       }
-      if (persisted) hooks.save(sh);
-      shards[s] = std::move(sh);
-      present[s] = 1;
+      return complete;
     });
   }
 
-  // Phase 3: deterministic merge in fixed shard order — identical to a
-  // fresh full run whenever every shard is present and complete.
-  std::vector<std::vector<DetectabilityTable>> parts;
-  for (int s = 0; s < num_shards; ++s) {
-    if (present[static_cast<std::size_t>(s)]) {
-      parts.push_back(std::move(shards[static_cast<std::size_t>(s)].tables));
-    }
-  }
+  // Deterministic merge in fixed shard order — identical to a fresh full
+  // run whenever every shard is present and complete.
+  std::vector<ExtractShard> parts = run.take();
   std::vector<DetectabilityTable> tables =
       merge_parts(parts, circuit, faults.size(), opts);
-  if (skipped > 0) {
+  if (run.skipped() > 0) {
     for (DetectabilityTable& table : tables) {
       table.truncated = true;
       if (table.truncation_reason.empty()) {
         table.truncation_reason =
-            "checkpoint quota: " + std::to_string(skipped) + " of " +
+            "checkpoint quota: " + std::to_string(run.skipped()) + " of " +
             std::to_string(num_shards) +
             " shards left for a later run; re-run with --resume to continue";
       }

@@ -1,12 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
+#include <string>
 #include <vector>
 
-#include <string>
-
+#include "common/shards.hpp"
 #include "core/erroneous_case.hpp"
 #include "core/resilience.hpp"
 #include "fsm/synthesize.hpp"
@@ -144,8 +143,9 @@ DetectabilityTable extract_cases(const fsm::FsmCircuit& circuit,
 // function of (circuit, its fault block, options, shard count): each shard
 // runs with private budget valves, so its result never depends on what
 // other shards did or on execution timing. That makes a completed shard a
-// durable unit of work — the storage layer persists each one as it
-// finishes, and a later run can load the completed shards and compute only
+// durable unit of work. Through the checkpoint protocol it shares with the
+// campaign (common/shards.hpp) the storage layer persists each shard as it
+// finishes, and a later run loads the completed shards and computes only
 // the remainder, producing tables byte-identical (cases AND statistics) to
 // an uninterrupted run at any thread count.
 // ---------------------------------------------------------------------------
@@ -168,44 +168,20 @@ inline constexpr int kDefaultCheckpointShards = 16;
 /// and the result never exceeds the fault count (>= 1 always).
 int resolve_checkpoint_shards(int requested, std::size_t num_faults);
 
-struct ShardedExtractOptions {
-  /// Checkpoint shards (0 = kDefaultCheckpointShards), clamped to the
-  /// fault count. Part of the cache key: different partitions produce
-  /// identical case lists (unless a table degrades) but different path
-  /// statistics.
-  int num_shards = 0;
-  /// Stop (deterministically) after computing this many new shards this
-  /// run; remaining shards are skipped and the tables report truncation
-  /// with a resume hint. 0 = no limit. This is the deterministic analogue
-  /// of a wall-clock budget trip, used by tests and by `--max-new-shards`.
-  int max_new_shards = 0;
-};
-
-/// Checkpoint callbacks wired up by the storage layer (core performs no
-/// file I/O itself). `load` returns true and fills `out` when a completed
-/// shard artifact exists for (shard, num_shards); `save` is called with
-/// every newly completed (never truncated) shard, possibly from worker
-/// threads concurrently. Either may be empty.
-struct ExtractCheckpointHooks {
-  std::function<bool(std::uint32_t shard, std::uint32_t num_shards,
-                     ExtractShard& out)>
-      load;
-  std::function<void(const ExtractShard&)> save;
-};
-
 /// The extraction engine: every table comes from here, with a store or
-/// without one (extract_cases_multi). Shards still to compute run under
-/// opts.threads workers, each with private budget valves; loaded shards
-/// cost nothing. A wall-clock/case-valve trip mid-shard keeps that shard's
-/// partial cases in the returned (truncated) tables but never persists
-/// them; a shard passed to `hooks.save` holds compacted, sorted cases.
-/// Unless the deadline fires, the result — cases and statistics — depends
-/// only on the inputs and `num_shards`, never on the thread count or
-/// timing, and a complete run is byte-identical to a resumed one.
+/// without one (extract_cases_multi). A checkpoint holding one untruncated
+/// table per latency is used; shards still to compute run under
+/// opts.threads workers, each with private budget valves. A wall-clock/
+/// case-valve trip mid-shard keeps that shard's partial cases in the
+/// returned (truncated) tables but never persists them; a shard passed to
+/// `hooks.save` holds compacted, sorted cases. Unless the deadline fires,
+/// the result — cases and statistics — depends only on the inputs and the
+/// shard count, never on the thread count or timing, and a complete run is
+/// byte-identical to a resumed one.
 std::vector<DetectabilityTable> extract_cases_sharded(
     const fsm::FsmCircuit& circuit, std::span<const sim::StuckAtFault> faults,
-    const ExtractOptions& opts, const ShardedExtractOptions& sharding = {},
-    const ExtractCheckpointHooks& hooks = {});
+    const ExtractOptions& opts, const ShardPlan& plan = {},
+    const ShardHooks<ExtractShard>& hooks = {});
 
 /// Content digest (32 hex chars) of everything a detectability-table bundle
 /// depends on: the synthesized circuit (netlist, encoding, reset code), the
@@ -222,8 +198,8 @@ std::string extraction_digest(const fsm::FsmCircuit& circuit,
 /// Interface to a persistent, corruption-detecting artifact cache for
 /// extraction results, implemented by storage::StoreArchive (src/storage).
 /// Core calls it through this interface so the dependency points from
-/// storage to core, not the other way. Implementations must not throw and
-/// must tolerate concurrent store_shard calls from worker threads.
+/// storage to core, not the other way. Implementations must not throw, and
+/// shard_hooks' save must tolerate concurrent calls from worker threads.
 class ExtractArchive {
  public:
   virtual ~ExtractArchive() = default;
@@ -236,10 +212,9 @@ class ExtractArchive {
   virtual void store_tables(const std::string& key,
                             const std::vector<DetectabilityTable>& tables) = 0;
 
-  /// Shard checkpoints for `key`.
-  virtual bool load_shard(const std::string& key, std::uint32_t shard,
-                          std::uint32_t num_shards, ExtractShard& out) = 0;
-  virtual void store_shard(const std::string& key, const ExtractShard& s) = 0;
+  /// Checkpoint hooks for the shards of `key`; load reads a corrupt or
+  /// mismatched shard as a miss.
+  virtual ShardHooks<ExtractShard> shard_hooks(const std::string& key) = 0;
   /// Drops the shard checkpoints of `key` once the final bundle is durable.
   virtual void drop_shards(const std::string& key) = 0;
 

@@ -324,20 +324,10 @@ std::vector<PipelineReport> run_latency_sweep_impl(
       }
       archive_hit = !tables.empty();
       if (tables.empty()) {
-        ShardedExtractOptions sharding;
-        sharding.num_shards = opts.checkpoint_shards;
-        sharding.max_new_shards = opts.max_new_shards;
-        ExtractCheckpointHooks hooks;
-        if (opts.resume) {
-          hooks.load = [&](std::uint32_t s, std::uint32_t n,
-                           ExtractShard& out) {
-            return opts.archive->load_shard(extraction_key, s, n, out);
-          };
-        }
-        hooks.save = [&](const ExtractShard& s) {
-          opts.archive->store_shard(extraction_key, s);
-        };
-        tables = extract_cases_sharded(circuit, faults, ex, sharding, hooks);
+        auto hooks = opts.archive->shard_hooks(extraction_key);
+        if (!opts.resume) hooks.load = {};  // checkpoint reuse is opt-in
+        const ShardPlan plan{opts.checkpoint_shards, opts.max_new_shards};
+        tables = extract_cases_sharded(circuit, faults, ex, plan, hooks);
         const bool complete = std::none_of(
             tables.begin(), tables.end(),
             [](const DetectabilityTable& t) { return t.truncated; });

@@ -136,4 +136,20 @@ std::uint64_t Netlist::eval_single(std::uint64_t assignment,
   return out;
 }
 
+void absorb_netlist(Digest128& d, const Netlist& net) {
+  d.absorb(net.num_nets());
+  for (std::uint32_t g = 0; g < net.num_nets(); ++g) {
+    const Gate& gate = net.gate(g);
+    d.absorb(static_cast<std::uint64_t>(gate.type));
+    d.absorb(gate.fanins.size());
+    for (const std::uint32_t f : gate.fanins) {
+      d.absorb(static_cast<std::uint64_t>(f));
+    }
+  }
+  d.absorb(net.num_outputs());
+  for (const std::uint32_t o : net.outputs()) {
+    d.absorb(static_cast<std::uint64_t>(o));
+  }
+}
+
 }  // namespace ced::logic

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "common/digest.hpp"
+
 namespace ced::logic {
 
 /// Gate primitives of the target cell library.
@@ -127,5 +129,9 @@ class Netlist {
   std::vector<std::uint32_t> outputs_;
   std::vector<std::string> output_names_;
 };
+
+/// Absorbs the netlist (each net's gate type and fanins, then the outputs)
+/// into a content digest; the extraction and campaign keys both use it.
+void absorb_netlist(Digest128& d, const Netlist& net);
 
 }  // namespace ced::logic

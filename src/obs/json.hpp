@@ -1,8 +1,8 @@
 #pragma once
 
-// Minimal JSON string/number formatting shared by the obs exporters and
-// the bench harnesses (bench::json_escape/json_number delegate here, so
-// every JSON emitter in the tree escapes identically).
+// Minimal JSON string/number formatting shared by the obs exporters, the
+// serve protocol, the campaign report and bench_perf, so every JSON
+// emitter in the tree escapes identically.
 
 #include <string>
 #include <string_view>

@@ -61,15 +61,14 @@ class DelayingArchive final : public core::ExtractArchive {
       const std::vector<core::DetectabilityTable>& tables) override {
     inner_.store_tables(key, tables);
   }
-  bool load_shard(const std::string& key, std::uint32_t shard,
-                  std::uint32_t num_shards,
-                  core::ExtractShard& out) override {
-    return inner_.load_shard(key, shard, num_shards, out);
-  }
-  void store_shard(const std::string& key,
-                   const core::ExtractShard& shard) override {
-    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms_));
-    inner_.store_shard(key, shard);
+  ShardHooks<core::ExtractShard> shard_hooks(const std::string& key) override {
+    ShardHooks<core::ExtractShard> hooks = inner_.shard_hooks(key);
+    hooks.save = [save = std::move(hooks.save),
+                  delay_ms = delay_ms_](const core::ExtractShard& shard) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+      save(shard);
+    };
+    return hooks;
   }
   void drop_shards(const std::string& key) override {
     inner_.drop_shards(key);

@@ -10,6 +10,7 @@
 #include "core/erroneous_case.hpp"
 #include "core/extract.hpp"
 #include "core/rng.hpp"
+#include "logic/netlist.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
@@ -248,22 +249,6 @@ FaultVerdict judge_unit(const ProtectedMachine& pm,
   return judge_flip_walks(pm, unit, unit_index, opts, horizon);
 }
 
-void absorb_netlist(Digest128& d, const logic::Netlist& net) {
-  d.absorb(net.num_nets());
-  for (std::uint32_t g = 0; g < net.num_nets(); ++g) {
-    const logic::Gate& gate = net.gate(g);
-    d.absorb(static_cast<std::uint64_t>(gate.type));
-    d.absorb(gate.fanins.size());
-    for (const std::uint32_t f : gate.fanins) {
-      d.absorb(static_cast<std::uint64_t>(f));
-    }
-  }
-  d.absorb(net.num_outputs());
-  for (const std::uint32_t o : net.outputs()) {
-    d.absorb(static_cast<std::uint64_t>(o));
-  }
-}
-
 void validate_options(const fsm::FsmCircuit& circuit,
                       const CampaignOptions& opts) {
   if (opts.latency_bound < 1 || opts.latency_bound > core::kMaxLatency) {
@@ -381,13 +366,13 @@ std::string campaign_digest(const fsm::FsmCircuit& circuit,
   d.absorb(circuit.enc.reset_code);
   d.absorb(static_cast<std::uint64_t>(circuit.enc.encoding.num_bits));
   for (const std::uint64_t c : circuit.enc.encoding.codes) d.absorb(c);
-  absorb_netlist(d, circuit.netlist);
+  logic::absorb_netlist(d, circuit.netlist);
   // Protection hardware: the checker netlist covers every synthesis option
   // that could change observable behaviour (don't-care fill included).
   d.absorb(static_cast<std::uint64_t>(hw.q));
   d.absorb(std::uint64_t{hw.two_rail ? 1u : 0u});
   for (const core::ParityFunc p : hw.parities) d.absorb(p);
-  absorb_netlist(d, hw.checker);
+  logic::absorb_netlist(d, hw.checker);
   // Fault model.
   d.absorb(faults.size());
   for (const StuckAtFault& f : faults) {
@@ -414,8 +399,8 @@ CampaignReport run_campaign(const fsm::FsmCircuit& circuit,
                             const core::CedHardware& hw,
                             std::span<const StuckAtFault> faults,
                             const CampaignOptions& opts,
-                            const CampaignShardingOptions& sharding,
-                            const CampaignCheckpointHooks& hooks) {
+                            const ShardPlan& plan,
+                            const ShardHooks<CampaignShard>& hooks) {
   validate_options(circuit, opts);
   const int horizon = resolved_horizon(opts);
 
@@ -442,53 +427,25 @@ CampaignReport run_campaign(const fsm::FsmCircuit& circuit,
       campaign_units(circuit, faults, opts);
   span.attr("units", static_cast<std::uint64_t>(units.size()));
   const int num_shards =
-      core::resolve_checkpoint_shards(sharding.num_shards, units.size());
+      core::resolve_checkpoint_shards(plan.num_shards, units.size());
   const std::vector<std::size_t> bounds =
       shard_bounds(units.size(), num_shards);
 
-  // Phase 1: collect checkpointed shards; list the rest.
-  std::vector<CampaignShard> shards(static_cast<std::size_t>(num_shards));
-  std::vector<char> have(static_cast<std::size_t>(num_shards), 0);
-  std::vector<char> tripped(static_cast<std::size_t>(num_shards), 0);
-  std::vector<std::size_t> to_run;
-  for (int i = 0; i < num_shards; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    CampaignShard loaded;
-    if (hooks.load &&
-        hooks.load(static_cast<std::uint32_t>(i),
-                   static_cast<std::uint32_t>(num_shards), loaded) &&
-        loaded.index == static_cast<std::uint32_t>(i) &&
-        loaded.num_shards == static_cast<std::uint32_t>(num_shards) &&
-        loaded.verdicts.size() == bounds[idx + 1] - bounds[idx]) {
-      shards[idx] = std::move(loaded);
-      have[idx] = 1;
-    } else {
-      to_run.push_back(idx);
-    }
-  }
-  std::size_t skipped = 0;
-  if (sharding.max_new_shards > 0 &&
-      to_run.size() > static_cast<std::size_t>(sharding.max_new_shards)) {
-    skipped = to_run.size() - static_cast<std::size_t>(sharding.max_new_shards);
-    to_run.resize(static_cast<std::size_t>(sharding.max_new_shards));
-  }
-
-  // Phase 2: compute the missing shards. Each shard is a pure function of
-  // (design, its unit block, options, shard count); the deadline is polled
-  // at unit boundaries so a trip keeps the shard's completed units as a
-  // partial (never persisted) result.
-  parallel_for(opts.threads, to_run.size(), [&](std::size_t k) {
-    const std::size_t i = to_run[k];
+  ShardRun<CampaignShard> run(
+      plan, num_shards, hooks, [&](std::uint32_t s, const CampaignShard& sh) {
+        return sh.verdicts.size() == bounds[s + 1] - bounds[s];
+      });
+  // The deadline is polled at unit boundaries: a trip leaves a partial
+  // shard holding its completed units.
+  run.compute(opts.threads, [&](std::uint32_t i, CampaignShard& sh) {
     obs::ScopedSpan shard_span(sinks, "campaign-shard");
     shard_span.attr("shard", static_cast<std::uint64_t>(i));
     obs::MetricsShard ms(sinks.metrics);
-    CampaignShard sh;
-    sh.index = static_cast<std::uint32_t>(i);
-    sh.num_shards = static_cast<std::uint32_t>(num_shards);
     SimCounters sim_counters;
+    bool complete = true;
     for (std::size_t u = bounds[i]; u < bounds[i + 1]; ++u) {
       if (opts.deadline.expired()) {
-        tripped[i] = 1;
+        complete = false;
         break;
       }
       FaultVerdict v =
@@ -508,14 +465,12 @@ CampaignReport run_campaign(const fsm::FsmCircuit& circuit,
     }
     sim_counters.for_each(
         [&](const char* name, std::uint64_t n) { ms.add(name, n); });
-    shards[i] = std::move(sh);
-    have[i] = 1;
-    if (!tripped[i] && hooks.save) hooks.save(shards[i]);
+    return complete;
   });
 
-  // Phase 3: deterministic merge in fixed shard (= unit) order. Partial
-  // shards contribute their completed units; skipped shards contribute
-  // nothing and are reported through the truncation flag.
+  // Deterministic merge in fixed shard (= unit) order. Partial shards
+  // contribute their completed units; skipped shards contribute nothing
+  // and are reported through the truncation flag.
   CampaignReport rep;
   rep.model = opts.model;
   rep.policy = opts.policy;
@@ -529,12 +484,8 @@ CampaignReport run_campaign(const fsm::FsmCircuit& circuit,
   rep.num_units = units.size();
   rep.false_alarms = false_alarms;
   rep.histogram.assign(static_cast<std::size_t>(horizon), 0);
-  bool any_tripped = false;
-  for (int i = 0; i < num_shards; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    if (!have[idx]) continue;
-    any_tripped = any_tripped || tripped[idx] != 0;
-    for (FaultVerdict& v : shards[idx].verdicts) {
+  for (CampaignShard& sh : run.take()) {
+    for (FaultVerdict& v : sh.verdicts) {
       rep.activations += v.activations;
       rep.detected_in_bound += v.detected_in_bound;
       rep.detected_late += v.detected_late;
@@ -547,16 +498,16 @@ CampaignReport run_campaign(const fsm::FsmCircuit& circuit,
       rep.verdicts.push_back(std::move(v));
     }
   }
-  if (any_tripped) {
+  if (run.partial() > 0) {
     rep.truncated = true;
     rep.truncation_reason =
         "campaign deadline expired; verdicts cover the units completed "
         "(completed shards are checkpointed — resume to finish)";
   }
-  if (skipped > 0) {
+  if (run.skipped() > 0) {
     rep.truncated = true;
     rep.truncation_reason =
-        "max_new_shards valve: " + std::to_string(skipped) +
+        "max_new_shards valve: " + std::to_string(run.skipped()) +
         " shard(s) skipped; resume to finish";
   }
   return rep;

@@ -48,19 +48,18 @@
 // over every reachable (state, input): each transition on which the checker
 // fires is a false alarm, and any false alarm falsifies the scheme.
 //
-// The engine reuses the house substrate: units are partitioned into a fixed
-// shard count independent of the worker-thread count, shards run under
-// parallel_for with private deadline polling, completed shards persist
-// through CampaignCheckpointHooks (storage wires them to the ArtifactStore
-// under the content-addressed campaign_digest key), and a killed campaign
-// resumed from its checkpoints produces byte-identical verdicts.
+// The engine runs extraction's checkpoint protocol (common/shards.hpp):
+// units are partitioned into a fixed shard count independent of the thread
+// count, shards poll the deadline privately, completed shards persist
+// through ShardHooks (storage keys them by campaign_digest), and a killed
+// campaign resumed from its checkpoints produces byte-identical verdicts.
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/shards.hpp"
 #include "core/resilience.hpp"
 #include "obs/trace.hpp"
 #include "sim/faults.hpp"
@@ -140,27 +139,6 @@ struct CampaignShard {
   std::vector<FaultVerdict> verdicts;
 };
 
-struct CampaignShardingOptions {
-  /// Checkpoint shards (0 = core::kDefaultCheckpointShards), clamped to
-  /// the unit count. Part of the campaign key.
-  int num_shards = 0;
-  /// Stop (deterministically) after computing this many new shards; used
-  /// by tests and `--max-new-shards` as the deterministic analogue of a
-  /// wall-clock trip. 0 = no limit.
-  int max_new_shards = 0;
-};
-
-/// Checkpoint callbacks wired up by the storage layer (the campaign engine
-/// performs no file I/O). `load` fills `out` and returns true when a
-/// completed shard exists for (shard, num_shards); `save` receives every
-/// newly completed (never truncated) shard, possibly concurrently.
-struct CampaignCheckpointHooks {
-  std::function<bool(std::uint32_t shard, std::uint32_t num_shards,
-                     CampaignShard& out)>
-      load;
-  std::function<void(const CampaignShard&)> save;
-};
-
 /// The campaign's verdict sheet. Everything here is a deterministic
 /// function of (circuit, checker, fault list, options, shard partition) —
 /// wall-clock and thread count deliberately never enter, so the encoded
@@ -232,15 +210,16 @@ std::string campaign_digest(const fsm::FsmCircuit& circuit,
 
 /// Runs the campaign: shards the unit list, loads checkpointed shards via
 /// `hooks`, fans the rest out over opts.threads workers, persists every
-/// newly completed shard, and merges verdicts in fixed unit order.
-/// Throws std::invalid_argument for malformed options (flip models under
-/// kExhaustive, horizon below the bound, latency out of range).
+/// newly completed shard, and merges verdicts in fixed unit order. Throws
+/// std::invalid_argument for malformed options (flip models under
+/// kExhaustive, horizon below the bound, latency out of range, a negative
+/// plan field).
 CampaignReport run_campaign(const fsm::FsmCircuit& circuit,
                             const core::CedHardware& hw,
                             std::span<const StuckAtFault> faults,
                             const CampaignOptions& opts,
-                            const CampaignShardingOptions& sharding = {},
-                            const CampaignCheckpointHooks& hooks = {});
+                            const ShardPlan& plan = {},
+                            const ShardHooks<CampaignShard>& hooks = {});
 
 /// One BENCH_campaign.json entry for this report: the verdict totals, the
 /// latency histogram, and the run context (label, wall seconds, threads —

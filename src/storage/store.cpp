@@ -29,22 +29,38 @@ auto load_checked(ArtifactStore& store, const std::string& name,
   return decoded;
 }
 
-/// Checked load of a checkpoint shard that must be shard `index` of
-/// `num_shards`; one that names another partition is quarantined with
-/// `mismatch`.
-template <typename Shard, typename Decode>
-bool load_shard_checked(ArtifactStore& store, const std::string& name,
-                        ArtifactKind kind, Decode decode, std::uint32_t index,
-                        std::uint32_t num_shards, const char* mismatch,
-                        Shard& out) {
-  auto shard = load_checked(store, name, kind, decode);
-  if (!shard) return false;
-  if (shard->index != index || shard->num_shards != num_shards) {
-    store.discard_corrupt(name, mismatch);
-    return false;
-  }
-  out = std::move(*shard);
-  return true;
+/// `<stem>-NNN`: the name of checkpoint shard `index` under `stem`.
+std::string numbered(const std::string& stem, std::uint32_t index) {
+  char suffix[16];
+  std::snprintf(suffix, sizeof(suffix), "-%03u", index);
+  return stem + suffix;
+}
+
+/// Checkpoint hooks over the shards `<stem>-NNN` of one kind. load is a
+/// checked load that also quarantines, with `mismatch`, a shard naming
+/// another index or partition; save writes atomically.
+template <typename Shard, typename Decode, typename Encode>
+ShardHooks<Shard> checkpoint_hooks(ArtifactStore& store, std::string stem,
+                                   ArtifactKind kind, Decode decode,
+                                   Encode encode, const char* mismatch) {
+  ShardHooks<Shard> hooks;
+  hooks.load = [&store, stem, kind, decode, mismatch](
+                   std::uint32_t index, std::uint32_t num_shards,
+                   Shard& out) {
+    const std::string name = numbered(stem, index);
+    auto shard = load_checked(store, name, kind, decode);
+    if (!shard) return false;
+    if (shard->index != index || shard->num_shards != num_shards) {
+      store.discard_corrupt(name, mismatch);
+      return false;
+    }
+    out = std::move(*shard);
+    return true;
+  };
+  hooks.save = [&store, stem, encode](const Shard& shard) {
+    store.put(numbered(stem, shard.index), encode(shard));
+  };
+  return hooks;
 }
 
 /// Removes every artifact whose name starts with `prefix`.
@@ -273,9 +289,7 @@ GcStats ArtifactStore::gc() {
 std::string table_name(const std::string& key) { return "tab-" + key; }
 
 std::string shard_name(const std::string& key, std::uint32_t index) {
-  char suffix[16];
-  std::snprintf(suffix, sizeof(suffix), "-%03u", index);
-  return "shard-" + key + suffix;
+  return numbered("shard-" + key, index);
 }
 
 std::string scheme_name(const std::string& key, int latency,
@@ -306,17 +320,11 @@ void StoreArchive::store_tables(
   store_.put(table_name(key), encode_tables(tables));
 }
 
-bool StoreArchive::load_shard(const std::string& key, std::uint32_t shard,
-                              std::uint32_t num_shards,
-                              core::ExtractShard& out) {
-  return load_shard_checked(store_, shard_name(key, shard),
-                            ArtifactKind::kShard, decode_shard, shard,
-                            num_shards, "shard identity mismatch", out);
-}
-
-void StoreArchive::store_shard(const std::string& key,
-                               const core::ExtractShard& shard) {
-  store_.put(shard_name(key, shard.index), encode_shard(shard));
+ShardHooks<core::ExtractShard> StoreArchive::shard_hooks(
+    const std::string& key) {
+  return checkpoint_hooks<core::ExtractShard>(
+      store_, "shard-" + key, ArtifactKind::kShard, decode_shard,
+      encode_shard, "shard identity mismatch");
 }
 
 void StoreArchive::drop_shards(const std::string& key) {
@@ -411,26 +419,15 @@ std::string campaign_report_name(const std::string& key) {
 }
 
 std::string campaign_shard_name(const std::string& key, std::uint32_t index) {
-  char suffix[16];
-  std::snprintf(suffix, sizeof(suffix), "-%03u", index);
-  return "cshard-" + key + suffix;
+  return numbered("cshard-" + key, index);
 }
 
-sim::CampaignCheckpointHooks make_campaign_hooks(ArtifactStore& store,
-                                                 const std::string& key) {
-  sim::CampaignCheckpointHooks hooks;
-  hooks.load = [&store, key](std::uint32_t shard, std::uint32_t num_shards,
-                             sim::CampaignShard& out) {
-    return load_shard_checked(store, campaign_shard_name(key, shard),
-                              ArtifactKind::kCampaignShard,
-                              decode_campaign_shard, shard, num_shards,
-                              "campaign shard identity mismatch", out);
-  };
-  hooks.save = [&store, key](const sim::CampaignShard& shard) {
-    store.put(campaign_shard_name(key, shard.index),
-              encode_campaign_shard(shard));
-  };
-  return hooks;
+ShardHooks<sim::CampaignShard> make_campaign_hooks(ArtifactStore& store,
+                                                   const std::string& key) {
+  return checkpoint_hooks<sim::CampaignShard>(
+      store, "cshard-" + key, ArtifactKind::kCampaignShard,
+      decode_campaign_shard, encode_campaign_shard,
+      "campaign shard identity mismatch");
 }
 
 void drop_campaign_shards(ArtifactStore& store, const std::string& key) {

@@ -138,11 +138,7 @@ class StoreArchive final : public core::ExtractArchive {
   void store_tables(
       const std::string& key,
       const std::vector<core::DetectabilityTable>& tables) override;
-  bool load_shard(const std::string& key, std::uint32_t shard,
-                  std::uint32_t num_shards,
-                  core::ExtractShard& out) override;
-  void store_shard(const std::string& key,
-                   const core::ExtractShard& shard) override;
+  ShardHooks<core::ExtractShard> shard_hooks(const std::string& key) override;
   void drop_shards(const std::string& key) override;
   std::vector<std::string> drain_events() override;
 
@@ -212,12 +208,12 @@ std::string record_run(ArtifactStore& store, const RunConfig& cfg,
 std::string campaign_report_name(const std::string& key);
 std::string campaign_shard_name(const std::string& key, std::uint32_t index);
 
-/// Wires the campaign engine's checkpoint callbacks to a store: load
-/// validates the envelope, decodes, and checks shard identity (corrupt or
-/// mismatched checkpoints are quarantined and reported as misses); save
-/// persists a completed shard atomically.
-sim::CampaignCheckpointHooks make_campaign_hooks(ArtifactStore& store,
-                                                 const std::string& key);
+/// Wires the campaign engine's checkpoint callbacks to a store, like
+/// StoreArchive::shard_hooks: load validates, decodes and checks shard
+/// identity (corrupt or mismatched checkpoints are quarantined and read as
+/// misses); save persists a completed shard atomically.
+ShardHooks<sim::CampaignShard> make_campaign_hooks(ArtifactStore& store,
+                                                   const std::string& key);
 
 /// Removes every checkpoint shard of a campaign key.
 void drop_campaign_shards(ArtifactStore& store, const std::string& key);

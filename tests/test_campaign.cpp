@@ -467,7 +467,7 @@ TEST_F(CampaignStoreTest, CheckpointResumeIsByteIdentical) {
   const Design d = suite_design("dk16", 2);
   CampaignOptions opts;
   opts.latency_bound = 2;
-  CampaignShardingOptions sharding;
+  ShardPlan sharding;
   sharding.num_shards = 5;
 
   // Reference: one uncheckpointed run.
@@ -477,11 +477,11 @@ TEST_F(CampaignStoreTest, CheckpointResumeIsByteIdentical) {
   const std::string key =
       campaign_digest(d.circuit, d.hw, d.faults, opts, sharding.num_shards);
   storage::ArtifactStore store(dir_);
-  const CampaignCheckpointHooks hooks =
+  const ShardHooks<CampaignShard> hooks =
       storage::make_campaign_hooks(store, key);
 
   // Interrupted run: the deterministic valve stops after two shards.
-  CampaignShardingOptions partial = sharding;
+  ShardPlan partial = sharding;
   partial.max_new_shards = 2;
   const CampaignReport truncated =
       run_campaign(d.circuit, d.hw, d.faults, opts, partial, hooks);
@@ -513,12 +513,12 @@ TEST_F(CampaignStoreTest, CorruptShardIsQuarantinedAndRecomputed) {
   const Design d = suite_design("dk16", 2);
   CampaignOptions opts;
   opts.latency_bound = 2;
-  CampaignShardingOptions sharding;
+  ShardPlan sharding;
   sharding.num_shards = 3;
   const std::string key =
       campaign_digest(d.circuit, d.hw, d.faults, opts, sharding.num_shards);
   storage::ArtifactStore store(dir_);
-  const CampaignCheckpointHooks hooks =
+  const ShardHooks<CampaignShard> hooks =
       storage::make_campaign_hooks(store, key);
 
   const std::string reference = storage::encode_campaign_report(
@@ -720,6 +720,12 @@ TEST(CampaignOptionsValidation, MalformedOptionsThrow) {
     opts.policy = CampaignPolicy::kRandomWalks;
     opts.walks = 0;
     EXPECT_THROW(run_campaign(d.circuit, d.hw, d.faults, opts),
+                 std::invalid_argument);
+  }
+  {
+    ShardPlan plan;
+    plan.max_new_shards = -1;  // a quota is a count; 0 means no limit
+    EXPECT_THROW(run_campaign(d.circuit, d.hw, d.faults, {}, plan),
                  std::invalid_argument);
   }
 }

@@ -1,6 +1,7 @@
-// The parallel runtime: the parallel_for utility itself, cross-thread-count
-// determinism of extraction and parity selection, budget starvation under
-// concurrency, and the splitmix64-mixed Rng streams the workers rely on.
+// The parallel runtime: the parallel_for utility and the checkpointed shard
+// runner, cross-thread-count determinism of extraction and parity
+// selection, budget starvation under concurrency, and the splitmix64-mixed
+// Rng streams the workers rely on.
 
 #include "common/parallel.hpp"
 
@@ -10,11 +11,13 @@
 #include <bit>
 #include <cstdlib>
 #include <map>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <tuple>
 
 #include "benchdata/handwritten.hpp"
+#include "common/shards.hpp"
 #include "benchdata/suite.hpp"
 #include "core/extract.hpp"
 #include "core/pipeline.hpp"
@@ -82,6 +85,131 @@ TEST(ResolveThreads, ExplicitRequestWinsOverEnvironment) {
   EXPECT_EQ(resolve_threads(0), 5);
   EXPECT_EQ(resolve_threads(2), 2);  // API override beats the env
   unsetenv("CED_THREADS");
+}
+
+// ---------------------------------------------------------- shard runner
+
+/// A checkpointable shard for the runner tests; a computed one holds
+/// 10 * index.
+struct FakeShard {
+  std::uint32_t index = 0;
+  std::uint32_t num_shards = 0;
+  int value = 0;
+};
+
+/// In-memory checkpoints: `checkpoints` feeds load, and every save is
+/// recorded (workers save concurrently, hence the mutex).
+struct FakeStore {
+  std::map<std::uint32_t, FakeShard> checkpoints;
+  std::mutex mu;
+  std::set<std::uint32_t> saved;
+
+  ShardHooks<FakeShard> hooks() {
+    ShardHooks<FakeShard> h;
+    h.load = [this](std::uint32_t s, std::uint32_t, FakeShard& out) {
+      const auto it = checkpoints.find(s);
+      if (it == checkpoints.end()) return false;
+      out = it->second;
+      return true;
+    };
+    h.save = [this](const FakeShard& sh) {
+      std::lock_guard<std::mutex> lock(mu);
+      saved.insert(sh.index);
+    };
+    return h;
+  }
+};
+
+/// Accepts a checkpoint unless its value is negative.
+bool usable_fake(std::uint32_t, const FakeShard& sh) { return sh.value >= 0; }
+
+/// The indices of `shards`, in order.
+std::vector<std::uint32_t> indices(const std::vector<FakeShard>& shards) {
+  std::vector<std::uint32_t> out;
+  for (const FakeShard& sh : shards) out.push_back(sh.index);
+  return out;
+}
+
+TEST(ParallelShardRun, QuotaComputesTheFirstMissingShards) {
+  for (const int threads : {1, 4}) {
+    FakeStore store;
+    store.checkpoints[1] = {1, 5, 11};
+    store.checkpoints[3] = {3, 5, 33};
+    const ShardHooks<FakeShard> hooks = store.hooks();
+    ShardRun<FakeShard> run({.num_shards = 5, .max_new_shards = 2}, 5,
+                            hooks, usable_fake);
+    EXPECT_EQ(run.pending(), 2u);
+    std::mutex mu;
+    std::set<std::uint32_t> computed;
+    run.compute(threads, [&](std::uint32_t s, FakeShard& sh) {
+      EXPECT_EQ(sh.index, s);
+      EXPECT_EQ(sh.num_shards, 5u);
+      sh.value = static_cast<int>(10 * s);
+      std::lock_guard<std::mutex> lock(mu);
+      computed.insert(s);
+      return true;
+    });
+    EXPECT_EQ(computed, (std::set<std::uint32_t>{0, 2})) << threads;
+    EXPECT_EQ(store.saved, (std::set<std::uint32_t>{0, 2}));
+    EXPECT_EQ(run.resumed(), 2u);
+    EXPECT_EQ(run.skipped(), 1u);
+    EXPECT_EQ(run.partial(), 0u);
+    const std::vector<FakeShard> present = run.take();
+    EXPECT_EQ(indices(present), (std::vector<std::uint32_t>{0, 1, 2, 3}));
+    EXPECT_EQ(present[1].value, 11);  // loaded, not recomputed
+    EXPECT_EQ(present[2].value, 20);
+  }
+}
+
+TEST(ParallelShardRun, ForeignOrUnusableCheckpointsAreRecomputed) {
+  for (const int threads : {1, 4}) {
+    FakeStore store;
+    store.checkpoints[0] = {2, 4, 0};   // names another index
+    store.checkpoints[1] = {1, 8, 0};   // names another shard count
+    store.checkpoints[2] = {2, 4, -1};  // rejected by usable
+    store.checkpoints[3] = {3, 4, 33};  // kept
+    const ShardHooks<FakeShard> hooks = store.hooks();
+    ShardRun<FakeShard> run({.num_shards = 4}, 4, hooks, usable_fake);
+    EXPECT_EQ(run.pending(), 3u);
+    run.compute(threads, [](std::uint32_t s, FakeShard& sh) {
+      sh.value = static_cast<int>(10 * s);
+      return true;
+    });
+    EXPECT_EQ(run.resumed(), 1u);
+    EXPECT_EQ(run.skipped(), 0u);
+    EXPECT_EQ(store.saved, (std::set<std::uint32_t>{0, 1, 2})) << threads;
+    const std::vector<FakeShard> present = run.take();
+    ASSERT_EQ(indices(present), (std::vector<std::uint32_t>{0, 1, 2, 3}));
+    for (const FakeShard& sh : present) {
+      EXPECT_EQ(sh.num_shards, 4u);
+      EXPECT_EQ(sh.value, static_cast<int>(sh.index == 3 ? 33 : 10 * sh.index));
+    }
+  }
+}
+
+TEST(ParallelShardRun, PartialShardIsKeptButNeverSaved) {
+  for (const int threads : {1, 4}) {
+    FakeStore store;
+    const ShardHooks<FakeShard> hooks = store.hooks();
+    ShardRun<FakeShard> run({.num_shards = 4}, 4, hooks, usable_fake);
+    run.compute(threads, [](std::uint32_t s, FakeShard& sh) {
+      sh.value = static_cast<int>(10 * s);
+      return s != 2;  // a valve stops shard 2
+    });
+    EXPECT_EQ(run.partial(), 1u);
+    EXPECT_EQ(store.saved, (std::set<std::uint32_t>{0, 1, 3})) << threads;
+    EXPECT_EQ(indices(run.take()),
+              (std::vector<std::uint32_t>{0, 1, 2, 3}));
+  }
+}
+
+TEST(ParallelShardRun, NegativePlanFieldsThrow) {
+  const ShardHooks<FakeShard> hooks;
+  EXPECT_THROW(ShardRun<FakeShard>({.num_shards = -1}, 1, hooks, usable_fake),
+               std::invalid_argument);
+  EXPECT_THROW(
+      ShardRun<FakeShard>({.max_new_shards = -1}, 1, hooks, usable_fake),
+      std::invalid_argument);
 }
 
 // ----------------------------------------------------------- determinism

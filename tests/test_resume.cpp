@@ -123,6 +123,9 @@ TEST_F(ResumeTest, InterruptedRunsResumeByteIdentical) {
       resumed.threads = threads;
       const core::PipelineReport rep = run_in(dir, resumed);
       EXPECT_FALSE(rep.resilience.degraded()) << tag;
+      // Every checkpoint decodes: none is quarantined as corrupt.
+      EXPECT_TRUE(rep.resilience.store_events.empty())
+          << tag << ": " << rep.resilience.store_events.front();
       EXPECT_EQ(rep.parities, ref.parities) << tag;
       EXPECT_EQ(rep.num_cases, ref.num_cases) << tag;
       EXPECT_EQ(tab_bytes(dir), ref_bytes)

@@ -385,7 +385,8 @@ TEST_F(StorageTest, EveryLoaderQuarantinesAnUndecodablePayload) {
   // carries no section, so only the decoder can reject it.
   ArtifactStore store(dir_);
   StoreArchive archive(store);
-  const sim::CampaignCheckpointHooks hooks = make_campaign_hooks(store, "k");
+  const ShardHooks<sim::CampaignShard> hooks =
+      make_campaign_hooks(store, "k");
   for (const ArtifactKind kind : kWrittenKinds) {
     std::string name;
     bool loaded = true;
@@ -404,7 +405,7 @@ TEST_F(StorageTest, EveryLoaderQuarantinesAnUndecodablePayload) {
         name = shard_name("k", 0);
         ASSERT_TRUE(store.put(name, ArtifactWriter(kind).seal()).ok());
         core::ExtractShard out;
-        loaded = archive.load_shard("k", 0, 1, out);
+        loaded = archive.shard_hooks("k").load(0, 1, out);
         break;
       }
       case ArtifactKind::kManifest:
@@ -442,12 +443,14 @@ TEST_F(StorageTest, ShardOfAnotherPartitionIsQuarantined) {
   shard.index = 1;
   shard.num_shards = 4;
   shard.tables = tables_for(circuit_for("modulo5"), 1);
-  archive.store_shard("aaa", shard);
+  const ShardHooks<core::ExtractShard> shard_hooks =
+      archive.shard_hooks("aaa");
+  shard_hooks.save(shard);
   core::ExtractShard out;
-  ASSERT_TRUE(archive.load_shard("aaa", 1, 4, out));
+  ASSERT_TRUE(shard_hooks.load(1, 4, out));
   EXPECT_EQ(encode_shard(out), encode_shard(shard));
   // The same file read as shard 1 of 8 belongs to another partition.
-  EXPECT_FALSE(archive.load_shard("aaa", 1, 8, out));
+  EXPECT_FALSE(shard_hooks.load(1, 8, out));
   EXPECT_FALSE(store.exists(shard_name("aaa", 1)));
   EXPECT_TRUE(
       fs::exists(dir_ / "quarantine" / (shard_name("aaa", 1) + ".ced")));
@@ -457,7 +460,7 @@ TEST_F(StorageTest, ShardOfAnotherPartitionIsQuarantined) {
       << events[0];
 
   // Campaign checkpoints pass the same identity check.
-  const sim::CampaignCheckpointHooks hooks =
+  const ShardHooks<sim::CampaignShard> hooks =
       make_campaign_hooks(store, "bbb");
   sim::CampaignShard cshard;
   cshard.index = 2;
@@ -490,7 +493,7 @@ TEST_F(StorageTest, ShardSweepsRemoveOnlyTheirOwnKeysShards) {
   for (const std::string key : {"aaa", "aaab"}) {
     for (std::uint32_t i = 0; i < 2; ++i) {
       shard.index = i;
-      archive.store_shard(key, shard);
+      archive.shard_hooks(key).save(shard);
       cshard.index = i;
       ASSERT_TRUE(store.put(campaign_shard_name(key, i),
                             encode_campaign_shard(cshard))

@@ -646,22 +646,22 @@ int run_one_campaign(const fsm::FsmCircuit& circuit,
                      const core::CedHardware& hw,
                      const std::vector<sim::StuckAtFault>& faults,
                      const sim::CampaignOptions& copts,
-                     const sim::CampaignShardingOptions& sharding,
+                     const ShardPlan& plan,
                      storage::ArtifactStore& store, bool resume,
                      const std::string& label,
                      std::vector<std::string>& json_entries) {
   const auto units = sim::campaign_units(circuit, faults, copts);
   const int num_shards =
-      core::resolve_checkpoint_shards(sharding.num_shards, units.size());
+      core::resolve_checkpoint_shards(plan.num_shards, units.size());
   const std::string ckey =
       sim::campaign_digest(circuit, hw, faults, copts, num_shards);
 
-  sim::CampaignCheckpointHooks hooks = storage::make_campaign_hooks(store, ckey);
+  auto hooks = storage::make_campaign_hooks(store, ckey);
   if (!resume) hooks.load = {};  // checkpoint reuse is opt-in, like protect
 
   const auto t0 = std::chrono::steady_clock::now();
   const sim::CampaignReport rep =
-      sim::run_campaign(circuit, hw, faults, copts, sharding, hooks);
+      sim::run_campaign(circuit, hw, faults, copts, plan, hooks);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -751,10 +751,10 @@ int cmd_campaign(int argc, char** argv) {
   base.deadline = core::Deadline::from(budget);
   base.obs = sinks;
 
-  sim::CampaignShardingOptions sharding;
-  sharding.num_shards =
+  ShardPlan plan;
+  plan.num_shards =
       std::atoi(arg_value(argc, argv, "--checkpoint-shards", "0").c_str());
-  sharding.max_new_shards =
+  plan.max_new_shards =
       std::atoi(arg_value(argc, argv, "--max-new-shards", "0").c_str());
   const bool resume = has_flag(argc, argv, "--resume");
 
@@ -789,7 +789,7 @@ int cmd_campaign(int argc, char** argv) {
     for (const sim::CampaignOptions& copts : runs) {
       exit_code = std::max(
           exit_code, run_one_campaign(d.design.circuit, d.hw, d.design.faults,
-                                      copts, sharding, store, resume, argv[2],
+                                      copts, plan, store, resume, argv[2],
                                       json_entries));
     }
   } catch (const std::invalid_argument& e) {

@@ -191,6 +191,25 @@ fi
 cmp "$obs_tmp"/camp-r/camp-*.ced "$obs_tmp"/camp-1/camp-*.ced \
   || { echo "resumed campaign verdicts diverge from the clean run"; exit 1; }
 
+echo "== extraction resume gate: interrupted + resumed tables match a clean run =="
+# Stopped by the shard quota after 3 of 16 shards, s1488 p=3 must report
+# truncation; --resume must load those 3 checkpoints (not quarantine and
+# recompute them) and file the tables of an uninterrupted run.
+./build/tools/ced_cli protect "$obs_tmp/s1488.kiss" --latency=3 --threads=4 \
+    --store="$obs_tmp/tab-clean" > /dev/null
+if ./build/tools/ced_cli protect "$obs_tmp/s1488.kiss" --latency=3 \
+    --threads=4 --store="$obs_tmp/tab-r" --max-new-shards=3 \
+    > /dev/null 2>&1; then
+  echo "interrupted extraction did not report truncation"; exit 1
+fi
+./build/tools/ced_cli protect "$obs_tmp/s1488.kiss" --latency=3 --threads=4 \
+    --store="$obs_tmp/tab-r" --resume \
+    --metrics-out="$obs_tmp/tab-resume.json" > /dev/null
+grep -Eq '"ced_extract_shards_resumed_total": *3([^0-9]|$)' "$obs_tmp/tab-resume.json" \
+  || { echo "the resumed extraction did not load its 3 checkpoints"; exit 1; }
+cmp "$obs_tmp"/tab-r/tab-*.ced "$obs_tmp"/tab-clean/tab-*.ced \
+  || { echo "resumed extraction tables diverge from the clean run"; exit 1; }
+
 echo "== deprecation gate: in-tree code uses only the new API =="
 # The PR-5 core::run_pipeline / core::run_latency_sweep shims are gone;
 # this build keeps the warning promoted to an error so any future
