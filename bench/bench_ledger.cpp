@@ -6,7 +6,9 @@
 // (core::extract_cases_multi), the selected scheme's q and parity masks
 // (ced::run_latency_sweep), and whether the exhaustive stuck-at campaign
 // (sim::run_campaign) proves the bound p on the checker the sweep
-// synthesized for the scheme (PipelineReport::hw; bound=holds|violated).
+// synthesized for the scheme (PipelineReport::hw; bound=holds|violated),
+// that checker's cost and a digest of its netlist (ced=<gates>/<area>
+// hw=<digest>), and the q values Algorithm 1 probed (probes=, in order).
 // All three run at a fixed 4 threads: without a store, extraction runs
 // one shard per thread and divides the degrade threshold among the
 // shards, so a strengthened table (s1488 p=3) depends on the thread count.
@@ -28,6 +30,7 @@
 #include "common.hpp"
 #include "common/digest.hpp"
 #include "core/run.hpp"
+#include "logic/netlist.hpp"
 #include "sim/campaign.hpp"
 
 namespace {
@@ -120,6 +123,17 @@ std::vector<std::string> ledger_lines(const std::string& name) {
         line += buf;
       }
       line += std::string(" bound=") + bound_verdict(design, rep.hw, p);
+      char cost[64];
+      std::snprintf(cost, sizeof cost, " ced=%zu/%.1f", rep.ced_gates,
+                    rep.ced_area);
+      line += cost;
+      Digest128 hw;
+      logic::absorb_netlist(hw, rep.hw.checker);
+      line += " hw=" + hw.hex() + " probes=";
+      for (std::size_t i = 0; i < rep.algo_stats.qs_tried.size(); ++i) {
+        line += (i == 0 ? "" : ",") +
+                std::to_string(rep.algo_stats.qs_tried[i]);
+      }
       lines.push_back(std::move(line));
     }
   }
