@@ -161,7 +161,7 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
   if (q <= 0) return std::nullopt;
 
   // The hardness ordering and the kernel depend only on the table; a
-  // caller probing several q values (the binary search) passes one context
+  // caller probing several q values (the q search) passes one context
   // down instead of recomputing them per probe.
   std::optional<SolverContext> local_ctx;
   if (ctx == nullptr) {
@@ -214,7 +214,7 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
   lp_opts.obs = opts.obs;
   // Basis reuse across formulations: every optimal solve deposits its basis
   // in the shared context; the next solve (same q next round, or the
-  // adjacent q of the binary search) maps it onto the new formulation by
+  // next q probe, one tree fewer) maps it onto the new formulation by
   // identity keys and starts from there.
   lp_opts.want_basis = true;
 
@@ -458,7 +458,7 @@ std::vector<ParityFunc> minimize_parity_functions(
 
   // Everything that depends only on the table — the bit-sliced kernel and
   // the hardness ordering — is computed once and shared by the greedy
-  // seeding, every q probed by the binary search, and the post-pass. The
+  // seeding, every q the search probes, and the post-pass. The
   // cascade driver passes its own context down; standalone callers build
   // a local one.
   std::optional<SolverContext> local_ctx;
@@ -490,16 +490,18 @@ std::vector<ParityFunc> minimize_parity_functions(
     from_greedy = false;
   }
 
-  int left = 1;
-  int right = static_cast<int>(best.size());
-  while (left < right) {
+  // Probe downward from the incumbent: q = |best| - 1 until the first q
+  // the LP relaxation and rounding cannot cover. The paper bisects [1, |best|)
+  // instead, but the probes far below the incumbent almost never succeed;
+  // this order stops at the first failure (DESIGN §5).
+  while (best.size() > 1) {
     if (opts.deadline.expired()) {
       // Out of time: the incumbent (greedy or a prior q's solution) is a
       // verified complete cover — return it instead of searching on.
       st->deadline_hit = true;
       break;
     }
-    const int q = left + (right - left) / 2;
+    const int q = static_cast<int>(best.size()) - 1;
     st->qs_tried.push_back(q);
     obs::ScopedSpan probe(obs_opts.obs, "solve-q");
     probe.attr("q", std::to_string(q));
@@ -507,18 +509,9 @@ std::vector<ParityFunc> minimize_parity_functions(
     probe_opts.obs = obs_opts.obs.under(probe.id());
     auto sol = solve_for_q(table, q, probe_opts, st, &ctx);
     probe.attr("cover", sol ? "yes" : "no");
-    if (sol && sol->size() < best.size()) {
-      best = std::move(*sol);
-      from_greedy = false;
-      right = static_cast<int>(best.size());
-    } else if (sol) {
-      // Found a cover but not smaller than current best; still shrink the
-      // search window.
-      right = q;
-      from_greedy = false;
-    } else {
-      left = q + 1;
-    }
+    if (!sol) break;
+    best = std::move(*sol);
+    from_greedy = false;
   }
 
   if (opts.post_optimize && !opts.deadline.expired()) {
@@ -541,7 +534,7 @@ std::vector<ParityFunc> minimize_parity_functions(
   st->greedy_fallback = from_greedy;
 
   // Fold the search's metrics (deltas over this call, so a reused stats
-  // block never double-counts) and annotate the span with the binary-search
+  // block never double-counts) and annotate the span with the q search's
   // trajectory. All write-only: nothing above ever read a sink.
   if (obs::MetricsRegistry* m = opts.obs.metrics) {
     obs::MetricsShard shard(m);

@@ -14,7 +14,8 @@
 namespace ced::core {
 
 /// Options for Algorithm 1 (LP relaxation + randomized rounding inside a
-/// binary search on the number of parity trees q).
+/// search on the number of parity trees q, probed downward from the
+/// incumbent).
 struct Algorithm1Options {
   /// ITER of the paper: rounding attempts per LP solution.
   int iter = 40;
@@ -31,7 +32,7 @@ struct Algorithm1Options {
   /// Hill-climb repair of the best near-miss rounding before giving up on
   /// one q (practical extension; disable for a paper-faithful solver).
   bool repair = true;
-  /// After the binary search: repeatedly try dropping one tree from the
+  /// After the q search: repeatedly try dropping one tree from the
   /// incumbent and repairing the loss (practical extension that enforces
   /// solution quality independent of rounding luck; disable for a
   /// paper-faithful solver).
@@ -49,10 +50,10 @@ struct Algorithm1Options {
   lp::SolverOptions lp;
   GreedyOptions greedy;
   /// Wall-clock budget for the whole Algorithm-1 search (forwarded to the
-  /// LP solver and the greedy seeding). On expiry the binary search stops
+  /// LP solver and the greedy seeding). On expiry the q search stops
   /// and the best incumbent so far is returned — never nothing.
   Deadline deadline;
-  /// Observability sinks (spans for the binary search and LP solves,
+  /// Observability sinks (spans for the q probes and LP solves,
   /// counters for trials/repairs/pivots). Purely write-only diagnostics:
   /// the selected parities are byte-identical with sinks set or null.
   obs::Sinks obs;
@@ -76,7 +77,7 @@ struct Algorithm1Stats {
   /// basis survived factorization).
   int lp_warm_attempts = 0;
   int lp_warm_hits = 0;
-  /// True when the binary search never beat the greedy upper bound and the
+  /// True when the q search never beat the greedy upper bound and the
   /// greedy solution was returned.
   bool greedy_fallback = false;
   /// True when an LP solve stopped on its iteration or time budget (the
@@ -105,7 +106,7 @@ struct Algorithm1Stats {
 
 struct ResilienceReport;
 
-/// Per-table precomputation shared by every q probed by the binary search
+/// Per-table precomputation shared by every q probed by the search
 /// and by the post-optimization pass: the bit-sliced cover kernel plus the
 /// hardness ordering of the rows (both depend only on the table, so they
 /// are built once per cascade instead of per solve_for_q call). Standalone
@@ -144,7 +145,7 @@ struct SolverContext {
       std::chrono::steady_clock::now();
 
   /// Basis memory of the most recent optimal LP solve over this table:
-  /// the next formulation — the adjacent q probe of the binary search,
+  /// the next formulation — the next q probe (one tree fewer),
   /// the next row-generation round, or a re-solve after condensation
   /// rebuilt the context — maps it onto itself by identity keys
   /// (core/ilp.hpp) and warm-starts from it. Mutable because probing q is
@@ -162,8 +163,10 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
     const DetectabilityTable& table, int q, const Algorithm1Options& opts = {},
     Algorithm1Stats* stats = nullptr, const SolverContext* ctx = nullptr);
 
-/// Algorithm 1: binary search on q (upper bound seeded by the greedy
-/// solver, which also serves as the fallback solution). Returns a complete
+/// Algorithm 1: search on q (upper bound seeded by the greedy solver,
+/// which also serves as the fallback solution). It probes q = incumbent - 1
+/// and stops at the first q that LP relaxation plus rounding cannot cover;
+/// the paper bisects [1, incumbent) instead (DESIGN §5). Returns a complete
 /// cover; size is minimal up to rounding luck.
 ///
 /// `warm_start` optionally seeds the incumbent: if it covers the table and

@@ -1,8 +1,10 @@
 #include "core/parity_synth.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <unordered_set>
 
+#include "common/parallel.hpp"
 #include "logic/factor.hpp"
 #include "logic/opt.hpp"
 #include "sim/fault_sim.hpp"
@@ -20,20 +22,75 @@ bool CedHardware::error_asserted(std::uint64_t input,
   return ((outs >> error_index) & 1) != 0;
 }
 
-CedHardware synthesize_ced(const fsm::FsmCircuit& circuit,
-                           std::span<const ParityFunc> parities,
-                           const CedSynthOptions& opts) {
-  CedHardware hw;
-  hw.parities.assign(parities.begin(), parities.end());
-  hw.r = circuit.r();
-  hw.s = circuit.s();
-  hw.n = circuit.n();
-  hw.q = static_cast<int>(parities.size());
-  hw.hold_registers = 2 * parities.size();
-
-  if (hw.r + hw.s + hw.n > 62) {
+CedSynthesizer::CedSynthesizer(const fsm::FsmCircuit& circuit,
+                               const CedSynthOptions& opts, int threads)
+    : opts_(opts),
+      threads_(threads),
+      r_(circuit.r()),
+      s_(circuit.s()),
+      n_(circuit.n()) {
+  if (r_ + s_ + n_ > 62) {
     throw std::invalid_argument("synthesize_ced: checker input space too wide");
   }
+  dc_ = logic::BitVec(std::size_t{1} << (r_ + s_));
+  sim::GoldenCache golden(circuit);
+  std::unordered_set<std::uint64_t> reachable;
+  for (std::uint64_t c :
+       sim::reachable_codes(circuit, circuit.enc.reset_code)) {
+    reachable.insert(c);
+  }
+  const std::uint64_t num_codes = std::uint64_t{1} << s_;
+  const std::uint64_t num_inputs = std::uint64_t{1} << r_;
+  for (std::uint64_t code = 0; code < num_codes; ++code) {
+    if (opts_.dc_unreachable && !reachable.count(code)) {
+      for (std::uint64_t a = 0; a < num_inputs; ++a) {
+        dc_.set(circuit.enc.pack(a, code));
+      }
+      continue;
+    }
+    const auto& rows = golden.rows(code);
+    for (std::uint64_t a = 0; a < num_inputs; ++a) {
+      rows_.push_back({circuit.enc.pack(a, code), rows[a]});
+    }
+  }
+}
+
+const CedHardware& CedSynthesizer::synthesize(
+    std::span<const ParityFunc> parities) {
+  reused_ = hw_ && std::ranges::equal(hw_->parities, parities);
+  if (reused_) return *hw_;
+
+  // --- Prediction logic: parity of the fault-free response, as a function
+  // of (input, present state). Each predictor is specified and minimized
+  // on its own, so they run in parallel; the netlist is built serially
+  // below, in mask order.
+  struct Predictor {
+    logic::Cover cover;
+    logic::FactorNode factored;  ///< when opts_.factor
+  };
+  std::vector<Predictor> preds(parities.size());
+  parallel_for(threads_, parities.size(), [&](std::size_t l) {
+    logic::SopSpec spec(r_ + s_);
+    spec.dc = dc_;
+    for (const GoldenRow& row : rows_) {
+      if (std::popcount(parities[l] & row.response) & 1) spec.on.set(row.alpha);
+    }
+    Predictor& pred = preds[l];
+    pred.cover = opts_.minimizer == fsm::MinimizerKind::kExact
+                     ? logic::minimize_exact(spec)
+                     : (opts_.minimizer == fsm::MinimizerKind::kNone
+                            ? logic::cover_from_on_set(spec)
+                            : logic::minimize_espresso(spec));
+    if (opts_.factor) pred.factored = logic::factor_cover(pred.cover);
+  });
+
+  CedHardware hw;
+  hw.parities.assign(parities.begin(), parities.end());
+  hw.r = r_;
+  hw.s = s_;
+  hw.n = n_;
+  hw.q = static_cast<int>(parities.size());
+  hw.hold_registers = 2 * parities.size();
 
   logic::Netlist& nl = hw.checker;
   std::vector<std::uint32_t> in_nets, st_nets, obs_nets;
@@ -47,7 +104,7 @@ CedHardware synthesize_ced(const fsm::FsmCircuit& circuit,
     obs_nets.push_back(nl.add_input("b" + std::to_string(i)));
   }
 
-  logic::SynthContext ctx(nl, opts.synth);
+  logic::SynthContext ctx(nl, opts_.synth);
 
   // --- Compaction: one XOR tree per parity function.
   std::vector<std::uint32_t> compact_nets;
@@ -60,57 +117,13 @@ CedHardware synthesize_ced(const fsm::FsmCircuit& circuit,
     compact_nets.push_back(net);
   }
 
-  // --- Prediction logic: parity of the fault-free response, as a function
-  // of (input, present state).
-  const int vars = hw.r + hw.s;
-  std::vector<logic::SopSpec> specs(parities.size(), logic::SopSpec(vars));
-  {
-    sim::GoldenCache golden(circuit);
-    std::unordered_set<std::uint64_t> reachable;
-    for (std::uint64_t c :
-         sim::reachable_codes(circuit, circuit.enc.reset_code)) {
-      reachable.insert(c);
-    }
-    const std::uint64_t num_codes = std::uint64_t{1} << hw.s;
-    const std::uint64_t num_inputs = std::uint64_t{1} << hw.r;
-    for (std::uint64_t code = 0; code < num_codes; ++code) {
-      const bool dc = opts.dc_unreachable && !reachable.count(code);
-      if (dc) {
-        for (auto& spec : specs) {
-          for (std::uint64_t a = 0; a < num_inputs; ++a) {
-            spec.dc.set(circuit.enc.pack(a, code));
-          }
-        }
-        continue;
-      }
-      const auto& rows = golden.rows(code);
-      for (std::uint64_t a = 0; a < num_inputs; ++a) {
-        const std::uint64_t alpha = circuit.enc.pack(a, code);
-        for (std::size_t l = 0; l < parities.size(); ++l) {
-          if (std::popcount(parities[l] & rows[a]) & 1) {
-            specs[l].on.set(alpha);
-          }
-        }
-      }
-    }
-  }
-
   std::vector<std::uint32_t> pred_vars = in_nets;
   pred_vars.insert(pred_vars.end(), st_nets.begin(), st_nets.end());
   std::vector<std::uint32_t> pred_nets;
-  for (std::size_t l = 0; l < parities.size(); ++l) {
-    logic::Cover cover =
-        opts.minimizer == fsm::MinimizerKind::kExact
-            ? logic::minimize_exact(specs[l])
-            : (opts.minimizer == fsm::MinimizerKind::kNone
-                   ? logic::cover_from_on_set(specs[l])
-                   : logic::minimize_espresso(specs[l]));
-    if (opts.factor) {
-      pred_nets.push_back(logic::synthesize_factor(
-          ctx, logic::factor_cover(cover), pred_vars));
-    } else {
-      pred_nets.push_back(ctx.sop(cover, pred_vars));
-    }
+  for (const Predictor& pred : preds) {
+    pred_nets.push_back(
+        opts_.factor ? logic::synthesize_factor(ctx, pred.factored, pred_vars)
+                     : ctx.sop(pred.cover, pred_vars));
   }
 
   // --- Comparator over the held values.
@@ -120,7 +133,7 @@ CedHardware synthesize_ced(const fsm::FsmCircuit& circuit,
   for (std::size_t l = 0; l < pred_nets.size(); ++l) {
     nl.mark_output(pred_nets[l], "pred" + std::to_string(l));
   }
-  if (opts.two_rail && !parities.empty()) {
+  if (opts_.two_rail && !parities.empty()) {
     hw.two_rail = true;
     // Dual-rail pairs (compact_l, NOT pred_l): complementary exactly when
     // compact_l == pred_l. A tree of two-rail checker cells reduces them
@@ -156,10 +169,17 @@ CedHardware synthesize_ced(const fsm::FsmCircuit& circuit,
     const std::uint32_t error_net = ctx.comparator(compact_nets, pred_nets);
     nl.mark_output(error_net, "error");
   }
-  if (opts.optimize) {
+  if (opts_.optimize) {
     hw.checker = logic::optimize_netlist(hw.checker);
   }
-  return hw;
+  hw_ = std::move(hw);
+  return *hw_;
+}
+
+CedHardware synthesize_ced(const fsm::FsmCircuit& circuit,
+                           std::span<const ParityFunc> parities,
+                           const CedSynthOptions& opts) {
+  return CedSynthesizer(circuit, opts, 1).synthesize(parities);
 }
 
 }  // namespace ced::core

@@ -1,11 +1,13 @@
 #pragma once
 
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "core/parity.hpp"
 #include "fsm/synthesize.hpp"
 #include "logic/area.hpp"
+#include "logic/bitvec.hpp"
 
 namespace ced::core {
 
@@ -58,10 +60,52 @@ struct CedHardware {
   }
 };
 
-/// Builds the Fig. 3 architecture for the chosen parity functions.
-/// The prediction logic is specified from the fault-free circuit itself
-/// (golden simulation of every reachable state) and minimized with the
-/// same two-level flow as the FSM logic.
+/// Builds the Fig. 3 checkers of one circuit, one scheme after another.
+/// The constructor does the work every scheme shares: it simulates the
+/// fault-free circuit on every specified state code once (the golden rows
+/// the prediction logic is specified from) and marks the input
+/// assignments of unreachable codes as don't-cares. synthesize() then
+/// specifies and minimizes one predictor per parity function under
+/// parallel_for at `threads` workers (each predictor depends only on its
+/// mask) and maps them onto the netlist serially, in mask order, so the
+/// checker is identical at every thread count. A latency sweep whose
+/// consecutive schemes repeat gets the previous checker back unchanged.
+class CedSynthesizer {
+ public:
+  /// Throws std::invalid_argument when the checker's r + s + n inputs do
+  /// not fit one assignment word (more than 62).
+  CedSynthesizer(const fsm::FsmCircuit& circuit, const CedSynthOptions& opts,
+                 int threads);
+
+  /// The checker for `parities`; valid until the next call. When
+  /// `parities` equals the previous call's scheme, the previous checker is
+  /// returned without any work.
+  const CedHardware& synthesize(std::span<const ParityFunc> parities);
+
+  /// True when the last synthesize() returned the previous checker.
+  bool reused() const { return reused_; }
+
+ private:
+  /// One specified input assignment (input, state code) of the prediction
+  /// logic and the fault-free circuit's observable response to it.
+  struct GoldenRow {
+    std::uint64_t alpha;
+    std::uint64_t response;
+  };
+
+  CedSynthOptions opts_;
+  int threads_;
+  int r_, s_, n_;
+  logic::BitVec dc_;
+  std::vector<GoldenRow> rows_;
+  std::optional<CedHardware> hw_;
+  bool reused_ = false;
+};
+
+/// Builds the Fig. 3 architecture for the chosen parity functions: one
+/// serial CedSynthesizer call. The prediction logic is specified from the
+/// fault-free circuit itself (golden simulation of every reachable state)
+/// and minimized with the same two-level flow as the FSM logic.
 CedHardware synthesize_ced(const fsm::FsmCircuit& circuit,
                            std::span<const ParityFunc> parities,
                            const CedSynthOptions& opts = {});

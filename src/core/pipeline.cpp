@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -22,6 +23,7 @@ PipelineReport report_for(const Design& design,
                           const Deadline& deadline,
                           std::span<const ParityFunc> warm_start,
                           bool warm_is_lower_latency_cover,
+                          std::optional<CedSynthesizer>& ced,
                           obs::StageClock& clock, const obs::Sinks& run_obs) {
   const fsm::FsmCircuit& circuit = design.circuit;
   PipelineReport rep;
@@ -78,10 +80,23 @@ PipelineReport report_for(const Design& design,
 
   const std::uint64_t ced_span =
       clock.open(run_obs.tracer, "ced-synth", run_obs.parent_span);
-  rep.hw = synthesize_ced(circuit, rep.parities, opts.ced);
+  // One synthesizer per run, built in the first report's CED lap: it
+  // simulates the golden rows once and hands back the previous checker
+  // when the sweep's scheme repeats.
+  if (!ced) ced.emplace(circuit, opts.ced, opts.exec.threads);
+  rep.hw = ced->synthesize(rep.parities);
   const auto cost = rep.hw.cost(opts.library);
   rep.ced_gates = cost.gates;
   rep.ced_area = cost.area;
+  const std::uint64_t predictors = ced->reused() ? 0 : rep.parities.size();
+  if (run_obs.metrics != nullptr) {
+    run_obs.metrics->add("ced_checker_predictors_total", predictors);
+    run_obs.metrics->add("ced_checker_reuses_total", ced->reused() ? 1 : 0);
+  }
+  if (run_obs.tracer != nullptr && ced_span != 0) {
+    run_obs.tracer->attr(ced_span, "predictors", std::to_string(predictors));
+    run_obs.tracer->attr(ced_span, "reused", ced->reused() ? "yes" : "no");
+  }
   rep.t_ced = clock.close(run_obs.tracer, ced_span);
 
   if (rep.resilience.status.ok() && rep.resilience.degraded()) {
@@ -373,6 +388,7 @@ std::vector<PipelineReport> run_latency_sweep_impl(
 
     std::vector<PipelineReport> reports;
     std::vector<ParityFunc> warm;
+    std::optional<CedSynthesizer> ced;
     for (int p : latencies) {
       const DetectabilityTable& table =
           tables[static_cast<std::size_t>(p - 1)];
@@ -385,7 +401,7 @@ std::vector<PipelineReport> run_latency_sweep_impl(
       const bool ascending = warm.empty() || p >= reports.back().latency;
       PipelineReport rep =
           report_for(design, table, opts, deadline, warm,
-                     ascending && !any_truncated, clock, run_obs);
+                     ascending && !any_truncated, ced, clock, run_obs);
       rep.t_synth = t_synth;
       rep.t_extract = t_extract;
       rep.extraction_key = extraction_key;

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "benchdata/handwritten.hpp"
+#include "benchdata/suite.hpp"
 #include "common/parallel.hpp"
 #include "core/run.hpp"
 #include "kiss/kiss.hpp"
@@ -261,6 +262,10 @@ TEST(ObsDeterminism, ResultsAreByteIdenticalWithObsOnOrOff) {
     const obs::MetricsSnapshot snap = metrics.snapshot();
     EXPECT_GT(snap.counters.at("ced_extract_cases_total"), 0u);
     EXPECT_GT(snap.counters.at("ced_solve_kernel_builds_total"), 0u);
+    // One checker: a predictor per tree, nothing to reuse.
+    EXPECT_EQ(snap.counters.at("ced_checker_predictors_total"),
+              observed.parities.size());
+    EXPECT_EQ(snap.counters.at("ced_checker_reuses_total"), 0u);
     // The extraction shards' simulator counters and the trace gauge.
     EXPECT_GT(snap.counters.at("ced_sim_cone_rows_total"), 0u);
     EXPECT_GT(snap.counters.at("ced_sim_cone_gates_total"), 0u);
@@ -274,6 +279,52 @@ TEST(ObsDeterminism, ResultsAreByteIdenticalWithObsOnOrOff) {
       ASSERT_TRUE(snap.counters.contains(name)) << name;
       EXPECT_GT(snap.counters.at(name), 0u) << name;
     }
+  }
+}
+
+TEST(ObsDeterminism, CheckerCountersFollowTheSweepsRepeats) {
+  // tav impl at p=1..3 picks two different schemes, then repeats the
+  // second. A repeated scheme reuses the previous checker and minimizes no
+  // predictor; a new one minimizes one predictor per tree. The counters and
+  // the ced-synth spans say so, and the schemes equal an unobserved sweep's.
+  const fsm::Fsm f = benchdata::suite_fsm("tav");
+  const std::vector<int> ps{1, 2, 3};
+  for (const int threads : {1, 4}) {
+    const auto plain = ced::run_latency_sweep(
+        f, ps, *RunConfig::Builder().threads(threads).build());
+    obs::Tracer tracer;
+    obs::MetricsRegistry metrics;
+    const auto reps = ced::run_latency_sweep(
+        f, ps,
+        *RunConfig::Builder()
+             .threads(threads)
+             .observe({&tracer, &metrics, 0})
+             .build());
+    ASSERT_EQ(reps.size(), ps.size());
+    std::uint64_t predictors = 0, reuses = 0;
+    std::vector<std::string> reused;
+    for (std::size_t i = 0; i < reps.size(); ++i) {
+      EXPECT_EQ(reps[i].parities, plain[i].parities) << "threads=" << threads;
+      const bool repeat = i > 0 && reps[i].parities == reps[i - 1].parities;
+      reuses += repeat ? 1 : 0;
+      predictors += repeat ? 0 : reps[i].parities.size();
+      reused.push_back(repeat ? "yes" : "no");
+    }
+    EXPECT_EQ(reuses, 1u) << "threads=" << threads;
+    const obs::MetricsSnapshot snap = metrics.snapshot();
+    EXPECT_EQ(snap.counters.at("ced_checker_predictors_total"), predictors);
+    EXPECT_EQ(snap.counters.at("ced_checker_reuses_total"), reuses);
+    std::vector<std::string> span_reused;
+    std::uint64_t span_predictors = 0;
+    for (const obs::SpanRecord& s : tracer.snapshot()) {
+      if (s.name != "ced-synth") continue;
+      for (const auto& [key, value] : s.attrs) {
+        if (key == "reused") span_reused.push_back(value);
+        if (key == "predictors") span_predictors += std::stoull(value);
+      }
+    }
+    EXPECT_EQ(span_reused, reused) << "threads=" << threads;
+    EXPECT_EQ(span_predictors, predictors) << "threads=" << threads;
   }
 }
 
