@@ -303,9 +303,11 @@ LpResult solve_dense(const LpProblem& p, const SolverOptions& opts) {
     double last_obj = phase_objective(tb, cost1);
     for (;; ++iter) {
       if (iter > opts.max_iterations) {
-        return LpResult{Status::kIterLimit, 0, {}, iter};
+        return LpResult{.status = Status::kIterLimit, .iterations = iter};
       }
-      if (out_of_time()) return LpResult{Status::kTimeLimit, 0, {}, iter};
+      if (out_of_time()) {
+        return LpResult{.status = Status::kTimeLimit, .iterations = iter};
+      }
       const StepResult sr = step(tb, opts.eps, stall > 2 * (m + n));
       if (sr == StepResult::kOptimal) break;
       if (sr == StepResult::kUnbounded) break;  // cannot happen in phase 1
@@ -318,7 +320,7 @@ LpResult solve_dense(const LpProblem& p, const SolverOptions& opts) {
       }
     }
     if (phase_objective(tb, cost1) > 1e-6) {
-      return LpResult{Status::kInfeasible, 0, {}, iter};
+      return LpResult{.status = Status::kInfeasible, .iterations = iter};
     }
 
     // Pin artificials to zero so they never re-enter with positive value.
@@ -359,13 +361,15 @@ LpResult solve_dense(const LpProblem& p, const SolverOptions& opts) {
   double last_obj = phase_objective(tb, cost2);
   for (;; ++iter) {
     if (iter > opts.max_iterations) {
-      return LpResult{Status::kIterLimit, 0, {}, iter};
+      return LpResult{.status = Status::kIterLimit, .iterations = iter};
     }
-    if (out_of_time()) return LpResult{Status::kTimeLimit, 0, {}, iter};
+    if (out_of_time()) {
+      return LpResult{.status = Status::kTimeLimit, .iterations = iter};
+    }
     const StepResult sr = step(tb, opts.eps, stall > 2 * (m + n));
     if (sr == StepResult::kOptimal) break;
     if (sr == StepResult::kUnbounded) {
-      return LpResult{Status::kUnbounded, 0, {}, iter};
+      return LpResult{.status = Status::kUnbounded, .iterations = iter};
     }
     const double obj = phase_objective(tb, cost2);
     if (obj < last_obj - 1e-12) {

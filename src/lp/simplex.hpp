@@ -110,7 +110,7 @@ struct LpResult {
   double objective = 0.0;
   /// Values of the problem variables (size = num_variables()) when
   /// status is kOptimal.
-  std::vector<double> x;
+  std::vector<double> x = {};
   /// Simplex pivots consumed (both phases), whatever the outcome — the
   /// budget accounting callers report in resilience diagnostics.
   int iterations = 0;
@@ -125,7 +125,7 @@ struct LpResult {
   bool warm_applied = false;
   /// The optimal basis when SolverOptions::want_basis was set and solve
   /// reached optimality; nullopt otherwise (and always from solve_dense).
-  std::optional<BasisSnapshot> basis;
+  std::optional<BasisSnapshot> basis = {};
 };
 
 /// Solves the LP with the sparse revised simplex (revised.cpp).

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate plus the kernel/obs smoke checks, the deprecation build
+# Tier-1 gate plus the kernel/obs smoke checks, the warning-free build
 # gate, the Debug oracle cross-checks, and the sanitizer passes.
 #
 #   tools/ci.sh            # plain build + full ctest, then ASan+UBSan build
@@ -210,12 +210,13 @@ grep -Eq '"ced_extract_shards_resumed_total": *3([^0-9]|$)' "$obs_tmp/tab-resume
 cmp "$obs_tmp"/tab-r/tab-*.ced "$obs_tmp"/tab-clean/tab-*.ced \
   || { echo "resumed extraction tables diverge from the clean run"; exit 1; }
 
-echo "== deprecation gate: in-tree code uses only the new API =="
-# The PR-5 core::run_pipeline / core::run_latency_sweep shims are gone;
-# this build keeps the warning promoted to an error so any future
-# [[deprecated]] transition window starts from a tree with zero callers.
+echo "== warning gate: the tree builds with zero warnings =="
+# Every target builds under the project's -Wall -Wextra with warnings
+# promoted to errors. This also keeps deprecated-declarations fatal, so any
+# future [[deprecated]] transition window starts from a tree with zero
+# callers.
 cmake -B build-deprec -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DCMAKE_CXX_FLAGS="-Werror=deprecated-declarations" >/dev/null
+      -DCMAKE_CXX_FLAGS="-Werror" >/dev/null
 cmake --build build-deprec -j "$jobs"
 
 echo "== no-SIMD build: the scalar fallback stands alone =="
