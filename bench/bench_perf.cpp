@@ -9,8 +9,13 @@
 //
 // --threads caps the ladder (default: CED_THREADS env or hardware
 // concurrency); the ladder is 1, 2, 4, ... up to that cap, cap included.
+// A cap above the host's hardware threads is refused (exit 2): a ladder
+// rung with more threads than cores measures time slicing, not scaling.
 // Every run at every thread count must produce the same q — the harness
 // exits 1 on a determinism mismatch or a degraded run, 0 otherwise.
+//
+// The JSON records the host facts a comparison needs: hardware threads,
+// the dispatched SIMD level, the CMake build type and the compiler.
 //
 // On top of the ladder, every circuit gets a solver-stage section at p=2,
 // threads=1 — {condensed, raw} — plus a kernel-throughput microbench
@@ -37,6 +42,7 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common.hpp"
@@ -131,7 +137,7 @@ struct LpRun {
   int lp_refactorizations = 0;
   int lp_warm_attempts = 0;
   int lp_warm_hits = 0;
-  std::vector<int> qs_tried;  ///< binary-search q probes, in probe order
+  std::vector<int> qs_tried;  ///< Algorithm 1's q probes, in probe order
   bool degraded = false;
 };
 
@@ -431,6 +437,15 @@ int main(int argc, char** argv) {
 
   const int max_threads =
       resolve_threads(bench::threads_from_args(argc, argv));
+  const int hardware_threads =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  if (max_threads > hardware_threads) {
+    std::fprintf(stderr,
+                 "[bench_perf] a ladder up to %d threads exceeds this host's "
+                 "%d hardware threads; pass --threads=%d or fewer\n",
+                 max_threads, hardware_threads, hardware_threads);
+    return 2;
+  }
   const int p_max = std::atoi(arg_value(argc, argv, "--latency", "3").c_str());
   const std::string out_path =
       arg_value(argc, argv, "--out", "BENCH_perf.json");
@@ -560,10 +575,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "[bench_perf] cannot write %s\n", out_path.c_str());
     return 1;
   }
-  std::fprintf(out, "{\n  \"schema\": \"ced-bench-perf-v5\",\n");
+  std::fprintf(out, "{\n  \"schema\": \"ced-bench-perf-v6\",\n");
   std::fprintf(out, "  \"latency_max\": %d,\n", p_max);
-  std::fprintf(out, "  \"hardware_threads\": %d,\n", resolve_threads(0));
+  std::fprintf(out, "  \"hardware_threads\": %d,\n", hardware_threads);
   std::fprintf(out, "  \"simd\": \"%s\",\n", to_string(simd_level()));
+  std::fprintf(out, "  \"build_type\": \"%s\",\n",
+               obs::json_escape(CED_BUILD_TYPE).c_str());
+  std::fprintf(out, "  \"compiler\": \"%s\",\n",
+               obs::json_escape(CED_COMPILER).c_str());
   std::fprintf(out, "  \"circuits\": [\n");
   for (std::size_t c = 0; c < perf.size(); ++c) {
     const auto& cp = perf[c];
