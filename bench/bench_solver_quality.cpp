@@ -120,11 +120,11 @@ int main(int argc, char** argv) {
       "\nReading: rounding the fractional LP point alone rarely produces an\n"
       "exact parity cover at q = q* — the LP relaxation loses the GF(2)\n"
       "structure (Statement 5's mod-removal is tight only at integer\n"
-      "points), so the binary search settles one tree high. The practical\n"
-      "power comes from the drop-one-tree-and-repair post-optimization\n"
-      "(last column; on by default in the pipeline), which walks a q*+1\n"
-      "cover down to the optimum. The headline comparison above holds:\n"
-      "the full solver matches the exact optimum within one tree on every\n"
-      "instance.\n");
+      "points), so the search on q, probing down from the greedy bound,\n"
+      "stops one tree high. The practical power comes from the\n"
+      "drop-one-tree-and-repair post-optimization (last column; on by\n"
+      "default in the pipeline), which walks a q*+1 cover down to the\n"
+      "optimum. It is on in the headline comparison above, where the\n"
+      "solver matches the exact optimum on every instance.\n");
   return 0;
 }

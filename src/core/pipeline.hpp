@@ -35,14 +35,14 @@ struct PipelineOptions {
   sim::FaultListOptions faults;
   ExtractOptions extract;  ///< .latency is overridden by `latency`
   /// Execution policy for the whole run (common/exec.hpp): worker threads
-  /// for the parallel stages (erroneous-case extraction and
-  /// randomized-rounding trials; `exec.threads`: 1 = serial, 0 =
-  /// CED_THREADS env or hardware concurrency, otherwise exactly that many
-  /// — it overrides the `threads` members of `extract` and `algo`). The
-  /// policy is installed ambiently around the run, so every stage and
-  /// worker thread sees it. Results (tables, parities, CED hardware) are
-  /// identical under every thread count on non-truncated runs; only
-  /// wall-clock changes.
+  /// for the parallel stages (erroneous-case extraction, randomized-rounding
+  /// trials and the CED predictors' minimization; `exec.threads`: 1 =
+  /// serial, 0 = CED_THREADS env or hardware concurrency, otherwise
+  /// exactly that many — it overrides the `threads` members of `extract`
+  /// and `algo`). The policy is installed ambiently around the run, so
+  /// every stage and worker thread sees it. Results (tables, parities, CED
+  /// hardware) are identical under every thread count on non-truncated
+  /// runs; only wall-clock changes.
   ExecPolicy exec;
   /// Subset-dominance condensation before the solver (coverkernel.hpp):
   /// rows whose difference-word set contains another row's set add no

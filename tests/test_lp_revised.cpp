@@ -442,7 +442,7 @@ TEST(RevisedLp, WarmFromOwnBasisIsFree) {
 }
 
 // The cross-formulation warm-start contract: mapping the q-basis onto the
-// q+1 / q-1 formulations (the binary search's neighbors) must leave the
+// q+1 / q-1 formulations (the neighbouring q probes) must leave the
 // optimal objective and the feasibility verdict identical to a cold solve
 // — a warm start changes the pivot path, never the answer.
 TEST(RevisedLp, WarmAcrossQMatchesColdOracle) {

@@ -266,7 +266,7 @@ TEST(Algorithm1, InvalidWarmStartIsIgnored) {
 }
 
 TEST(Algorithm1, PaperFaithfulModeStillSolves) {
-  // repair/post-optimize off: pure binary search + LP + rounding.
+  // repair/post-optimize off: pure q search + LP + rounding.
   const DetectabilityTable t = table_for("traffic", 2);
   Algorithm1Options opts;
   opts.repair = false;

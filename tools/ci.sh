@@ -35,9 +35,10 @@ ctest --preset default -j "$jobs"
 
 echo "== results ledger: every Table-1 circuit reproduces bench/ledger.txt =="
 # Tier-1 checks the small suite; this checks all 16 circuits, both EC
-# semantics, p=1..3: case counts, case-list digests, q, parity masks and
+# semantics, p=1..3: case counts, case-list digests, q, parity masks,
 # whether the exhaustive campaign proves the bound on the synthesized
-# checker (bound=holds|violated). The tool pins its own thread count (4):
+# checker (bound=holds|violated), that checker's cost and netlist digest,
+# and the q values Algorithm 1 probed. The tool pins its own thread count (4):
 # no-store extraction strengthens degraded tables by a
 # thread-count-dependent amount.
 ./build/bench/bench_ledger --check=bench/ledger.txt
