@@ -8,7 +8,9 @@
 // (sim::run_campaign) proves the bound p on the checker the sweep
 // synthesized for the scheme (PipelineReport::hw; bound=holds|violated),
 // that checker's cost and a digest of its netlist (ced=<gates>/<area>
-// hw=<digest>), and the q values Algorithm 1 probed (probes=, in order).
+// hw=<digest>), the q values Algorithm 1 probed (probes=, in order), and
+// the table's enumerated paths and loop truncations (paths=, loops=),
+// which pin the DFS order and its subtree pruning, not only the cases.
 // All three run at a fixed 4 threads: without a store, extraction runs
 // one shard per thread and divides the degrade threshold among the
 // shards, so a strengthened table (s1488 p=3) depends on the thread count.
@@ -134,6 +136,8 @@ std::vector<std::string> ledger_lines(const std::string& name) {
         line += (i == 0 ? "" : ",") +
                 std::to_string(rep.algo_stats.qs_tried[i]);
       }
+      line += " paths=" + std::to_string(table.num_paths) +
+              " loops=" + std::to_string(table.num_loop_truncations);
       lines.push_back(std::move(line));
     }
   }
