@@ -385,6 +385,7 @@ class ShardWorker {
     const auto t = static_cast<std::size_t>(latency - 1);
     if (frozen(t)) return;
     auto& set = sets_[t];
+    const bool cut = ec.length > max_words_[t];
     ec = strengthen(ec, max_words_[t]);
     if (dominated(ec, set, counters_.subset_probes)) {
       ++counters_.cases_dominated;
@@ -392,6 +393,7 @@ class ShardWorker {
     }
     if (!set.insert(ec)) return;
     ++counters_.case_inserts;
+    if (cut) tables_[t].strengthened = true;
     auto& threshold = compact_threshold_[t];
     if (set.size() > threshold) {
       compact(set, counters_);
@@ -399,11 +401,14 @@ class ShardWorker {
     }
     while (set.size() > degrade_threshold_ && max_words_[t] > 1) {
       // Degrade: strengthen every case of this table to fewer words and
-      // rebuild the subset-minimal antichain.
+      // rebuild the subset-minimal antichain. The table is flagged only
+      // when a case loses a word: the first step at p < kMaxLatency
+      // shortens none.
       const int words = --max_words_[t];
-      tables_[t].strengthened = true;
-      set.transform(
-          [words](const ErroneousCase& c) { return strengthen(c, words); });
+      set.transform([&](const ErroneousCase& c) {
+        if (c.length > words) tables_[t].strengthened = true;
+        return strengthen(c, words);
+      });
       compact(set, counters_);
       threshold = std::max<std::size_t>(2 * set.size(), kCompactStart);
     }

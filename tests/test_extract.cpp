@@ -333,6 +333,27 @@ TEST(Extract, DegradedTablesArePinnedAtOneAndFourThreads) {
   }
 }
 
+TEST(Extract, DegradeStepThatShortensNoCaseLeavesTheTableUnflagged) {
+  // On the 16-shard store partition each shard degrades ex1's p=3 table
+  // against 2M / 16 cases. Its first step (4 -> 3 words) shortens no case
+  // of a p=3 table, and the compaction that follows brings the set under
+  // the share, so the table equals the unstrengthened 4-shard one.
+  const Design d = derive_design(benchdata::suite_fsm("ex1"), {});
+  ExtractOptions opts;
+  opts.latency = 3;
+  opts.threads = 4;
+  const DetectabilityTable four =
+      extract_cases_multi(d.circuit, d.faults, opts).back();
+  const DetectabilityTable sixteen =
+      extract_cases_sharded(d.circuit, d.faults, opts, {.num_shards = 16})
+          .back();
+  EXPECT_FALSE(four.strengthened);
+  EXPECT_FALSE(sixteen.strengthened);
+  EXPECT_FALSE(sixteen.truncated);
+  EXPECT_EQ(sixteen.cases.size(), 53487u);
+  EXPECT_EQ(sixteen.cases, four.cases);
+}
+
 TEST(Extract, UnrestrictedActivationsSupersetReachable) {
   const fsm::FsmCircuit c = circuit_for("seq_detect");
   const auto faults = sim::enumerate_stuck_at(c.netlist);
