@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 
 #include "common/digest.hpp"
 #include "common/parallel.hpp"
@@ -22,6 +24,14 @@ struct Pair {
   std::uint64_t good = 0;
   std::uint64_t bad = 0;
   bool operator==(const Pair&) const = default;
+};
+
+struct PairHash {
+  std::size_t operator()(const Pair& p) const {
+    const std::uint64_t h =
+        p.good * 0x9e3779b97f4a7c15ull ^ p.bad * 0xc2b2ae3d27d4eb4full;
+    return static_cast<std::size_t>(h ^ (h >> 32));
+  }
 };
 
 /// Distinct single-step behaviours from one pair under one fault: inputs
@@ -136,7 +146,9 @@ ErroneousCase canonicalize(const std::uint64_t* diffs, int len) {
 /// Write-only case-set counters of one extraction worker (obs): distinct
 /// cases added to a table's set, inserts refused because a subset was
 /// already there, subset lookups, compaction passes and the cases they
-/// removed, and step classes formed. Results never depend on them.
+/// removed, the step classes the walk reads and the StepClassifier runs
+/// that formed them, and the seconds of every compaction pass and degrade
+/// step. Results never depend on them.
 struct CaseCounters {
   std::uint64_t case_inserts = 0;
   std::uint64_t cases_dominated = 0;
@@ -144,23 +156,40 @@ struct CaseCounters {
   std::uint64_t compactions = 0;
   std::uint64_t cases_compacted = 0;
   std::uint64_t step_classes = 0;
+  std::uint64_t classifications = 0;
+  std::vector<double> compaction_seconds;
+  std::vector<double> degrade_seconds;
 
-  /// Calls fn(metric name, value) for each counter, for the obs exporters.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    fn("ced_extract_case_inserts_total", case_inserts);
-    fn("ced_extract_cases_dominated_total", cases_dominated);
-    fn("ced_extract_subset_probes_total", subset_probes);
-    fn("ced_extract_compactions_total", compactions);
-    fn("ced_extract_cases_compacted_total", cases_compacted);
-    fn("ced_extract_step_classes_total", step_classes);
+  /// Adds every counter to `shard` and observes every timed pass.
+  void record(obs::MetricsShard& shard) const {
+    shard.add("ced_extract_case_inserts_total", case_inserts);
+    shard.add("ced_extract_cases_dominated_total", cases_dominated);
+    shard.add("ced_extract_subset_probes_total", subset_probes);
+    shard.add("ced_extract_compactions_total", compactions);
+    shard.add("ced_extract_cases_compacted_total", cases_compacted);
+    shard.add("ced_extract_step_classes_total", step_classes);
+    shard.add("ced_extract_classifications_total", classifications);
+    for (const double s : compaction_seconds) {
+      shard.observe("ced_extract_compaction_seconds", s);
+    }
+    for (const double s : degrade_seconds) {
+      shard.observe("ced_extract_degrade_seconds", s);
+    }
   }
 };
 
-/// Compacts `set` to its subset-minimal cases, counting the pass.
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// Compacts `set` to its subset-minimal cases, counting and timing the
+/// pass.
 void compact(CaseSet& set, CaseCounters& counters) {
+  const auto t0 = std::chrono::steady_clock::now();
   ++counters.compactions;
   counters.cases_compacted += compact(set, counters.subset_probes);
+  counters.compaction_seconds.push_back(seconds_since(t0));
 }
 
 /// Strengthens a case to its `k` smallest difference words (sound: it
@@ -173,14 +202,6 @@ ErroneousCase strengthen(const ErroneousCase& ec, int k) {
     s.diff[static_cast<std::size_t>(i)] = ec.diff[static_cast<std::size_t>(i)];
   }
   return s;
-}
-
-/// Adds every counter of `counters` (sim::SimCounters, CaseCounters) to
-/// `shard`.
-template <typename Counters>
-void add_counters(obs::MetricsShard& shard, const Counters& counters) {
-  counters.for_each(
-      [&](const char* name, std::uint64_t v) { shard.add(name, v); });
 }
 
 bool case_less(const ErroneousCase& a, const ErroneousCase& b) {
@@ -228,22 +249,19 @@ class ShardWorker {
     for (const auto& f : faults) {
       if (stopped_) break;
       sim::FaultyCache faulty(trace_, f.injection());
+      memo_.clear();
       bool detectable = false;
       for (std::uint64_t c : activation_codes_) {
         if (stopped_) break;
         check_deadline();
-        const auto& good = golden_.rows(c);
-        const auto& bad = faulty.rows(c);
-        if (good == bad) continue;  // fault dormant in every input here
-        auto& classes = classes_[0];
-        classifier_.classify(good, bad, circuit_, opts_.semantics, classes);
-        counters_.step_classes += classes.size();
-        for (const auto& cls : classes) {
+        // Fault dormant in every input here: no class is an activation.
+        if (faulty.row(c) == nullptr) continue;
+        for (const StepClass& cls : classes_of(faulty, Pair{c, c})) {
           if (cls.diff == 0) continue;  // fault dormant: not an activation
           detectable = true;
           for (auto& t : tables_) ++t.num_activations;
           diffs_[0] = cls.diff;
-          record(1);
+          record(canonicalize(diffs_.data(), 1), 1);
           // The path's states are those reached by erroneous transitions
           // ("starting from the first erroneous state", §2): h1, h2, ...
           // The activation state c is not part of the loop-detection set.
@@ -297,21 +315,36 @@ class ShardWorker {
                            });
   }
 
+  /// The sorted step classes of `pair` under the current fault:
+  /// classified at the pair's first visit in the fault, read from the memo
+  /// at every later one. The list stays put while the walk adds pairs.
+  const std::vector<StepClass>& classes_of(sim::FaultyCache& faulty,
+                                           const Pair& pair) {
+    auto [it, fresh] = memo_.try_emplace(pair);
+    std::vector<StepClass>& classes = it->second;
+    if (fresh) {
+      const std::vector<std::uint64_t>* bad = faulty.row(pair.bad);
+      classifier_.classify(golden_.rows(pair.good),
+                           bad != nullptr ? *bad : golden_.rows(pair.bad),
+                           circuit_, opts_.semantics, classes);
+      ++counters_.classifications;
+    }
+    counters_.step_classes += classes.size();
+    return classes;
+  }
+
   /// Extends the current path from `pair` at step index `depth`
   /// (diffs_[0..depth-1] and path_states_[0..depth-1] are filled).
   void descend(sim::FaultyCache& faulty, const Pair& pair, int depth) {
     if (depth == opts_.latency || stopped_) return;
     if ((++tick_ & 1023u) == 0) check_deadline();
-    // Each depth owns its class list: the loop below recurses into deeper
-    // ones while iterating this one.
-    auto& classes = classes_[static_cast<std::size_t>(depth)];
-    classifier_.classify(golden_.rows(pair.good), faulty.rows(pair.bad),
-                         circuit_, opts_.semantics, classes);
-    counters_.step_classes += classes.size();
-    for (const auto& cls : classes) {
+    for (const StepClass& cls : classes_of(faulty, pair)) {
       if (stopped_) return;
       diffs_[static_cast<std::size_t>(depth)] = cls.diff;
-      record(depth + 1);
+      // One canonical form of the prefix for the record, the loop insert
+      // and the subtree prune.
+      const ErroneousCase ec = canonicalize(diffs_.data(), depth + 1);
+      record(ec, depth + 1);
       bool loop = false;
       for (int i = 0; i < depth; ++i) {
         if (path_states_[static_cast<std::size_t>(i)] == cls.next) {
@@ -323,12 +356,11 @@ class ShardWorker {
         // The pair repeats: longer bounds gain no further alternatives
         // along this path; the truncated case is their requirement too.
         for (auto& t : tables_) ++t.num_loop_truncations;
-        const ErroneousCase ec = canonicalize(diffs_.data(), depth + 1);
         for (int p = depth + 2; p <= opts_.latency; ++p) {
           ++tables_[static_cast<std::size_t>(p - 1)].num_paths;
           insert(ec, p);
         }
-      } else if (!extensions_redundant(depth + 1)) {
+      } else if (!extensions_redundant(ec, depth + 1)) {
         path_states_[static_cast<std::size_t>(depth)] = cls.next;
         descend(faulty, cls.next, depth + 1);
       }
@@ -342,9 +374,8 @@ class ShardWorker {
   /// there and the subtree contributes nothing. (Workers only see their own
   /// cases, so this prunes less under sharding — the pruned rows are
   /// dominated ones, which the deterministic merge compacts away anyway.)
-  bool extensions_redundant(int len) {
+  bool extensions_redundant(const ErroneousCase& prefix, int len) {
     if (len + 1 > opts_.latency) return false;  // no extensions anyway
-    const ErroneousCase prefix = canonicalize(diffs_.data(), len);
     for (int t = len + 1; t <= opts_.latency; ++t) {
       const auto& set = sets_[static_cast<std::size_t>(t - 1)];
       ++counters_.subset_probes;
@@ -356,11 +387,11 @@ class ShardWorker {
     return true;
   }
 
-  /// Records the current path prefix of length `len` as a complete case of
-  /// the latency-`len` table.
-  void record(int len) {
+  /// Records the current path prefix, of length `len` and canonical form
+  /// `ec`, as a complete case of the latency-`len` table.
+  void record(const ErroneousCase& ec, int len) {
     ++tables_[static_cast<std::size_t>(len - 1)].num_paths;
-    insert(canonicalize(diffs_.data(), len), len);
+    insert(ec, len);
   }
 
   /// Cooperative wall-clock check: on expiry, every still-open table of
@@ -404,6 +435,7 @@ class ShardWorker {
       // rebuild the subset-minimal antichain. The table is flagged only
       // when a case loses a word: the first step at p < kMaxLatency
       // shortens none.
+      const auto t0 = std::chrono::steady_clock::now();
       const int words = --max_words_[t];
       set.transform([&](const ErroneousCase& c) {
         if (c.length > words) tables_[t].strengthened = true;
@@ -411,6 +443,7 @@ class ShardWorker {
       });
       compact(set, counters_);
       threshold = std::max<std::size_t>(2 * set.size(), kCompactStart);
+      counters_.degrade_seconds.push_back(seconds_since(t0));
     }
     if (live_cases() > opts_.max_cases) {
       // Recoverable truncation (the old behaviour threw here): compact this
@@ -431,7 +464,8 @@ class ShardWorker {
   const sim::GoldenTrace& trace_;
   sim::GoldenView golden_;
   StepClassifier classifier_;
-  std::array<std::vector<StepClass>, kMaxLatency> classes_;  ///< per depth
+  /// Per fault: each visited pair's sorted step classes.
+  std::unordered_map<Pair, std::vector<StepClass>, PairHash> memo_;
   sim::SimCounters sim_counters_;
   CaseCounters counters_;
   std::span<const std::uint64_t> activation_codes_;
@@ -518,7 +552,7 @@ std::vector<DetectabilityTable> merge_parts(std::vector<ExtractShard>& parts,
     std::sort(table.cases.begin(), table.cases.end(), case_less);
   }
   obs::MetricsShard mshard(opts.obs.metrics);
-  add_counters(mshard, counters);
+  counters.record(mshard);
   return tables;
 }
 
@@ -635,8 +669,9 @@ std::vector<DetectabilityTable> extract_cases_sharded(
         obs::MetricsShard mshard(opts.obs.metrics);
         mshard.add("ced_extract_shards_total");
         mshard.add("ced_extract_shards_computed_total");
-        add_counters(mshard, worker.sim_counters());
-        add_counters(mshard, worker.counters());
+        worker.sim_counters().for_each(
+            [&](const char* name, std::uint64_t v) { mshard.add(name, v); });
+        worker.counters().record(mshard);
       }
       return complete;
     });

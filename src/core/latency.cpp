@@ -9,16 +9,25 @@
 namespace ced::core {
 namespace {
 
+/// The faulty machine's row at `code`: the golden row where the fault is
+/// dormant.
+const std::vector<std::uint64_t>& faulty_row(sim::FaultyCache& faulty,
+                                             sim::GoldenView& golden,
+                                             std::uint64_t code) {
+  const std::vector<std::uint64_t>* row = faulty.row(code);
+  return row != nullptr ? *row : golden.rows(code);
+}
+
 /// Depth-capped DFS over the faulty machine's walk: returns the length of
 /// the longest loop-free path starting at `state` (the path ends when a
 /// state repeats or the cap is hit).
 int longest_loop_free(const fsm::FsmCircuit& circuit, sim::FaultyCache& faulty,
-                      std::uint64_t state,
+                      sim::GoldenView& golden, std::uint64_t state,
                       std::vector<std::uint64_t>& path, int cap) {
   if (static_cast<int>(path.size()) >= cap) return cap;
   // Distinct successors of `state` under the fault.
   std::vector<std::uint64_t> succ;
-  for (std::uint64_t obs : faulty.rows(state)) {
+  for (std::uint64_t obs : faulty_row(faulty, golden, state)) {
     succ.push_back(circuit.next_state_of(obs));
   }
   std::sort(succ.begin(), succ.end());
@@ -28,8 +37,8 @@ int longest_loop_free(const fsm::FsmCircuit& circuit, sim::FaultyCache& faulty,
   for (std::uint64_t next : succ) {
     if (std::find(path.begin(), path.end(), next) != path.end()) continue;
     path.push_back(next);
-    best = std::max(best,
-                    longest_loop_free(circuit, faulty, next, path, cap));
+    best = std::max(best, longest_loop_free(circuit, faulty, golden, next,
+                                            path, cap));
     path.pop_back();
     if (best >= cap) return cap;
   }
@@ -62,11 +71,12 @@ LatencyAnalysis analyze_useful_latency(
     // erroneous state of every path, §2).
     std::unordered_set<std::uint64_t> roots;
     for (std::uint64_t c : activation_codes) {
+      const std::vector<std::uint64_t>* bad = faulty.row(c);
+      if (bad == nullptr) continue;  // the fault is dormant at c
       const auto& good = golden.rows(c);
-      const auto& bad = faulty.rows(c);
       for (std::size_t a = 0; a < good.size(); ++a) {
-        if (good[a] != bad[a]) {
-          roots.insert(circuit.next_state_of(bad[a]));
+        if (good[a] != (*bad)[a]) {
+          roots.insert(circuit.next_state_of((*bad)[a]));
         }
       }
     }
@@ -80,8 +90,8 @@ LatencyAnalysis analyze_useful_latency(
       // Steps = the activation transition (into `root`) plus the loop-free
       // walk from there; a path of k states corresponds to k steps.
       std::vector<std::uint64_t> path{root};
-      bound = std::max(bound, longest_loop_free(circuit, faulty, root, path,
-                                                opts.max_latency));
+      bound = std::max(bound, longest_loop_free(circuit, faulty, golden, root,
+                                                path, opts.max_latency));
       if (bound >= opts.max_latency) {
         bound = opts.max_latency;
         break;

@@ -98,6 +98,7 @@ FaultVerdict judge_stuck_exhaustive(const ProtectedMachine& pm,
   for (const std::uint64_t c : pm.reachable()) {
     const TransitionRow& faulty = session.faulty_row(c);
     const TransitionRow* golden = pm.golden_row(c);
+    if (&faulty == golden) continue;  // the fault is dormant at c
     for (std::uint64_t a = 0; a < num_inputs; ++a) {
       if (faulty.response[a] == golden->response[a]) continue;
       int first;

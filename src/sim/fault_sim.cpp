@@ -264,18 +264,23 @@ FaultyCache::FaultyCache(const GoldenTrace& trace,
   val_.resize(cone_.size());
 }
 
-std::vector<std::uint64_t> FaultyCache::simulate(std::uint64_t state_code) {
+std::vector<std::uint64_t> FaultyCache::compute(std::uint64_t state_code) {
   const auto it = trace_.slot_.find(state_code);
   if (it == trace_.slot_.end()) {
     ++counters_.full_rows;
     return simulate_all_inputs(trace_.circuit(), state_code, &injection_);
   }
   ++counters_.cone_rows;
+  if (outs_.empty()) {  // the fault reaches no observable bit
+    ++counters_.dormant_rows;
+    return {};
+  }
   const std::uint32_t si = it->second;
-  std::vector<std::uint64_t> row = trace_.rows_[si];
-  if (outs_.empty()) return row;  // the fault reaches no observable bit
-
-  const std::uint64_t num_inputs = row.size();
+  const std::vector<std::uint64_t>& golden = trace_.rows_[si];
+  // Copied from the golden row at the first difference: a row the fault
+  // leaves golden is never built.
+  std::vector<std::uint64_t> row;
+  const std::uint64_t num_inputs = golden.size();
   for (std::uint64_t b = 0; b < trace_.batches_; ++b) {
     const std::uint64_t lanes = lane_mask(num_inputs, b);
     if (((trace_.word(si, cone_[0], b) ^ injection_.value_word) & lanes) ==
@@ -298,6 +303,7 @@ std::vector<std::uint64_t> FaultyCache::simulate(std::uint64_t state_code) {
     counters_.cone_gates += gates_.size();
     for (const auto& [o, slot] : outs_) {
       std::uint64_t d = (val_[slot] ^ trace_.word(si, cone_[slot], b)) & lanes;
+      if (d != 0 && row.empty()) row = golden;
       while (d != 0) {
         row[b * 64 + static_cast<std::uint64_t>(std::countr_zero(d))] ^=
             std::uint64_t{1} << o;
@@ -305,15 +311,16 @@ std::vector<std::uint64_t> FaultyCache::simulate(std::uint64_t state_code) {
       }
     }
   }
+  if (row.empty()) ++counters_.dormant_rows;
   return row;
 }
 
-const std::vector<std::uint64_t>& FaultyCache::rows(std::uint64_t state_code) {
+const std::vector<std::uint64_t>* FaultyCache::row(std::uint64_t state_code) {
   auto it = cache_.find(state_code);
   if (it == cache_.end()) {
-    it = cache_.emplace(state_code, simulate(state_code)).first;
+    it = cache_.emplace(state_code, compute(state_code)).first;
   }
-  return it->second;
+  return it->second.empty() ? nullptr : &it->second;
 }
 
 std::vector<std::uint64_t> reachable_codes(const fsm::FsmCircuit& c,

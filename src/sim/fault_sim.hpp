@@ -49,12 +49,14 @@ class GoldenCache {
 };
 
 /// Write-only simulator counters (obs): faulty rows derived through the
-/// fault's cone or by a full netlist pass, cone gates evaluated, and
-/// 64-input batches skipped because the fault net already carried its
-/// stuck value there. Results never depend on them.
+/// fault's cone or by a full netlist pass, the cone rows never built
+/// because they equal the golden row, cone gates evaluated, and 64-input
+/// batches skipped because the fault net already carried its stuck value
+/// there. Results never depend on them.
 struct SimCounters {
   std::uint64_t cone_rows = 0;
   std::uint64_t full_rows = 0;
+  std::uint64_t dormant_rows = 0;
   std::uint64_t cone_gates = 0;
   std::uint64_t batches_skipped = 0;
 
@@ -63,6 +65,7 @@ struct SimCounters {
   void for_each(Fn&& fn) const {
     fn("ced_sim_cone_rows_total", cone_rows);
     fn("ced_sim_full_rows_total", full_rows);
+    fn("ced_sim_dormant_rows_total", dormant_rows);
     fn("ced_sim_cone_gates_total", cone_gates);
     fn("ced_sim_batches_skipped_total", batches_skipped);
   }
@@ -70,6 +73,7 @@ struct SimCounters {
   SimCounters& operator+=(const SimCounters& o) {
     cone_rows += o.cone_rows;
     full_rows += o.full_rows;
+    dormant_rows += o.dormant_rows;
     cone_gates += o.cone_gates;
     batches_skipped += o.batches_skipped;
     return *this;
@@ -141,11 +145,12 @@ class FaultyCache {
  public:
   FaultyCache(const GoldenTrace& trace, const logic::Injection& injection);
 
-  const std::vector<std::uint64_t>& rows(std::uint64_t state_code);
-
-  /// The row at `state_code`, computed without memoizing it (for callers
-  /// that keep their own per-code memo).
-  std::vector<std::uint64_t> simulate(std::uint64_t state_code);
+  /// The faulty row at `state_code`, or nullptr at a traced code where the
+  /// fault changes no observable bit under any input: the row there is the
+  /// golden row (GoldenTrace::find), and it is never built. A code outside
+  /// the trace always gets its row. The pointer stays valid for the
+  /// cache's lifetime.
+  const std::vector<std::uint64_t>* row(std::uint64_t state_code);
 
   const SimCounters& counters() const { return counters_; }
 
@@ -157,6 +162,9 @@ class FaultyCache {
     std::uint32_t begin, end;  ///< range in srcs_
   };
 
+  /// The row at `state_code`; empty at a traced code where it is golden.
+  std::vector<std::uint64_t> compute(std::uint64_t state_code);
+
   const GoldenTrace& trace_;
   logic::Injection injection_;
   std::vector<std::uint32_t> cone_;  ///< cone nets ascending; [0] = fault net
@@ -165,6 +173,7 @@ class FaultyCache {
   /// (observable bit, cone slot) for every output driven from the cone.
   std::vector<std::pair<int, std::uint32_t>> outs_;
   std::vector<std::uint64_t> val_;  ///< cone values of the current batch
+  /// code -> row; an empty row marks a dormant traced code.
   std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> cache_;
   SimCounters counters_;
 };

@@ -104,12 +104,17 @@ const TransitionRow& FaultSession::faulty_row(std::uint64_t state_code) {
       throw std::logic_error("FaultSession: faulty_row without an injection");
     }
     TransitionRow row;
-    row.response = faulty_sim_->simulate(state_code);
-    row.error = checker_errors(pm_.hw(), state_code, row.response,
-                               pm_.golden_row(state_code));
+    // Empty at a traced code the fault leaves golden: no copy, no checker.
+    if (const std::vector<std::uint64_t>* response =
+            faulty_sim_->row(state_code)) {
+      row.response = *response;
+      row.error = checker_errors(pm_.hw(), state_code, row.response,
+                                 pm_.golden_row(state_code));
+    }
     it = faulty_.emplace(state_code, std::move(row)).first;
   }
-  return it->second;
+  return it->second.response.empty() ? *pm_.golden_row(state_code)
+                                     : it->second;
 }
 
 const TransitionRow& FaultSession::golden_row(std::uint64_t state_code) {

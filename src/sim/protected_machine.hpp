@@ -10,7 +10,9 @@
 // comes from the cone-restricted FaultyCache over the machine's golden
 // trace, and the checker re-runs only on the 64-input batches whose
 // response differs from the golden one; every other batch keeps the golden
-// verdict word, since the checker sees identical inputs there.
+// verdict word, since the checker sees identical inputs there. Where the
+// fault changes no response at all, the session hands out the golden row
+// itself.
 //
 // The split mirrors fault_sim.hpp: a ProtectedMachine holds the shared,
 // immutable golden data (reachable set, golden trace, fault-free response
@@ -97,7 +99,9 @@ class FaultSession {
   FaultSession(const ProtectedMachine& pm, const logic::Injection* injection);
 
   /// Row of the machine with the session's fault active. Requires the
-  /// session to have an injection.
+  /// session to have an injection. At a traced reachable code where the
+  /// fault changes no response it is the ProtectedMachine's golden_row
+  /// object itself: no copy, no checker pass.
   const TransitionRow& faulty_row(std::uint64_t state_code);
 
   /// Row of the fault-free machine at `state_code` (any code, reachable or
@@ -115,6 +119,7 @@ class FaultSession {
  private:
   const ProtectedMachine& pm_;
   std::optional<FaultyCache> faulty_sim_;
+  /// code -> row; an empty row marks a code where the fault is dormant.
   std::unordered_map<std::uint64_t, TransitionRow> faulty_;
   std::unordered_map<std::uint64_t, TransitionRow> golden_local_;
 };

@@ -265,7 +265,9 @@ TEST(CampaignMachine, BatchCheckerReuseMatchesWholeRowChecker) {
   // whose response is golden and re-runs the checker on the rest. Both
   // halves must equal their oracles at every state code — reachable codes
   // take the cone rows and the reuse, the others the full pass — for
-  // partial (dk16, 4 inputs) and two-batch (s386, 128 inputs) rows.
+  // partial (dk16, 4 inputs) and two-batch (s386, 128 inputs) rows. At a
+  // reachable code where the fault changes no response, the session hands
+  // out the machine's golden row object itself.
   for (const char* name : {"dk16", "s386"}) {
     SCOPED_TRACE(name);
     const Design d = suite_design(name, 2);
@@ -274,6 +276,7 @@ TEST(CampaignMachine, BatchCheckerReuseMatchesWholeRowChecker) {
     for (const StuckAtFault& f : d.faults) {
       const logic::Injection inj = f.injection();
       FaultSession session(pm, &inj);
+      std::uint64_t dormant = 0;
       for (std::uint64_t code = 0; code <= d.circuit.state_mask(); ++code) {
         const TransitionRow& row = session.faulty_row(code);
         ASSERT_EQ(row.response, simulate_all_inputs(d.circuit, code, &inj))
@@ -281,9 +284,16 @@ TEST(CampaignMachine, BatchCheckerReuseMatchesWholeRowChecker) {
         ASSERT_EQ(row.error, checker_error_mask(d.hw, code, row.response))
             << f.to_string() << " code " << code;
         const TransitionRow* golden = pm.golden_row(code);
-        reused_rows += golden != nullptr && row.response == golden->response;
+        const bool golden_response =
+            golden != nullptr && row.response == golden->response;
+        EXPECT_EQ(&row == golden, golden_response)
+            << f.to_string() << " code " << code;
+        EXPECT_EQ(&session.faulty_row(code), &row);
+        dormant += golden_response;
       }
       EXPECT_EQ(session.counters().cone_rows, pm.reachable().size());
+      EXPECT_EQ(session.counters().dormant_rows, dormant);
+      reused_rows += dormant;
     }
     EXPECT_GT(reused_rows, 0u);
   }

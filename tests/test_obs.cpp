@@ -18,6 +18,7 @@
 #include "benchdata/handwritten.hpp"
 #include "benchdata/suite.hpp"
 #include "common/parallel.hpp"
+#include "core/extract.hpp"
 #include "core/run.hpp"
 #include "kiss/kiss.hpp"
 #include "obs/metrics.hpp"
@@ -269,16 +270,68 @@ TEST(ObsDeterminism, ResultsAreByteIdenticalWithObsOnOrOff) {
     // The extraction shards' simulator counters and the trace gauge.
     EXPECT_GT(snap.counters.at("ced_sim_cone_rows_total"), 0u);
     EXPECT_GT(snap.counters.at("ced_sim_cone_gates_total"), 0u);
+    EXPECT_GT(snap.counters.at("ced_sim_dormant_rows_total"), 0u);
+    EXPECT_LT(snap.counters.at("ced_sim_dormant_rows_total"),
+              snap.counters.at("ced_sim_cone_rows_total"));
     EXPECT_GT(snap.gauges.at(sim::kGoldenTraceBytesGauge), 0.0);
     // The extraction workers' case-set counters.
     for (const char* name :
          {"ced_extract_case_inserts_total", "ced_extract_cases_dominated_total",
           "ced_extract_subset_probes_total", "ced_extract_compactions_total",
           "ced_extract_cases_compacted_total",
-          "ced_extract_step_classes_total"}) {
+          "ced_extract_step_classes_total",
+          "ced_extract_classifications_total"}) {
       ASSERT_TRUE(snap.counters.contains(name)) << name;
       EXPECT_GT(snap.counters.at(name), 0u) << name;
     }
+    // Each classification forms at least one class; memo hits re-read them.
+    EXPECT_GE(snap.counters.at("ced_extract_step_classes_total"),
+              snap.counters.at("ced_extract_classifications_total"));
+    // One timed observation per compaction pass, the merge's included.
+    ASSERT_TRUE(snap.histograms.contains("ced_extract_compaction_seconds"));
+    EXPECT_EQ(snap.histograms.at("ced_extract_compaction_seconds").total,
+              snap.counters.at("ced_extract_compactions_total"));
+  }
+}
+
+TEST(ObsDeterminism, ExtractionTimersAreWriteOnly) {
+  // dk14's machine-level p=3 table under a 4000-case degrade threshold
+  // (Extract.DegradedTablesArePinnedAtOneAndFourThreads) degrades: the
+  // compaction and degrade histograms get one observation per pass, and
+  // the tables equal an unobserved run's, statistics and flags included.
+  const core::PipelineOptions po;
+  const core::Design d = core::derive_design(benchdata::suite_fsm("dk14"), po);
+  core::ExtractOptions opts;
+  opts.latency = 3;
+  opts.semantics = core::DiffSemantics::kMachineLevel;
+  opts.degrade_threshold = 4000;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    opts.threads = threads;
+    opts.obs = {};
+    const auto plain = core::extract_cases_multi(d.circuit, d.faults, opts);
+    obs::MetricsRegistry metrics;
+    opts.obs = {nullptr, &metrics, 0};
+    const auto observed =
+        core::extract_cases_multi(d.circuit, d.faults, opts);
+    ASSERT_EQ(observed.size(), plain.size());
+    for (std::size_t t = 0; t < plain.size(); ++t) {
+      EXPECT_EQ(observed[t].cases, plain[t].cases);
+      EXPECT_EQ(observed[t].strengthened, plain[t].strengthened);
+      EXPECT_EQ(observed[t].num_activations, plain[t].num_activations);
+      EXPECT_EQ(observed[t].num_paths, plain[t].num_paths);
+      EXPECT_EQ(observed[t].num_loop_truncations,
+                plain[t].num_loop_truncations);
+    }
+    EXPECT_TRUE(observed.back().strengthened);
+    const obs::MetricsSnapshot snap = metrics.snapshot();
+    EXPECT_EQ(snap.histograms.at("ced_extract_compaction_seconds").total,
+              snap.counters.at("ced_extract_compactions_total"));
+    // Every degrade step compacts once.
+    const std::uint64_t steps =
+        snap.histograms.at("ced_extract_degrade_seconds").total;
+    EXPECT_GT(steps, 0u);
+    EXPECT_LT(steps, snap.counters.at("ced_extract_compactions_total"));
   }
 }
 
@@ -351,6 +404,7 @@ TEST(ObsDeterminism, CampaignVerdictsAreIdenticalWithObsOnOrOff) {
     const obs::MetricsSnapshot snap = metrics.snapshot();
     EXPECT_GT(snap.counters.at("ced_sim_cone_rows_total"), 0u);
     EXPECT_GT(snap.counters.at("ced_sim_cone_gates_total"), 0u);
+    EXPECT_GT(snap.counters.at("ced_sim_dormant_rows_total"), 0u);
     EXPECT_GT(snap.gauges.at(sim::kGoldenTraceBytesGauge), 0.0);
   }
 }

@@ -149,13 +149,35 @@ struct FaultSites {
   bool state_bit = false;
   bool output = false;
   bool internal = false;
+  bool dormant_row = false;  ///< some traced row equalled the golden row
 };
 
-/// Cone rows against the full-pass oracle simulate_all_inputs for every
-/// fault of the uncollapsed list (a superset of the collapsed one, with
-/// faults on every net) at every s-bit code: once over a trace of every code
-/// (the cone path everywhere, reachable or not) and once over a trace of the
-/// reachable codes only (the full-pass fallback at the others).
+/// Checks FaultyCache::row at `code` against the oracle row and returns
+/// whether the code is dormant: traced, with the golden row as its oracle
+/// row. Exactly there the cache returns nullptr; elsewhere it returns the
+/// oracle row, and the same pointer on a repeated call.
+bool expect_row_matches(FaultyCache& cache, const GoldenTrace& trace,
+                        std::uint64_t code,
+                        const std::vector<std::uint64_t>& oracle) {
+  const std::vector<std::uint64_t>* golden = trace.find(code);
+  const std::vector<std::uint64_t>* row = cache.row(code);
+  const bool dormant = golden != nullptr && *golden == oracle;
+  EXPECT_EQ(row == nullptr, dormant);
+  if (row != nullptr) {
+    EXPECT_EQ(*row, oracle);
+  }
+  EXPECT_EQ(cache.row(code), row);
+  return dormant;
+}
+
+/// FaultyCache::row against the full-pass oracle simulate_all_inputs for
+/// every fault of the uncollapsed list (a superset of the collapsed one,
+/// with faults on every net) at every s-bit code: once over a trace of
+/// every code (the cone path everywhere, reachable or not) and once over a
+/// trace of the reachable codes only (the full-pass fallback at the
+/// others). A returned row equals the oracle; nullptr comes back exactly at
+/// the traced codes whose oracle row is the golden row; a repeated call
+/// returns the memoized row.
 void expect_cone_rows_match_oracle(const fsm::FsmCircuit& c,
                                    FaultSites& sites) {
   const auto faults = enumerate_stuck_at(c.netlist, FaultListOptions{false});
@@ -186,16 +208,20 @@ void expect_cone_rows_match_oracle(const fsm::FsmCircuit& c,
     const logic::Injection inj = f.injection();
     FaultyCache cone(every, inj);
     FaultyCache mixed(reach, inj);
+    std::uint64_t cone_dormant = 0, mixed_dormant = 0;
     for (const std::uint64_t code : codes) {
+      SCOPED_TRACE(f.to_string() + " code " + std::to_string(code));
       const auto oracle = simulate_all_inputs(c, code, &inj);
-      EXPECT_EQ(cone.rows(code), oracle) << f.to_string() << " code " << code;
-      EXPECT_EQ(mixed.rows(code), oracle)
-          << f.to_string() << " code " << code;
+      cone_dormant += expect_row_matches(cone, every, code, oracle);
+      mixed_dormant += expect_row_matches(mixed, reach, code, oracle);
     }
     EXPECT_EQ(cone.counters().cone_rows, codes.size());
     EXPECT_EQ(cone.counters().full_rows, 0u);
+    EXPECT_EQ(cone.counters().dormant_rows, cone_dormant);
     EXPECT_EQ(mixed.counters().cone_rows, reachable.size());
     EXPECT_EQ(mixed.counters().full_rows, codes.size() - reachable.size());
+    EXPECT_EQ(mixed.counters().dormant_rows, mixed_dormant);
+    sites.dormant_row = sites.dormant_row || cone_dormant > 0;
   }
 }
 
@@ -211,6 +237,7 @@ TEST(FaultSim, ConeRowsMatchFullPassOnHandwrittenMachines) {
   EXPECT_TRUE(sites.state_bit);
   EXPECT_TRUE(sites.output);
   EXPECT_TRUE(sites.internal);
+  EXPECT_TRUE(sites.dormant_row);
 }
 
 TEST(FaultSim, ConeRowsMatchFullPassAcrossBatches) {
@@ -218,6 +245,7 @@ TEST(FaultSim, ConeRowsMatchFullPassAcrossBatches) {
   expect_cone_rows_match_oracle(wide_circuit(), sites);
   EXPECT_TRUE(sites.primary_input);
   EXPECT_TRUE(sites.state_bit);
+  EXPECT_TRUE(sites.dormant_row);
 }
 
 TEST(FaultSim, GoldenCacheIsConsistent) {

@@ -7,13 +7,15 @@
 #                          # + full ctest with 4 worker threads
 #   tools/ci.sh --fast     # ASan+UBSan pass runs only the resilience,
 #                          # parser, storage, LP-solver, case-set,
-#                          # extraction, campaign and end-to-end suites
-#                          # (the crash-prone surface: budget valves,
-#                          # malformed input, corrupt-artifact fault
-#                          # injection, the sparse simplex's pointer
-#                          # arithmetic, the case set's open-addressing
-#                          # index, and the protected machine's batched
-#                          # checker rows behind every sequential proof);
+#                          # fault-simulator, extraction, campaign and
+#                          # end-to-end suites (the crash-prone surface:
+#                          # budget valves, malformed input,
+#                          # corrupt-artifact fault injection, the sparse
+#                          # simplex's pointer arithmetic, the case set's
+#                          # open-addressing index, the pointers the
+#                          # faulty-row memo hands out, and the protected
+#                          # machine's batched checker rows behind every
+#                          # sequential proof);
 #                          # TSan pass runs only the concurrency-bearing
 #                          # suites (parallel extraction, pipeline,
 #                          # resume, and the warm-started LP under a
@@ -77,6 +79,12 @@ assert m["counters"].get("ced_extract_cases_total", 0) > 0, \
 # Without a store, extraction is the shard engine at one shard per thread.
 assert m["counters"].get("ced_extract_shards_computed_total") == 4, \
     "the --threads=4 no-store run did not extract on 4 shards"
+# Faulty rows equal to the golden row are never built, and each (fault,
+# pair) is classified once; both counters must report that work.
+assert m["counters"].get("ced_sim_dormant_rows_total", 0) > 0, \
+    "no dormant faulty row was counted"
+assert m["counters"].get("ced_extract_classifications_total", 0) > 0, \
+    "no step classification was counted"
 assert any(s["name"] == "pipeline" for s in t["spans"]), \
     "trace JSON parsed but has no pipeline root span"
 assert any(l.startswith("# TYPE") for l in open(d + "/p.prom")), \
@@ -249,7 +257,7 @@ cmake --preset asan-ubsan >/dev/null
 cmake --build --preset asan-ubsan -j "$jobs"
 if [[ "$fast" == 1 ]]; then
   ctest --preset asan-ubsan -j "$jobs" \
-      -R 'Resilience|KissMalformed|KissParse|Storage|RevisedLp|Simplex|CaseSet|Extract|Campaign|EndToEnd'
+      -R 'Resilience|KissMalformed|KissParse|Storage|RevisedLp|Simplex|CaseSet|FaultSim|Extract|Campaign|EndToEnd'
 else
   ctest --preset asan-ubsan -j "$jobs"
 fi
