@@ -1,8 +1,8 @@
 #include "logic/factor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
-#include <unordered_map>
 
 namespace ced::logic {
 namespace {
@@ -76,21 +76,21 @@ FactorNode factor_rec(std::vector<Cube> cubes, int num_vars) {
     return and_of(std::move(parts));
   }
 
-  // 2) Divide by the most frequent literal: F = L * (F/L) + R.
-  std::unordered_map<std::uint64_t, int> freq;  // key: var*2 + polarity
+  // 2) Divide by the most frequent literal: F = L * (F/L) + R. Ties go to
+  // the smallest key.
+  std::array<int, 128> freq{};  // key: var*2 + polarity
   for (const Cube& c : cubes) {
-    for (int v = 0; v < num_vars; ++v) {
-      const std::uint64_t m = std::uint64_t{1} << v;
-      if (c.care & m) {
-        ++freq[static_cast<std::uint64_t>(v) * 2 + ((c.val & m) ? 1 : 0)];
-      }
+    for (std::uint64_t care = c.care; care != 0; care &= care - 1) {
+      const int v = std::countr_zero(care);
+      ++freq[static_cast<std::size_t>(v) * 2 + ((c.val >> v) & 1)];
     }
   }
   std::uint64_t best_key = 0;
   int best = 0;
-  for (const auto& [key, n] : freq) {
-    if (n > best || (n == best && key < best_key)) {
-      best = n;
+  for (std::size_t key = 0; key < 2 * static_cast<std::size_t>(num_vars);
+       ++key) {
+    if (freq[key] > best) {
+      best = freq[key];
       best_key = key;
     }
   }

@@ -12,39 +12,109 @@
 namespace ced::logic {
 namespace {
 
-/// True if the cube contains no minterm of `off`.
-bool disjoint_from(const Cube& c, int num_vars, const BitVec& off) {
-  bool hit = false;
-  for_each_minterm(c, num_vars, [&](std::uint64_t m) {
-    if (off.test(m)) hit = true;
-  });
-  return !hit;
+// The cube tests run on 64-minterm words of the truth tables. Minterm m is
+// bit m & 63 of word m >> 6, so variables 0-5 pick lanes inside a word and
+// variables 6 and up pick words: a cube is one lane mask, repeated in
+// every word its high literals select. Each test below touches
+// 2^(free high variables) words instead of 2^(free variables) minterms
+// and makes the decisions the minterm-at-a-time loops made, in the same
+// order (tests/test_minimize.cpp keeps those loops as the oracle).
+
+/// Lanes whose minterm has variable v (< 6) set.
+constexpr std::uint64_t kVarLanes[6] = {
+    0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
+    0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
+
+/// A cube as truth-table words: it selects `lanes` in word w exactly when
+/// w agrees with `base` outside the `free` high variables (bit i of a word
+/// index is variable 6 + i).
+struct WordCube {
+  std::uint64_t lanes;
+  std::uint64_t base;
+  std::uint64_t free;
+
+  WordCube(const Cube& c, int num_vars) {
+    const int low = std::min(num_vars, 6);
+    lanes = low == 6 ? ~std::uint64_t{0}
+                     : (std::uint64_t{1} << (1 << low)) - 1;
+    for (int v = 0; v < low; ++v) {
+      if ((c.care >> v) & 1) {
+        lanes &= ((c.val >> v) & 1) ? kVarLanes[v] : ~kVarLanes[v];
+      }
+    }
+    const std::uint64_t high =
+        num_vars > 6 ? (std::uint64_t{1} << (num_vars - 6)) - 1 : 0;
+    base = ((c.val & c.care) >> 6) & high;
+    free = (~c.care >> 6) & high;
+  }
+
+  bool has_word(std::uint64_t w) const { return (w & ~free) == base; }
+
+  /// Calls fn(w) on the cube's words in increasing order until one call
+  /// returns true; returns whether one did.
+  template <typename Fn>
+  bool any_word(Fn&& fn) const {
+    for (std::uint64_t sub = 0;; sub = (sub - free) & free) {
+      if (fn(base | sub)) return true;
+      if (sub == free) return false;
+    }
+  }
+};
+
+/// True if the cube contains no minterm of `off`; stops at the first word
+/// that hits.
+bool disjoint_from(const Cube& c, int num_vars,
+                   const std::vector<std::uint64_t>& off) {
+  const WordCube wc(c, num_vars);
+  return !wc.any_word(
+      [&](std::uint64_t w) { return (off[w] & wc.lanes) != 0; });
 }
 
-/// Greedily removes literals from `c` (largest expansion first) while the
-/// cube stays disjoint from the OFF-set.
-Cube expand_cube(Cube c, int num_vars, const BitVec& off) {
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    // Try literals in a fixed order; removing one literal doubles the cube,
-    // so any removable literal is an improvement. Re-scan after success so
-    // interactions between literals are re-examined.
-    for (int v = 0; v < num_vars; ++v) {
-      const std::uint64_t m = std::uint64_t{1} << v;
-      if (!(c.care & m)) continue;
-      const Cube wider = c.without_literal(v);
-      if (disjoint_from(wider, num_vars, off)) {
-        c = wider;
-        changed = true;
-      }
+/// Removes literals from `c`, trying variables 0..n-1, while the cube stays
+/// disjoint from the OFF-set. `c` is disjoint from it on entry, so dropping
+/// literal v only adds the half-cube with v flipped, and only that half is
+/// tested. One pass suffices: dropping a literal only widens the cube, so a
+/// literal that could not be dropped earlier still cannot.
+Cube expand_cube(Cube c, int num_vars, const std::vector<std::uint64_t>& off) {
+  for (int v = 0; v < num_vars; ++v) {
+    const std::uint64_t m = std::uint64_t{1} << v;
+    if ((c.care & m) && disjoint_from(Cube{c.care, c.val ^ m}, num_vars, off)) {
+      c = c.without_literal(v);
     }
   }
   return c;
 }
 
-void mark_minterms(const Cube& c, int num_vars, BitVec& set) {
-  for_each_minterm(c, num_vars, [&](std::uint64_t m) { set.set(m); });
+/// The ON minterms of `wc`'s word `w` that no cube of `others` contains.
+std::uint64_t uncovered_on(const WordCube& wc, std::uint64_t w,
+                           const std::vector<std::uint64_t>& on,
+                           const std::vector<const WordCube*>& others) {
+  std::uint64_t left = on[w] & wc.lanes;
+  for (const WordCube* o : others) {
+    if (left == 0) break;
+    if (o->has_word(w)) left &= ~o->lanes;
+  }
+  return left;
+}
+
+/// The cubes of `cubes` other than `i` that share a minterm with cube i.
+void intersecting(const std::vector<Cube>& cubes,
+                  const std::vector<WordCube>& words, std::size_t i,
+                  const std::vector<bool>* removed,
+                  std::vector<const WordCube*>& out) {
+  out.clear();
+  for (std::size_t j = 0; j < cubes.size(); ++j) {
+    if (j == i || (removed && (*removed)[j])) continue;
+    if (cubes[j].intersects(cubes[i])) out.push_back(&words[j]);
+  }
+}
+
+std::vector<WordCube> word_cubes(const std::vector<Cube>& cubes,
+                                 int num_vars) {
+  std::vector<WordCube> words;
+  words.reserve(cubes.size());
+  for (const Cube& c : cubes) words.emplace_back(c, num_vars);
+  return words;
 }
 
 /// Removes cubes whose ON-minterms are fully covered by the other cubes.
@@ -58,17 +128,15 @@ void irredundant(Cover& cover, const SopSpec& spec) {
     return cubes[a].num_literals() > cubes[b].num_literals();
   });
 
+  const std::vector<WordCube> words = word_cubes(cubes, spec.num_vars);
+  const std::vector<std::uint64_t>& on = spec.on.words();
   std::vector<bool> removed(cubes.size(), false);
+  std::vector<const WordCube*> others;
   for (std::size_t oi : order) {
     // Is every ON-minterm of cubes[oi] covered by some other kept cube?
-    bool needed = false;
-    for_each_minterm(cubes[oi], spec.num_vars, [&](std::uint64_t m) {
-      if (needed || !spec.on.test(m)) return;
-      for (std::size_t j = 0; j < cubes.size(); ++j) {
-        if (j == oi || removed[j]) continue;
-        if (cubes[j].contains(m)) return;
-      }
-      needed = true;
+    intersecting(cubes, words, oi, &removed, others);
+    const bool needed = words[oi].any_word([&](std::uint64_t w) {
+      return uncovered_on(words[oi], w, on, others) != 0;
     });
     if (!needed) removed[oi] = true;
   }
@@ -81,33 +149,44 @@ void irredundant(Cover& cover, const SopSpec& spec) {
   cubes = std::move(kept);
 }
 
-/// Shrinks each cube to the smallest cube containing its ON-minterms that
-/// are not covered by any other cube, giving EXPAND room to move.
+/// Shrinks each cube, in index order and against the cubes already shrunk,
+/// to the smallest cube containing its ON-minterms that are not covered by
+/// any other cube, giving EXPAND room to move.
 void reduce(Cover& cover, const SopSpec& spec) {
   auto& cubes = cover.cubes();
+  std::vector<WordCube> words = word_cubes(cubes, spec.num_vars);
+  const std::vector<std::uint64_t>& on = spec.on.words();
+  std::vector<const WordCube*> others;
   for (std::size_t i = 0; i < cubes.size(); ++i) {
+    intersecting(cubes, words, i, nullptr, others);
+    // AND and OR of the private ON-minterms, a word at a time: a word's
+    // minterms share its index in bits 6 and up, and bit v < 6 of their
+    // AND (OR) is set when every (some) private lane has variable v set.
     std::uint64_t and_mask = ~std::uint64_t{0};
     std::uint64_t or_mask = 0;
     bool saw = false;
-    for_each_minterm(cubes[i], spec.num_vars, [&](std::uint64_t m) {
-      if (!spec.on.test(m)) return;
-      for (std::size_t j = 0; j < cubes.size(); ++j) {
-        if (j != i && cubes[j].contains(m)) return;
+    words[i].any_word([&](std::uint64_t w) {
+      const std::uint64_t lanes = uncovered_on(words[i], w, on, others);
+      if (lanes == 0) return false;
+      std::uint64_t lane_and = 0, lane_or = 0;
+      for (int v = 0; v < 6; ++v) {
+        if ((lanes & ~kVarLanes[v]) == 0) lane_and |= std::uint64_t{1} << v;
+        if ((lanes & kVarLanes[v]) != 0) lane_or |= std::uint64_t{1} << v;
       }
-      and_mask &= m;
-      or_mask |= m;
+      and_mask &= (w << 6) | lane_and;
+      or_mask |= (w << 6) | lane_or;
       saw = true;
+      return false;
     });
     if (!saw) continue;  // Fully shared cube; leave to IRREDUNDANT.
     // Smallest enclosing cube of the private ON-minterms.
-    const std::uint64_t var_mask =
-        spec.num_vars == 64 ? ~std::uint64_t{0}
-                            : ((std::uint64_t{1} << spec.num_vars) - 1);
+    const std::uint64_t var_mask = (std::uint64_t{1} << spec.num_vars) - 1;
     Cube shrunk;
     // A variable stays free only if the private minterms disagree on it.
     shrunk.care = ~(and_mask ^ or_mask) & var_mask;
     shrunk.val = and_mask & shrunk.care;
     cubes[i] = shrunk;
+    words[i] = WordCube(shrunk, spec.num_vars);
   }
 }
 
@@ -126,17 +205,26 @@ Cover minimize_espresso(const SopSpec& spec, const EspressoOptions& opts) {
   if (spec.num_vars > TruthTable::kMaxVars) {
     throw std::invalid_argument("minimize_espresso: too many variables");
   }
-  const BitVec off = spec.off();
+  const BitVec off_set = spec.off();
+  const std::vector<std::uint64_t>& off = off_set.words();
+  const std::vector<std::uint64_t>& on = spec.on.words();
   Cover cover(spec.num_vars);
 
-  BitVec covered(spec.on.size());
-  for (std::size_t m = spec.on.find_first(); m < spec.on.size();
-       m = spec.on.find_next(m)) {
-    if (covered.test(m)) continue;
-    const Cube c =
-        expand_cube(Cube::minterm(m, spec.num_vars), spec.num_vars, off);
-    mark_minterms(c, spec.num_vars, covered);
-    cover.add(c);
+  // Seeds in ascending minterm order, skipping the ones already covered.
+  std::vector<std::uint64_t> covered(on.size(), 0);
+  for (std::size_t w = 0; w < on.size(); ++w) {
+    for (std::uint64_t todo = on[w]; (todo &= ~covered[w]) != 0;) {
+      const std::uint64_t m = (std::uint64_t{w} << 6) |
+                              static_cast<std::uint64_t>(std::countr_zero(todo));
+      const Cube c =
+          expand_cube(Cube::minterm(m, spec.num_vars), spec.num_vars, off);
+      const WordCube wc(c, spec.num_vars);
+      wc.any_word([&](std::uint64_t x) {
+        covered[x] |= wc.lanes;
+        return false;
+      });
+      cover.add(c);
+    }
   }
 
   if (opts.irredundant) irredundant(cover, spec);

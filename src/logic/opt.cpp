@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <unordered_map>
 #include <vector>
 
 namespace ced::logic {
@@ -35,6 +36,20 @@ struct Repl {
       r.neg = !r.neg;
     }
     return r;
+  }
+};
+
+/// Structural-hash key of a gate: its type and (sorted) fan-ins.
+using GateKey = std::pair<GateType, std::vector<std::uint32_t>>;
+
+struct GateKeyHash {
+  std::size_t operator()(const GateKey& k) const {
+    std::uint64_t h = static_cast<std::uint64_t>(k.first);
+    for (const std::uint32_t f : k.second) {
+      h = (h ^ f) * 0x9e3779b97f4a7c15ull;
+      h ^= h >> 29;
+    }
+    return static_cast<std::size_t>(h);
   }
 };
 
@@ -242,8 +257,7 @@ class Rewriter {
   Netlist out_;
   std::vector<Repl> repl_;
   std::vector<bool> live_;
-  std::map<std::pair<GateType, std::vector<std::uint32_t>>, std::uint32_t>
-      strash_;
+  std::unordered_map<GateKey, std::uint32_t, GateKeyHash> strash_;
   int const_net_[2] = {-1, -1};
 };
 

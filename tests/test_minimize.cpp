@@ -2,11 +2,133 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/rng.hpp"
 #include "logic/truth_table.hpp"
 
 namespace ced::logic {
 namespace {
+
+// ---- Reference: the minterm-at-a-time minimizer that the word-parallel
+// one in src/logic/minimize.cpp replaced. It visits one minterm per step
+// and re-scans EXPAND until no literal drops; the library must return the
+// same cubes in the same order (see EspressoOracle below).
+namespace reference {
+
+bool disjoint_from(const Cube& c, int num_vars, const BitVec& off) {
+  bool hit = false;
+  for_each_minterm(c, num_vars, [&](std::uint64_t m) {
+    if (off.test(m)) hit = true;
+  });
+  return !hit;
+}
+
+Cube expand_cube(Cube c, int num_vars, const BitVec& off) {
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (int v = 0; v < num_vars; ++v) {
+      const std::uint64_t m = std::uint64_t{1} << v;
+      if (!(c.care & m)) continue;
+      const Cube wider = c.without_literal(v);
+      if (disjoint_from(wider, num_vars, off)) {
+        c = wider;
+        changed = true;
+      }
+    }
+  }
+  return c;
+}
+
+void irredundant(Cover& cover, const SopSpec& spec) {
+  auto& cubes = cover.cubes();
+  std::vector<std::size_t> order(cubes.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return cubes[a].num_literals() > cubes[b].num_literals();
+  });
+  std::vector<bool> removed(cubes.size(), false);
+  for (std::size_t oi : order) {
+    bool needed = false;
+    for_each_minterm(cubes[oi], spec.num_vars, [&](std::uint64_t m) {
+      if (needed || !spec.on.test(m)) return;
+      for (std::size_t j = 0; j < cubes.size(); ++j) {
+        if (j == oi || removed[j]) continue;
+        if (cubes[j].contains(m)) return;
+      }
+      needed = true;
+    });
+    if (!needed) removed[oi] = true;
+  }
+  std::vector<Cube> kept;
+  for (std::size_t i = 0; i < cubes.size(); ++i) {
+    if (!removed[i]) kept.push_back(cubes[i]);
+  }
+  cubes = std::move(kept);
+}
+
+void reduce(Cover& cover, const SopSpec& spec) {
+  auto& cubes = cover.cubes();
+  for (std::size_t i = 0; i < cubes.size(); ++i) {
+    std::uint64_t and_mask = ~std::uint64_t{0};
+    std::uint64_t or_mask = 0;
+    bool saw = false;
+    for_each_minterm(cubes[i], spec.num_vars, [&](std::uint64_t m) {
+      if (!spec.on.test(m)) return;
+      for (std::size_t j = 0; j < cubes.size(); ++j) {
+        if (j != i && cubes[j].contains(m)) return;
+      }
+      and_mask &= m;
+      or_mask |= m;
+      saw = true;
+    });
+    if (!saw) continue;
+    const std::uint64_t var_mask = (std::uint64_t{1} << spec.num_vars) - 1;
+    Cube shrunk;
+    shrunk.care = ~(and_mask ^ or_mask) & var_mask;
+    shrunk.val = and_mask & shrunk.care;
+    cubes[i] = shrunk;
+  }
+}
+
+Cover minimize_espresso(const SopSpec& spec, const EspressoOptions& opts) {
+  const BitVec off = spec.off();
+  Cover cover(spec.num_vars);
+  BitVec covered(spec.on.size());
+  for (std::size_t m = spec.on.find_first(); m < spec.on.size();
+       m = spec.on.find_next(m)) {
+    if (covered.test(m)) continue;
+    const Cube c =
+        expand_cube(Cube::minterm(m, spec.num_vars), spec.num_vars, off);
+    for_each_minterm(c, spec.num_vars,
+                     [&](std::uint64_t x) { covered.set(x); });
+    cover.add(c);
+  }
+  if (opts.irredundant) irredundant(cover, spec);
+  for (int it = 0; it < opts.refine_iterations; ++it) {
+    const std::size_t before = cover.size();
+    const int lits_before = cover.num_literals();
+    Cover refined = cover;
+    reduce(refined, spec);
+    for (auto& c : refined.cubes()) c = expand_cube(c, spec.num_vars, off);
+    refined.remove_contained_cubes();
+    irredundant(refined, spec);
+    if (refined.size() < before ||
+        (refined.size() == before && refined.num_literals() < lits_before)) {
+      cover = std::move(refined);
+    } else {
+      break;
+    }
+  }
+  return cover;
+}
+
+}  // namespace reference
 
 SopSpec random_spec(int vars, double on_density, double dc_density,
                     std::uint64_t seed) {
@@ -151,6 +273,69 @@ INSTANTIATE_TEST_SUITE_P(
         MinimizeCase{6, 0.5, 0.05, 7}, MinimizeCase{6, 0.25, 0.25, 8},
         MinimizeCase{8, 0.3, 0.1, 9}, MinimizeCase{8, 0.5, 0.2, 10},
         MinimizeCase{10, 0.4, 0.1, 11}, MinimizeCase{12, 0.3, 0.1, 12}));
+
+// ---- Differential sweep: minimize_espresso equals the minterm-at-a-time
+// reference cube for cube, in the same order, on random specs below, at
+// and above the 6-variable word boundary, from empty to full functions.
+
+struct OracleCase {
+  int vars;
+  double on_density;
+  double dc_density;
+};
+
+std::string oracle_name(const ::testing::TestParamInfo<OracleCase>& info) {
+  const OracleCase& c = info.param;
+  return "v" + std::to_string(c.vars) + "_on" +
+         std::to_string(std::lround(c.on_density * 100)) + "_dc" +
+         std::to_string(std::lround(c.dc_density * 100));
+}
+
+class EspressoOracle : public ::testing::TestWithParam<OracleCase> {};
+
+TEST_P(EspressoOracle, EqualsMintermReferenceCubeForCube) {
+  const OracleCase& pc = GetParam();
+  const int seeds = pc.vars <= 8 ? 10 : (pc.vars <= 10 ? 4 : 2);
+  for (int seed = 0; seed < seeds; ++seed) {
+    const SopSpec s =
+        random_spec(pc.vars, pc.on_density, pc.dc_density,
+                    static_cast<std::uint64_t>(1000 * pc.vars + seed));
+    for (const int refine : {0, 1, 2}) {
+      for (const bool irr : {true, false}) {
+        const EspressoOptions opts{irr, refine};
+        const Cover got = minimize_espresso(s, opts);
+        const Cover want = reference::minimize_espresso(s, opts);
+        ASSERT_EQ(got.to_string(), want.to_string())
+            << "vars " << pc.vars << " seed " << seed << " refine " << refine
+            << " irredundant " << irr;
+        EXPECT_TRUE(cover_implements(got, s));
+      }
+    }
+  }
+}
+
+std::vector<OracleCase> oracle_cases() {
+  // {ON density, DC density, most variables}. The reference's IRREDUNDANT
+  // is quadratic in the cube count, so the dense random functions, which
+  // keep thousands of cubes, stop at 12 variables.
+  const struct {
+    double on, dc;
+    int max_vars;
+  } densities[] = {{0.0, 0.0, 14},  {1.0, 0.0, 14},  {0.0, 1.0, 14},
+                   {0.5, 0.5, 14},  {0.05, 0.0, 14}, {0.1, 0.6, 14},
+                   {0.02, 0.9, 14}, {0.5, 0.0, 12},  {0.95, 0.0, 12},
+                   {0.3, 0.3, 12},  {0.6, 0.35, 12}};
+  std::vector<OracleCase> cases;
+  for (int vars = 1; vars <= 14; ++vars) {
+    for (const auto& d : densities) {
+      if (vars <= d.max_vars) cases.push_back({vars, d.on, d.dc});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, EspressoOracle,
+                         ::testing::ValuesIn(oracle_cases()), oracle_name);
 
 TEST(CoverFromOnSet, TrivialCover) {
   SopSpec s(3);
