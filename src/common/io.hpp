@@ -21,24 +21,43 @@
 namespace ced::io {
 
 /// CRC32 (IEEE 802.3, polynomial 0xEDB88320, reflected), the checksum that
-/// guards every artifact section. Table built once at first use.
+/// guards every artifact section. Slice-by-8: eight bytes per step through
+/// eight tables, where table k advances a byte's CRC by k further zero
+/// bytes. Tables built once at first use.
 inline std::uint32_t crc32(std::string_view data,
                            std::uint32_t seed = 0) {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
+  using Table = std::array<std::uint32_t, 256>;
+  static const std::array<Table, 8> t = [] {
+    std::array<Table, 8> tab{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      tab[0][i] = c;
     }
-    return t;
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        tab[k][i] = (tab[k - 1][i] >> 8) ^ tab[0][tab[k - 1][i] & 0xFFu];
+      }
+    }
+    return tab;
   }();
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  std::size_t n = data.size();
+  const auto le32 = [](const unsigned char* b) {
+    return std::uint32_t{b[0]} | std::uint32_t{b[1]} << 8 |
+           std::uint32_t{b[2]} << 16 | std::uint32_t{b[3]} << 24;
+  };
   std::uint32_t crc = ~seed;
-  for (const char ch : data) {
-    crc = table[(crc ^ static_cast<unsigned char>(ch)) & 0xFFu] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = le32(p) ^ crc;
+    const std::uint32_t hi = le32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return ~crc;
 }
 

@@ -287,6 +287,16 @@ Status validate_envelope(std::string_view bytes) {
 
 namespace {
 
+/// The bytes form of a decoder: opens the envelope as `kind`, checking
+/// every CRC once, then decodes from that reader.
+template <typename T>
+Result<T> open_and_decode(std::string_view bytes, ArtifactKind kind,
+                          Result<T> (*decode)(const ArtifactReader&)) {
+  auto art = ArtifactReader::open(bytes, kind);
+  if (!art) return art.status();
+  return decode(*art);
+}
+
 void put_table(ByteWriter& w, const core::DetectabilityTable& t) {
   w.u32(static_cast<std::uint32_t>(t.num_bits));
   w.u32(static_cast<std::uint32_t>(t.latency));
@@ -375,9 +385,12 @@ std::string encode_tables(const std::vector<core::DetectabilityTable>& tabs) {
 
 Result<std::vector<core::DetectabilityTable>> decode_tables(
     std::string_view bytes) {
-  auto art = ArtifactReader::open(bytes, ArtifactKind::kTableBundle);
-  if (!art) return art.status();
-  auto payload = art->section(kTagTables);
+  return open_and_decode(bytes, ArtifactKind::kTableBundle, decode_tables);
+}
+
+Result<std::vector<core::DetectabilityTable>> decode_tables(
+    const ArtifactReader& art) {
+  auto payload = art.section(kTagTables);
   if (!payload) return payload.status();
   ByteReader r(*payload);
   std::vector<core::DetectabilityTable> tabs;
@@ -400,9 +413,11 @@ std::string encode_shard(const core::ExtractShard& shard) {
 }
 
 Result<core::ExtractShard> decode_shard(std::string_view bytes) {
-  auto art = ArtifactReader::open(bytes, ArtifactKind::kShard);
-  if (!art) return art.status();
-  auto payload = art->section(kTagShard);
+  return open_and_decode(bytes, ArtifactKind::kShard, decode_shard);
+}
+
+Result<core::ExtractShard> decode_shard(const ArtifactReader& art) {
+  auto payload = art.section(kTagShard);
   if (!payload) return payload.status();
   ByteReader r(*payload);
   core::ExtractShard shard;
@@ -430,9 +445,11 @@ std::string encode_scheme(const SchemeArtifact& s) {
 }
 
 Result<SchemeArtifact> decode_scheme(std::string_view bytes) {
-  auto art = ArtifactReader::open(bytes, ArtifactKind::kParityScheme);
-  if (!art) return art.status();
-  auto payload = art->section(kTagScheme);
+  return open_and_decode(bytes, ArtifactKind::kParityScheme, decode_scheme);
+}
+
+Result<SchemeArtifact> decode_scheme(const ArtifactReader& art) {
+  auto payload = art.section(kTagScheme);
   if (!payload) return payload.status();
   ByteReader r(*payload);
   SchemeArtifact s;
@@ -482,9 +499,11 @@ std::string encode_manifest(const ManifestArtifact& m) {
 }
 
 Result<ManifestArtifact> decode_manifest(std::string_view bytes) {
-  auto art = ArtifactReader::open(bytes, ArtifactKind::kManifest);
-  if (!art) return art.status();
-  auto payload = art->section(kTagManifest);
+  return open_and_decode(bytes, ArtifactKind::kManifest, decode_manifest);
+}
+
+Result<ManifestArtifact> decode_manifest(const ArtifactReader& art) {
+  auto payload = art.section(kTagManifest);
   if (!payload) return payload.status();
   ByteReader r(*payload);
   ManifestArtifact m;
@@ -572,9 +591,12 @@ std::string encode_campaign_shard(const sim::CampaignShard& shard) {
 }
 
 Result<sim::CampaignShard> decode_campaign_shard(std::string_view bytes) {
-  auto art = ArtifactReader::open(bytes, ArtifactKind::kCampaignShard);
-  if (!art) return art.status();
-  auto payload = art->section(kTagCampaignShard);
+  return open_and_decode(bytes, ArtifactKind::kCampaignShard,
+                         decode_campaign_shard);
+}
+
+Result<sim::CampaignShard> decode_campaign_shard(const ArtifactReader& art) {
+  auto payload = art.section(kTagCampaignShard);
   if (!payload) return payload.status();
   ByteReader r(*payload);
   sim::CampaignShard shard;
@@ -625,9 +647,12 @@ std::string encode_campaign_report(const sim::CampaignReport& rep) {
 }
 
 Result<sim::CampaignReport> decode_campaign_report(std::string_view bytes) {
-  auto art = ArtifactReader::open(bytes, ArtifactKind::kCampaignReport);
-  if (!art) return art.status();
-  auto payload = art->section(kTagCampaignReport);
+  return open_and_decode(bytes, ArtifactKind::kCampaignReport,
+                         decode_campaign_report);
+}
+
+Result<sim::CampaignReport> decode_campaign_report(const ArtifactReader& art) {
+  auto payload = art.section(kTagCampaignReport);
   if (!payload) return payload.status();
   ByteReader r(*payload);
   sim::CampaignReport rep;

@@ -137,14 +137,19 @@ Status validate_envelope(std::string_view bytes);
 // Each encoder produces a complete artifact (envelope included); each
 // decoder validates the envelope and every field. encode(decode(bytes))
 // reproduces `bytes` exactly — the format is canonical, which is what lets
-// tests assert byte-identity of resumed runs.
+// tests assert byte-identity of resumed runs. Every decoder also takes an
+// ArtifactReader already opened as its kind, so a caller that opened the
+// envelope (the store's checked load) does not check the CRCs again.
 
 std::string encode_tables(const std::vector<core::DetectabilityTable>& tabs);
 Result<std::vector<core::DetectabilityTable>> decode_tables(
     std::string_view bytes);
+Result<std::vector<core::DetectabilityTable>> decode_tables(
+    const ArtifactReader& art);
 
 std::string encode_shard(const core::ExtractShard& shard);
 Result<core::ExtractShard> decode_shard(std::string_view bytes);
+Result<core::ExtractShard> decode_shard(const ArtifactReader& art);
 
 /// A parity scheme as stored for later re-validation: the latency bound it
 /// was selected for plus the masks.
@@ -155,6 +160,7 @@ struct SchemeArtifact {
 
 std::string encode_scheme(const SchemeArtifact& s);
 Result<SchemeArtifact> decode_scheme(std::string_view bytes);
+Result<SchemeArtifact> decode_scheme(const ArtifactReader& art);
 
 /// The signed-off record of one pipeline run: which configuration ran
 /// (RunConfig::digest()), on which extraction input (the content-addressed
@@ -178,14 +184,17 @@ struct ManifestArtifact {
 
 std::string encode_manifest(const ManifestArtifact& m);
 Result<ManifestArtifact> decode_manifest(std::string_view bytes);
+Result<ManifestArtifact> decode_manifest(const ArtifactReader& art);
 
 /// Campaign checkpoint shard / verdict sheet round-trips. Like every other
 /// codec these are canonical (encode(decode(bytes)) == bytes), which is
 /// what the campaign's byte-identity acceptance checks compare.
 std::string encode_campaign_shard(const sim::CampaignShard& shard);
 Result<sim::CampaignShard> decode_campaign_shard(std::string_view bytes);
+Result<sim::CampaignShard> decode_campaign_shard(const ArtifactReader& art);
 
 std::string encode_campaign_report(const sim::CampaignReport& rep);
 Result<sim::CampaignReport> decode_campaign_report(std::string_view bytes);
+Result<sim::CampaignReport> decode_campaign_report(const ArtifactReader& art);
 
 }  // namespace ced::storage

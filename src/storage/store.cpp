@@ -15,16 +15,21 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// The one checked-load path: reads `name` as `kind` and decodes it. An
-/// artifact that passes the envelope check but fails decoding is
-/// quarantined with the decoder's message; either failure reads as a miss.
-template <typename Decode>
-auto load_checked(ArtifactStore& store, const std::string& name,
-                  ArtifactKind kind, Decode decode)
-    -> decltype(decode(std::string_view{})) {
-  auto bytes = store.get_validated(name, kind);
-  if (!bytes) return bytes.status();
-  auto decoded = decode(*bytes);
+/// A decoder's ArtifactReader form.
+template <typename T>
+using Decoder = Result<T> (*)(const ArtifactReader&);
+
+/// The one checked-load path: reads `name`, opens it as `kind` and decodes
+/// from that reader, so each artifact is checksummed once. An artifact
+/// that passes the envelope check but fails decoding is quarantined with
+/// the decoder's message; either failure reads as a miss.
+template <typename T>
+Result<T> load_checked(ArtifactStore& store, const std::string& name,
+                       ArtifactKind kind, Decoder<T> decode) {
+  std::string bytes;
+  auto art = store.get_validated(name, kind, bytes);
+  if (!art) return art.status();
+  auto decoded = decode(*art);
   if (!decoded) store.discard_corrupt(name, decoded.status().message);
   return decoded;
 }
@@ -39,9 +44,9 @@ std::string numbered(const std::string& stem, std::uint32_t index) {
 /// Checkpoint hooks over the shards `<stem>-NNN` of one kind. load is a
 /// checked load that also quarantines, with `mismatch`, a shard naming
 /// another index or partition; save writes atomically.
-template <typename Shard, typename Decode, typename Encode>
+template <typename Shard, typename Encode>
 ShardHooks<Shard> checkpoint_hooks(ArtifactStore& store, std::string stem,
-                                   ArtifactKind kind, Decode decode,
+                                   ArtifactKind kind, Decoder<Shard> decode,
                                    Encode encode, const char* mismatch) {
   ShardHooks<Shard> hooks;
   hooks.load = [&store, stem, kind, decode, mismatch](
@@ -172,25 +177,24 @@ void ArtifactStore::quarantine_file(const fs::path& p, const std::string& why) {
         "; recomputing");
 }
 
-Result<std::string> ArtifactStore::get_validated(const std::string& name,
-                                                 ArtifactKind kind) {
+Result<ArtifactReader> ArtifactStore::get_validated(const std::string& name,
+                                                    ArtifactKind kind,
+                                                    std::string& bytes) {
   count("ced_store_reads_total");
   // Shared lease: covers both the read and a possible quarantine move, so
   // a cross-process gc can't sweep the file out from under either step.
   StoreLock lease(dir_, /*exclusive=*/false);
   const fs::path p = path_for(name);
-  auto bytes = io::read_file(p);
-  if (!bytes) {
+  auto read = io::read_file(p);
+  if (!read) {
     // Missing (or unreadable) artifact: a plain cache miss, not an incident.
     return Status::invalid_input(Stage::kStore,
-                                 name + ".ced: " + bytes.status().message);
+                                 name + ".ced: " + read.status().message);
   }
-  auto art = ArtifactReader::open(*bytes, kind);
-  if (!art) {
-    quarantine_file(p, art.status().message);
-    return art.status();
-  }
-  return std::move(*bytes);
+  bytes = std::move(*read);
+  auto art = ArtifactReader::open(bytes, kind);
+  if (!art) quarantine_file(p, art.status().message);
+  return art;
 }
 
 bool ArtifactStore::exists(const std::string& name) const {

@@ -78,12 +78,14 @@ class ArtifactStore {
   /// returned Status), never exceptions.
   Status put(const std::string& name, std::string_view bytes);
 
-  /// Reads `<name>.ced` and checks the envelope (magic/version/kind/CRC).
-  /// A missing file is a plain miss; a file that fails validation is
-  /// quarantined, recorded as an event, and returned as the failure
-  /// Status — the caller treats both as "recompute".
-  Result<std::string> get_validated(const std::string& name,
-                                    ArtifactKind kind);
+  /// Reads `<name>.ced` into `bytes` and opens it as `kind`, checking the
+  /// envelope (magic/version/kind/CRC); the returned reader views `bytes`
+  /// and is what the decoders read. A missing file is a plain miss; a file
+  /// that fails validation is quarantined, recorded as an event, and
+  /// returned as the failure Status — the caller treats both as
+  /// "recompute".
+  Result<ArtifactReader> get_validated(const std::string& name,
+                                       ArtifactKind kind, std::string& bytes);
 
   bool exists(const std::string& name) const;
   void remove(const std::string& name);

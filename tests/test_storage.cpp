@@ -47,6 +47,14 @@ std::vector<core::DetectabilityTable> tables_for(const fsm::FsmCircuit& c,
   return core::extract_cases_multi(c, faults, opts);
 }
 
+/// True when `name` reads back from `store` as a valid `kind` artifact
+/// (a miss or a quarantine otherwise).
+bool reads_valid(ArtifactStore& store, const std::string& name,
+                 ArtifactKind kind) {
+  std::string bytes;
+  return store.get_validated(name, kind, bytes).has_value();
+}
+
 /// Every test gets a private store directory, removed unconditionally in
 /// TearDown so ctest leaves no quarantine/ or temp litter behind.
 class StorageTest : public ::testing::Test {
@@ -300,24 +308,21 @@ TEST_F(StorageTest, CorruptArtifactIsQuarantinedAndBecomesMiss) {
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x10);
   write_raw("tab-key", bytes);
 
-  auto got = store.get_validated("tab-key", ArtifactKind::kTableBundle);
-  EXPECT_FALSE(got.has_value());
+  EXPECT_FALSE(reads_valid(store, "tab-key", ArtifactKind::kTableBundle));
   EXPECT_FALSE(store.exists("tab-key"));
   EXPECT_TRUE(fs::exists(dir_ / "quarantine" / "tab-key.ced"));
   const auto events = store.drain_events();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_NE(events[0].find("quarantined"), std::string::npos) << events[0];
   // A second read is a plain miss, with no further incident.
-  EXPECT_FALSE(
-      store.get_validated("tab-key", ArtifactKind::kTableBundle).has_value());
+  EXPECT_FALSE(reads_valid(store, "tab-key", ArtifactKind::kTableBundle));
   EXPECT_TRUE(store.drain_events().empty());
 }
 
 TEST_F(StorageTest, KindMismatchIsQuarantined) {
   ArtifactStore store(dir_);
   ASSERT_TRUE(store.put("scheme-x", encode_tables({})).ok());
-  EXPECT_FALSE(
-      store.get_validated("scheme-x", ArtifactKind::kParityScheme).has_value());
+  EXPECT_FALSE(reads_valid(store, "scheme-x", ArtifactKind::kParityScheme));
   EXPECT_TRUE(fs::exists(dir_ / "quarantine" / "scheme-x.ced"));
 }
 
@@ -373,8 +378,7 @@ TEST_F(StorageTest, ReservedKindsFailEveryKindCheck) {
     }
     const std::string name = "reserved-" + std::to_string(id);
     ASSERT_TRUE(store.put(name, bytes).ok());
-    EXPECT_FALSE(
-        store.get_validated(name, ArtifactKind::kParityScheme).has_value());
+    EXPECT_FALSE(reads_valid(store, name, ArtifactKind::kParityScheme));
     EXPECT_FALSE(store.exists(name));
     EXPECT_TRUE(fs::exists(dir_ / "quarantine" / (name + ".ced")));
   }
@@ -622,8 +626,62 @@ TEST_F(StorageTest, PipelineQuarantinesCorruptCacheAndRecomputes) {
             std::string::npos);
   EXPECT_FALSE(rep.resilience.summary().empty());
   // The recomputed bundle was re-cached and is valid again.
-  EXPECT_TRUE(
-      store.get_validated(tab_name, ArtifactKind::kTableBundle).has_value());
+  EXPECT_TRUE(reads_valid(store, tab_name, ArtifactKind::kTableBundle));
+}
+
+TEST_F(StorageTest, FlippedPayloadByteIsQuarantinedOnceThenRecomputed) {
+  const fsm::Fsm f =
+      fsm::Fsm::from_kiss(kiss::parse(benchdata::handwritten_kiss("traffic")));
+  ArtifactStore store(dir_);
+  StoreArchive archive(store);
+  core::PipelineOptions opts;
+  opts.latency = 2;
+  opts.exec.threads = 1;
+  opts.archive = &archive;
+  const core::PipelineReport ref =
+      ced::run_pipeline(f, ced::RunConfig::wrap(opts));
+  ASSERT_TRUE(ref.resilience.store_events.empty());
+  std::string tab_name;
+  for (const std::string& name : store.list()) {
+    if (name.rfind("tab-", 0) == 0) tab_name = name;
+  }
+  ASSERT_FALSE(tab_name.empty());
+  const std::string good = read_raw(tab_name);
+
+  // One flipped bit in the table section's payload, past the 12-byte
+  // envelope header and the 16-byte section header.
+  constexpr std::size_t kPayload = 12 + 16;
+  ASSERT_GT(good.size(), kPayload);
+  std::string bad = good;
+  const std::size_t at = kPayload + (good.size() - kPayload) / 2;
+  bad[at] = static_cast<char>(bad[at] ^ 0x01);
+  write_raw(tab_name, bad);
+
+  const core::PipelineReport rep =
+      ced::run_pipeline(f, ced::RunConfig::wrap(opts));
+  ASSERT_EQ(rep.resilience.store_events.size(), 1u);
+  EXPECT_NE(rep.resilience.store_events[0].find("quarantined " + tab_name),
+            std::string::npos)
+      << rep.resilience.store_events[0];
+  EXPECT_NE(rep.resilience.store_events[0].find("CRC mismatch"),
+            std::string::npos)
+      << rep.resilience.store_events[0];
+  EXPECT_EQ(read_raw(tab_name), good);  // recomputed and re-cached
+  std::string quarantined;
+  {
+    auto q = io::read_file(dir_ / "quarantine" / (tab_name + ".ced"));
+    ASSERT_TRUE(q.has_value());
+    quarantined = *q;
+  }
+  EXPECT_EQ(quarantined, bad);
+  EXPECT_EQ(rep.parities, ref.parities);
+  EXPECT_EQ(rep.num_cases, ref.num_cases);
+
+  // The re-cached bundle loads with no further incident.
+  const core::PipelineReport again =
+      ced::run_pipeline(f, ced::RunConfig::wrap(opts));
+  EXPECT_TRUE(again.resilience.store_events.empty());
+  EXPECT_EQ(again.parities, ref.parities);
 }
 
 TEST_F(StorageTest, StoreDirectoryFailureDegradesToAlwaysMiss) {
@@ -720,8 +778,49 @@ TEST_F(StorageTest, GcDoesNotRaceAConcurrentWriterProcess) {
   // slack, but it must have waited a detectable amount).
   EXPECT_GT(waited_ms, 100.0);
   EXPECT_EQ(gc.tmp_removed, 0u);
-  EXPECT_TRUE(store.get_validated("scheme-live", ArtifactKind::kParityScheme)
-                  .has_value());
+  EXPECT_TRUE(reads_valid(store, "scheme-live", ArtifactKind::kParityScheme));
+}
+
+// ------------------------------------------------------------ checksum
+
+/// Bit-at-a-time CRC32 over the reflected polynomial 0xEDB88320: the
+/// reference for io::crc32's slice-by-8 tables.
+std::uint32_t crc32_bitwise(std::string_view data, std::uint32_t seed = 0) {
+  std::uint32_t crc = ~seed;
+  for (const char ch : data) {
+    crc ^= static_cast<unsigned char>(ch);
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32, CheckValue) {
+  EXPECT_EQ(io::crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(io::crc32(""), 0u);
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  std::string buf(300 + 8, '\0');
+  std::uint32_t x = 0x12345678u;
+  for (char& c : buf) {
+    x = x * 1664525u + 1013904223u;
+    c = static_cast<char>(x >> 24);
+  }
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len = 0; len < 300; ++len) {
+      const std::string_view data(buf.data() + align, len);
+      ASSERT_EQ(io::crc32(data), crc32_bitwise(data))
+          << "length " << len << " alignment " << align;
+    }
+  }
+  // A seed continues a checksum: crc(a + b) = crc(b, crc(a)).
+  const std::string_view all(buf.data(), 300);
+  for (std::size_t cut = 0; cut <= 300; cut += 7) {
+    EXPECT_EQ(io::crc32(all.substr(cut), io::crc32(all.substr(0, cut))),
+              io::crc32(all));
+  }
 }
 
 }  // namespace
