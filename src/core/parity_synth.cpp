@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "common/parallel.hpp"
 #include "logic/factor.hpp"
@@ -33,16 +32,16 @@ CedSynthesizer::CedSynthesizer(const fsm::FsmCircuit& circuit,
     throw std::invalid_argument("synthesize_ced: checker input space too wide");
   }
   dc_ = logic::BitVec(std::size_t{1} << (r_ + s_));
+  // The reachability search simulates every reachable code once; the rows
+  // read below come from the same cache.
   sim::GoldenCache golden(circuit);
-  std::unordered_set<std::uint64_t> reachable;
-  for (std::uint64_t c :
-       sim::reachable_codes(circuit, circuit.enc.reset_code)) {
-    reachable.insert(c);
-  }
+  const std::vector<std::uint64_t> reachable =
+      golden.reachable(circuit.enc.reset_code);
   const std::uint64_t num_codes = std::uint64_t{1} << s_;
   const std::uint64_t num_inputs = std::uint64_t{1} << r_;
   for (std::uint64_t code = 0; code < num_codes; ++code) {
-    if (opts_.dc_unreachable && !reachable.count(code)) {
+    if (opts_.dc_unreachable &&
+        !std::ranges::binary_search(reachable, code)) {
       for (std::uint64_t a = 0; a < num_inputs; ++a) {
         dc_.set(circuit.enc.pack(a, code));
       }

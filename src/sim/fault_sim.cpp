@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
+#include <unordered_set>
 
 namespace ced::sim {
 namespace {
@@ -136,6 +137,23 @@ const std::vector<std::uint64_t>& GoldenCache::rows(std::uint64_t state_code) {
              .first;
   }
   return it->second;
+}
+
+std::vector<std::uint64_t> GoldenCache::reachable(std::uint64_t reset_code) {
+  std::vector<std::uint64_t> order;
+  std::unordered_set<std::uint64_t> seen{reset_code};
+  std::vector<std::uint64_t> stack{reset_code};
+  while (!stack.empty()) {
+    const std::uint64_t code = stack.back();
+    stack.pop_back();
+    order.push_back(code);
+    for (const std::uint64_t obs : rows(code)) {
+      const std::uint64_t next = circuit_.next_state_of(obs);
+      if (seen.insert(next).second) stack.push_back(next);
+    }
+  }
+  std::sort(order.begin(), order.end());
+  return order;
 }
 
 GoldenTrace::GoldenTrace(const fsm::FsmCircuit& c,
@@ -325,24 +343,7 @@ const std::vector<std::uint64_t>* FaultyCache::row(std::uint64_t state_code) {
 
 std::vector<std::uint64_t> reachable_codes(const fsm::FsmCircuit& c,
                                            std::uint64_t reset_code) {
-  std::vector<std::uint64_t> order;
-  std::unordered_map<std::uint64_t, bool> seen;
-  std::vector<std::uint64_t> stack{reset_code};
-  seen[reset_code] = true;
-  while (!stack.empty()) {
-    const std::uint64_t code = stack.back();
-    stack.pop_back();
-    order.push_back(code);
-    for (const std::uint64_t obs : simulate_all_inputs(c, code)) {
-      const std::uint64_t next = c.next_state_of(obs);
-      if (!seen[next]) {
-        seen[next] = true;
-        stack.push_back(next);
-      }
-    }
-  }
-  std::sort(order.begin(), order.end());
-  return order;
+  return GoldenCache(c).reachable(reset_code);
 }
 
 }  // namespace ced::sim

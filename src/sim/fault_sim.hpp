@@ -43,6 +43,11 @@ class GoldenCache {
   const std::vector<std::uint64_t>& rows(std::uint64_t state_code);
   const fsm::FsmCircuit& circuit() const { return circuit_; }
 
+  /// State codes reachable from `reset_code` under every input sequence,
+  /// in increasing order: a search over rows(), so every reachable code's
+  /// row is simulated once and stays cached.
+  std::vector<std::uint64_t> reachable(std::uint64_t reset_code);
+
  private:
   const fsm::FsmCircuit& circuit_;
   std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> cache_;
@@ -198,7 +203,7 @@ class GoldenView {
 };
 
 /// State codes reachable in the fault-free circuit from `reset_code` under
-/// every input sequence (BFS over all concrete inputs).
+/// every input sequence: GoldenCache::reachable on a cache of its own.
 std::vector<std::uint64_t> reachable_codes(const fsm::FsmCircuit& c,
                                            std::uint64_t reset_code);
 
