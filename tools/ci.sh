@@ -6,16 +6,19 @@
 #                          # + full ctest under sanitizers, then TSan build
 #                          # + full ctest with 4 worker threads
 #   tools/ci.sh --fast     # ASan+UBSan pass runs only the resilience,
-#                          # parser, storage, LP-solver, case-set,
-#                          # fault-simulator, extraction, campaign and
-#                          # end-to-end suites (the crash-prone surface:
-#                          # budget valves, malformed input,
-#                          # corrupt-artifact fault injection, the sparse
+#                          # parser, storage, CRC, LP-solver, case-set,
+#                          # two-level minimizer (with its minterm
+#                          # oracle), fault-simulator, extraction,
+#                          # campaign and end-to-end suites (the
+#                          # crash-prone surface: budget valves, malformed
+#                          # input, corrupt-artifact fault injection, the
+#                          # slice-by-8 CRC's table lookups, the sparse
 #                          # simplex's pointer arithmetic, the case set's
-#                          # open-addressing index, the pointers the
-#                          # faulty-row memo hands out, and the protected
-#                          # machine's batched checker rows behind every
-#                          # sequential proof);
+#                          # open-addressing index, the truth-table words
+#                          # the minimizer indexes from cube masks, the
+#                          # pointers the faulty-row memo hands out, and
+#                          # the protected machine's batched checker rows
+#                          # behind every sequential proof);
 #                          # TSan pass runs only the concurrency-bearing
 #                          # suites (parallel extraction, pipeline,
 #                          # resume, and the warm-started LP under a
@@ -257,7 +260,7 @@ cmake --preset asan-ubsan >/dev/null
 cmake --build --preset asan-ubsan -j "$jobs"
 if [[ "$fast" == 1 ]]; then
   ctest --preset asan-ubsan -j "$jobs" \
-      -R 'Resilience|KissMalformed|KissParse|Storage|RevisedLp|Simplex|CaseSet|FaultSim|Extract|Campaign|EndToEnd'
+      -R 'Resilience|KissMalformed|KissParse|Storage|Crc32|RevisedLp|Simplex|CaseSet|Espresso|MinimizeProperty|FaultSim|Extract|Campaign|EndToEnd'
 else
   ctest --preset asan-ubsan -j "$jobs"
 fi
