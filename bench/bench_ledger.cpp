@@ -80,11 +80,10 @@ const char* bound_verdict(const core::Design& design,
 std::vector<std::string> ledger_lines(const std::string& name) {
   std::vector<std::string> lines;
   const fsm::Fsm f = benchdata::suite_fsm(name);
-  for (const core::DiffSemantics sem :
-       {core::DiffSemantics::kImplementable,
-        core::DiffSemantics::kMachineLevel}) {
-    const char* tag =
-        sem == core::DiffSemantics::kImplementable ? "impl" : "machine";
+  for (const EnumName<core::DiffSemantics>& semantics :
+       core::kSemanticsNames) {
+    const core::DiffSemantics sem = semantics.value;
+    const std::string tag(semantics.name);
     const Result<RunConfig> cfg =
         RunConfig::Builder().semantics(sem).threads(kThreads).build();
     if (!cfg) {
@@ -111,7 +110,8 @@ std::vector<std::string> ledger_lines(const std::string& name) {
         std::fprintf(stderr,
                      "%s %s p=%d: truncated table or table/report mismatch "
                      "(%zu vs %zu cases)\n",
-                     name.c_str(), tag, p, rep.num_cases, table.cases.size());
+                     name.c_str(), tag.c_str(), p, rep.num_cases,
+                     table.cases.size());
         return {};
       }
       std::string line = name + " " + tag + " p=" + std::to_string(p) +

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/names.hpp"
 #include "common/shards.hpp"
 #include "core/erroneous_case.hpp"
 #include "core/resilience.hpp"
@@ -35,6 +36,13 @@ enum class DiffSemantics {
   kImplementable,
   kMachineLevel,
 };
+
+/// How the CLI's --semantics, a serve request's 'semantics' and the
+/// ledger spell each semantics (common/names.hpp).
+inline constexpr NameTable<DiffSemantics, 2> kSemanticsNames{{
+    {"impl", DiffSemantics::kImplementable},
+    {"machine", DiffSemantics::kMachineLevel},
+}};
 
 struct ExtractOptions {
   /// Latency bound p (1 .. kMaxLatency).

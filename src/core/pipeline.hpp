@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/exec.hpp"
+#include "common/names.hpp"
 #include "core/algorithm1.hpp"
 #include "core/exact.hpp"
 #include "core/extract.hpp"
@@ -22,6 +23,14 @@ enum class SolverKind {
   kExact,       ///< exhaustive optimum (small instances only; falls back
                 ///< to Algorithm 1 when the instance is too large)
 };
+
+/// How the CLI's --solver, a serve request's 'solver' and stored scheme
+/// names spell each solver (common/names.hpp).
+inline constexpr NameTable<SolverKind, 3> kSolverNames{{
+    {"lp", SolverKind::kLpRounding},
+    {"greedy", SolverKind::kGreedy},
+    {"exact", SolverKind::kExact},
+}};
 
 struct PipelineOptions {
   fsm::EncodingKind encoding = fsm::EncodingKind::kBinary;

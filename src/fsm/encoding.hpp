@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/names.hpp"
 #include "fsm/fsm.hpp"
 
 namespace ced::fsm {
@@ -15,6 +16,15 @@ enum class EncodingKind {
   kSpread,   ///< binary-width codes chosen to maximize pairwise Hamming
              ///< distance between adjacent states (greedy heuristic)
 };
+
+/// How the CLI's --encoding and a serve request's 'encoding' spell each
+/// encoding (common/names.hpp).
+inline constexpr NameTable<EncodingKind, 4> kEncodingNames{{
+    {"binary", EncodingKind::kBinary},
+    {"gray", EncodingKind::kGray},
+    {"onehot", EncodingKind::kOneHot},
+    {"spread", EncodingKind::kSpread},
+}};
 
 /// A concrete state assignment: `codes[state]` is its binary code over
 /// `num_bits` bits.

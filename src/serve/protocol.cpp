@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/pipeline.hpp"
 #include "obs/json.hpp"
 
 namespace ced::serve {
@@ -187,21 +188,22 @@ Result<Request> parse_request(const Json& doc) {
   }
   if (const Json* v = doc.get("solver")) {
     req.solver = v->str_or("");
-    if (req.solver != "lp" && req.solver != "greedy" && req.solver != "exact") {
-      return bad("field 'solver' must be lp|greedy|exact");
+    if (!enum_from_name(core::kSolverNames, req.solver)) {
+      return bad("field 'solver' must be " + names_joined(core::kSolverNames));
     }
   }
   if (const Json* v = doc.get("encoding")) {
     req.encoding = v->str_or("");
-    if (req.encoding != "binary" && req.encoding != "gray" &&
-        req.encoding != "onehot" && req.encoding != "spread") {
-      return bad("field 'encoding' must be binary|gray|onehot|spread");
+    if (!enum_from_name(fsm::kEncodingNames, req.encoding)) {
+      return bad("field 'encoding' must be " +
+                 names_joined(fsm::kEncodingNames));
     }
   }
   if (const Json* v = doc.get("semantics")) {
     req.semantics = v->str_or("");
-    if (req.semantics != "impl" && req.semantics != "machine") {
-      return bad("field 'semantics' must be impl|machine");
+    if (!enum_from_name(core::kSemanticsNames, req.semantics)) {
+      return bad("field 'semantics' must be " +
+                 names_joined(core::kSemanticsNames));
     }
   }
   if (const Json* v = doc.get("seed")) {

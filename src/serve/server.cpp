@@ -24,19 +24,6 @@ namespace {
 
 using namespace std::chrono_literals;
 
-core::SolverKind solver_kind(const std::string& s) {
-  if (s == "greedy") return core::SolverKind::kGreedy;
-  if (s == "exact") return core::SolverKind::kExact;
-  return core::SolverKind::kLpRounding;
-}
-
-fsm::EncodingKind encoding_kind(const std::string& s) {
-  if (s == "gray") return fsm::EncodingKind::kGray;
-  if (s == "onehot") return fsm::EncodingKind::kOneHot;
-  if (s == "spread") return fsm::EncodingKind::kSpread;
-  return fsm::EncodingKind::kBinary;
-}
-
 void close_fd(int& fd) {
   if (fd >= 0) {
     ::close(fd);
@@ -563,20 +550,48 @@ int request_threads(const Request& req, int threads_cap) {
   return req.threads > 0 ? std::min(req.threads, threads_cap) : threads_cap;
 }
 
-/// The result-shaping part of a protect or verify request's configuration.
-/// Both ops build it here, so a verify looks a scheme up under the key its
-/// protect filed it under.
-RunConfig::Builder request_shape(const Request& req, core::SolverKind solver,
+/// The result-shaping part of a request's configuration apart from the
+/// latency: every op builds it here, so a verify looks a scheme up under
+/// the key its protect filed it under. parse_request admits only names
+/// the tables hold; a Request built in code with another name gets the
+/// default.
+RunConfig::Builder request_shape(const Request& req, bool degraded_mode,
                                  int checkpoint_shards) {
   RunConfig::Builder b;
-  b.latency(req.latency)
-      .solver(solver)
-      .encoding(encoding_kind(req.encoding))
+  b.solver(degraded_mode ? core::SolverKind::kGreedy
+                         : enum_from_name(core::kSolverNames, req.solver)
+                               .value_or(core::SolverKind::kLpRounding))
+      .encoding(enum_from_name(fsm::kEncodingNames, req.encoding)
+                    .value_or(fsm::EncodingKind::kBinary))
+      .semantics(enum_from_name(core::kSemanticsNames, req.semantics)
+                     .value_or(core::DiffSemantics::kImplementable))
       .checkpoint_shards(checkpoint_shards);
-  if (req.semantics == "machine") {
-    b.semantics(core::DiffSemantics::kMachineLevel);
-  }
   if (req.seed != 0) b.seed(req.seed);
+  return b;
+}
+
+/// The configuration protect and sweep both run under: the request's
+/// shape, its worker threads, its wall budget (the request's deadline,
+/// else the server default; degraded mode clamps it hard so overflow
+/// traffic stays cheap) and the drain valve, observed through `sinks`.
+RunConfig::Builder run_builder(const Request& req, bool degraded_mode,
+                               const ServerOptions& opts,
+                               const std::atomic<bool>& drain,
+                               const obs::Sinks& sinks) {
+  double wall_s = req.deadline_ms > 0 ? req.deadline_ms / 1000.0
+                                      : opts.default_deadline_s;
+  if (degraded_mode) {
+    wall_s = wall_s > 0 ? std::min(wall_s, opts.degraded_budget_s)
+                        : opts.degraded_budget_s;
+  }
+  RunConfig::Builder b =
+      request_shape(req, degraded_mode, opts.checkpoint_shards);
+  b.threads(request_threads(req, opts.threads_per_request))
+      .observe(sinks)
+      .tune([&](core::PipelineOptions& o) {
+        o.budget.wall_seconds = wall_s;
+        o.budget.interrupt = &drain;
+      });
   return b;
 }
 
@@ -587,18 +602,6 @@ Response Server::run_protect(const Request& req, bool degraded_mode) {
   if (!machine) {
     return error_response(Code::kInvalidInput, machine.status().message,
                           req.id);
-  }
-
-  const core::SolverKind solver =
-      degraded_mode ? core::SolverKind::kGreedy : solver_kind(req.solver);
-
-  // Per-request wall budget: explicit deadline > server default; degraded
-  // mode clamps hard so overflow traffic stays cheap.
-  double wall_s = req.deadline_ms > 0 ? req.deadline_ms / 1000.0
-                                      : opts_.default_deadline_s;
-  if (degraded_mode) {
-    wall_s = wall_s > 0 ? std::min(wall_s, opts_.degraded_budget_s)
-                        : opts_.degraded_budget_s;
   }
 
   std::optional<storage::StoreArchive> archive;
@@ -614,15 +617,10 @@ Response Server::run_protect(const Request& req, bool degraded_mode) {
   }
 
   obs::Tracer tracer;
-  const int threads = request_threads(req, opts_.threads_per_request);
   RunConfig::Builder builder =
-      request_shape(req, solver, opts_.checkpoint_shards);
-  builder.threads(threads)
-      .observe(obs::Sinks{&tracer, &registry_, 0})
-      .tune([&](core::PipelineOptions& o) {
-        o.budget.wall_seconds = wall_s;
-        o.budget.interrupt = &drain_trip_;
-      });
+      run_builder(req, degraded_mode, opts_, drain_trip_,
+                  obs::Sinks{&tracer, &registry_, 0});
+  builder.latency(req.latency);
   if (arch != nullptr) {
     // Always pick up checkpoints left by a crashed run.
     builder.archive(arch).resume(true);
@@ -688,28 +686,10 @@ Response Server::run_sweep(const Request& req, bool degraded_mode) {
                           req.id);
   }
   obs::Tracer tracer;
-  double wall_s = req.deadline_ms > 0 ? req.deadline_ms / 1000.0
-                                      : opts_.default_deadline_s;
-  if (degraded_mode) {
-    wall_s = wall_s > 0 ? std::min(wall_s, opts_.degraded_budget_s)
-                        : opts_.degraded_budget_s;
-  }
-  RunConfig::Builder builder;
-  builder
-      .solver(degraded_mode ? core::SolverKind::kGreedy
-                            : solver_kind(req.solver))
-      .encoding(encoding_kind(req.encoding))
-      .threads(request_threads(req, opts_.threads_per_request))
-      .observe(obs::Sinks{&tracer, &registry_, 0})
-      .tune([&](core::PipelineOptions& o) {
-        o.budget.wall_seconds = wall_s;
-        o.budget.interrupt = &drain_trip_;
-      });
-  if (req.semantics == "machine") {
-    builder.semantics(core::DiffSemantics::kMachineLevel);
-  }
-  if (req.seed != 0) builder.seed(req.seed);
-  const Result<RunConfig> cfg = builder.build();
+  const Result<RunConfig> cfg =
+      run_builder(req, degraded_mode, opts_, drain_trip_,
+                  obs::Sinks{&tracer, &registry_, 0})
+          .build();
   if (!cfg) {
     return error_response(Code::kInvalidInput, cfg.status().message, req.id);
   }
@@ -746,7 +726,8 @@ Response Server::run_verify(const Request& req) {
                           req.id);
   }
   const Result<RunConfig> cfg =
-      request_shape(req, solver_kind(req.solver), opts_.checkpoint_shards)
+      request_shape(req, /*degraded_mode=*/false, opts_.checkpoint_shards)
+          .latency(req.latency)
           .build();
   if (!cfg) {
     return error_response(Code::kInvalidInput, cfg.status().message, req.id);

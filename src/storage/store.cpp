@@ -84,13 +84,9 @@ std::string shard_key(const std::string& name, const std::string& prefix) {
   return name.substr(prefix.size(), dash - prefix.size());
 }
 
-const char* solver_tag(core::SolverKind solver) {
-  switch (solver) {
-    case core::SolverKind::kGreedy: return "greedy";
-    case core::SolverKind::kExact: return "exact";
-    case core::SolverKind::kLpRounding: break;
-  }
-  return "lp";
+/// The solver's name in a stored scheme's or manifest's name.
+std::string solver_tag(core::SolverKind solver) {
+  return std::string(name_of(core::kSolverNames, solver));
 }
 
 }  // namespace

@@ -315,6 +315,7 @@ TEST(Protocol, InvalidRequestsAreStructurallyRejected) {
       {"fractional-latency", R"({"op":"protect","kiss":"x","latency":1.5})"},
       {"bad-solver", R"({"op":"protect","kiss":"x","solver":"quantum"})"},
       {"bad-encoding", R"({"op":"protect","kiss":"x","encoding":"morse"})"},
+      {"bad-semantics", R"({"op":"protect","kiss":"x","semantics":"machin"})"},
       {"sweep-without-latencies", R"({"op":"sweep","kiss":"x"})"},
       {"bad-threads", R"({"op":"protect","kiss":"x","threads":-1})"},
       {"oversized-id",
@@ -334,6 +335,45 @@ TEST(Protocol, InvalidRequestsAreStructurallyRejected) {
       EXPECT_EQ(req.status().code, StatusCode::kInvalidInput) << name;
     }
   }
+}
+
+TEST(Protocol, ShapeNamesComeFromOneTablePerEnum) {
+  // Each enum's name table is the one spelling the CLI flags, the protocol
+  // and stored scheme names share: every name maps to its value and back,
+  // the protocol accepts each of them, and an unknown name is rejected
+  // with the error text clients already match on.
+  const auto check = [](const auto& table, const std::string& field,
+                        const std::string& error) {
+    const auto request = [&](std::string_view name) {
+      auto doc = Json::parse(R"({"op":"protect","kiss":"x",")" + field +
+                             R"(":")" + std::string(name) + R"("})");
+      EXPECT_TRUE(doc.has_value()) << field;
+      return parse_request(*doc);
+    };
+    for (const auto& e : table) {
+      EXPECT_EQ(enum_from_name(table, e.name), e.value) << e.name;
+      EXPECT_EQ(name_of(table, e.value), e.name);
+      EXPECT_TRUE(request(e.name).has_value()) << field << "=" << e.name;
+    }
+    EXPECT_FALSE(enum_from_name(table, "exat").has_value()) << field;
+    EXPECT_FALSE(enum_from_name(table, "").has_value()) << field;
+    const auto bad = request("exat");
+    ASSERT_FALSE(bad.has_value()) << field;
+    EXPECT_EQ(bad.status().message, error);
+  };
+  check(core::kSolverNames, "solver",
+        "field 'solver' must be lp|greedy|exact");
+  check(fsm::kEncodingNames, "encoding",
+        "field 'encoding' must be binary|gray|onehot|spread");
+  check(core::kSemanticsNames, "semantics",
+        "field 'semantics' must be impl|machine");
+  // Stored schemes and manifests are filed under the solver's name.
+  EXPECT_EQ(storage::scheme_name("k", 3, core::SolverKind::kLpRounding),
+            "scheme-k-p3-lp");
+  EXPECT_EQ(storage::scheme_name("k", 2, core::SolverKind::kGreedy),
+            "scheme-k-p2-greedy");
+  EXPECT_EQ(storage::manifest_name("k", 1, core::SolverKind::kExact),
+            "man-k-p1-exact");
 }
 
 // --------------------------------------------------------- digest golden

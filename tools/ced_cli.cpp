@@ -349,26 +349,35 @@ core::RunBudget budget_from_args(int argc, char** argv) {
   return b;
 }
 
+/// The value a name-valued flag spells in `table`, or `fallback` when the
+/// flag is absent; an unknown name is invalid input naming the flag.
+template <typename E, std::size_t N>
+E named_flag(int argc, char** argv, const char* key,
+             const NameTable<E, N>& table, E fallback) {
+  const std::string name =
+      arg_value(argc, argv, key, std::string(name_of(table, fallback)).c_str());
+  const std::optional<E> value = enum_from_name(table, name);
+  if (!value) {
+    throw InvalidInputError(std::string(key) + " must be " +
+                            names_joined(table) + ", got '" + name + "'");
+  }
+  return *value;
+}
+
 /// The shape flags protect, verify and campaign share: a stored scheme is
 /// filed under a key they determine (--latency, --solver, --encoding,
 /// --semantics, --checkpoint-shards), so all three parse them here.
 RunConfig::Builder shape_from_args(int argc, char** argv) {
-  const std::string solver = arg_value(argc, argv, "--solver", "lp");
-  const std::string enc = arg_value(argc, argv, "--encoding", "binary");
   RunConfig::Builder b;
   b.latency(std::atoi(arg_value(argc, argv, "--latency", "2").c_str()))
-      .solver(solver == "greedy"  ? core::SolverKind::kGreedy
-              : solver == "exact" ? core::SolverKind::kExact
-                                  : core::SolverKind::kLpRounding)
-      .encoding(enc == "gray"     ? fsm::EncodingKind::kGray
-                : enc == "onehot" ? fsm::EncodingKind::kOneHot
-                : enc == "spread" ? fsm::EncodingKind::kSpread
-                                  : fsm::EncodingKind::kBinary)
+      .solver(named_flag(argc, argv, "--solver", core::kSolverNames,
+                         core::SolverKind::kLpRounding))
+      .encoding(named_flag(argc, argv, "--encoding", fsm::kEncodingNames,
+                           fsm::EncodingKind::kBinary))
+      .semantics(named_flag(argc, argv, "--semantics", core::kSemanticsNames,
+                            core::DiffSemantics::kImplementable))
       .checkpoint_shards(std::atoi(
           arg_value(argc, argv, "--checkpoint-shards", "0").c_str()));
-  if (arg_value(argc, argv, "--semantics", "impl") == std::string("machine")) {
-    b.semantics(core::DiffSemantics::kMachineLevel);
-  }
   return b;
 }
 
