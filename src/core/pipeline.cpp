@@ -17,25 +17,20 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-PipelineReport report_for(const Design& design,
-                          const DetectabilityTable& table,
+/// Link p of the solve chain: the report fields table p determines and the
+/// cascade's cover of it, warm-started from link p-1's cover `below`. A
+/// cover for a smaller latency bound is always a valid cover for this one
+/// (detecting earlier is allowed), so the link adopts `below` when the
+/// solver found nothing smaller, even on a conservatively strengthened
+/// table. The containment argument needs complete tables, so
+/// `all_complete` gates the adoption. Laps the clock once, in the link's
+/// own solve span.
+PipelineReport solve_link(const DetectabilityTable& table,
                           const PipelineOptions& opts,
                           const Deadline& deadline,
-                          std::span<const ParityFunc> warm_start,
-                          bool warm_is_lower_latency_cover,
-                          std::optional<CedSynthesizer>& ced,
+                          std::span<const ParityFunc> below, bool all_complete,
                           obs::StageClock& clock, const obs::Sinks& run_obs) {
-  const fsm::FsmCircuit& circuit = design.circuit;
   PipelineReport rep;
-  rep.inputs = circuit.r();
-  rep.state_bits = circuit.s();
-  rep.outputs = circuit.o();
-  const auto orig = logic::measure_area(
-      circuit.netlist, opts.library,
-      static_cast<std::size_t>(circuit.s()));  // state register flip-flops
-  rep.orig_gates = orig.gates;
-  rep.orig_area = orig.area;
-  rep.num_faults = design.faults.size();
   rep.num_detectable_faults = table.num_detectable_faults;
   rep.num_cases = table.cases.size();
   rep.latency = table.latency;
@@ -53,7 +48,7 @@ PipelineReport report_for(const Design& design,
     run_obs.tracer->attr(solve_span, "latency",
                          std::to_string(table.latency));
   }
-  // Reparent the sinks under this report's solve span so the cascade's
+  // Reparent the sinks under this link's solve span so the cascade's
   // spans (solver:exact, algorithm1, greedy, lp-solve) nest beneath it.
   PipelineOptions solve_opts;
   const PipelineOptions* effective = &opts;
@@ -62,27 +57,39 @@ PipelineReport report_for(const Design& design,
     solve_opts.obs = run_obs.under(solve_span);
     effective = &solve_opts;
   }
-  rep.parities = select_parities_resilient(table, *effective, deadline,
-                                           &rep.algo_stats, warm_start,
-                                           rep.resilience);
-  // A cover for a smaller latency bound is always a valid cover for this
-  // one (detecting earlier is allowed), even when this table was
-  // conservatively strengthened and the solver could not do as well. The
-  // shortcut is only sound when the warm cover's source table was complete,
-  // so truncated sweeps skip it.
-  if (warm_is_lower_latency_cover && !warm_start.empty() &&
-      warm_start.size() < rep.parities.size()) {
-    rep.parities.assign(warm_start.begin(), warm_start.end());
+  rep.parities = select_parities_resilient(
+      table, *effective, deadline, &rep.algo_stats, below, rep.resilience);
+  if (all_complete && !below.empty() && below.size() < rep.parities.size()) {
+    rep.parities.assign(below.begin(), below.end());
     rep.algo_stats.final_q = static_cast<int>(rep.parities.size());
   }
   rep.t_solve = clock.close(run_obs.tracer, solve_span);
   rep.num_trees = static_cast<int>(rep.parities.size());
+  return rep;
+}
+
+/// Completes a requested link's report: the design's own fields, the
+/// checker for its cover from the run's one synthesizer, and its cost.
+void finish_report(PipelineReport& rep, const Design& design,
+                   const PipelineOptions& opts,
+                   std::optional<CedSynthesizer>& ced, obs::StageClock& clock,
+                   const obs::Sinks& run_obs) {
+  const fsm::FsmCircuit& circuit = design.circuit;
+  rep.inputs = circuit.r();
+  rep.state_bits = circuit.s();
+  rep.outputs = circuit.o();
+  const auto orig = logic::measure_area(
+      circuit.netlist, opts.library,
+      static_cast<std::size_t>(circuit.s()));  // state register flip-flops
+  rep.orig_gates = orig.gates;
+  rep.orig_area = orig.area;
+  rep.num_faults = design.faults.size();
 
   const std::uint64_t ced_span =
       clock.open(run_obs.tracer, "ced-synth", run_obs.parent_span);
   // One synthesizer per run, built in the first report's CED lap: it
   // simulates the golden rows once and hands back the previous checker
-  // when the sweep's scheme repeats.
+  // when the chain's scheme repeats.
   if (!ced) ced.emplace(circuit, opts.ced, opts.exec.threads);
   rep.hw = ced->synthesize(rep.parities);
   const auto cost = rep.hw.cost(opts.library);
@@ -104,7 +111,6 @@ PipelineReport report_for(const Design& design,
         Stage::kPipeline,
         "run degraded under budget; cover is valid for the cases covered");
   }
-  return rep;
 }
 
 /// Builds one classified-but-empty report per requested latency; used when
@@ -386,28 +392,38 @@ std::vector<PipelineReport> run_latency_sweep_impl(
         std::any_of(tables.begin(), tables.end(),
                     [](const DetectabilityTable& t) { return t.truncated; });
 
-    std::vector<PipelineReport> reports;
-    std::vector<ParityFunc> warm;
+    // The solve chain: links p = 1..max(latencies) in ascending order, each
+    // warm-started from the cover below, so q(p) never rises with p and the
+    // answer at p depends on the machine, the configuration and p alone,
+    // not on which other latencies the caller listed. Only requested links
+    // get a checker and a report; a report's solve lap covers every link
+    // solved since the previous stage boundary, so the laps still add up to
+    // the run total.
+    std::vector<PipelineReport> links(static_cast<std::size_t>(p_max));
     std::optional<CedSynthesizer> ced;
-    for (int p : latencies) {
-      const DetectabilityTable& table =
-          tables[static_cast<std::size_t>(p - 1)];
-      // A cover for latency p stays valid at p+1 (detecting at step 1 is
-      // always allowed), so sweeping in ascending order lets each latency
-      // warm-start from the previous solution; q(p) becomes monotone. The
-      // unverified assignment shortcut additionally requires every table of
-      // the sweep to be complete (truncated tables lose the containment
-      // argument between latencies).
-      const bool ascending = warm.empty() || p >= reports.back().latency;
-      PipelineReport rep =
-          report_for(design, table, opts, deadline, warm,
-                     ascending && !any_truncated, ced, clock, run_obs);
+    double t_solve = 0.0;
+    for (int p = 1; p <= p_max; ++p) {
+      const auto link = static_cast<std::size_t>(p - 1);
+      const std::span<const ParityFunc> below =
+          p == 1 ? std::span<const ParityFunc>{} : links[link - 1].parities;
+      PipelineReport& rep = links[link] =
+          solve_link(tables[link], opts, deadline, below,
+                     !any_truncated, clock, run_obs);
+      t_solve += rep.t_solve;
+      if (std::find(latencies.begin(), latencies.end(), p) ==
+          latencies.end()) {
+        continue;
+      }
+      rep.t_solve = std::exchange(t_solve, 0.0);
+      finish_report(rep, design, opts, ced, clock, run_obs);
       rep.t_synth = t_synth;
       rep.t_extract = t_extract;
       rep.extraction_key = extraction_key;
       rep.resilience.store_events = store_events;
-      warm = rep.parities;
-      reports.push_back(std::move(rep));
+    }
+    std::vector<PipelineReport> reports;
+    for (int p : latencies) {
+      reports.push_back(links[static_cast<std::size_t>(p - 1)]);
     }
     return reports;
   } catch (const std::invalid_argument& e) {

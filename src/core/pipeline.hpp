@@ -134,7 +134,9 @@ struct PipelineReport {
   // sample ends a stage and starts the next — obs::StageClock), so
   // t_synth + t_extract + t_solve + t_ced telescopes to the exact span
   // from run start to the last stage boundary. t_synth covers
-  // derive_design (synthesis and fault enumeration).
+  // derive_design (synthesis and fault enumeration); t_solve covers every
+  // link of the solve chain since the previous stage boundary, i.e. this
+  // link and the unrequested links just below it.
   double t_synth = 0, t_extract = 0, t_solve = 0, t_ced = 0;
 };
 
@@ -162,9 +164,12 @@ std::string extraction_key(const Design& design, const PipelineOptions& opts,
 /// The engine behind ced::run_pipeline / ced::run_latency_sweep
 /// (core/run.hpp): synthesizes once, extracts the table once at
 /// max(latencies), and derives each smaller-latency table by truncation
-/// (provably identical to direct extraction). Returns one report per
-/// requested latency, in order. Not part of the public surface — callers
-/// go through ced::RunConfig.
+/// (provably identical to direct extraction). Then it solves the chain
+/// p = 1..max(latencies) in ascending order, each link warm-started from
+/// the cover below, and synthesizes a checker only for the requested
+/// links. Returns one report per requested latency, in request order; the
+/// report at p is link p of the chain whatever else was requested. Not
+/// part of the public surface — callers go through ced::RunConfig.
 std::vector<PipelineReport> run_latency_sweep_impl(
     const fsm::Fsm& f, std::span<const int> latencies,
     const PipelineOptions& opts);

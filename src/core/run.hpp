@@ -1,12 +1,6 @@
 #pragma once
 
-// The consolidated public pipeline API.
-//
-// PRs 1-4 accreted knobs onto core::PipelineOptions one orthogonal feature
-// at a time (budget valves, store/resume, thread counts, condensation, and
-// now observability sinks); callers assembled the struct field-by-field
-// with no validation until deep inside the run. This header collapses that
-// sprawl into one validated object:
+// The public pipeline API: one validated configuration object.
 //
 //   auto cfg = ced::RunConfig::Builder()
 //                  .latency(2)
@@ -18,9 +12,7 @@
 //   if (!cfg) { /* cfg.status() says which knob is out of contract */ }
 //   core::PipelineReport rep = ced::run_pipeline(f, *cfg);
 //
-// ced::run_pipeline / ced::run_latency_sweep are the single entry points;
-// the old core::run_pipeline(f, PipelineOptions) shims were removed after
-// their transition period (every in-tree caller migrated).
+// ced::run_pipeline / ced::run_latency_sweep are the single entry points.
 
 #include <functional>
 #include <span>
@@ -56,8 +48,8 @@ class RunConfig {
   /// Recorded in the run manifest.
   std::string digest() const;
 
-  /// Adopts an existing option block without validation. Transitional —
-  /// the deprecated core:: shims and benches funnel through here; new code
+  /// Adopts an existing option block without validation (tests and bench
+  /// harnesses that set PipelineOptions fields directly); other callers
   /// should use the Builder.
   static RunConfig wrap(core::PipelineOptions opts);
 
@@ -112,11 +104,15 @@ class RunConfig::Builder {
 };
 
 /// Runs the full flow on one FSM under a validated configuration — the
-/// single pipeline entry point.
+/// single pipeline entry point. The report is link p = cfg.latency of the
+/// ascending solve chain: it equals run_latency_sweep(f, {1..p}, cfg)'s
+/// last report.
 core::PipelineReport run_pipeline(const fsm::Fsm& f, const RunConfig& cfg);
 
-/// Shared-extraction sweep over several latency bounds (see
-/// core::PipelineReport); cfg.latency is ignored in favour of `latencies`.
+/// Shared-extraction sweep over several latency bounds, in any order (see
+/// core::run_latency_sweep_impl): the report at p is link p of the one
+/// ascending solve chain, whatever else was requested. cfg.latency is
+/// ignored in favour of `latencies`.
 std::vector<core::PipelineReport> run_latency_sweep(
     const fsm::Fsm& f, std::span<const int> latencies, const RunConfig& cfg);
 

@@ -142,14 +142,80 @@ TEST(Pipeline, EncodingChoiceAffectsStateBits) {
   EXPECT_EQ(rep.state_bits, 3);  // 3 states one-hot
 }
 
+TEST(Pipeline, SingleLatencyRunIsLinkPOfTheChain) {
+  // run_pipeline(p) solves the chain 1..p, so its answer at p is what a
+  // sweep over 1..p answers there, at both semantics and at 1 and 4
+  // threads. The last pass caps every LP solve at one iteration: a fixed
+  // budget (no wall clock) that degrades every link deterministically, so
+  // the degraded chain must match too.
+  struct Pass {
+    int threads, lp_cap;
+  };
+  for (const std::string& name : benchdata::small_suite_names()) {
+    const fsm::Fsm f = benchdata::suite_fsm(name);
+    for (const EnumName<DiffSemantics>& semantics : kSemanticsNames) {
+      for (const Pass& pass : {Pass{1, 0}, Pass{4, 0}, Pass{4, 1}}) {
+        const RunConfig base =
+            *RunConfig::Builder()
+                 .semantics(semantics.value)
+                 .threads(pass.threads)
+                 .tune([&](PipelineOptions& o) {
+                   o.budget.max_lp_iterations = pass.lp_cap;
+                 })
+                 .build();
+        std::vector<int> chain;
+        for (int p = 1; p <= 3; ++p) {
+          chain.push_back(p);
+          const PipelineReport single = ced::run_pipeline(
+              f, *RunConfig::Builder(base).latency(p).build());
+          const PipelineReport link =
+              ced::run_latency_sweep(f, chain, base).back();
+          const std::string where =
+              name + " " + std::string(semantics.name) +
+              " p=" + std::to_string(p) +
+              " threads=" + std::to_string(pass.threads) +
+              " lp_cap=" + std::to_string(pass.lp_cap);
+          EXPECT_EQ(single.latency, p) << where;
+          EXPECT_EQ(single.parities, link.parities) << where;
+          EXPECT_EQ(single.num_trees, link.num_trees) << where;
+          EXPECT_EQ(single.resilience.degraded(), link.resilience.degraded())
+              << where;
+          EXPECT_EQ(link.resilience.degraded(), pass.lp_cap == 1) << where;
+        }
+      }
+    }
+  }
+}
+
 TEST(Pipeline, SweepAcceptsUnsortedLatencies) {
-  const std::vector<int> ps{2, 1};
-  PipelineOptions opts;
-  const auto reps = ced::run_latency_sweep(machine("seq_detect"), ps, RunConfig::wrap(opts));
-  ASSERT_EQ(reps.size(), 2u);
-  EXPECT_EQ(reps[0].latency, 2);
-  EXPECT_EQ(reps[1].latency, 1);
-  EXPECT_GE(reps[1].num_trees, reps[0].num_trees);
+  // Every sweep is the one ascending solve chain, so an unsorted or gapped
+  // latency list returns the matching links of the 1..3 sweep, in request
+  // order. dk16 is an input where this matters: solved on their own, its
+  // p=2 and p=3 tables take 6 trees; the chain keeps p=1's 5.
+  const RunConfig cfg;
+  for (const fsm::Fsm& f :
+       {machine("seq_detect"), benchdata::suite_fsm("dk16")}) {
+    const auto chain =
+        ced::run_latency_sweep(f, std::vector<int>{1, 2, 3}, cfg);
+    ASSERT_EQ(chain.size(), 3u);
+    for (const std::vector<int>& ps :
+         {std::vector<int>{2, 1}, std::vector<int>{3, 1},
+          std::vector<int>{2, 3}}) {
+      const auto reps = ced::run_latency_sweep(f, ps, cfg);
+      ASSERT_EQ(reps.size(), ps.size());
+      for (std::size_t i = 0; i < ps.size(); ++i) {
+        const PipelineReport& link =
+            chain[static_cast<std::size_t>(ps[i] - 1)];
+        EXPECT_EQ(reps[i].latency, ps[i]);
+        EXPECT_EQ(reps[i].parities, link.parities) << "p=" << ps[i];
+        EXPECT_EQ(reps[i].num_trees, link.num_trees) << "p=" << ps[i];
+      }
+      // q never rises with p, whatever order the latencies came in.
+      const bool ascending = ps[0] < ps[1];
+      EXPECT_GE(reps[ascending ? 0 : 1].num_trees,
+                reps[ascending ? 1 : 0].num_trees);
+    }
+  }
 }
 
 }  // namespace
