@@ -5,23 +5,19 @@
 #include "core/rng.hpp"
 
 namespace ced::core {
-namespace {
-
-double cost_of(const fsm::FsmCircuit& circuit,
-               const std::vector<ParityFunc>& parities,
-               const AreaAwareOptions& opts) {
-  const CedHardware hw = synthesize_ced(circuit, parities, opts.ced);
-  return hw.cost(opts.library).area;
-}
-
-}  // namespace
 
 AreaAwareResult minimize_parity_area(const fsm::FsmCircuit& circuit,
                                      const DetectabilityTable& table,
                                      const AreaAwareOptions& opts) {
+  // One serial synthesizer scores every candidate: the golden rows are
+  // simulated once per refinement, not once per evaluation.
+  CedSynthesizer ced(circuit, opts.ced, 1);
+  const auto cost_of = [&](const std::vector<ParityFunc>& parities) {
+    return ced.synthesize(parities).cost(opts.library).area;
+  };
   AreaAwareResult res;
   res.parities = minimize_parity_functions(table, opts.algo);
-  res.initial_area = cost_of(circuit, res.parities, opts);
+  res.initial_area = cost_of(res.parities);
   res.evaluations = 1;
   double current = res.initial_area;
 
@@ -50,7 +46,7 @@ AreaAwareResult minimize_parity_area(const fsm::FsmCircuit& circuit,
           res.parities[t] = saved;
           continue;
         }
-        const double cand = cost_of(circuit, res.parities, opts);
+        const double cand = cost_of(res.parities);
         ++res.evaluations;
         if (cand < current - 1e-9) {
           current = cand;
