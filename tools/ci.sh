@@ -49,6 +49,30 @@ echo "== results ledger: every Table-1 circuit reproduces bench/ledger.txt =="
 # thread-count-dependent amount.
 ./build/bench/bench_ledger --check=bench/ledger.txt
 
+echo "== one solve path: a single-latency protect is the ledger's chain link =="
+# `ced_cli protect --latency=p` answers with link p of the ascending solve
+# chain 1..p, which is what the ledger's 1..3 sweep pins at p. s1488
+# machine-level p=3 needs the links below it: solved alone, its
+# strengthened table takes 12 trees; the chain keeps p=2's 8. A misspelled
+# shape value is invalid input (exit 2), not the default.
+obs_tmp=$(mktemp -d)
+serve_pid=""
+trap '[[ -n "$serve_pid" ]] && kill -9 "$serve_pid" 2>/dev/null; rm -rf "$obs_tmp"' EXIT
+./build/tools/ced_cli generate --suite=s1488 > "$obs_tmp/s1488.kiss"
+./build/tools/ced_cli protect "$obs_tmp/s1488.kiss" --latency=3 \
+    --semantics=machine --threads=4 > "$obs_tmp/chain.out"
+want=$(sed -n 's/^s1488 machine p=3 .* \(q=[0-9]* masks=[0-9a-f,]*\) .*/\1/p' \
+    bench/ledger.txt)
+got="q=$(sed -n 's/.*-> q=\([0-9]*\) parity trees$/\1/p' "$obs_tmp/chain.out")"
+got+=" masks=$(sed -n 's/^  tree [0-9]*: mask 0x//p' "$obs_tmp/chain.out" | paste -sd,)"
+[[ -n "$want" && "$got" == "$want" ]] \
+  || { echo "protect s1488 machine p=3 gave '$got'; the ledger pins '$want'"; exit 1; }
+status=0
+./build/tools/ced_cli protect "$obs_tmp/s1488.kiss" --solver=exat \
+    > /dev/null 2>&1 || status=$?
+[[ "$status" == 2 ]] \
+  || { echo "a misspelled --solver exited $status, not 2"; exit 1; }
+
 echo "== kernel backends: dispatched SIMD vs word loop on s1488 =="
 # The vector engine must be a pure speedup: the backend this host
 # dispatches to (AVX2/NEON, printed) and the plain word loop forced by
@@ -63,10 +87,6 @@ echo "== obs smoke: exporters parse, q unaffected =="
 # collectors, assert the JSON exports parse and carry real data, and that
 # the printed parities are identical (the exports add information, never
 # perturb the answer).
-obs_tmp=$(mktemp -d)
-serve_pid=""
-trap '[[ -n "$serve_pid" ]] && kill -9 "$serve_pid" 2>/dev/null; rm -rf "$obs_tmp"' EXIT
-./build/tools/ced_cli generate --suite=s1488 > "$obs_tmp/s1488.kiss"
 ./build/tools/ced_cli protect "$obs_tmp/s1488.kiss" --latency=2 --threads=4 \
     > "$obs_tmp/plain.out"
 ./build/tools/ced_cli protect "$obs_tmp/s1488.kiss" --latency=2 --threads=4 \
