@@ -392,7 +392,7 @@ std::vector<PipelineReport> run_latency_sweep_impl(
         std::any_of(tables.begin(), tables.end(),
                     [](const DetectabilityTable& t) { return t.truncated; });
 
-    // The solve chain: links p = 1..max(latencies) in ascending order, each
+    // The solve chain: links p = 1..max(latencies), lowest first, each
     // warm-started from the cover below, so q(p) never rises with p and the
     // answer at p depends on the machine, the configuration and p alone,
     // not on which other latencies the caller listed. Only requested links
