@@ -18,7 +18,7 @@
 int main(int argc, char** argv) {
   using namespace ced;
   auto circuits = bench::circuits_from_args(argc, argv);
-  if (!bench::quick_mode(argc, argv) && circuits.size() > 10) {
+  if (!bench::has_flag(argc, argv, "--quick") && circuits.size() > 10) {
     circuits.resize(10);  // each evaluation synthesizes the full checker
   }
 

@@ -74,7 +74,7 @@ ConvOutcome measure_conv(const fsm::FsmCircuit& circuit,
 int main(int argc, char** argv) {
   using namespace ced;
   auto circuits = bench::circuits_from_args(argc, argv);
-  if (!bench::quick_mode(argc, argv) && circuits.size() > 10) {
+  if (!bench::has_flag(argc, argv, "--quick") && circuits.size() > 10) {
     circuits.resize(10);
   }
 

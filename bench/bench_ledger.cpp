@@ -22,7 +22,6 @@
 // ledger line; --write replaces the file with the computed lines.
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
@@ -41,14 +40,6 @@ using namespace ced;
 
 constexpr int kThreads = 4;
 constexpr int kMaxP = 3;
-
-std::string arg_value(int argc, char** argv, const char* prefix) {
-  const std::size_t n = std::strlen(prefix);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix, n) == 0) return argv[i] + n;
-  }
-  return {};
-}
 
 std::string cases_digest(const core::DetectabilityTable& table) {
   Digest128 d;
@@ -152,8 +143,8 @@ std::string key_of(const std::string& line) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string check = arg_value(argc, argv, "--check=");
-  const std::string write = arg_value(argc, argv, "--write=");
+  const std::string check = ced::bench::arg_value(argc, argv, "--check");
+  const std::string write = ced::bench::arg_value(argc, argv, "--write");
   if (check.empty() == write.empty()) {
     std::fprintf(stderr,
                  "usage: bench_ledger --check=FILE|--write=FILE "

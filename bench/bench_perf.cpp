@@ -1,8 +1,9 @@
-// Perf-trajectory harness: per-circuit wall-clock of the pipeline's hot
-// stages (extraction / solve / CED synthesis) at a ladder of thread counts,
-// plus the final q, emitted both as a human table and as machine-readable
-// JSON (BENCH_perf.json) so the repo has a perf history to track across
-// changes.
+// Perf-trajectory harness: for every circuit and every rung of a thread
+// ladder, one traced latency sweep p = 1..P (ced::run_latency_sweep, the
+// flow behind Table 1) whose stage numbers are the library's own spans,
+// plus a cover-kernel throughput microbench, emitted both as a human table
+// and as machine-readable JSON (BENCH_perf.json) so the repo has a perf
+// history to track across changes.
 //
 //   bench_perf [--quick|--circuits=a,b,c] [--threads=N] [--latency=P]
 //              [--out=path.json] [--kernel-smoke]
@@ -11,22 +12,24 @@
 // concurrency); the ladder is 1, 2, 4, ... up to that cap, cap included.
 // A cap above the host's hardware threads is refused (exit 2): a ladder
 // rung with more threads than cores measures time slicing, not scaling.
-// Every run at every thread count must produce the same q — the harness
-// exits 1 on a determinism mismatch or a degraded run, 0 otherwise.
+//
+// Each sweep runs under its own obs::Tracer, and the JSON keeps what that
+// run recorded: per span name the count and the summed duration (summed,
+// not wall time: extract-shard spans overlap above 1 thread), q and the
+// degraded flag, and each link's LP counts (PipelineReport::algo_stats).
+// The harness exits 1 on a degraded run, on q differing between rungs, on
+// a dropped span, or when the synth, extract, summed solve or summed
+// ced-synth span time differs from the reports' stage laps by more than
+// 1e-6 s; 0 otherwise.
 //
 // The JSON records the host facts a comparison needs: hardware threads,
 // the dispatched SIMD level, the CMake build type and the compiler.
 //
-// On top of the ladder, every circuit gets a solver-stage section at p=2,
-// threads=1 — {condensed, raw} — plus a kernel-throughput microbench
-// (case-evaluations/s) with one row per evaluation path: the per-case
-// core::covers reference loop, the runtime-dispatched vector engine
-// (per-beta queries), and the cache-blocked batch pass (CoverBatch).
-//
-// Each circuit also gets an LP section at p=3 — threads {1, 4} — timing
-// the solver stage and recording the revised LP's pivot/refactorization
-// counts and warm-start hit rate. Both runs must select the same q and a
-// complete cover; any divergence is an exit-1 failure.
+// Every circuit also gets a kernel-throughput microbench on its p=2 table
+// (case-evaluations/s, the harness's only timer) with one row per
+// evaluation path: the per-case core::covers reference loop, the
+// runtime-dispatched vector engine (per-beta queries), and the
+// cache-blocked batch pass (CoverBatch).
 //
 // --kernel-smoke runs only the backend identity gate (small suite by
 // default, no ladder, no JSON): at p=2, the parities selected on the SIMD
@@ -36,10 +39,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <iterator>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
@@ -51,26 +54,17 @@
 #include "core/coverkernel.hpp"
 #include "core/parity.hpp"
 #include "obs/json.hpp"
+#include "obs/trace.hpp"
 
 namespace {
 
-std::string arg_value(int argc, char** argv, const char* key,
-                      const char* fallback) {
-  const std::size_t len = std::strlen(key);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], key, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
-    }
-  }
-  return fallback;
-}
+/// Room for every span of a sweep, so a full-suite run drops none.
+constexpr std::size_t kSpanCapacity = 1 << 16;
 
-bool flag_present(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
+/// How far a stage's span time may stray from the reports' laps. Both are
+/// read off the same StageClock boundary samples, so only float rounding
+/// separates them.
+constexpr double kLapTolerance = 1e-6;
 
 std::vector<int> thread_ladder(int max_threads) {
   std::vector<int> ladder;
@@ -79,25 +73,36 @@ std::vector<int> thread_ladder(int max_threads) {
   return ladder;
 }
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-struct Run {
-  int threads = 0;
-  double t_synth = 0, t_extract = 0, t_solve = 0, t_ced = 0, t_total = 0;
-  std::vector<int> qs;
-  bool degraded = false;
+/// The spans of one name in one traced sweep.
+struct SpanTotal {
+  std::size_t count = 0;
+  double sum_s = 0;  ///< summed durations: overlapping spans add up
 };
 
-/// One run of the p=2 solver-stage section.
-struct SolveRun {
-  bool condense = false;
-  double t_solve = 0;
-  std::vector<ced::core::ParityFunc> parities;
-  std::size_t condensed_cases = 0;
+/// Link p of a sweep's solve chain: its table size, q and solver counters.
+struct Link {
+  int latency = 0;
+  std::size_t cases = 0;
+  int q = 0;
+  ced::core::Algorithm1Stats stats;
+};
+
+/// One traced sweep p = 1..P at one thread count.
+struct Run {
+  int threads = 0;
+  std::map<std::string, SpanTotal> spans;
+  std::vector<Link> links;
   bool degraded = false;
+
+  double span_s(const char* name) const {
+    const auto it = spans.find(name);
+    return it != spans.end() ? it->second.sum_s : 0.0;
+  }
+  std::vector<int> qs() const {
+    std::vector<int> out;
+    for (const Link& l : links) out.push_back(l.q);
+    return out;
+  }
 };
 
 /// One kernel-throughput microbench row (million case-evals per second):
@@ -111,6 +116,7 @@ struct KernelRow {
 
 /// Kernel-throughput microbench numbers.
 struct KernelBench {
+  std::size_t cases = 0;
   double build_s = 0;
   std::vector<KernelRow> rows;
   double mcps(const char* mode) const {
@@ -121,76 +127,74 @@ struct KernelBench {
   }
 };
 
-/// Latency of the LP section (the paper's Table 1 goes up to p=3, and
-/// p=3 is where the LPs are largest and the warm start has to pay off).
-constexpr int kLpLatency = 3;
-
-/// One run of the p=3 LP section.
-struct LpRun {
-  int threads = 0;
-  double t_solve = 0;
-  std::size_t q = 0;
-  bool covers = false;  ///< feasibility verdict: selected set covers all
-  int lp_solves = 0;
-  int lp_iterations = 0;
-  int lp_phase1_iterations = 0;
-  int lp_refactorizations = 0;
-  int lp_warm_attempts = 0;
-  int lp_warm_hits = 0;
-  std::vector<int> qs_tried;  ///< Algorithm 1's q probes, in probe order
-  bool degraded = false;
-};
-
 struct CircuitPerf {
   std::string name;
   std::size_t num_cases = 0;
   std::vector<Run> runs;
-  // p=2 solver-stage section (empty p2_runs = table build failed).
-  std::size_t p2_cases = 0;
-  std::vector<SolveRun> p2_runs;
   KernelBench kernel;
-  // p=3 LP section (empty lp_runs = table build failed).
-  std::size_t lp_cases = 0;
-  std::vector<LpRun> lp_runs;
 };
 
-/// Synthesizes the circuit and extracts its detectability table at latency
-/// `p`, serially (the solver sections fix threads=1 for extraction).
+/// Runs the sweep p = 1..P on `name` at `run.threads` under its own tracer
+/// and keeps what it recorded in `run`. Returns false (saying why on
+/// stderr) when the tracer dropped a span or a stage's span time strays
+/// from the reports' laps.
+bool traced_sweep(const std::string& name, const std::vector<int>& ps,
+                  Run& run) {
+  using namespace ced;
+  obs::Tracer tracer(kSpanCapacity);
+  core::PipelineOptions opts;
+  opts.exec.threads = run.threads;
+  opts.obs.tracer = &tracer;
+  const auto reps = bench::sweep_circuit(name, ps, opts);
+  for (const obs::SpanRecord& s : tracer.snapshot()) {
+    SpanTotal& total = run.spans[s.name];
+    ++total.count;
+    total.sum_s += s.dur_s;
+  }
+  double t_solve = 0, t_ced = 0;
+  for (const core::PipelineReport& r : reps) {
+    run.links.push_back({r.latency, r.num_cases, r.num_trees, r.algo_stats});
+    run.degraded = run.degraded || r.resilience.degraded();
+    t_solve += r.t_solve;
+    t_ced += r.t_ced;
+  }
+
+  bool ok = true;
+  if (tracer.dropped() > 0) {
+    std::fprintf(stderr, "[bench_perf] %s threads=%d: the tracer dropped "
+                 "%llu spans\n", name.c_str(), run.threads,
+                 static_cast<unsigned long long>(tracer.dropped()));
+    ok = false;
+  }
+  const struct {
+    const char* span;
+    double laps;
+  } stages[] = {{"synth", reps.back().t_synth},
+                {"extract", reps.back().t_extract},
+                {"solve", t_solve},
+                {"ced-synth", t_ced}};
+  for (const auto& stage : stages) {
+    if (std::abs(run.span_s(stage.span) - stage.laps) > kLapTolerance) {
+      std::fprintf(stderr, "[bench_perf] %s threads=%d: %s spans sum to "
+                   "%.9fs but the reports' laps to %.9fs\n", name.c_str(),
+                   run.threads, stage.span, run.span_s(stage.span),
+                   stage.laps);
+      ok = false;
+    }
+  }
+  return ok;
+}
+
+/// Extracts the detectability table of the circuit the default pipeline
+/// configuration derives, at latency `p`, serially.
 ced::core::DetectabilityTable build_table(const std::string& name, int p) {
   using namespace ced;
-  const fsm::Fsm f = benchdata::suite_fsm(name);
-  const fsm::FsmCircuit circuit =
-      fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary, {});
-  const auto faults = sim::enumerate_stuck_at(circuit.netlist, {});
+  const core::Design design =
+      core::derive_design(benchdata::suite_fsm(name), {});
   core::ExtractOptions ex;
   ex.latency = p;
   ex.threads = 1;
-  return core::extract_cases(circuit, faults, ex);
-}
-
-/// Runs the solver stage (greedy seeding + Algorithm 1, i.e. exactly what
-/// the pipeline's t_solve measures) on `table`.
-SolveRun solve_stage(const ced::core::DetectabilityTable& table,
-                     bool condense, int threads = 1) {
-  using namespace ced;
-  SolveRun r;
-  r.condense = condense;
-  core::PipelineOptions opts;
-  opts.exec.threads = threads;
-  opts.condense = condense;
-  core::Algorithm1Stats stats;
-  core::ResilienceReport resilience;
-  const auto t0 = std::chrono::steady_clock::now();
-  r.parities = core::select_parities_resilient(table, opts, core::Deadline{},
-                                               &stats, {}, resilience);
-  r.t_solve = seconds_since(t0);
-  r.condensed_cases = stats.condensed_cases;
-  r.degraded = resilience.degraded();
-  return r;
-}
-
-const char* condense_name(const SolveRun& r) {
-  return r.condense ? "condensed" : "raw";
+  return core::extract_cases(design.circuit, design.faults, ex);
 }
 
 /// Deterministic beta stream for the throughput microbench (splitmix64).
@@ -221,7 +225,9 @@ double time_per_call(F&& body) {
   do {
     body();
     ++reps;
-    elapsed = seconds_since(t0);
+    elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            t0)
+                  .count();
   } while (elapsed < 0.05);
   return elapsed / static_cast<double>(reps);
 }
@@ -229,6 +235,7 @@ double time_per_call(F&& body) {
 KernelBench bench_kernel(const ced::core::DetectabilityTable& table) {
   using namespace ced;
   KernelBench kb;
+  kb.cases = table.cases.size();
   if (table.cases.empty()) return kb;
   const auto betas = bench_betas(table.num_bits, 32);
   const double m = static_cast<double>(table.cases.size());
@@ -273,140 +280,127 @@ KernelBench bench_kernel(const ced::core::DetectabilityTable& table) {
   return kb;
 }
 
-/// Runs the p=2 solver-stage section + kernel microbench for one circuit.
-void run_solver_p2(CircuitPerf& cp) {
+/// The --kernel-smoke gate for one circuit: byte-identical parities on the
+/// dispatched SIMD backend and the forced word-loop fallback, at threads 1
+/// AND 4 (condensed table, p=2). Returns false on any divergence or
+/// degraded solve.
+bool run_kernel_smoke(const std::string& name) {
   using namespace ced;
   core::DetectabilityTable table;
   try {
-    table = build_table(cp.name, 2);
+    table = build_table(name, 2);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "[bench_perf] %s: p=2 table build failed: %s\n",
-                 cp.name.c_str(), e.what());
-    return;  // already reported as a degraded sweep row
-  }
-  cp.p2_cases = table.cases.size();
-  for (const bool condense : {true, false}) {
-    cp.p2_runs.push_back(solve_stage(table, condense));
-  }
-  cp.kernel = bench_kernel(table);
-}
-
-/// The --kernel-smoke gate: byte-identical parities on the dispatched SIMD
-/// backend and the forced word-loop fallback, at threads 1 AND 4
-/// (condensed table, p=2). Returns false on any divergence or degraded
-/// run; fills `cp.p2_runs` for reporting.
-bool run_kernel_smoke(CircuitPerf& cp) {
-  using namespace ced;
-  core::DetectabilityTable table;
-  try {
-    table = build_table(cp.name, 2);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "[bench_perf] %s: p=2 table build failed: %s\n",
-                 cp.name.c_str(), e.what());
+                 name.c_str(), e.what());
     return false;
   }
-  cp.p2_cases = table.cases.size();
   bool ok = true;
   std::vector<core::ParityFunc> ref;
   for (const SimdLevel level : {simd_level(), SimdLevel::kNone}) {
     const ScopedSimdLevel cap(level);
     for (const int threads : {1, 4}) {
-      SolveRun r = solve_stage(table, /*condense=*/true, threads);
-      if (r.degraded) ok = false;
-      if (ref.empty()) ref = r.parities;
-      if (r.parities != ref) {
+      core::PipelineOptions opts;
+      opts.exec.threads = threads;
+      core::ResilienceReport resilience;
+      const auto parities = core::select_parities_resilient(
+          table, opts, core::Deadline{}, nullptr, {}, resilience);
+      if (resilience.degraded()) ok = false;
+      if (ref.empty()) ref = parities;
+      if (parities != ref) {
         std::fprintf(stderr,
                      "[bench_perf] %s: simd=%s threads=%d selected q=%zu "
                      "with different parities than the reference (q=%zu) "
                      "— kernel backend divergence\n",
-                     cp.name.c_str(), to_string(level), threads,
-                     r.parities.size(), ref.size());
+                     name.c_str(), to_string(level), threads,
+                     parities.size(), ref.size());
         ok = false;
       }
-      cp.p2_runs.push_back(std::move(r));
     }
   }
+  std::printf("[kernel-smoke] %-8s q=%zu (%zu cases) %s\n", name.c_str(),
+              ref.size(), table.cases.size(), ok ? "ok" : "MISMATCH");
+  std::fflush(stdout);
   return ok;
 }
 
-/// Runs the solver stage once at the given thread count.
-LpRun solve_lp(const ced::core::DetectabilityTable& table, int threads) {
+void write_json(std::FILE* out, int p_max, int hardware_threads,
+                const std::vector<CircuitPerf>& perf) {
   using namespace ced;
-  LpRun r;
-  r.threads = threads;
-  core::PipelineOptions opts;
-  opts.exec.threads = threads;
-  core::Algorithm1Stats stats;
-  core::ResilienceReport resilience;
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto parities = core::select_parities_resilient(
-      table, opts, core::Deadline{}, &stats, {}, resilience);
-  r.t_solve = seconds_since(t0);
-  r.q = parities.size();
-  r.covers = core::covers_all(parities, table);
-  r.lp_solves = stats.lp_solves;
-  r.lp_iterations = stats.lp_iterations;
-  r.lp_phase1_iterations = stats.lp_phase1_iterations;
-  r.lp_refactorizations = stats.lp_refactorizations;
-  r.lp_warm_attempts = stats.lp_warm_attempts;
-  r.lp_warm_hits = stats.lp_warm_hits;
-  r.qs_tried = stats.qs_tried;
-  r.degraded = resilience.degraded();
-  return r;
-}
-
-double warm_hit_rate(const LpRun& r) {
-  return r.lp_warm_attempts > 0 ? static_cast<double>(r.lp_warm_hits) /
-                                      static_cast<double>(r.lp_warm_attempts)
-                                : 0.0;
-}
-
-/// Runs the p=3 LP section — threads {1, 4} — for one circuit; returns
-/// false when the runs disagree on q or select an incomplete cover (the
-/// harness must fail: the thread count may change wall-clock only).
-bool run_lp_p3(CircuitPerf& cp) {
-  using namespace ced;
-  core::DetectabilityTable table;
-  try {
-    table = build_table(cp.name, kLpLatency);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "[bench_perf] %s: p=%d table build failed: %s\n",
-                 cp.name.c_str(), kLpLatency, e.what());
-    return true;  // already reported as a degraded sweep row
-  }
-  cp.lp_cases = table.cases.size();
-  for (const int threads : {1, 4}) {
-    cp.lp_runs.push_back(solve_lp(table, threads));
-  }
-  bool ok = true;
-  for (const LpRun& r : cp.lp_runs) {
-    if (!r.covers) {
-      std::fprintf(stderr,
-                   "[bench_perf] %s: threads=%d selected an incomplete "
-                   "cover (q=%zu) — feasibility violation\n",
-                   cp.name.c_str(), r.threads, r.q);
-      ok = false;
+  std::fprintf(out, "{\n  \"schema\": \"ced-bench-perf-v7\",\n");
+  std::fprintf(out, "  \"latency_max\": %d,\n", p_max);
+  std::fprintf(out, "  \"hardware_threads\": %d,\n", hardware_threads);
+  std::fprintf(out, "  \"simd\": \"%s\",\n", to_string(simd_level()));
+  std::fprintf(out, "  \"build_type\": \"%s\",\n",
+               obs::json_escape(CED_BUILD_TYPE).c_str());
+  std::fprintf(out, "  \"compiler\": \"%s\",\n",
+               obs::json_escape(CED_COMPILER).c_str());
+  std::fprintf(out, "  \"circuits\": [\n");
+  for (std::size_t c = 0; c < perf.size(); ++c) {
+    const CircuitPerf& cp = perf[c];
+    // Names pass through json_escape and timings through json_number so the
+    // file parses even with hostile circuit names or NaN/Inf timings.
+    std::fprintf(out, "    {\"name\": \"%s\", \"cases\": %zu, \"runs\": [\n",
+                 obs::json_escape(cp.name).c_str(), cp.num_cases);
+    for (std::size_t i = 0; i < cp.runs.size(); ++i) {
+      const Run& r = cp.runs[i];
+      std::fprintf(out, "      {\"threads\": %d, \"q\": [", r.threads);
+      const std::vector<int> qs = r.qs();
+      for (std::size_t k = 0; k < qs.size(); ++k) {
+        std::fprintf(out, "%s%d", k ? ", " : "", qs[k]);
+      }
+      std::fprintf(out, "], \"degraded\": %s,\n       \"spans\": {",
+                   r.degraded ? "true" : "false");
+      const char* sep = "";
+      for (const auto& [name, total] : r.spans) {
+        std::fprintf(out, "%s\"%s\": {\"count\": %zu, \"sum_s\": %s}", sep,
+                     obs::json_escape(name).c_str(), total.count,
+                     obs::json_number(total.sum_s).c_str());
+        sep = ", ";
+      }
+      std::fprintf(out, "},\n       \"links\": [\n");
+      for (std::size_t k = 0; k < r.links.size(); ++k) {
+        const Link& l = r.links[k];
+        const core::Algorithm1Stats& s = l.stats;
+        std::fprintf(out,
+                     "        {\"latency\": %d, \"cases\": %zu, "
+                     "\"condensed_cases\": %zu, \"lp_solves\": %d, "
+                     "\"lp_iterations\": %d, \"lp_phase1_iterations\": %d, "
+                     "\"lp_refactorizations\": %d, \"lp_warm_attempts\": %d, "
+                     "\"lp_warm_hits\": %d, \"qs_tried\": [",
+                     l.latency, l.cases, s.condensed_cases, s.lp_solves,
+                     s.lp_iterations, s.lp_phase1_iterations,
+                     s.lp_refactorizations, s.lp_warm_attempts,
+                     s.lp_warm_hits);
+        for (std::size_t j = 0; j < s.qs_tried.size(); ++j) {
+          std::fprintf(out, "%s%d", j ? ", " : "", s.qs_tried[j]);
+        }
+        std::fprintf(out, "]}%s\n", k + 1 < r.links.size() ? "," : "");
+      }
+      std::fprintf(out, "      ]}%s\n", i + 1 < cp.runs.size() ? "," : "");
     }
-    if (r.q != cp.lp_runs.front().q) {
-      std::fprintf(stderr,
-                   "[bench_perf] %s: threads=%d selected q=%zu but "
-                   "threads=%d selected q=%zu — determinism violation\n",
-                   cp.name.c_str(), r.threads, r.q,
-                   cp.lp_runs.front().threads, cp.lp_runs.front().q);
-      ok = false;
+    std::fprintf(out,
+                 "    ],\n     \"kernel\": {\"cases\": %zu, \"build_s\": %s, "
+                 "\"rows\": [",
+                 cp.kernel.cases, obs::json_number(cp.kernel.build_s).c_str());
+    for (std::size_t i = 0; i < cp.kernel.rows.size(); ++i) {
+      const KernelRow& kr = cp.kernel.rows[i];
+      std::fprintf(out, "%s{\"mode\": \"%s\", \"mcps\": %s}", i ? ", " : "",
+                   obs::json_escape(kr.mode).c_str(),
+                   obs::json_number(kr.mcps).c_str());
     }
+    std::fprintf(out, "]}}%s\n", c + 1 < perf.size() ? "," : "");
   }
-  return ok;
+  std::fprintf(out, "  ]\n}\n");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace ced;
-  const bool kernel_smoke = flag_present(argc, argv, "--kernel-smoke");
+  const bool kernel_smoke = bench::has_flag(argc, argv, "--kernel-smoke");
   const auto circuits =
-      kernel_smoke && !flag_present(argc, argv, "--quick") &&
-              arg_value(argc, argv, "--circuits", "").empty()
+      kernel_smoke && !bench::has_flag(argc, argv, "--quick") &&
+              bench::arg_value(argc, argv, "--circuits").empty()
           ? benchdata::small_suite_names()
           : bench::circuits_from_args(argc, argv);
 
@@ -417,16 +411,7 @@ int main(int argc, char** argv) {
                 to_string(simd_level()));
     bool ok = true;
     for (const auto& name : circuits) {
-      CircuitPerf cp;
-      cp.name = name;
-      const bool circuit_ok = run_kernel_smoke(cp);
-      ok = ok && circuit_ok;
-      if (!cp.p2_runs.empty()) {
-        std::printf("[kernel-smoke] %-8s q=%zu (%zu cases) %s\n",
-                    name.c_str(), cp.p2_runs.front().parities.size(),
-                    cp.p2_cases, circuit_ok ? "ok" : "MISMATCH");
-        std::fflush(stdout);
-      }
+      ok = run_kernel_smoke(name) && ok;
     }
     std::printf(
         "[kernel-smoke] %s vs none backend equivalence at threads 1+4: "
@@ -446,14 +431,15 @@ int main(int argc, char** argv) {
                  max_threads, hardware_threads, hardware_threads);
     return 2;
   }
-  const int p_max = std::atoi(arg_value(argc, argv, "--latency", "3").c_str());
+  const int p_max = std::max(
+      std::atoi(bench::arg_value(argc, argv, "--latency", "3").c_str()), 1);
   const std::string out_path =
-      arg_value(argc, argv, "--out", "BENCH_perf.json");
+      bench::arg_value(argc, argv, "--out", "BENCH_perf.json");
   std::vector<int> ps;
-  for (int p = 1; p <= std::max(p_max, 1); ++p) ps.push_back(p);
+  for (int p = 1; p <= p_max; ++p) ps.push_back(p);
   const auto ladder = thread_ladder(max_threads);
 
-  std::printf("Pipeline wall-clock vs worker threads (latency sweep 1..%d)\n",
+  std::printf("Pipeline spans vs worker threads (latency sweep 1..%d)\n",
               p_max);
   std::printf("%-8s | %7s | %9s %9s %9s %9s | %s\n", "Circuit", "threads",
               "extract_s", "solve_s", "ced_s", "total_s", "q(1..p)");
@@ -465,36 +451,21 @@ int main(int argc, char** argv) {
     CircuitPerf cp;
     cp.name = name;
     for (const int threads : ladder) {
-      core::PipelineOptions opts;
-      opts.exec.threads = threads;
       Run run;
       run.threads = threads;
-      const auto reps = bench::sweep_circuit(name, ps, opts);
-      for (const auto& r : reps) {
-        run.qs.push_back(r.num_trees);
-        run.t_solve += r.t_solve;
-        run.t_ced += r.t_ced;
-        run.degraded = run.degraded || r.resilience.degraded();
-      }
-      if (!reps.empty()) {
-        run.t_synth = reps.back().t_synth;
-        run.t_extract = reps.back().t_extract;  // extracted once per sweep
-        cp.num_cases = reps.back().num_cases;
-      }
-      // The pipeline's StageClock takes one clock sample per stage
-      // boundary, so the stage laps telescope: their sum IS the pipeline
-      // wall-clock, with no harness overhead or inter-stage gaps mixed in.
-      run.t_total = run.t_synth + run.t_extract + run.t_solve + run.t_ced;
+      if (!traced_sweep(name, ps, run)) failed = true;
       std::string qs_text;
-      for (const int q : run.qs) {
+      for (const int q : run.qs()) {
         qs_text += (qs_text.empty() ? "" : ",") + std::to_string(q);
       }
       std::printf("%-8s | %7d | %9.3f %9.3f %9.3f %9.3f | %s%s\n",
-                  name.c_str(), threads, run.t_extract, run.t_solve, run.t_ced,
-                  run.t_total, qs_text.c_str(), run.degraded ? " *" : "");
+                  name.c_str(), threads, run.span_s("extract"),
+                  run.span_s("solve"), run.span_s("ced-synth"),
+                  run.span_s("pipeline"), qs_text.c_str(),
+                  run.degraded ? " *" : "");
       std::fflush(stdout);
       if (run.degraded) failed = true;
-      if (!cp.runs.empty() && cp.runs.front().qs != run.qs) {
+      if (!cp.runs.empty() && cp.runs.front().qs() != run.qs()) {
         std::fprintf(stderr,
                      "[bench_perf] %s: q differs between threads=%d and "
                      "threads=%d — determinism violation\n",
@@ -503,30 +474,28 @@ int main(int argc, char** argv) {
       }
       cp.runs.push_back(std::move(run));
     }
-    // Solver stage + kernel throughput at p=2, threads=1.
-    run_solver_p2(cp);
-    for (const SolveRun& r : cp.p2_runs) {
-      std::printf("%-8s | %19s | solve %9.3fs | q=%zu%s\n", cp.name.c_str(),
-                  condense_name(r), r.t_solve, r.parities.size(),
-                  r.degraded ? " *" : "");
+    cp.num_cases = cp.runs.front().links.back().cases;
+    for (const Link& l : cp.runs.back().links) {
+      const core::Algorithm1Stats& s = l.stats;
+      std::printf("%-8s | p=%d lp: %d solves, %d pivots (ph1 %d), %d refac, "
+                  "warm %d/%d\n",
+                  name.c_str(), l.latency, s.lp_solves, s.lp_iterations,
+                  s.lp_phase1_iterations, s.lp_refactorizations,
+                  s.lp_warm_hits, s.lp_warm_attempts);
+    }
+    try {
+      cp.kernel = bench_kernel(build_table(name, 2));
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "[bench_perf] %s: p=2 table build failed: %s\n",
+                   name.c_str(), e.what());  // the sweep rows are degraded
     }
     if (!cp.kernel.rows.empty()) {
-      std::printf("%-8s | kernel: build %.4fs", cp.name.c_str(),
+      std::printf("%-8s | kernel: build %.4fs", name.c_str(),
                   cp.kernel.build_s);
       for (const KernelRow& kr : cp.kernel.rows) {
         std::printf(", %s %.1f Mcase/s", kr.mode.c_str(), kr.mcps);
       }
       std::printf("\n");
-    }
-    // LP section at p=3, threads {1, 4}.
-    if (!run_lp_p3(cp)) failed = true;
-    for (const LpRun& r : cp.lp_runs) {
-      std::printf(
-          "%-8s | lp t=%d | solve %9.3fs | q=%zu pivots=%d "
-          "(ph1 %d) refac=%d warm %d/%d%s\n",
-          cp.name.c_str(), r.threads, r.t_solve, r.q, r.lp_iterations,
-          r.lp_phase1_iterations, r.lp_refactorizations, r.lp_warm_hits,
-          r.lp_warm_attempts, r.degraded ? " *" : "");
     }
     std::fflush(stdout);
     perf.push_back(std::move(cp));
@@ -544,8 +513,8 @@ int main(int argc, char** argv) {
   if (largest != nullptr && ladder.size() > 1) {
     const Run& serial = largest->runs.front();
     const Run& wide = largest->runs.back();
-    const double before = serial.t_extract + serial.t_solve;
-    const double after = wide.t_extract + wide.t_solve;
+    const double before = serial.span_s("extract") + serial.span_s("solve");
+    const double after = wide.span_s("extract") + wide.span_s("solve");
     if (after > 0.0) {
       std::printf("%s\n", std::string(76, '-').c_str());
       std::printf(
@@ -575,89 +544,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "[bench_perf] cannot write %s\n", out_path.c_str());
     return 1;
   }
-  std::fprintf(out, "{\n  \"schema\": \"ced-bench-perf-v6\",\n");
-  std::fprintf(out, "  \"latency_max\": %d,\n", p_max);
-  std::fprintf(out, "  \"hardware_threads\": %d,\n", hardware_threads);
-  std::fprintf(out, "  \"simd\": \"%s\",\n", to_string(simd_level()));
-  std::fprintf(out, "  \"build_type\": \"%s\",\n",
-               obs::json_escape(CED_BUILD_TYPE).c_str());
-  std::fprintf(out, "  \"compiler\": \"%s\",\n",
-               obs::json_escape(CED_COMPILER).c_str());
-  std::fprintf(out, "  \"circuits\": [\n");
-  for (std::size_t c = 0; c < perf.size(); ++c) {
-    const auto& cp = perf[c];
-    // Names pass through json_escape and timings through json_number so the
-    // file parses even with hostile circuit names or NaN/Inf timings.
-    std::fprintf(out, "    {\"name\": \"%s\", \"cases\": %zu, \"runs\": [\n",
-                 obs::json_escape(cp.name).c_str(), cp.num_cases);
-    for (std::size_t i = 0; i < cp.runs.size(); ++i) {
-      const Run& r = cp.runs[i];
-      std::fprintf(out,
-                   "      {\"threads\": %d, \"t_synth\": %s, "
-                   "\"t_extract\": %s, \"t_solve\": %s, \"t_ced\": %s, "
-                   "\"t_total\": %s, \"q\": [",
-                   r.threads, obs::json_number(r.t_synth).c_str(),
-                   obs::json_number(r.t_extract).c_str(),
-                   obs::json_number(r.t_solve).c_str(),
-                   obs::json_number(r.t_ced).c_str(),
-                   obs::json_number(r.t_total).c_str());
-      for (std::size_t k = 0; k < r.qs.size(); ++k) {
-        std::fprintf(out, "%s%d", k ? ", " : "", r.qs[k]);
-      }
-      std::fprintf(out, "], \"degraded\": %s}%s\n",
-                   r.degraded ? "true" : "false",
-                   i + 1 < cp.runs.size() ? "," : "");
-    }
-    std::fprintf(out, "    ],\n");
-    std::fprintf(out, "     \"solver_p2\": {\"cases\": %zu, \"runs\": [\n",
-                 cp.p2_cases);
-    for (std::size_t i = 0; i < cp.p2_runs.size(); ++i) {
-      const SolveRun& r = cp.p2_runs[i];
-      std::fprintf(out,
-                   "      {\"condense\": %s, "
-                   "\"t_solve\": %s, \"q\": %zu, \"condensed_cases\": %zu, "
-                   "\"degraded\": %s}%s\n",
-                   r.condense ? "true" : "false",
-                   obs::json_number(r.t_solve).c_str(), r.parities.size(),
-                   r.condensed_cases, r.degraded ? "true" : "false",
-                   i + 1 < cp.p2_runs.size() ? "," : "");
-    }
-    std::fprintf(out, "    ], \"kernel\": {\"build_s\": %s, \"rows\": [",
-                 obs::json_number(cp.kernel.build_s).c_str());
-    for (std::size_t i = 0; i < cp.kernel.rows.size(); ++i) {
-      const KernelRow& kr = cp.kernel.rows[i];
-      std::fprintf(out, "%s{\"mode\": \"%s\", \"mcps\": %s}",
-                   i ? ", " : "", obs::json_escape(kr.mode).c_str(),
-                   obs::json_number(kr.mcps).c_str());
-    }
-    std::fprintf(out, "]}},\n");
-    std::fprintf(out, "     \"solver_lp_p%d\": {\"cases\": %zu, \"runs\": [\n",
-                 kLpLatency, cp.lp_cases);
-    for (std::size_t i = 0; i < cp.lp_runs.size(); ++i) {
-      const LpRun& r = cp.lp_runs[i];
-      std::fprintf(out,
-                   "      {\"threads\": %d, \"t_solve\": %s, "
-                   "\"q\": %zu, \"covers_all\": %s, \"lp_solves\": %d, "
-                   "\"lp_iterations\": %d, \"lp_phase1_iterations\": %d, "
-                   "\"lp_refactorizations\": %d, \"lp_warm_attempts\": %d, "
-                   "\"lp_warm_hits\": %d, \"warm_hit_rate\": %s, "
-                   "\"qs_tried\": [",
-                   r.threads,
-                   obs::json_number(r.t_solve).c_str(), r.q,
-                   r.covers ? "true" : "false", r.lp_solves, r.lp_iterations,
-                   r.lp_phase1_iterations, r.lp_refactorizations,
-                   r.lp_warm_attempts, r.lp_warm_hits,
-                   obs::json_number(warm_hit_rate(r)).c_str());
-      for (std::size_t k = 0; k < r.qs_tried.size(); ++k) {
-        std::fprintf(out, "%s%d", k ? ", " : "", r.qs_tried[k]);
-      }
-      std::fprintf(out, "], \"degraded\": %s}%s\n",
-                   r.degraded ? "true" : "false",
-                   i + 1 < cp.lp_runs.size() ? "," : "");
-    }
-    std::fprintf(out, "    ]}}%s\n", c + 1 < perf.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
+  write_json(out, p_max, hardware_threads, perf);
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
   return failed ? 1 : 0;

@@ -40,7 +40,7 @@ std::string verdict(const ced::sim::CampaignReport& rep) {
 int main(int argc, char** argv) {
   using namespace ced;
   auto circuits = bench::circuits_from_args(argc, argv);
-  if (!bench::quick_mode(argc, argv) && circuits.size() > 8) {
+  if (!bench::has_flag(argc, argv, "--quick") && circuits.size() > 8) {
     circuits.resize(8);  // the ablation does 2x the work per circuit
   }
   const std::vector<int> ps{1, 2, 3};

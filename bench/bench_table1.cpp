@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   // --store=DIR caches extraction between runs of the harness.
   const auto sweeps =
       bench::sweep_suite(circuits, ps, opts, bench::threads_from_args(argc, argv),
-                         bench::store_from_args(argc, argv));
+                         bench::arg_value(argc, argv, "--store"));
   for (std::size_t c = 0; c < circuits.size(); ++c) {
     const auto& name = circuits[c];
     const auto& reps = sweeps[c];

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <sstream>
 
 #include "common/parallel.hpp"
 #include "core/run.hpp"
@@ -10,52 +11,43 @@
 
 namespace ced::bench {
 
-bool quick_mode(int argc, char** argv) {
+std::string arg_value(int argc, char** argv, const char* key,
+                      const char* fallback) {
+  const std::size_t len = std::strlen(key);
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) return true;
+    if (std::strncmp(argv[i], key, len) == 0 && argv[i][len] == '=') {
+      return argv[i] + len + 1;
+    }
+  }
+  return fallback;
+}
+
+bool has_flag(int argc, char** argv, const char* flag) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], flag) == 0) return true;
   }
   return false;
 }
 
 int threads_from_args(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      const int v = std::atoi(argv[i] + 10);
-      return v >= 1 ? v : 0;
-    }
-  }
-  return 0;
+  const int v = std::atoi(arg_value(argc, argv, "--threads", "0").c_str());
+  return v >= 1 ? v : 0;
 }
 
 std::vector<std::string> circuits_from_args(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--circuits=", 11) == 0) {
-      std::vector<std::string> out;
-      std::string cur;
-      for (const char* c = arg + 11; ; ++c) {
-        if (*c == ',' || *c == '\0') {
-          if (!cur.empty()) out.push_back(cur);
-          cur.clear();
-          if (*c == '\0') break;
-        } else {
-          cur.push_back(*c);
-        }
-      }
-      return out;
+  const std::string list = arg_value(argc, argv, "--circuits", "");
+  if (!list.empty()) {
+    std::vector<std::string> out;
+    std::istringstream in(list);
+    for (std::string name; std::getline(in, name, ',');) {
+      if (!name.empty()) out.push_back(name);
     }
+    return out;
   }
-  if (quick_mode(argc, argv)) return benchdata::small_suite_names();
+  if (has_flag(argc, argv, "--quick")) return benchdata::small_suite_names();
   std::vector<std::string> all;
   for (const auto& e : benchdata::mcnc_suite()) all.push_back(e.name);
   return all;
-}
-
-std::string store_from_args(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--store=", 8) == 0) return argv[i] + 8;
-  }
-  return {};
 }
 
 std::vector<core::PipelineReport> sweep_circuit(const std::string& name,

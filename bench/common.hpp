@@ -12,23 +12,25 @@
 
 namespace ced::bench {
 
+/// The VALUE of the first `KEY=VALUE` argument (pass `key` without the
+/// '='), or `fallback` when there is none.
+std::string arg_value(int argc, char** argv, const char* key,
+                      const char* fallback = "");
+
+/// True when `flag` is one of the arguments, e.g. --quick (run only the
+/// small circuits).
+bool has_flag(int argc, char** argv, const char* flag);
+
 /// Parses harness arguments:
 ///   --quick            run only the small circuits (fast smoke mode)
 ///   --circuits=a,b,c   explicit circuit list
 /// Default: the full 16-circuit Table 1 suite.
 std::vector<std::string> circuits_from_args(int argc, char** argv);
 
-/// True when --quick was passed.
-bool quick_mode(int argc, char** argv);
-
 /// Parses --threads=N (how many workers the harness may use). Returns 0
 /// when absent or non-positive, meaning "auto": the CED_THREADS environment
 /// variable if set, otherwise hardware concurrency.
 int threads_from_args(int argc, char** argv);
-
-/// Parses --store=DIR: directory of a crash-safe artifact store that caches
-/// extraction results between harness runs. Empty (the default) = no store.
-std::string store_from_args(int argc, char** argv);
 
 /// Runs the shared-extraction latency sweep for one circuit with the given
 /// latencies, printing progress to stderr. A non-empty `store_dir` routes

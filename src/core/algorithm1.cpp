@@ -223,9 +223,7 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
       if (stats) stats->deadline_hit = true;
       break;
     }
-    LpFormulation f = opts.use_statement5
-                          ? build_lp_statement5(table, rows, q)
-                          : build_lp(table, rows, q);
+    LpFormulation f = build_lp(table, rows, q);
     lp::BasisSnapshot warm_snap;
     lp_opts.warm = nullptr;
     if (ctx->lp_memo) {

@@ -37,9 +37,6 @@ struct Algorithm1Options {
   /// solution quality independent of rounding luck; disable for a
   /// paper-faithful solver).
   bool post_optimize = true;
-  /// Use the literal Statement-5 formulation (with w variables) instead of
-  /// the reduced one. Slower; primarily for equivalence testing.
-  bool use_statement5 = false;
   std::uint64_t seed = 0xced;
   /// Worker threads for the randomized-rounding trials. Each trial draws
   /// from its own Rng stream derived from (seed, q, round, trial-index) and
@@ -89,9 +86,9 @@ struct Algorithm1Stats {
   /// single-bit functions.
   bool greedy_degraded = false;
   /// Rows the pipeline's solver actually saw after subset-dominance
-  /// condensation (see core/coverkernel.hpp); 0 when condensation was
-  /// disabled or the solver was invoked outside the pipeline; equals the
-  /// table size when nothing was dominated.
+  /// condensation (see core/coverkernel.hpp); 0 for an empty table, after
+  /// the raw-table fallback, or when the solver was invoked outside the
+  /// pipeline; equals the table size when nothing was dominated.
   std::size_t condensed_cases = 0;
   std::vector<int> qs_tried;
   /// Screening-check row evaluations performed through the cover kernel

@@ -220,7 +220,7 @@ std::vector<ParityFunc> select_parities_resilient(
     const DetectabilityTable& table, const PipelineOptions& opts,
     const Deadline& deadline, Algorithm1Stats* stats,
     std::span<const ParityFunc> warm_start, ResilienceReport& resilience) {
-  if (!opts.condense || table.cases.empty()) {
+  if (table.cases.empty()) {
     return select_parities_on(table, opts, deadline, stats, warm_start,
                               resilience);
   }

@@ -53,12 +53,6 @@ struct PipelineOptions {
   /// hardware) are identical under every thread count on non-truncated
   /// runs; only wall-clock changes.
   ExecPolicy exec;
-  /// Subset-dominance condensation before the solver (coverkernel.hpp):
-  /// rows whose difference-word set contains another row's set add no
-  /// constraint and are deleted, shrinking m before the LP/rounding ever
-  /// runs. Provably solution-preserving (the returned cover is re-verified
-  /// against the full table); disable to solve on the raw table.
-  bool condense = true;
   /// Resource budget for the whole run. When any valve trips, stages
   /// degrade (exact -> LP+RR -> greedy -> duplication-style floor; table
   /// truncation) instead of throwing; see PipelineReport::resilience.
@@ -177,6 +171,8 @@ std::vector<PipelineReport> run_latency_sweep_impl(
 /// The degradation cascade: runs the requested solver under the budget,
 /// falling back exact -> LP+RR -> greedy -> duplication-style single-bit
 /// floor when a budget valve trips or a level cannot certify an answer.
+/// The solvers see the table's subset-dominance condensation
+/// (core/coverkernel.hpp), whose cover is re-verified against `table`.
 /// Always returns a complete cover of `table` (possibly the floor) and
 /// records every downgrade in `resilience`.
 std::vector<ParityFunc> select_parities_resilient(

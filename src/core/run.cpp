@@ -20,7 +20,7 @@ std::string RunConfig::digest() const {
   d.absorb(static_cast<std::uint64_t>(o.encoding));
   d.absorb(static_cast<std::uint64_t>(o.latency));
   d.absorb(static_cast<std::uint64_t>(o.solver));
-  d.absorb(std::uint64_t{o.condense ? 1u : 0u});
+  d.absorb(std::uint64_t{1});  // condensation, always on: keeps old digests
   // Synthesis shaping (front end and CED back end).
   d.absorb(static_cast<std::uint64_t>(o.synth.minimizer));
   d.absorb(std::uint64_t{o.synth.factor ? 1u : 0u});
@@ -44,7 +44,7 @@ std::string RunConfig::digest() const {
   d.absorb(static_cast<std::uint64_t>(o.algo.verify_sample_cap));
   d.absorb(std::uint64_t{o.algo.repair ? 1u : 0u});
   d.absorb(std::uint64_t{o.algo.post_optimize ? 1u : 0u});
-  d.absorb(std::uint64_t{o.algo.use_statement5 ? 1u : 0u});
+  d.absorb(std::uint64_t{0});  // Statement-5 LP, never used: keeps old digests
   d.absorb(o.algo.seed);
   d.absorb(static_cast<std::uint64_t>(o.algo.lp.max_iterations));
   d.absorb(o.algo.lp.eps);
@@ -82,10 +82,6 @@ RunConfig::Builder& RunConfig::Builder::semantics(core::DiffSemantics s) {
 }
 RunConfig::Builder& RunConfig::Builder::threads(int n) {
   opts_.exec.threads = n;
-  return *this;
-}
-RunConfig::Builder& RunConfig::Builder::condense(bool on) {
-  opts_.condense = on;
   return *this;
 }
 RunConfig::Builder& RunConfig::Builder::seed(std::uint64_t s) {

@@ -76,7 +76,6 @@ class RunConfig::Builder {
   /// hardware concurrency. Never part of digest() — the thread count
   /// cannot change results.
   Builder& threads(int n);
-  Builder& condense(bool on);
   Builder& seed(std::uint64_t s);
 
   Builder& budget(const core::RunBudget& b);

@@ -4,23 +4,6 @@
 
 namespace ced::logic {
 
-const char* gate_type_name(GateType t) {
-  switch (t) {
-    case GateType::kInput: return "input";
-    case GateType::kConst0: return "const0";
-    case GateType::kConst1: return "const1";
-    case GateType::kBuf: return "buf";
-    case GateType::kNot: return "not";
-    case GateType::kAnd: return "and";
-    case GateType::kOr: return "or";
-    case GateType::kNand: return "nand";
-    case GateType::kNor: return "nor";
-    case GateType::kXor: return "xor";
-    case GateType::kXnor: return "xnor";
-  }
-  return "?";
-}
-
 std::uint32_t Netlist::add_input(std::string name) {
   const auto id = static_cast<std::uint32_t>(gates_.size());
   gates_.push_back(Gate{GateType::kInput, {}});

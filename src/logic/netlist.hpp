@@ -24,8 +24,6 @@ enum class GateType : std::uint8_t {
   kXnor,
 };
 
-const char* gate_type_name(GateType t);
-
 /// One gate instance. Fan-ins refer to earlier gate ids (the netlist is
 /// topologically ordered by construction).
 struct Gate {

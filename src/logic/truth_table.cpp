@@ -11,15 +11,6 @@ TruthTable::TruthTable(int num_vars) : num_vars_(num_vars) {
   bits_ = BitVec(std::size_t{1} << num_vars);
 }
 
-TruthTable TruthTable::from_cover(const Cover& c) {
-  TruthTable t(c.num_vars());
-  for (const auto& cube : c.cubes()) {
-    for_each_minterm(cube, c.num_vars(),
-                     [&](std::uint64_t m) { t.bits_.set(m); });
-  }
-  return t;
-}
-
 bool cover_implements(const Cover& cover, const SopSpec& spec) {
   if (cover.num_vars() != spec.num_vars) return false;
   // No cube may touch the OFF-set.

@@ -17,8 +17,6 @@ class TruthTable {
   /// All-zero function of `num_vars` inputs.
   explicit TruthTable(int num_vars);
 
-  static TruthTable from_cover(const Cover& c);
-
   int num_vars() const { return num_vars_; }
   std::uint64_t num_rows() const { return std::uint64_t{1} << num_vars_; }
 

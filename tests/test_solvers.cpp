@@ -236,17 +236,6 @@ TEST(Algorithm1, MonotoneInLatency) {
   }
 }
 
-// ---- LP formulation equivalence (Statement 5 vs reduced form).
-
-TEST(Algorithm1, Statement5FormulationAlsoSolves) {
-  const DetectabilityTable t = tiny_table();
-  Algorithm1Options opts;
-  opts.use_statement5 = true;
-  const auto sol = solve_for_q(t, 2, opts);
-  ASSERT_TRUE(sol.has_value());
-  EXPECT_TRUE(covers_all(*sol, t));
-}
-
 TEST(Algorithm1, WarmStartIsHonored) {
   const DetectabilityTable t = tiny_table();
   // A valid single-tree cover used as warm start must never be worsened.

@@ -2,7 +2,7 @@
 //
 //   ced_cli protect  <machine.kiss> [--latency=N] [--solver=lp|greedy|exact]
 //                    [--encoding=binary|gray|onehot|spread] [--semantics=impl|machine]
-//                    [--minimize-states] [--area-aware] [--verify] [--threads=N]
+//                    [--minimize-states] [--verify] [--threads=N]
 //                    [--budget-seconds=F] [--max-cases=N] [--max-lp-iters=N]
 //                    [--max-roundings=N] [--max-exact-nodes=N]
 //                    [--metrics-out=FILE] [--trace-out=FILE] [--prom-out=FILE]
@@ -58,7 +58,6 @@
 #include "benchdata/generator.hpp"
 #include "benchdata/suite.hpp"
 #include "common/parallel.hpp"
-#include "core/area_aware.hpp"
 #include "core/latency.hpp"
 #include "core/run.hpp"
 #include "fsm/analysis.hpp"
@@ -119,8 +118,7 @@ int usage() {
                "[--solver=lp|greedy|exact]\n"
                "          [--encoding=binary|gray|onehot|spread] "
                "[--semantics=impl|machine]\n"
-               "          [--minimize-states] [--area-aware] [--verify] "
-               "[--threads=N]\n"
+               "          [--minimize-states] [--verify] [--threads=N]\n"
                "          [--budget-seconds=F] [--max-cases=N] "
                "[--max-lp-iters=N]\n"
                "          [--max-roundings=N] [--max-exact-nodes=N]\n"
@@ -187,7 +185,6 @@ int cmd_help() {
       "  --encoding=KIND      binary     binary | gray | onehot | spread\n"
       "  --semantics=KIND     impl       impl | machine (see DESIGN.md)\n"
       "  --minimize-states               merge compatible states first\n"
-      "  --area-aware                    area-driven parity refinement\n"
       "  --verify                        prove the bound: exhaustive stuck-at\n"
       "                                  campaign plus fault-free sweep\n"
       "\n"
@@ -587,25 +584,11 @@ int cmd_protect(int argc, char** argv) {
     std::printf("manifest: %s\n", man_name.c_str());
   }
 
-  const bool area_aware = has_flag(argc, argv, "--area-aware");
-  const bool verify = has_flag(argc, argv, "--verify");
   bool verify_failed = false;
-  if (area_aware || verify) {
+  if (has_flag(argc, argv, "--verify")) {
     const core::Design design = core::derive_design(f, opts);
-    if (area_aware) {
-      core::ExtractOptions ex = opts.extract;
-      ex.latency = opts.latency;
-      ex.threads = opts.exec.threads;
-      const auto table =
-          core::extract_cases(design.circuit, design.faults, ex);
-      const auto aa = core::minimize_parity_area(design.circuit, table);
-      std::printf("area-aware refinement: %.1f -> %.1f (%d evaluations)\n",
-                  aa.initial_area, aa.final_area, aa.evaluations);
-    }
-    if (verify) {
-      verify_failed = !prove_bound(design.circuit, rep.hw, design.faults,
-                                   opts.latency, opts.exec.threads);
-    }
+    verify_failed = !prove_bound(design.circuit, rep.hw, design.faults,
+                                 opts.latency, opts.exec.threads);
   }
 
   // Exports go last so they cover the whole run, store traffic included.
