@@ -143,6 +143,11 @@ std::string key_of(const std::string& line) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (!ced::bench::flags_known(argc, argv, "bench_ledger",
+                               {"--check=", "--write=", "--quick",
+                                "--circuits="})) {
+    return 2;
+  }
   const std::string check = ced::bench::arg_value(argc, argv, "--check");
   const std::string write = ced::bench::arg_value(argc, argv, "--write");
   if (check.empty() == write.empty()) {

@@ -397,6 +397,11 @@ void write_json(std::FILE* out, int p_max, int hardware_threads,
 
 int main(int argc, char** argv) {
   using namespace ced;
+  if (!bench::flags_known(argc, argv, "bench_perf",
+                          {"--kernel-smoke", "--quick", "--circuits=",
+                           "--threads=", "--latency=", "--out="})) {
+    return 2;
+  }
   const bool kernel_smoke = bench::has_flag(argc, argv, "--kernel-smoke");
   const auto circuits =
       kernel_smoke && !bench::has_flag(argc, argv, "--quick") &&

@@ -29,6 +29,24 @@ bool has_flag(int argc, char** argv, const char* flag) {
   return false;
 }
 
+bool flags_known(int argc, char** argv, const char* program,
+                 std::initializer_list<std::string_view> known) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (!arg.starts_with("--")) continue;
+    bool found = false;
+    for (const std::string_view f : known) {
+      found = found || (f.ends_with('=') ? arg.starts_with(f) : arg == f);
+    }
+    if (!found) {
+      std::fprintf(stderr, "error: unknown flag '%s' for %s\n", argv[i],
+                   program);
+      return false;
+    }
+  }
+  return true;
+}
+
 int threads_from_args(int argc, char** argv) {
   const int v = std::atoi(arg_value(argc, argv, "--threads", "0").c_str());
   return v >= 1 ? v : 0;

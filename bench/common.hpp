@@ -4,7 +4,9 @@
 // aligned table printing, and cached per-circuit pipeline sweeps.
 
 #include <cstdio>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "benchdata/suite.hpp"
@@ -20,6 +22,13 @@ std::string arg_value(int argc, char** argv, const char* key,
 /// True when `flag` is one of the arguments, e.g. --quick (run only the
 /// small circuits).
 bool has_flag(int argc, char** argv, const char* flag);
+
+/// True when every `--...` argument is one of `known`; otherwise prints
+/// "error: unknown flag '<arg>' for <program>" and returns false (the
+/// harness exits 2). An entry ending in '=' takes a value (`--circuits=`
+/// matches `--circuits=s27`); any other entry must match exactly.
+bool flags_known(int argc, char** argv, const char* program,
+                 std::initializer_list<std::string_view> known);
 
 /// Parses harness arguments:
 ///   --quick            run only the small circuits (fast smoke mode)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 
 #include "common/parallel.hpp"
 #include "core/rng.hpp"
@@ -23,9 +24,10 @@ int hardness_of(const ErroneousCase& ec) {
 /// duplicate rejection (the LP rows and the stride spread overlap, and
 /// full-table checks keep teaching the sample rows it already knows), plus
 /// the subset kernel over those rows that the trial screens, the row
-/// generation and the repairs all query. The kernel is rebuilt only after
-/// rows were added, so consecutive rounds and repairs over an unchanged
-/// sample share one.
+/// generation and the repairs all query. The kernel is built once and
+/// appended the rows added since it was last fetched, so its local row
+/// order is the sample's insertion order; consecutive rounds and repairs
+/// over an unchanged sample share one state.
 class RowSet {
  public:
   explicit RowSet(const DetectabilityTable& table)
@@ -42,10 +44,14 @@ class RowSet {
   /// Subset kernel over rows(); local row r is rows()[r]. Not thread-safe:
   /// fetch it before sharing it with workers.
   const CoverKernel& kernel(Algorithm1Stats* stats) {
-    if (!kernel_ || kernel_->num_rows() != rows_.size()) {
+    if (!kernel_) {
       kernel_.emplace(*table_, rows_);
-      if (stats) ++stats->kernel_builds;
+    } else if (kernel_->num_rows() < rows_.size()) {
+      kernel_->append(*table_, std::span(rows_).subspan(kernel_->num_rows()));
+    } else {
+      return *kernel_;
     }
+    if (stats) ++stats->kernel_builds;
     return *kernel_;
   }
 
@@ -140,18 +146,21 @@ bool repair_on(std::vector<ParityFunc>& betas, const CoverKernel& sub, int n,
 
 SolverContext::SolverContext(const DetectabilityTable& t)
     : table(&t), kernel(t) {
+  // A stable counting sort: hardness is at most 64 * kMaxLatency, so the
+  // keys fit one small histogram and rows of equal hardness keep their
+  // table order.
+  std::vector<std::size_t> start(64 * kMaxLatency + 2, 0);
   hardness.resize(t.cases.size());
   for (std::size_t i = 0; i < t.cases.size(); ++i) {
     hardness[i] = hardness_of(t.cases[i]);
+    ++start[static_cast<std::size_t>(hardness[i]) + 1];
   }
+  std::partial_sum(start.begin(), start.end(), start.begin());
   hard_order.resize(t.cases.size());
-  for (std::size_t i = 0; i < hard_order.size(); ++i) {
-    hard_order[i] = static_cast<std::uint32_t>(i);
+  for (std::size_t i = 0; i < t.cases.size(); ++i) {
+    hard_order[start[static_cast<std::size_t>(hardness[i])]++] =
+        static_cast<std::uint32_t>(i);
   }
-  std::stable_sort(hard_order.begin(), hard_order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return hardness[a] < hardness[b];
-                   });
 }
 
 std::optional<std::vector<ParityFunc>> solve_for_q(
@@ -260,8 +269,9 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
     // Algorithm 1's ITER trials are mutually independent given the LP
     // solution, so run them concurrently: each trial rounds with its own
     // derived Rng stream and is screened against a snapshot of the sample
-    // rows (one shared subset kernel — immutable, hence safely read by all
-    // workers). The sequential resolution below walks trials in index
+    // rows (one shared subset kernel, fetched before the workers start and
+    // not appended until they join, hence safely read by all of them).
+    // The sequential resolution below walks trials in index
     // order — first full-check success by lowest trial index wins — so the
     // outcome is identical for every thread count.
     struct Trial {

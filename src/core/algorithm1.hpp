@@ -85,18 +85,18 @@ struct Algorithm1Stats {
   /// True when even the greedy seeding ran out of time and closed out with
   /// single-bit functions.
   bool greedy_degraded = false;
-  /// Rows the pipeline's solver actually saw after subset-dominance
-  /// condensation (see core/coverkernel.hpp); 0 for an empty table, after
-  /// the raw-table fallback, or when the solver was invoked outside the
-  /// pipeline; equals the table size when nothing was dominated.
+  /// Rows select_parities_resilient solved: the table's row count, which
+  /// is already subset-minimal (DetectabilityTable::cases); 0 when the
+  /// solver was invoked outside it.
   std::size_t condensed_cases = 0;
   std::vector<int> qs_tried;
   /// Screening-check row evaluations performed through the cover kernel
   /// (trial-batch granularity: executed trials x sample rows).
   /// Diagnostics only — never consulted by the search.
   std::uint64_t kernel_case_evals = 0;
-  /// Subset cover kernels built over verification samples (one per sample
-  /// state the screens, row generation and repairs queried).
+  /// Verification-sample kernel states: one per sample state the screens,
+  /// row generation and repairs queried, whether the sample's kernel was
+  /// built or appended the sample's new rows to reach it.
   /// Diagnostics only — never consulted by the search.
   std::uint64_t kernel_builds = 0;
 };
@@ -122,7 +122,8 @@ struct SolverContext {
   /// Detecting (bit, step) entry count per row (fewest = hardest: those
   /// rows constrain the LP the most and are sampled first).
   std::vector<int> hardness;
-  /// Every row index, stably sorted by ascending hardness.
+  /// Every row index, stably sorted by ascending hardness (a counting
+  /// sort: hardness is at most 64 * kMaxLatency).
   std::vector<std::uint32_t> hard_order;
 
   // ---- run-scoped state (filled by the cascade driver, defaulted
@@ -142,9 +143,8 @@ struct SolverContext {
       std::chrono::steady_clock::now();
 
   /// Basis memory of the most recent optimal LP solve over this table:
-  /// the next formulation — the next q probe (one tree fewer),
-  /// the next row-generation round, or a re-solve after condensation
-  /// rebuilt the context — maps it onto itself by identity keys
+  /// the next formulation — the next q probe (one tree fewer) or
+  /// the next row-generation round — maps it onto itself by identity keys
   /// (core/ilp.hpp) and warm-starts from it. Mutable because probing q is
   /// logically const for the shared context; LP solves within one run are
   /// sequential, so no synchronization is needed.

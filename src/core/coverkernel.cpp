@@ -13,55 +13,85 @@ namespace ced::core {
 // CoverKernel
 // ---------------------------------------------------------------------------
 
-CoverKernel::CoverKernel(const DetectabilityTable& table) {
-  build(table, {});
-}
+CoverKernel::CoverKernel(const DetectabilityTable& table)
+    : CoverKernel(table, table.cases.size(), {}) {}
 
 CoverKernel::CoverKernel(const DetectabilityTable& table,
-                         std::span<const std::uint32_t> rows) {
-  rows_.assign(rows.begin(), rows.end());
-  build(table, rows_);
-}
+                         std::span<const std::uint32_t> rows)
+    : CoverKernel(table, rows.size(), {rows.begin(), rows.end()}) {}
 
-void CoverKernel::build(const DetectabilityTable& table,
-                        std::span<const std::uint32_t> rows) {
-  n_ = table.num_bits;
-  beta_mask_ = n_ >= 64 ? ~std::uint64_t{0}
-                        : ((std::uint64_t{1} << n_) - 1);
-  m_ = rows_.empty() ? table.cases.size() : rows_.size();
-  words_ = (m_ + 63) / 64;
-  // Backend is captured once here: a kernel keeps its engine for its
-  // whole life, regardless of later ScopedSimdLevel flips.
-  engine_ = &detail::kernel_ops(simd_level());
+CoverKernel::CoverKernel(const DetectabilityTable& table, std::size_t count,
+                         std::vector<std::uint32_t> rows)
+    : n_(table.num_bits),
+      beta_mask_(n_ >= 64 ? ~std::uint64_t{0}
+                          : ((std::uint64_t{1} << n_) - 1)),
+      rows_(std::move(rows)),
+      // Backend is captured once here: a kernel keeps its engine for its
+      // whole life, regardless of later ScopedSimdLevel flips.
+      engine_(&detail::kernel_ops(simd_level())) {
 #ifndef NDEBUG
   table_ = &table;
 #endif
+  write_rows(table, count);
+}
 
-  steps_ = 0;
-  for (std::size_t r = 0; r < m_; ++r) {
+void CoverKernel::append(const DetectabilityTable& table,
+                         std::span<const std::uint32_t> rows) {
+#ifndef NDEBUG
+  assert(&table == table_ && "CoverKernel::append on another table");
+#endif
+  assert((m_ == 0 || !rows_.empty()) &&
+         "CoverKernel::append on a full kernel");
+  rows_.insert(rows_.end(), rows.begin(), rows.end());
+  write_rows(table, rows.size());
+}
+
+void CoverKernel::write_rows(const DetectabilityTable& table,
+                             std::size_t count) {
+  const std::size_t first = m_;
+  m_ += count;
+  int steps = steps_;
+  for (std::size_t r = first; r < m_; ++r) {
     const ErroneousCase& ec =
-        table.cases[rows_.empty() ? r : rows[r]];
-    steps_ = std::max(steps_, static_cast<int>(ec.length));
+        table.cases[global_row(static_cast<std::uint32_t>(r))];
+    steps = std::max(steps, static_cast<int>(ec.length));
   }
-  cols_.assign(static_cast<std::size_t>(steps_) *
-                   static_cast<std::size_t>(n_) * words_,
-               0);
+  const std::size_t words = (m_ + 63) / 64;
+  const std::size_t plane = static_cast<std::size_t>(n_);  // columns a step
+  if (words > stride_) {
+    // Out of capacity: the stride doubles (at least to `words`) and every
+    // column moves to its new start. Words past a column's rows stay 0.
+    const std::size_t stride = std::max(words, 2 * stride_);
+    std::vector<std::uint64_t> cols(
+        static_cast<std::size_t>(steps) * plane * stride, 0);
+    const std::size_t columns = static_cast<std::size_t>(steps_) * plane;
+    for (std::size_t c = 0; c < columns; ++c) {
+      std::copy_n(cols_.data() + c * stride_, words_, cols.data() + c * stride);
+    }
+    cols_ = std::move(cols);
+    stride_ = stride;
+  } else {
+    // A longer case adds zero step planes after the existing ones.
+    cols_.resize(static_cast<std::size_t>(steps) * plane * stride_, 0);
+  }
+  steps_ = steps;
+  words_ = words;
 
   // Scatter: bit j of diff word k of local row r sets bit r of column
-  // (k, j). One pass over the selected rows.
-  for (std::size_t r = 0; r < m_; ++r) {
+  // (k, j). One pass over the new rows.
+  for (std::size_t r = first; r < m_; ++r) {
     const ErroneousCase& ec =
-        table.cases[rows_.empty() ? r : rows[r]];
+        table.cases[global_row(static_cast<std::uint32_t>(r))];
     const std::uint64_t row_bit = std::uint64_t{1} << (r & 63);
     const std::size_t row_word = r >> 6;
     for (int k = 0; k < ec.length; ++k) {
       std::uint64_t w = ec.diff[static_cast<std::size_t>(k)] & beta_mask_;
-      const std::size_t step_base = static_cast<std::size_t>(k) *
-                                    static_cast<std::size_t>(n_) * words_;
+      const std::size_t step_base =
+          static_cast<std::size_t>(k) * plane * stride_;
       while (w != 0) {
         const int j = std::countr_zero(w);
         w &= w - 1;
-        cols_[step_base + static_cast<std::size_t>(j) * words_ + row_word] |=
+        cols_[step_base + static_cast<std::size_t>(j) * stride_ + row_word] |=
             row_bit;
       }
     }
@@ -89,7 +119,7 @@ int decompose_beta(std::uint64_t beta, int* bits) {
 }  // namespace
 
 detail::KernelShape CoverKernel::shape() const {
-  return detail::KernelShape{cols_.data(), n_, steps_, words_};
+  return detail::KernelShape{cols_.data(), n_, steps_, words_, stride_};
 }
 
 void CoverKernel::covered_bitmap(ParityFunc beta, std::uint64_t* out) const {

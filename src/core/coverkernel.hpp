@@ -41,8 +41,13 @@ struct KernelShape;
 /// row r of a subset kernel corresponds to table row rows[r] (queries
 /// report local indices in `rows` order).
 ///
-/// The kernel is immutable after construction and safe to share across
-/// threads.
+/// Columns sit `stride()` words apart, a capacity of at least num_words():
+/// append() adds rows after the existing local rows and writes only their
+/// bits, doubling the stride when the words run out and adding a step plane
+/// when a longer case arrives. append() is the only mutator; between
+/// appends the kernel is safe to share across threads. A BetaCursor holds
+/// bitmaps of the kernel's size at its creation, so it must not outlive the
+/// next append.
 class CoverKernel {
  public:
   /// Full-table kernel: local row i == table row i.
@@ -60,14 +65,23 @@ class CoverKernel {
   std::size_t num_rows() const { return m_; }
   /// Words per column (= ceil(num_rows / 64)).
   std::size_t num_words() const { return words_; }
+  /// Words from one column's start to the next (>= num_words()).
+  std::size_t stride() const { return stride_; }
 
   std::span<const std::uint64_t> column(int step, int bit) const {
     return {cols_.data() +
                 (static_cast<std::size_t>(step) * static_cast<std::size_t>(n_) +
                  static_cast<std::size_t>(bit)) *
-                    words_,
+                    stride_,
             words_};
   }
+
+  /// Appends `rows` (indices into `table`, the table the kernel was built
+  /// over) as local rows num_rows() onward. Queries afterwards answer
+  /// exactly as a kernel built over the old rows followed by `rows`.
+  /// Subset kernels only: a full kernel's rows are the table's.
+  void append(const DetectabilityTable& table,
+              std::span<const std::uint32_t> rows);
 
   /// Table row index of local row `local` (identity for full kernels).
   std::uint32_t global_row(std::uint32_t local) const {
@@ -109,13 +123,17 @@ class CoverKernel {
   detail::KernelShape shape() const;
 
  private:
-  void build(const DetectabilityTable& table,
-             std::span<const std::uint32_t> rows);
+  CoverKernel(const DetectabilityTable& table, std::size_t count,
+              std::vector<std::uint32_t> rows);
+  /// Makes room for local rows num_rows() .. num_rows() + count - 1 (already
+  /// named by rows_ for a subset kernel) and writes their bits.
+  void write_rows(const DetectabilityTable& table, std::size_t count);
 
   int n_ = 0;
   int steps_ = 0;
   std::size_t m_ = 0;
   std::size_t words_ = 0;
+  std::size_t stride_ = 0;
   std::uint64_t beta_mask_ = 0;  ///< low n_ bits
   std::vector<std::uint64_t> cols_;
   std::vector<std::uint32_t> rows_;  ///< empty = identity (full table)
@@ -219,7 +237,8 @@ class CoverBatch {
 };
 
 /// A detectability table with subset-dominated rows removed, plus the
-/// back-map needed for verification and reporting.
+/// back-map to the original rows. Produced by condense_table, the
+/// reference for the subset-minimality of extracted tables.
 struct CondensedTable {
   DetectabilityTable table;              ///< dominated rows removed
   std::vector<std::uint32_t> kept_rows;  ///< condensed row -> original row
@@ -237,6 +256,11 @@ struct CondensedTable {
 /// table provably covers the full table, and (condensed rows being a subset
 /// of the original rows) the converse holds too — the optimal q is
 /// unchanged. Exact duplicates were already merged during extraction.
+///
+/// The pipeline does not call it: extraction's merge already leaves every
+/// table subset-minimal (DetectabilityTable::cases), so on an extracted
+/// table it removes nothing. It stays as the reference that tests and
+/// perfbench's condense probe check that invariant with.
 ///
 /// Cost: one hash lookup per nonempty proper subset of each case's word
 /// set — at most 2^kMaxLatency - 2 = 14 lookups per row.

@@ -507,7 +507,8 @@ std::vector<std::uint64_t> activation_codes(const fsm::FsmCircuit& circuit,
 /// in shard order; the table for bound p receives the union of the parts'
 /// cases, compacted to the subset-minimal antichain and sorted, their
 /// summed statistics and the first truncation reason. The parts' cases are
-/// consumed.
+/// consumed. This compaction is what makes every returned table
+/// subset-minimal (DetectabilityTable::cases); the solvers rely on it.
 std::vector<DetectabilityTable> merge_parts(std::vector<ExtractShard>& parts,
                                             const fsm::FsmCircuit& circuit,
                                             std::size_t num_faults,

@@ -102,6 +102,10 @@ struct DetectabilityTable {
   bool truncated = false;
   /// Human-readable reason when `truncated` is set.
   std::string truncation_reason;
+  /// Sorted and subset-minimal: no case's word set contains another's.
+  /// Extraction's final merge establishes this once for every table it
+  /// returns (truncated and strengthened ones too), so the solvers take
+  /// the table as it is; core::condense_table removes nothing from it.
   std::vector<ErroneousCase> cases;
 
   // Statistics.

@@ -31,16 +31,17 @@ namespace ced::core::detail {
 
 /// Borrowed view of a CoverKernel's column store.
 struct KernelShape {
-  const std::uint64_t* cols = nullptr;  ///< [step][bit][word]
+  const std::uint64_t* cols = nullptr;  ///< [step][bit][stride words]
   int n = 0;                            ///< observable bits (columns per step)
   int steps = 0;
-  std::size_t words = 0;  ///< words per column
+  std::size_t words = 0;   ///< words per column in use
+  std::size_t stride = 0;  ///< words from one column's start to the next
 
   const std::uint64_t* column(int step, int bit) const {
     return cols + (static_cast<std::size_t>(step) *
                        static_cast<std::size_t>(n) +
                    static_cast<std::size_t>(bit)) *
-                      words;
+                      stride;
   }
 };
 

@@ -151,20 +151,17 @@ std::vector<ParityFunc> duplication_floor_cover(
   return out;
 }
 
-namespace {
-
-/// The degradation cascade on one (possibly condensed) table, driven by
-/// the solver_cascade() table (core/solver.hpp): start at the requested
-/// level, run each Solver until one certifies a scheme, and record every
-/// fall-through. The public wrapper below handles condensation and
-/// full-table re-verification.
-std::vector<ParityFunc> select_parities_on(
+std::vector<ParityFunc> select_parities_resilient(
     const DetectabilityTable& table, const PipelineOptions& opts,
     const Deadline& deadline, Algorithm1Stats* stats,
     std::span<const ParityFunc> warm_start, ResilienceReport& resilience) {
   const auto t0 = std::chrono::steady_clock::now();
   resilience.solver_requested = cascade_level_of(opts.solver);
   resilience.solver_used = resilience.solver_requested;
+  // The table is solved as given: extraction already left its cases
+  // subset-minimal (DetectabilityTable::cases), so there is nothing to
+  // condense, and every level verifies its cover against this table.
+  if (stats) stats->condensed_cases = table.cases.size();
   if (table.cases.empty()) {
     if (stats) stats->final_q = 0;
     return {};
@@ -212,44 +209,6 @@ std::vector<ParityFunc> select_parities_on(
   auto floor = duplication_floor_cover(table);
   if (stats) stats->final_q = static_cast<int>(floor.size());
   return floor;
-}
-
-}  // namespace
-
-std::vector<ParityFunc> select_parities_resilient(
-    const DetectabilityTable& table, const PipelineOptions& opts,
-    const Deadline& deadline, Algorithm1Stats* stats,
-    std::span<const ParityFunc> warm_start, ResilienceReport& resilience) {
-  if (table.cases.empty()) {
-    return select_parities_on(table, opts, deadline, stats, warm_start,
-                              resilience);
-  }
-
-  // Subset-dominance condensation (coverkernel.hpp): rows whose word set
-  // contains another row's word set add no constraint, so the solvers see
-  // a smaller m with the same optimal q.
-  const CondensedTable cond = condense_table(table);
-  if (stats) stats->condensed_cases = cond.table.cases.size();
-  if (cond.removed == 0) {
-    return select_parities_on(table, opts, deadline, stats, warm_start,
-                              resilience);
-  }
-  std::vector<ParityFunc> sol = select_parities_on(
-      cond.table, opts, deadline, stats, warm_start, resilience);
-  // The dominance argument makes a condensed-table cover a full-table
-  // cover; re-verify anyway (cheap on the kernel) so a condensation defect
-  // could never ship an unsound scheme — fall back to the raw table if the
-  // impossible happens.
-  if (!covers_all(sol, table)) {
-    resilience.record(Stage::kPipeline, StatusCode::kInternal,
-                      "condensed-table cover failed full-table verification; "
-                      "re-solving on the raw table",
-                      0.0, table.cases.size());
-    if (stats) stats->condensed_cases = 0;
-    return select_parities_on(table, opts, deadline, stats, warm_start,
-                              resilience);
-  }
-  return sol;
 }
 
 Design derive_design(const fsm::Fsm& f, const PipelineOptions& opts) {

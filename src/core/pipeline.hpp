@@ -171,10 +171,12 @@ std::vector<PipelineReport> run_latency_sweep_impl(
 /// The degradation cascade: runs the requested solver under the budget,
 /// falling back exact -> LP+RR -> greedy -> duplication-style single-bit
 /// floor when a budget valve trips or a level cannot certify an answer.
-/// The solvers see the table's subset-dominance condensation
-/// (core/coverkernel.hpp), whose cover is re-verified against `table`.
-/// Always returns a complete cover of `table` (possibly the floor) and
-/// records every downgrade in `resilience`.
+/// The solvers see `table` as given: extraction leaves its cases
+/// subset-minimal (DetectabilityTable::cases), so there is nothing to
+/// condense, and `stats->condensed_cases` is its row count. Every level
+/// verifies its cover against `table`, so this always returns a complete
+/// cover of it (possibly the floor), and records every downgrade in
+/// `resilience`.
 std::vector<ParityFunc> select_parities_resilient(
     const DetectabilityTable& table, const PipelineOptions& opts,
     const Deadline& deadline, Algorithm1Stats* stats,

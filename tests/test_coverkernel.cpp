@@ -1,10 +1,11 @@
 // Bit-sliced cover kernel (core/coverkernel.hpp): randomized equivalence
-// against the per-case core::covers oracle, condensation soundness, and
-// result identity for every solver that routes through the kernel — on
-// the dispatched SIMD backend and the forced word-loop fallback, at 1 and
-// 4 threads, against references kept here (a back-to-front prune loop, a
-// brute-force minimum q) and masks pinned from the former per-case solver
-// paths.
+// against the per-case core::covers oracle, appended kernels against fresh
+// ones, condensation soundness, the subset-minimality of extracted tables
+// that lets the solvers skip condensation, and result identity for every
+// solver that routes through the kernel — on the dispatched SIMD backend
+// and the forced word-loop fallback, at 1 and 4 threads, against
+// references kept here (a back-to-front prune loop, a brute-force minimum
+// q) and masks pinned from the former per-case solver paths.
 
 #include <gtest/gtest.h>
 
@@ -223,24 +224,74 @@ TEST(Condense, CondensedCoverCoversFullTable) {
   }
 }
 
-TEST(Condense, FinalQUnchangedOnBenchdata) {
+TEST(Condense, ExtractedTablesAreAlreadySubsetMinimal) {
+  // The solvers take extracted tables as they are (DetectabilityTable::
+  // cases): condensing any of them must remove nothing, on the no-store
+  // partition (one shard per thread) and on the store's 16 shards.
+  for (const std::string& name : benchdata::small_suite_names()) {
+    const Design d = derive_design(benchdata::suite_fsm(name), {});
+    for (const DiffSemantics sem :
+         {DiffSemantics::kImplementable, DiffSemantics::kMachineLevel}) {
+      ExtractOptions opts;
+      opts.latency = 3;
+      opts.semantics = sem;
+      opts.threads = 4;
+      const auto multi = extract_cases_multi(d.circuit, d.faults, opts);
+      const auto sharded = extract_cases_sharded(d.circuit, d.faults, opts,
+                                                 {.num_shards = 16});
+      for (const auto* tables : {&multi, &sharded}) {
+        ASSERT_EQ(tables->size(), 3u);
+        for (const DetectabilityTable& t : *tables) {
+          EXPECT_EQ(condense_table(t).removed, 0u)
+              << name << " " << name_of(kSemanticsNames, sem)
+              << " p=" << t.latency << " cases=" << t.cases.size();
+        }
+      }
+    }
+  }
+  // A strengthened table is compacted again after its cases shrink.
+  const Design d = derive_design(benchdata::suite_fsm("dk14"), {});
+  ExtractOptions opts;
+  opts.latency = 3;
+  opts.semantics = DiffSemantics::kMachineLevel;
+  opts.degrade_threshold = 4000;
+  opts.threads = 4;
+  const DetectabilityTable t =
+      extract_cases_multi(d.circuit, d.faults, opts).back();
+  ASSERT_TRUE(t.strengthened);
+  EXPECT_EQ(condense_table(t).removed, 0u);
+}
+
+TEST(Condense, SolverReportsTheRowsItSolved) {
   for (const char* name : {"s27", "tav", "donfile"}) {
     const DetectabilityTable t = suite_table(name, 2);
-    // The raw-table q: Algorithm 1 on the uncondensed table, which is what
-    // the cascade's LP level runs when nothing condenses it first.
-    Algorithm1Options algo;
-    algo.threads = 1;
-    const auto raw = minimize_parity_functions(t, algo);
-    EXPECT_TRUE(covers_all(raw, t));
     PipelineOptions opts;
     opts.exec.threads = 1;
     Algorithm1Stats stats;
     ResilienceReport resilience;
     const auto sol = select_parities_resilient(t, opts, Deadline{}, &stats,
                                                {}, resilience);
-    EXPECT_TRUE(covers_all(sol, t));
-    EXPECT_EQ(raw.size(), sol.size())
-        << name << ": condensation changed the final q";
+    EXPECT_TRUE(covers_all(sol, t)) << name;
+    EXPECT_EQ(stats.condensed_cases, t.cases.size()) << name;
+  }
+}
+
+TEST(Condense, TableWithDominatedRowsStillGetsAFullCover) {
+  // Nothing condenses a table handed to the cascade; one with dominated
+  // rows costs more rows to solve, never a row uncovered.
+  std::mt19937_64 rng(11);
+  for (const int n : {3, 5, 16}) {
+    const DetectabilityTable t = random_table(rng, n, 500, kMaxLatency);
+    ASSERT_GT(condense_table(t).removed, 0u) << "n=" << n;
+    PipelineOptions opts;
+    opts.exec.threads = 1;
+    Algorithm1Stats stats;
+    ResilienceReport resilience;
+    const auto sol = select_parities_resilient(t, opts, Deadline{}, &stats,
+                                               {}, resilience);
+    EXPECT_TRUE(covers_all(sol, t)) << "n=" << n;
+    EXPECT_EQ(stats.condensed_cases, t.cases.size()) << "n=" << n;
+    EXPECT_TRUE(resilience.status.ok()) << "n=" << n;
   }
 }
 
@@ -254,6 +305,114 @@ void on_every_backend(Fn&& fn) {
       const ScopedExecPolicy policy({.threads = threads});
       fn(level, threads);
     }
+  }
+}
+
+/// Every observable of `got` (built by appends) equals that of `want` (one
+/// fresh kernel over the same rows): shape, each column's words, row
+/// back-map, and per-beta, batch and cursor queries.
+void expect_same_kernel(const CoverKernel& got, const CoverKernel& want,
+                        std::mt19937_64& rng) {
+  ASSERT_EQ(got.num_rows(), want.num_rows());
+  ASSERT_EQ(got.num_words(), want.num_words());
+  ASSERT_EQ(got.num_steps(), want.num_steps());
+  ASSERT_EQ(got.num_bits(), want.num_bits());
+  ASSERT_GE(got.stride(), got.num_words());
+  for (int k = 0; k < want.num_steps(); ++k) {
+    for (int j = 0; j < want.num_bits(); ++j) {
+      const auto a = got.column(k, j);
+      const auto b = want.column(k, j);
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << "column (" << k << ", " << j << ")";
+    }
+  }
+  for (std::uint32_t r = 0; r < want.num_rows(); ++r) {
+    ASSERT_EQ(got.global_row(r), want.global_row(r));
+  }
+  const int n = want.num_bits();
+  std::vector<ParityFunc> set;
+  for (int i = 0; i < 6; ++i) set.push_back(random_beta(rng, n));
+  for (const ParityFunc beta : set) {
+    EXPECT_EQ(got.coverage_count(beta), want.coverage_count(beta));
+  }
+  EXPECT_EQ(got.uncovered(set), want.uncovered(set));
+  EXPECT_EQ(got.uncovered_count(set), want.uncovered_count(set));
+
+  CoverBatch gb(got), wb(want);
+  std::vector<std::size_t> gc(set.size()), wc(set.size());
+  gb.counts(set, gc);
+  wb.counts(set, wc);
+  EXPECT_EQ(gc, wc);
+  std::vector<std::uint64_t> gm(set.size() * got.num_words());
+  std::vector<std::uint64_t> wm(set.size() * want.num_words());
+  gb.bitmaps(set, gm.data());
+  wb.bitmaps(set, wm.data());
+  EXPECT_EQ(gm, wm);
+
+  const BetaCursor gcur(got, set[0]), wcur(want, set[0]);
+  std::vector<std::size_t> gn(static_cast<std::size_t>(n));
+  std::vector<std::size_t> wn(static_cast<std::size_t>(n));
+  gcur.neighbor_counts(gn);
+  wcur.neighbor_counts(wn);
+  EXPECT_EQ(gn, wn);
+  std::vector<std::uint64_t> base(want.num_words(), 0);
+  want.covered_bitmap(set[1], base.data());
+  gcur.neighbor_counts(gn, base.data());
+  wcur.neighbor_counts(wn, base.data());
+  EXPECT_EQ(gn, wn);
+}
+
+TEST(CoverKernel, AppendMatchesFreshKernel) {
+  // Each batch list starts from one-step rows, so the kernel's first
+  // layout has one step plane and an exact stride: the later batches
+  // cross a word boundary, outgrow the stride (more than once), and bring
+  // longer cases that add step planes.
+  struct Scenario {
+    int n;
+    std::vector<std::pair<std::size_t, int>> batches;  ///< (rows, max len)
+  };
+  const Scenario kScenarios[] = {
+      {20, {{60, 1}, {0, 1}, {10, 1}, {64, 2}, {3, kMaxLatency}, {200, 3}}},
+      {64, {{0, 1}, {63, 1}, {2, 2}, {130, kMaxLatency}, {1, 1}}},
+  };
+  std::mt19937_64 rng(12);
+  for (const Scenario& sc : kScenarios) {
+    const DetectabilityTable t = random_table(rng, sc.n, 800, kMaxLatency);
+    // Row pools by length, so a batch can hold only short cases.
+    std::vector<std::vector<std::uint32_t>> by_len(kMaxLatency + 1);
+    for (std::uint32_t r = 0; r < t.cases.size(); ++r) {
+      by_len[t.cases[r].length].push_back(r);
+    }
+    std::vector<std::vector<std::uint32_t>> batches;
+    for (const auto& [count, max_len] : sc.batches) {
+      std::vector<std::uint32_t> batch;
+      while (batch.size() < count) {
+        const auto len = static_cast<std::size_t>(1 + rng() % max_len);
+        if (by_len[len].empty()) continue;
+        batch.push_back(by_len[len][rng() % by_len[len].size()]);
+      }
+      batches.push_back(std::move(batch));
+    }
+    on_every_backend([&](SimdLevel level, int threads) {
+      SCOPED_TRACE(std::string(to_string(level)) + " threads=" +
+                   std::to_string(threads) + " n=" + std::to_string(sc.n));
+      std::vector<std::uint32_t> rows = batches.front();
+      CoverKernel kernel(t, rows);
+      std::size_t stride = kernel.stride();
+      int steps = kernel.num_steps();
+      bool outgrew = false, new_step = false;
+      for (std::size_t b = 1; b < batches.size(); ++b) {
+        kernel.append(t, batches[b]);
+        rows.insert(rows.end(), batches[b].begin(), batches[b].end());
+        outgrew = outgrew || kernel.stride() > stride;
+        new_step = new_step || kernel.num_steps() > steps;
+        stride = kernel.stride();
+        steps = kernel.num_steps();
+        expect_same_kernel(kernel, CoverKernel(t, rows), rng);
+      }
+      EXPECT_TRUE(outgrew);
+      EXPECT_TRUE(new_step);
+    });
   }
 }
 

@@ -52,8 +52,10 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "benchdata/generator.hpp"
 #include "benchdata/suite.hpp"
@@ -275,6 +277,42 @@ bool has_flag(int argc, char** argv, const char* flag) {
   return false;
 }
 
+/// The flags a subcommand reads. An entry ending in '=' takes a value
+/// (`--latency=` matches `--latency=3`); any other entry is a switch and
+/// must match exactly.
+using Flags = std::span<const std::string_view>;
+
+/// Read by every command that keys a stored scheme (shape_from_args) and
+/// by those that load the machine (machine_from_args).
+constexpr std::string_view kShapeFlags[] = {
+    "--latency=",   "--solver=",           "--encoding=",
+    "--semantics=", "--checkpoint-shards=", "--minimize-states"};
+/// Read by budget_from_args.
+constexpr std::string_view kBudgetFlags[] = {
+    "--budget-seconds=", "--max-cases=", "--max-lp-iters=",
+    "--max-roundings=", "--max-exact-nodes="};
+
+/// Throws InvalidInputError on the first `--...` argument after the
+/// subcommand that none of `lists` names, so a misspelled flag is invalid
+/// input instead of a silently ignored one.
+void reject_unknown_flags(int argc, char** argv,
+                          std::initializer_list<Flags> lists) {
+  for (int i = 2; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (!arg.starts_with("--")) continue;
+    bool known = false;
+    for (const Flags flags : lists) {
+      for (const std::string_view f : flags) {
+        known = known || (f.ends_with('=') ? arg.starts_with(f) : arg == f);
+      }
+    }
+    if (!known) {
+      throw InvalidInputError("unknown flag '" + std::string(arg) + "' for " +
+                              argv[1]);
+    }
+  }
+}
+
 fsm::Fsm load_machine(const std::string& path) {
   std::string text;
   if (path == "-") {
@@ -301,6 +339,7 @@ fsm::Fsm load_machine(const std::string& path) {
 
 int cmd_analyze(int argc, char** argv) {
   if (argc < 3) return usage();
+  reject_unknown_flags(argc, argv, {});
   const fsm::Fsm f = load_machine(argv[2]);
   const fsm::StgStats st = fsm::analyze_stg(f);
   std::printf("inputs=%d outputs=%d states=%d edges=%d\n", f.num_inputs(),
@@ -486,6 +525,11 @@ bool prove_bound(const fsm::FsmCircuit& circuit, const core::CedHardware& hw,
 
 int cmd_protect(int argc, char** argv) {
   if (argc < 3) return usage();
+  static constexpr std::string_view kFlags[] = {
+      "--threads=",     "--verify",      "--store=",
+      "--resume",       "--max-new-shards=", "--metrics-out=",
+      "--trace-out=",   "--prom-out=",   "--explain"};
+  reject_unknown_flags(argc, argv, {kShapeFlags, kBudgetFlags, kFlags});
   const fsm::Fsm f = machine_from_args(argc, argv);
 
   // Observability: collectors are off unless an export flag asks for them
@@ -625,6 +669,8 @@ int cmd_protect(int argc, char** argv) {
 /// bounded-detection property against a freshly synthesized circuit.
 int cmd_verify(int argc, char** argv) {
   if (argc < 3) return usage();
+  static constexpr std::string_view kFlags[] = {"--store="};
+  reject_unknown_flags(argc, argv, {kShapeFlags, kFlags});
   storage::ArtifactStore store(required_store(argc, argv, "verify"));
   const StoredDesign d = load_stored_design(argc, argv, store);
   return prove_bound(d.design.circuit, d.hw, d.design.faults, d.latency, 0)
@@ -712,6 +758,12 @@ int run_one_campaign(const fsm::FsmCircuit& circuit,
 /// asserted (violations exit 1), for flip models coverage is measured.
 int cmd_campaign(int argc, char** argv) {
   if (argc < 3) return usage();
+  static constexpr std::string_view kFlags[] = {
+      "--store=",    "--model=",     "--policy=",      "--persistence=",
+      "--k=",        "--walks=",     "--walk-length=", "--seed=",
+      "--horizon=",  "--threads=",   "--soak",         "--json-out=",
+      "--resume",    "--max-new-shards=", "--metrics-out=", "--trace-out="};
+  reject_unknown_flags(argc, argv, {kShapeFlags, kBudgetFlags, kFlags});
   const std::string metrics_out = arg_value(argc, argv, "--metrics-out", "");
   const std::string trace_out = arg_value(argc, argv, "--trace-out", "");
   const bool observing = !metrics_out.empty() || !trace_out.empty();
@@ -821,6 +873,8 @@ int cmd_campaign(int argc, char** argv) {
 /// artifact store itself.
 int cmd_store(int argc, char** argv) {
   if (argc < 3) return usage();
+  static constexpr std::string_view kFlags[] = {"--store="};
+  reject_unknown_flags(argc, argv, {kFlags});
   const std::string sub = argv[2];
   const std::string store_dir = arg_value(argc, argv, "--store", "");
   if (store_dir.empty()) {
@@ -893,6 +947,10 @@ int cmd_store(int argc, char** argv) {
 }
 
 int cmd_generate(int argc, char** argv) {
+  static constexpr std::string_view kFlags[] = {
+      "--suite=", "--states=",     "--inputs=",  "--outputs=",
+      "--seed=",  "--self-loops=", "--branches="};
+  reject_unknown_flags(argc, argv, {kFlags});
   // --suite=NAME emits the exact KISS2 text of one Table-1 suite circuit
   // (the profile-matched stand-ins are generated, so the text is
   // reproducible); this is how CI hands suite circuits to `protect`.

@@ -9,16 +9,19 @@
 #                          # parser, storage, CRC, LP-solver, case-set,
 #                          # two-level minimizer (with its minterm
 #                          # oracle), fault-simulator, extraction,
-#                          # campaign and end-to-end suites (the
-#                          # crash-prone surface: budget valves, malformed
-#                          # input, corrupt-artifact fault injection, the
+#                          # campaign, end-to-end, cover-kernel and
+#                          # Algorithm 1 suites (the crash-prone surface:
+#                          # budget valves, malformed input,
+#                          # corrupt-artifact fault injection, the
 #                          # slice-by-8 CRC's table lookups, the sparse
 #                          # simplex's pointer arithmetic, the case set's
 #                          # open-addressing index, the truth-table words
 #                          # the minimizer indexes from cube masks, the
-#                          # pointers the faulty-row memo hands out, and
-#                          # the protected machine's batched checker rows
-#                          # behind every sequential proof);
+#                          # pointers the faulty-row memo hands out, the
+#                          # protected machine's batched checker rows
+#                          # behind every sequential proof, and the
+#                          # kernel columns every engine pass finds
+#                          # through the stride that append re-lays out);
 #                          # TSan pass runs only the concurrency-bearing
 #                          # suites (parallel extraction, pipeline,
 #                          # resume, and the warm-started LP under a
@@ -49,7 +52,7 @@ echo "== results ledger: every Table-1 circuit reproduces bench/ledger.txt =="
 # thread-count-dependent amount.
 ./build/bench/bench_ledger --check=bench/ledger.txt
 
-echo "== one solve path: a single-latency protect is the ledger's chain link =="
+echo "== one solve path: a single-latency protect is the ledger's chain link; unknown flags exit 2 =="
 # `ced_cli protect --latency=p` answers with link p of the ascending solve
 # chain 1..p, which is what the ledger's 1..3 sweep pins at p. s1488
 # machine-level p=3 needs the links below it: solved alone, its
@@ -72,6 +75,19 @@ status=0
     > /dev/null 2>&1 || status=$?
 [[ "$status" == 2 ]] \
   || { echo "a misspelled --solver exited $status, not 2"; exit 1; }
+# A flag the command does not read is invalid input too, not a silently
+# ignored one: a misspelled --threads must not fall back to the default.
+status=0
+./build/tools/ced_cli protect "$obs_tmp/s1488.kiss" --thread=1 \
+    > /dev/null 2> "$obs_tmp/flag.err" || status=$?
+[[ "$status" == 2 ]] && grep -q "unknown flag '--thread=1' for protect" \
+    "$obs_tmp/flag.err" \
+  || { echo "an unknown protect flag exited $status, not 2"; exit 1; }
+status=0
+./build/bench/bench_perf --kernel-smoke --circuit=s1488 \
+    > /dev/null 2>&1 || status=$?
+[[ "$status" == 2 ]] \
+  || { echo "an unknown bench_perf flag exited $status, not 2"; exit 1; }
 
 echo "== kernel backends: dispatched SIMD vs word loop on s1488 =="
 # The vector engine must be a pure speedup: the backend this host
@@ -280,7 +296,7 @@ cmake --preset asan-ubsan >/dev/null
 cmake --build --preset asan-ubsan -j "$jobs"
 if [[ "$fast" == 1 ]]; then
   ctest --preset asan-ubsan -j "$jobs" \
-      -R 'Resilience|KissMalformed|KissParse|Storage|Crc32|RevisedLp|Simplex|CaseSet|Espresso|MinimizeProperty|FaultSim|Extract|Campaign|EndToEnd'
+      -R 'Resilience|KissMalformed|KissParse|Storage|Crc32|RevisedLp|Simplex|CaseSet|Espresso|MinimizeProperty|FaultSim|Extract|Campaign|EndToEnd|CoverKernel|BetaCursor|Condense|KernelSimd|KernelScalar|Algorithm1'
 else
   ctest --preset asan-ubsan -j "$jobs"
 fi
