@@ -1,5 +1,6 @@
 #include "obs/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -33,9 +34,9 @@ std::string json_escape(std::string_view s) {
 
 std::string json_number(double v) {
   if (!std::isfinite(v)) return "null";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  return buf;
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, r.ptr);
 }
 
 }  // namespace ced::obs

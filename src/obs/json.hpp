@@ -13,8 +13,9 @@ namespace ced::obs {
 /// backslash, and control characters; everything else passes through).
 std::string json_escape(std::string_view s);
 
-/// Formats a finite double with six decimals; NaN/Inf become "null" so the
-/// emitted document always parses.
+/// Formats a finite double in the shortest form that reads back as the
+/// same double (std::to_chars: 1.5, 3, 1.3e-05); NaN/Inf become
+/// "null" so the emitted document always parses.
 std::string json_number(double v);
 
 }  // namespace ced::obs

@@ -38,7 +38,10 @@ struct Histogram {
   explicit Histogram(std::vector<double> bucket_edges)
       : edges(std::move(bucket_edges)), counts(edges.size() + 1, 0) {}
 
-  void observe(double value);
+  /// Records `count` observations of `value`: the same counts, total and
+  /// sum as `count` single calls whenever value * count is exact (e.g.
+  /// small integers).
+  void observe(double value, std::uint64_t count = 1);
   void merge(const Histogram& other);
 };
 
@@ -67,7 +70,7 @@ class MetricsRegistry {
 
   void add(std::string_view name, std::uint64_t delta = 1);
   void set_gauge(std::string_view name, double value);
-  void observe(std::string_view name, double value);
+  void observe(std::string_view name, double value, std::uint64_t count = 1);
 
   MetricsSnapshot snapshot() const;
 
@@ -92,7 +95,8 @@ class MetricsShard {
   bool enabled() const { return reg_ != nullptr; }
 
   void add(std::string_view name, std::uint64_t delta = 1);
-  void observe(std::string_view name, double value);
+  /// Buffers `count` observations of `value` as one entry.
+  void observe(std::string_view name, double value, std::uint64_t count = 1);
 
   /// Folds the buffered values into the registry and clears the buffers.
   void flush();
@@ -101,7 +105,9 @@ class MetricsShard {
   MetricsRegistry* reg_ = nullptr;
   // Linear vectors, not maps: a shard sees a handful of distinct names.
   std::vector<std::pair<std::string, std::uint64_t>> counts_;
-  std::vector<std::pair<std::string, std::vector<double>>> samples_;
+  std::vector<std::pair<std::string,
+                        std::vector<std::pair<double, std::uint64_t>>>>
+      samples_;
 };
 
 }  // namespace ced::obs

@@ -457,9 +457,11 @@ CampaignReport run_campaign(const fsm::FsmCircuit& circuit,
       ms.add("ced_campaign_detected_in_bound_total", v.detected_in_bound);
       ms.add("ced_campaign_detected_late_total", v.detected_late);
       ms.add("ced_campaign_silent_escapes_total", v.silent_escape);
+      // One weighted observation per latency bucket, not one per episode.
       for (std::size_t b = 0; b < v.histogram.size(); ++b) {
-        for (std::uint64_t c = 0; c < v.histogram[b]; ++c) {
-          ms.observe("ced_campaign_latency", static_cast<double>(b + 1));
+        if (v.histogram[b] != 0) {
+          ms.observe("ced_campaign_latency", static_cast<double>(b + 1),
+                     v.histogram[b]);
         }
       }
       sh.verdicts.push_back(std::move(v));

@@ -14,15 +14,6 @@ std::uint64_t mix(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Lanes of batch `batch` that carry real inputs (all 64 unless the machine
-/// has fewer than 64 inputs).
-std::uint64_t lane_mask(std::uint64_t num_inputs, std::uint64_t batch) {
-  const std::uint64_t in_batch =
-      std::min<std::uint64_t>(64, num_inputs - batch * 64);
-  return in_batch == 64 ? ~std::uint64_t{0}
-                        : (std::uint64_t{1} << in_batch) - 1;
-}
-
 /// Writes the packed observable words of one evaluated batch into `row`:
 /// row o of the block is output o's pattern word, so transposed, row t is
 /// the observable word of input batch * 64 + t.

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <span>
@@ -18,6 +19,15 @@ namespace ced::sim {
 /// FSM rows here, the checker verdicts in protected_machine) starts here.
 void batch_input_words(int r, int s, std::uint64_t state_code,
                        std::uint64_t batch, std::span<std::uint64_t> words);
+
+/// Lanes of `batch` that carry real inputs when a machine has `num_inputs`
+/// of them: all 64 unless the last batch is partial.
+inline std::uint64_t lane_mask(std::uint64_t num_inputs, std::uint64_t batch) {
+  const std::uint64_t in_batch =
+      std::min<std::uint64_t>(64, num_inputs - batch * 64);
+  return in_batch == 64 ? ~std::uint64_t{0}
+                        : (std::uint64_t{1} << in_batch) - 1;
+}
 
 /// In-place 64x64 bit-matrix transpose: bit t of m[o] becomes bit o of
 /// m[t]. Converts between per-net pattern words and per-input packed
@@ -55,15 +65,19 @@ class GoldenCache {
 
 /// Write-only simulator counters (obs): faulty rows derived through the
 /// fault's cone or by a full netlist pass, the cone rows never built
-/// because they equal the golden row, cone gates evaluated, and 64-input
+/// because they equal the golden row, cone gates evaluated, 64-input
 /// batches skipped because the fault net already carried its stuck value
-/// there. Results never depend on them.
+/// there, and the campaign's faulty-row checker batches evaluated on the
+/// checker's response cone or by a full checker pass
+/// (sim/protected_machine.hpp). Results never depend on them.
 struct SimCounters {
   std::uint64_t cone_rows = 0;
   std::uint64_t full_rows = 0;
   std::uint64_t dormant_rows = 0;
   std::uint64_t cone_gates = 0;
   std::uint64_t batches_skipped = 0;
+  std::uint64_t checker_cone_batches = 0;
+  std::uint64_t checker_full_batches = 0;
 
   /// Calls fn(metric name, value) for each counter, for the obs exporters.
   template <typename Fn>
@@ -73,6 +87,8 @@ struct SimCounters {
     fn("ced_sim_dormant_rows_total", dormant_rows);
     fn("ced_sim_cone_gates_total", cone_gates);
     fn("ced_sim_batches_skipped_total", batches_skipped);
+    fn("ced_sim_checker_cone_batches_total", checker_cone_batches);
+    fn("ced_sim_checker_full_batches_total", checker_full_batches);
   }
 
   SimCounters& operator+=(const SimCounters& o) {
@@ -81,6 +97,8 @@ struct SimCounters {
     dormant_rows += o.dormant_rows;
     cone_gates += o.cone_gates;
     batches_skipped += o.batches_skipped;
+    checker_cone_batches += o.checker_cone_batches;
+    checker_full_batches += o.checker_full_batches;
     return *this;
   }
 };

@@ -7,49 +7,37 @@
 namespace ced::sim {
 namespace {
 
-/// The checker verdicts for `responses` at `state_code`, one word per
-/// 64-input batch. Given a reference row at the same code, a batch whose
-/// responses equal the reference's keeps its verdict word: the checker
-/// sees identical inputs there. Every other batch is one checker pass.
-std::vector<std::uint64_t> checker_errors(
-    const core::CedHardware& hw, std::uint64_t state_code,
-    std::span<const std::uint64_t> responses,
-    const TransitionRow* reference) {
-  const logic::Netlist& nl = hw.checker;
-  const std::uint64_t num_inputs = responses.size();
-  const std::size_t error_index =
-      static_cast<std::size_t>(2 * hw.q + (hw.two_rail ? 2 : 0));
-  const std::uint32_t error_net = nl.outputs()[error_index];
+/// The checker's observable-bit input words for `batch`: word o carries
+/// bit o of responses[batch * 64 + t] at pattern t.
+std::array<std::uint64_t, 64> observable_words(
+    std::span<const std::uint64_t> responses, std::uint64_t batch) {
+  std::array<std::uint64_t, 64> block{};
+  const std::uint64_t base = batch * 64;
+  std::copy_n(responses.begin() + static_cast<std::ptrdiff_t>(base),
+              std::min<std::uint64_t>(64, responses.size() - base),
+              block.begin());
+  transpose64(block);
+  return block;
+}
 
-  std::vector<std::uint64_t> mask((num_inputs + 63) / 64, 0);
-  std::vector<std::uint64_t> words(static_cast<std::size_t>(hw.r + hw.s + hw.n));
-  std::vector<std::uint64_t> values;
-  for (std::uint64_t batch = 0; batch < mask.size(); ++batch) {
-    const std::uint64_t base = batch * 64;
-    const std::uint64_t in_batch =
-        std::min<std::uint64_t>(64, num_inputs - base);
-    const auto batch_responses = responses.subspan(base, in_batch);
-    if (reference != nullptr &&
-        std::equal(batch_responses.begin(), batch_responses.end(),
-                   reference->response.begin() +
-                       static_cast<std::ptrdiff_t>(base))) {
-      mask[batch] = reference->error[batch];
-      continue;
-    }
-    batch_input_words(hw.r, hw.s, state_code, batch, words);
-    // Observable bits: transposed, word r+s+o carries bit o of
-    // responses[base + t] at pattern position t.
-    std::array<std::uint64_t, 64> block{};
-    std::copy(batch_responses.begin(), batch_responses.end(), block.begin());
-    transpose64(block);
-    std::copy_n(block.begin(), hw.n,
-                words.begin() + static_cast<std::ptrdiff_t>(hw.r + hw.s));
-    nl.eval(words, values);
-    std::uint64_t err = values[error_net];
-    if (in_batch < 64) err &= (std::uint64_t{1} << in_batch) - 1;
-    mask[batch] = err;
-  }
-  return mask;
+/// One full checker pass: every checker net's word for the 64 inputs of
+/// `batch` at `state_code`, the observable bits taken from `responses`.
+void eval_checker(const core::CedHardware& hw, std::uint64_t state_code,
+                  std::span<const std::uint64_t> responses,
+                  std::uint64_t batch, std::vector<std::uint64_t>& words,
+                  std::vector<std::uint64_t>& values) {
+  words.resize(static_cast<std::size_t>(hw.r + hw.s + hw.n));
+  batch_input_words(hw.r, hw.s, state_code, batch, words);
+  const std::array<std::uint64_t, 64> block =
+      observable_words(responses, batch);
+  std::copy_n(block.begin(), hw.n,
+              words.begin() + static_cast<std::ptrdiff_t>(hw.r + hw.s));
+  hw.checker.eval(words, values);
+}
+
+std::uint32_t error_net(const core::CedHardware& hw) {
+  return hw.checker
+      .outputs()[static_cast<std::size_t>(2 * hw.q + (hw.two_rail ? 2 : 0))];
 }
 
 const fsm::FsmCircuit& checked(const fsm::FsmCircuit& circuit,
@@ -66,7 +54,15 @@ const fsm::FsmCircuit& checked(const fsm::FsmCircuit& circuit,
 std::vector<std::uint64_t> checker_error_mask(
     const core::CedHardware& hw, std::uint64_t state_code,
     std::span<const std::uint64_t> responses) {
-  return checker_errors(hw, state_code, responses, nullptr);
+  const std::uint32_t error = error_net(hw);
+  std::vector<std::uint64_t> mask((responses.size() + 63) / 64, 0);
+  std::vector<std::uint64_t> words;
+  std::vector<std::uint64_t> values;
+  for (std::uint64_t b = 0; b < mask.size(); ++b) {
+    eval_checker(hw, state_code, responses, b, words, values);
+    mask[b] = values[error] & lane_mask(responses.size(), b);
+  }
+  return mask;
 }
 
 ProtectedMachine::ProtectedMachine(const fsm::FsmCircuit& circuit,
@@ -75,20 +71,108 @@ ProtectedMachine::ProtectedMachine(const fsm::FsmCircuit& circuit,
       hw_(hw),
       reachable_(reachable_codes(circuit, circuit.enc.reset_code)),
       trace_(circuit, reachable_) {
-  for (const std::uint64_t code : reachable_) {
-    TransitionRow row;
-    const std::vector<std::uint64_t>* traced = trace_.find(code);
-    row.response = traced != nullptr ? *traced
-                                     : simulate_all_inputs(circuit_, code);
-    row.error = checker_error_mask(hw_, code, row.response);
-    golden_.emplace(code, std::move(row));
+  // The response cone. Net ids are topologically ordered, so one ascending
+  // pass finds every gate downstream of an observable bit, and each cone
+  // gate's fan-ins already have their slots.
+  const logic::Netlist& nl = hw_.checker;
+  constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  std::vector<std::uint32_t> slot(nl.num_nets(), kNone);
+  std::vector<std::uint32_t> outside_index(nl.num_nets(), kNone);
+  for (int o = 0; o < hw_.n; ++o) {
+    slot[nl.inputs()[static_cast<std::size_t>(hw_.r + hw_.s + o)]] =
+        static_cast<std::uint32_t>(o);
   }
+  const auto source = [&](std::uint32_t net) {
+    if (slot[net] != kNone) return slot[net] << 1;
+    if (outside_index[net] == kNone) {
+      outside_index[net] = static_cast<std::uint32_t>(outside_.size());
+      outside_.push_back(net);
+    }
+    return (outside_index[net] << 1) | 1;
+  };
+  for (std::uint32_t net = 0; net < nl.num_nets(); ++net) {
+    const logic::Gate& g = nl.gate(net);
+    if (std::none_of(g.fanins.begin(), g.fanins.end(),
+                     [&](std::uint32_t f) { return slot[f] != kNone; })) {
+      continue;
+    }
+    slot[net] = static_cast<std::uint32_t>(hw_.n) +
+                static_cast<std::uint32_t>(cone_.size());
+    ConeGate cg{g.type, static_cast<std::uint32_t>(srcs_.size()), 0};
+    for (const std::uint32_t f : g.fanins) srcs_.push_back(source(f));
+    cg.end = static_cast<std::uint32_t>(srcs_.size());
+    cone_.push_back(cg);
+  }
+  const std::uint32_t error = error_net(hw_);
+  error_src_ = source(error);
+
+  // The golden pass: each reachable code's verdicts, and the outside nets'
+  // words the cone reads there (they do not depend on the response).
+  const std::uint64_t batches = (num_inputs() + 63) / 64;
+  std::vector<std::uint64_t> words;
+  std::vector<std::uint64_t> values;
+  for (const std::uint64_t code : reachable_) {
+    Golden g;
+    const std::vector<std::uint64_t>* traced = trace_.find(code);
+    g.row.response = traced != nullptr ? *traced
+                                       : simulate_all_inputs(circuit_, code);
+    g.row.error.resize(batches);
+    g.outside.reserve(batches * outside_.size());
+    for (std::uint64_t b = 0; b < batches; ++b) {
+      eval_checker(hw_, code, g.row.response, b, words, values);
+      g.row.error[b] = values[error] & lane_mask(num_inputs(), b);
+      for (const std::uint32_t net : outside_) g.outside.push_back(values[net]);
+    }
+    golden_.emplace(code, std::move(g));
+  }
+}
+
+std::vector<std::uint64_t> ProtectedMachine::faulty_verdicts(
+    std::uint64_t state_code, std::span<const std::uint64_t> responses,
+    SimCounters& counters) const {
+  const auto it = golden_.find(state_code);
+  if (it == golden_.end()) {
+    counters.checker_full_batches += (responses.size() + 63) / 64;
+    return checker_error_mask(hw_, state_code, responses);
+  }
+  const Golden& golden = it->second;
+  std::vector<std::uint64_t> mask = golden.row.error;
+  std::vector<std::uint64_t> cone(static_cast<std::size_t>(hw_.n) +
+                                  cone_.size());
+  for (std::uint64_t b = 0; b < mask.size(); ++b) {
+    const std::uint64_t base = b * 64;
+    const auto batch = responses.subspan(
+        base, std::min<std::uint64_t>(64, responses.size() - base));
+    if (std::equal(batch.begin(), batch.end(),
+                   golden.row.response.begin() +
+                       static_cast<std::ptrdiff_t>(base))) {
+      continue;  // the checker sees the golden inputs: golden verdict
+    }
+    ++counters.checker_cone_batches;
+    const std::array<std::uint64_t, 64> block =
+        observable_words(responses, b);
+    std::copy_n(block.begin(), hw_.n, cone.begin());
+    const std::size_t outside = b * outside_.size();
+    const auto word = [&](std::uint32_t e) {
+      return (e & 1) != 0 ? golden.outside[outside + (e >> 1)] : cone[e >> 1];
+    };
+    for (std::size_t i = 0; i < cone_.size(); ++i) {
+      const ConeGate& g = cone_[i];
+      cone[static_cast<std::size_t>(hw_.n) + i] = logic::gate_word(
+          g.type,
+          std::span<const std::uint32_t>(srcs_.data() + g.begin,
+                                         g.end - g.begin),
+          word);
+    }
+    mask[b] = word(error_src_) & lane_mask(responses.size(), b);
+  }
+  return mask;
 }
 
 const TransitionRow* ProtectedMachine::golden_row(
     std::uint64_t state_code) const {
   const auto it = golden_.find(state_code);
-  return it == golden_.end() ? nullptr : &it->second;
+  return it == golden_.end() ? nullptr : &it->second.row;
 }
 
 FaultSession::FaultSession(const ProtectedMachine& pm,
@@ -108,8 +192,8 @@ const TransitionRow& FaultSession::faulty_row(std::uint64_t state_code) {
     if (const std::vector<std::uint64_t>* response =
             faulty_sim_->row(state_code)) {
       row.response = *response;
-      row.error = checker_errors(pm_.hw(), state_code, row.response,
-                                 pm_.golden_row(state_code));
+      row.error =
+          pm_.faulty_verdicts(state_code, row.response, checker_counters_);
     }
     it = faulty_.emplace(state_code, std::move(row)).first;
   }

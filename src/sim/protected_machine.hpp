@@ -8,11 +8,12 @@
 // here is batched the same way as the extraction fault simulator — 64
 // concrete input values per netlist pass. A faulty row at a reachable state
 // comes from the cone-restricted FaultyCache over the machine's golden
-// trace, and the checker re-runs only on the 64-input batches whose
-// response differs from the golden one; every other batch keeps the golden
-// verdict word, since the checker sees identical inputs there. Where the
-// fault changes no response at all, the session hands out the golden row
-// itself.
+// trace. Its checker verdict is the golden verdict word on every 64-input
+// batch whose response equals the golden one, since the checker sees
+// identical inputs there; on the other batches only the checker's response
+// cone (the compaction trees and the comparator) is re-evaluated, reading
+// every other checker net from the golden pass. Where the fault changes no
+// response at all, the session hands out the golden row itself.
 //
 // The split mirrors fault_sim.hpp: a ProtectedMachine holds the shared,
 // immutable golden data (reachable set, golden trace, fault-free response
@@ -39,7 +40,8 @@ namespace ced::sim {
 /// input a, as produced by simulate_all_inputs), returns the packed error
 /// verdicts — bit (a % 64) of word a/64 is 1 iff the checker asserts its
 /// error output on the transition (input a, state_code, responses[a]).
-/// 64 transitions are evaluated per checker-netlist pass.
+/// 64 transitions are evaluated per checker-netlist pass. This full pass is
+/// the reference for the response-cone verdicts of faulty rows.
 std::vector<std::uint64_t> checker_error_mask(
     const core::CedHardware& hw, std::uint64_t state_code,
     std::span<const std::uint64_t> responses);
@@ -57,10 +59,11 @@ struct TransitionRow {
 
 /// Shared, immutable-after-construction view of the protected design: the
 /// functional circuit, the checker hardware, the reachable state set, its
-/// golden trace, and the fault-free rows (response + checker verdict) for
-/// every reachable state. Construction runs the golden simulation once;
-/// afterwards the object is read-only and safe to share across campaign
-/// workers.
+/// golden trace, the fault-free rows (response + checker verdict) for
+/// every reachable state, and the checker's response cone with the words
+/// its outside nets carry at each reachable state. Construction runs the
+/// golden simulation once; afterwards the object is read-only and safe to
+/// share across campaign workers.
 class ProtectedMachine {
  public:
   ProtectedMachine(const fsm::FsmCircuit& circuit,
@@ -79,11 +82,46 @@ class ProtectedMachine {
   const TransitionRow* golden_row(std::uint64_t state_code) const;
 
  private:
+  friend class FaultSession;
+
+  /// A reachable code's golden row plus, per 64-input batch, the word of
+  /// every outside net: outside[batch * outside_.size() + k] for net
+  /// outside_[k].
+  struct Golden {
+    TransitionRow row;
+    std::vector<std::uint64_t> outside;
+  };
+
+  /// A cone gate's fan-in range in srcs_. A source is (slot << 1) for a
+  /// cone net or (k << 1) | 1 for outside_[k]; slots 0 .. n-1 are the
+  /// observable-bit inputs and slot n + i is cone_[i].
+  struct ConeGate {
+    logic::GateType type;
+    std::uint32_t begin, end;
+  };
+
+  /// Checker verdicts of a faulty response row at `state_code`, equal to
+  /// checker_error_mask's. At a reachable code a batch whose responses
+  /// equal the golden row's keeps the golden verdict word and any other
+  /// batch evaluates the response cone alone; at any other code every
+  /// batch is a full checker pass. `counters` counts the cone and full
+  /// batches.
+  std::vector<std::uint64_t> faulty_verdicts(
+      std::uint64_t state_code, std::span<const std::uint64_t> responses,
+      SimCounters& counters) const;
+
   const fsm::FsmCircuit& circuit_;
   const core::CedHardware& hw_;
   std::vector<std::uint64_t> reachable_;
   GoldenTrace trace_;
-  std::unordered_map<std::uint64_t, TransitionRow> golden_;
+  /// The checker's response cone: every gate with a transitive fan-in
+  /// among the observable-bit inputs, in net order, and the nets outside
+  /// it that its gates or the error output read.
+  std::vector<ConeGate> cone_;
+  std::vector<std::uint32_t> srcs_;
+  std::vector<std::uint32_t> outside_;
+  std::uint32_t error_src_ = 0;  ///< the error output, encoded as a source
+  std::unordered_map<std::uint64_t, Golden> golden_;
 };
 
 /// A worker's private simulation context for one fault (or for the
@@ -110,15 +148,18 @@ class FaultSession {
 
   const ProtectedMachine& machine() const { return pm_; }
 
-  /// Simulator counters of the session's faulty rows (zero without an
-  /// injection).
+  /// Simulator counters of the session's faulty rows and their checker
+  /// batches (zero without an injection).
   SimCounters counters() const {
-    return faulty_sim_ ? faulty_sim_->counters() : SimCounters{};
+    SimCounters c = faulty_sim_ ? faulty_sim_->counters() : SimCounters{};
+    c += checker_counters_;
+    return c;
   }
 
  private:
   const ProtectedMachine& pm_;
   std::optional<FaultyCache> faulty_sim_;
+  SimCounters checker_counters_;
   /// code -> row; an empty row marks a code where the fault is dormant.
   std::unordered_map<std::uint64_t, TransitionRow> faulty_;
   std::unordered_map<std::uint64_t, TransitionRow> golden_local_;

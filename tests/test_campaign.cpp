@@ -26,11 +26,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "benchdata/generator.hpp"
@@ -260,23 +262,62 @@ TEST(CampaignOracle, TableCoverageImpliesExhaustiveBoundHolds) {
   }
 }
 
+/// `hw` with its checker replaced by one whose parity outputs are tied to
+/// 0 and whose error output is tied to 1: it reads none of its inputs.
+core::CedHardware stuck_error_checker(const core::CedHardware& hw) {
+  core::CedHardware stuck = hw;
+  logic::Netlist checker;
+  for (int i = 0; i < hw.r + hw.s + hw.n; ++i) {
+    checker.add_input("x" + std::to_string(i));
+  }
+  const std::uint32_t zero = checker.add_const(false);
+  for (int l = 0; l < 2 * hw.q; ++l) {
+    checker.mark_output(zero, "parity" + std::to_string(l));
+  }
+  checker.mark_output(checker.add_const(true), "error");
+  stuck.checker = std::move(checker);
+  return stuck;
+}
+
 TEST(CampaignMachine, BatchCheckerReuseMatchesWholeRowChecker) {
   // A faulty row keeps the golden checker verdict on every 64-input batch
-  // whose response is golden and re-runs the checker on the rest. Both
-  // halves must equal their oracles at every state code — reachable codes
-  // take the cone rows and the reuse, the others the full pass — for
-  // partial (dk16, 4 inputs) and two-batch (s386, 128 inputs) rows. At a
-  // reachable code where the fault changes no response, the session hands
-  // out the machine's golden row object itself.
-  for (const char* name : {"dk16", "s386"}) {
-    SCOPED_TRACE(name);
-    const Design d = suite_design(name, 2);
+  // whose response is golden and evaluates only the checker's response
+  // cone on the rest, reading the other checker nets from the golden
+  // pass. Both halves must equal their oracles at every state code —
+  // reachable codes take the cone rows, the reuse and the response cone,
+  // the others the full passes — for partial (dk16, 4 inputs) and
+  // two-batch (s386, 128 inputs) rows, for a two-rail comparator, and for
+  // a checker whose error output lies outside the cone (its cone has no
+  // gates). At a reachable code where the fault changes no response, the
+  // session hands out the machine's golden row object itself.
+  const Design dk16 = suite_design("dk16", 2);
+  const Design s386 = suite_design("s386", 2);
+  Design two_rail = dk16;
+  core::CedSynthOptions copts;
+  copts.dc_unreachable = false;
+  copts.two_rail = true;
+  two_rail.hw = core::synthesize_ced(dk16.circuit, dk16.parities, copts);
+  ASSERT_TRUE(two_rail.hw.two_rail);
+  Design stuck = dk16;
+  stuck.hw = stuck_error_checker(dk16.hw);
+  const std::pair<const char*, const Design*> checkers[] = {
+      {"dk16", &dk16},
+      {"s386", &s386},
+      {"dk16 two-rail", &two_rail},
+      {"dk16 stuck error", &stuck}};
+  for (const auto& [label, design] : checkers) {
+    SCOPED_TRACE(label);
+    const Design& d = *design;
     const ProtectedMachine pm(d.circuit, d.hw);
+    const std::uint64_t batches = (pm.num_inputs() + 63) / 64;
     std::uint64_t reused_rows = 0;
+    std::uint64_t cone_batches = 0;
     for (const StuckAtFault& f : d.faults) {
       const logic::Injection inj = f.injection();
       FaultSession session(pm, &inj);
       std::uint64_t dormant = 0;
+      std::uint64_t changed = 0;  // batches whose response is not golden
+      std::uint64_t full = 0;     // batches at codes off the reachable set
       for (std::uint64_t code = 0; code <= d.circuit.state_mask(); ++code) {
         const TransitionRow& row = session.faulty_row(code);
         ASSERT_EQ(row.response, simulate_all_inputs(d.circuit, code, &inj))
@@ -290,12 +331,31 @@ TEST(CampaignMachine, BatchCheckerReuseMatchesWholeRowChecker) {
             << f.to_string() << " code " << code;
         EXPECT_EQ(&session.faulty_row(code), &row);
         dormant += golden_response;
+        if (golden == nullptr) {
+          full += batches;
+          continue;
+        }
+        for (std::uint64_t b = 0; b < batches; ++b) {
+          const std::uint64_t end =
+              std::min<std::uint64_t>(64 * (b + 1), pm.num_inputs());
+          for (std::uint64_t a = 64 * b; a < end; ++a) {
+            if (row.response[a] != golden->response[a]) {
+              ++changed;
+              break;
+            }
+          }
+        }
       }
-      EXPECT_EQ(session.counters().cone_rows, pm.reachable().size());
-      EXPECT_EQ(session.counters().dormant_rows, dormant);
+      const SimCounters counters = session.counters();
+      EXPECT_EQ(counters.cone_rows, pm.reachable().size());
+      EXPECT_EQ(counters.dormant_rows, dormant);
+      EXPECT_EQ(counters.checker_cone_batches, changed) << f.to_string();
+      EXPECT_EQ(counters.checker_full_batches, full) << f.to_string();
       reused_rows += dormant;
+      cone_batches += changed;
     }
     EXPECT_GT(reused_rows, 0u);
+    EXPECT_GT(cone_batches, 0u);
   }
 }
 
@@ -346,17 +406,7 @@ TEST(CampaignOracle, StuckErrorCheckerIsFalsified) {
   const int p = 2;
   const Design d = suite_design("dk16", p);
   ASSERT_FALSE(d.hw.two_rail);
-  core::CedHardware stuck = d.hw;
-  logic::Netlist checker;
-  for (int i = 0; i < d.hw.r + d.hw.s + d.hw.n; ++i) {
-    checker.add_input("x" + std::to_string(i));
-  }
-  const std::uint32_t zero = checker.add_const(false);
-  for (int l = 0; l < 2 * d.hw.q; ++l) {
-    checker.mark_output(zero, "parity" + std::to_string(l));
-  }
-  checker.mark_output(checker.add_const(true), "error");
-  stuck.checker = std::move(checker);
+  const core::CedHardware stuck = stuck_error_checker(d.hw);
 
   CampaignOptions opts;
   opts.latency_bound = p;

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -21,6 +23,7 @@
 #include "core/extract.hpp"
 #include "core/run.hpp"
 #include "kiss/kiss.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/campaign.hpp"
@@ -75,6 +78,38 @@ TEST(Metrics, ShardsFoldExactlyUnderFourWorkers) {
   EXPECT_EQ(h.counts[0], 11u);   // 0..10 inclusive
   EXPECT_EQ(h.counts[1], 90u);   // 11..100
   EXPECT_EQ(h.counts[2], 99u);   // 101..199
+}
+
+TEST(Metrics, WeightedObservationsEqualRepeatedOnes) {
+  // A count argument folds n equal observations into one entry: the
+  // snapshot (bucket counts, total, sum) equals n single observations,
+  // through the registry and through a shard alike.
+  const std::vector<std::pair<double, std::uint64_t>> samples = {
+      {1.0, 20000}, {2.0, 76}, {0.5, 3}, {7.0, 2}};
+  obs::MetricsRegistry repeated;
+  obs::MetricsRegistry weighted;
+  {
+    obs::MetricsShard shard(&weighted);
+    for (const auto& [v, n] : samples) {
+      for (std::uint64_t i = 0; i < n; ++i) repeated.observe("h", v);
+      shard.observe("h", v, n);
+    }
+    weighted.observe("direct", 2.5, 4);
+  }
+  for (int i = 0; i < 4; ++i) repeated.observe("direct", 2.5);
+  const obs::MetricsSnapshot a = repeated.snapshot();
+  const obs::MetricsSnapshot b = weighted.snapshot();
+  for (const char* name : {"h", "direct"}) {
+    SCOPED_TRACE(name);
+    const obs::Histogram& ha = a.histograms.at(name);
+    const obs::Histogram& hb = b.histograms.at(name);
+    EXPECT_EQ(ha.edges, hb.edges);
+    EXPECT_EQ(ha.counts, hb.counts);
+    EXPECT_EQ(ha.total, hb.total);
+    EXPECT_EQ(ha.sum, hb.sum);
+  }
+  EXPECT_EQ(b.histograms.at("h").total, 20081u);
+  EXPECT_EQ(obs::metrics_json(a), obs::metrics_json(b));
 }
 
 // --------------------------------------------------------------- spans
@@ -144,11 +179,11 @@ TEST(Export, MetricsJsonGolden) {
       "    \"c\": 2\n"
       "  },\n"
       "  \"gauges\": {\n"
-      "    \"g\": 1.500000\n"
+      "    \"g\": 1.5\n"
       "  },\n"
       "  \"histograms\": {\n"
-      "    \"h\": {\"edges\": [1.000000, 2.000000], \"counts\": [1, 0, 1], "
-      "\"sum\": 3.500000, \"count\": 2}\n"
+      "    \"h\": {\"edges\": [1, 2], \"counts\": [1, 0, 1], "
+      "\"sum\": 3.5, \"count\": 2}\n"
       "  }\n"
       "}\n";
   EXPECT_EQ(obs::metrics_json(golden_snapshot()), expected);
@@ -159,12 +194,12 @@ TEST(Export, PrometheusTextGolden) {
       "# TYPE c counter\n"
       "c 2\n"
       "# TYPE g gauge\n"
-      "g 1.500000\n"
+      "g 1.5\n"
       "# TYPE h histogram\n"
       "h_bucket{le=\"1\"} 1\n"
       "h_bucket{le=\"2\"} 1\n"
       "h_bucket{le=\"+Inf\"} 2\n"
-      "h_sum 3.500000\n"
+      "h_sum 3.5\n"
       "h_count 2\n";
   EXPECT_EQ(obs::prometheus_text(golden_snapshot()), expected);
 }
@@ -191,13 +226,29 @@ TEST(Export, TraceJsonGolden) {
       "  \"dropped\": 3,\n"
       "  \"spans\": [\n"
       "    {\"id\": 1, \"parent\": 0, \"name\": \"pipeline\", "
-      "\"start_s\": 0.000000, \"dur_s\": 2.000000, \"attrs\": {}},\n"
+      "\"start_s\": 0, \"dur_s\": 2, \"attrs\": {}},\n"
       "    {\"id\": 2, \"parent\": 1, \"name\": \"solve\", "
-      "\"start_s\": 0.500000, \"dur_s\": 1.000000, \"attrs\": "
+      "\"start_s\": 0.5, \"dur_s\": 1, \"attrs\": "
       "{\"q\": \"3\"}}\n"
       "  ]\n"
       "}\n";
   EXPECT_EQ(obs::trace_json(golden_spans(), 3), expected);
+}
+
+TEST(Export, JsonNumberKeepsItsDigits) {
+  // The shortest text that reads back as the same double: short span
+  // sums keep every digit instead of rounding to six decimals.
+  EXPECT_EQ(obs::json_number(1.5), "1.5");
+  EXPECT_EQ(obs::json_number(3.0), "3");
+  EXPECT_EQ(obs::json_number(0.0), "0");
+  EXPECT_EQ(obs::json_number(0.000013), "1.3e-05");
+  EXPECT_EQ(obs::json_number(std::numeric_limits<double>::quiet_NaN()),
+            "null");
+  EXPECT_EQ(obs::json_number(std::numeric_limits<double>::infinity()),
+            "null");
+  for (const double v : {0.1, 1.0 / 3.0, 2.5e-7, 123456.789, -42.0625}) {
+    EXPECT_EQ(std::strtod(obs::json_number(v).c_str(), nullptr), v) << v;
+  }
 }
 
 TEST(Export, ExplainTreeGolden) {
@@ -405,7 +456,12 @@ TEST(ObsDeterminism, CampaignVerdictsAreIdenticalWithObsOnOrOff) {
     EXPECT_GT(snap.counters.at("ced_sim_cone_rows_total"), 0u);
     EXPECT_GT(snap.counters.at("ced_sim_cone_gates_total"), 0u);
     EXPECT_GT(snap.counters.at("ced_sim_dormant_rows_total"), 0u);
+    EXPECT_GT(snap.counters.at("ced_sim_checker_cone_batches_total"), 0u);
     EXPECT_GT(snap.gauges.at(sim::kGoldenTraceBytesGauge), 0.0);
+    // One weighted observation per latency bucket still counts every
+    // detected episode once.
+    EXPECT_EQ(snap.histograms.at("ced_campaign_latency").total,
+              observed.detected_in_bound + observed.detected_late);
   }
 }
 

@@ -240,6 +240,37 @@ fi
 cmp "$obs_tmp"/camp-r/camp-*.ced "$obs_tmp"/camp-1/camp-*.ced \
   || { echo "resumed campaign verdicts diverge from the clean run"; exit 1; }
 
+echo "== campaign verdict pin: s1488 p=2 reproduces BENCH_campaign.json =="
+# The dk16 gate compares verdicts across thread counts and resumes, and the
+# ledger keeps only bound=holds|violated, so a change that moved the
+# paper's largest campaign without breaking the bound would pass both.
+# Here every verdict field of the exhaustive s1488 p=2 campaign (units,
+# episode counts, false alarms, max latency, the latency histogram) must
+# equal the committed file, and the faulty rows' checker verdicts must
+# have come from the checker's response cone.
+./build/tools/ced_cli protect "$obs_tmp/s1488.kiss" --latency=2 --threads=4 \
+    --store="$obs_tmp/camp-s1488" > /dev/null
+./build/tools/ced_cli campaign "$obs_tmp/s1488.kiss" --latency=2 \
+    --store="$obs_tmp/camp-s1488" --threads=4 \
+    --metrics-out="$obs_tmp/camp-s1488-m.json" \
+    --json-out="$obs_tmp/camp-s1488.json" > /dev/null
+python3 - "$obs_tmp" <<'PYEOF'
+import json, sys
+d = sys.argv[1]
+got = json.load(open(d + "/camp-s1488.json"))["campaigns"][0]
+want = json.load(open("BENCH_campaign.json"))["campaigns"][0]
+fields = ["num_units", "units_judged", "activations", "detected_in_bound",
+          "detected_late", "silent_escape", "benign_units", "false_alarms",
+          "max_latency", "histogram"]
+moved = {f: (got[f], want[f]) for f in fields if got[f] != want[f]}
+assert not moved, "s1488 p=2 campaign moved (got, committed): %r" % moved
+m = json.load(open(d + "/camp-s1488-m.json"))
+cone = m["counters"].get("ced_sim_checker_cone_batches_total", 0)
+assert cone > 0, "no faulty-row checker batch ran on the response cone"
+print("campaign pin: %d units, %d activations, histogram %s, %d cone batches"
+      % (got["num_units"], got["activations"], got["histogram"], cone))
+PYEOF
+
 echo "== extraction resume gate: interrupted + resumed tables match a clean run =="
 # Stopped by the shard quota after 3 of 16 shards, s1488 p=3 must report
 # truncation; --resume must load those 3 checkpoints (not quarantine and
