@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "core/erroneous_case.hpp"
 
 namespace ced::core {
@@ -76,13 +77,17 @@ class BasicCaseSet {
 
   /// Keeps the cases whose flag in `keep` (one per case, in order) is set,
   /// in insertion order, and rebuilds the index.
-  void retain(const std::vector<bool>& keep) {
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < cases_.size(); ++r) {
-      if (keep[r]) cases_[w++] = cases_[r];
-    }
-    cases_.resize(w);
+  void retain(const std::vector<char>& keep) {
+    filter(keep);
     reindex(slots_.size());
+  }
+
+  /// Moves out the cases whose flag in `keep` is set, in insertion order,
+  /// and leaves the set empty: retain() and release() without building an
+  /// index for the survivors.
+  std::vector<ErroneousCase> release(const std::vector<char>& keep) {
+    filter(keep);
+    return release();
   }
 
   /// Replaces every case by fn(case), keeps the first of any repeats this
@@ -124,6 +129,16 @@ class BasicCaseSet {
       const Row r = slots_[i];
       if (r == 0 || cases_[r - 1u] == ec) return i;
     }
+  }
+
+  /// Drops the rows whose flag in `keep` is clear, in order; leaves the
+  /// index stale.
+  void filter(const std::vector<char>& keep) {
+    std::size_t w = 0;
+    for (std::size_t r = 0; r < cases_.size(); ++r) {
+      if (keep[r]) cases_[w++] = cases_[r];
+    }
+    cases_.resize(w);
   }
 
   /// Rebuilds an index of `num_slots` slots over the rows, compacting
@@ -173,19 +188,122 @@ inline bool dominated(const ErroneousCase& ec, const CaseSet& set,
   return false;
 }
 
+/// Rows per parallel_for index of minimal_rows(), and the set size below
+/// which it runs inline: starting the workers costs about as much as
+/// checking a thousand rows.
+inline constexpr std::size_t kCompactChunk = std::size_t{1} << 12;
+inline constexpr std::size_t kInlineCompact = std::size_t{1} << 14;
+
+/// One flag per case of `set`, in order: 1 if no nonempty proper subset of
+/// the case is in the set. The set does not change while it is checked, so
+/// fixed chunks of rows are checked on `threads` workers (inline below
+/// kInlineCompact cases), each counting its own lookups; the flags and the
+/// summed `probes` are the same at every thread count.
+inline std::vector<char> minimal_rows(const CaseSet& set,
+                                      std::uint64_t& probes, int threads) {
+  const std::vector<ErroneousCase>& cases = set.cases();
+  std::vector<char> keep(cases.size());
+  const std::size_t chunks = (cases.size() + kCompactChunk - 1) / kCompactChunk;
+  std::vector<std::uint64_t> chunk_probes(chunks, 0);
+  parallel_for(cases.size() < kInlineCompact ? 1 : threads, chunks,
+               [&](std::size_t c) {
+                 const std::size_t end =
+                     std::min(cases.size(), (c + 1) * kCompactChunk);
+                 std::uint64_t n = 0;  // a local: the counters share lines
+                 for (std::size_t r = c * kCompactChunk; r < end; ++r) {
+                   keep[r] = !dominated(cases[r], set, n);
+                 }
+                 chunk_probes[c] = n;
+               });
+  for (const std::uint64_t n : chunk_probes) probes += n;
+  return keep;
+}
+
 /// Keeps only the subset-minimal cases, in insertion order; returns how
 /// many it removed. Every case is checked against the whole set before any
 /// is removed (a dominated case always keeps a subset-minimal dominator),
-/// so the result does not depend on the order of the cases.
-inline std::size_t compact(CaseSet& set, std::uint64_t& probes) {
-  const std::vector<ErroneousCase>& cases = set.cases();
-  std::vector<bool> keep(cases.size());
-  for (std::size_t r = 0; r < cases.size(); ++r) {
-    keep[r] = !dominated(cases[r], set, probes);
-  }
+/// so the result does not depend on the order of the cases, nor on
+/// `threads` (minimal_rows).
+inline std::size_t compact(CaseSet& set, std::uint64_t& probes,
+                           int threads = 1) {
   const std::size_t before = set.size();
-  set.retain(keep);
+  set.retain(minimal_rows(set, probes, threads));
   return before - set.size();
+}
+
+/// The order of a table's cases: by length, then by words.
+inline bool case_less(const ErroneousCase& a, const ErroneousCase& b) {
+  if (a.length != b.length) return a.length < b.length;
+  return a.diff < b.diff;
+}
+
+/// Cases per sorted run, and per merged piece, of sort_cases().
+inline constexpr std::size_t kSortChunk = std::size_t{1} << 14;
+
+/// How many of the first k cases of the merge of the sorted distinct runs
+/// a[0, na) and b[0, nb) come from a (the merge path's split at k).
+inline std::size_t merge_split(const ErroneousCase* a, std::size_t na,
+                               const ErroneousCase* b, std::size_t nb,
+                               std::size_t k) {
+  std::size_t lo = k > nb ? k - nb : 0;
+  std::size_t hi = std::min(k, na);
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (case_less(a[mid], b[k - 1 - mid])) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+/// `cases`, which must be distinct, sorted by case_less into a vector of
+/// exactly their number. Fixed chunks are sorted on `threads` workers, then
+/// merged pairwise, round by round, between `cases` and the result, so the
+/// second buffer is the one a shrink_to_fit would allocate. Each round
+/// splits its output into fixed chunks that find their inputs by the merge
+/// path and merge in parallel. Distinct cases have one sorted order: the
+/// result is std::sort's.
+inline std::vector<ErroneousCase> sort_cases(std::vector<ErroneousCase> cases,
+                                             int threads) {
+  const std::size_t n = cases.size();
+  std::vector<ErroneousCase> out(n);
+  std::size_t rounds = 0;
+  for (std::size_t width = kSortChunk; width < n; width *= 2) ++rounds;
+  // Every round flips the buffers; start in the one that makes `out` the
+  // last round's target.
+  ErroneousCase* src = cases.data();
+  ErroneousCase* dst = out.data();
+  if (rounds % 2 == 0) std::swap(src, dst);
+  const std::size_t chunks = (n + kSortChunk - 1) / kSortChunk;
+  parallel_for(threads, chunks, [&](std::size_t c) {
+    const std::size_t begin = c * kSortChunk;
+    const std::size_t end = std::min(n, begin + kSortChunk);
+    if (src != cases.data()) {
+      std::copy(cases.data() + begin, cases.data() + end, src + begin);
+    }
+    std::sort(src + begin, src + end, case_less);
+  });
+  for (std::size_t width = kSortChunk; width < n; width *= 2) {
+    // A pair of runs spans whole chunks: width is a multiple of the chunk.
+    parallel_for(threads, chunks, [&](std::size_t c) {
+      const std::size_t first = c * kSortChunk;
+      const std::size_t begin = first - first % (2 * width);
+      const std::size_t mid = std::min(n, begin + width);
+      const std::size_t end = std::min(n, begin + 2 * width);
+      const std::size_t k0 = first - begin;
+      const std::size_t k1 = std::min(end, first + kSortChunk) - begin;
+      const ErroneousCase* a = src + begin;
+      const ErroneousCase* b = src + mid;
+      const std::size_t i0 = merge_split(a, mid - begin, b, end - mid, k0);
+      const std::size_t i1 = merge_split(a, mid - begin, b, end - mid, k1);
+      std::merge(a + i0, a + i1, b + (k0 - i0), b + (k1 - i1), dst + first,
+                 case_less);
+    });
+    std::swap(src, dst);
+  }
+  return out;
 }
 
 }  // namespace ced::core

@@ -28,18 +28,14 @@ CoverKernel::CoverKernel(const DetectabilityTable& table, std::size_t count,
       rows_(std::move(rows)),
       // Backend is captured once here: a kernel keeps its engine for its
       // whole life, regardless of later ScopedSimdLevel flips.
-      engine_(&detail::kernel_ops(simd_level())) {
-#ifndef NDEBUG
-  table_ = &table;
-#endif
+      engine_(&detail::kernel_ops(simd_level())),
+      table_(&table) {
   write_rows(table, count);
 }
 
 void CoverKernel::append(const DetectabilityTable& table,
                          std::span<const std::uint32_t> rows) {
-#ifndef NDEBUG
   assert(&table == table_ && "CoverKernel::append on another table");
-#endif
   assert((m_ == 0 || !rows_.empty()) &&
          "CoverKernel::append on a full kernel");
   rows_.insert(rows_.end(), rows.begin(), rows.end());

@@ -143,6 +143,11 @@ ErroneousCase canonicalize(const std::uint64_t* diffs, int len) {
   return ec;
 }
 
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
 /// Write-only case-set counters of one extraction worker (obs): distinct
 /// cases added to a table's set, inserts refused because a subset was
 /// already there, subset lookups, compaction passes and the cases they
@@ -159,6 +164,15 @@ struct CaseCounters {
   std::uint64_t classifications = 0;
   std::vector<double> compaction_seconds;
   std::vector<double> degrade_seconds;
+
+  /// Counts a compaction pass that began at `t0` and removed `removed`
+  /// cases.
+  void compacted(std::size_t removed,
+                 std::chrono::steady_clock::time_point t0) {
+    ++compactions;
+    cases_compacted += removed;
+    compaction_seconds.push_back(seconds_since(t0));
+  }
 
   /// Adds every counter to `shard` and observes every timed pass.
   void record(obs::MetricsShard& shard) const {
@@ -178,18 +192,11 @@ struct CaseCounters {
   }
 };
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-/// Compacts `set` to its subset-minimal cases, counting and timing the
-/// pass.
-void compact(CaseSet& set, CaseCounters& counters) {
+/// Compacts `set` to its subset-minimal cases on `threads` workers,
+/// counting and timing the pass.
+void compact(CaseSet& set, CaseCounters& counters, int threads) {
   const auto t0 = std::chrono::steady_clock::now();
-  ++counters.compactions;
-  counters.cases_compacted += compact(set, counters.subset_probes);
-  counters.compaction_seconds.push_back(seconds_since(t0));
+  counters.compacted(compact(set, counters.subset_probes, threads), t0);
 }
 
 /// Strengthens a case to its `k` smallest difference words (sound: it
@@ -202,11 +209,6 @@ ErroneousCase strengthen(const ErroneousCase& ec, int k) {
     s.diff[static_cast<std::size_t>(i)] = ec.diff[static_cast<std::size_t>(i)];
   }
   return s;
-}
-
-bool case_less(const ErroneousCase& a, const ErroneousCase& b) {
-  if (a.length != b.length) return a.length < b.length;
-  return a.diff < b.diff;
 }
 
 bool any_truncated(const std::vector<DetectabilityTable>& tables) {
@@ -287,7 +289,7 @@ class ShardWorker {
   /// afterwards.
   std::vector<DetectabilityTable> take_tables(bool persisted) {
     for (std::size_t t = 0; t < tables_.size(); ++t) {
-      if (persisted) compact(sets_[t], counters_);
+      if (persisted) compact(sets_[t], counters_, opts_.threads);
       tables_[t].cases = sets_[t].release();
       if (persisted) {
         std::sort(tables_[t].cases.begin(), tables_[t].cases.end(),
@@ -427,7 +429,7 @@ class ShardWorker {
     if (cut) tables_[t].strengthened = true;
     auto& threshold = compact_threshold_[t];
     if (set.size() > threshold) {
-      compact(set, counters_);
+      compact(set, counters_, opts_.threads);
       threshold = std::max<std::size_t>(2 * set.size(), kCompactStart);
     }
     while (set.size() > degrade_threshold_ && max_words_[t] > 1) {
@@ -441,7 +443,7 @@ class ShardWorker {
         if (c.length > words) tables_[t].strengthened = true;
         return strengthen(c, words);
       });
-      compact(set, counters_);
+      compact(set, counters_, opts_.threads);
       threshold = std::max<std::size_t>(2 * set.size(), kCompactStart);
       counters_.degrade_seconds.push_back(seconds_since(t0));
     }
@@ -449,7 +451,7 @@ class ShardWorker {
       // Recoverable truncation (the old behaviour threw here): compact this
       // set first; if the shard still holds too many cases, keep the
       // subset-minimal cases found so far and freeze the table.
-      compact(set, counters_);
+      compact(set, counters_, opts_.threads);
       if (live_cases() > opts_.max_cases) {
         freeze(t, "erroneous-case limit (" + std::to_string(opts_.max_cases) +
                       ") exceeded; table holds the cases found so far");
@@ -508,11 +510,14 @@ std::vector<std::uint64_t> activation_codes(const fsm::FsmCircuit& circuit,
 /// cases, compacted to the subset-minimal antichain and sorted, their
 /// summed statistics and the first truncation reason. The parts' cases are
 /// consumed. This compaction is what makes every returned table
-/// subset-minimal (DetectabilityTable::cases); the solvers rely on it.
+/// subset-minimal (DetectabilityTable::cases); the solvers rely on it. The
+/// compaction and the sort run on opts.threads workers; neither result
+/// depends on the count.
 std::vector<DetectabilityTable> merge_parts(std::vector<ExtractShard>& parts,
                                             const fsm::FsmCircuit& circuit,
                                             std::size_t num_faults,
                                             const ExtractOptions& opts) {
+  const obs::ScopedSpan span(opts.obs, "extract-merge");
   std::vector<DetectabilityTable> tables(
       static_cast<std::size_t>(opts.latency));
   CaseCounters counters;
@@ -544,13 +549,16 @@ std::vector<DetectabilityTable> merge_parts(std::vector<ExtractShard>& parts,
         }
       }
     }
-    // Drop supersets that arrived before their subsets.
-    compact(merged, counters);
-    table.cases = merged.release();
-    // Returned tables outlive extraction: drop the capacity the set grew
-    // to before compaction.
-    table.cases.shrink_to_fit();
-    std::sort(table.cases.begin(), table.cases.end(), case_less);
+    // Drop supersets that arrived before their subsets. The survivors
+    // leave the set without an index: nothing looks them up again.
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::size_t before = merged.size();
+    std::vector<ErroneousCase> minimal = merged.release(
+        minimal_rows(merged, counters.subset_probes, opts.threads));
+    counters.compacted(before - minimal.size(), t0);
+    // Returned tables outlive extraction: the sort's target holds exactly
+    // the survivors, not the capacity the set grew to before compaction.
+    table.cases = sort_cases(std::move(minimal), opts.threads);
   }
   obs::MetricsShard mshard(opts.obs.metrics);
   counters.record(mshard);
@@ -636,8 +644,11 @@ std::vector<DetectabilityTable> extract_cases_sharded(
     // activation code is simulated up front so the fan-out only reads it.
     // (Faulty walks can still reach codes outside this set; those take the
     // full pass, with golden rows from each shard's GoldenView overlay.)
+    obs::ScopedSpan trace_span(opts.obs, "extract-trace");
     const std::vector<std::uint64_t> codes = activation_codes(circuit, opts);
     const sim::GoldenTrace trace(circuit, codes);
+    trace_span.attr("states", static_cast<std::uint64_t>(codes.size()));
+    trace_span.end();
     if (opts.obs.metrics != nullptr) {
       opts.obs.metrics->set_gauge(sim::kGoldenTraceBytesGauge,
                                   static_cast<double>(trace.bytes()));

@@ -68,8 +68,12 @@ struct ExtractOptions {
   /// stops at its next poll and every table still open is marked
   /// truncated.
   Deadline deadline;
-  /// Worker threads for the shards still to compute. 1 = serial, 0 =
-  /// CED_THREADS env or hardware concurrency (see common/parallel.hpp).
+  /// Worker threads for the shards still to compute, and for the case-set
+  /// work that is not per shard: each large compaction (inside a shard
+  /// and in the merge) and the merge's sort spread over this many threads,
+  /// and neither their results nor their counters depend on the count.
+  /// 1 = serial, 0 = CED_THREADS env or hardware concurrency (see
+  /// common/parallel.hpp).
   /// extract_cases_multi also makes it the shard count, so without a store
   /// the partition is the thread count: each shard degrades against
   /// degrade_threshold / shards, and a table that degrades is strengthened
@@ -79,9 +83,11 @@ struct ExtractOptions {
   /// path-enumeration statistics (num_paths, num_loop_truncations) are
   /// not, because subtree pruning only sees a shard's own cases.
   int threads = 0;
-  /// Observability sinks: one span per extraction shard (nested under
-  /// `parent_span`, typically the pipeline's extract stage span) plus
-  /// per-shard counters. Write-only diagnostics — the extracted tables are
+  /// Observability sinks: an `extract-trace` span for the golden-trace
+  /// build, one `extract-shard` span per computed shard and an
+  /// `extract-merge` span for the merge (all nested under `parent_span`,
+  /// typically the pipeline's extract stage span) plus per-shard
+  /// counters. Write-only diagnostics — the extracted tables are
   /// byte-identical with sinks set or null, at any thread count.
   obs::Sinks obs;
 };

@@ -31,6 +31,46 @@ void store_batch_row(const logic::Netlist& nl, int n,
               row.begin() + static_cast<std::ptrdiff_t>(base));
 }
 
+/// out[b] = op-fold of in[0][b] .. in[k-1][b], XORed with `invert`, for b
+/// in [lo, hi).
+template <typename Op>
+void fold_words(const std::uint64_t* const* in, std::size_t k,
+                std::uint64_t invert, std::uint64_t* out, std::size_t lo,
+                std::size_t hi, Op op) {
+  for (std::size_t b = lo; b < hi; ++b) {
+    std::uint64_t acc = in[0][b];
+    for (std::size_t j = 1; j < k; ++j) acc = op(acc, in[j][b]);
+    out[b] = acc ^ invert;
+  }
+}
+
+/// out[b] for b in [lo, hi): the word logic::gate_word gives for a gate
+/// of `type` (a logic gate, not an input or constant) whose k >= 1 fan-ins
+/// carry in[0][b] .. in[k-1][b].
+void gate_words(logic::GateType type, const std::uint64_t* const* in,
+                std::size_t k, std::uint64_t* out, std::size_t lo,
+                std::size_t hi) {
+  using logic::GateType;
+  constexpr std::uint64_t kOnes = ~std::uint64_t{0};
+  const auto all = [](std::uint64_t a, std::uint64_t b) { return a & b; };
+  const auto any = [](std::uint64_t a, std::uint64_t b) { return a | b; };
+  const auto odd = [](std::uint64_t a, std::uint64_t b) { return a ^ b; };
+  switch (type) {
+    case GateType::kAnd: return fold_words(in, k, 0, out, lo, hi, all);
+    case GateType::kNand: return fold_words(in, k, kOnes, out, lo, hi, all);
+    case GateType::kOr: return fold_words(in, k, 0, out, lo, hi, any);
+    case GateType::kNor: return fold_words(in, k, kOnes, out, lo, hi, any);
+    case GateType::kXor: return fold_words(in, k, 0, out, lo, hi, odd);
+    case GateType::kXnor: return fold_words(in, k, kOnes, out, lo, hi, odd);
+    case GateType::kBuf: return fold_words(in, 1, 0, out, lo, hi, odd);
+    case GateType::kNot: return fold_words(in, 1, kOnes, out, lo, hi, odd);
+    case GateType::kInput:
+    case GateType::kConst0:
+    case GateType::kConst1:
+      break;
+  }
+}
+
 /// One net's distinct value vectors (`width` words each) with an
 /// open-addressing table over them; ids are dense in first-seen order.
 struct InternPool {
@@ -257,11 +297,12 @@ FaultyCache::FaultyCache(const GoldenTrace& trace,
     return static_cast<std::uint32_t>(
         std::lower_bound(cone_.begin(), cone_.end(), net) - cone_.begin());
   };
+  const auto batches = static_cast<std::uint32_t>(trace.batches_);
   for (std::size_t i = 1; i < cone_.size(); ++i) {
     const logic::Gate& g = nl.gate(cone_[i]);
     ConeGate cg{g.type, static_cast<std::uint32_t>(srcs_.size()), 0};
     for (const std::uint32_t f : g.fanins) {
-      srcs_.push_back(seen[f] ? slot_of(f) << 1 : (f << 1) | 1);
+      srcs_.push_back(seen[f] ? (slot_of(f) * batches) << 1 : (f << 1) | 1);
     }
     cg.end = static_cast<std::uint32_t>(srcs_.size());
     gates_.push_back(cg);
@@ -270,10 +311,11 @@ FaultyCache::FaultyCache(const GoldenTrace& trace,
     const std::uint32_t net = nl.outputs()[o];
     if (seen[net]) outs_.emplace_back(static_cast<int>(o), slot_of(net));
   }
-  val_.resize(cone_.size());
+  val_.resize(cone_.size() * trace.batches_);
+  if (trace.batches_ > 1) ins_.resize(srcs_.size());
 }
 
-std::vector<std::uint64_t> FaultyCache::compute(std::uint64_t state_code) {
+std::vector<std::uint64_t> FaultyCache::build(std::uint64_t state_code) {
   const auto it = trace_.slot_.find(state_code);
   if (it == trace_.slot_.end()) {
     ++counters_.full_rows;
@@ -286,37 +328,71 @@ std::vector<std::uint64_t> FaultyCache::compute(std::uint64_t state_code) {
   }
   const std::uint32_t si = it->second;
   const std::vector<std::uint64_t>& golden = trace_.rows_[si];
+  const std::uint64_t num_inputs = golden.size();
+  const std::size_t batches = trace_.batches_;
+  // The active batches, [lo, hi) from the first to the last: those where
+  // the fault net does not already hold the forced value.
+  const std::uint64_t* fault_net = trace_.words(si, cone_[0]);
+  std::size_t lo = batches, hi = 0, active = 0;
+  for (std::size_t b = 0; b < batches; ++b) {
+    if (((fault_net[b] ^ injection_.value_word) & lane_mask(num_inputs, b)) !=
+        0) {
+      lo = std::min(lo, b);
+      hi = b + 1;
+      ++active;
+    }
+  }
+  counters_.batches_skipped += batches - active;
   // Copied from the golden row at the first difference: a row the fault
   // leaves golden is never built.
   std::vector<std::uint64_t> row;
-  const std::uint64_t num_inputs = golden.size();
-  for (std::uint64_t b = 0; b < trace_.batches_; ++b) {
-    const std::uint64_t lanes = lane_mask(num_inputs, b);
-    if (((trace_.word(si, cone_[0], b) ^ injection_.value_word) & lanes) ==
-        0) {
-      ++counters_.batches_skipped;  // the fault net already holds the value
-      continue;
+  if (active > 0) {
+    counters_.cone_gates += gates_.size() * active;
+    // Each gate runs over the whole range. A skipped batch inside it holds
+    // the forced value on every live lane already, so there every cone net
+    // is golden on the live lanes and adds no difference bit.
+    std::fill(val_.begin() + static_cast<std::ptrdiff_t>(lo),
+              val_.begin() + static_cast<std::ptrdiff_t>(hi),
+              injection_.value_word);
+    std::uint64_t* out = val_.data() + batches;  // cone slot 1's words
+    if (hi - lo == 1) {
+      // One batch shares no lookup: each fan-in is read where it is used.
+      const auto word = [&](std::uint32_t e) {
+        return (e & 1) != 0 ? trace_.words(si, e >> 1)[lo]
+                            : val_[(e >> 1) + lo];
+      };
+      for (const ConeGate& g : gates_) {
+        out[lo] = logic::gate_word(
+            g.type,
+            std::span<const std::uint32_t>(srcs_.data() + g.begin,
+                                           g.end - g.begin),
+            word);
+        out += batches;
+      }
+    } else {
+      // Every fan-in's words are looked up once for the whole range.
+      for (std::size_t k = 0; k < srcs_.size(); ++k) {
+        const std::uint32_t e = srcs_[k];
+        ins_[k] = (e & 1) != 0 ? trace_.words(si, e >> 1)
+                               : val_.data() + (e >> 1);
+      }
+      for (const ConeGate& g : gates_) {
+        gate_words(g.type, ins_.data() + g.begin, g.end - g.begin, out, lo,
+                   hi);
+        out += batches;
+      }
     }
-    const auto word = [&](std::uint32_t e) {
-      return (e & 1) != 0 ? trace_.word(si, e >> 1, b) : val_[e >> 1];
-    };
-    val_[0] = injection_.value_word;
-    for (std::size_t i = 0; i < gates_.size(); ++i) {
-      const ConeGate& g = gates_[i];
-      val_[i + 1] = logic::gate_word(
-          g.type,
-          std::span<const std::uint32_t>(srcs_.data() + g.begin,
-                                         g.end - g.begin),
-          word);
-    }
-    counters_.cone_gates += gates_.size();
     for (const auto& [o, slot] : outs_) {
-      std::uint64_t d = (val_[slot] ^ trace_.word(si, cone_[slot], b)) & lanes;
-      if (d != 0 && row.empty()) row = golden;
-      while (d != 0) {
-        row[b * 64 + static_cast<std::uint64_t>(std::countr_zero(d))] ^=
-            std::uint64_t{1} << o;
-        d &= d - 1;
+      const std::uint64_t* faulty = val_.data() + slot * batches;
+      const std::uint64_t* good = trace_.words(si, cone_[slot]);
+      for (std::size_t b = lo; b < hi; ++b) {
+        std::uint64_t d = (faulty[b] ^ good[b]) & lane_mask(num_inputs, b);
+        if (d != 0 && row.empty()) row = golden;
+        while (d != 0) {
+          row[b * 64 + static_cast<std::uint64_t>(std::countr_zero(d))] ^=
+              std::uint64_t{1} << o;
+          d &= d - 1;
+        }
       }
     }
   }
@@ -327,7 +403,7 @@ std::vector<std::uint64_t> FaultyCache::compute(std::uint64_t state_code) {
 const std::vector<std::uint64_t>* FaultyCache::row(std::uint64_t state_code) {
   auto it = cache_.find(state_code);
   if (it == cache_.end()) {
-    it = cache_.emplace(state_code, compute(state_code)).first;
+    it = cache_.emplace(state_code, build(state_code)).first;
   }
   return it->second.empty() ? nullptr : &it->second;
 }

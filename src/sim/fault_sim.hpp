@@ -134,13 +134,10 @@ class GoldenTrace {
  private:
   friend class FaultyCache;
 
-  /// Fault-free word of `net` in `batch` at traced state `si`.
-  std::uint64_t word(std::uint32_t si, std::uint32_t net,
-                     std::uint64_t batch) const {
-    return values_[net_base_[net] +
-                   std::size_t{index_[std::size_t{si} * num_nets_ + net]} *
-                       batches_ +
-                   batch];
+  /// Fault-free words of `net` at traced state `si`, one per batch.
+  const std::uint64_t* words(std::uint32_t si, std::uint32_t net) const {
+    return values_.data() + net_base_[net] +
+           std::size_t{index_[std::size_t{si} * num_nets_ + net]} * batches_;
   }
 
   const fsm::FsmCircuit& circuit_;
@@ -159,11 +156,13 @@ class GoldenTrace {
 /// Faulty transition rows of one fault, memoized per state code. At a code
 /// in the golden trace the row is the golden row XOR the differences on the
 /// fault's cone outputs: only the nets in the fault's fanout cone are
-/// re-evaluated, in topological order, reading every other net from the
-/// trace, and a batch where the fault net already carries the forced value
-/// is the golden batch unchanged. Codes outside the trace (faulty walks into
-/// states the trace does not hold) take the full netlist pass. Either way
-/// the row equals simulate_all_inputs(circuit, code, &injection).
+/// re-evaluated, in topological order, each gate over every batch from the
+/// row's first to its last active one, reading every other net's words
+/// from the trace; a batch where the fault net already carries the forced
+/// value is the golden batch unchanged. Codes outside the trace (faulty
+/// walks into states the trace does not hold) take the full netlist pass.
+/// Either way the row equals simulate_all_inputs(circuit, code,
+/// &injection).
 class FaultyCache {
  public:
   FaultyCache(const GoldenTrace& trace, const logic::Injection& injection);
@@ -175,18 +174,21 @@ class FaultyCache {
   /// cache's lifetime.
   const std::vector<std::uint64_t>* row(std::uint64_t state_code);
 
+  /// The row at `state_code` built afresh, for a caller that memoizes rows
+  /// itself: empty where row() gives nullptr, row()'s row otherwise. The
+  /// cache's memo is neither read nor filled; the counters count it.
+  std::vector<std::uint64_t> build(std::uint64_t state_code);
+
   const SimCounters& counters() const { return counters_; }
 
  private:
-  /// A cone gate's fan-in: (slot << 1) for a cone net, (net << 1) | 1 for a
-  /// net read from the trace.
+  /// A cone gate's fan-in: (slot * batches) << 1, where the cone net's
+  /// words start in val_, for a cone net; (net << 1) | 1 for a net read
+  /// from the trace.
   struct ConeGate {
     logic::GateType type;
     std::uint32_t begin, end;  ///< range in srcs_
   };
-
-  /// The row at `state_code`; empty at a traced code where it is golden.
-  std::vector<std::uint64_t> compute(std::uint64_t state_code);
 
   const GoldenTrace& trace_;
   logic::Injection injection_;
@@ -195,7 +197,12 @@ class FaultyCache {
   std::vector<std::uint32_t> srcs_;
   /// (observable bit, cone slot) for every output driven from the cone.
   std::vector<std::pair<int, std::uint32_t>> outs_;
-  std::vector<std::uint64_t> val_;  ///< cone values of the current batch
+  /// Cone values of the current row: slot i's word in batch b at
+  /// val_[i * batches + b].
+  std::vector<std::uint64_t> val_;
+  /// Per srcs_ entry, the words it reads in the current row (rows whose
+  /// active batches span more than one; empty on single-batch machines).
+  std::vector<const std::uint64_t*> ins_;
   /// code -> row; an empty row marks a dormant traced code.
   std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> cache_;
   SimCounters counters_;

@@ -187,11 +187,11 @@ const TransitionRow& FaultSession::faulty_row(std::uint64_t state_code) {
     if (!faulty_sim_) {
       throw std::logic_error("FaultSession: faulty_row without an injection");
     }
+    // Built for this memo alone, so the row moves in without a copy.
+    // Empty at a traced code the fault leaves golden: no checker pass.
     TransitionRow row;
-    // Empty at a traced code the fault leaves golden: no copy, no checker.
-    if (const std::vector<std::uint64_t>* response =
-            faulty_sim_->row(state_code)) {
-      row.response = *response;
+    row.response = faulty_sim_->build(state_code);
+    if (!row.response.empty()) {
       row.error =
           pm_.faulty_verdicts(state_code, row.response, checker_counters_);
     }

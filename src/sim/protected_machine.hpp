@@ -137,9 +137,10 @@ class FaultSession {
   FaultSession(const ProtectedMachine& pm, const logic::Injection* injection);
 
   /// Row of the machine with the session's fault active. Requires the
-  /// session to have an injection. At a traced reachable code where the
-  /// fault changes no response it is the ProtectedMachine's golden_row
-  /// object itself: no copy, no checker pass.
+  /// session to have an injection. The response is built once, through
+  /// FaultyCache::build, and held only here. At a traced reachable code
+  /// where the fault changes no response it is the ProtectedMachine's
+  /// golden_row object itself: no copy, no checker pass.
   const TransitionRow& faulty_row(std::uint64_t state_code);
 
   /// Row of the fault-free machine at `state_code` (any code, reachable or

@@ -1,6 +1,7 @@
 // The dense erroneous-case set (core/case_set.hpp) against brute force:
 // inserts across index doublings and repeats, subset dominance, in-place
-// compaction and strengthening, and the row-index bound.
+// compaction (serial and parallel) and strengthening, the parallel sort,
+// and the row-index bound.
 
 #include "core/case_set.hpp"
 
@@ -27,10 +28,9 @@ std::vector<std::uint64_t> alphabet(Rng& rng, std::size_t n) {
   return words;
 }
 
-/// A random canonical case of 1..kMaxLatency distinct words drawn from
-/// `words` (a small alphabet makes repeats and subsets common).
-ErroneousCase random_case(Rng& rng, const std::vector<std::uint64_t>& words) {
-  const std::size_t len = 1 + rng.next() % kMaxLatency;
+/// A random canonical case of `len` distinct words drawn from `words`.
+ErroneousCase case_of_length(Rng& rng, const std::vector<std::uint64_t>& words,
+                             std::size_t len) {
   std::vector<std::uint64_t> picked;
   while (picked.size() < len) {
     const std::uint64_t w = words[rng.next() % words.size()];
@@ -43,6 +43,12 @@ ErroneousCase random_case(Rng& rng, const std::vector<std::uint64_t>& words) {
   std::copy(picked.begin(), picked.end(), ec.diff.begin());
   ec.length = static_cast<std::uint8_t>(len);
   return ec;
+}
+
+/// A random canonical case of 1..kMaxLatency distinct words drawn from
+/// `words` (a small alphabet makes repeats and subsets common).
+ErroneousCase random_case(Rng& rng, const std::vector<std::uint64_t>& words) {
+  return case_of_length(rng, words, 1 + rng.next() % kMaxLatency);
 }
 
 /// True if a's word set is a proper subset of b's.
@@ -148,6 +154,67 @@ TEST(CaseSet, CompactionKeepsInsertionOrderAndYieldsTheAntichain) {
       [&](const ErroneousCase& ec) { return !member(minimal, ec); });
   EXPECT_TRUE(set.insert(removed));
   EXPECT_EQ(set.cases().back(), removed);
+}
+
+TEST(CaseSet, ParallelCompactionMatchesSerial) {
+  // Compaction checks fixed chunks of rows on parallel workers. At every
+  // thread count the survivors, their order and the probe count must be
+  // those of a plain row-by-row dominated() pass over the same set. Rare
+  // pairs and commoner triples dominate part of the quadruples.
+  Rng rng(5);
+  const auto words = alphabet(rng, 200);
+  CaseSet set;
+  for (const auto& [len, n] : {std::pair{2, 3000}, {3, 40000}, {4, 80000}}) {
+    for (int i = 0; i < n; ++i) {
+      set.insert(case_of_length(rng, words, static_cast<std::size_t>(len)));
+    }
+  }
+  ASSERT_GT(set.size(), 100000u);
+  ASSERT_GT(set.size(), kInlineCompact);
+  ASSERT_NE(set.size() % kCompactChunk, 0u) << "no partial last chunk";
+  std::vector<ErroneousCase> minimal;
+  std::uint64_t serial_probes = 0;
+  for (const ErroneousCase& ec : set.cases()) {
+    if (!dominated(ec, set, serial_probes)) minimal.push_back(ec);
+  }
+  ASSERT_GT(minimal.size(), set.size() / 4) << "too few survivors";
+  ASSERT_LT(minimal.size(), 3 * set.size() / 4) << "too few removals";
+  for (const int threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE(threads);
+    CaseSet copy = set;
+    std::uint64_t probes = 0;
+    EXPECT_EQ(compact(copy, probes, threads), set.size() - minimal.size());
+    EXPECT_EQ(copy.cases(), minimal);
+    EXPECT_EQ(probes, serial_probes);
+    for (const ErroneousCase& ec : minimal) ASSERT_TRUE(copy.contains(ec));
+  }
+}
+
+TEST(CaseSet, ParallelSortMatchesStdSort) {
+  // sort_cases sorts fixed chunks on parallel workers and merges them
+  // pairwise between two buffers. With one chunk, with an odd and an even
+  // number of merge rounds, and with a partial last chunk, at every thread
+  // count, it must give std::sort's order in a vector of exactly the cases.
+  Rng rng(6);
+  const auto words = alphabet(rng, 200);
+  CaseSet set;  // distinct cases
+  while (set.size() < 5 * kSortChunk + 7) set.insert(random_case(rng, words));
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, kSortChunk, kSortChunk + 1,
+        2 * kSortChunk + 3, 4 * kSortChunk, 5 * kSortChunk + 7}) {
+    SCOPED_TRACE(n);
+    const std::vector<ErroneousCase> cases(
+        set.cases().begin(),
+        set.cases().begin() + static_cast<std::ptrdiff_t>(n));
+    std::vector<ErroneousCase> expected = cases;
+    std::sort(expected.begin(), expected.end(), case_less);
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE(threads);
+      const std::vector<ErroneousCase> sorted = sort_cases(cases, threads);
+      EXPECT_EQ(sorted, expected);
+      EXPECT_EQ(sorted.capacity(), n);
+    }
+  }
 }
 
 TEST(CaseSet, StrengtheningInPlaceDropsRepeatsInOrder) {

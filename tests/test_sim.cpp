@@ -143,6 +143,29 @@ TEST(FaultSim, Transpose64SwapsRowsAndColumns) {
   }
 }
 
+// 8 inputs: 256 input combinations, four 64-input batches. Input bits 6
+// and 7 pick the batch and the transitions read both, so a fault on bit
+// 6's net is active in two batches and skipped in the batch between them.
+fsm::FsmCircuit four_batch_circuit() {
+  const char* four = R"(.i 8
+.o 2
+0------0 A A 01
+1------0 A B 10
+-0----01 A C 11
+-1----01 A A 00
+------11 A B 01
+------0- B C 10
+0-----1- B A 01
+1-----1- B B 11
+-------0 C A 11
+-0-----1 C B 00
+-1-----1 C C 10
+.e
+)";
+  const fsm::Fsm f = fsm::Fsm::from_kiss(kiss::parse(four));
+  return fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary, {});
+}
+
 /// Which kinds of fault net a differential run covered.
 struct FaultSites {
   bool primary_input = false;
@@ -150,7 +173,82 @@ struct FaultSites {
   bool output = false;
   bool internal = false;
   bool dormant_row = false;  ///< some traced row equalled the golden row
+  /// Some row skipped a batch that lies between two of its active ones.
+  bool skipped_between = false;
 };
+
+/// Every net's fault-free word in every batch at every s-bit code, from
+/// full netlist passes: [code * batches + batch][net].
+std::vector<std::vector<std::uint64_t>> full_pass_values(
+    const fsm::FsmCircuit& c) {
+  const std::uint64_t batches = ((std::uint64_t{1} << c.r()) + 63) / 64;
+  std::vector<std::vector<std::uint64_t>> out;
+  std::vector<std::uint64_t> words(static_cast<std::size_t>(c.r() + c.s()));
+  for (std::uint64_t code = 0; code <= c.state_mask(); ++code) {
+    for (std::uint64_t b = 0; b < batches; ++b) {
+      batch_input_words(c.r(), c.s(), code, b, words);
+      out.emplace_back();
+      c.netlist.eval(words, out.back());
+    }
+  }
+  return out;
+}
+
+/// A FaultyCache's batch counters, and whether a row skipped a batch
+/// between two active ones.
+struct ConeCounts {
+  std::uint64_t skipped = 0;
+  std::uint64_t gates = 0;
+  bool gap = false;
+};
+
+/// The batches_skipped and cone_gates a FaultyCache for `f` must count
+/// over one row() at each of `traced` codes, worked out from the netlist
+/// and the full passes: a fault whose fanout cone drives no output counts
+/// nothing; otherwise a batch is active where the fault net's word differs
+/// from the forced value on a live lane, every other batch is skipped, and
+/// each active batch evaluates every cone gate.
+ConeCounts expected_cone_counts(
+    const fsm::FsmCircuit& c, const StuckAtFault& f,
+    const std::vector<std::uint64_t>& traced,
+    const std::vector<std::vector<std::uint64_t>>& values) {
+  const logic::Netlist& nl = c.netlist;
+  std::vector<char> in_cone(nl.num_nets(), 0);
+  in_cone[f.net] = 1;
+  std::uint64_t cone_gates = 0;
+  for (std::uint32_t g = f.net + 1; g < nl.num_nets(); ++g) {
+    const auto& fanins = nl.gate(g).fanins;
+    if (std::any_of(fanins.begin(), fanins.end(),
+                    [&](std::uint32_t x) { return in_cone[x] != 0; })) {
+      in_cone[g] = 1;
+      ++cone_gates;
+    }
+  }
+  ConeCounts counts;
+  if (std::none_of(nl.outputs().begin(), nl.outputs().end(),
+                   [&](std::uint32_t o) { return in_cone[o] != 0; })) {
+    return counts;
+  }
+  const std::uint64_t num_inputs = std::uint64_t{1} << c.r();
+  const std::uint64_t batches = (num_inputs + 63) / 64;
+  const std::uint64_t forced = f.injection().value_word;
+  for (const std::uint64_t code : traced) {
+    std::vector<bool> active;
+    for (std::uint64_t b = 0; b < batches; ++b) {
+      const std::uint64_t word = values[code * batches + b][f.net];
+      active.push_back(((word ^ forced) & lane_mask(num_inputs, b)) != 0);
+    }
+    const auto n_active = static_cast<std::uint64_t>(
+        std::count(active.begin(), active.end(), true));
+    counts.skipped += batches - n_active;
+    counts.gates += cone_gates * n_active;
+    const auto first = std::find(active.begin(), active.end(), true);
+    const auto last = std::find(active.rbegin(), active.rend(), true).base();
+    counts.gap = counts.gap ||
+                 (first < last && std::find(first, last, false) != last);
+  }
+  return counts;
+}
 
 /// Checks FaultyCache::row at `code` against the oracle row and returns
 /// whether the code is dormant: traced, with the golden row as its oracle
@@ -177,7 +275,8 @@ bool expect_row_matches(FaultyCache& cache, const GoldenTrace& trace,
 /// trace of the reachable codes only (the full-pass fallback at the
 /// others). A returned row equals the oracle; nullptr comes back exactly at
 /// the traced codes whose oracle row is the golden row; a repeated call
-/// returns the memoized row.
+/// returns the memoized row; the row, dormant, skipped-batch and cone-gate
+/// counters equal the ones worked out from full passes.
 void expect_cone_rows_match_oracle(const fsm::FsmCircuit& c,
                                    FaultSites& sites) {
   const auto faults = enumerate_stuck_at(c.netlist, FaultListOptions{false});
@@ -193,6 +292,7 @@ void expect_cone_rows_match_oracle(const fsm::FsmCircuit& c,
     EXPECT_EQ(*every.find(code), simulate_all_inputs(c, code));
   }
 
+  const auto values = full_pass_values(c);
   const auto& ins = c.netlist.inputs();
   const auto& outs = c.netlist.outputs();
   for (const StuckAtFault& f : faults) {
@@ -221,7 +321,15 @@ void expect_cone_rows_match_oracle(const fsm::FsmCircuit& c,
     EXPECT_EQ(mixed.counters().cone_rows, reachable.size());
     EXPECT_EQ(mixed.counters().full_rows, codes.size() - reachable.size());
     EXPECT_EQ(mixed.counters().dormant_rows, mixed_dormant);
+    const ConeCounts every_counts = expected_cone_counts(c, f, codes, values);
+    const ConeCounts reach_counts =
+        expected_cone_counts(c, f, reachable, values);
+    EXPECT_EQ(cone.counters().batches_skipped, every_counts.skipped);
+    EXPECT_EQ(cone.counters().cone_gates, every_counts.gates);
+    EXPECT_EQ(mixed.counters().batches_skipped, reach_counts.skipped);
+    EXPECT_EQ(mixed.counters().cone_gates, reach_counts.gates);
     sites.dormant_row = sites.dormant_row || cone_dormant > 0;
+    sites.skipped_between = sites.skipped_between || every_counts.gap;
   }
 }
 
@@ -246,6 +354,20 @@ TEST(FaultSim, ConeRowsMatchFullPassAcrossBatches) {
   EXPECT_TRUE(sites.primary_input);
   EXPECT_TRUE(sites.state_bit);
   EXPECT_TRUE(sites.dormant_row);
+}
+
+TEST(FaultSim, ConeRowsMatchFullPassWithSkippedBatchesBetweenActiveOnes) {
+  // A row evaluates its cone gates over every batch from its first active
+  // one to its last; a skipped batch in between must add no difference.
+  FaultSites sites;
+  const fsm::FsmCircuit c = four_batch_circuit();
+  ASSERT_EQ(c.r(), 8);
+  expect_cone_rows_match_oracle(c, sites);
+  EXPECT_TRUE(sites.primary_input);
+  EXPECT_TRUE(sites.state_bit);
+  EXPECT_TRUE(sites.internal);
+  EXPECT_TRUE(sites.dormant_row);
+  EXPECT_TRUE(sites.skipped_between);
 }
 
 TEST(FaultSim, GoldenCacheIsConsistent) {

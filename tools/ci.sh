@@ -23,9 +23,11 @@
 #                          # kernel columns every engine pass finds
 #                          # through the stride that append re-lays out);
 #                          # TSan pass runs only the concurrency-bearing
-#                          # suites (parallel extraction, pipeline,
-#                          # resume, and the warm-started LP under a
-#                          # 4-thread solver)
+#                          # suites (parallel extraction, the case set's
+#                          # parallel compaction and sort, which also run
+#                          # inside the extraction shards, extraction,
+#                          # the fault simulator, pipeline, resume, and
+#                          # the warm-started LP under a 4-thread solver)
 #
 # Run from anywhere; paths resolve relative to the repo root.
 
@@ -337,7 +339,7 @@ cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$jobs"
 if [[ "$fast" == 1 ]]; then
   ctest --preset tsan -j "$jobs" \
-      -R 'Parallel|Resilience|Pipeline|Resume|Serve|Campaign|RevisedLp'
+      -R 'Parallel|Resilience|Pipeline|Resume|Serve|Campaign|RevisedLp|CaseSet|Extract|FaultSim'
 else
   ctest --preset tsan -j "$jobs"
 fi
