@@ -2,12 +2,9 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <sstream>
 
-#include "common/parallel.hpp"
 #include "core/run.hpp"
-#include "storage/store.hpp"
 
 namespace ced::bench {
 
@@ -70,20 +67,8 @@ std::vector<std::string> circuits_from_args(int argc, char** argv) {
 
 std::vector<core::PipelineReport> sweep_circuit(const std::string& name,
                                                 const std::vector<int>& ps,
-                                                core::PipelineOptions opts,
-                                                const std::string& store_dir) {
+                                                core::PipelineOptions opts) {
   std::fprintf(stderr, "[bench] %s ...\n", name.c_str());
-  // The store (when used) is scoped to this sweep; the directory persists
-  // between harness runs. Concurrent sweeps over the same directory are
-  // safe: every write is atomic and every read is validated.
-  std::optional<storage::ArtifactStore> store;
-  std::optional<storage::StoreArchive> archive;
-  if (!store_dir.empty()) {
-    store.emplace(store_dir);
-    archive.emplace(*store);
-    opts.archive = &*archive;
-    opts.resume = true;
-  }
   std::vector<core::PipelineReport> reps;
   try {
     const fsm::Fsm f = benchdata::suite_fsm(name);
@@ -108,30 +93,6 @@ std::vector<core::PipelineReport> sweep_circuit(const std::string& name,
     }
   }
   return reps;
-}
-
-std::vector<std::vector<core::PipelineReport>> sweep_suite(
-    const std::vector<std::string>& names, const std::vector<int>& ps,
-    core::PipelineOptions opts, int threads, const std::string& store_dir) {
-  const int workers = resolve_threads(threads);
-  core::PipelineOptions inner = opts;
-  if (workers > 1 && names.size() > 1) inner.exec.threads = 1;
-  std::vector<std::vector<core::PipelineReport>> out(names.size());
-  parallel_for(workers, names.size(), [&](std::size_t i) {
-    out[i] = sweep_circuit(names[i], ps, inner, store_dir);
-  });
-  return out;
-}
-
-bool any_degraded(const std::vector<core::PipelineReport>& reps) {
-  for (const core::PipelineReport& r : reps) {
-    if (r.resilience.degraded()) return true;
-  }
-  return false;
-}
-
-const char* quality_tag(const core::PipelineReport& r) {
-  return r.resilience.degraded() ? "*" : "";
 }
 
 double reduction_pct(double from, double to) {

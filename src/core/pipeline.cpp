@@ -74,23 +74,14 @@ void finish_report(PipelineReport& rep, const Design& design,
                    const PipelineOptions& opts,
                    std::optional<CedSynthesizer>& ced, obs::StageClock& clock,
                    const obs::Sinks& run_obs) {
-  const fsm::FsmCircuit& circuit = design.circuit;
-  rep.inputs = circuit.r();
-  rep.state_bits = circuit.s();
-  rep.outputs = circuit.o();
-  const auto orig = logic::measure_area(
-      circuit.netlist, opts.library,
-      static_cast<std::size_t>(circuit.s()));  // state register flip-flops
-  rep.orig_gates = orig.gates;
-  rep.orig_area = orig.area;
-  rep.num_faults = design.faults.size();
+  fill_design_fields(rep, design, opts.library);
 
   const std::uint64_t ced_span =
       clock.open(run_obs.tracer, "ced-synth", run_obs.parent_span);
   // One synthesizer per run, built in the first report's CED lap: it
   // simulates the golden rows once and hands back the previous checker
   // when the chain's scheme repeats.
-  if (!ced) ced.emplace(circuit, opts.ced, opts.exec.threads);
+  if (!ced) ced.emplace(design.circuit, opts.ced, opts.exec.threads);
   rep.hw = ced->synthesize(rep.parities);
   const auto cost = rep.hw.cost(opts.library);
   rep.ced_gates = cost.gates;
@@ -215,6 +206,20 @@ Design derive_design(const fsm::Fsm& f, const PipelineOptions& opts) {
   Design d{fsm::synthesize_fsm(f, opts.encoding, opts.synth), {}};
   d.faults = sim::enumerate_stuck_at(d.circuit.netlist, opts.faults);
   return d;
+}
+
+void fill_design_fields(PipelineReport& rep, const Design& design,
+                        const logic::CellLibrary& library) {
+  const fsm::FsmCircuit& circuit = design.circuit;
+  rep.inputs = circuit.r();
+  rep.state_bits = circuit.s();
+  rep.outputs = circuit.o();
+  const auto orig = logic::measure_area(
+      circuit.netlist, library,
+      static_cast<std::size_t>(circuit.s()));  // state register flip-flops
+  rep.orig_gates = orig.gates;
+  rep.orig_area = orig.area;
+  rep.num_faults = design.faults.size();
 }
 
 std::string extraction_key(const Design& design, const PipelineOptions& opts,

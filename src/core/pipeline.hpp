@@ -147,6 +147,14 @@ struct Design {
 /// run extracted from.
 Design derive_design(const fsm::Fsm& f, const PipelineOptions& opts);
 
+/// Fills `rep`'s original-circuit fields (inputs through orig_area, the
+/// logic costed under `library` with the state register) and num_faults
+/// from `design`. Every pipeline report gets them here, and so do Table 1's
+/// original-circuit columns, which bench_ledger --report prints without
+/// running the pipeline.
+void fill_design_fields(PipelineReport& rep, const Design& design,
+                        const logic::CellLibrary& library);
+
 /// The extraction cache key of `design` at `latency`: the result-shaping
 /// opts.extract and the checkpoint partition resolved from
 /// opts.checkpoint_shards. The only caller of extraction_digest in the

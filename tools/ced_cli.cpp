@@ -237,7 +237,8 @@ int cmd_help() {
       "  --seed=N                        campaign seed (part of the key)\n"
       "  --soak                          long randomized sweep: walks policy\n"
       "                                  over all three fault models\n"
-      "  --json-out=FILE      BENCH_campaign.json\n"
+      "  --json-out=FILE                 write the verdict totals and\n"
+      "                                  latency histogram there as JSON\n"
       "  --resume                        reuse checkpointed campaign shards\n"
       "  For stuck-at faults with persistence 0 or >= p the campaign checks\n"
       "  the paper's hard guarantee: any late/silent episode exits 1. The\n"
@@ -840,9 +841,8 @@ int cmd_campaign(int argc, char** argv) {
     throw InvalidInputError(e.what());
   }
 
-  const std::string json_out =
-      arg_value(argc, argv, "--json-out", "BENCH_campaign.json");
-  if (!json_out.empty() && json_out != "-") {
+  const std::string json_out = arg_value(argc, argv, "--json-out", "");
+  if (!json_out.empty()) {
     std::string doc = "{\"schema\":\"ced-campaign-v1\",\"campaigns\":[";
     for (std::size_t i = 0; i < json_entries.size(); ++i) {
       if (i != 0) doc += ",";

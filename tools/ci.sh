@@ -226,6 +226,14 @@ print("campaign gate: %d units, %d activations, max latency %d <= p=%d"
 PYEOF
 cmp "$obs_tmp"/camp-1/camp-*.ced "$obs_tmp"/camp-4/camp-*.ced \
   || { echo "campaign verdicts differ across thread counts"; exit 1; }
+# The JSON is written only where --json-out says: a campaign run without it
+# leaves its working directory as it found it (run from the repo root, it
+# must not overwrite the BENCH_campaign.json verdict pin).
+mkdir "$obs_tmp/camp-cwd"
+(cd "$obs_tmp/camp-cwd" && "$OLDPWD/build/tools/ced_cli" campaign \
+    ../dk16.kiss --latency=2 --store=../camp-1 > /dev/null)
+[[ -z "$(ls -A "$obs_tmp/camp-cwd")" ]] \
+  || { echo "a campaign without --json-out wrote: $(ls -A "$obs_tmp/camp-cwd")"; exit 1; }
 ./build/tools/ced_cli verify "$obs_tmp/dk16.kiss" --latency=2 \
     --store="$obs_tmp/camp-1" > "$obs_tmp/verify.out" \
   || { echo "ced_cli verify rejected the stored dk16 scheme"; exit 1; }
