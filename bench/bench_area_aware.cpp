@@ -17,6 +17,10 @@
 
 int main(int argc, char** argv) {
   using namespace ced;
+  if (!bench::flags_known(argc, argv, "bench_area_aware",
+                          {"--quick", "--circuits="})) {
+    return 2;
+  }
   auto circuits = bench::circuits_from_args(argc, argv);
   if (!bench::has_flag(argc, argv, "--quick") && circuits.size() > 10) {
     circuits.resize(10);  // each evaluation synthesizes the full checker
@@ -24,7 +28,7 @@ int main(int argc, char** argv) {
 
   std::printf("Area-aware parity selection (latency p = 2)\n");
   std::printf("%-8s | %3s | %10s | %10s | %8s | %5s\n", "Circuit", "q",
-              "countArea", "areaAware", "saved%%", "evals");
+              "countArea", "areaAware", "saved%", "evals");
   std::printf("%s\n", std::string(60, '-').c_str());
 
   double total_saved = 0;

@@ -73,6 +73,10 @@ ConvOutcome measure_conv(const fsm::FsmCircuit& circuit,
 
 int main(int argc, char** argv) {
   using namespace ced;
+  if (!bench::flags_known(argc, argv, "bench_convolutional",
+                          {"--quick", "--circuits="})) {
+    return 2;
+  }
   auto circuits = bench::circuits_from_args(argc, argv);
   if (!bench::has_flag(argc, argv, "--quick") && circuits.size() > 10) {
     circuits.resize(10);

@@ -57,15 +57,15 @@ namespace {
 
 using namespace ced;
 
-constexpr int kThreads = 4;
 constexpr int kMaxP = 3;
 
 std::string cases_digest(const core::DetectabilityTable& table) {
   Digest128 d;
   d.absorb(static_cast<std::uint64_t>(table.cases.size()));
   for (const core::ErroneousCase& ec : table.cases) {
-    d.absorb(static_cast<std::uint64_t>(ec.length));
-    for (int k = 0; k < ec.length; ++k) {
+    const int len = ec.length();
+    d.absorb(static_cast<std::uint64_t>(len));
+    for (int k = 0; k < len; ++k) {
       d.absorb(ec.diff[static_cast<std::size_t>(k)]);
     }
   }
@@ -78,7 +78,7 @@ sim::CampaignReport prove(const core::Design& design,
                           const core::CedHardware& hw, int p) {
   sim::CampaignOptions co;
   co.latency_bound = p;
-  co.threads = kThreads;
+  co.threads = bench::kLedgerThreads;
   return sim::run_campaign(design.circuit, hw, design.faults, co);
 }
 
@@ -91,8 +91,10 @@ std::vector<std::string> ledger_lines(const std::string& name) {
        core::kSemanticsNames) {
     const core::DiffSemantics sem = semantics.value;
     const std::string tag(semantics.name);
-    const Result<RunConfig> cfg =
-        RunConfig::Builder().semantics(sem).threads(kThreads).build();
+    const Result<RunConfig> cfg = RunConfig::Builder()
+                                      .semantics(sem)
+                                      .threads(bench::kLedgerThreads)
+                                      .build();
     if (!cfg) {
       std::fprintf(stderr, "%s: %s\n", name.c_str(),
                    cfg.status().message.c_str());
@@ -105,7 +107,7 @@ std::vector<std::string> ledger_lines(const std::string& name) {
     const core::Design design = core::derive_design(f, po);
     core::ExtractOptions ex = po.extract;
     ex.latency = kMaxP;
-    ex.threads = kThreads;
+    ex.threads = bench::kLedgerThreads;
     const auto tables =
         core::extract_cases_multi(design.circuit, design.faults, ex);
 

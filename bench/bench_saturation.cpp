@@ -8,7 +8,8 @@
 //
 // This harness reports, per circuit: the computed maximum useful latency
 // and the parity-tree count q(p) for p = 1..4, whose flattening should
-// align with the bound.
+// align with the bound. It runs at the ledger's fixed thread count, so q(p)
+// does not depend on the host.
 
 #include <cstdio>
 #include <vector>
@@ -20,6 +21,10 @@
 
 int main(int argc, char** argv) {
   using namespace ced;
+  if (!bench::flags_known(argc, argv, "bench_saturation",
+                          {"--quick", "--circuits="})) {
+    return 2;
+  }
   const auto circuits = bench::circuits_from_args(argc, argv);
   const std::vector<int> ps{1, 2, 3, 4};
 
@@ -32,6 +37,7 @@ int main(int argc, char** argv) {
     const fsm::Fsm f = benchdata::suite_fsm(name);
     core::PipelineOptions opts;
     opts.extract.semantics = core::DiffSemantics::kMachineLevel;
+    opts.exec.threads = bench::kLedgerThreads;
     const auto reps = ced::run_latency_sweep(f, ps, RunConfig::wrap(opts));
 
     const core::Design design = core::derive_design(f, opts);

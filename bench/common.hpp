@@ -14,6 +14,13 @@
 
 namespace ced::bench {
 
+/// The worker threads of every run whose results are quoted: the ledger's
+/// sweeps, extractions and campaigns, and bench_saturation's sweeps.
+/// Extraction without a store gives each thread a shard with its share of
+/// the degrade threshold, so a table (and its q) depends on this count; a
+/// fixed one keeps the results independent of the host.
+inline constexpr int kLedgerThreads = 4;
+
 /// The VALUE of the first `KEY=VALUE` argument (pass `key` without the
 /// '='), or `fallback` when there is none.
 std::string arg_value(int argc, char** argv, const char* key,

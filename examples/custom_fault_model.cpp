@@ -77,8 +77,7 @@ int main() {
           const auto good1 = golden.rows(h1);
           const auto bad1 = bridged_rows(circuit, h1, v, g);
           for (std::uint64_t a2 = 0; a2 < good1.size(); ++a2) {
-            core::ErroneousCase ec;
-            ec.length = 2;
+            core::ErroneousCase ec;  // packed: the first word is nonzero
             ec.diff[0] = good[a] ^ bad[a];
             ec.diff[1] = good1[a2] ^ bad1[a2];
             table.cases.push_back(ec);
@@ -91,7 +90,7 @@ int main() {
   // it by sorting).
   std::sort(table.cases.begin(), table.cases.end(),
             [](const core::ErroneousCase& x, const core::ErroneousCase& y) {
-              return std::tie(x.length, x.diff) < std::tie(y.length, y.diff);
+              return x.diff < y.diff;
             });
   table.cases.erase(std::unique(table.cases.begin(), table.cases.end()),
                     table.cases.end());

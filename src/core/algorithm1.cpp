@@ -14,9 +14,7 @@ namespace {
 /// constrain the LP the most and are sampled first.
 int hardness_of(const ErroneousCase& ec) {
   int total = 0;
-  for (int k = 0; k < ec.length; ++k) {
-    total += std::popcount(ec.diff[static_cast<std::size_t>(k)]);
-  }
+  for (const std::uint64_t w : ec.diff) total += std::popcount(w);
   return total;
 }
 

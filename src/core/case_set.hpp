@@ -113,8 +113,9 @@ class BasicCaseSet {
   }
 
   static std::uint64_t hash(const ErroneousCase& ec) {
-    std::uint64_t h = 0x9e3779b97f4a7c15ull * (ec.length + 1);
-    for (int k = 0; k < ec.length; ++k) {
+    const int len = ec.length();
+    std::uint64_t h = 0x9e3779b97f4a7c15ull * (len + 1);
+    for (int k = 0; k < len; ++k) {
       h ^= ec.diff[static_cast<std::size_t>(k)] + 0x9e3779b97f4a7c15ull +
            (h << 6) + (h >> 2);
       h *= 0xff51afd7ed558ccdull;
@@ -169,19 +170,19 @@ using CaseSet = BasicCaseSet<std::uint32_t>;
 /// `probes`.
 inline bool dominated(const ErroneousCase& ec, const CaseSet& set,
                       std::uint64_t& probes) {
-  const unsigned full = (1u << ec.length) - 1;
+  const int len = ec.length();
+  const unsigned full = (1u << len) - 1;
   for (unsigned mask = 1; mask < full; ++mask) {
     // A subset of a sorted distinct sequence is sorted and distinct, hence
-    // canonical.
+    // canonical; its words are packed and the rest stay zero.
     ErroneousCase sub;
     int m = 0;
-    for (int k = 0; k < ec.length; ++k) {
+    for (int k = 0; k < len; ++k) {
       if ((mask >> k) & 1) {
         sub.diff[static_cast<std::size_t>(m++)] =
             ec.diff[static_cast<std::size_t>(k)];
       }
     }
-    sub.length = static_cast<std::uint8_t>(m);
     ++probes;
     if (set.contains(sub)) return true;
   }
@@ -231,11 +232,16 @@ inline std::size_t compact(CaseSet& set, std::uint64_t& probes,
   return before - set.size();
 }
 
-/// The order of a table's cases: by length, then by words.
-inline bool case_less(const ErroneousCase& a, const ErroneousCase& b) {
-  if (a.length != b.length) return a.length < b.length;
+/// The order of a table's cases: by length, then by words. A closure, not
+/// a function, so that std::sort and std::merge inline it rather than call
+/// it through a pointer.
+inline constexpr auto case_less = [](const ErroneousCase& a,
+                                     const ErroneousCase& b) {
+  const int la = a.length();
+  const int lb = b.length();
+  if (la != lb) return la < lb;
   return a.diff < b.diff;
-}
+};
 
 /// Cases per sorted run, and per merged piece, of sort_cases().
 inline constexpr std::size_t kSortChunk = std::size_t{1} << 14;

@@ -50,7 +50,7 @@ void CoverKernel::write_rows(const DetectabilityTable& table,
   for (std::size_t r = first; r < m_; ++r) {
     const ErroneousCase& ec =
         table.cases[global_row(static_cast<std::uint32_t>(r))];
-    steps = std::max(steps, static_cast<int>(ec.length));
+    steps = std::max(steps, ec.length());
   }
   const std::size_t words = (m_ + 63) / 64;
   const std::size_t plane = static_cast<std::size_t>(n_);  // columns a step
@@ -80,7 +80,8 @@ void CoverKernel::write_rows(const DetectabilityTable& table,
         table.cases[global_row(static_cast<std::uint32_t>(r))];
     const std::uint64_t row_bit = std::uint64_t{1} << (r & 63);
     const std::size_t row_word = r >> 6;
-    for (int k = 0; k < ec.length; ++k) {
+    const int len = ec.length();
+    for (int k = 0; k < len; ++k) {
       std::uint64_t w = ec.diff[static_cast<std::size_t>(k)] & beta_mask_;
       const std::size_t step_base =
           static_cast<std::size_t>(k) * plane * stride_;

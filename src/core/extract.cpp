@@ -139,7 +139,6 @@ ErroneousCase canonicalize(const std::uint64_t* diffs, int len) {
       ec.diff[static_cast<std::size_t>(m++)] = tmp[static_cast<std::size_t>(k)];
     }
   }
-  ec.length = static_cast<std::uint8_t>(m);
   return ec;
 }
 
@@ -200,15 +199,10 @@ void compact(CaseSet& set, CaseCounters& counters, int threads) {
 }
 
 /// Strengthens a case to its `k` smallest difference words (sound: it
-/// only removes detection alternatives).
-ErroneousCase strengthen(const ErroneousCase& ec, int k) {
-  if (ec.length <= k) return ec;
-  ErroneousCase s;
-  s.length = static_cast<std::uint8_t>(k);
-  for (int i = 0; i < k; ++i) {
-    s.diff[static_cast<std::size_t>(i)] = ec.diff[static_cast<std::size_t>(i)];
-  }
-  return s;
+/// only removes detection alternatives) by zeroing the words after them.
+ErroneousCase strengthen(ErroneousCase ec, int k) {
+  std::fill(ec.diff.begin() + k, ec.diff.end(), 0);
+  return ec;
 }
 
 bool any_truncated(const std::vector<DetectabilityTable>& tables) {
@@ -281,6 +275,15 @@ class ShardWorker {
   const sim::SimCounters& sim_counters() const { return sim_counters_; }
   const CaseCounters& counters() const { return counters_; }
   bool truncated() const { return any_truncated(tables_); }
+
+  /// Moves the shard's per-latency sets out, indexed and in insertion
+  /// order, leaving empty sets in their place: take_tables then hands over
+  /// no cases.
+  std::vector<CaseSet> take_sets() {
+    std::vector<CaseSet> sets(sets_.size());
+    sets.swap(sets_);
+    return sets;
+  }
 
   /// Hands over the shard's per-latency tables: local statistics,
   /// truncation state and the cases of its sets, compacted and sorted
@@ -418,7 +421,7 @@ class ShardWorker {
     const auto t = static_cast<std::size_t>(latency - 1);
     if (frozen(t)) return;
     auto& set = sets_[t];
-    const bool cut = ec.length > max_words_[t];
+    const bool cut = ec.length() > max_words_[t];
     ec = strengthen(ec, max_words_[t]);
     if (dominated(ec, set, counters_.subset_probes)) {
       ++counters_.cases_dominated;
@@ -440,7 +443,7 @@ class ShardWorker {
       const auto t0 = std::chrono::steady_clock::now();
       const int words = --max_words_[t];
       set.transform([&](const ErroneousCase& c) {
-        if (c.length > words) tables_[t].strengthened = true;
+        if (c.length() > words) tables_[t].strengthened = true;
         return strengthen(c, words);
       });
       compact(set, counters_, opts_.threads);
@@ -508,12 +511,15 @@ std::vector<std::uint64_t> activation_codes(const fsm::FsmCircuit& circuit,
 /// The fixed-order merge of extraction. `parts` holds the present shards
 /// in shard order; the table for bound p receives the union of the parts'
 /// cases, compacted to the subset-minimal antichain and sorted, their
-/// summed statistics and the first truncation reason. The parts' cases are
-/// consumed. This compaction is what makes every returned table
-/// subset-minimal (DetectabilityTable::cases); the solvers rely on it. The
-/// compaction and the sort run on opts.threads workers; neither result
-/// depends on the count.
+/// summed statistics and the first truncation reason. `first_sets`, when
+/// not empty, holds the first part's cases, one indexed set per bound in
+/// the order its worker inserted them (its tables then hold none). The
+/// parts' cases are consumed. This compaction is what makes every
+/// returned table subset-minimal (DetectabilityTable::cases); the solvers
+/// rely on it. The compaction and the sort run on opts.threads workers;
+/// neither result depends on the count.
 std::vector<DetectabilityTable> merge_parts(std::vector<ExtractShard>& parts,
+                                            std::vector<CaseSet> first_sets,
                                             const fsm::FsmCircuit& circuit,
                                             std::size_t num_faults,
                                             const ExtractOptions& opts) {
@@ -526,12 +532,17 @@ std::vector<DetectabilityTable> merge_parts(std::vector<ExtractShard>& parts,
     table.num_bits = circuit.n();
     table.latency = static_cast<int>(t) + 1;
     table.num_faults = num_faults;
-    std::size_t total = 0;
-    for (const auto& part : parts) total += part.tables[t].cases.size();
     // The first part's cases become the merged rows without a copy (at
-    // 4 threads s1488's shard 0 holds nearly all of them).
-    CaseSet merged(parts.empty() ? std::vector<ErroneousCase>{}
-                                 : std::move(parts.front().tables[t].cases));
+    // 4 threads s1488's shard 0 holds nearly all of them), and without
+    // re-hashing them when they arrive in their worker's set.
+    CaseSet merged;
+    if (!first_sets.empty()) {
+      merged = std::move(first_sets[t]);
+    } else if (!parts.empty()) {
+      merged = CaseSet(std::move(parts.front().tables[t].cases));
+    }
+    std::size_t total = merged.size();
+    for (const auto& part : parts) total += part.tables[t].cases.size();
     merged.reserve(total);
     for (auto& part : parts) {
       DetectabilityTable& lt = part.tables[t];
@@ -639,6 +650,11 @@ std::vector<DetectabilityTable> extract_cases_sharded(
     opts.obs.metrics->add("ced_extract_shards_resumed_total",
                           static_cast<std::uint64_t>(run.resumed()));
   }
+  // Fault shard 0's sets, indexed, when this run computes it and does not
+  // persist it: the merge inserts the other shards into them instead of
+  // indexing its cases again. (A persisted shard's cases are compacted and
+  // sorted, no longer in their set's order.)
+  std::vector<CaseSet> first_sets;
   if (run.pending() > 0) {
     // The golden trace is shared read-only state across shards: every
     // activation code is simulated up front so the fan-out only reads it.
@@ -666,7 +682,9 @@ std::vector<DetectabilityTable> extract_cases_sharded(
       // Only a shard that is saved gets compacted; that removes only rows
       // the merge would remove anyway, so the antichain is the same.
       const bool complete = !worker.truncated();
-      sh.tables = worker.take_tables(complete && hooks.save);
+      const bool persisted = complete && hooks.save;
+      if (s == 0 && !persisted) first_sets = worker.take_sets();
+      sh.tables = worker.take_tables(persisted);
       // The store's decoder needs each table's bit count and latency.
       for (std::size_t t = 0; t < num_tables; ++t) {
         sh.tables[t].num_bits = circuit.n();
@@ -692,8 +710,8 @@ std::vector<DetectabilityTable> extract_cases_sharded(
   // Deterministic merge in fixed shard order — identical to a fresh full
   // run whenever every shard is present and complete.
   std::vector<ExtractShard> parts = run.take();
-  std::vector<DetectabilityTable> tables =
-      merge_parts(parts, circuit, faults.size(), opts);
+  std::vector<DetectabilityTable> tables = merge_parts(
+      parts, std::move(first_sets), circuit, faults.size(), opts);
   if (run.skipped() > 0) {
     for (DetectabilityTable& table : tables) {
       table.truncated = true;

@@ -124,7 +124,7 @@ struct DetectabilityTable {
   /// V(i, j, k) of §4 (0-based i, j, k).
   bool v(std::size_t i, int j, int k) const {
     const ErroneousCase& ec = cases[i];
-    if (k >= ec.length) return false;
+    if (k >= ec.length()) return false;
     return (ec.diff[static_cast<std::size_t>(k)] >> j) & 1;
   }
 };

@@ -69,17 +69,11 @@ void cover_subset(const DetectabilityTable& table, const GreedyOptions& opts,
     for (int t = 0; t < opts.restarts; ++t) consider(rng.next() & mask);
 
     if (best_cov == 0) {
-      // Should be impossible: every case has a nonzero diff word at some
-      // step, and a single-bit function on a set bit of that word covers it.
-      // Guard against surprises to avoid an infinite loop.
-      const ErroneousCase& ec = table.cases[pending.front()];
-      for (int k = 0; k < ec.length; ++k) {
-        if (ec.diff[static_cast<std::size_t>(k)] != 0) {
-          best_beta = ec.diff[static_cast<std::size_t>(k)] &
-                      (~ec.diff[static_cast<std::size_t>(k)] + 1);
-          break;
-        }
-      }
+      // Should be impossible: every case's first word is nonzero, and a
+      // single-bit function on a set bit of that word covers it. Guard
+      // against surprises to avoid an infinite loop.
+      const std::uint64_t w = table.cases[pending.front()].diff[0];
+      if (w != 0) best_beta = w & (~w + 1);
       best_cov = sub.coverage_count(best_beta);
     }
 
@@ -116,22 +110,17 @@ std::vector<ParityFunc> greedy_cover_impl(const DetectabilityTable& table,
     if (opts.deadline.expired()) {
       // Budget exhausted: close out the remaining cases instantly with one
       // single-bit function per needed bit (the lowest set bit of a case's
-      // first nonzero word always gives odd overlap), keeping the cover
-      // complete without further search.
+      // first word, which is nonzero, always gives odd overlap), keeping the
+      // cover complete without further search.
       if (stats) stats->deadline_hit = true;
       std::uint64_t used = 0;
       for (std::uint32_t i : pending) {
-        const ErroneousCase& ec = table.cases[i];
-        for (int k = 0; k < ec.length; ++k) {
-          const std::uint64_t w = ec.diff[static_cast<std::size_t>(k)];
-          if (w == 0) continue;
-          const ParityFunc beta = w & (~w + 1);
-          if (!(used & beta)) {
-            used |= beta;
-            solution.push_back(beta);
-            if (stats) ++stats->single_bit_completions;
-          }
-          break;
+        const std::uint64_t w = table.cases[i].diff[0];
+        const ParityFunc beta = w & (~w + 1);
+        if (w != 0 && !(used & beta)) {
+          used |= beta;
+          solution.push_back(beta);
+          if (stats) ++stats->single_bit_completions;
         }
       }
       return solution;

@@ -53,9 +53,10 @@ LpFormulation build_lp(const DetectabilityTable& table,
   // r^{(lk)}_i in [0,1]; only steps k < length(i) exist.
   for (std::uint32_t row : rows) {
     const ErroneousCase& ec = table.cases[row];
+    const int len = ec.length();
     std::vector<std::pair<int, double>> cover_terms;
     for (int l = 0; l < q; ++l) {
-      for (int k = 0; k < ec.length; ++k) {
+      for (int k = 0; k < len; ++k) {
         const int r_var = f.problem.add_variable(0.0, 1.0, 0.0);
         // r - V(i,:,k) beta^{(l)} <= 0, written as kLe so the simplex can
         // seed the row's basis with its slack (no artificial needed).
@@ -92,9 +93,10 @@ LpFormulation build_lp_statement5(const DetectabilityTable& table,
   const double w_upper = static_cast<double>(f.n) / 2.0;
   for (std::uint32_t row : rows) {
     const ErroneousCase& ec = table.cases[row];
+    const int len = ec.length();
     std::vector<std::pair<int, double>> cover_terms;
     for (int l = 0; l < q; ++l) {
-      for (int k = 0; k < ec.length; ++k) {
+      for (int k = 0; k < len; ++k) {
         const int r_var = f.problem.add_variable(0.0, 1.0, 0.0);
         const int w_var = f.problem.add_variable(0.0, w_upper, 0.0);
         // V(i,:,k) beta^{(l)} = 2 w + r.

@@ -13,19 +13,14 @@ namespace ced::core {
 /// mask (bit j = observable bit b_{j+1}). The paper's beta vectors (§4).
 using ParityFunc = std::uint64_t;
 
-/// True iff the parity function detects the erroneous case at step `k`
-/// (odd overlap between the tree and the step's difference set).
-inline bool detects_at(ParityFunc beta, const ErroneousCase& ec, int k) {
-  return (std::popcount(beta & ec.diff[static_cast<std::size_t>(k)]) & 1) != 0;
-}
-
 /// True iff the parity function covers the erroneous case: it detects the
-/// fault effect at some step within the case's recorded path (Statement 1).
+/// fault effect at some step within the case's recorded path (Statement 1),
+/// i.e. has odd overlap with one of its words. The zero words after the
+/// path's steps have none.
 inline bool covers(ParityFunc beta, const ErroneousCase& ec) {
-  for (int k = 0; k < ec.length; ++k) {
-    if (detects_at(beta, ec, k)) return true;
-  }
-  return false;
+  int odd = 0;
+  for (const std::uint64_t w : ec.diff) odd |= std::popcount(beta & w);
+  return (odd & 1) != 0;
 }
 
 /// True iff some function in the set covers the erroneous case.

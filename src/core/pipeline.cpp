@@ -128,15 +128,11 @@ std::vector<ParityFunc> duplication_floor_cover(
   std::uint64_t used = 0;
   std::vector<ParityFunc> out;
   for (const auto& ec : table.cases) {
-    for (int k = 0; k < ec.length; ++k) {
-      const std::uint64_t w = ec.diff[static_cast<std::size_t>(k)];
-      if (w == 0) continue;
-      const ParityFunc beta = w & (~w + 1);
-      if (!(used & beta)) {
-        used |= beta;
-        out.push_back(beta);
-      }
-      break;
+    const std::uint64_t w = ec.diff[0];  // nonzero: the words are packed
+    const ParityFunc beta = w & (~w + 1);
+    if (w != 0 && !(used & beta)) {
+      used |= beta;
+      out.push_back(beta);
     }
   }
   return out;

@@ -310,8 +310,9 @@ void put_table(ByteWriter& w, const core::DetectabilityTable& t) {
   w.u64(t.num_loop_truncations);
   w.u64(t.cases.size());
   for (const core::ErroneousCase& ec : t.cases) {
-    w.u8(ec.length);
-    for (int k = 0; k < ec.length; ++k) {
+    const int len = ec.length();
+    w.u8(static_cast<std::uint8_t>(len));
+    for (int k = 0; k < len; ++k) {
       w.u64(ec.diff[static_cast<std::size_t>(k)]);
     }
   }
@@ -340,14 +341,14 @@ bool get_table(ByteReader& r, core::DetectabilityTable& t) {
   t.cases.reserve(static_cast<std::size_t>(cases));
   for (std::uint64_t i = 0; i < cases; ++i) {
     core::ErroneousCase ec;
-    ec.length = r.u8();
-    if (!r.ok() || ec.length < 1 || ec.length > core::kMaxLatency) {
-      return false;
-    }
-    for (int k = 0; k < ec.length; ++k) {
+    const int len = r.u8();
+    if (!r.ok() || len < 1 || len > core::kMaxLatency) return false;
+    for (int k = 0; k < len; ++k) {
       ec.diff[static_cast<std::size_t>(k)] = r.u64();
     }
-    if (!r.ok()) return false;
+    // A zero word inside the stored length would leave the case's words
+    // unpacked: its length() would not be the stored one.
+    if (!r.ok() || ec.length() != len) return false;
     t.cases.push_back(ec);
   }
   return r.ok();

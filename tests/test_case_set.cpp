@@ -41,7 +41,6 @@ ErroneousCase case_of_length(Rng& rng, const std::vector<std::uint64_t>& words,
   std::sort(picked.begin(), picked.end());
   ErroneousCase ec;
   std::copy(picked.begin(), picked.end(), ec.diff.begin());
-  ec.length = static_cast<std::uint8_t>(len);
   return ec;
 }
 
@@ -53,9 +52,9 @@ ErroneousCase random_case(Rng& rng, const std::vector<std::uint64_t>& words) {
 
 /// True if a's word set is a proper subset of b's.
 bool proper_subset(const ErroneousCase& a, const ErroneousCase& b) {
-  return a.length < b.length &&
-         std::includes(b.diff.begin(), b.diff.begin() + b.length,
-                       a.diff.begin(), a.diff.begin() + a.length);
+  return a.length() < b.length() &&
+         std::includes(b.diff.begin(), b.diff.begin() + b.length(),
+                       a.diff.begin(), a.diff.begin() + a.length());
 }
 
 bool member(const std::vector<ErroneousCase>& cases, const ErroneousCase& ec) {
@@ -117,8 +116,8 @@ TEST(CaseSet, DominatedMatchesBruteForce) {
     std::uint64_t probes = 0;
     EXPECT_EQ(dominated(ec, set, probes), brute);
     // At most one lookup per nonempty proper subset.
-    EXPECT_LE(probes, (1u << ec.length) - 2);
-    seen[ec.length] += brute ? 1 : 0;
+    EXPECT_LE(probes, (1u << ec.length()) - 2);
+    seen[static_cast<std::size_t>(ec.length())] += brute ? 1 : 0;
   }
   // Every length from 2 up was dominated at least once (a single word has
   // no nonempty proper subset).
@@ -224,8 +223,7 @@ TEST(CaseSet, StrengtheningInPlaceDropsRepeatsInOrder) {
   const std::vector<ErroneousCase> members = fill(set, rng, words, 2000);
   const auto first_two = [](const ErroneousCase& ec) {
     ErroneousCase s;
-    s.length = std::min<std::uint8_t>(ec.length, 2);
-    std::copy_n(ec.diff.begin(), s.length, s.diff.begin());
+    std::copy_n(ec.diff.begin(), std::min(ec.length(), 2), s.diff.begin());
     return s;
   };
   std::vector<ErroneousCase> expected;
@@ -237,7 +235,7 @@ TEST(CaseSet, StrengtheningInPlaceDropsRepeatsInOrder) {
   EXPECT_EQ(set.cases(), expected);
   for (const ErroneousCase& ec : expected) EXPECT_TRUE(set.contains(ec));
   for (const ErroneousCase& ec : members) {
-    if (ec.length > 2) {
+    if (ec.length() > 2) {
       EXPECT_FALSE(set.contains(ec));
     }
   }
@@ -249,7 +247,6 @@ TEST(CaseSet, RowIndexOverflowThrowsInsteadOfWrapping) {
   const auto single = [](std::uint64_t w) {
     ErroneousCase ec;
     ec.diff[0] = w;
-    ec.length = 1;
     return ec;
   };
   TinySet set;

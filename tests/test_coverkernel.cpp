@@ -52,7 +52,6 @@ DetectabilityTable random_table(std::mt19937_64& rng, int n, std::size_t m,
     }
     if (words.empty()) continue;
     ErroneousCase ec;
-    ec.length = static_cast<std::uint8_t>(words.size());
     std::size_t k = 0;
     for (const std::uint64_t w : words) ec.diff[k++] = w;
     t.cases.push_back(ec);
@@ -194,7 +193,8 @@ TEST(Condense, RemovedRowsAreDominatedByKeptRows) {
   // Every removed row strictly contains some kept row's word set.
   std::set<std::uint32_t> kept(cond.kept_rows.begin(), cond.kept_rows.end());
   auto words_of = [](const ErroneousCase& ec) {
-    return std::set<std::uint64_t>(ec.diff.begin(), ec.diff.begin() + ec.length);
+    return std::set<std::uint64_t>(ec.diff.begin(),
+                                   ec.diff.begin() + ec.length());
   };
   for (std::uint32_t r = 0; r < t.cases.size(); ++r) {
     if (kept.count(r)) continue;
@@ -381,7 +381,7 @@ TEST(CoverKernel, AppendMatchesFreshKernel) {
     // Row pools by length, so a batch can hold only short cases.
     std::vector<std::vector<std::uint32_t>> by_len(kMaxLatency + 1);
     for (std::uint32_t r = 0; r < t.cases.size(); ++r) {
-      by_len[t.cases[r].length].push_back(r);
+      by_len[static_cast<std::size_t>(t.cases[r].length())].push_back(r);
     }
     std::vector<std::vector<std::uint32_t>> batches;
     for (const auto& [count, max_len] : sc.batches) {

@@ -33,10 +33,10 @@ TEST(Extract, EveryCaseStartsWithNonzeroDiff) {
     EXPECT_FALSE(t.cases.empty());
     for (const auto& ec : t.cases) {
       EXPECT_NE(ec.diff[0], 0u);
-      EXPECT_GE(ec.length, 1);
-      EXPECT_LE(ec.length, p);
+      EXPECT_GE(ec.length(), 1);
+      EXPECT_LE(ec.length(), p);
       // Diff words only use observable bits.
-      for (int k = 0; k < ec.length; ++k) {
+      for (int k = 0; k < ec.length(); ++k) {
         EXPECT_EQ(ec.diff[static_cast<std::size_t>(k)] >>
                       static_cast<unsigned>(t.num_bits),
                   0u);
@@ -51,7 +51,7 @@ TEST(Extract, LatencyOneCasesAreSingleStep) {
   ExtractOptions opts;
   opts.latency = 1;
   const DetectabilityTable t = extract_cases(c, faults, opts);
-  for (const auto& ec : t.cases) EXPECT_EQ(ec.length, 1);
+  for (const auto& ec : t.cases) EXPECT_EQ(ec.length(), 1);
 }
 
 TEST(Extract, CasesAreDeduplicated) {
@@ -90,18 +90,30 @@ TEST(Extract, MultiPassMatchesDirectExtraction) {
 }
 
 TEST(Extract, CanonicalFormIsSortedNonzeroUnique) {
+  // Every bound up to kMaxLatency: the words are nonzero and strictly
+  // ascending up to length(), and zero after it.
   const fsm::FsmCircuit c = circuit_for("link_rx");
   const auto faults = sim::enumerate_stuck_at(c.netlist);
-  ExtractOptions opts;
-  opts.latency = 3;
-  const DetectabilityTable t = extract_cases(c, faults, opts);
-  for (const auto& ec : t.cases) {
-    ASSERT_GE(ec.length, 1);
-    for (int k = 0; k < ec.length; ++k) {
-      EXPECT_NE(ec.diff[static_cast<std::size_t>(k)], 0u);
-      if (k > 0) {
-        EXPECT_LT(ec.diff[static_cast<std::size_t>(k - 1)],
-                  ec.diff[static_cast<std::size_t>(k)]);
+  for (int p = 1; p <= kMaxLatency; ++p) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    ExtractOptions opts;
+    opts.latency = p;
+    const DetectabilityTable t = extract_cases(c, faults, opts);
+    ASSERT_FALSE(t.cases.empty());
+    for (const auto& ec : t.cases) {
+      const int len = ec.length();
+      ASSERT_GE(len, 1);
+      ASSERT_LE(len, p);
+      for (int k = 0; k < kMaxLatency; ++k) {
+        const std::uint64_t w = ec.diff[static_cast<std::size_t>(k)];
+        if (k >= len) {
+          EXPECT_EQ(w, 0u);
+        } else {
+          EXPECT_NE(w, 0u);
+          if (k > 0) {
+            EXPECT_LT(ec.diff[static_cast<std::size_t>(k - 1)], w);
+          }
+        }
       }
     }
   }
@@ -133,7 +145,7 @@ TEST(Extract, LoopTruncationHappensOnLoopyMachine) {
   EXPECT_GT(t.num_loop_truncations, 0u);
   bool has_short = false;
   for (const auto& ec : t.cases) {
-    if (ec.length < 3) has_short = true;
+    if (ec.length() < 3) has_short = true;
   }
   EXPECT_TRUE(has_short);
 }
@@ -163,7 +175,7 @@ TEST(Extract, VAccessorMatchesDiffWords) {
     for (int k = 0; k < t.latency; ++k) {
       for (int j = 0; j < t.num_bits; ++j) {
         const bool expect =
-            k < t.cases[i].length &&
+            k < t.cases[i].length() &&
             ((t.cases[i].diff[static_cast<std::size_t>(k)] >> j) & 1);
         EXPECT_EQ(t.v(i, j, k), expect);
       }
@@ -207,7 +219,7 @@ TEST(Extract, MachineLevelDivergesBeyondLatencyOne) {
   // Both stay well-formed.
   for (const auto& ec : tm.cases) {
     EXPECT_NE(ec.diff[0], 0u);
-    EXPECT_LE(ec.length, 2);
+    EXPECT_LE(ec.length(), 2);
   }
 }
 
@@ -275,8 +287,9 @@ std::string cases_digest(const DetectabilityTable& table) {
   Digest128 d;
   d.absorb(static_cast<std::uint64_t>(table.cases.size()));
   for (const ErroneousCase& ec : table.cases) {
-    d.absorb(static_cast<std::uint64_t>(ec.length));
-    for (int k = 0; k < ec.length; ++k) {
+    const int len = ec.length();
+    d.absorb(static_cast<std::uint64_t>(len));
+    for (int k = 0; k < len; ++k) {
       d.absorb(ec.diff[static_cast<std::size_t>(k)]);
     }
   }
@@ -290,9 +303,9 @@ bool is_antichain(const std::vector<ErroneousCase>& cases) {
     const auto& a = cases[i];
     for (std::size_t j = 0; j < cases.size(); ++j) {
       const auto& b = cases[j];
-      if (i == j || a.length > b.length) continue;
-      if (std::includes(b.diff.begin(), b.diff.begin() + b.length,
-                        a.diff.begin(), a.diff.begin() + a.length)) {
+      if (i == j || a.length() > b.length()) continue;
+      if (std::includes(b.diff.begin(), b.diff.begin() + b.length(),
+                        a.diff.begin(), a.diff.begin() + a.length())) {
         return false;
       }
     }
@@ -326,7 +339,7 @@ TEST(Extract, DegradedTablesArePinnedAtOneAndFourThreads) {
     const DetectabilityTable t = extract_cases_multi(c, faults, opts).back();
     EXPECT_TRUE(t.strengthened);
     EXPECT_FALSE(t.truncated);
-    for (const auto& ec : t.cases) EXPECT_LE(ec.length, pin.words);
+    for (const auto& ec : t.cases) EXPECT_LE(ec.length(), pin.words);
     EXPECT_TRUE(is_antichain(t.cases));
     EXPECT_EQ(t.cases.size(), pin.cases);
     EXPECT_EQ(cases_digest(t), pin.digest);

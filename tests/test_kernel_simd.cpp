@@ -42,7 +42,6 @@ DetectabilityTable random_table(std::mt19937_64& rng, int n, std::size_t m,
     }
     if (words.empty()) continue;
     ErroneousCase ec;
-    ec.length = static_cast<std::uint8_t>(words.size());
     std::size_t k = 0;
     for (const std::uint64_t w : words) ec.diff[k++] = w;
     t.cases.push_back(ec);

@@ -365,11 +365,11 @@ class OracleExtractor {
       if (dominated) continue;
       core::ErroneousCase ec;
       std::copy(w.begin(), w.end(), ec.diff.begin());
-      ec.length = static_cast<std::uint8_t>(w.size());
       out.push_back(ec);
     }
     std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-      return a.length != b.length ? a.length < b.length : a.diff < b.diff;
+      return a.length() != b.length() ? a.length() < b.length()
+                                      : a.diff < b.diff;
     });
     return out;
   }
@@ -516,7 +516,7 @@ TEST(ParallelBudget, CaseValveTruncatesHonestlyUnderConcurrency) {
   EXPECT_FALSE(t.cases.empty());
   // The partial table is still well-formed: canonical, deduplicated rows.
   for (const auto& ec : t.cases) {
-    ASSERT_GE(ec.length, 1);
+    ASSERT_GE(ec.length(), 1);
     EXPECT_NE(ec.diff[0], 0u);
   }
   for (std::size_t i = 0; i + 1 < t.cases.size(); ++i) {

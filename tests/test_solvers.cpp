@@ -32,7 +32,6 @@ DetectabilityTable tiny_table() {
   t.latency = 2;
   auto add = [&](std::initializer_list<std::uint64_t> diffs) {
     ErroneousCase ec;
-    ec.length = static_cast<std::uint8_t>(diffs.size());
     int k = 0;
     for (auto d : diffs) ec.diff[static_cast<std::size_t>(k++)] = d;
     t.cases.push_back(ec);
@@ -135,7 +134,6 @@ TEST(Exact, TwoTreesWhenStepsConflict) {
   t.num_bits = 2;
   t.latency = 1;
   ErroneousCase a, b, c;
-  a.length = b.length = c.length = 1;
   a.diff[0] = 0b01;  // needs bit 0
   b.diff[0] = 0b10;  // needs bit 1
   c.diff[0] = 0b11;  // needs exactly one of bit 0 / bit 1
@@ -153,7 +151,6 @@ TEST(Exact, RefusesWideTables) {
   t.num_bits = 20;
   t.latency = 1;
   ErroneousCase ec;
-  ec.length = 1;
   ec.diff[0] = 1;
   t.cases.push_back(ec);
   ExactOptions opts;

@@ -440,6 +440,54 @@ TEST_F(StorageTest, EveryLoaderQuarantinesAnUndecodablePayload) {
   }
 }
 
+TEST_F(StorageTest, ZeroWordInsideAStoredCaseIsQuarantined) {
+  // A bundle whose one case stores length 2 but a zero second word. Its
+  // envelope and CRCs are intact, so only the decoder can reject it: read
+  // as it is, the case's length() would be 1, not the stored 2.
+  core::DetectabilityTable t;
+  t.num_bits = 64;
+  t.latency = 2;
+  core::ErroneousCase ec;
+  ec.diff[0] = 0x5;
+  ec.diff[1] = 0x0123456789abcdefull;
+  t.cases = {ec};
+  const std::string good = encode_tables({t});
+  // The section's tag follows the 12-byte envelope header (format.hpp),
+  // and the case's second word ends the payload.
+  std::uint32_t tag = 0;
+  for (int b = 3; b >= 0; --b) {
+    tag = (tag << 8) | static_cast<std::uint8_t>(good[12 + b]);
+  }
+  auto art = ArtifactReader::open(good, ArtifactKind::kTableBundle);
+  ASSERT_TRUE(art.has_value()) << art.status().to_text();
+  auto payload = art->section(tag);
+  ASSERT_TRUE(payload.has_value()) << payload.status().to_text();
+  std::string zeroed(*payload);
+  ASSERT_EQ(zeroed.substr(zeroed.size() - 8),
+            std::string("\xef\xcd\xab\x89\x67\x45\x23\x01", 8));
+  zeroed.replace(zeroed.size() - 8, 8, 8, '\0');
+  ArtifactWriter writer(ArtifactKind::kTableBundle);
+  writer.section(tag, zeroed);
+  const std::string bad = writer.seal();
+  ASSERT_TRUE(validate_envelope(bad).ok());
+
+  ArtifactStore store(dir_);
+  StoreArchive archive(store);
+  ASSERT_TRUE(store.put(table_name("good"), good).ok());
+  ASSERT_TRUE(store.put(table_name("bad"), bad).ok());
+  const auto loaded = archive.load_tables("good");
+  ASSERT_EQ(loaded.size(), 1u);
+  EXPECT_EQ(loaded[0].cases, t.cases);
+  EXPECT_TRUE(archive.load_tables("bad").empty());
+  EXPECT_FALSE(store.exists(table_name("bad")));
+  EXPECT_TRUE(
+      fs::exists(dir_ / "quarantine" / (table_name("bad") + ".ced")));
+  const auto events = store.drain_events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_NE(events[0].find("table bundle malformed"), std::string::npos)
+      << events[0];
+}
+
 TEST_F(StorageTest, ShardOfAnotherPartitionIsQuarantined) {
   ArtifactStore store(dir_);
   StoreArchive archive(store);

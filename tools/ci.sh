@@ -90,6 +90,13 @@ status=0
     > /dev/null 2>&1 || status=$?
 [[ "$status" == 2 ]] \
   || { echo "an unknown bench_perf flag exited $status, not 2"; exit 1; }
+for harness in bench_saturation bench_area_aware bench_convolutional; do
+  status=0
+  "./build/bench/$harness" --circuit=s27 --quick > /dev/null 2>&1 \
+    || status=$?
+  [[ "$status" == 2 ]] \
+    || { echo "an unknown $harness flag exited $status, not 2"; exit 1; }
+done
 
 echo "== kernel backends: dispatched SIMD vs word loop on s1488 =="
 # The vector engine must be a pure speedup: the backend this host
