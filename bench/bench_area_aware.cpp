@@ -4,16 +4,18 @@
 // area cost of parity functions as a metric in choosing which parity
 // functions to select. In the absence of such methods, the most promising
 // direction is to reduce the number of parity functions." This harness
-// implements and evaluates the missing method: starting from the
-// count-minimal cover, a local search accepts single-bit tree edits that
-// keep full coverage and reduce the *synthesized* CED area.
+// implements and evaluates the missing method: starting from the solve
+// chain's count-minimal cover at p = 2 (run_pipeline at the ledger's thread
+// count, so q and the starting area are the ledger's impl p=2 `q=` and
+// `ced=` area), a local search accepts single-bit tree edits that keep full
+// coverage and reduce the *synthesized* CED area.
 
 #include <cstdio>
 
 #include "common.hpp"
 #include "core/area_aware.hpp"
 #include "core/extract.hpp"
-#include "sim/faults.hpp"
+#include "core/run.hpp"
 
 int main(int argc, char** argv) {
   using namespace ced;
@@ -26,7 +28,21 @@ int main(int argc, char** argv) {
     circuits.resize(10);  // each evaluation synthesizes the full checker
   }
 
-  std::printf("Area-aware parity selection (latency p = 2)\n");
+  constexpr int kLatency = 2;
+  const Result<RunConfig> cfg = RunConfig::Builder()
+                                    .latency(kLatency)
+                                    .threads(bench::kLedgerThreads)
+                                    .build();
+  if (!cfg) {
+    std::fprintf(stderr, "%s\n", cfg.status().message.c_str());
+    return 2;
+  }
+  const core::PipelineOptions& po = cfg->options();
+  core::AreaAwareOptions area_opts;
+  area_opts.ced = po.ced;
+  area_opts.library = po.library;
+
+  std::printf("Area-aware parity selection (latency p = %d)\n", kLatency);
   std::printf("%-8s | %3s | %10s | %10s | %8s | %5s\n", "Circuit", "q",
               "countArea", "areaAware", "saved%", "evals");
   std::printf("%s\n", std::string(60, '-').c_str());
@@ -35,15 +51,25 @@ int main(int argc, char** argv) {
   int counted = 0;
   for (const auto& name : circuits) {
     const fsm::Fsm f = benchdata::suite_fsm(name);
-    const fsm::FsmCircuit circuit =
-        fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary, {});
-    const auto faults = sim::enumerate_stuck_at(circuit.netlist);
-    core::ExtractOptions ex;
-    ex.latency = 2;
-    const auto table = core::extract_cases(circuit, faults, ex);
+    const core::PipelineReport rep = ced::run_pipeline(f, *cfg);
+    // The table the chain's p=2 link solved: same design, same extraction
+    // options, same thread count.
+    const core::Design design = core::derive_design(f, po);
+    core::ExtractOptions ex = po.extract;
+    ex.latency = kLatency;
+    ex.threads = bench::kLedgerThreads;
+    const core::DetectabilityTable table =
+        core::extract_cases(design.circuit, design.faults, ex);
+    if (rep.parities.empty() || table.cases.size() != rep.num_cases) {
+      std::fprintf(stderr,
+                   "%s p=%d: no cover, or the table has %zu cases and the "
+                   "report %zu\n",
+                   name.c_str(), kLatency, table.cases.size(), rep.num_cases);
+      return 1;
+    }
 
-    const core::AreaAwareResult r =
-        core::minimize_parity_area(circuit, table);
+    const core::AreaAwareResult r = core::minimize_parity_area(
+        design.circuit, table, rep.parities, area_opts);
     const double saved =
         bench::reduction_pct(r.initial_area, r.final_area);
     std::printf("%-8s | %3zu | %10.1f | %10.1f | %7.1f%% | %5d\n",

@@ -1,6 +1,7 @@
 #include "core/area_aware.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/rng.hpp"
 
@@ -8,6 +9,7 @@ namespace ced::core {
 
 AreaAwareResult minimize_parity_area(const fsm::FsmCircuit& circuit,
                                      const DetectabilityTable& table,
+                                     std::vector<ParityFunc> start,
                                      const AreaAwareOptions& opts) {
   // One serial synthesizer scores every candidate: the golden rows are
   // simulated once per refinement, not once per evaluation.
@@ -16,7 +18,7 @@ AreaAwareResult minimize_parity_area(const fsm::FsmCircuit& circuit,
     return ced.synthesize(parities).cost(opts.library).area;
   };
   AreaAwareResult res;
-  res.parities = minimize_parity_functions(table, opts.algo);
+  res.parities = std::move(start);
   res.initial_area = cost_of(res.parities);
   res.evaluations = 1;
   double current = res.initial_area;

@@ -28,14 +28,12 @@ CoverKernel::CoverKernel(const DetectabilityTable& table, std::size_t count,
       rows_(std::move(rows)),
       // Backend is captured once here: a kernel keeps its engine for its
       // whole life, regardless of later ScopedSimdLevel flips.
-      engine_(&detail::kernel_ops(simd_level())),
-      table_(&table) {
+      engine_(&detail::kernel_ops(simd_level())) {
   write_rows(table, count);
 }
 
 void CoverKernel::append(const DetectabilityTable& table,
                          std::span<const std::uint32_t> rows) {
-  assert(&table == table_ && "CoverKernel::append on another table");
   assert((m_ == 0 || !rows_.empty()) &&
          "CoverKernel::append on a full kernel");
   rows_.insert(rows_.end(), rows.begin(), rows.end());
@@ -152,17 +150,7 @@ std::size_t CoverKernel::coverage_count(ParityFunc beta) const {
 }
 
 bool CoverKernel::covers_all(std::span<const ParityFunc> betas) const {
-  const bool full = uncovered_count(betas) == 0;
-#ifndef NDEBUG
-  // Scalar-oracle agreement (debug builds only).
-  bool scalar = true;
-  for (std::size_t r = 0; r < m_ && scalar; ++r) {
-    scalar = covers(betas, table_->cases[global_row(
-                               static_cast<std::uint32_t>(r))]);
-  }
-  assert(scalar == full && "CoverKernel::covers_all disagrees with scalar");
-#endif
-  return full;
+  return uncovered_count(betas) == 0;
 }
 
 std::size_t CoverKernel::uncovered_count(
@@ -188,17 +176,6 @@ std::vector<std::uint32_t> CoverKernel::uncovered(
       out.push_back(static_cast<std::uint32_t>((w << 6) + b));
     }
   }
-#ifndef NDEBUG
-  // Scalar-oracle agreement (debug builds only).
-  std::vector<std::uint32_t> scalar;
-  for (std::size_t r = 0; r < m_; ++r) {
-    if (!covers(betas,
-                table_->cases[global_row(static_cast<std::uint32_t>(r))])) {
-      scalar.push_back(static_cast<std::uint32_t>(r));
-    }
-  }
-  assert(scalar == out && "CoverKernel::uncovered disagrees with scalar");
-#endif
   return out;
 }
 

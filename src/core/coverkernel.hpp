@@ -138,10 +138,6 @@ class CoverKernel {
   std::vector<std::uint64_t> cols_;
   std::vector<std::uint32_t> rows_;  ///< empty = identity (full table)
   const detail::KernelOps* engine_ = nullptr;
-  /// The table the rows come from. Only Debug builds read it (the scalar
-  /// cross-checks), but every build keeps it, so the layout does not
-  /// depend on NDEBUG.
-  const DetectabilityTable* table_ = nullptr;
 };
 
 /// Incremental single-beta evaluator over a CoverKernel: keeps the per-step

@@ -13,7 +13,6 @@ namespace {
 // builds (n <= 64 bits, k < latency, q <= n + latency).
 constexpr std::uint64_t kBetaTag = 1ull << 60;
 constexpr std::uint64_t kRTag = 2ull << 60;
-constexpr std::uint64_t kWTag = 3ull << 60;
 constexpr std::uint64_t kStepRowTag = 4ull << 60;
 constexpr std::uint64_t kCoverRowTag = 5ull << 60;
 
@@ -75,47 +74,6 @@ LpFormulation build_lp(const DetectabilityTable& table,
       }
     }
     // sum_{l,k} r^{(lk)}_i >= 1.
-    f.problem.add_constraint(std::move(cover_terms), lp::Relation::kGe, 1.0);
-    f.row_key.push_back(kCoverRowTag | row);
-  }
-  return f;
-}
-
-LpFormulation build_lp_statement5(const DetectabilityTable& table,
-                                  std::span<const std::uint32_t> rows, int q) {
-  LpFormulation f;
-  f.q = q;
-  f.n = table.num_bits;
-  f.p = table.latency;
-  f.rows.assign(rows.begin(), rows.end());
-  add_beta_variables(f);
-
-  const double w_upper = static_cast<double>(f.n) / 2.0;
-  for (std::uint32_t row : rows) {
-    const ErroneousCase& ec = table.cases[row];
-    const int len = ec.length();
-    std::vector<std::pair<int, double>> cover_terms;
-    for (int l = 0; l < q; ++l) {
-      for (int k = 0; k < len; ++k) {
-        const int r_var = f.problem.add_variable(0.0, 1.0, 0.0);
-        const int w_var = f.problem.add_variable(0.0, w_upper, 0.0);
-        // V(i,:,k) beta^{(l)} = 2 w + r.
-        std::vector<std::pair<int, double>> terms;
-        for (int j = 0; j < f.n; ++j) {
-          if ((ec.diff[static_cast<std::size_t>(k)] >> j) & 1) {
-            terms.emplace_back(
-                f.beta_var[static_cast<std::size_t>(l) * f.n + j], 1.0);
-          }
-        }
-        terms.emplace_back(w_var, -2.0);
-        terms.emplace_back(r_var, -1.0);
-        f.problem.add_constraint(std::move(terms), lp::Relation::kEq, 0.0);
-        f.var_key.push_back(step_key(kRTag, row, l, k));
-        f.var_key.push_back(step_key(kWTag, row, l, k));
-        f.row_key.push_back(step_key(kStepRowTag, row, l, k));
-        cover_terms.emplace_back(r_var, 1.0);
-      }
-    }
     f.problem.add_constraint(std::move(cover_terms), lp::Relation::kGe, 1.0);
     f.row_key.push_back(kCoverRowTag | row);
   }

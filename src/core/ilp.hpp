@@ -57,12 +57,6 @@ lp::BasisSnapshot map_basis_to(const LpBasisMemo& memo,
 LpFormulation build_lp(const DetectabilityTable& table,
                        std::span<const std::uint32_t> rows, int q);
 
-/// Builds the *literal* Statement 5 of the paper, including the w
-/// variables and the mod-removing equalities. Used to validate that the
-/// reduced formulation is an exact reformulation.
-LpFormulation build_lp_statement5(const DetectabilityTable& table,
-                                  std::span<const std::uint32_t> rows, int q);
-
 /// Extracts the fractional beta block from an LP solution.
 /// Result[l][j] = value of beta^{(l)}_j in [0,1].
 std::vector<std::vector<double>> beta_values(const LpFormulation& f,

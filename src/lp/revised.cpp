@@ -1,4 +1,4 @@
-#include "lp/revised.hpp"
+#include "lp/simplex.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -555,10 +555,50 @@ class RevisedSimplex {
   bool warm_applied_ = false;
 };
 
+const char* to_label(Status s) {
+  switch (s) {
+    case Status::kOptimal: return "optimal";
+    case Status::kInfeasible: return "infeasible";
+    case Status::kUnbounded: return "unbounded";
+    case Status::kIterLimit: return "iter-limit";
+    case Status::kTimeLimit: return "time-limit";
+  }
+  return "?";
+}
+
 }  // namespace
 
-LpResult revised_solve(const LpProblem& p, const SolverOptions& opts) {
-  return RevisedSimplex(p, opts).run();
+LpResult solve(const LpProblem& p, const SolverOptions& opts) {
+  // Observability wrapper: the solve itself never consults the sinks, so
+  // the pivot sequence is identical whether or not anything is recording.
+  if (!opts.obs.enabled()) return RevisedSimplex(p, opts).run();
+  obs::ScopedSpan span(opts.obs, "lp-solve");
+  const LpResult res = RevisedSimplex(p, opts).run();
+  span.attr("vars", static_cast<std::uint64_t>(p.num_variables()));
+  span.attr("rows", static_cast<std::uint64_t>(p.num_constraints()));
+  span.attr("pivots", static_cast<std::uint64_t>(res.iterations));
+  span.attr("status", to_label(res.status));
+  span.attr("phase1_pivots",
+            static_cast<std::uint64_t>(res.phase1_iterations));
+  span.attr("refactorizations",
+            static_cast<std::uint64_t>(res.refactorizations));
+  if (opts.warm != nullptr) {
+    span.attr("warm", res.warm_applied ? "hit" : "miss");
+  }
+  if (opts.obs.metrics != nullptr) {
+    obs::MetricsShard shard(opts.obs.metrics);
+    shard.add("ced_lp_solves_total");
+    shard.add("ced_lp_pivots_total", static_cast<std::uint64_t>(res.iterations));
+    shard.observe("ced_lp_pivots_per_solve",
+                  static_cast<double>(res.iterations));
+    shard.add("ced_lp_refactorizations_total",
+              static_cast<std::uint64_t>(res.refactorizations));
+    if (opts.warm != nullptr) {
+      shard.add("ced_lp_warm_attempts_total");
+      if (res.warm_applied) shard.add("ced_lp_warm_hits_total");
+    }
+  }
+  return res;
 }
 
 }  // namespace ced::lp

@@ -26,8 +26,6 @@ constexpr double kInfinity = std::numeric_limits<double>::infinity();
 ///
 /// Built incrementally; solved by `solve`, a sparse revised simplex with
 /// bounded variables, composite phase 1 and Bland anti-cycling.
-/// `solve_dense` keeps the original dense two-phase tableau as a
-/// reference oracle.
 class LpProblem {
  public:
   /// Adds a variable with bounds [lower, upper]; returns its index.
@@ -85,12 +83,12 @@ struct SolverOptions {
   /// THIS problem's variable/constraint indexing (see core/ilp.cpp for the
   /// key-based cross-problem mapping). Rows whose remembered basic
   /// variable no longer exists fall back to their logical; the composite
-  /// phase 1 repairs whatever infeasibility remains. solve_dense
-  /// ignores it — a warm start changes the pivot path, never the optimum.
+  /// phase 1 repairs whatever infeasibility remains. A warm start changes
+  /// the pivot path, never the optimum.
   const BasisSnapshot* warm = nullptr;
-  /// Fill LpResult::basis with the optimal basis (solve only).
+  /// Fill LpResult::basis with the optimal basis.
   bool want_basis = false;
-  /// Pivots between basis refactorizations (solve only): the eta file is
+  /// Pivots between basis refactorizations: the eta file is
   /// rebuilt from the current basis every this-many pivots to keep rounding
   /// error from accumulating through the product-form updates.
   int refactor_interval = 64;
@@ -114,31 +112,23 @@ struct LpResult {
   /// Simplex pivots consumed (both phases), whatever the outcome — the
   /// budget accounting callers report in resilience diagnostics.
   int iterations = 0;
-  /// Pivots spent inside the composite phase 1 (subset of `iterations`;
-  /// solve only). A successful warm start shows up as this dropping
+  /// Pivots spent inside the composite phase 1 (subset of `iterations`).
+  /// A successful warm start shows up as this dropping
   /// to the handful of rows the previous basis did not already satisfy.
   int phase1_iterations = 0;
-  /// Basis refactorizations performed (solve only).
+  /// Basis refactorizations performed.
   int refactorizations = 0;
   /// True when a caller-provided warm basis was structurally applied (its
   /// dimensions matched and the mapped basis survived factorization).
   bool warm_applied = false;
   /// The optimal basis when SolverOptions::want_basis was set and solve
-  /// reached optimality; nullopt otherwise (and always from solve_dense).
+  /// reached optimality; nullopt otherwise.
   std::optional<BasisSnapshot> basis = {};
 };
 
 /// Solves the LP with the sparse revised simplex (revised.cpp).
-/// Deterministic. Builds without NDEBUG re-solve every problem with
-/// solve_dense and assert agreement on status and objective.
+/// Deterministic: the same problem and options give the same pivots and
+/// the same result bits.
 LpResult solve(const LpProblem& p, const SolverOptions& opts = {});
-
-/// Reference oracle: the dense two-phase tableau simplex with bounded
-/// variables. Agrees with `solve` on feasibility and on the optimal
-/// objective; the optimal *vertex* may differ on degenerate problems
-/// (either is a correct optimum). Ignores warm/want_basis/obs and never
-/// reports phase-1 or refactorization counts. Tests and solve's debug
-/// cross-check call it; nothing dispatches to it.
-LpResult solve_dense(const LpProblem& p, const SolverOptions& opts = {});
 
 }  // namespace ced::lp

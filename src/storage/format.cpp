@@ -318,6 +318,9 @@ void put_table(ByteWriter& w, const core::DetectabilityTable& t) {
   }
 }
 
+/// put_table's size of the shortest case: its length byte and one word.
+constexpr std::size_t kMinCaseBytes = 1 + 8;
+
 bool get_table(ByteReader& r, core::DetectabilityTable& t) {
   t.num_bits = static_cast<int>(r.u32());
   t.latency = static_cast<int>(r.u32());
@@ -334,7 +337,7 @@ bool get_table(ByteReader& r, core::DetectabilityTable& t) {
   t.num_loop_truncations = r.u64();
   const std::uint64_t cases = r.u64();
   if (!r.ok() || t.num_bits < 0 || t.num_bits > 64 || t.latency < 1 ||
-      t.latency > core::kMaxLatency) {
+      t.latency > core::kMaxLatency || cases > r.remaining() / kMinCaseBytes) {
     return false;
   }
   t.cases.clear();
@@ -564,6 +567,9 @@ void put_verdict(ByteWriter& w, const sim::FaultVerdict& v) {
   for (const std::uint64_t h : v.histogram) w.u64(h);
 }
 
+/// put_verdict's size with an empty histogram: five u64s and two u32s.
+constexpr std::size_t kMinVerdictBytes = 5 * 8 + 2 * 4;
+
 bool get_verdict(ByteReader& r, sim::FaultVerdict& v) {
   v.unit = r.u64();
   v.activations = r.u64();
@@ -604,7 +610,8 @@ Result<sim::CampaignShard> decode_campaign_shard(const ArtifactReader& art) {
   shard.index = r.u32();
   shard.num_shards = r.u32();
   const std::uint64_t count = r.u64();
-  if (!r.ok() || shard.index >= shard.num_shards || count > (1u << 24)) {
+  if (!r.ok() || shard.index >= shard.num_shards || count > (1u << 24) ||
+      count > r.remaining() / kMinVerdictBytes) {
     return corrupt("campaign shard header malformed");
   }
   shard.verdicts.resize(count);
@@ -685,7 +692,8 @@ Result<sim::CampaignReport> decode_campaign_report(const ArtifactReader& art) {
   rep.truncated = r.u8() != 0;
   rep.truncation_reason = r.str();
   const std::uint64_t count = r.u64();
-  if (!r.ok() || count > (1u << 24)) {
+  if (!r.ok() || count > (1u << 24) ||
+      count > r.remaining() / kMinVerdictBytes) {
     return corrupt("campaign report verdict count malformed");
   }
   rep.verdicts.resize(count);

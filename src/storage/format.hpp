@@ -85,6 +85,10 @@ class ByteReader {
   /// True while no read has run past the end.
   bool ok() const { return ok_; }
   bool at_end() const { return ok_ && pos_ == data_.size(); }
+  /// Bytes not yet read. A decoder bounds a stored count by it before
+  /// allocating, so a corrupt count cannot ask for more records than the
+  /// payload could hold.
+  std::size_t remaining() const { return data_.size() - pos_; }
   Status status(const std::string& what) const;
 
  private:

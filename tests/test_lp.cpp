@@ -5,15 +5,24 @@
 #include <cmath>
 
 #include "core/rng.hpp"
+#include "oracle/dense_simplex.hpp"
 
 namespace ced::lp {
 namespace {
+
+/// Solves `p` with lp::solve and compares the result with the dense
+/// tableau oracle.
+LpResult solve_checked(const LpProblem& p) {
+  const LpResult r = solve(p);
+  EXPECT_TRUE(agrees_with_dense(p, r, solve_dense(p)));
+  return r;
+}
 
 TEST(Simplex, TrivialBoundsOnly) {
   LpProblem p;
   const int x = p.add_variable(0, 10, 1.0);
   p.set_objective_sense(Objective::kMaximize);
-  const LpResult r = solve(p);
+  const LpResult r = solve_checked(p);
   ASSERT_EQ(r.status, Status::kOptimal);
   EXPECT_NEAR(r.x[static_cast<std::size_t>(x)], 10.0, 1e-7);
   EXPECT_NEAR(r.objective, 10.0, 1e-7);
@@ -27,7 +36,7 @@ TEST(Simplex, ClassicTwoVarMax) {
   p.add_constraint({{x, 1}, {y, 1}}, Relation::kLe, 4);
   p.add_constraint({{x, 1}, {y, 3}}, Relation::kLe, 6);
   p.set_objective_sense(Objective::kMaximize);
-  const LpResult r = solve(p);
+  const LpResult r = solve_checked(p);
   ASSERT_EQ(r.status, Status::kOptimal);
   EXPECT_NEAR(r.objective, 12.0, 1e-6);
   EXPECT_NEAR(r.x[static_cast<std::size_t>(x)], 4.0, 1e-6);
@@ -40,7 +49,7 @@ TEST(Simplex, MinimizationWithGe) {
   const int x = p.add_variable(0, 6, 2.0);
   const int y = p.add_variable(0, kInfinity, 3.0);
   p.add_constraint({{x, 1}, {y, 1}}, Relation::kGe, 10);
-  const LpResult r = solve(p);
+  const LpResult r = solve_checked(p);
   ASSERT_EQ(r.status, Status::kOptimal);
   EXPECT_NEAR(r.objective, 24.0, 1e-6);
 }
@@ -51,7 +60,7 @@ TEST(Simplex, EqualityConstraint) {
   const int x = p.add_variable(0, 3, 1.0);
   const int y = p.add_variable(0, 3, 1.0);
   p.add_constraint({{x, 1}, {y, 2}}, Relation::kEq, 4);
-  const LpResult r = solve(p);
+  const LpResult r = solve_checked(p);
   ASSERT_EQ(r.status, Status::kOptimal);
   EXPECT_NEAR(r.objective, 2.0, 1e-6);
   EXPECT_NEAR(r.x[static_cast<std::size_t>(y)], 2.0, 1e-6);
@@ -61,7 +70,7 @@ TEST(Simplex, DetectsInfeasible) {
   LpProblem p;
   const int x = p.add_variable(0, 1, 1.0);
   p.add_constraint({{x, 1}}, Relation::kGe, 2);
-  EXPECT_EQ(solve(p).status, Status::kInfeasible);
+  EXPECT_EQ(solve_checked(p).status, Status::kInfeasible);
 }
 
 TEST(Simplex, DetectsInfeasibleSystem) {
@@ -70,7 +79,7 @@ TEST(Simplex, DetectsInfeasibleSystem) {
   const int y = p.add_variable(0, kInfinity, 1.0);
   p.add_constraint({{x, 1}, {y, 1}}, Relation::kLe, 1);
   p.add_constraint({{x, 1}, {y, 1}}, Relation::kGe, 3);
-  EXPECT_EQ(solve(p).status, Status::kInfeasible);
+  EXPECT_EQ(solve_checked(p).status, Status::kInfeasible);
 }
 
 TEST(Simplex, DetectsUnbounded) {
@@ -78,14 +87,14 @@ TEST(Simplex, DetectsUnbounded) {
   const int x = p.add_variable(0, kInfinity, 1.0);
   p.set_objective_sense(Objective::kMaximize);
   p.add_constraint({{x, -1}}, Relation::kLe, 0);  // x >= 0, no upper bound
-  EXPECT_EQ(solve(p).status, Status::kUnbounded);
+  EXPECT_EQ(solve_checked(p).status, Status::kUnbounded);
 }
 
 TEST(Simplex, NegativeLowerBounds) {
   // min x s.t. x >= -5 -> x = -5.
   LpProblem p;
   const int x = p.add_variable(-5, 5, 1.0);
-  const LpResult r = solve(p);
+  const LpResult r = solve_checked(p);
   ASSERT_EQ(r.status, Status::kOptimal);
   EXPECT_NEAR(r.x[static_cast<std::size_t>(x)], -5.0, 1e-7);
 }
@@ -96,7 +105,7 @@ TEST(Simplex, NegativeRhsRowsHandled) {
   const int x = p.add_variable(0, 3, 1.0);
   const int y = p.add_variable(0, 3, 1.0);
   p.add_constraint({{x, -1}, {y, -1}}, Relation::kLe, -4);
-  const LpResult r = solve(p);
+  const LpResult r = solve_checked(p);
   ASSERT_EQ(r.status, Status::kOptimal);
   EXPECT_NEAR(r.objective, 4.0, 1e-6);
 }
@@ -108,7 +117,7 @@ TEST(Simplex, UpperBoundedVariablesBindAtBounds) {
   const int y = p.add_variable(0, 4, 1.0);
   p.add_constraint({{x, 1}, {y, 1}}, Relation::kLe, 10);
   p.set_objective_sense(Objective::kMaximize);
-  const LpResult r = solve(p);
+  const LpResult r = solve_checked(p);
   ASSERT_EQ(r.status, Status::kOptimal);
   EXPECT_NEAR(r.objective, 7.0, 1e-6);
 }
@@ -125,7 +134,7 @@ TEST(Simplex, DegenerateDoesNotCycle) {
   p.add_constraint({{x1, 0.5}, {x2, -90}, {x3, -0.02}, {x4, 3}},
                    Relation::kLe, 0);
   p.add_constraint({{x3, 1}}, Relation::kLe, 1);
-  const LpResult r = solve(p);
+  const LpResult r = solve_checked(p);
   ASSERT_EQ(r.status, Status::kOptimal);
   EXPECT_NEAR(r.objective, -0.05, 1e-6);
 }
@@ -166,7 +175,7 @@ TEST(Simplex, SolutionSatisfiesAllConstraints) {
       }
       coeffs.push_back(row);
     }
-    const LpResult r = solve(p);
+    const LpResult r = solve_checked(p);
     ASSERT_EQ(r.status, Status::kOptimal) << "trial " << trial;
     for (int c = 0; c < nc; ++c) {
       double lhs = 0;

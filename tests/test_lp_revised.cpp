@@ -1,15 +1,15 @@
 // Sparse revised simplex (lp/revised.cpp): equivalence against the dense
-// tableau oracle (lp::solve_dense) on random problems and on the cover LPs
-// of the ledger's small suite, degenerate/cycling guards (Bland fallback),
-// and the warm-start contract — a basis carried across cover-LP
-// formulations (core/ilp.hpp identity keys) must never change feasibility
-// verdicts or optimal objectives, and the full solver must select the q
-// the cold dense oracle selected, at 1 and 4 threads. The small suite's
-// cover LPs also pin the exact pivot path (counts and result bits), so a
-// solver refactor that must not move a pivot proves that it did not. The
-// eta file (lp/basis.hpp) is checked against a dense Gaussian solve, and
-// the factorization's repair of a dependent warm column against the dense
-// oracle.
+// tableau oracle (lp::solve_dense, tests/oracle) on random problems and on
+// the cover LPs of the ledger's small suite, degenerate/cycling guards
+// (Bland fallback), and the warm-start contract — a basis carried across
+// cover-LP formulations (core/ilp.hpp identity keys) must never change
+// feasibility verdicts or optimal objectives, and the full solver must
+// select the q the cold dense oracle selected, at 1 and 4 threads. The
+// small suite's cover LPs also pin the exact pivot path (counts and result
+// bits), so a solver refactor that must not move a pivot proves that it
+// did not. The eta file (lp/basis.hpp) is checked against a dense Gaussian
+// solve, and the factorization's repair of a dependent warm column against
+// the dense oracle.
 
 #include <gtest/gtest.h>
 
@@ -33,6 +33,7 @@
 #include "fsm/synthesize.hpp"
 #include "lp/basis.hpp"
 #include "lp/simplex.hpp"
+#include "oracle/dense_simplex.hpp"
 #include "sim/faults.hpp"
 
 namespace ced {
@@ -100,25 +101,6 @@ lp::LpProblem random_lp(std::mt19937_64& rng, int nv, int m) {
   return p;
 }
 
-/// Max constraint violation of x (0 when x satisfies the whole system).
-double violation(const lp::LpProblem& p, const std::vector<double>& x) {
-  double worst = 0.0;
-  for (int i = 0; i < p.num_constraints(); ++i) {
-    double lhs = 0.0;
-    for (const auto& [v, c] : p.rows()[static_cast<std::size_t>(i)]) {
-      lhs += c * x[static_cast<std::size_t>(v)];
-    }
-    const double rhs = p.rhs()[static_cast<std::size_t>(i)];
-    switch (p.relations()[static_cast<std::size_t>(i)]) {
-      case lp::Relation::kLe: worst = std::max(worst, lhs - rhs); break;
-      case lp::Relation::kGe: worst = std::max(worst, rhs - lhs); break;
-      case lp::Relation::kEq: worst = std::max(worst, std::abs(lhs - rhs));
-        break;
-    }
-  }
-  return worst;
-}
-
 TEST(RevisedLp, MatchesDenseOracleOnRandomProblems) {
   std::mt19937_64 rng(7);
   std::uniform_int_distribution<int> nv_dist(1, 12);
@@ -127,13 +109,9 @@ TEST(RevisedLp, MatchesDenseOracleOnRandomProblems) {
   for (int t = 0; t < 300; ++t) {
     const lp::LpProblem p = random_lp(rng, nv_dist(rng), m_dist(rng));
     const lp::LpResult revised = lp::solve(p);
-    const lp::LpResult dense = lp::solve_dense(p);
-    ASSERT_EQ(revised.status, dense.status) << "instance " << t;
-    if (revised.status != lp::Status::kOptimal) continue;
-    ++optimal_seen;
-    const double tol = 1e-6 * (1.0 + std::abs(dense.objective));
-    EXPECT_NEAR(revised.objective, dense.objective, tol) << "instance " << t;
-    EXPECT_LE(violation(p, revised.x), 1e-6) << "instance " << t;
+    ASSERT_TRUE(lp::agrees_with_dense(p, revised, lp::solve_dense(p)))
+        << "instance " << t;
+    if (revised.status == lp::Status::kOptimal) ++optimal_seen;
   }
   // The generator must actually exercise the optimal path, not just
   // infeasible/unbounded corners.
@@ -157,6 +135,7 @@ TEST(RevisedLp, BealeCyclingExampleTerminates) {
   const lp::LpResult res = lp::solve(p);
   ASSERT_EQ(res.status, lp::Status::kOptimal);
   EXPECT_NEAR(res.objective, -0.05, 1e-9);
+  EXPECT_TRUE(lp::agrees_with_dense(p, res, lp::solve_dense(p)));
 }
 
 /// Solves B z = x (B dense, row-major m x m, nonsingular) by Gaussian
@@ -411,6 +390,7 @@ TEST(RevisedLp, MassDegeneracyReachesOptimum) {
   const lp::LpResult res = lp::solve(p);
   ASSERT_EQ(res.status, lp::Status::kOptimal);
   EXPECT_NEAR(res.objective, 0.0, 1e-9);
+  EXPECT_TRUE(lp::agrees_with_dense(p, res, lp::solve_dense(p)));
 }
 
 // Warm-starting a solve from its own optimal basis must apply structurally,
@@ -465,6 +445,9 @@ TEST(RevisedLp, WarmAcrossQMatchesColdOracle) {
     for (const int q2 : {q + 1, std::max(1, q - 1), q}) {
       core::LpFormulation to = core::build_lp(t, rows, q2);
       const lp::LpResult cold = lp::solve(to.problem, {});
+      EXPECT_TRUE(lp::agrees_with_dense(to.problem, cold,
+                                        lp::solve_dense(to.problem)))
+          << "instance " << inst << " q=" << q2;
       const lp::BasisSnapshot snap = core::map_basis_to(memo, to);
       lp::SolverOptions wopts;
       wopts.warm = &snap;
@@ -562,45 +545,42 @@ SmallSuiteLps small_suite_lps(const char* name) {
   return s;
 }
 
-// The real cover LPs: for every circuit of the ledger's small suite at
-// p=3, the Statement-4 relaxation over the 48 hardest rows at every q from
-// 1 to the ledger's q, solved cold with lp::solve, warm from q-1's basis,
-// and with the dense oracle. Statuses must match, objectives agree, and
-// the revised points satisfy every row. This is the check lp::solve runs
-// on every solve in builds without NDEBUG.
+// The real cover LPs, against the dense oracle: for every circuit of the
+// ledger's small suite at p=3, the Statement-4 relaxation over the 48
+// hardest rows and over the 48 easiest (the LPs the two pivot-pin tables
+// below pin) at every q from 1 to the ledger's q, solved cold with
+// lp::solve and warm from q-1's basis. Each result must agree with
+// solve_dense's: same status, objectives within 1e-6 relative, and a
+// revised point that keeps every bound and row. Algorithm 1 solves LPs of
+// exactly this form.
 TEST(RevisedLp, MatchesDenseOnSmallSuiteCoverLps) {
   for (const char* name : kSmallSuite) {
     const SmallSuiteLps s = small_suite_lps(name);
-    const int q_max = s.q_max;
-    ASSERT_GT(q_max, 0) << name << " missing from " << CED_LEDGER_PATH;
-    const DetectabilityTable& t = s.table;
-    const std::vector<std::uint32_t>& rows = s.rows;
-
-    std::optional<core::LpBasisMemo> memo;
-    for (int q = 1; q <= q_max; ++q) {
-      const core::LpFormulation f = core::build_lp(t, rows, q);
-      lp::SolverOptions cold_opts;
-      cold_opts.want_basis = true;
-      const lp::LpResult cold = lp::solve(f.problem, cold_opts);
-      const lp::LpResult dense = lp::solve_dense(f.problem);
-      std::vector<lp::LpResult> revised = {cold};
-      if (memo) {
-        const lp::BasisSnapshot snap = core::map_basis_to(*memo, f);
-        lp::SolverOptions warm_opts;
-        warm_opts.warm = &snap;
-        revised.push_back(lp::solve(f.problem, warm_opts));
-      }
-      for (const lp::LpResult& r : revised) {
-        ASSERT_EQ(r.status, dense.status) << name << " q=" << q;
-        if (dense.status != lp::Status::kOptimal) continue;
-        EXPECT_NEAR(r.objective, dense.objective,
-                    1e-6 * (1.0 + std::abs(dense.objective)))
-            << name << " q=" << q;
-        EXPECT_LE(violation(f.problem, r.x), 1e-6) << name << " q=" << q;
-      }
-      memo.reset();
-      if (cold.basis) {
-        memo = core::LpBasisMemo{f.var_key, f.row_key, *cold.basis};
+    ASSERT_GT(s.q_max, 0) << name << " missing from " << CED_LEDGER_PATH;
+    for (const bool easy : {false, true}) {
+      const char* rows_name = easy ? "easiest" : "hardest";
+      std::optional<core::LpBasisMemo> memo;
+      for (int q = 1; q <= s.q_max; ++q) {
+        const core::LpFormulation f =
+            core::build_lp(s.table, easy ? s.easy_rows : s.rows, q);
+        lp::SolverOptions cold_opts;
+        cold_opts.want_basis = true;
+        const lp::LpResult cold = lp::solve(f.problem, cold_opts);
+        const lp::LpResult dense = lp::solve_dense(f.problem);
+        EXPECT_TRUE(lp::agrees_with_dense(f.problem, cold, dense))
+            << name << " " << rows_name << " q=" << q << " cold";
+        if (memo) {
+          const lp::BasisSnapshot snap = core::map_basis_to(*memo, f);
+          lp::SolverOptions warm_opts;
+          warm_opts.warm = &snap;
+          EXPECT_TRUE(lp::agrees_with_dense(
+              f.problem, lp::solve(f.problem, warm_opts), dense))
+              << name << " " << rows_name << " q=" << q << " warm";
+        }
+        memo.reset();
+        if (cold.basis) {
+          memo = core::LpBasisMemo{f.var_key, f.row_key, *cold.basis};
+        }
       }
     }
   }

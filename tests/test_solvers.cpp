@@ -9,6 +9,7 @@
 #include "core/ilp.hpp"
 #include "core/parity.hpp"
 #include "kiss/kiss.hpp"
+#include "oracle/statement5.hpp"
 #include "sim/faults.hpp"
 
 namespace ced::core {
@@ -266,9 +267,9 @@ TEST(IlpFormulations, ReducedAndStatement5AgreeOnObjective) {
   std::vector<std::uint32_t> rows{0, 1, 2};
   for (int q : {1, 2, 3}) {
     LpFormulation fr = build_lp(t, rows, q);
-    LpFormulation f5 = build_lp_statement5(t, rows, q);
+    const lp::LpProblem p5 = build_lp_statement5(t, rows, q);
     const auto rr = lp::solve(fr.problem);
-    const auto r5 = lp::solve(f5.problem);
+    const auto r5 = lp::solve(p5);
     ASSERT_EQ(rr.status, lp::Status::kOptimal);
     ASSERT_EQ(r5.status, lp::Status::kOptimal);
     // Same relaxation: identical optimal objective (min sum of beta).

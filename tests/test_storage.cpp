@@ -441,9 +441,12 @@ TEST_F(StorageTest, EveryLoaderQuarantinesAnUndecodablePayload) {
 }
 
 TEST_F(StorageTest, ZeroWordInsideAStoredCaseIsQuarantined) {
-  // A bundle whose one case stores length 2 but a zero second word. Its
-  // envelope and CRCs are intact, so only the decoder can reject it: read
-  // as it is, the case's length() would be 1, not the stored 2.
+  // Two bundles of one case whose envelopes and CRCs are intact, so only
+  // the decoder can reject them. In the first the case stores length 2 but
+  // a zero second word: read as it is, the case's length() would be 1, not
+  // the stored 2. In the second the case count says 2^40, far more cases
+  // than the payload holds: reserving them before reading one would throw
+  // std::bad_alloc out of a load that reads every bad artifact as a miss.
   core::DetectabilityTable t;
   t.num_bits = 64;
   t.latency = 2;
@@ -452,8 +455,9 @@ TEST_F(StorageTest, ZeroWordInsideAStoredCaseIsQuarantined) {
   ec.diff[1] = 0x0123456789abcdefull;
   t.cases = {ec};
   const std::string good = encode_tables({t});
-  // The section's tag follows the 12-byte envelope header (format.hpp),
-  // and the case's second word ends the payload.
+  // The section's tag follows the 12-byte envelope header (format.hpp).
+  // The case (its length byte and two words) ends the payload, and the
+  // table's case count comes just before it.
   std::uint32_t tag = 0;
   for (int b = 3; b >= 0; --b) {
     tag = (tag << 8) | static_cast<std::uint8_t>(good[12 + b]);
@@ -462,30 +466,45 @@ TEST_F(StorageTest, ZeroWordInsideAStoredCaseIsQuarantined) {
   ASSERT_TRUE(art.has_value()) << art.status().to_text();
   auto payload = art->section(tag);
   ASSERT_TRUE(payload.has_value()) << payload.status().to_text();
-  std::string zeroed(*payload);
-  ASSERT_EQ(zeroed.substr(zeroed.size() - 8),
+  const std::string original(*payload);
+  ASSERT_EQ(original.substr(original.size() - 8),
             std::string("\xef\xcd\xab\x89\x67\x45\x23\x01", 8));
+  const std::size_t count_at = original.size() - 17 - 8;
+  ASSERT_EQ(original.substr(count_at, 8), std::string("\x01\0\0\0\0\0\0\0", 8));
+  const auto reseal = [tag](const std::string& bytes) {
+    ArtifactWriter writer(ArtifactKind::kTableBundle);
+    writer.section(tag, bytes);
+    return writer.seal();
+  };
+  std::string zeroed = original;
   zeroed.replace(zeroed.size() - 8, 8, 8, '\0');
-  ArtifactWriter writer(ArtifactKind::kTableBundle);
-  writer.section(tag, zeroed);
-  const std::string bad = writer.seal();
-  ASSERT_TRUE(validate_envelope(bad).ok());
+  std::string counted = original;
+  counted.replace(count_at, 8, std::string("\0\0\0\0\0\x01\0\0", 8));
 
   ArtifactStore store(dir_);
   StoreArchive archive(store);
   ASSERT_TRUE(store.put(table_name("good"), good).ok());
-  ASSERT_TRUE(store.put(table_name("bad"), bad).ok());
   const auto loaded = archive.load_tables("good");
   ASSERT_EQ(loaded.size(), 1u);
   EXPECT_EQ(loaded[0].cases, t.cases);
-  EXPECT_TRUE(archive.load_tables("bad").empty());
-  EXPECT_FALSE(store.exists(table_name("bad")));
-  EXPECT_TRUE(
-      fs::exists(dir_ / "quarantine" / (table_name("bad") + ".ced")));
-  const auto events = store.drain_events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_NE(events[0].find("table bundle malformed"), std::string::npos)
-      << events[0];
+  const std::pair<std::string, std::string> bad_bundles[] = {
+      {"zero-word", reseal(zeroed)}, {"huge-count", reseal(counted)}};
+  for (const auto& [key, bad] : bad_bundles) {
+    SCOPED_TRACE(key);
+    ASSERT_TRUE(validate_envelope(bad).ok());
+    const auto decoded = decode_tables(bad);
+    ASSERT_FALSE(decoded.has_value());
+    EXPECT_EQ(decoded.status().message, "table bundle malformed");
+    ASSERT_TRUE(store.put(table_name(key), bad).ok());
+    EXPECT_TRUE(archive.load_tables(key).empty());
+    EXPECT_FALSE(store.exists(table_name(key)));
+    EXPECT_TRUE(
+        fs::exists(dir_ / "quarantine" / (table_name(key) + ".ced")));
+    const auto events = store.drain_events();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_NE(events[0].find("table bundle malformed"), std::string::npos)
+        << events[0];
+  }
 }
 
 TEST_F(StorageTest, ShardOfAnotherPartitionIsQuarantined) {

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 gate plus the kernel/obs smoke checks, the warning-free build
-# gate, the Debug oracle cross-checks, and the sanitizer passes.
+# gate, and the sanitizer passes.
 #
 #   tools/ci.sh            # plain build + full ctest, then ASan+UBSan build
 #                          # + full ctest under sanitizers, then TSan build
@@ -104,7 +104,8 @@ echo "== kernel backends: dispatched SIMD vs word loop on s1488 =="
 # ScopedSimdLevel(kNone) must select byte-identical parities on the
 # paper's largest instance at p=2, at threads 1 AND 4 (exit 1 otherwise).
 # Tier-1 checks every kernel query and the solvers against the per-case
-# core::covers oracle, and the revised LP against lp::solve_dense.
+# core::covers oracle, and the revised LP against lp::solve_dense (the
+# test-only ced_oracles library).
 ./build/bench/bench_perf --kernel-smoke --circuits=s1488
 
 echo "== obs smoke: exporters parse, q unaffected =="
@@ -316,6 +317,13 @@ cmake -B build-deprec -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-Werror" >/dev/null
 cmake --build build-deprec -j "$jobs"
 
+echo "== one build of the library: nothing under src/ reads NDEBUG =="
+# Reference oracles live in tests (tests/oracle), not behind build-mode
+# switches, so every build type runs the same library code.
+if grep -rn NDEBUG src; then
+  echo "src/ names NDEBUG: move the check into a test"; exit 1
+fi
+
 echo "== no-SIMD build: the scalar fallback stands alone =="
 # Compile with the vector backends removed entirely (-DCED_NO_SIMD) and
 # prove the universal word loop passes the kernel suites on its own — the
@@ -326,18 +334,6 @@ cmake --build build-nosimd -j "$jobs" \
       --target test_kernel_simd test_coverkernel bench_perf
 (cd build-nosimd && ./tests/test_kernel_simd && ./tests/test_coverkernel)
 ./build-nosimd/bench/bench_perf --kernel-smoke --quick
-
-echo "== oracle cross-checks: Debug build of the LP and solver suites =="
-# Every build above defines NDEBUG, which compiles out lp::solve's re-solve
-# of every LP with lp::solve_dense and the cover kernel's per-case scalar
-# cross-check. This Debug build keeps both and runs the suites that drive
-# them. Unoptimized, test_coverkernel takes about 2.5 minutes and
-# test_lp_revised about 30 s on a 4-core x86-64 host.
-cmake -B build-debug -DCMAKE_BUILD_TYPE=Debug >/dev/null
-cmake --build build-debug -j "$jobs" \
-      --target test_lp_revised test_lp test_solvers test_coverkernel
-(cd build-debug && ./tests/test_lp_revised && ./tests/test_lp \
-    && ./tests/test_solvers && ./tests/test_coverkernel)
 
 echo "== sanitizers: ASan + UBSan =="
 cmake --preset asan-ubsan >/dev/null
