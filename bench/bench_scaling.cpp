@@ -28,7 +28,7 @@ fsm::FsmCircuit make_circuit(int states) {
   spec.self_loop_bias = 0.2;
   spec.seed = 42;
   return fsm::synthesize_fsm(benchdata::generate_fsm(spec),
-                             fsm::EncodingKind::kBinary, {});
+                             fsm::EncodingKind::kBinary);
 }
 
 void BM_ExtractVsStates(benchmark::State& state) {

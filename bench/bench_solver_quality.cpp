@@ -21,7 +21,7 @@ namespace {
 ced::core::DetectabilityTable table_for(const ced::fsm::Fsm& f, int p) {
   using namespace ced;
   const fsm::FsmCircuit c =
-      fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary, {});
+      fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary);
   const auto faults = sim::enumerate_stuck_at(c.netlist);
   core::ExtractOptions opts;
   opts.latency = p;

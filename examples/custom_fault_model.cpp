@@ -48,7 +48,7 @@ int main() {
   const fsm::Fsm machine =
       fsm::Fsm::from_kiss(kiss::parse(benchdata::handwritten_kiss("vending")));
   const fsm::FsmCircuit circuit =
-      fsm::synthesize_fsm(machine, fsm::EncodingKind::kBinary, {});
+      fsm::synthesize_fsm(machine, fsm::EncodingKind::kBinary);
   std::printf("machine: %d inputs, %d states -> %d observable bits\n",
               circuit.r(), machine.num_states(), circuit.n());
 

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
                    {"gray", fsm::EncodingKind::kGray},
                    {"spread", fsm::EncodingKind::kSpread}};
   for (const auto& e : encodings) {
-    const fsm::FsmCircuit c = fsm::synthesize_fsm(machine, e.kind, {});
+    const fsm::FsmCircuit c = fsm::synthesize_fsm(machine, e.kind);
     const auto area = logic::measure_area(
         c.netlist, lib, static_cast<std::size_t>(c.s()));
     std::printf("  %-7s: %d state bits, %zu gates, area %.1f\n", e.name,

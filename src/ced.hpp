@@ -10,11 +10,10 @@
 #include "common/parallel.hpp"
 #include "common/status.hpp"
 
-// Logic substrate: cubes/covers, minimizers, netlists, optimization,
-// factoring, areas, BLIF/Verilog interchange.
+// Logic substrate: cubes/covers, the two-level minimizer, netlists,
+// optimization, factoring, areas.
 #include "logic/area.hpp"
 #include "logic/bitvec.hpp"
-#include "logic/blif.hpp"
 #include "logic/cover.hpp"
 #include "logic/cube.hpp"
 #include "logic/factor.hpp"

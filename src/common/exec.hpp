@@ -1,10 +1,13 @@
 #pragma once
 
 // The execution policy: how many worker threads a run uses. The thread
-// count never changes q or the selected parity functions, only
-// wall-clock. CED_THREADS remains a defaults-only fallback: an explicit
-// policy always wins, threads 0 defers to the env var, and an unset env
-// var defers to the hardware concurrency (see resolve_threads).
+// count changes only wall-clock, not q or the selected parity functions,
+// except for a no-store table that degrades: without a store, extraction
+// makes one shard per thread, and each shard degrades against its share
+// of the threshold (DESIGN.md §7, "Known defect"). CED_THREADS remains a
+// defaults-only fallback: an explicit policy always wins, threads 0
+// defers to the env var, and an unset env var defers to the hardware
+// concurrency (see resolve_threads).
 //
 // The policy is ambient and thread-local: ScopedExecPolicy installs a
 // refinement for the current thread, and parallel_for re-installs the
@@ -12,9 +15,10 @@
 // pinned around a run is seen by all of that run's workers and by nobody
 // else's. That is what makes per-request pinning in ced_serve sound:
 // two concurrent requests with different thread counts never observe
-// each other. Because the policy never shapes results, it is deliberately
-// EXCLUDED from RunConfig::digest() — two requests differing only in
-// policy dedup onto the same in-flight run and share one cache entry.
+// each other. Because the policy shapes no other result, it is
+// deliberately EXCLUDED from RunConfig::digest() — two requests differing
+// only in policy dedup onto the same in-flight run and share one cache
+// entry; with a store bound, the fixed shard partition makes that exact.
 
 namespace ced {
 

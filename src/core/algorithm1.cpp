@@ -10,6 +10,17 @@
 namespace ced::core {
 namespace {
 
+/// Delayed row generation: the initial LP holds this many table rows (the
+/// hardest rows, fewest detecting bits, first), and each row round grows
+/// it by at most this many. The full table is always used for the exact
+/// Statement-4 feasibility check.
+constexpr std::size_t kLpSampleRows = 48;
+
+/// Roundings are screened against a sample of at most this many rows; a
+/// full exact Statement-4 check runs only on screen-passing candidates
+/// (and teaches the sample any rows it missed).
+constexpr std::size_t kVerifySampleCap = 20'000;
+
 /// Number of detecting (bit, step) entries of a case: rows with few entries
 /// constrain the LP the most and are sampled first.
 int hardness_of(const ErroneousCase& ec) {
@@ -61,11 +72,11 @@ class RowSet {
 };
 
 /// Adds a spread over the whole table to the verification sample: every
-/// row when the table fits under `cap`, else every (size / cap)-th row.
-void seed_verification_sample(RowSet& check, const DetectabilityTable& table,
-                              std::size_t cap) {
-  if (table.cases.size() > cap) {
-    const std::size_t stride = table.cases.size() / cap;
+/// row when the table fits under kVerifySampleCap, else every
+/// (size / kVerifySampleCap)-th row.
+void seed_verification_sample(RowSet& check, const DetectabilityTable& table) {
+  if (table.cases.size() > kVerifySampleCap) {
+    const std::size_t stride = table.cases.size() / kVerifySampleCap;
     for (std::size_t i = 0; i < table.cases.size(); i += stride) {
       check.add(static_cast<std::uint32_t>(i));
     }
@@ -181,9 +192,7 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
   // reproducible regardless of how they are scheduled across threads.
   const Rng base(opts.seed ^ (static_cast<std::uint64_t>(q) << 32));
   const int threads = resolve_threads(opts.threads);
-  const std::size_t lp_limit =
-      std::min(table.cases.size(),
-               static_cast<std::size_t>(std::max(opts.lp_sample_rows, 0)));
+  const std::size_t lp_limit = std::min(table.cases.size(), kLpSampleRows);
   std::vector<std::uint32_t> rows(ctx->hard_order.begin(),
                                   ctx->hard_order.begin() +
                                       static_cast<std::ptrdiff_t>(lp_limit));
@@ -196,7 +205,7 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
   // full-table Statement-4 check.
   RowSet check(table);
   for (auto rid : rows) check.add(rid);
-  seed_verification_sample(check, table, opts.verify_sample_cap);
+  seed_verification_sample(check, table);
 
   // Full exact check with sample refinement: a candidate that covers the
   // sample but misses full-table rows teaches the sample those rows.
@@ -356,9 +365,7 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
       in_lp[rid] = true;
       rows.push_back(rid);
       added = true;
-      if (rows.size() >=
-          static_cast<std::size_t>(opts.lp_sample_rows) *
-              static_cast<std::size_t>(round + 2)) {
+      if (rows.size() >= kLpSampleRows * static_cast<std::size_t>(round + 2)) {
         break;
       }
     }
@@ -403,7 +410,7 @@ void drop_and_repair(std::vector<ParityFunc>& best,
                      const Algorithm1Options& opts, Algorithm1Stats* stats,
                      const SolverContext& ctx) {
   RowSet check(table);
-  seed_verification_sample(check, table, opts.verify_sample_cap);
+  seed_verification_sample(check, table);
   bool improved = true;
   while (improved && best.size() > 1) {
     improved = false;

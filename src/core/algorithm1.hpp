@@ -19,16 +19,10 @@ namespace ced::core {
 struct Algorithm1Options {
   /// ITER of the paper: rounding attempts per LP solution.
   int iter = 40;
-  /// Delayed row generation: number of table rows in the initial LP (the
-  /// hardest rows — fewest detecting bits — are chosen first). The full
-  /// table is always used for the exact Statement-4 feasibility check.
-  int lp_sample_rows = 48;
-  /// Rounds of adding violated rows and re-solving.
+  /// Rounds of adding violated rows and re-solving (delayed row
+  /// generation: the initial LP holds the 48 hardest rows, and each round
+  /// adds up to 48 more).
   int row_rounds = 4;
-  /// Roundings are screened against a sample of at most this many rows;
-  /// a full exact Statement-4 check runs only on screen-passing candidates
-  /// (and teaches the sample any rows it missed).
-  std::size_t verify_sample_cap = 20'000;
   /// Hill-climb repair of the best near-miss rounding before giving up on
   /// one q (practical extension; disable for a paper-faithful solver).
   bool repair = true;

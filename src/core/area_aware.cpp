@@ -6,6 +6,12 @@
 #include "core/rng.hpp"
 
 namespace ced::core {
+namespace {
+
+/// Local-search sweeps over (tree, bit) flip moves.
+constexpr int kPasses = 2;
+
+}  // namespace
 
 AreaAwareResult minimize_parity_area(const fsm::FsmCircuit& circuit,
                                      const DetectabilityTable& table,
@@ -26,7 +32,7 @@ AreaAwareResult minimize_parity_area(const fsm::FsmCircuit& circuit,
   Rng rng(opts.seed);
   const int n = table.num_bits;
 
-  for (int pass = 0; pass < opts.passes; ++pass) {
+  for (int pass = 0; pass < kPasses; ++pass) {
     bool improved = false;
     for (std::size_t t = 0; t < res.parities.size(); ++t) {
       // Visit bits in a random order so successive passes explore

@@ -13,8 +13,6 @@ struct AreaAwareOptions {
   /// real post-synthesis CED area, not an estimate).
   CedSynthOptions ced;
   logic::CellLibrary library = logic::CellLibrary::mcnc();
-  /// Local-search sweeps over (tree, bit) flip moves.
-  int passes = 2;
   /// Hard budget on full cost evaluations (each one synthesizes the
   /// compaction trees, prediction logic and comparator).
   int max_evaluations = 120;

@@ -314,19 +314,6 @@ std::size_t CoverBatch::uncovered_count(std::span<const ParityFunc> betas) {
   return k_->num_rows() - k_->count(acc.data());
 }
 
-CoverBatch::Evaluation CoverBatch::evaluate_many(
-    std::span<const ParityFunc> betas) {
-  Evaluation ev;
-  ev.counts.assign(betas.size(), 0);
-  ev.bitmaps.assign(betas.size() * k_->num_words(), 0);
-  if (betas.empty() || k_->num_rows() == 0) return ev;
-  bitmaps(betas, ev.bitmaps.data());
-  for (std::size_t i = 0; i < betas.size(); ++i) {
-    ev.counts[i] = k_->count(ev.bitmaps.data() + i * k_->num_words());
-  }
-  return ev;
-}
-
 // ---------------------------------------------------------------------------
 // Condensation
 // ---------------------------------------------------------------------------

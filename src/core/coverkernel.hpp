@@ -212,15 +212,6 @@ class CoverBatch {
   /// CoverKernel::uncovered_count).
   std::size_t uncovered_count(std::span<const ParityFunc> betas);
 
-  struct Evaluation {
-    std::vector<std::size_t> counts;    ///< per beta
-    std::vector<std::uint64_t> bitmaps; ///< betas.size() * num_words()
-  };
-
-  /// Counts and bitmaps for the whole set in one blocked pass (plus one
-  /// popcount sweep over the produced bitmaps).
-  Evaluation evaluate_many(std::span<const ParityFunc> betas);
-
  private:
   /// Decomposes betas (masked to num_bits()) into the engine's bit-list
   /// form in owned scratch.

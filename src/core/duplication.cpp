@@ -5,8 +5,7 @@
 namespace ced::core {
 
 DuplicationReport duplication_baseline(const fsm::FsmCircuit& circuit,
-                                       const logic::CellLibrary& lib,
-                                       const logic::SynthOptions& synth) {
+                                       const logic::CellLibrary& lib) {
   // Rebuild the FSM logic from its minimized covers into a fresh netlist
   // (the duplicate), add inputs carrying the original machine's observable
   // bits, and compare.
@@ -23,7 +22,7 @@ DuplicationReport duplication_baseline(const fsm::FsmCircuit& circuit,
     obs_nets.push_back(dup.add_input("b" + std::to_string(i)));
   }
 
-  logic::SynthContext ctx(dup, synth);
+  logic::SynthContext ctx(dup);
   std::vector<std::uint32_t> dup_outs;
   for (const auto& cover : circuit.covers) {
     dup_outs.push_back(ctx.sop(cover, var_nets));

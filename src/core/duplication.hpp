@@ -17,7 +17,6 @@ struct DuplicationReport {
 };
 
 DuplicationReport duplication_baseline(const fsm::FsmCircuit& circuit,
-                                       const logic::CellLibrary& lib,
-                                       const logic::SynthOptions& synth = {});
+                                       const logic::CellLibrary& lib);
 
 }  // namespace ced::core

@@ -10,6 +10,10 @@
 namespace ced::core {
 namespace {
 
+/// Random restarts per selected parity function (in addition to the
+/// deterministic single-bit and all-ones starting points).
+constexpr int kRestarts = 8;
+
 /// Hill-climbs `beta` over single-bit flips to maximize coverage of the
 /// kernel's rows; returns the final beta and its coverage. Deterministic
 /// given the start point. All n flip-neighbors are probed in one blocked
@@ -66,7 +70,7 @@ void cover_subset(const DetectabilityTable& table, const GreedyOptions& opts,
 
     for (int j = 0; j < n; ++j) consider(std::uint64_t{1} << j);
     consider(mask);
-    for (int t = 0; t < opts.restarts; ++t) consider(rng.next() & mask);
+    for (int t = 0; t < kRestarts; ++t) consider(rng.next() & mask);
 
     if (best_cov == 0) {
       // Should be impossible: every case's first word is nonzero, and a

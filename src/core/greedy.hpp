@@ -11,9 +11,6 @@ namespace ced::core {
 
 /// Options for the greedy / local-search baseline solver.
 struct GreedyOptions {
-  /// Random restarts per selected parity function (in addition to the
-  /// deterministic single-bit and all-ones starting points).
-  int restarts = 8;
   /// Candidate search runs on at most this many still-uncovered cases at a
   /// time; the final solution is always verified (and extended) against the
   /// full table, so sampling affects only speed/quality, never coverage.

@@ -5,6 +5,7 @@
 
 #include "common/parallel.hpp"
 #include "logic/factor.hpp"
+#include "logic/minimize.hpp"
 #include "logic/opt.hpp"
 #include "sim/fault_sim.hpp"
 
@@ -63,24 +64,14 @@ const CedHardware& CedSynthesizer::synthesize(
   // of (input, present state). Each predictor is specified and minimized
   // on its own, so they run in parallel; the netlist is built serially
   // below, in mask order.
-  struct Predictor {
-    logic::Cover cover;
-    logic::FactorNode factored;  ///< when opts_.factor
-  };
-  std::vector<Predictor> preds(parities.size());
+  std::vector<logic::FactorNode> preds(parities.size());
   parallel_for(threads_, parities.size(), [&](std::size_t l) {
     logic::SopSpec spec(r_ + s_);
     spec.dc = dc_;
     for (const GoldenRow& row : rows_) {
       if (std::popcount(parities[l] & row.response) & 1) spec.on.set(row.alpha);
     }
-    Predictor& pred = preds[l];
-    pred.cover = opts_.minimizer == fsm::MinimizerKind::kExact
-                     ? logic::minimize_exact(spec)
-                     : (opts_.minimizer == fsm::MinimizerKind::kNone
-                            ? logic::cover_from_on_set(spec)
-                            : logic::minimize_espresso(spec));
-    if (opts_.factor) pred.factored = logic::factor_cover(pred.cover);
+    preds[l] = logic::factor_cover(logic::minimize_espresso(spec));
   });
 
   CedHardware hw;
@@ -103,7 +94,7 @@ const CedHardware& CedSynthesizer::synthesize(
     obs_nets.push_back(nl.add_input("b" + std::to_string(i)));
   }
 
-  logic::SynthContext ctx(nl, opts_.synth);
+  logic::SynthContext ctx(nl);
 
   // --- Compaction: one XOR tree per parity function.
   std::vector<std::uint32_t> compact_nets;
@@ -119,10 +110,8 @@ const CedHardware& CedSynthesizer::synthesize(
   std::vector<std::uint32_t> pred_vars = in_nets;
   pred_vars.insert(pred_vars.end(), st_nets.begin(), st_nets.end());
   std::vector<std::uint32_t> pred_nets;
-  for (const Predictor& pred : preds) {
-    pred_nets.push_back(
-        opts_.factor ? logic::synthesize_factor(ctx, pred.factored, pred_vars)
-                     : ctx.sop(pred.cover, pred_vars));
+  for (const logic::FactorNode& pred : preds) {
+    pred_nets.push_back(logic::synthesize_factor(ctx, pred, pred_vars));
   }
 
   // --- Comparator over the held values.
@@ -168,9 +157,7 @@ const CedHardware& CedSynthesizer::synthesize(
     const std::uint32_t error_net = ctx.comparator(compact_nets, pred_nets);
     nl.mark_output(error_net, "error");
   }
-  if (opts_.optimize) {
-    hw.checker = logic::optimize_netlist(hw.checker);
-  }
+  hw.checker = logic::optimize_netlist(hw.checker);
   hw_ = std::move(hw);
   return *hw_;
 }

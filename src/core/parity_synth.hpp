@@ -11,16 +11,14 @@
 
 namespace ced::core {
 
+/// What the Fig. 3 checker is: its predictors' specification and its
+/// comparator's interface. How it is implemented is fixed: every
+/// predictor is minimized (Espresso), factored and mapped like the FSM
+/// logic (fsm::synthesize_fsm), and the finished checker is optimized.
 struct CedSynthOptions {
-  fsm::MinimizerKind minimizer = fsm::MinimizerKind::kEspresso;
-  logic::SynthOptions synth;
   /// Treat unreachable state codes as don't-cares when minimizing the
   /// prediction logic (sound: the fault-free machine never visits them).
   bool dc_unreachable = true;
-  /// Factor the prediction covers into multilevel logic before mapping.
-  bool factor = true;
-  /// Run the netlist optimizer on the finished checker.
-  bool optimize = true;
   /// Build the comparator as a tree of two-rail checker cells (the
   /// totally-self-checking comparator style of the paper's ref [8],
   /// Bolchini et al.) instead of a plain XOR/OR tree. The checker then

@@ -199,7 +199,7 @@ std::vector<ParityFunc> select_parities_resilient(
 }
 
 Design derive_design(const fsm::Fsm& f, const PipelineOptions& opts) {
-  Design d{fsm::synthesize_fsm(f, opts.encoding, opts.synth), {}};
+  Design d{fsm::synthesize_fsm(f, opts.encoding), {}};
   d.faults = sim::enumerate_stuck_at(d.circuit.netlist, opts.faults);
   return d;
 }

@@ -34,6 +34,7 @@ inline constexpr NameTable<SolverKind, 3> kSolverNames{{
 
 struct PipelineOptions {
   fsm::EncodingKind encoding = fsm::EncodingKind::kBinary;
+  /// Empty: FSM synthesis has nothing to set (fsm/synthesize.hpp).
   fsm::FsmSynthOptions synth;
   int latency = 1;
   SolverKind solver = SolverKind::kLpRounding;
@@ -51,7 +52,9 @@ struct PipelineOptions {
   /// and `algo`). The policy is installed ambiently around the run, so
   /// every stage and worker thread sees it. Results (tables, parities, CED
   /// hardware) are identical under every thread count on non-truncated
-  /// runs; only wall-clock changes.
+  /// runs, except for a no-store table that degrades (without an archive
+  /// the extraction shards are the threads; DESIGN.md §7, "Known
+  /// defect"); otherwise only wall-clock changes.
   ExecPolicy exec;
   /// Resource budget for the whole run. When any valve trips, stages
   /// degrade (exact -> LP+RR -> greedy -> duplication-style floor; table
@@ -141,7 +144,7 @@ struct Design {
   std::vector<sim::StuckAtFault> faults;
 };
 
-/// Synthesizes `f` under opts.encoding and opts.synth and enumerates its
+/// Synthesizes `f` under opts.encoding and enumerates its
 /// faults under opts.faults. The pipeline derives its design here, so a
 /// caller holding the run's options proves, keys and costs the circuit the
 /// run extracted from.

@@ -21,14 +21,16 @@ std::string RunConfig::digest() const {
   d.absorb(static_cast<std::uint64_t>(o.latency));
   d.absorb(static_cast<std::uint64_t>(o.solver));
   d.absorb(std::uint64_t{1});  // condensation, always on: keeps old digests
-  // Synthesis shaping (front end and CED back end).
-  d.absorb(static_cast<std::uint64_t>(o.synth.minimizer));
-  d.absorb(std::uint64_t{o.synth.factor ? 1u : 0u});
-  d.absorb(std::uint64_t{o.synth.optimize ? 1u : 0u});
-  d.absorb(static_cast<std::uint64_t>(o.ced.minimizer));
+  // Synthesis shaping (front end and CED back end). Synthesis has one
+  // path; the constants are the words its former knobs absorbed on it,
+  // which keeps old digests.
+  d.absorb(std::uint64_t{0});  // FSM minimizer: Espresso
+  d.absorb(std::uint64_t{1});  // FSM covers factored
+  d.absorb(std::uint64_t{1});  // FSM netlist optimized
+  d.absorb(std::uint64_t{0});  // checker minimizer: Espresso
   d.absorb(std::uint64_t{o.ced.dc_unreachable ? 1u : 0u});
-  d.absorb(std::uint64_t{o.ced.factor ? 1u : 0u});
-  d.absorb(std::uint64_t{o.ced.optimize ? 1u : 0u});
+  d.absorb(std::uint64_t{1});  // checker predictors factored
+  d.absorb(std::uint64_t{1});  // checker netlist optimized
   d.absorb(std::uint64_t{o.ced.two_rail ? 1u : 0u});
   // Fault model + extraction shaping.
   d.absorb(std::uint64_t{o.faults.collapse ? 1u : 0u});
@@ -39,16 +41,16 @@ std::string RunConfig::digest() const {
   d.absorb(static_cast<std::uint64_t>(o.checkpoint_shards));
   // Solver knobs (Algorithm 1, exact, greedy, LP).
   d.absorb(static_cast<std::uint64_t>(o.algo.iter));
-  d.absorb(static_cast<std::uint64_t>(o.algo.lp_sample_rows));
+  d.absorb(std::uint64_t{48});  // LP sample rows, a constant: keeps old digests
   d.absorb(static_cast<std::uint64_t>(o.algo.row_rounds));
-  d.absorb(static_cast<std::uint64_t>(o.algo.verify_sample_cap));
+  d.absorb(std::uint64_t{20'000});  // verify sample cap, likewise
   d.absorb(std::uint64_t{o.algo.repair ? 1u : 0u});
   d.absorb(std::uint64_t{o.algo.post_optimize ? 1u : 0u});
   d.absorb(std::uint64_t{0});  // Statement-5 LP, never used: keeps old digests
   d.absorb(o.algo.seed);
   d.absorb(static_cast<std::uint64_t>(o.algo.lp.max_iterations));
   d.absorb(o.algo.lp.eps);
-  d.absorb(static_cast<std::uint64_t>(o.algo.greedy.restarts));
+  d.absorb(std::uint64_t{8});  // greedy restarts, likewise
   d.absorb(static_cast<std::uint64_t>(o.algo.greedy.sample_cap));
   d.absorb(o.algo.greedy.seed);
   d.absorb(static_cast<std::uint64_t>(o.exact.max_bits));
@@ -166,8 +168,9 @@ Result<RunConfig> RunConfig::Builder::build() const {
     return invalid("algo.iter (rounding attempts per LP solution) must be "
                    ">= 1, got " + std::to_string(o.algo.iter));
   }
-  if (o.algo.lp_sample_rows < 1 || o.algo.row_rounds < 1) {
-    return invalid("algo.lp_sample_rows and algo.row_rounds must be >= 1");
+  if (o.algo.row_rounds < 1) {
+    return invalid("algo.row_rounds must be >= 1, got " +
+                   std::to_string(o.algo.row_rounds));
   }
   if (o.exact.max_bits < 1 || o.exact.max_bits > 64) {
     return invalid("exact.max_bits out of range [1, 64], got " +

@@ -41,10 +41,12 @@ class RunConfig {
   /// Stable 32-hex-char fingerprint of every result-shaping knob (solver,
   /// latency, budget, extraction shaping, seeds, shard partition).
   /// Deliberately EXCLUDES pure execution knobs — the thread count,
-  /// archive binding, resume, and the obs sinks — which never change q or
-  /// the selected parities; two runs with equal digests and equal inputs
-  /// produce the same scheme, so requests differing only in thread count
-  /// dedup onto one cache entry.
+  /// archive binding, resume, and the obs sinks — which change neither q
+  /// nor the selected parities, except that the thread count sets the
+  /// shard partition of a no-store run and so moves a table that degrades
+  /// (DESIGN.md §7, "Known defect"). Two runs with equal digests and equal
+  /// inputs produce the same scheme apart from that, so requests differing
+  /// only in thread count dedup onto one cache entry.
   /// Recorded in the run manifest.
   std::string digest() const;
 
@@ -58,9 +60,10 @@ class RunConfig {
 };
 
 /// Fluent builder. Setters cover the knobs callers actually vary; tune()
-/// is the escape hatch for deep fields (LP iteration caps, synthesis
-/// options, fault-model flags) so the full PipelineOptions surface stays
-/// reachable without one builder method per leaf field.
+/// is the escape hatch for deep fields (LP iteration caps, the checker's
+/// don't-cares and two-rail comparator, fault-model flags) so the full
+/// PipelineOptions surface stays reachable without one builder method per
+/// leaf field.
 class RunConfig::Builder {
  public:
   Builder() = default;
@@ -73,8 +76,9 @@ class RunConfig::Builder {
   Builder& semantics(core::DiffSemantics s);
   /// Worker threads for the run (ExecPolicy::threads, common/exec.hpp):
   /// 0 defers to the CED_THREADS environment variable, then to the
-  /// hardware concurrency. Never part of digest() — the thread count
-  /// cannot change results.
+  /// hardware concurrency. Never part of digest(): the thread count
+  /// changes no result except a no-store table that degrades (DESIGN.md
+  /// §7, "Known defect").
   Builder& threads(int n);
   Builder& seed(std::uint64_t s);
 

@@ -1,26 +1,12 @@
 #include "fsm/synthesize.hpp"
 
 #include "logic/factor.hpp"
+#include "logic/minimize.hpp"
 #include "logic/opt.hpp"
 
 namespace ced::fsm {
-namespace {
 
-logic::Cover run_minimizer(const logic::SopSpec& spec, MinimizerKind kind) {
-  switch (kind) {
-    case MinimizerKind::kEspresso:
-      return logic::minimize_espresso(spec);
-    case MinimizerKind::kExact:
-      return logic::minimize_exact(spec);
-    case MinimizerKind::kNone:
-      return logic::cover_from_on_set(spec);
-  }
-  return logic::Cover(spec.num_vars);
-}
-
-}  // namespace
-
-FsmCircuit synthesize_fsm(const EncodedFsm& enc, const FsmSynthOptions& opts) {
+FsmCircuit synthesize_fsm(const EncodedFsm& enc, const FsmSynthOptions&) {
   FsmCircuit c;
   c.enc = enc;
 
@@ -32,29 +18,21 @@ FsmCircuit synthesize_fsm(const EncodedFsm& enc, const FsmSynthOptions& opts) {
     var_nets.push_back(c.netlist.add_input("st" + std::to_string(i)));
   }
 
-  logic::SynthContext ctx(c.netlist, opts.synth);
-  auto emit = [&](logic::Cover cover, const std::string& name) {
-    std::uint32_t net;
-    if (opts.factor) {
-      net = logic::synthesize_factor(ctx, logic::factor_cover(cover),
-                                     var_nets);
-    } else {
-      net = ctx.sop(cover, var_nets);
-    }
-    c.netlist.mark_output(net, name);
+  logic::SynthContext ctx(c.netlist);
+  auto emit = [&](const logic::SopSpec& spec, const std::string& name) {
+    logic::Cover cover = logic::minimize_espresso(spec);
+    c.netlist.mark_output(
+        logic::synthesize_factor(ctx, logic::factor_cover(cover), var_nets),
+        name);
     c.covers.push_back(std::move(cover));
   };
   for (int b = 0; b < enc.num_state_bits; ++b) {
-    emit(run_minimizer(enc.next_state[b], opts.minimizer),
-         "ns" + std::to_string(b));
+    emit(enc.next_state[b], "ns" + std::to_string(b));
   }
   for (int b = 0; b < enc.num_outputs; ++b) {
-    emit(run_minimizer(enc.outputs[b], opts.minimizer),
-         "out" + std::to_string(b));
+    emit(enc.outputs[b], "out" + std::to_string(b));
   }
-  if (opts.optimize) {
-    c.netlist = logic::optimize_netlist(c.netlist);
-  }
+  c.netlist = logic::optimize_netlist(c.netlist);
   return c;
 }
 

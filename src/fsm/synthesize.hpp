@@ -2,29 +2,15 @@
 
 #include "fsm/encoded.hpp"
 #include "logic/area.hpp"
-#include "logic/minimize.hpp"
+#include "logic/cover.hpp"
 #include "logic/netlist.hpp"
-#include "logic/synth.hpp"
 
 namespace ced::fsm {
 
-/// Which two-level minimizer to run on each next-state/output function.
-enum class MinimizerKind {
-  kEspresso,  ///< heuristic (default)
-  kExact,     ///< Quine-McCluskey + branch-and-bound (small functions only)
-  kNone,      ///< raw minterm covers (testing/baselines)
-};
-
-struct FsmSynthOptions {
-  MinimizerKind minimizer = MinimizerKind::kEspresso;
-  logic::SynthOptions synth;
-  /// Algebraically factor each minimized cover before mapping (multilevel
-  /// logic instead of flat SOP; much closer to SIS-mapped gate counts).
-  bool factor = true;
-  /// Run the netlist optimizer (constant folding, structural hashing,
-  /// dead-logic sweep) after mapping.
-  bool optimize = true;
-};
+/// FSM synthesis has one flow (synthesize_fsm) and nothing to set. The
+/// empty type stays only because perfbench passes PipelineOptions::synth
+/// to synthesize_fsm; it goes with the next change to perfbench.
+struct FsmSynthOptions {};
 
 /// The synthesized FSM: encoded specification plus the combinational
 /// next-state/output netlist.
@@ -64,8 +50,9 @@ struct FsmCircuit {
   }
 };
 
-/// Minimizes every next-state/output function of `enc` and maps the result
-/// onto a shared-literal two-level netlist.
+/// Minimizes every next-state/output function of `enc` (Espresso),
+/// factors each cover into multilevel logic, maps it onto gates at most
+/// logic::kMaxFanin wide with shared literals, and optimizes the netlist.
 FsmCircuit synthesize_fsm(const EncodedFsm& enc,
                           const FsmSynthOptions& opts = {});
 

@@ -10,7 +10,7 @@ const CellLibrary& CellLibrary::mcnc() {
 }
 
 double CellLibrary::gate_area(GateType type, int fanin) const {
-  if (fanin > max_fanin) {
+  if (fanin > kMaxFanin) {
     throw std::invalid_argument("gate wider than library max fan-in");
   }
   const double extra = per_extra_fanin * static_cast<double>(fanin > 2 ? fanin - 2 : 0);

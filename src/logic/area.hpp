@@ -5,9 +5,9 @@
 namespace ced::logic {
 
 /// A standard-cell area model in the spirit of the MCNC `mcnc.genlib`
-/// library that SIS maps to. Areas are in normalized units (inverter = 1.0);
-/// gates wider than max_fanin are costed as balanced trees of max_fanin
-/// cells, mirroring what the synthesizer emits.
+/// library that SIS maps to. Areas are in normalized units (inverter = 1.0).
+/// Cells take at most kMaxFanin inputs; gate_area throws for a wider gate,
+/// which the synthesizer never emits (it builds trees of kMaxFanin cells).
 struct CellLibrary {
   double inv = 1.0;
   double buf = 1.0;
@@ -18,9 +18,8 @@ struct CellLibrary {
   double xor2 = 2.5;
   double xnor2 = 2.5;
   double dff = 4.5;
-  /// Extra area per fan-in beyond 2 (wider cells up to max_fanin).
+  /// Extra area per fan-in beyond 2 (wider cells up to kMaxFanin).
   double per_extra_fanin = 0.5;
-  int max_fanin = 4;
 
   /// The default library used across the experiments.
   static const CellLibrary& mcnc();

@@ -85,12 +85,4 @@ void for_each_minterm(const Cube& c, int num_vars, Fn&& fn) {
   }
 }
 
-struct CubeHash {
-  std::size_t operator()(const Cube& c) const {
-    std::uint64_t h = c.care * 0x9e3779b97f4a7c15ull;
-    h ^= c.val + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    return static_cast<std::size_t>(h);
-  }
-};
-
 }  // namespace ced::logic

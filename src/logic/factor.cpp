@@ -131,40 +131,6 @@ FactorNode factor_cover(const Cover& cover) {
   return factor_rec(cover.cubes(), cover.num_vars());
 }
 
-int factor_literal_count(const FactorNode& node) {
-  switch (node.kind) {
-    case FactorNode::Kind::kConst:
-      return 0;
-    case FactorNode::Kind::kLiteral:
-      return 1;
-    default: {
-      int n = 0;
-      for (const auto& c : node.children) n += factor_literal_count(c);
-      return n;
-    }
-  }
-}
-
-bool factor_evaluate(const FactorNode& node, std::uint64_t assignment) {
-  switch (node.kind) {
-    case FactorNode::Kind::kConst:
-      return node.value;
-    case FactorNode::Kind::kLiteral:
-      return (((assignment >> node.var) & 1) != 0) == node.positive;
-    case FactorNode::Kind::kAnd:
-      for (const auto& c : node.children) {
-        if (!factor_evaluate(c, assignment)) return false;
-      }
-      return true;
-    case FactorNode::Kind::kOr:
-      for (const auto& c : node.children) {
-        if (factor_evaluate(c, assignment)) return true;
-      }
-      return false;
-  }
-  return false;
-}
-
 std::uint32_t synthesize_factor(SynthContext& ctx, const FactorNode& node,
                                 std::span<const std::uint32_t> var_nets) {
   switch (node.kind) {

@@ -42,13 +42,6 @@ struct FactorNode {
 /// computes exactly the same function as the SOP.
 FactorNode factor_cover(const Cover& cover);
 
-/// Number of literal leaves of a factored form (the standard multilevel
-/// cost estimate).
-int factor_literal_count(const FactorNode& node);
-
-/// Evaluates the factored form on a complete assignment (testing aid).
-bool factor_evaluate(const FactorNode& node, std::uint64_t assignment);
-
 /// Synthesizes the factored form onto a netlist; `var_nets[i]` carries
 /// variable i. Returns the output net.
 std::uint32_t synthesize_factor(SynthContext& ctx, const FactorNode& node,

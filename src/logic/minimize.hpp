@@ -5,28 +5,13 @@
 
 namespace ced::logic {
 
-/// Options for the heuristic two-level minimizer.
-struct EspressoOptions {
-  /// Run the IRREDUNDANT pass after expansion.
-  bool irredundant = true;
-  /// Number of REDUCE/EXPAND refinement iterations after the first pass.
-  int refine_iterations = 1;
-};
-
 /// Heuristic two-level (SOP) minimization in the spirit of ESPRESSO:
 /// EXPAND each ON minterm against the OFF-set, skip minterms already
-/// covered, then IRREDUNDANT and an optional REDUCE/EXPAND refinement.
+/// covered, then IRREDUNDANT and one REDUCE/EXPAND/IRREDUNDANT
+/// refinement, kept only when it shrinks the cover.
 ///
 /// The result always implements `spec` exactly (covers ON, avoids OFF);
 /// don't-cares are exploited during expansion. Deterministic.
-Cover minimize_espresso(const SopSpec& spec, const EspressoOptions& opts = {});
-
-/// Exact two-level minimization (Quine-McCluskey prime generation followed
-/// by branch-and-bound minimum cover). Guards `spec.num_vars <= 14`;
-/// intended for small functions and for validating the heuristic.
-Cover minimize_exact(const SopSpec& spec);
-
-/// The trivial one-cube-per-ON-minterm cover (baseline / test helper).
-Cover cover_from_on_set(const SopSpec& spec);
+Cover minimize_espresso(const SopSpec& spec);
 
 }  // namespace ced::logic

@@ -24,6 +24,11 @@ enum class GateType : std::uint8_t {
   kXnor,
 };
 
+/// The widest gate of the target cell library: SynthContext builds wider
+/// functions as trees of gates at most this wide, and CellLibrary costs
+/// gates up to it.
+inline constexpr int kMaxFanin = 4;
+
 /// One gate instance. Fan-ins refer to earlier gate ids (the netlist is
 /// topologically ordered by construction).
 struct Gate {

@@ -55,9 +55,8 @@ struct GateKeyHash {
 
 class Rewriter {
  public:
-  Rewriter(const Netlist& src, const OptimizeOptions& opts,
-           OptimizeStats* stats)
-      : src_(src), opts_(opts), stats_(stats) {}
+  Rewriter(const Netlist& src, OptimizeStats* stats)
+      : src_(src), stats_(stats) {}
 
   Netlist run() {
     mark_live();
@@ -94,7 +93,7 @@ class Rewriter {
   }
 
   void mark_live() {
-    live_.assign(src_.num_nets(), !opts_.sweep_dead);
+    live_.assign(src_.num_nets(), false);
     std::vector<std::uint32_t> stack(src_.outputs());
     for (auto o : stack) live_[o] = true;
     while (!stack.empty()) {
@@ -127,15 +126,13 @@ class Rewriter {
       std::sort(fanins.begin(), fanins.end());
     }
     const auto key = std::make_pair(type, fanins);
-    if (opts_.structural_hash) {
-      auto it = strash_.find(key);
-      if (it != strash_.end()) {
-        bump(stats_ ? &stats_->merged : nullptr);
-        return it->second;
-      }
+    auto it = strash_.find(key);
+    if (it != strash_.end()) {
+      bump(stats_ ? &stats_->merged : nullptr);
+      return it->second;
     }
     const std::uint32_t id = out_.add_gate(type, std::move(fanins));
-    if (opts_.structural_hash) strash_.emplace(key, id);
+    strash_.emplace(key, id);
     return id;
   }
 
@@ -149,12 +146,8 @@ class Rewriter {
         bump(stats_ ? &stats_->folded : nullptr);
         return repl_[g.fanins[0]];
       case GateType::kNot:
-        if (opts_.collapse_unary) {
-          bump(stats_ ? &stats_->folded : nullptr);
-          return repl_[g.fanins[0]].negated();
-        }
-        return Repl::wire(strash(GateType::kNot,
-                                 {materialize(repl_[g.fanins[0]])}));
+        bump(stats_ ? &stats_->folded : nullptr);
+        return repl_[g.fanins[0]].negated();
       case GateType::kAnd:
       case GateType::kNand:
         return rewrite_andor(g, /*is_and=*/true,
@@ -178,10 +171,6 @@ class Rewriter {
     for (auto f : g.fanins) {
       const Repl& r = repl_[f];
       if (r.is_const) {
-        if (!opts_.fold_constants) {
-          lits.emplace_back(materialize(r), false);
-          continue;
-        }
         if (r.const_val == is_and) continue;  // identity element
         // Dominating constant.
         bump(stats_ ? &stats_->folded : nullptr);
@@ -252,7 +241,6 @@ class Rewriter {
   }
 
   const Netlist& src_;
-  const OptimizeOptions& opts_;
   OptimizeStats* stats_;
   Netlist out_;
   std::vector<Repl> repl_;
@@ -263,15 +251,14 @@ class Rewriter {
 
 }  // namespace
 
-Netlist optimize_netlist(const Netlist& n, const OptimizeOptions& opts,
-                         OptimizeStats* stats) {
+Netlist optimize_netlist(const Netlist& n, OptimizeStats* stats) {
   if (stats) *stats = OptimizeStats{};
-  Netlist out = Rewriter(n, opts, stats).run();
+  Netlist out = Rewriter(n, stats).run();
   // Folding can orphan logic whose liveness was decided before the fold;
   // iterate until the gate count stabilizes (usually one extra pass).
   for (int pass = 0; pass < 4; ++pass) {
     OptimizeStats extra;
-    Netlist next = Rewriter(out, opts, &extra).run();
+    Netlist next = Rewriter(out, &extra).run();
     if (next.gate_count() == out.gate_count()) break;
     if (stats) {
       stats->folded += extra.folded;

@@ -4,14 +4,6 @@
 
 namespace ced::logic {
 
-/// Options for the netlist clean-up optimizer.
-struct OptimizeOptions {
-  bool fold_constants = true;   ///< constant propagation through gates
-  bool structural_hash = true;  ///< merge structurally identical gates
-  bool collapse_unary = true;   ///< drop buffers, fold NOT(NOT(x))
-  bool sweep_dead = true;       ///< remove logic unreachable from outputs
-};
-
 /// Statistics of one optimization run.
 struct OptimizeStats {
   std::size_t gates_before = 0;
@@ -29,7 +21,6 @@ struct OptimizeStats {
 /// duplicate-fan-in simplification, buffer/double-inverter collapsing,
 /// structural hashing (one gate per (type, fan-in multiset)), and a final
 /// dead-logic sweep.
-Netlist optimize_netlist(const Netlist& n, const OptimizeOptions& opts = {},
-                         OptimizeStats* stats = nullptr);
+Netlist optimize_netlist(const Netlist& n, OptimizeStats* stats = nullptr);
 
 }  // namespace ced::logic

@@ -28,8 +28,7 @@ std::uint32_t SynthContext::tree(GateType type,
   std::deque<std::uint32_t> q(nets.begin(), nets.end());
   while (q.size() > 1) {
     std::vector<std::uint32_t> group;
-    const int width = opts_.max_fanin;
-    for (int i = 0; i < width && !q.empty(); ++i) {
+    for (int i = 0; i < kMaxFanin && !q.empty(); ++i) {
       group.push_back(q.front());
       q.pop_front();
     }

@@ -10,24 +10,14 @@
 
 namespace ced::logic {
 
-/// Options for structural synthesis.
-struct SynthOptions {
-  /// Maximum fan-in of any emitted gate; wider functions become trees.
-  int max_fanin = 4;
-};
-
 /// Incremental builder of gate structures on a netlist with literal sharing.
 ///
 /// Inverters and constants are cached so multiple SOP outputs synthesized
 /// through the same context share complemented literals, as a multi-output
-/// two-level mapper would.
+/// two-level mapper would. Gate trees are at most kMaxFanin wide.
 class SynthContext {
  public:
-  explicit SynthContext(Netlist& nl, SynthOptions opts = {})
-      : nl_(nl), opts_(opts) {}
-
-  Netlist& netlist() { return nl_; }
-  const SynthOptions& options() const { return opts_; }
+  explicit SynthContext(Netlist& nl) : nl_(nl) {}
 
   /// Shared constant net.
   std::uint32_t constant(bool v);
@@ -55,7 +45,6 @@ class SynthContext {
                      bool empty_value);
 
   Netlist& nl_;
-  SynthOptions opts_;
   std::unordered_map<std::uint32_t, std::uint32_t> inverter_cache_;
   std::int64_t const_net_[2] = {-1, -1};
 };

@@ -11,20 +11,4 @@ TruthTable::TruthTable(int num_vars) : num_vars_(num_vars) {
   bits_ = BitVec(std::size_t{1} << num_vars);
 }
 
-bool cover_implements(const Cover& cover, const SopSpec& spec) {
-  if (cover.num_vars() != spec.num_vars) return false;
-  // No cube may touch the OFF-set.
-  const BitVec off = spec.off();
-  BitVec covered(std::size_t{1} << spec.num_vars);
-  for (const auto& cube : cover.cubes()) {
-    bool bad = false;
-    for_each_minterm(cube, spec.num_vars, [&](std::uint64_t m) {
-      if (off.test(m)) bad = true;
-      covered.set(m);
-    });
-    if (bad) return false;
-  }
-  return spec.on.is_subset_of(covered);
-}
-
 }  // namespace ced::logic

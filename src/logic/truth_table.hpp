@@ -3,7 +3,6 @@
 #include <cstdint>
 
 #include "logic/bitvec.hpp"
-#include "logic/cover.hpp"
 
 namespace ced::logic {
 
@@ -37,7 +36,7 @@ class TruthTable {
 
 /// An incompletely specified single-output function: ON-set and DC-set as
 /// minterm bit sets of size 2^num_vars (the OFF-set is the complement of
-/// their union). This is the interchange format consumed by the minimizers.
+/// their union). This is the interchange format consumed by the minimizer.
 struct SopSpec {
   int num_vars = 0;
   BitVec on;
@@ -54,9 +53,5 @@ struct SopSpec {
     return ~o;
   }
 };
-
-/// True if `cover` is a valid implementation of `spec`:
-/// it covers every ON minterm and touches no OFF minterm.
-bool cover_implements(const Cover& cover, const SopSpec& spec);
 
 }  // namespace ced::logic

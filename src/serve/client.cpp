@@ -80,7 +80,7 @@ Result<Response> Client::call_once(const Request& req) {
     return sent;
   }
   std::string payload;
-  const FrameStatus fs = read_frame(fd_, payload, opts_.max_frame_bytes);
+  const FrameStatus fs = read_frame(fd_, payload, kDefaultMaxFrameBytes);
   if (fs != FrameStatus::kOk) {
     disconnect();
     return Status{StatusCode::kTruncated, Stage::kParse,

@@ -31,7 +31,6 @@ struct ClientOptions {
   std::uint64_t seed = 0x9e3779b97f4a7c15ull;
   /// Injectable sleep for tests; nullptr = std::this_thread::sleep_for.
   std::function<void(double ms)> sleep;
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
 };
 
 class Client {

@@ -280,7 +280,7 @@ void Server::metrics_http_loop() {
 void Server::conn_loop(int fd) {
   std::string payload;
   for (;;) {
-    const FrameStatus fs = read_frame(fd, payload, opts_.max_frame_bytes);
+    const FrameStatus fs = read_frame(fd, payload, kDefaultMaxFrameBytes);
     if (fs == FrameStatus::kClosed) break;
     if (fs == FrameStatus::kTorn) {
       registry_.add("ced_serve_torn_frames_total");
@@ -292,7 +292,7 @@ void Server::conn_loop(int fd) {
       write_frame(fd, encode_response(error_response(
                           Code::kInvalidInput,
                           "frame length prefix exceeds limit (" +
-                              std::to_string(opts_.max_frame_bytes) +
+                              std::to_string(kDefaultMaxFrameBytes) +
                               " bytes) or is zero")));
       break;
     }
@@ -360,7 +360,11 @@ std::string Server::dedup_key(const Request& req) const {
   // Identity = machine bytes + every result-shaping knob. The per-request
   // deadline is deliberately excluded (it shapes *timing*, not the ideal
   // answer); a shared result can still report degraded=true, which the
-  // response surfaces to every waiter.
+  // response surfaces to every waiter. The thread count is excluded on
+  // the same grounds as in RunConfig::digest(), with its one exception: a
+  // stateless daemon (no store) extracts on one shard per thread, so a
+  // table that degrades depends on the count of the request that ran
+  // (DESIGN.md §7, "Known defect").
   Digest128 d;
   d.absorb(std::string_view(req.op));
   d.absorb(std::string_view(req.kiss));

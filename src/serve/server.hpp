@@ -86,8 +86,6 @@ struct ServerOptions {
   /// interrupt valve (checkpoint-and-return).
   double drain_grace_s = 5.0;
 
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
-
   /// Chaos/test hooks (0 = off): injected latency before each job body
   /// and per checkpoint-shard persist. They widen race windows the chaos
   /// harness aims at (kill -9 mid-extraction, queue saturation) without

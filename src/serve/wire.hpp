@@ -11,8 +11,8 @@
 //   +----------------+---------------------+
 //
 // One request document per frame, one response document per frame. The
-// length prefix is bounded (kDefaultMaxFrameBytes unless overridden): a
-// prefix above the bound is rejected *before* any allocation, so a
+// length prefix is bounded (kDefaultMaxFrameBytes in the daemon and the
+// client): a prefix above the bound is rejected *before* any allocation, so a
 // malicious or corrupt 4-byte header cannot make the daemon reserve
 // gigabytes. Payloads must be valid UTF-8 and one complete JSON value;
 // anything else earns a structured kInvalidInput response, never a crash.

@@ -22,7 +22,7 @@ struct Harness {
 Harness harness_for(const std::string& name, int p) {
   const fsm::Fsm f =
       fsm::Fsm::from_kiss(kiss::parse(benchdata::handwritten_kiss(name)));
-  Harness s{fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary, {}), {}, {},
+  Harness s{fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary), {}, {},
             {}};
   s.faults = sim::enumerate_stuck_at(s.circuit.netlist);
   ExtractOptions opts;

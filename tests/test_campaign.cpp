@@ -679,7 +679,7 @@ TEST(FaultEnumeration, OrderIsCanonicalOnRealCircuits) {
   for (const char* name : {"dk16", "s386"}) {
     const fsm::FsmCircuit circuit =
         fsm::synthesize_fsm(benchdata::suite_fsm(name),
-                            fsm::EncodingKind::kBinary, {});
+                            fsm::EncodingKind::kBinary);
     const auto faults = enumerate_stuck_at(circuit.netlist);
     ASSERT_FALSE(faults.empty());
     for (std::size_t i = 1; i < faults.size(); ++i) {

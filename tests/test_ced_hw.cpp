@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <tuple>
+
 #include "benchdata/handwritten.hpp"
 #include "core/duplication.hpp"
 #include "kiss/kiss.hpp"
@@ -13,7 +16,7 @@ namespace {
 fsm::FsmCircuit circuit_for(const std::string& name) {
   const fsm::Fsm f =
       fsm::Fsm::from_kiss(kiss::parse(benchdata::handwritten_kiss(name)));
-  return fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary, {});
+  return fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary);
 }
 
 TEST(CedSynth, CompactionComputesChosenParities) {
@@ -59,26 +62,46 @@ TEST(CedSynth, PredictionMatchesGoldenParityOnReachable) {
   }
 }
 
-TEST(CedSynth, ErrorSignalExactlyFlagsParityMismatch) {
-  const fsm::FsmCircuit c = circuit_for("traffic");
-  const std::vector<ParityFunc> parities{0b11, 0b101};
-  const CedHardware hw = synthesize_ced(c, parities);
+// On every reachable transition of each hand-written machine, for both
+// comparator styles and with and without unreachable-state don't-cares,
+// the error bit rises exactly when some chosen parity of the observed
+// response differs from that of the fault-free response (Fig. 3).
+class CedSynthAgree : public ::testing::TestWithParam<
+                          std::tuple<const char*, bool, bool>> {};
+
+TEST_P(CedSynthAgree, ErrorSignalExactlyFlagsParityMismatch) {
+  const auto& [name, two_rail, dc_unreachable] = GetParam();
+  const fsm::FsmCircuit c = circuit_for(name);
+  const ParityFunc all = (ParityFunc{1} << c.n()) - 1;
+  const std::vector<ParityFunc> parities{
+      all, all & 0x5555555555555555ull, ParityFunc{1} << (c.n() - 1)};
+  CedSynthOptions opts;
+  opts.two_rail = two_rail;
+  opts.dc_unreachable = dc_unreachable;
+  const CedHardware hw = synthesize_ced(c, parities, opts);
+  EXPECT_EQ(hw.q, static_cast<int>(parities.size()));
+  EXPECT_EQ(hw.two_rail, two_rail);
+  EXPECT_EQ(hw.hold_registers, 2 * parities.size());
   for (std::uint64_t code : sim::reachable_codes(c, c.enc.reset_code)) {
     for (std::uint64_t a = 0; a < (std::uint64_t{1} << c.r()); ++a) {
       const std::uint64_t golden = c.eval(a, code);
-      for (std::uint64_t obs = 0; obs < (std::uint64_t{1} << c.n()); ++obs) {
+      for (std::uint64_t obs = 0; obs <= all; ++obs) {
         bool mismatch = false;
         for (ParityFunc beta : parities) {
-          if ((std::popcount(beta & obs) & 1) !=
-              (std::popcount(beta & golden) & 1)) {
-            mismatch = true;
-          }
+          mismatch |= (std::popcount(beta & (obs ^ golden)) & 1) != 0;
         }
-        EXPECT_EQ(hw.error_asserted(a, code, obs), mismatch);
+        ASSERT_EQ(hw.error_asserted(a, code, obs), mismatch)
+            << name << " code " << code << " input " << a << " obs " << obs;
       }
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Machines, CedSynthAgree,
+    ::testing::Combine(::testing::Values("seq_detect", "traffic", "vending",
+                                         "arbiter", "modulo5", "link_rx"),
+                       ::testing::Bool(), ::testing::Bool()));
 
 TEST(CedSynth, NoParitiesMeansNoChecking) {
   const fsm::FsmCircuit c = circuit_for("traffic");

@@ -20,7 +20,7 @@ struct Harness {
 Harness harness_for(const std::string& name) {
   const fsm::Fsm f =
       fsm::Fsm::from_kiss(kiss::parse(benchdata::handwritten_kiss(name)));
-  Harness h{fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary, {}), {}, {}};
+  Harness h{fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary), {}, {}};
   h.faults = sim::enumerate_stuck_at(h.circuit.netlist);
   ExtractOptions opts;
   opts.latency = 1;

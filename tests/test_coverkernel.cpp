@@ -75,7 +75,7 @@ std::size_t scalar_count(ParityFunc beta, const DetectabilityTable& t) {
 DetectabilityTable suite_table(const std::string& name, int p) {
   const fsm::Fsm f = benchdata::suite_fsm(name);
   const fsm::FsmCircuit c =
-      fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary, {});
+      fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary);
   const auto faults = sim::enumerate_stuck_at(c.netlist);
   ExtractOptions opts;
   opts.latency = p;

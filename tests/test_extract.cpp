@@ -20,7 +20,7 @@ namespace {
 fsm::FsmCircuit circuit_for(const std::string& name) {
   const fsm::Fsm f =
       fsm::Fsm::from_kiss(kiss::parse(benchdata::handwritten_kiss(name)));
-  return fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary, {});
+  return fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary);
 }
 
 TEST(Extract, EveryCaseStartsWithNonzeroDiff) {
@@ -320,7 +320,7 @@ TEST(Extract, DegradedTablesArePinnedAtOneAndFourThreads) {
   // down to single words.
   const PipelineOptions po;
   const fsm::FsmCircuit c = fsm::synthesize_fsm(
-      benchdata::suite_fsm("dk14"), po.encoding, po.synth);
+      benchdata::suite_fsm("dk14"), po.encoding);
   const auto faults = sim::enumerate_stuck_at(c.netlist, po.faults);
   struct Pin {
     int threads;

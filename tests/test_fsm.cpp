@@ -167,16 +167,14 @@ INSTANTIATE_TEST_SUITE_P(
                                          EncodingKind::kSpread)));
 
 // ---- Synthesized netlist agrees with the STG on every specified
-// transition (for all encodings and minimizers).
+// transition (for all encodings).
 
 class SynthAgree : public ::testing::TestWithParam<
-                       std::tuple<const char*, EncodingKind, MinimizerKind>> {};
+                       std::tuple<const char*, EncodingKind>> {};
 
 TEST_P(SynthAgree, NetlistImplementsStg) {
   const Fsm f = load(std::get<0>(GetParam()));
-  FsmSynthOptions opts;
-  opts.minimizer = std::get<2>(GetParam());
-  const FsmCircuit c = synthesize_fsm(f, std::get<1>(GetParam()), opts);
+  const FsmCircuit c = synthesize_fsm(f, std::get<1>(GetParam()));
   const std::uint64_t inputs = std::uint64_t{1} << f.num_inputs();
   for (int st = 0; st < f.num_states(); ++st) {
     const std::uint64_t code =
@@ -205,9 +203,8 @@ INSTANTIATE_TEST_SUITE_P(
                                          "arbiter", "modulo5", "link_rx"),
                        ::testing::Values(EncodingKind::kBinary,
                                          EncodingKind::kGray,
-                                         EncodingKind::kOneHot),
-                       ::testing::Values(MinimizerKind::kEspresso,
-                                         MinimizerKind::kNone)));
+                                         EncodingKind::kOneHot,
+                                         EncodingKind::kSpread)));
 
 // ---- STG analysis.
 

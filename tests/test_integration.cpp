@@ -106,7 +106,7 @@ TEST(EndToEndExtra, UsefulLatencyBoundsAreSane) {
   const fsm::Fsm f =
       fsm::Fsm::from_kiss(kiss::parse(benchdata::handwritten_kiss("traffic")));
   const fsm::FsmCircuit circuit =
-      fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary, {});
+      fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary);
   const auto faults = sim::enumerate_stuck_at(circuit.netlist);
   const LatencyAnalysis la = analyze_useful_latency(circuit, faults);
   EXPECT_EQ(la.shortest_loop_per_fault.size(), faults.size());
@@ -122,7 +122,7 @@ TEST(EndToEndExtra, DeliberatelyWeakCoverIsCaughtByVerifier) {
   const fsm::Fsm f =
       fsm::Fsm::from_kiss(kiss::parse(benchdata::handwritten_kiss("vending")));
   const fsm::FsmCircuit circuit =
-      fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary, {});
+      fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary);
   const auto faults = sim::enumerate_stuck_at(circuit.netlist);
   const std::vector<ParityFunc> weak{std::uint64_t{1}
                                      << (circuit.n() - 1)};
@@ -140,7 +140,7 @@ TEST(EndToEndExtra, MachineLevelCoverCanMissOnRealHardware) {
   const fsm::Fsm f =
       fsm::Fsm::from_kiss(kiss::parse(benchdata::handwritten_kiss("link_rx")));
   const fsm::FsmCircuit circuit =
-      fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary, {});
+      fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary);
   const auto faults = sim::enumerate_stuck_at(circuit.netlist);
 
   ExtractOptions impl;

@@ -162,10 +162,6 @@ TEST(KernelSimd, BatchMatchesPerCaseOracle) {
       EXPECT_EQ(batch.uncovered_count(betas),
                 t.cases.size() - popcount_all(want_union))
           << to_string(level);
-
-      const CoverBatch::Evaluation ev = batch.evaluate_many(betas);
-      EXPECT_EQ(ev.counts, got_counts) << to_string(level);
-      EXPECT_EQ(ev.bitmaps, got_bits) << to_string(level);
     }
   }
 }

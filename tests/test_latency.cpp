@@ -11,7 +11,7 @@ namespace {
 
 fsm::FsmCircuit circuit_for_text(const char* kiss_text) {
   const fsm::Fsm f = fsm::Fsm::from_kiss(kiss::parse(kiss_text));
-  return fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary, {});
+  return fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary);
 }
 
 fsm::FsmCircuit circuit_for(const std::string& name) {

@@ -532,7 +532,7 @@ SmallSuiteLps small_suite_lps(const char* name) {
   SmallSuiteLps s;
   s.q_max = ledger_q(name, kLatency);
   const fsm::FsmCircuit c = fsm::synthesize_fsm(
-      benchdata::suite_fsm(name), fsm::EncodingKind::kBinary, {});
+      benchdata::suite_fsm(name), fsm::EncodingKind::kBinary);
   core::ExtractOptions ex;
   ex.latency = kLatency;
   ex.threads = 1;

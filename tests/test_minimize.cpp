@@ -10,6 +10,7 @@
 
 #include "core/rng.hpp"
 #include "logic/truth_table.hpp"
+#include "oracle/minimize.hpp"
 
 namespace ced::logic {
 namespace {
@@ -96,7 +97,7 @@ void reduce(Cover& cover, const SopSpec& spec) {
   }
 }
 
-Cover minimize_espresso(const SopSpec& spec, const EspressoOptions& opts) {
+Cover minimize_espresso(const SopSpec& spec) {
   const BitVec off = spec.off();
   Cover cover(spec.num_vars);
   BitVec covered(spec.on.size());
@@ -109,21 +110,16 @@ Cover minimize_espresso(const SopSpec& spec, const EspressoOptions& opts) {
                      [&](std::uint64_t x) { covered.set(x); });
     cover.add(c);
   }
-  if (opts.irredundant) irredundant(cover, spec);
-  for (int it = 0; it < opts.refine_iterations; ++it) {
-    const std::size_t before = cover.size();
-    const int lits_before = cover.num_literals();
-    Cover refined = cover;
-    reduce(refined, spec);
-    for (auto& c : refined.cubes()) c = expand_cube(c, spec.num_vars, off);
-    refined.remove_contained_cubes();
-    irredundant(refined, spec);
-    if (refined.size() < before ||
-        (refined.size() == before && refined.num_literals() < lits_before)) {
-      cover = std::move(refined);
-    } else {
-      break;
-    }
+  irredundant(cover, spec);
+  Cover refined = cover;
+  reduce(refined, spec);
+  for (auto& c : refined.cubes()) c = expand_cube(c, spec.num_vars, off);
+  refined.remove_contained_cubes();
+  irredundant(refined, spec);
+  if (refined.size() < cover.size() ||
+      (refined.size() == cover.size() &&
+       refined.num_literals() < cover.num_literals())) {
+    return refined;
   }
   return cover;
 }
@@ -241,6 +237,16 @@ struct MinimizeCase {
   std::uint64_t seed;
 };
 
+// Names the case by its fields, so a test's name does not depend on the
+// struct's padding bytes.
+std::string minimize_name(const ::testing::TestParamInfo<MinimizeCase>& info) {
+  const MinimizeCase& c = info.param;
+  return "v" + std::to_string(c.vars) + "_on" +
+         std::to_string(std::lround(c.on_density * 100)) + "_dc" +
+         std::to_string(std::lround(c.dc_density * 100)) + "_s" +
+         std::to_string(c.seed);
+}
+
 class MinimizeProperty : public ::testing::TestWithParam<MinimizeCase> {};
 
 TEST_P(MinimizeProperty, EspressoImplementsSpec) {
@@ -264,6 +270,46 @@ TEST_P(MinimizeProperty, EspressoAtLeastExactSize) {
   EXPECT_LE(h.size(), 2 * e.size() + 1);
 }
 
+// EXPAND is the last step to touch a cube, so every cube is prime: dropping
+// any one of its literals reaches an OFF minterm.
+TEST_P(MinimizeProperty, EspressoCubesArePrime) {
+  const auto& pc = GetParam();
+  const SopSpec s = random_spec(pc.vars, pc.on_density, pc.dc_density, pc.seed);
+  const BitVec off = s.off();
+  const Cover c = minimize_espresso(s);
+  for (const Cube& cube : c.cubes()) {
+    for (int v = 0; v < s.num_vars; ++v) {
+      if (!(cube.care & (std::uint64_t{1} << v))) continue;
+      bool hits_off = false;
+      for_each_minterm(cube.without_literal(v), s.num_vars,
+                       [&](std::uint64_t m) { hits_off |= off.test(m); });
+      EXPECT_TRUE(hits_off) << cube.to_string(s.num_vars) << " drops var "
+                            << v;
+    }
+  }
+}
+
+// IRREDUNDANT runs last on whichever cover is kept, so every cube is the
+// only one covering some ON minterm.
+TEST_P(MinimizeProperty, EspressoCoverIsIrredundant) {
+  const auto& pc = GetParam();
+  const SopSpec s = random_spec(pc.vars, pc.on_density, pc.dc_density, pc.seed);
+  const Cover c = minimize_espresso(s);
+  const auto& cubes = c.cubes();
+  for (std::size_t i = 0; i < cubes.size(); ++i) {
+    bool needed = false;
+    for_each_minterm(cubes[i], s.num_vars, [&](std::uint64_t m) {
+      if (needed || !s.on.test(m)) return;
+      bool elsewhere = false;
+      for (std::size_t j = 0; j < cubes.size() && !elsewhere; ++j) {
+        elsewhere = j != i && cubes[j].contains(m);
+      }
+      needed = !elsewhere;
+    });
+    EXPECT_TRUE(needed) << cubes[i].to_string(s.num_vars) << " is redundant";
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, MinimizeProperty,
     ::testing::Values(
@@ -272,7 +318,8 @@ INSTANTIATE_TEST_SUITE_P(
         MinimizeCase{5, 0.4, 0.1, 5}, MinimizeCase{5, 0.1, 0.3, 6},
         MinimizeCase{6, 0.5, 0.05, 7}, MinimizeCase{6, 0.25, 0.25, 8},
         MinimizeCase{8, 0.3, 0.1, 9}, MinimizeCase{8, 0.5, 0.2, 10},
-        MinimizeCase{10, 0.4, 0.1, 11}, MinimizeCase{12, 0.3, 0.1, 12}));
+        MinimizeCase{10, 0.4, 0.1, 11}, MinimizeCase{12, 0.3, 0.1, 12}),
+    minimize_name);
 
 // ---- Differential sweep: minimize_espresso equals the minterm-at-a-time
 // reference cube for cube, in the same order, on random specs below, at
@@ -300,17 +347,11 @@ TEST_P(EspressoOracle, EqualsMintermReferenceCubeForCube) {
     const SopSpec s =
         random_spec(pc.vars, pc.on_density, pc.dc_density,
                     static_cast<std::uint64_t>(1000 * pc.vars + seed));
-    for (const int refine : {0, 1, 2}) {
-      for (const bool irr : {true, false}) {
-        const EspressoOptions opts{irr, refine};
-        const Cover got = minimize_espresso(s, opts);
-        const Cover want = reference::minimize_espresso(s, opts);
-        ASSERT_EQ(got.to_string(), want.to_string())
-            << "vars " << pc.vars << " seed " << seed << " refine " << refine
-            << " irredundant " << irr;
-        EXPECT_TRUE(cover_implements(got, s));
-      }
-    }
+    const Cover got = minimize_espresso(s);
+    const Cover want = reference::minimize_espresso(s);
+    ASSERT_EQ(got.to_string(), want.to_string())
+        << "vars " << pc.vars << " seed " << seed;
+    EXPECT_TRUE(cover_implements(got, s));
   }
 }
 
@@ -336,15 +377,6 @@ std::vector<OracleCase> oracle_cases() {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, EspressoOracle,
                          ::testing::ValuesIn(oracle_cases()), oracle_name);
-
-TEST(CoverFromOnSet, TrivialCover) {
-  SopSpec s(3);
-  s.on.set(1);
-  s.on.set(6);
-  const Cover c = cover_from_on_set(s);
-  EXPECT_EQ(c.size(), 2u);
-  EXPECT_TRUE(cover_implements(c, s));
-}
 
 }  // namespace
 }  // namespace ced::logic

@@ -168,7 +168,7 @@ TEST(MergeCompatible, HandwrittenMachinesStayEquivalent) {
 TEST(MergeCompatible, ReducedMachineSynthesizes) {
   const Fsm f = load_text(benchdata::handwritten_kiss("link_rx").c_str());
   const StateMinimizeResult r = merge_compatible_states(f);
-  const FsmCircuit c = synthesize_fsm(r.machine, EncodingKind::kBinary, {});
+  const FsmCircuit c = synthesize_fsm(r.machine, EncodingKind::kBinary);
   EXPECT_GT(c.netlist.gate_count(), 0u);
 }
 

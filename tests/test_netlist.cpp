@@ -157,12 +157,10 @@ TEST(Synth, TreesRespectMaxFanin) {
   Netlist n;
   std::vector<std::uint32_t> ins;
   for (int i = 0; i < 17; ++i) ins.push_back(n.add_input("x"));
-  SynthOptions so;
-  so.max_fanin = 3;
-  SynthContext ctx(n, so);
+  SynthContext ctx(n);
   ctx.and_tree(ins);
   for (std::uint32_t id = 0; id < n.num_nets(); ++id) {
-    EXPECT_LE(n.gate(id).fanins.size(), 3u);
+    EXPECT_LE(n.gate(id).fanins.size(), static_cast<std::size_t>(kMaxFanin));
   }
 }
 

@@ -51,7 +51,7 @@ class OptimizeEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(OptimizeEquivalence, PreservesAllOutputs) {
   const Netlist n = random_netlist(GetParam(), 6, 60);
   OptimizeStats stats;
-  const Netlist opt = optimize_netlist(n, {}, &stats);
+  const Netlist opt = optimize_netlist(n, &stats);
   expect_equivalent(n, opt);
   EXPECT_LE(opt.gate_count(), n.gate_count());
   EXPECT_EQ(stats.gates_before, n.gate_count());
@@ -106,7 +106,7 @@ TEST(Optimize, MergesStructuralDuplicates) {
   const auto g2 = n.add_gate(GateType::kAnd, {b, a});  // same gate, reordered
   n.mark_output(n.add_gate(GateType::kXor, {g1, g2}), "zero");
   OptimizeStats stats;
-  const Netlist opt = optimize_netlist(n, {}, &stats);
+  const Netlist opt = optimize_netlist(n, &stats);
   expect_equivalent(n, opt);
   // XOR of two identical signals folds to constant 0.
   EXPECT_EQ(opt.gate_count(), 0u);
@@ -121,7 +121,7 @@ TEST(Optimize, SweepsDeadLogic) {
   const auto live = n.add_gate(GateType::kXor, {a, b});
   n.mark_output(live, "f");
   OptimizeStats stats;
-  const Netlist opt = optimize_netlist(n, {}, &stats);
+  const Netlist opt = optimize_netlist(n, &stats);
   EXPECT_EQ(opt.gate_count(), 1u);
   EXPECT_EQ(stats.swept, 2u);
   expect_equivalent(n, opt);
@@ -141,6 +141,43 @@ TEST(Optimize, KeepsInterfaceNamesAndOrder) {
 }
 
 // ---- Factoring.
+
+/// Number of literal leaves of a factored form (the standard multilevel
+/// cost estimate).
+int factor_literal_count(const FactorNode& node) {
+  switch (node.kind) {
+    case FactorNode::Kind::kConst:
+      return 0;
+    case FactorNode::Kind::kLiteral:
+      return 1;
+    default: {
+      int n = 0;
+      for (const auto& c : node.children) n += factor_literal_count(c);
+      return n;
+    }
+  }
+}
+
+/// Evaluates the factored form on a complete assignment.
+bool factor_evaluate(const FactorNode& node, std::uint64_t assignment) {
+  switch (node.kind) {
+    case FactorNode::Kind::kConst:
+      return node.value;
+    case FactorNode::Kind::kLiteral:
+      return (((assignment >> node.var) & 1) != 0) == node.positive;
+    case FactorNode::Kind::kAnd:
+      for (const auto& c : node.children) {
+        if (!factor_evaluate(c, assignment)) return false;
+      }
+      return true;
+    case FactorNode::Kind::kOr:
+      for (const auto& c : node.children) {
+        if (factor_evaluate(c, assignment)) return true;
+      }
+      return false;
+  }
+  return false;
+}
 
 SopSpec random_spec(int vars, double density, std::uint64_t seed) {
   SopSpec s(vars);

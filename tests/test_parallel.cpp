@@ -33,7 +33,7 @@ namespace {
 fsm::FsmCircuit circuit_for(const std::string& name) {
   const fsm::Fsm f =
       fsm::Fsm::from_kiss(kiss::parse(benchdata::handwritten_kiss(name)));
-  return fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary, {});
+  return fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary);
 }
 
 // ---------------------------------------------------------------- utility

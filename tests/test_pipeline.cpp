@@ -39,26 +39,23 @@ TEST(Pipeline, ReportFieldsAreConsistent) {
 TEST(Pipeline, ReportCarriesTheCostedChecker) {
   // The checker Table 1 costs is the one the report hands out, and it is
   // the checker synthesize_ced builds for the run's own design with the
-  // run's own CED options (two-rail on one pass, unfactored SOP predictors
-  // without unreachable-state don't-cares on another, so a report built
-  // with default options would differ). The sweep synthesizes through one
+  // run's own CED options (two-rail on one pass, predictors without
+  // unreachable-state don't-cares on another, so a report built with
+  // default options would differ). The sweep synthesizes through one
   // CedSynthesizer at the run's thread count; synthesize_ced is serial.
   struct Config {
     int threads;
-    bool two_rail, factor, dc_unreachable;
+    bool two_rail, dc_unreachable;
   };
   const std::vector<int> ps{1, 2, 3};
   for (const std::string& name : benchdata::small_suite_names()) {
     const fsm::Fsm f = benchdata::suite_fsm(name);
-    for (const Config& c : {Config{1, false, true, true},
-                            Config{4, false, true, true},
-                            Config{4, true, true, true},
-                            Config{4, false, false, false}}) {
+    for (const Config& c : {Config{1, false, true}, Config{4, false, true},
+                            Config{4, true, true}, Config{4, false, false}}) {
       const RunConfig cfg = *RunConfig::Builder()
                                  .threads(c.threads)
                                  .tune([&](PipelineOptions& o) {
                                    o.ced.two_rail = c.two_rail;
-                                   o.ced.factor = c.factor;
                                    o.ced.dc_unreachable = c.dc_unreachable;
                                  })
                                  .build();
@@ -68,7 +65,6 @@ TEST(Pipeline, ReportCarriesTheCostedChecker) {
         const std::string where = name + " p=" + std::to_string(rep.latency) +
                                   " threads=" + std::to_string(c.threads) +
                                   (c.two_rail ? " two-rail" : "") +
-                                  (c.factor ? "" : " sop") +
                                   (c.dc_unreachable ? "" : " no-dc");
         EXPECT_EQ(rep.num_faults, design.faults.size()) << where;
         EXPECT_EQ(rep.hw.two_rail, c.two_rail) << where;

@@ -31,7 +31,7 @@ fsm::Fsm machine(const std::string& name) {
 
 DetectabilityTable table_for(const std::string& name, int latency) {
   const fsm::FsmCircuit c =
-      fsm::synthesize_fsm(machine(name), fsm::EncodingKind::kBinary, {});
+      fsm::synthesize_fsm(machine(name), fsm::EncodingKind::kBinary);
   const auto faults = sim::enumerate_stuck_at(c.netlist);
   ExtractOptions opts;
   opts.latency = latency;
@@ -78,7 +78,7 @@ TEST(Resilience, ReportClassifiesDegradation) {
 
 TEST(Resilience, ExtractionDeadlineFreezesTables) {
   const fsm::FsmCircuit c =
-      fsm::synthesize_fsm(machine("link_rx"), fsm::EncodingKind::kBinary, {});
+      fsm::synthesize_fsm(machine("link_rx"), fsm::EncodingKind::kBinary);
   const auto faults = sim::enumerate_stuck_at(c.netlist);
   ExtractOptions opts;
   opts.latency = 3;

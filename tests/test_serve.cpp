@@ -402,6 +402,43 @@ TEST(RunConfigDigest, GoldenPinForKnownConfig) {
   EXPECT_EQ(ctx->digest(), cfg->digest());
 }
 
+TEST(RunConfigDigest, GoldenPinForNonDefaultConfig) {
+  // Every field digest() reads, each at a value no default has, so a
+  // dropped, reordered or re-encoded word moves the pin. Pinned like the
+  // known config above: a stored manifest's config_digest must keep its
+  // meaning.
+  core::PipelineOptions o;
+  o.encoding = fsm::EncodingKind::kOneHot;
+  o.latency = 4;
+  o.solver = core::SolverKind::kExact;
+  o.ced.dc_unreachable = false;
+  o.ced.two_rail = true;
+  o.faults.collapse = false;
+  o.extract.semantics = core::DiffSemantics::kMachineLevel;
+  o.extract.restrict_to_reachable = false;
+  o.extract.degrade_threshold = 123'456;
+  o.extract.max_cases = 654'321;
+  o.checkpoint_shards = 5;
+  o.algo.iter = 17;
+  o.algo.row_rounds = 3;
+  o.algo.repair = false;
+  o.algo.post_optimize = false;
+  o.algo.seed = 99;
+  o.algo.lp.max_iterations = 777;
+  o.algo.lp.eps = 1e-7;
+  o.algo.greedy.sample_cap = 333;
+  o.algo.greedy.seed = 11;
+  o.exact.max_bits = 9;
+  o.exact.max_nodes = 4242;
+  o.budget.wall_seconds = 2.5;
+  o.budget.max_cases = 1000;
+  o.budget.max_lp_iterations = 50;
+  o.budget.max_rounding_attempts = 60;
+  o.budget.max_exact_nodes = 70;
+  o.max_new_shards = 2;
+  EXPECT_EQ(RunConfig::wrap(o).digest(), "09fdfcebd66240e8ed45bee22e4ed006");
+}
+
 // ------------------------------------------------------------ server E2E
 
 class ServeTest : public ::testing::Test {

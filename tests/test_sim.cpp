@@ -16,7 +16,7 @@ namespace {
 fsm::FsmCircuit circuit_for(const std::string& name) {
   const fsm::Fsm f =
       fsm::Fsm::from_kiss(kiss::parse(benchdata::handwritten_kiss(name)));
-  return fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary, {});
+  return fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary);
 }
 
 TEST(Faults, EnumerationSkipsConstants) {
@@ -112,7 +112,7 @@ fsm::FsmCircuit wide_circuit() {
 .e
 )";
   const fsm::Fsm f = fsm::Fsm::from_kiss(kiss::parse(wide));
-  return fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary, {});
+  return fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary);
 }
 
 TEST(FaultSim, WideInputMachineBatches) {
@@ -163,7 +163,7 @@ fsm::FsmCircuit four_batch_circuit() {
 .e
 )";
   const fsm::Fsm f = fsm::Fsm::from_kiss(kiss::parse(four));
-  return fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary, {});
+  return fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary);
 }
 
 /// Which kinds of fault net a differential run covered.

@@ -19,7 +19,7 @@ DetectabilityTable table_for(const std::string& name, int p) {
   const fsm::Fsm f =
       fsm::Fsm::from_kiss(kiss::parse(benchdata::handwritten_kiss(name)));
   const fsm::FsmCircuit c =
-      fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary, {});
+      fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary);
   const auto faults = sim::enumerate_stuck_at(c.netlist);
   ExtractOptions opts;
   opts.latency = p;
@@ -218,7 +218,7 @@ TEST(Algorithm1, MonotoneInLatency) {
   const fsm::Fsm f =
       fsm::Fsm::from_kiss(kiss::parse(benchdata::handwritten_kiss("link_rx")));
   const fsm::FsmCircuit c =
-      fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary, {});
+      fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary);
   const auto faults = sim::enumerate_stuck_at(c.netlist);
   ExtractOptions opts;
   opts.latency = 3;

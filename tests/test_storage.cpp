@@ -36,7 +36,7 @@ namespace fs = std::filesystem;
 fsm::FsmCircuit circuit_for(const std::string& name) {
   const fsm::Fsm f =
       fsm::Fsm::from_kiss(kiss::parse(benchdata::handwritten_kiss(name)));
-  return fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary, {});
+  return fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary);
 }
 
 std::vector<core::DetectabilityTable> tables_for(const fsm::FsmCircuit& c,

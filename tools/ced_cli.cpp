@@ -182,7 +182,9 @@ int cmd_help() {
       "  --threads=N          0          worker threads for extraction and\n"
       "                                  rounding; 0 = CED_THREADS env or\n"
       "                                  hardware concurrency, 1 = serial.\n"
-      "                                  Results are identical at any count.\n"
+      "                                  Results are identical at any count,\n"
+      "                                  except for a no-store table that\n"
+      "                                  degrades (DESIGN.md section 7).\n"
       "  --solver=KIND        lp         lp | greedy | exact\n"
       "  --encoding=KIND      binary     binary | gray | onehot | spread\n"
       "  --semantics=KIND     impl       impl | machine (see DESIGN.md)\n"
@@ -353,7 +355,7 @@ int cmd_analyze(int argc, char** argv) {
   std::printf("state minimization: exact %d -> %d, compatible-merge -> %d\n",
               exact.states_before, exact.states_after, compat.states_after);
   const fsm::FsmCircuit c =
-      fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary, {});
+      fsm::synthesize_fsm(f, fsm::EncodingKind::kBinary);
   const auto area = logic::measure_area(
       c.netlist, logic::CellLibrary::mcnc(), static_cast<std::size_t>(c.s()));
   std::printf("synthesized (binary encoding): %d state bits, %zu gates, "

@@ -324,6 +324,34 @@ if grep -rn NDEBUG src; then
   echo "src/ names NDEBUG: move the check into a test"; exit 1
 fi
 
+echo "== benchmark: perfbench builds against the library and runs =="
+# perfbench compiles the library from src/ (add_subdirectory) and passes
+# its option types, so a change to the library's surface can break it
+# without breaking anything above. Build it as run.py does (Release, in a
+# scratch CARGO_TARGET_DIR), run its own tests, and smoke-run every
+# workload: each result line must report correct and zero failures.
+# perfbench refuses hosts with fewer than 4 CPUs (exit 2).
+if (( jobs < 4 )); then
+  echo "skipped: perfbench needs 4 CPUs, this host has $jobs"
+else
+  export CARGO_TARGET_DIR="$obs_tmp/perfbench"
+  for w in protect_cold protect_warm campaign; do
+    python3 perfbench/run.py --workload "$w" --smoke --seconds 1 \
+        > "$obs_tmp/bench-$w.out" 2> "$obs_tmp/bench-$w.err" \
+      || { echo "perfbench $w exited nonzero"; tail -n 20 "$obs_tmp/bench-$w.err"; exit 1; }
+    python3 - "$w" "$obs_tmp/bench-$w.out" <<'PYEOF'
+import json, sys
+r = json.loads(open(sys.argv[2]).read().splitlines()[-1])
+assert r["correct"] is True and r["failed"] == 0, \
+    "perfbench %s: correct=%s failed=%s" % (sys.argv[1], r["correct"], r["failed"])
+print("perfbench %s smoke: %d operations, all correct" % (sys.argv[1], r["attempted"]))
+PYEOF
+  done
+  cmake --build "$CARGO_TARGET_DIR/perfbench" --target perfbench_test -j "$jobs"
+  (cd "$CARGO_TARGET_DIR/perfbench" && ./perfbench_test)
+  unset CARGO_TARGET_DIR
+fi
+
 echo "== no-SIMD build: the scalar fallback stands alone =="
 # Compile with the vector backends removed entirely (-DCED_NO_SIMD) and
 # prove the universal word loop passes the kernel suites on its own — the
