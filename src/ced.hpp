@@ -50,7 +50,6 @@
 #include "core/convolutional.hpp"
 #include "core/duplication.hpp"
 #include "core/erroneous_case.hpp"
-#include "core/exact.hpp"
 #include "core/extract.hpp"
 #include "core/greedy.hpp"
 #include "core/ilp.hpp"
@@ -60,7 +59,6 @@
 #include "core/pipeline.hpp"
 #include "core/resilience.hpp"
 #include "core/run.hpp"
-#include "core/solver.hpp"
 
 // Sequential proof of the bound: the fault-injection campaign engine
 // (library ced_campaign).

@@ -18,19 +18,22 @@ enum class StatusCode {
 };
 
 /// Pipeline stage that produced a status (for diagnostics and reports).
+/// Run manifests store these numbers as one byte each
+/// (storage/format.cpp), so they are fixed: 7 was the retired exact
+/// solver's stage and stays unused, and a manifest an old exact run stored
+/// still decodes.
 enum class Stage {
   kNone = 0,
-  kParse,
-  kSynth,
-  kExtract,
-  kLp,
-  kRounding,
-  kGreedy,
-  kExact,
-  kCedSynth,
-  kVerify,
-  kPipeline,
-  kStore,
+  kParse = 1,
+  kSynth = 2,
+  kExtract = 3,
+  kLp = 4,
+  kRounding = 5,
+  kGreedy = 6,
+  kCedSynth = 8,
+  kVerify = 9,
+  kPipeline = 10,
+  kStore = 11,
 };
 
 inline const char* to_string(StatusCode c) {
@@ -53,7 +56,6 @@ inline const char* to_string(Stage s) {
     case Stage::kLp: return "lp";
     case Stage::kRounding: return "rounding";
     case Stage::kGreedy: return "greedy";
-    case Stage::kExact: return "exact";
     case Stage::kCedSynth: return "ced-synth";
     case Stage::kVerify: return "verify";
     case Stage::kPipeline: return "pipeline";

@@ -154,7 +154,7 @@ bool repair_on(std::vector<ParityFunc>& betas, const CoverKernel& sub, int n,
 }  // namespace
 
 SolverContext::SolverContext(const DetectabilityTable& t)
-    : table(&t), kernel(t) {
+    : kernel(t) {
   // A stable counting sort: hardness is at most 64 * kMaxLatency, so the
   // keys fit one small histogram and rows of equal hardness keep their
   // table order.

@@ -1,7 +1,7 @@
 #pragma once
 
-#include <chrono>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/coverkernel.hpp"
@@ -95,23 +95,14 @@ struct Algorithm1Stats {
   std::uint64_t kernel_builds = 0;
 };
 
-struct ResilienceReport;
-
 /// Per-table precomputation shared by every q probed by the search
 /// and by the post-optimization pass: the bit-sliced cover kernel plus the
 /// hardness ordering of the rows (both depend only on the table, so they
 /// are built once per cascade instead of per solve_for_q call). Standalone
 /// solve_for_q callers get a local one automatically.
-///
-/// Since the Solver-interface redesign this struct also carries the
-/// run-scoped state the cascade threads through every level (solver.hpp):
-/// the shared deadline, the stats/resilience outputs, the warm start, and
-/// the observability sinks. The constructor leaves all of it defaulted;
-/// only the cascade driver (pipeline.cpp) fills it in.
 struct SolverContext {
   explicit SolverContext(const DetectabilityTable& table);
 
-  const DetectabilityTable* table;
   CoverKernel kernel;
   /// Detecting (bit, step) entry count per row (fewest = hardest: those
   /// rows constrain the LP the most and are sampled first).
@@ -119,22 +110,6 @@ struct SolverContext {
   /// Every row index, stably sorted by ascending hardness (a counting
   /// sort: hardness is at most 64 * kMaxLatency).
   std::vector<std::uint32_t> hard_order;
-
-  // ---- run-scoped state (filled by the cascade driver, defaulted
-  // ---- otherwise; solvers read these instead of taking five parameters).
-  /// Shared wall-clock budget for the whole selection run.
-  Deadline deadline;
-  /// Optional diagnostics output (never read back by the solvers).
-  Algorithm1Stats* stats = nullptr;
-  /// Optional degradation audit trail for non-fatal events.
-  ResilienceReport* resilience = nullptr;
-  /// Optional incumbent seed (see minimize_parity_functions).
-  std::span<const ParityFunc> warm_start;
-  /// Observability sinks; parent_span scopes the per-level spans.
-  obs::Sinks obs;
-  /// When the cascade started (fallback events report seconds into it).
-  std::chrono::steady_clock::time_point cascade_start =
-      std::chrono::steady_clock::now();
 
   /// Basis memory of the most recent optimal LP solve over this table:
   /// the next formulation — the next q probe (one tree fewer) or
@@ -165,8 +140,7 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
 /// (used by latency sweeps, where a p-cover always covers p+1's table).
 /// `shared_ctx` (optional) reuses a caller-built kernel + hardness
 /// precomputation for this same table (the cascade driver builds one
-/// context for all levels); run-scoped fields of the context are ignored
-/// here — the explicit parameters win.
+/// context for both levels).
 std::vector<ParityFunc> minimize_parity_functions(
     const DetectabilityTable& table, const Algorithm1Options& opts = {},
     Algorithm1Stats* stats = nullptr,

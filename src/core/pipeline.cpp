@@ -7,14 +7,18 @@
 #include <string>
 #include <utility>
 
-#include "core/solver.hpp"
-
 namespace ced::core {
 namespace {
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+/// The cascade level a requested solver enters at.
+CascadeLevel requested_level(SolverKind kind) {
+  return kind == SolverKind::kGreedy ? CascadeLevel::kGreedy
+                                     : CascadeLevel::kLpRounding;
 }
 
 /// Link p of the solve chain: the report fields table p determines and the
@@ -49,7 +53,7 @@ PipelineReport solve_link(const DetectabilityTable& table,
                          std::to_string(table.latency));
   }
   // Reparent the sinks under this link's solve span so the cascade's
-  // spans (solver:exact, algorithm1, greedy, lp-solve) nest beneath it.
+  // spans (algorithm1, greedy, lp-solve) nest beneath it.
   PipelineOptions solve_opts;
   const PipelineOptions* effective = &opts;
   if (run_obs.enabled()) {
@@ -113,8 +117,8 @@ std::vector<PipelineReport> classified_reports(std::span<const int> latencies,
   for (int p : latencies) {
     PipelineReport rep;
     rep.latency = p;
-    rep.resilience.solver_requested = cascade_level_of(opts.solver);
-    rep.resilience.solver_used = cascade_level_of(opts.solver);
+    rep.resilience.solver_requested = requested_level(opts.solver);
+    rep.resilience.solver_used = requested_level(opts.solver);
     rep.resilience.status = status;
     reports.push_back(std::move(rep));
   }
@@ -123,79 +127,91 @@ std::vector<PipelineReport> classified_reports(std::span<const int> latencies,
 
 }  // namespace
 
-std::vector<ParityFunc> duplication_floor_cover(
-    const DetectabilityTable& table) {
-  std::uint64_t used = 0;
-  std::vector<ParityFunc> out;
-  for (const auto& ec : table.cases) {
-    const std::uint64_t w = ec.diff[0];  // nonzero: the words are packed
-    const ParityFunc beta = w & (~w + 1);
-    if (w != 0 && !(used & beta)) {
-      used |= beta;
-      out.push_back(beta);
-    }
-  }
-  return out;
-}
-
 std::vector<ParityFunc> select_parities_resilient(
     const DetectabilityTable& table, const PipelineOptions& opts,
     const Deadline& deadline, Algorithm1Stats* stats,
     std::span<const ParityFunc> warm_start, ResilienceReport& resilience) {
   const auto t0 = std::chrono::steady_clock::now();
-  resilience.solver_requested = cascade_level_of(opts.solver);
+  resilience.solver_requested = requested_level(opts.solver);
   resilience.solver_used = resilience.solver_requested;
   // The table is solved as given: extraction already left its cases
   // subset-minimal (DetectabilityTable::cases), so there is nothing to
-  // condense, and every level verifies its cover against this table.
+  // condense, and both levels verify their cover against this table.
   if (stats) stats->condensed_cases = table.cases.size();
   if (table.cases.empty()) {
     if (stats) stats->final_q = 0;
     return {};
   }
 
-  // One context for every level: the kernel and the hardness ordering
-  // depend only on the table, and the run-scoped state (deadline, outputs,
-  // warm start, sinks) no longer travels as five parallel parameters.
-  SolverContext ctx(table);
-  ctx.deadline = deadline;
-  ctx.stats = stats;
-  ctx.resilience = &resilience;
-  ctx.warm_start = warm_start;
-  ctx.obs = opts.obs;
-  ctx.cascade_start = t0;
+  // The kernel and the hardness ordering depend only on the table, so
+  // both levels share one context.
+  const SolverContext ctx(table);
+  Algorithm1Stats local;
+  Algorithm1Stats& st = stats != nullptr ? *stats : local;
 
-  const auto cascade = solver_cascade();
-  for (std::size_t i = cascade_entry(opts.solver); i < cascade.size(); ++i) {
-    Result<ParityScheme> r = cascade[i]->solve(ctx, opts);
-    if (r) {
-      resilience.solver_used = r->level;
-      return std::move(r->parities);
-    }
-    // This level could not certify an answer: record the downgrade,
-    // naming the level the cascade falls to, and keep going.
-    const Solver* next = i + 1 < cascade.size() ? cascade[i + 1] : nullptr;
-    std::string detail = r.status().message;
-    if (next != nullptr) {
-      detail += "; falling back to ";
-      detail += next->name();
-    }
-    resilience.record(r.status().stage, r.status().code, std::move(detail),
+  if (opts.solver == SolverKind::kLpRounding && deadline.expired()) {
+    resilience.record(Stage::kLp, StatusCode::kTruncated,
+                      "wall-clock budget exhausted before the LP stage; "
+                      "falling back to greedy",
                       seconds_since(t0), table.cases.size());
-    if (next != nullptr) resilience.solver_used = next->level();
+    resilience.solver_used = CascadeLevel::kGreedy;
+  } else if (opts.solver == SolverKind::kLpRounding) {
+    Algorithm1Options algo = opts.algo;
+    algo.threads = opts.exec.threads;
+    if (opts.obs.enabled()) algo.obs = opts.obs;
+    if (deadline.armed() && !algo.deadline.armed()) algo.deadline = deadline;
+    if (opts.budget.max_lp_iterations > 0) {
+      algo.lp.max_iterations = opts.budget.max_lp_iterations;
+    }
+    if (opts.budget.max_rounding_attempts > 0) {
+      algo.iter = std::min(algo.iter, opts.budget.max_rounding_attempts);
+    }
+    auto sol = minimize_parity_functions(table, algo, &st, warm_start, &ctx);
+    if (st.lp_budget_hit) {
+      resilience.record(
+          Stage::kLp, StatusCode::kTruncated,
+          "LP solve stopped on its iteration/time budget (" +
+              std::to_string(st.lp_iterations) + " pivots total)",
+          seconds_since(t0), table.cases.size());
+    }
+    if (st.deadline_hit && !st.lp_budget_hit) {
+      resilience.record(
+          Stage::kRounding, StatusCode::kTruncated,
+          "wall-clock budget cut the rounding search short after " +
+              std::to_string(st.roundings) + " roundings",
+          seconds_since(t0), table.cases.size());
+    }
+    // greedy_fallback under budget pressure means the answer really came
+    // from the greedy seed; without pressure it just means the greedy
+    // bound was already optimal, which is not a degradation.
+    if (st.greedy_fallback && (st.lp_budget_hit || st.deadline_hit)) {
+      resilience.solver_used = st.greedy_degraded
+                                   ? CascadeLevel::kDuplication
+                                   : CascadeLevel::kGreedy;
+    }
+    return sol;
   }
 
-  // Unreachable in practice — the greedy level's single-bit close-out never
-  // fails — but keep the cascade total: the duplication floor is computable
-  // unconditionally in one pass.
-  resilience.record(Stage::kPipeline, StatusCode::kInternal,
-                    "every cascade level failed; emitting the duplication "
-                    "floor directly",
-                    seconds_since(t0), table.cases.size());
-  resilience.solver_used = CascadeLevel::kDuplication;
-  auto floor = duplication_floor_cover(table);
-  if (stats) stats->final_q = static_cast<int>(floor.size());
-  return floor;
+  // Greedy never fails: out of time, it closes the cover out with
+  // single-bit functions, the duplication-style floor.
+  GreedyOptions greedy = opts.algo.greedy;
+  if (deadline.armed() && !greedy.deadline.armed()) greedy.deadline = deadline;
+  if (opts.obs.enabled()) greedy.obs = opts.obs;
+  GreedyStats gs;
+  auto sol = greedy_cover(table, greedy, &gs, &ctx.kernel);
+  if (gs.deadline_hit) {
+    resilience.record(Stage::kGreedy, StatusCode::kTruncated,
+                      "greedy search out of time; closed out with " +
+                          std::to_string(gs.single_bit_completions) +
+                          " single-bit functions (duplication-style floor)",
+                      seconds_since(t0), table.cases.size());
+    resilience.solver_used = CascadeLevel::kDuplication;
+  }
+  st.final_q = static_cast<int>(sol.size());
+  st.greedy_fallback = true;
+  st.deadline_hit = st.deadline_hit || gs.deadline_hit;
+  st.greedy_degraded = st.greedy_degraded || gs.deadline_hit;
+  return sol;
 }
 
 Design derive_design(const fsm::Fsm& f, const PipelineOptions& opts) {

@@ -7,7 +7,6 @@
 #include "common/exec.hpp"
 #include "common/names.hpp"
 #include "core/algorithm1.hpp"
-#include "core/exact.hpp"
 #include "core/extract.hpp"
 #include "core/parity_synth.hpp"
 #include "core/resilience.hpp"
@@ -20,16 +19,13 @@ namespace ced::core {
 enum class SolverKind {
   kLpRounding,  ///< Algorithm 1 (LP relaxation + randomized rounding)
   kGreedy,      ///< greedy/local-search baseline
-  kExact,       ///< exhaustive optimum (small instances only; falls back
-                ///< to Algorithm 1 when the instance is too large)
 };
 
 /// How the CLI's --solver, a serve request's 'solver' and stored scheme
 /// names spell each solver (common/names.hpp).
-inline constexpr NameTable<SolverKind, 3> kSolverNames{{
+inline constexpr NameTable<SolverKind, 2> kSolverNames{{
     {"lp", SolverKind::kLpRounding},
     {"greedy", SolverKind::kGreedy},
-    {"exact", SolverKind::kExact},
 }};
 
 struct PipelineOptions {
@@ -39,7 +35,6 @@ struct PipelineOptions {
   int latency = 1;
   SolverKind solver = SolverKind::kLpRounding;
   Algorithm1Options algo;
-  ExactOptions exact;      ///< used when solver == kExact
   CedSynthOptions ced;
   logic::CellLibrary library = logic::CellLibrary::mcnc();
   sim::FaultListOptions faults;
@@ -57,7 +52,7 @@ struct PipelineOptions {
   /// defect"); otherwise only wall-clock changes.
   ExecPolicy exec;
   /// Resource budget for the whole run. When any valve trips, stages
-  /// degrade (exact -> LP+RR -> greedy -> duplication-style floor; table
+  /// degrade (LP+RR -> greedy -> duplication-style floor; table
   /// truncation) instead of throwing; see PipelineReport::resilience.
   RunBudget budget;
 
@@ -179,23 +174,17 @@ std::vector<PipelineReport> run_latency_sweep_impl(
     const fsm::Fsm& f, std::span<const int> latencies,
     const PipelineOptions& opts);
 
-/// The degradation cascade: runs the requested solver under the budget,
-/// falling back exact -> LP+RR -> greedy -> duplication-style single-bit
-/// floor when a budget valve trips or a level cannot certify an answer.
-/// The solvers see `table` as given: extraction leaves its cases
-/// subset-minimal (DetectabilityTable::cases), so there is nothing to
-/// condense, and `stats->condensed_cases` is its row count. Every level
-/// verifies its cover against `table`, so this always returns a complete
-/// cover of it (possibly the floor), and records every downgrade in
-/// `resilience`.
+/// The degradation cascade: Algorithm 1 under the budget, unless greedy
+/// was requested or the deadline has already passed; then greedy, which
+/// out of time closes its cover out with single-bit functions (the
+/// duplication-style floor). The solvers see `table` as given: extraction
+/// leaves its cases subset-minimal (DetectabilityTable::cases), so there
+/// is nothing to condense, and `stats->condensed_cases` is its row count.
+/// Both levels verify their cover against `table`, so this always returns
+/// a complete cover of it, and records every downgrade in `resilience`.
 std::vector<ParityFunc> select_parities_resilient(
     const DetectabilityTable& table, const PipelineOptions& opts,
     const Deadline& deadline, Algorithm1Stats* stats,
     std::span<const ParityFunc> warm_start, ResilienceReport& resilience);
-
-/// The always-feasible answer-quality floor: one single-bit parity function
-/// per needed observable bit (the shape of duplicate-and-compare). Computed
-/// in one pass over the table; covers every case unconditionally.
-std::vector<ParityFunc> duplication_floor_cover(const DetectabilityTable& table);
 
 }  // namespace ced::core

@@ -6,7 +6,6 @@ namespace ced::core {
 
 const char* to_string(CascadeLevel level) {
   switch (level) {
-    case CascadeLevel::kExact: return "exact";
     case CascadeLevel::kLpRounding: return "lp+rounding";
     case CascadeLevel::kGreedy: return "greedy";
     case CascadeLevel::kDuplication: return "duplication-floor";

@@ -12,7 +12,7 @@ namespace ced::core {
 
 /// Cooperative resource budget for one pipeline run. Every limit is a soft
 /// valve checked inside the stage's own loop (EC-extraction DFS, simplex
-/// pivoting, rounding retries, branch-and-bound): when it trips, the stage
+/// pivoting, rounding retries, greedy hill climbing): when it trips, the stage
 /// stops where it is and returns partial-but-honest results with a
 /// truncation status instead of throwing. Zero means "no limit here"
 /// (stage-level defaults still apply).
@@ -28,8 +28,6 @@ struct RunBudget {
   int max_lp_iterations = 0;
   /// Cap on randomized-rounding attempts per LP solution.
   int max_rounding_attempts = 0;
-  /// Cap on branch-and-bound nodes for the exact solver.
-  std::size_t max_exact_nodes = 0;
 
   /// Optional external interrupt channel (non-owning; must outlive the
   /// run). When the pointed-to flag becomes true, every Deadline built
@@ -44,7 +42,7 @@ struct RunBudget {
 
   bool unlimited() const {
     return wall_seconds <= 0.0 && max_cases == 0 && max_lp_iterations == 0 &&
-           max_rounding_attempts == 0 && max_exact_nodes == 0;
+           max_rounding_attempts == 0;
   }
 };
 
@@ -95,14 +93,15 @@ class Deadline {
 
 /// Answer-quality levels of the solver degradation cascade, best first.
 /// A run that cannot finish its requested level falls to the next one;
-/// the duplication-style floor (one single-bit function per needed
-/// observable bit, the classical duplicate-and-compare shape) is computable
-/// in one pass over the table and always feasible.
+/// the duplication-style floor (single-bit functions, the classical
+/// duplicate-and-compare shape) is what greedy closes out with when time
+/// runs out. Run manifests store these numbers as one byte each
+/// (storage/format.cpp), so they are fixed: 0 was the retired exact level,
+/// and a manifest an old exact run stored still decodes.
 enum class CascadeLevel {
-  kExact = 0,
-  kLpRounding,
-  kGreedy,
-  kDuplication,
+  kLpRounding = 1,
+  kGreedy = 2,
+  kDuplication = 3,
 };
 
 const char* to_string(CascadeLevel level);

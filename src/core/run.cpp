@@ -39,7 +39,7 @@ std::string RunConfig::digest() const {
   d.absorb(static_cast<std::uint64_t>(o.extract.degrade_threshold));
   d.absorb(static_cast<std::uint64_t>(o.extract.max_cases));
   d.absorb(static_cast<std::uint64_t>(o.checkpoint_shards));
-  // Solver knobs (Algorithm 1, exact, greedy, LP).
+  // Solver knobs (Algorithm 1, greedy, LP).
   d.absorb(static_cast<std::uint64_t>(o.algo.iter));
   d.absorb(std::uint64_t{48});  // LP sample rows, a constant: keeps old digests
   d.absorb(static_cast<std::uint64_t>(o.algo.row_rounds));
@@ -53,15 +53,15 @@ std::string RunConfig::digest() const {
   d.absorb(std::uint64_t{8});  // greedy restarts, likewise
   d.absorb(static_cast<std::uint64_t>(o.algo.greedy.sample_cap));
   d.absorb(o.algo.greedy.seed);
-  d.absorb(static_cast<std::uint64_t>(o.exact.max_bits));
-  d.absorb(static_cast<std::uint64_t>(o.exact.max_nodes));
+  d.absorb(std::uint64_t{14});          // exact-solver bit limit, likewise
+  d.absorb(std::uint64_t{50'000'000});  // exact-solver node limit, likewise
   // Budget valves: they shape (truncate) results, so they are part of the
   // config identity even though complete runs never feel them.
   d.absorb(o.budget.wall_seconds);
   d.absorb(static_cast<std::uint64_t>(o.budget.max_cases));
   d.absorb(static_cast<std::uint64_t>(o.budget.max_lp_iterations));
   d.absorb(static_cast<std::uint64_t>(o.budget.max_rounding_attempts));
-  d.absorb(static_cast<std::uint64_t>(o.budget.max_exact_nodes));
+  d.absorb(std::uint64_t{0});  // exact node budget, likewise
   d.absorb(static_cast<std::uint64_t>(o.max_new_shards));
   return d.hex();
 }
@@ -171,10 +171,6 @@ Result<RunConfig> RunConfig::Builder::build() const {
   if (o.algo.row_rounds < 1) {
     return invalid("algo.row_rounds must be >= 1, got " +
                    std::to_string(o.algo.row_rounds));
-  }
-  if (o.exact.max_bits < 1 || o.exact.max_bits > 64) {
-    return invalid("exact.max_bits out of range [1, 64], got " +
-                   std::to_string(o.exact.max_bits));
   }
   return RunConfig::wrap(o);
 }

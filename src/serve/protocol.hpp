@@ -42,7 +42,7 @@ struct Request {
   std::string kiss;        ///< KISS2 machine text (protect/verify/sweep)
   int latency = 2;
   std::vector<int> latencies;  ///< sweep only
-  std::string solver = "lp";       ///< lp | greedy | exact
+  std::string solver = "lp";       ///< lp | greedy
   std::string encoding = "binary"; ///< binary | gray | onehot | spread
   std::string semantics = "impl";  ///< impl | machine
   std::uint64_t seed = 0;          ///< 0 = library default

@@ -59,6 +59,7 @@
 #include <string>
 #include <vector>
 
+#include "common/names.hpp"
 #include "common/shards.hpp"
 #include "core/resilience.hpp"
 #include "obs/trace.hpp"
@@ -73,11 +74,26 @@ enum class FaultModel {
   kAdversarialFlip = 2,
 };
 
+/// How the CLI's --model spells each fault model (common/names.hpp).
+inline constexpr NameTable<FaultModel, 3> kFaultModelNames{{
+    {"stuck", FaultModel::kStuckAt},
+    {"transient", FaultModel::kTransientFlip},
+    {"adversarial", FaultModel::kAdversarialFlip},
+}};
+
 enum class CampaignPolicy {
   kExhaustive = 0,
   kRandomWalks = 1,
 };
 
+/// How the CLI's --policy spells each policy (common/names.hpp).
+inline constexpr NameTable<CampaignPolicy, 2> kCampaignPolicyNames{{
+    {"exhaustive", CampaignPolicy::kExhaustive},
+    {"walks", CampaignPolicy::kRandomWalks},
+}};
+
+/// The labels a campaign report prints ("stuck-at", "transient-flip", ...):
+/// the JSON's field values, not flag spellings.
 const char* to_string(FaultModel m);
 const char* to_string(CampaignPolicy p);
 

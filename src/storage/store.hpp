@@ -149,7 +149,7 @@ class StoreArchive final : public core::ExtractArchive {
 };
 
 /// Canonical artifact names. Scheme and manifest names end in the
-/// solver's tag (lp, greedy or exact), spelled in store.cpp only.
+/// solver's tag (lp or greedy), spelled in store.cpp only.
 std::string table_name(const std::string& key);
 std::string shard_name(const std::string& key, std::uint32_t index);
 std::string scheme_name(const std::string& key, int latency,

@@ -1,4 +1,4 @@
-#include "core/exact.hpp"
+#include "oracle/exact.hpp"
 
 #include <algorithm>
 #include <bit>

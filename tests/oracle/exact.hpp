@@ -1,5 +1,11 @@
 #pragma once
 
+// The parity-selection reference oracle: the exhaustive branch-and-bound
+// optimum that Algorithm 1 and the greedy solver are compared against on
+// small tables. Tests and bench_solver_quality (the optimum column of the
+// §4 "Algorithm quality" experiment) link it from the ced_oracles library
+// (tests/CMakeLists.txt); nothing in the library calls it.
+
 #include <optional>
 #include <vector>
 
@@ -16,12 +22,11 @@ struct ExactOptions {
   /// Branch-and-bound node budget; nullopt result when exhausted.
   std::size_t max_nodes = 50'000'000;
   /// Wall-clock budget for the search; on expiry the solve aborts with
-  /// `deadline_hit` so the caller can fall back to a cheaper solver.
+  /// `deadline_hit`.
   Deadline deadline;
 };
 
-/// Why an exact solve returned nullopt (all false on success) — drives the
-/// degradation cascade's fallback classification.
+/// Why an exact solve returned nullopt (all false on success).
 struct ExactOutcome {
   bool too_large = false;      ///< instance exceeded max_bits
   bool node_budget_hit = false;

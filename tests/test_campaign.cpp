@@ -752,6 +752,34 @@ TEST(CampaignCodec, ShardAndReportRoundTripByteIdentical) {
 }
 
 // ---------------------------------------------------------------------------
+// Flag names.
+
+TEST(CampaignNames, FlagTablesRefuseMisspellings) {
+  // ced_cli campaign reads --model and --policy through these tables, so a
+  // misspelled value is refused rather than read as another campaign. The
+  // report's labels (to_string, which BENCH_campaign.json holds) are not
+  // flag spellings.
+  EXPECT_EQ(names_joined(kFaultModelNames), "stuck|transient|adversarial");
+  EXPECT_EQ(names_joined(kCampaignPolicyNames), "exhaustive|walks");
+  for (const auto& e : kFaultModelNames) {
+    EXPECT_EQ(enum_from_name(kFaultModelNames, e.name), e.value) << e.name;
+    EXPECT_EQ(name_of(kFaultModelNames, e.value), e.name);
+  }
+  for (const auto& e : kCampaignPolicyNames) {
+    EXPECT_EQ(enum_from_name(kCampaignPolicyNames, e.name), e.value) << e.name;
+    EXPECT_EQ(name_of(kCampaignPolicyNames, e.value), e.name);
+  }
+  EXPECT_FALSE(enum_from_name(kFaultModelNames, "transeint").has_value());
+  EXPECT_FALSE(enum_from_name(kCampaignPolicyNames, "exhaustve").has_value());
+  EXPECT_FALSE(enum_from_name(kFaultModelNames, "stuck-at").has_value());
+  EXPECT_STREQ(to_string(FaultModel::kStuckAt), "stuck-at");
+  EXPECT_STREQ(to_string(FaultModel::kTransientFlip), "transient-flip");
+  EXPECT_STREQ(to_string(FaultModel::kAdversarialFlip), "adversarial-flip");
+  EXPECT_STREQ(to_string(CampaignPolicy::kExhaustive), "exhaustive");
+  EXPECT_STREQ(to_string(CampaignPolicy::kRandomWalks), "walks");
+}
+
+// ---------------------------------------------------------------------------
 // Option validation.
 
 TEST(CampaignOptionsValidation, MalformedOptionsThrow) {

@@ -22,12 +22,12 @@
 #include "common/exec.hpp"
 #include "core/algorithm1.hpp"
 #include "core/coverkernel.hpp"
-#include "core/exact.hpp"
 #include "core/extract.hpp"
 #include "core/greedy.hpp"
 #include "core/parity.hpp"
 #include "core/pipeline.hpp"
 #include "fsm/synthesize.hpp"
+#include "oracle/exact.hpp"
 #include "sim/faults.hpp"
 
 namespace ced::core {

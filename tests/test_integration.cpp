@@ -64,17 +64,6 @@ TEST(EndToEndExtra, GreedySolverAlsoVerifies) {
   EXPECT_TRUE(prove(d.circuit, rep.hw, d.faults, 2).bound_holds());
 }
 
-TEST(EndToEndExtra, ExactSolverAlsoVerifies) {
-  const fsm::Fsm f =
-      fsm::Fsm::from_kiss(kiss::parse(benchdata::handwritten_kiss("traffic")));
-  PipelineOptions opts;
-  opts.latency = 2;
-  opts.solver = SolverKind::kExact;
-  const PipelineReport rep = ced::run_pipeline(f, RunConfig::wrap(opts));
-  const Design d = derive_design(f, opts);
-  EXPECT_TRUE(prove(d.circuit, rep.hw, d.faults, 2).bound_holds());
-}
-
 TEST(EndToEndExtra, GrayEncodingVerifies) {
   const fsm::Fsm f =
       fsm::Fsm::from_kiss(kiss::parse(benchdata::handwritten_kiss("modulo5")));

@@ -103,8 +103,7 @@ TEST(Pipeline, SweepIsMonotoneAndShares) {
 }
 
 TEST(Pipeline, SolverKindsAllProduceValidCovers) {
-  for (SolverKind kind :
-       {SolverKind::kLpRounding, SolverKind::kGreedy, SolverKind::kExact}) {
+  for (SolverKind kind : {SolverKind::kLpRounding, SolverKind::kGreedy}) {
     PipelineOptions opts;
     opts.latency = 2;
     opts.solver = kind;

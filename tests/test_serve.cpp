@@ -362,7 +362,7 @@ TEST(Protocol, ShapeNamesComeFromOneTablePerEnum) {
     EXPECT_EQ(bad.status().message, error);
   };
   check(core::kSolverNames, "solver",
-        "field 'solver' must be lp|greedy|exact");
+        "field 'solver' must be lp|greedy");
   check(fsm::kEncodingNames, "encoding",
         "field 'encoding' must be binary|gray|onehot|spread");
   check(core::kSemanticsNames, "semantics",
@@ -372,8 +372,8 @@ TEST(Protocol, ShapeNamesComeFromOneTablePerEnum) {
             "scheme-k-p3-lp");
   EXPECT_EQ(storage::scheme_name("k", 2, core::SolverKind::kGreedy),
             "scheme-k-p2-greedy");
-  EXPECT_EQ(storage::manifest_name("k", 1, core::SolverKind::kExact),
-            "man-k-p1-exact");
+  EXPECT_EQ(storage::manifest_name("k", 1, core::SolverKind::kLpRounding),
+            "man-k-p1-lp");
 }
 
 // --------------------------------------------------------- digest golden
@@ -410,7 +410,7 @@ TEST(RunConfigDigest, GoldenPinForNonDefaultConfig) {
   core::PipelineOptions o;
   o.encoding = fsm::EncodingKind::kOneHot;
   o.latency = 4;
-  o.solver = core::SolverKind::kExact;
+  o.solver = core::SolverKind::kGreedy;
   o.ced.dc_unreachable = false;
   o.ced.two_rail = true;
   o.faults.collapse = false;
@@ -428,15 +428,12 @@ TEST(RunConfigDigest, GoldenPinForNonDefaultConfig) {
   o.algo.lp.eps = 1e-7;
   o.algo.greedy.sample_cap = 333;
   o.algo.greedy.seed = 11;
-  o.exact.max_bits = 9;
-  o.exact.max_nodes = 4242;
   o.budget.wall_seconds = 2.5;
   o.budget.max_cases = 1000;
   o.budget.max_lp_iterations = 50;
   o.budget.max_rounding_attempts = 60;
-  o.budget.max_exact_nodes = 70;
   o.max_new_shards = 2;
-  EXPECT_EQ(RunConfig::wrap(o).digest(), "09fdfcebd66240e8ed45bee22e4ed006");
+  EXPECT_EQ(RunConfig::wrap(o).digest(), "5a309eeff2cdf5813fa7ee76706085db");
 }
 
 // ------------------------------------------------------------ server E2E

@@ -3,12 +3,12 @@
 #include "benchdata/handwritten.hpp"
 #include "core/algorithm1.hpp"
 #include "core/coverkernel.hpp"
-#include "core/exact.hpp"
 #include "core/extract.hpp"
 #include "core/greedy.hpp"
 #include "core/ilp.hpp"
 #include "core/parity.hpp"
 #include "kiss/kiss.hpp"
+#include "oracle/exact.hpp"
 #include "oracle/statement5.hpp"
 #include "sim/faults.hpp"
 
@@ -166,6 +166,29 @@ TEST(Exact, EmptyTableNeedsNothing) {
   const auto sol = exact_min_cover(t);
   ASSERT_TRUE(sol.has_value());
   EXPECT_TRUE(sol->empty());
+}
+
+TEST(Resilience, ExactReportsNodeBudgetExhaustion) {
+  const DetectabilityTable t = table_for("link_rx", 2);
+  ExactOptions opts;
+  opts.max_nodes = 1;
+  ExactOutcome outcome;
+  const auto r = exact_min_cover(t, opts, &outcome);
+  EXPECT_FALSE(r.has_value());
+  EXPECT_TRUE(outcome.node_budget_hit);
+  EXPECT_FALSE(outcome.uncoverable);
+}
+
+TEST(Resilience, ExactReportsDeadlineExhaustion) {
+  const DetectabilityTable t = table_for("link_rx", 2);
+  ExactOptions opts;
+  opts.deadline = Deadline::after(1e-12);
+  while (!opts.deadline.expired()) {
+  }
+  ExactOutcome outcome;
+  const auto r = exact_min_cover(t, opts, &outcome);
+  EXPECT_FALSE(r.has_value());
+  EXPECT_TRUE(outcome.deadline_hit);
 }
 
 TEST(Algorithm1, SolveForQFindsKnownCover) {

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "benchdata/handwritten.hpp"
+#include "common/digest.hpp"
 #include "common/io.hpp"
 #include "core/parity_synth.hpp"
 #include "core/pipeline.hpp"
@@ -217,6 +218,66 @@ TEST_F(StorageTest, ManifestRoundTripIsCanonical) {
   EXPECT_EQ(decoded->spans[1].parent, 1u);
   EXPECT_EQ(decoded->spans[1].attrs, man.spans[1].attrs);
   EXPECT_EQ(decoded->spans[1].start_s, man.spans[1].start_s);
+  EXPECT_EQ(encode_manifest(*decoded), bytes);
+}
+
+TEST_F(StorageTest, ManifestBytesArePinned) {
+  // A manifest stores the resilience report's stage and cascade-level
+  // numbers as raw bytes, so renumbering either enum changes what every
+  // stored manifest means, and a round trip cannot see it. This one's
+  // status stage lies past the retired exact stage (7), and its events
+  // and cascade levels cover the other stored numbers.
+  ManifestArtifact man;
+  man.config_digest = "0123456789abcdef0123456789abcdef";
+  man.extraction_key = "deadbeefdeadbeefdeadbeefdeadbeef";
+  man.circuit = "traffic";
+  man.latency = 2;
+  man.threads = 4;
+  man.parities = {0x12, 0x50};
+  man.resilience.status = Status::truncated(Stage::kPipeline, "degraded");
+  man.resilience.solver_requested = core::CascadeLevel::kLpRounding;
+  man.resilience.solver_used = core::CascadeLevel::kDuplication;
+  for (const Stage stage : {Stage::kLp, Stage::kGreedy, Stage::kStore}) {
+    man.resilience.record(stage, StatusCode::kTruncated, "event", 0.5, 7);
+  }
+  const std::string bytes = encode_manifest(man);
+  Digest128 d;
+  d.absorb(bytes);
+  EXPECT_EQ(d.hex(), "4b987a0018d7cfa355683a1f22d47bc3");
+  auto decoded = decode_manifest(bytes);
+  ASSERT_TRUE(decoded.has_value()) << decoded.status().to_text();
+  EXPECT_EQ(encode_manifest(*decoded), bytes);
+}
+
+TEST_F(StorageTest, ManifestOfARetiredExactRunStillDecodes) {
+  // Runs that requested the exact branch-and-bound stored cascade level 0
+  // and their node-budget event at stage 7. Neither number is reused, so
+  // such a manifest still decodes and re-encodes to the bytes it was
+  // stored with. The pin is the digest of the bytes an exact run that fell
+  // back to the LP wrote before the exact level was retired.
+  ManifestArtifact man;
+  man.config_digest = "0123456789abcdef0123456789abcdef";
+  man.extraction_key = "deadbeefdeadbeefdeadbeefdeadbeef";
+  man.circuit = "traffic";
+  man.latency = 2;
+  man.threads = 4;
+  man.parities = {0x12, 0x50};
+  man.resilience.status = Status::truncated(Stage::kPipeline, "degraded");
+  man.resilience.solver_requested = static_cast<core::CascadeLevel>(0);
+  man.resilience.solver_used = core::CascadeLevel::kLpRounding;
+  man.resilience.record(static_cast<Stage>(7), StatusCode::kTruncated,
+                        "branch-and-bound node budget (70 nodes) exhausted",
+                        0.25, 9);
+  const std::string bytes = encode_manifest(man);
+  Digest128 d;
+  d.absorb(bytes);
+  EXPECT_EQ(d.hex(), "e453b496808f1d2bdb99c5cda3142e1a");
+  auto decoded = decode_manifest(bytes);
+  ASSERT_TRUE(decoded.has_value()) << decoded.status().to_text();
+  EXPECT_EQ(static_cast<int>(decoded->resilience.solver_requested), 0);
+  EXPECT_EQ(decoded->resilience.solver_used, core::CascadeLevel::kLpRounding);
+  ASSERT_EQ(decoded->resilience.events.size(), 1u);
+  EXPECT_EQ(static_cast<int>(decoded->resilience.events[0].stage), 7);
   EXPECT_EQ(encode_manifest(*decoded), bytes);
 }
 

@@ -1,10 +1,10 @@
 // ced_cli — end-to-end command-line driver for the library.
 //
-//   ced_cli protect  <machine.kiss> [--latency=N] [--solver=lp|greedy|exact]
+//   ced_cli protect  <machine.kiss> [--latency=N] [--solver=lp|greedy]
 //                    [--encoding=binary|gray|onehot|spread] [--semantics=impl|machine]
 //                    [--minimize-states] [--verify] [--threads=N]
 //                    [--budget-seconds=F] [--max-cases=N] [--max-lp-iters=N]
-//                    [--max-roundings=N] [--max-exact-nodes=N]
+//                    [--max-roundings=N]
 //                    [--metrics-out=FILE] [--trace-out=FILE] [--prom-out=FILE]
 //                    [--explain]
 //   ced_cli analyze  <machine.kiss>
@@ -36,7 +36,8 @@
 //   1  degraded/truncated result (a budget valve fired, a solver fell back
 //      down the cascade, or --verify found violations) — still usable, the
 //      resilience report on stderr says exactly what happened
-//   2  invalid input (unreadable file, malformed KISS2, bad flags)
+//   2  invalid input (unreadable file, malformed KISS2, bad flags: an
+//      unknown flag, an unknown name, or a number that does not parse whole)
 //   3  internal error — including interruption: Ctrl-C during `protect`
 //      trips the run's cooperative interrupt valve, so in-flight work
 //      checkpoints (with --store, completed shards are already durable and
@@ -45,7 +46,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -56,6 +59,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "benchdata/generator.hpp"
 #include "benchdata/suite.hpp"
@@ -117,13 +121,13 @@ int usage() {
   std::fprintf(stderr,
                "usage:\n"
                "  ced_cli protect <machine.kiss> [--latency=N] "
-               "[--solver=lp|greedy|exact]\n"
+               "[--solver=lp|greedy]\n"
                "          [--encoding=binary|gray|onehot|spread] "
                "[--semantics=impl|machine]\n"
                "          [--minimize-states] [--verify] [--threads=N]\n"
                "          [--budget-seconds=F] [--max-cases=N] "
                "[--max-lp-iters=N]\n"
-               "          [--max-roundings=N] [--max-exact-nodes=N]\n"
+               "          [--max-roundings=N]\n"
                "          [--store=DIR] [--resume] [--checkpoint-shards=N] "
                "[--max-new-shards=N]\n"
                "          [--metrics-out=FILE] [--trace-out=FILE] "
@@ -158,9 +162,10 @@ int cmd_help() {
       "\n"
       "Budget flags (protect): every limit is cooperative — when it trips,\n"
       "the stage keeps its partial results and the solver cascade degrades\n"
-      "exact -> lp+rounding -> greedy -> duplication-style floor instead of\n"
-      "aborting. A degraded run exits 1 and prints a resilience report on\n"
-      "stderr.\n"
+      "lp+rounding -> greedy -> duplication-style floor instead of aborting.\n"
+      "A degraded run exits 1 and prints a resilience report on stderr.\n"
+      "0 or a negative budget means no limit. A numeric value must parse\n"
+      "whole (a count of 1e6 is invalid input, not 1).\n"
       "\n"
       "  flag                 default    meaning\n"
       "  --budget-seconds=F   unlimited  wall-clock budget for the whole "
@@ -174,8 +179,6 @@ int cmd_help() {
       "  --max-lp-iters=N     200000     simplex pivot cap per LP solve\n"
       "  --max-roundings=N    40         randomized-rounding attempts per\n"
       "                                  LP solution\n"
-      "  --max-exact-nodes=N  50000000   branch-and-bound node cap for\n"
-      "                                  --solver=exact\n"
       "\n"
       "Other protect flags:\n"
       "  --latency=N          2          detection-latency bound p\n"
@@ -185,7 +188,7 @@ int cmd_help() {
       "                                  Results are identical at any count,\n"
       "                                  except for a no-store table that\n"
       "                                  degrades (DESIGN.md section 7).\n"
-      "  --solver=KIND        lp         lp | greedy | exact\n"
+      "  --solver=KIND        lp         lp | greedy\n"
       "  --encoding=KIND      binary     binary | gray | onehot | spread\n"
       "  --semantics=KIND     impl       impl | machine (see DESIGN.md)\n"
       "  --minimize-states               merge compatible states first\n"
@@ -236,7 +239,8 @@ int cmd_help() {
       "  --walks=N --walk-length=N       walk count per (fault, state) and\n"
       "                                  walk length (soak: 32 x 512)\n"
       "  --horizon=N          p+2        escape cutoff in cycles\n"
-      "  --seed=N                        campaign seed (part of the key)\n"
+      "  --seed=N                        campaign seed (part of the key;\n"
+      "                                  0x... reads as hex)\n"
       "  --soak                          long randomized sweep: walks policy\n"
       "                                  over all three fault models\n"
       "  --json-out=FILE                 write the verdict totals and\n"
@@ -262,15 +266,60 @@ int cmd_help() {
   return kExitOk;
 }
 
-std::string arg_value(int argc, char** argv, const char* key,
-                      const char* fallback) {
+/// The value of `key=VALUE` among the arguments after the subcommand;
+/// nullopt when the flag is absent.
+std::optional<std::string> flag_value(int argc, char** argv, const char* key) {
   const std::size_t len = std::strlen(key);
   for (int i = 2; i < argc; ++i) {
     if (std::strncmp(argv[i], key, len) == 0 && argv[i][len] == '=') {
       return argv[i] + len + 1;
     }
   }
-  return fallback;
+  return std::nullopt;
+}
+
+std::string arg_value(int argc, char** argv, const char* key,
+                      const char* fallback) {
+  return flag_value(argc, argv, key).value_or(fallback);
+}
+
+/// The number a numeric flag spells, or `fallback` when the flag is absent.
+/// The whole value must parse, so `--max-cases=1e6` or `--threads=four` is
+/// invalid input naming the flag (as named_flag does for names), not a
+/// 1-case cap or the default thread count. Base 0 reads a 0x prefix as hex
+/// and a leading 0 as octal, as strtoull does; a floating-point value must
+/// be finite.
+template <typename T>
+T numeric_flag(int argc, char** argv, const char* key, T fallback,
+               int base = 10) {
+  const std::optional<std::string> text = flag_value(argc, argv, key);
+  if (!text) return fallback;
+  std::string_view digits = *text;
+  if (base == 0) {
+    base = 10;
+    if (digits.starts_with("0x") || digits.starts_with("0X")) {
+      base = 16;
+      digits.remove_prefix(2);
+    } else if (digits.size() > 1 && digits.front() == '0') {
+      base = 8;
+      digits.remove_prefix(1);
+    }
+  }
+  T value{};
+  const char* const last = digits.data() + digits.size();
+  std::from_chars_result r{};
+  if constexpr (std::is_floating_point_v<T>) {
+    r = std::from_chars(digits.data(), last, value);
+  } else {
+    r = std::from_chars(digits.data(), last, value, base);
+  }
+  bool ok = !digits.empty() && r.ec == std::errc{} && r.ptr == last;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    throw InvalidInputError(std::string(key) + " must be a number, got '" +
+                            *text + "'");
+  }
+  return value;
 }
 
 bool has_flag(int argc, char** argv, const char* flag) {
@@ -293,7 +342,7 @@ constexpr std::string_view kShapeFlags[] = {
 /// Read by budget_from_args.
 constexpr std::string_view kBudgetFlags[] = {
     "--budget-seconds=", "--max-cases=", "--max-lp-iters=",
-    "--max-roundings=", "--max-exact-nodes="};
+    "--max-roundings="};
 
 /// Throws InvalidInputError on the first `--...` argument after the
 /// subcommand that none of `lists` names, so a misspelled flag is invalid
@@ -371,20 +420,17 @@ int cmd_analyze(int argc, char** argv) {
 }
 
 core::RunBudget budget_from_args(int argc, char** argv) {
-  // Negative or unparsable values mean "no limit" (same as 0) rather than
-  // wrapping to a huge unsigned cap.
-  const auto count = [&](const char* key) -> long long {
-    const long long v = std::atoll(arg_value(argc, argv, key, "0").c_str());
-    return v > 0 ? v : 0;
+  // 0 or a negative value means "no limit" rather than wrapping to a huge
+  // unsigned cap; a value that is not a number is invalid input.
+  const auto count = [&](const char* key) {
+    return std::max(numeric_flag<long long>(argc, argv, key, 0), 0LL);
   };
   core::RunBudget b;
-  const double secs =
-      std::atof(arg_value(argc, argv, "--budget-seconds", "0").c_str());
-  b.wall_seconds = secs > 0.0 ? secs : 0.0;
+  b.wall_seconds =
+      std::max(numeric_flag(argc, argv, "--budget-seconds", 0.0), 0.0);
   b.max_cases = static_cast<std::size_t>(count("--max-cases"));
   b.max_lp_iterations = static_cast<int>(count("--max-lp-iters"));
   b.max_rounding_attempts = static_cast<int>(count("--max-roundings"));
-  b.max_exact_nodes = static_cast<std::size_t>(count("--max-exact-nodes"));
   return b;
 }
 
@@ -408,15 +454,14 @@ E named_flag(int argc, char** argv, const char* key,
 /// --semantics, --checkpoint-shards), so all three parse them here.
 RunConfig::Builder shape_from_args(int argc, char** argv) {
   RunConfig::Builder b;
-  b.latency(std::atoi(arg_value(argc, argv, "--latency", "2").c_str()))
+  b.latency(numeric_flag(argc, argv, "--latency", 2))
       .solver(named_flag(argc, argv, "--solver", core::kSolverNames,
                          core::SolverKind::kLpRounding))
       .encoding(named_flag(argc, argv, "--encoding", fsm::kEncodingNames,
                            fsm::EncodingKind::kBinary))
       .semantics(named_flag(argc, argv, "--semantics", core::kSemanticsNames,
                             core::DiffSemantics::kImplementable))
-      .checkpoint_shards(std::atoi(
-          arg_value(argc, argv, "--checkpoint-shards", "0").c_str()));
+      .checkpoint_shards(numeric_flag(argc, argv, "--checkpoint-shards", 0));
   return b;
 }
 
@@ -561,8 +606,7 @@ int cmd_protect(int argc, char** argv) {
 
   // 0 = auto (CED_THREADS env or hardware concurrency); negatives mean auto
   // too rather than wrapping.
-  const int threads =
-      std::atoi(arg_value(argc, argv, "--threads", "0").c_str());
+  const int threads = numeric_flag(argc, argv, "--threads", 0);
 
   RunConfig::Builder builder = shape_from_args(argc, argv);
   builder.threads(threads >= 1 ? threads : 0)
@@ -574,8 +618,7 @@ int cmd_protect(int argc, char** argv) {
   if (store) {
     builder.archive(&*archive)
         .resume(has_flag(argc, argv, "--resume"))
-        .max_new_shards(
-            std::atoi(arg_value(argc, argv, "--max-new-shards", "0").c_str()));
+        .max_new_shards(numeric_flag(argc, argv, "--max-new-shards", 0));
   }
   const RunConfig cfg = build_config(builder);
   const core::PipelineOptions& opts = cfg.options();
@@ -774,6 +817,15 @@ int cmd_campaign(int argc, char** argv) {
   obs::MetricsRegistry metrics;
   const obs::Sinks sinks =
       observing ? obs::Sinks{&tracer, &metrics, 0} : obs::Sinks{};
+  // Names parse before the stored design loads, so a misspelled one fails
+  // fast. The policy defaults to the stuck-at proof or to walks otherwise.
+  const sim::FaultModel model = named_flag(
+      argc, argv, "--model", sim::kFaultModelNames, sim::FaultModel::kStuckAt);
+  const sim::CampaignPolicy policy =
+      named_flag(argc, argv, "--policy", sim::kCampaignPolicyNames,
+                 model == sim::FaultModel::kStuckAt
+                     ? sim::CampaignPolicy::kExhaustive
+                     : sim::CampaignPolicy::kRandomWalks);
 
   storage::ArtifactStore store(required_store(argc, argv, "campaign"));
   store.set_sinks(sinks);
@@ -782,27 +834,21 @@ int cmd_campaign(int argc, char** argv) {
   const bool soak = has_flag(argc, argv, "--soak");
   sim::CampaignOptions base;
   base.latency_bound = d.latency;
-  base.horizon = std::atoi(arg_value(argc, argv, "--horizon", "0").c_str());
-  base.persistence =
-      std::atoi(arg_value(argc, argv, "--persistence", "0").c_str());
-  base.flip_bits = std::atoi(arg_value(argc, argv, "--k", "1").c_str());
-  base.walks =
-      std::atoi(arg_value(argc, argv, "--walks", soak ? "32" : "8").c_str());
-  base.walk_length = std::atoi(
-      arg_value(argc, argv, "--walk-length", soak ? "512" : "96").c_str());
-  base.seed = static_cast<std::uint64_t>(std::strtoull(
-      arg_value(argc, argv, "--seed", "212250478").c_str(), nullptr, 0));
-  base.threads = std::atoi(arg_value(argc, argv, "--threads", "0").c_str());
+  base.horizon = numeric_flag(argc, argv, "--horizon", 0);
+  base.persistence = numeric_flag(argc, argv, "--persistence", 0);
+  base.flip_bits = numeric_flag(argc, argv, "--k", 1);
+  base.walks = numeric_flag(argc, argv, "--walks", soak ? 32 : 8);
+  base.walk_length = numeric_flag(argc, argv, "--walk-length", soak ? 512 : 96);
+  base.seed = numeric_flag<std::uint64_t>(argc, argv, "--seed", 212250478, 0);
+  base.threads = numeric_flag(argc, argv, "--threads", 0);
   core::RunBudget budget = budget_from_args(argc, argv);
   budget.interrupt = &g_interrupted;
   base.deadline = core::Deadline::from(budget);
   base.obs = sinks;
 
   ShardPlan plan;
-  plan.num_shards =
-      std::atoi(arg_value(argc, argv, "--checkpoint-shards", "0").c_str());
-  plan.max_new_shards =
-      std::atoi(arg_value(argc, argv, "--max-new-shards", "0").c_str());
+  plan.num_shards = numeric_flag(argc, argv, "--checkpoint-shards", 0);
+  plan.max_new_shards = numeric_flag(argc, argv, "--max-new-shards", 0);
   const bool resume = has_flag(argc, argv, "--resume");
 
   // Which (model, policy) pairs run: one, or the full soak sweep.
@@ -817,15 +863,9 @@ int cmd_campaign(int argc, char** argv) {
       runs.push_back(o);
     }
   } else {
-    const std::string model = arg_value(argc, argv, "--model", "stuck");
-    const std::string policy = arg_value(
-        argc, argv, "--policy", model == "stuck" ? "exhaustive" : "walks");
     sim::CampaignOptions o = base;
-    o.model = model == "transient"     ? sim::FaultModel::kTransientFlip
-              : model == "adversarial" ? sim::FaultModel::kAdversarialFlip
-                                       : sim::FaultModel::kStuckAt;
-    o.policy = policy == "walks" ? sim::CampaignPolicy::kRandomWalks
-                                 : sim::CampaignPolicy::kExhaustive;
+    o.model = model;
+    o.policy = policy;
     runs.push_back(o);
   }
 
@@ -968,14 +1008,13 @@ int cmd_generate(int argc, char** argv) {
   }
   benchdata::SyntheticSpec spec;
   spec.name = "generated";
-  spec.states = std::atoi(arg_value(argc, argv, "--states", "12").c_str());
-  spec.inputs = std::atoi(arg_value(argc, argv, "--inputs", "3").c_str());
-  spec.outputs = std::atoi(arg_value(argc, argv, "--outputs", "3").c_str());
+  spec.states = numeric_flag(argc, argv, "--states", 12);
+  spec.inputs = numeric_flag(argc, argv, "--inputs", 3);
+  spec.outputs = numeric_flag(argc, argv, "--outputs", 3);
   spec.seed = static_cast<std::uint64_t>(
-      std::atoll(arg_value(argc, argv, "--seed", "1").c_str()));
-  spec.self_loop_bias =
-      std::atof(arg_value(argc, argv, "--self-loops", "0.2").c_str());
-  spec.branches = std::atoi(arg_value(argc, argv, "--branches", "5").c_str());
+      numeric_flag<long long>(argc, argv, "--seed", 1));
+  spec.self_loop_bias = numeric_flag(argc, argv, "--self-loops", 0.2);
+  spec.branches = numeric_flag(argc, argv, "--branches", 5);
   try {
     std::fputs(benchdata::generate_kiss(spec).c_str(), stdout);
   } catch (const std::invalid_argument& e) {

@@ -1,7 +1,7 @@
 // ced_client — command-line client and load generator for ced_serve.
 //
 //   ced_client protect <machine.kiss|-> (--socket=PATH | --tcp-port=N)
-//              [--latency=N] [--solver=lp|greedy|exact]
+//              [--latency=N] [--solver=lp|greedy]
 //              [--encoding=binary|gray|onehot|spread] [--semantics=impl|machine]
 //              [--deadline-ms=N] [--tenant=S] [--id=S] [--seed=N]
 //              [--request-seed=N] [--retries=N] [--json]

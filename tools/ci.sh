@@ -54,7 +54,7 @@ echo "== results ledger: every Table-1 circuit reproduces bench/ledger.txt =="
 # thread-count-dependent amount.
 ./build/bench/bench_ledger --check=bench/ledger.txt
 
-echo "== one solve path: a single-latency protect is the ledger's chain link; unknown flags exit 2 =="
+echo "== one solve path: a single-latency protect is the ledger's chain link; unknown flags, names and malformed numbers exit 2 =="
 # `ced_cli protect --latency=p` answers with link p of the ascending solve
 # chain 1..p, which is what the ledger's 1..3 sweep pins at p. s1488
 # machine-level p=3 needs the links below it: solved alone, its
@@ -72,25 +72,37 @@ got="q=$(sed -n 's/.*-> q=\([0-9]*\) parity trees$/\1/p' "$obs_tmp/chain.out")"
 got+=" masks=$(sed -n 's/^  tree [0-9]*: mask 0x//p' "$obs_tmp/chain.out" | paste -sd,)"
 [[ -n "$want" && "$got" == "$want" ]] \
   || { echo "protect s1488 machine p=3 gave '$got'; the ledger pins '$want'"; exit 1; }
-status=0
-./build/tools/ced_cli protect "$obs_tmp/s1488.kiss" --solver=exat \
-    > /dev/null 2>&1 || status=$?
-[[ "$status" == 2 ]] \
-  || { echo "a misspelled --solver exited $status, not 2"; exit 1; }
+# expect_invalid WHAT ARGS...: `ced_cli ARGS` exits 2 and names WHAT.
+expect_invalid() {
+  local what=$1 status=0
+  shift
+  ./build/tools/ced_cli "$@" > /dev/null 2> "$obs_tmp/flag.err" || status=$?
+  [[ "$status" == 2 ]] && grep -qF -- "$what" "$obs_tmp/flag.err" \
+    || { echo "ced_cli $* exited $status, not 2 naming $what"; exit 1; }
+}
+expect_invalid "--solver must be lp|greedy" \
+    protect "$obs_tmp/s1488.kiss" --solver=exat
+# The exact branch-and-bound is a test oracle, not a solver a run can ask
+# for.
+expect_invalid "--solver must be lp|greedy" \
+    protect "$obs_tmp/s1488.kiss" --solver=exact
+# A misspelled campaign model is refused, not run as a stuck-at campaign.
+expect_invalid "--model must be stuck|transient|adversarial" \
+    campaign "$obs_tmp/s1488.kiss" --store="$obs_tmp/none" --model=transeint
+# A number parses whole: 1e6 cases is not read as a 1-case cap.
+expect_invalid "--max-cases must be a number" \
+    protect "$obs_tmp/s1488.kiss" --max-cases=1e6
 # A flag the command does not read is invalid input too, not a silently
 # ignored one: a misspelled --threads must not fall back to the default.
-status=0
-./build/tools/ced_cli protect "$obs_tmp/s1488.kiss" --thread=1 \
-    > /dev/null 2> "$obs_tmp/flag.err" || status=$?
-[[ "$status" == 2 ]] && grep -q "unknown flag '--thread=1' for protect" \
-    "$obs_tmp/flag.err" \
-  || { echo "an unknown protect flag exited $status, not 2"; exit 1; }
+expect_invalid "unknown flag '--thread=1' for protect" \
+    protect "$obs_tmp/s1488.kiss" --thread=1
 status=0
 ./build/bench/bench_perf --kernel-smoke --circuit=s1488 \
     > /dev/null 2>&1 || status=$?
 [[ "$status" == 2 ]] \
   || { echo "an unknown bench_perf flag exited $status, not 2"; exit 1; }
-for harness in bench_saturation bench_area_aware bench_convolutional; do
+for harness in bench_saturation bench_area_aware bench_convolutional \
+    bench_solver_quality; do
   status=0
   "./build/bench/$harness" --circuit=s27 --quick > /dev/null 2>&1 \
     || status=$?
