@@ -12,9 +12,12 @@
 // hw=<digest>), the q values Algorithm 1 probed (probes=, in order), and
 // the table's enumerated paths and loop truncations (paths=, loops=),
 // which pin the DFS order and its subtree pruning, not only the cases.
-// Last come whether the degrade threshold strengthened the table
+// Then come whether the degrade threshold strengthened the table
 // (strengthened=yes|no) and the campaign's late, silent and false-alarm
-// episode counts (late=, silent=, alarms=), which bound= summarizes.
+// episode counts (late=, silent=, alarms=), which bound= summarizes. Last
+// come the simplex pivots the link's Algorithm 1 spent over all its LP
+// solves (pivots=), which pin the LP path: every q probe's formulations,
+// warm starts and pivots.
 // All three run at a fixed 4 threads: without a store, extraction runs
 // one shard per thread and divides the degrade threshold among the
 // shards, so a strengthened table (s1488 p=3) depends on the thread count.
@@ -152,6 +155,7 @@ std::vector<std::string> ledger_lines(const std::string& name) {
       line += " late=" + std::to_string(proof.detected_late) +
               " silent=" + std::to_string(proof.silent_escape) +
               " alarms=" + std::to_string(proof.false_alarms);
+      line += " pivots=" + std::to_string(rep.algo_stats.lp_iterations);
       lines.push_back(std::move(line));
     }
   }

@@ -48,8 +48,9 @@ echo "== results ledger: every Table-1 circuit reproduces bench/ledger.txt =="
 # semantics, p=1..3: case counts, case-list digests, q, parity masks,
 # whether the exhaustive campaign proves the bound on the synthesized
 # checker (bound=holds|violated), that checker's cost and netlist digest,
-# the q values Algorithm 1 probed, and the table's path and loop-truncation
-# counts (the DFS order and pruning). The tool pins its own thread count (4):
+# the q values Algorithm 1 probed, the table's path and loop-truncation
+# counts (the DFS order and pruning), and the simplex pivots each link's
+# Algorithm 1 spent (its whole LP path). The tool pins its own thread count (4):
 # no-store extraction strengthens degraded tables by a
 # thread-count-dependent amount.
 ./build/bench/bench_ledger --check=bench/ledger.txt
