@@ -1,8 +1,10 @@
 #include "core/algorithm1.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <numeric>
+#include <ranges>
 
 #include "common/parallel.hpp"
 #include "core/rng.hpp"
@@ -27,6 +29,24 @@ int hardness_of(const ErroneousCase& ec) {
   int total = 0;
   for (const std::uint64_t w : ec.diff) total += std::popcount(w);
   return total;
+}
+
+/// `rows` (a range of row indices) sorted by ascending hardness, rows of
+/// equal hardness in their given order: a stable counting sort, since
+/// hardness is at most 64 * kMaxLatency.
+template <typename Rows>
+std::vector<std::uint32_t> by_hardness(const Rows& rows,
+                                       const std::vector<int>& hardness) {
+  std::array<std::size_t, 64 * kMaxLatency + 2> start{};
+  for (const std::uint32_t r : rows) {
+    ++start[static_cast<std::size_t>(hardness[r]) + 1];
+  }
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  std::vector<std::uint32_t> out(start.back());
+  for (const std::uint32_t r : rows) {
+    out[start[static_cast<std::size_t>(hardness[r])]++] = r;
+  }
+  return out;
 }
 
 /// The verification sample: an insertion-ordered row list with O(1)
@@ -155,21 +175,14 @@ bool repair_on(std::vector<ParityFunc>& betas, const CoverKernel& sub, int n,
 
 SolverContext::SolverContext(const DetectabilityTable& t)
     : kernel(t) {
-  // A stable counting sort: hardness is at most 64 * kMaxLatency, so the
-  // keys fit one small histogram and rows of equal hardness keep their
-  // table order.
-  std::vector<std::size_t> start(64 * kMaxLatency + 2, 0);
   hardness.resize(t.cases.size());
   for (std::size_t i = 0; i < t.cases.size(); ++i) {
     hardness[i] = hardness_of(t.cases[i]);
-    ++start[static_cast<std::size_t>(hardness[i]) + 1];
   }
-  std::partial_sum(start.begin(), start.end(), start.begin());
-  hard_order.resize(t.cases.size());
-  for (std::size_t i = 0; i < t.cases.size(); ++i) {
-    hard_order[start[static_cast<std::size_t>(hardness[i])]++] =
-        static_cast<std::uint32_t>(i);
-  }
+  hard_order = by_hardness(
+      std::views::iota(std::uint32_t{0},
+                       static_cast<std::uint32_t>(t.cases.size())),
+      hardness);
 }
 
 std::optional<std::vector<ParityFunc>> solve_for_q(
@@ -259,7 +272,10 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
       }
     }
     if (res.basis) {
-      ctx->lp_memo = LpBasisMemo{f.var_key, f.row_key, std::move(*res.basis)};
+      // The keys move: nothing below reads them (beta_values reads
+      // beta_var).
+      ctx->lp_memo = LpBasisMemo{std::move(f.var_key), std::move(f.row_key),
+                                 std::move(*res.basis)};
     }
     if (res.status == lp::Status::kInfeasible) return std::nullopt;
     if (res.status != lp::Status::kOptimal) {
@@ -355,12 +371,8 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
     std::vector<std::uint32_t> uncov =
         check.kernel(stats).uncovered(best_attempt);
     for (std::uint32_t& r : uncov) r = check.rows()[r];
-    std::stable_sort(uncov.begin(), uncov.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return ctx->hardness[a] < ctx->hardness[b];
-                     });
     bool added = false;
-    for (std::uint32_t rid : uncov) {
+    for (std::uint32_t rid : by_hardness(uncov, ctx->hardness)) {
       if (in_lp[rid]) continue;
       in_lp[rid] = true;
       rows.push_back(rid);

@@ -16,9 +16,6 @@ struct LpFormulation {
   lp::LpProblem problem;
   int q = 0;
   int n = 0;
-  int p = 0;
-  /// Row indices of the table included in this formulation.
-  std::vector<std::uint32_t> rows;
   /// beta_var[l * n + j] = LP variable index of beta^{(l)}_j.
   std::vector<int> beta_var;
   /// Stable identity keys, one per LP variable / constraint. A key encodes
@@ -43,7 +40,10 @@ struct LpBasisMemo {
 /// rows keep their remembered basic variable when both the row and that
 /// variable still exist, everything else falls back to logical-basic /
 /// at-lower and the solver's composite phase 1 repairs the difference.
-/// Deterministic; never fails (worst case it returns a cold basis).
+/// Keys are joined through sorted (key, index) lists; a key that repeats
+/// names its first occurrence (in `to`'s variables, and among the memo's
+/// rows that have a basic variable). Deterministic; never fails (worst
+/// case it returns a cold basis).
 lp::BasisSnapshot map_basis_to(const LpBasisMemo& memo,
                                const LpFormulation& to);
 

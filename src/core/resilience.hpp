@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -17,7 +18,8 @@ namespace ced::core {
 /// truncation status instead of throwing. Zero means "no limit here"
 /// (stage-level defaults still apply).
 struct RunBudget {
-  /// Wall-clock budget for the whole run, shared by all stages.
+  /// Wall-clock budget for the whole run, shared by all stages. Finite:
+  /// RunConfig::Builder::build() refuses NaN and infinity.
   double wall_seconds = 0.0;
   /// Cap on erroneous cases per detectability table, counted in each
   /// extraction shard (one shard per thread without a store,
@@ -52,13 +54,22 @@ class Deadline {
  public:
   Deadline() = default;
 
+  /// Armed `seconds` from now when seconds > 0, else unarmed. A budget
+  /// past the clock's range (about 292 years of nanoseconds) saturates at
+  /// time_point::max(): armed, never expires.
   static Deadline after(double seconds) {
+    using Clock = std::chrono::steady_clock;
     Deadline d;
-    if (seconds > 0.0) {
-      d.armed_ = true;
-      d.at_ = std::chrono::steady_clock::now() +
-              std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double>(seconds));
+    if (!(seconds > 0.0)) return d;
+    d.armed_ = true;
+    const Clock::time_point now = Clock::now();
+    const Clock::duration left = Clock::time_point::max() - now;
+    if (seconds >= std::chrono::duration<double>(left).count()) {
+      d.at_ = Clock::time_point::max();
+    } else {
+      // The comparison ran in doubles, which may round `left` up a tick.
+      d.at_ = now + std::min(left, std::chrono::duration_cast<Clock::duration>(
+                                       std::chrono::duration<double>(seconds)));
     }
     return d;
   }

@@ -1,5 +1,7 @@
 #include "core/run.hpp"
 
+#include <cmath>
+
 #include "common/digest.hpp"
 #include "core/erroneous_case.hpp"
 
@@ -157,8 +159,8 @@ Result<RunConfig> RunConfig::Builder::build() const {
   if (o.archive == nullptr && o.max_new_shards > 0) {
     return invalid("max_new_shards requested without an artifact archive");
   }
-  if (o.budget.wall_seconds < 0.0) {
-    return invalid("budget.wall_seconds must be >= 0, got " +
+  if (!std::isfinite(o.budget.wall_seconds) || o.budget.wall_seconds < 0.0) {
+    return invalid("budget.wall_seconds must be finite and >= 0, got " +
                    std::to_string(o.budget.wall_seconds));
   }
   if (o.budget.max_lp_iterations < 0 || o.budget.max_rounding_attempts < 0) {

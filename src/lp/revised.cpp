@@ -94,21 +94,17 @@ class RevisedSimplex {
     }
 
     b_.assign(static_cast<std::size_t>(m_), 0.0);
-    std::vector<CscMatrix::Triplet> trip;
     for (int i = 0; i < m_; ++i) {
       double rhs = p_.rhs()[static_cast<std::size_t>(i)];
-      for (const auto& [v, c] : p_.rows()[static_cast<std::size_t>(i)]) {
-        trip.push_back({v, i, c});
+      for (const auto& [v, c] : p_.row(i)) {
         rhs -= c * p_.lower()[static_cast<std::size_t>(v)];
       }
       b_[static_cast<std::size_t>(i)] = rhs;
-      const Relation rel = p_.relations()[static_cast<std::size_t>(i)];
-      const int logical = nv_ + i;
-      trip.push_back({logical, i, rel == Relation::kGe ? -1.0 : 1.0});
-      range_[static_cast<std::size_t>(logical)] =
-          rel == Relation::kEq ? 0.0 : kInfinity;
+      if (p_.relations()[static_cast<std::size_t>(i)] == Relation::kEq) {
+        range_[static_cast<std::size_t>(nv_ + i)] = 0.0;
+      }
     }
-    A_ = CscMatrix::from_triplets(m_, n_, std::move(trip));
+    A_ = CscMatrix::standard_form(p_);
 
     stat_.assign(static_cast<std::size_t>(n_), VStat::kAtLower);
     basis_.assign(static_cast<std::size_t>(m_), -1);

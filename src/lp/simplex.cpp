@@ -16,15 +16,16 @@ int LpProblem::add_variable(double lower, double upper, double objective) {
   return static_cast<int>(lower_.size()) - 1;
 }
 
-void LpProblem::add_constraint(std::vector<std::pair<int, double>> terms,
-                               Relation rel, double rhs) {
+void LpProblem::add_constraint(std::span<const Term> terms, Relation rel,
+                               double rhs) {
   for (const auto& [v, c] : terms) {
     (void)c;
     if (v < 0 || v >= num_variables()) {
       throw std::invalid_argument("constraint references unknown variable");
     }
   }
-  rows_.push_back(std::move(terms));
+  terms_.insert(terms_.end(), terms.begin(), terms.end());
+  row_start_.push_back(terms_.size());
   rels_.push_back(rel);
   rhs_.push_back(rhs);
 }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,16 +26,21 @@ constexpr double kInfinity = std::numeric_limits<double>::infinity();
 ///   optimize  c'x   s.t.  each constraint,  l <= x <= u.
 ///
 /// Built incrementally; solved by `solve`, a sparse revised simplex with
-/// bounded variables, composite phase 1 and Bland anti-cycling.
+/// bounded variables, composite phase 1 and Bland anti-cycling. The
+/// constraints are stored as compressed sparse rows: one flat term array
+/// and the offset where each row's terms start.
 class LpProblem {
  public:
+  /// One term of a constraint: (variable index, coefficient).
+  using Term = std::pair<int, double>;
+
   /// Adds a variable with bounds [lower, upper]; returns its index.
   int add_variable(double lower, double upper, double objective = 0.0);
 
-  /// Adds a constraint sum(coeff * var) rel rhs. Terms may repeat a
-  /// variable; coefficients are accumulated.
-  void add_constraint(std::vector<std::pair<int, double>> terms, Relation rel,
-                      double rhs);
+  /// Adds a constraint sum(coeff * var) rel rhs, copying `terms` to the
+  /// end of the term array. Terms may repeat a variable; coefficients are
+  /// accumulated. Throws std::invalid_argument for an unknown variable.
+  void add_constraint(std::span<const Term> terms, Relation rel, double rhs);
 
   void set_objective_sense(Objective sense) { sense_ = sense; }
 
@@ -46,15 +52,20 @@ class LpProblem {
   const std::vector<double>& upper() const { return upper_; }
   const std::vector<double>& objective() const { return obj_; }
   Objective sense() const { return sense_; }
-  const std::vector<std::vector<std::pair<int, double>>>& rows() const {
-    return rows_;
+  /// The terms of constraint i, in the order they were added.
+  std::span<const Term> row(int i) const {
+    const std::size_t at = row_start_[static_cast<std::size_t>(i)];
+    return {terms_.data() + at,
+            row_start_[static_cast<std::size_t>(i) + 1] - at};
   }
   const std::vector<Relation>& relations() const { return rels_; }
   const std::vector<double>& rhs() const { return rhs_; }
 
  private:
   std::vector<double> lower_, upper_, obj_;
-  std::vector<std::vector<std::pair<int, double>>> rows_;
+  /// Row i's terms are terms_[row_start_[i], row_start_[i + 1]).
+  std::vector<Term> terms_;
+  std::vector<std::size_t> row_start_{0};
   std::vector<Relation> rels_;
   std::vector<double> rhs_;
   Objective sense_ = Objective::kMinimize;

@@ -14,6 +14,8 @@
 
 namespace ced::lp {
 
+class LpProblem;
+
 /// Immutable m x n sparse matrix in compressed-sparse-column layout.
 /// Entries of one column are sorted by row index with duplicates already
 /// accumulated, so every traversal is deterministic.
@@ -24,18 +26,17 @@ class CscMatrix {
     double value = 0.0;
   };
 
-  struct Triplet {
-    std::int32_t col = 0;
-    std::int32_t row = 0;
-    double value = 0.0;
-  };
-
   CscMatrix() = default;
 
-  /// Builds from an unordered triplet list. Duplicate (col, row) pairs are
-  /// accumulated; entries that cancel to exactly zero are dropped.
-  static CscMatrix from_triplets(int rows, int cols,
-                                 std::vector<Triplet> triplets);
+  /// The constraint matrix [A | L] of p's standard form, as the revised
+  /// simplex factorizes it: for m rows over nv variables, column j < nv is
+  /// variable j's and column nv + i is row i's logical (+1 slack for kLe,
+  /// -1 surplus for kGe, +1 fixed artificial for kEq). Laid out by one
+  /// column-count pass over p's rows and one fill pass in row order, so
+  /// each column's entries ascend by row; a variable repeated in a row is
+  /// summed in term order, and an entry that sums to exactly zero is
+  /// dropped.
+  static CscMatrix standard_form(const LpProblem& p);
 
   int rows() const { return m_; }
   int cols() const { return n_; }

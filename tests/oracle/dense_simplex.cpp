@@ -5,6 +5,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "lp/sparse.hpp"
+
 namespace ced::lp {
 
 namespace {
@@ -196,7 +198,7 @@ LpResult solve_dense(const LpProblem& p, const SolverOptions& opts) {
   // Shift problem variables to [0, u - l]; compute adjusted rhs.
   std::vector<double> shifted_rhs = p.rhs();
   for (int i = 0; i < m; ++i) {
-    for (const auto& [v, c] : p.rows()[static_cast<std::size_t>(i)]) {
+    for (const auto& [v, c] : p.row(i)) {
       shifted_rhs[static_cast<std::size_t>(i)] -=
           c * p.lower()[static_cast<std::size_t>(v)];
     }
@@ -226,7 +228,7 @@ LpResult solve_dense(const LpProblem& p, const SolverOptions& opts) {
   for (int i = 0; i < m; ++i) {
     const bool negate = shifted_rhs[static_cast<std::size_t>(i)] < 0.0;
     const double sign = negate ? -1.0 : 1.0;
-    for (const auto& [v, c] : p.rows()[static_cast<std::size_t>(i)]) {
+    for (const auto& [v, c] : p.row(i)) {
       tb.at(i, v) += sign * c;
     }
     const Relation rel = p.relations()[static_cast<std::size_t>(i)];
@@ -416,7 +418,7 @@ testing::AssertionResult agrees_with_dense(const LpProblem& p,
   for (int i = 0; i < p.num_constraints(); ++i) {
     const auto r = static_cast<std::size_t>(i);
     double lhs = 0.0;
-    for (const auto& [v, c] : p.rows()[r]) {
+    for (const auto& [v, c] : p.row(i)) {
       lhs += c * revised.x[static_cast<std::size_t>(v)];
     }
     const double rhs = p.rhs()[r];
@@ -428,6 +430,53 @@ testing::AssertionResult agrees_with_dense(const LpProblem& p,
       return testing::AssertionFailure()
              << "row " << i << ": lhs " << lhs << " against rhs " << rhs;
     }
+  }
+  return testing::AssertionSuccess();
+}
+
+testing::AssertionResult standard_form_matches_dense(const LpProblem& p) {
+  const int nv = p.num_variables();
+  const int m = p.num_constraints();
+  const int n = nv + m;
+  std::vector<double> dense(static_cast<std::size_t>(m) * n, 0.0);
+  const auto cell = [&](int i, int j) -> double& {
+    return dense[static_cast<std::size_t>(i) * n + j];
+  };
+  for (int i = 0; i < m; ++i) {
+    for (const auto& [v, c] : p.row(i)) cell(i, v) += c;
+    cell(i, nv + i) =
+        p.relations()[static_cast<std::size_t>(i)] == Relation::kGe ? -1.0
+                                                                    : 1.0;
+  }
+  const CscMatrix a = CscMatrix::standard_form(p);
+  if (a.rows() != m || a.cols() != n) {
+    return testing::AssertionFailure()
+           << a.rows() << " x " << a.cols() << " matrix for " << m
+           << " rows over " << nv << " variables";
+  }
+  std::size_t stored = 0;
+  for (int j = 0; j < n; ++j) {
+    int prev = -1;
+    for (const CscMatrix::Entry& e : a.column(j)) {
+      if (e.row <= prev) {
+        return testing::AssertionFailure()
+               << "column " << j << ": row " << e.row << " after row " << prev;
+      }
+      if (e.value == 0.0 || e.value != cell(e.row, j)) {
+        return testing::AssertionFailure()
+               << "column " << j << " row " << e.row << ": " << e.value
+               << ", dense " << cell(e.row, j);
+      }
+      prev = e.row;
+      ++stored;
+    }
+  }
+  std::size_t nonzero = 0;
+  for (const double v : dense) nonzero += v != 0.0 ? 1 : 0;
+  if (stored != nonzero || a.nonzeros() != nonzero) {
+    return testing::AssertionFailure()
+           << stored << " entries stored (" << a.nonzeros()
+           << " counted), " << nonzero << " nonzero dense cells";
   }
   return testing::AssertionSuccess();
 }

@@ -25,4 +25,11 @@ testing::AssertionResult agrees_with_dense(const LpProblem& p,
                                            const LpResult& revised,
                                            const LpResult& dense);
 
+/// The check of lp::CscMatrix::standard_form(p) against the dense matrix
+/// solve_dense fills from p's rows, each term added in order, plus one
+/// logical per row (-1 for kGe, +1 otherwise): every column's entries
+/// ascend by row and are nonzero, each equals the dense cell bit for bit,
+/// and no nonzero cell is missing.
+testing::AssertionResult standard_form_matches_dense(const LpProblem& p);
+
 }  // namespace ced::lp

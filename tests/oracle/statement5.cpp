@@ -39,12 +39,12 @@ lp::LpProblem build_lp_statement5(const DetectabilityTable& table,
         }
         terms.emplace_back(w_var, -2.0);
         terms.emplace_back(r_var, -1.0);
-        lp.add_constraint(std::move(terms), lp::Relation::kEq, 0.0);
+        lp.add_constraint(terms, lp::Relation::kEq, 0.0);
         cover_terms.emplace_back(r_var, 1.0);
       }
     }
     // sum_{l,k} r^{(lk)}_i >= 1.
-    lp.add_constraint(std::move(cover_terms), lp::Relation::kGe, 1.0);
+    lp.add_constraint(cover_terms, lp::Relation::kGe, 1.0);
   }
   return lp;
 }

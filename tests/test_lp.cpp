@@ -3,19 +3,33 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "core/rng.hpp"
+#include "lp/sparse.hpp"
 #include "oracle/dense_simplex.hpp"
 
 namespace ced::lp {
 namespace {
 
+using Terms = std::vector<LpProblem::Term>;
+
 /// Solves `p` with lp::solve and compares the result with the dense
-/// tableau oracle.
+/// tableau oracle, and the solver's standard-form matrix with the dense
+/// one.
 LpResult solve_checked(const LpProblem& p) {
+  EXPECT_TRUE(standard_form_matches_dense(p));
   const LpResult r = solve(p);
   EXPECT_TRUE(agrees_with_dense(p, r, solve_dense(p)));
   return r;
+}
+
+/// Column j of `a` as (row, value) pairs.
+std::vector<std::pair<int, double>> column_of(const CscMatrix& a, int j) {
+  std::vector<std::pair<int, double>> out;
+  for (const CscMatrix::Entry& e : a.column(j)) out.emplace_back(e.row, e.value);
+  return out;
 }
 
 TEST(Simplex, TrivialBoundsOnly) {
@@ -33,8 +47,8 @@ TEST(Simplex, ClassicTwoVarMax) {
   LpProblem p;
   const int x = p.add_variable(0, kInfinity, 3.0);
   const int y = p.add_variable(0, kInfinity, 2.0);
-  p.add_constraint({{x, 1}, {y, 1}}, Relation::kLe, 4);
-  p.add_constraint({{x, 1}, {y, 3}}, Relation::kLe, 6);
+  p.add_constraint(Terms{{x, 1}, {y, 1}}, Relation::kLe, 4);
+  p.add_constraint(Terms{{x, 1}, {y, 3}}, Relation::kLe, 6);
   p.set_objective_sense(Objective::kMaximize);
   const LpResult r = solve_checked(p);
   ASSERT_EQ(r.status, Status::kOptimal);
@@ -48,7 +62,7 @@ TEST(Simplex, MinimizationWithGe) {
   LpProblem p;
   const int x = p.add_variable(0, 6, 2.0);
   const int y = p.add_variable(0, kInfinity, 3.0);
-  p.add_constraint({{x, 1}, {y, 1}}, Relation::kGe, 10);
+  p.add_constraint(Terms{{x, 1}, {y, 1}}, Relation::kGe, 10);
   const LpResult r = solve_checked(p);
   ASSERT_EQ(r.status, Status::kOptimal);
   EXPECT_NEAR(r.objective, 24.0, 1e-6);
@@ -59,7 +73,7 @@ TEST(Simplex, EqualityConstraint) {
   LpProblem p;
   const int x = p.add_variable(0, 3, 1.0);
   const int y = p.add_variable(0, 3, 1.0);
-  p.add_constraint({{x, 1}, {y, 2}}, Relation::kEq, 4);
+  p.add_constraint(Terms{{x, 1}, {y, 2}}, Relation::kEq, 4);
   const LpResult r = solve_checked(p);
   ASSERT_EQ(r.status, Status::kOptimal);
   EXPECT_NEAR(r.objective, 2.0, 1e-6);
@@ -69,7 +83,7 @@ TEST(Simplex, EqualityConstraint) {
 TEST(Simplex, DetectsInfeasible) {
   LpProblem p;
   const int x = p.add_variable(0, 1, 1.0);
-  p.add_constraint({{x, 1}}, Relation::kGe, 2);
+  p.add_constraint(Terms{{x, 1}}, Relation::kGe, 2);
   EXPECT_EQ(solve_checked(p).status, Status::kInfeasible);
 }
 
@@ -77,8 +91,8 @@ TEST(Simplex, DetectsInfeasibleSystem) {
   LpProblem p;
   const int x = p.add_variable(0, kInfinity, 1.0);
   const int y = p.add_variable(0, kInfinity, 1.0);
-  p.add_constraint({{x, 1}, {y, 1}}, Relation::kLe, 1);
-  p.add_constraint({{x, 1}, {y, 1}}, Relation::kGe, 3);
+  p.add_constraint(Terms{{x, 1}, {y, 1}}, Relation::kLe, 1);
+  p.add_constraint(Terms{{x, 1}, {y, 1}}, Relation::kGe, 3);
   EXPECT_EQ(solve_checked(p).status, Status::kInfeasible);
 }
 
@@ -86,7 +100,7 @@ TEST(Simplex, DetectsUnbounded) {
   LpProblem p;
   const int x = p.add_variable(0, kInfinity, 1.0);
   p.set_objective_sense(Objective::kMaximize);
-  p.add_constraint({{x, -1}}, Relation::kLe, 0);  // x >= 0, no upper bound
+  p.add_constraint(Terms{{x, -1}}, Relation::kLe, 0);  // x >= 0, no upper bound
   EXPECT_EQ(solve_checked(p).status, Status::kUnbounded);
 }
 
@@ -104,7 +118,7 @@ TEST(Simplex, NegativeRhsRowsHandled) {
   LpProblem p;
   const int x = p.add_variable(0, 3, 1.0);
   const int y = p.add_variable(0, 3, 1.0);
-  p.add_constraint({{x, -1}, {y, -1}}, Relation::kLe, -4);
+  p.add_constraint(Terms{{x, -1}, {y, -1}}, Relation::kLe, -4);
   const LpResult r = solve_checked(p);
   ASSERT_EQ(r.status, Status::kOptimal);
   EXPECT_NEAR(r.objective, 4.0, 1e-6);
@@ -115,7 +129,7 @@ TEST(Simplex, UpperBoundedVariablesBindAtBounds) {
   LpProblem p;
   const int x = p.add_variable(0, 3, 1.0);
   const int y = p.add_variable(0, 4, 1.0);
-  p.add_constraint({{x, 1}, {y, 1}}, Relation::kLe, 10);
+  p.add_constraint(Terms{{x, 1}, {y, 1}}, Relation::kLe, 10);
   p.set_objective_sense(Objective::kMaximize);
   const LpResult r = solve_checked(p);
   ASSERT_EQ(r.status, Status::kOptimal);
@@ -129,14 +143,50 @@ TEST(Simplex, DegenerateDoesNotCycle) {
   const int x2 = p.add_variable(0, kInfinity, 150);
   const int x3 = p.add_variable(0, kInfinity, -0.02);
   const int x4 = p.add_variable(0, kInfinity, 6);
-  p.add_constraint({{x1, 0.25}, {x2, -60}, {x3, -0.04}, {x4, 9}},
+  p.add_constraint(Terms{{x1, 0.25}, {x2, -60}, {x3, -0.04}, {x4, 9}},
                    Relation::kLe, 0);
-  p.add_constraint({{x1, 0.5}, {x2, -90}, {x3, -0.02}, {x4, 3}},
+  p.add_constraint(Terms{{x1, 0.5}, {x2, -90}, {x3, -0.02}, {x4, 3}},
                    Relation::kLe, 0);
-  p.add_constraint({{x3, 1}}, Relation::kLe, 1);
+  p.add_constraint(Terms{{x3, 1}}, Relation::kLe, 1);
   const LpResult r = solve_checked(p);
   ASSERT_EQ(r.status, Status::kOptimal);
   EXPECT_NEAR(r.objective, -0.05, 1e-6);
+}
+
+// Rows no cover LP builds: a variable repeated in one row (summed), terms
+// that cancel to exactly 0.0 (the entry is dropped), a row with no terms,
+// and >= and = rows, whose logicals are a surplus (-1) and a fixed
+// artificial (+1). The standard-form matrix is pinned entry by entry.
+TEST(Simplex, IrregularRowsLayOutAndSolve) {
+  // min x + y + z s.t. x + y + x >= 2, y - z/2 + z/2 = 1, 0 <= 3,
+  // z + x <= 4, 0 <= x,y,z <= 5 -> y = 1, x = 1/2, z = 0, z* = 1.5.
+  LpProblem p;
+  const int x = p.add_variable(0, 5, 1.0);
+  const int y = p.add_variable(0, 5, 1.0);
+  const int z = p.add_variable(0, 5, 1.0);
+  p.add_constraint(Terms{{x, 1}, {y, 1}, {x, 1}}, Relation::kGe, 2);
+  p.add_constraint(Terms{{y, 1}, {z, -0.5}, {z, 0.5}}, Relation::kEq, 1);
+  p.add_constraint(Terms{}, Relation::kLe, 3);
+  p.add_constraint(Terms{{z, 1}, {x, 1}}, Relation::kLe, 4);
+  EXPECT_EQ(p.row(2).size(), 0u);
+  using Col = std::vector<std::pair<int, double>>;
+  const CscMatrix a = CscMatrix::standard_form(p);
+  EXPECT_EQ(column_of(a, x), (Col{{0, 2.0}, {3, 1.0}}));
+  EXPECT_EQ(column_of(a, y), (Col{{0, 1.0}, {1, 1.0}}));
+  EXPECT_EQ(column_of(a, z), (Col{{3, 1.0}}));  // row 1's z summed to 0.0
+  EXPECT_EQ(column_of(a, 3), (Col{{0, -1.0}}));  // surplus
+  EXPECT_EQ(column_of(a, 4), (Col{{1, 1.0}}));   // fixed artificial
+  EXPECT_EQ(column_of(a, 5), (Col{{2, 1.0}}));   // the empty row's slack
+  EXPECT_EQ(column_of(a, 6), (Col{{3, 1.0}}));
+  const LpResult r = solve_checked(p);
+  ASSERT_EQ(r.status, Status::kOptimal);
+  EXPECT_NEAR(r.objective, 1.5, 1e-7);
+  EXPECT_NEAR(r.x[static_cast<std::size_t>(x)], 0.5, 1e-7);
+  EXPECT_NEAR(r.x[static_cast<std::size_t>(y)], 1.0, 1e-7);
+
+  // An empty row that cannot hold: 0 >= 1.
+  p.add_constraint(Terms{}, Relation::kGe, 1);
+  EXPECT_EQ(solve_checked(p).status, Status::kInfeasible);
 }
 
 TEST(Simplex, SolutionSatisfiesAllConstraints) {
@@ -202,7 +252,7 @@ TEST(LpProblem, RejectsBadInput) {
   EXPECT_THROW(p.add_variable(2, 1), std::invalid_argument);
   EXPECT_THROW(p.add_variable(-kInfinity, 1), std::invalid_argument);
   p.add_variable(0, 1);
-  EXPECT_THROW(p.add_constraint({{5, 1.0}}, Relation::kLe, 0),
+  EXPECT_THROW(p.add_constraint(Terms{{5, 1.0}}, Relation::kLe, 0),
                std::invalid_argument);
 }
 

@@ -33,6 +33,7 @@
 #include "fsm/synthesize.hpp"
 #include "lp/basis.hpp"
 #include "lp/simplex.hpp"
+#include "lp/sparse.hpp"
 #include "oracle/dense_simplex.hpp"
 #include "sim/faults.hpp"
 
@@ -41,6 +42,7 @@ namespace {
 
 using core::DetectabilityTable;
 using core::ErroneousCase;
+using Terms = std::vector<lp::LpProblem::Term>;
 
 /// Random table in canonical form: each case is a sorted set of 1..max_len
 /// distinct nonzero difference words over n bits (same construction as
@@ -96,11 +98,62 @@ lp::LpProblem random_lp(std::mt19937_64& rng, int nv, int m) {
     const lp::Relation rel = r == 0   ? lp::Relation::kLe
                              : r == 1 ? lp::Relation::kGe
                                       : lp::Relation::kEq;
-    p.add_constraint(std::move(terms), rel, static_cast<double>(coeff(rng)));
+    p.add_constraint(terms, rel, static_cast<double>(coeff(rng)));
   }
   return p;
 }
 
+/// `p` with its rows written the way no cover LP writes them, summing to
+/// the same coefficients: each row opens with a pair on variable 0 that
+/// cancels to exactly 0.0, and each term (v, c) is split into (v, c - 1)
+/// and (v, 1), exact for random_lp's small integer coefficients. With
+/// `empty_rows`, a row without terms follows each row: 0 <= 0 after even
+/// rows, 0 = 0 after odd ones.
+lp::LpProblem rewritten(const lp::LpProblem& p, bool empty_rows) {
+  lp::LpProblem out;
+  for (int j = 0; j < p.num_variables(); ++j) {
+    const auto v = static_cast<std::size_t>(j);
+    out.add_variable(p.lower()[v], p.upper()[v], p.objective()[v]);
+  }
+  out.set_objective_sense(p.sense());
+  Terms terms;
+  for (int i = 0; i < p.num_constraints(); ++i) {
+    terms.assign({{0, 2.0}, {0, -2.0}});
+    for (const auto& [v, c] : p.row(i)) {
+      terms.emplace_back(v, c - 1.0);
+      terms.emplace_back(v, 1.0);
+    }
+    out.add_constraint(terms, p.relations()[static_cast<std::size_t>(i)],
+                       p.rhs()[static_cast<std::size_t>(i)]);
+    if (empty_rows) {
+      out.add_constraint(
+          Terms{}, i % 2 == 0 ? lp::Relation::kLe : lp::Relation::kEq, 0.0);
+    }
+  }
+  return out;
+}
+
+/// Two matrices equal entry for entry, bit for bit.
+bool same_matrix(const lp::CscMatrix& a, const lp::CscMatrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (int j = 0; j < a.cols(); ++j) {
+    const auto ca = a.column(j);
+    const auto cb = b.column(j);
+    if (!std::equal(ca.begin(), ca.end(), cb.begin(), cb.end(),
+                    [](const lp::CscMatrix::Entry& x,
+                       const lp::CscMatrix::Entry& y) {
+                      return x.row == y.row && x.value == y.value;
+                    })) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Every random problem is also solved with its rows rewritten (repeated
+// variables, terms that cancel to 0.0) and padded with empty <= and =
+// rows: the repeats lay out the original matrix, and each variant agrees
+// with the dense oracle, its matrix with the dense one.
 TEST(RevisedLp, MatchesDenseOracleOnRandomProblems) {
   std::mt19937_64 rng(7);
   std::uniform_int_distribution<int> nv_dist(1, 12);
@@ -108,10 +161,24 @@ TEST(RevisedLp, MatchesDenseOracleOnRandomProblems) {
   int optimal_seen = 0;
   for (int t = 0; t < 300; ++t) {
     const lp::LpProblem p = random_lp(rng, nv_dist(rng), m_dist(rng));
+    ASSERT_TRUE(lp::standard_form_matches_dense(p)) << "instance " << t;
     const lp::LpResult revised = lp::solve(p);
     ASSERT_TRUE(lp::agrees_with_dense(p, revised, lp::solve_dense(p)))
         << "instance " << t;
     if (revised.status == lp::Status::kOptimal) ++optimal_seen;
+
+    const lp::LpProblem split = rewritten(p, false);
+    ASSERT_TRUE(same_matrix(lp::CscMatrix::standard_form(split),
+                            lp::CscMatrix::standard_form(p)))
+        << "instance " << t;
+    const lp::LpProblem padded = rewritten(p, true);
+    ASSERT_TRUE(lp::standard_form_matches_dense(padded)) << "instance " << t;
+    for (const lp::LpProblem* v : {&split, &padded}) {
+      const lp::LpResult r = lp::solve(*v);
+      ASSERT_TRUE(lp::agrees_with_dense(*v, r, lp::solve_dense(*v)))
+          << "instance " << t << (v == &split ? " split" : " padded");
+      EXPECT_EQ(r.status, revised.status) << "instance " << t;
+    }
   }
   // The generator must actually exercise the optimal path, not just
   // infeasible/unbounded corners.
@@ -127,11 +194,11 @@ TEST(RevisedLp, BealeCyclingExampleTerminates) {
   const int x2 = p.add_variable(0, lp::kInfinity, 150.0);
   const int x3 = p.add_variable(0, lp::kInfinity, -0.02);
   const int x4 = p.add_variable(0, lp::kInfinity, 6.0);
-  p.add_constraint({{x1, 0.25}, {x2, -60.0}, {x3, -0.04}, {x4, 9.0}},
+  p.add_constraint(Terms{{x1, 0.25}, {x2, -60.0}, {x3, -0.04}, {x4, 9.0}},
                    lp::Relation::kLe, 0.0);
-  p.add_constraint({{x1, 0.5}, {x2, -90.0}, {x3, -0.02}, {x4, 3.0}},
+  p.add_constraint(Terms{{x1, 0.5}, {x2, -90.0}, {x3, -0.02}, {x4, 3.0}},
                    lp::Relation::kLe, 0.0);
-  p.add_constraint({{x3, 1.0}}, lp::Relation::kLe, 1.0);
+  p.add_constraint(Terms{{x3, 1.0}}, lp::Relation::kLe, 1.0);
   const lp::LpResult res = lp::solve(p);
   ASSERT_EQ(res.status, lp::Status::kOptimal);
   EXPECT_NEAR(res.objective, -0.05, 1e-9);
@@ -348,8 +415,8 @@ TEST(RevisedLp, DependentWarmColumnIsDisplacedToItsRowsLogical) {
   lp::LpProblem p;
   const int x0 = p.add_variable(0.0, 1.0, -1.0);
   const int x1 = p.add_variable(0.0, 1.0, -1.0);
-  p.add_constraint({{x0, 1.0}, {x1, 1.0}}, lp::Relation::kLe, 1.0);
-  p.add_constraint({{x0, 1.0}, {x1, 1.0}}, lp::Relation::kLe, 2.0);
+  p.add_constraint(Terms{{x0, 1.0}, {x1, 1.0}}, lp::Relation::kLe, 1.0);
+  p.add_constraint(Terms{{x0, 1.0}, {x1, 1.0}}, lp::Relation::kLe, 2.0);
   lp::BasisSnapshot warm;
   warm.row_basic = {x0, x1};
   warm.at_upper = {0, 0};
@@ -380,13 +447,13 @@ TEST(RevisedLp, MassDegeneracyReachesOptimum) {
   for (int j = 0; j < n; ++j) xs.push_back(p.add_variable(0.0, 1.0, -1.0));
   for (int rep = 0; rep < 4; ++rep) {
     for (int j = 0; j < n; ++j) {
-      p.add_constraint({{xs[static_cast<std::size_t>(j)], 1.0}},
+      p.add_constraint(Terms{{xs[static_cast<std::size_t>(j)], 1.0}},
                        lp::Relation::kLe, 0.0);
     }
   }
   std::vector<std::pair<int, double>> all;
   for (int j = 0; j < n; ++j) all.emplace_back(xs[static_cast<std::size_t>(j)], 1.0);
-  p.add_constraint(std::move(all), lp::Relation::kGe, 0.0);
+  p.add_constraint(all, lp::Relation::kGe, 0.0);
   const lp::LpResult res = lp::solve(p);
   ASSERT_EQ(res.status, lp::Status::kOptimal);
   EXPECT_NEAR(res.objective, 0.0, 1e-9);
@@ -418,6 +485,41 @@ TEST(RevisedLp, WarmFromOwnBasisIsFree) {
   EXPECT_EQ(warm.phase1_iterations, 0);
   EXPECT_NEAR(warm.objective, cold.objective,
               1e-9 * (1.0 + std::abs(cold.objective)));
+}
+
+// map_basis_to joins keys, not positions. The memo repeats row keys (101
+// and 100 twice, 102 once with a basic variable out of range) and names a
+// basic variable the target lacks (key 99); the target repeats variable key
+// 11 and row key 101. A repeated key names its first occurrence: among the
+// target's variables, and among the memo rows that have a basic variable
+// (so row 100 maps to missing key 99, not to row 6's key 12).
+TEST(RevisedLp, MapBasisJoinsKeysFirstOccurrenceFirst) {
+  core::LpFormulation to;
+  for (int j = 0; j < 4; ++j) to.problem.add_variable(0.0, 1.0);
+  for (int i = 0; i < 4; ++i) {
+    to.problem.add_constraint(Terms{}, lp::Relation::kLe, 0.0);
+  }
+  to.var_key = {10, 11, 12, 11};
+  to.row_key = {100, 101, 102, 101};
+
+  core::LpBasisMemo memo;
+  memo.var_key = {11, 12, 99, 10, 12};
+  memo.row_key = {101, 100, 101, 103, 102, 102, 100};
+  memo.snap.row_basic = {-1, 2, 0, 1, 7, 3, 4};
+  memo.snap.at_upper = {1, 0, 1, 0, 0};
+
+  const lp::BasisSnapshot snap = core::map_basis_to(memo, to);
+  // Row 100: memo row 1 (basic key 99, absent). Rows 101: memo row 2 (row
+  // 0 has no basic variable), key 11, the target's first var 1. Row 102:
+  // memo row 5 (row 4's variable 7 is out of range), key 10, var 0.
+  EXPECT_EQ(snap.row_basic, (std::vector<std::int32_t>{-1, 1, 0, 1}));
+  // At upper: memo keys 11 and 99; both target variables keyed 11.
+  EXPECT_EQ(snap.at_upper, (std::vector<std::uint8_t>{0, 1, 0, 1}));
+
+  // A memo with no keys maps to the cold basis.
+  const lp::BasisSnapshot cold = core::map_basis_to(core::LpBasisMemo{}, to);
+  EXPECT_EQ(cold.row_basic, (std::vector<std::int32_t>(4, -1)));
+  EXPECT_EQ(cold.at_upper, (std::vector<std::uint8_t>(4, 0)));
 }
 
 // The cross-formulation warm-start contract: mapping the q-basis onto the

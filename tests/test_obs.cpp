@@ -481,6 +481,17 @@ TEST(RunConfig, BuilderRejectsOutOfContractKnobs) {
   ASSERT_FALSE(bad_resume.has_value());
   EXPECT_NE(bad_resume.status().message.find("archive"), std::string::npos);
 
+  // NaN would pass a `< 0` check and silently mean "no limit".
+  for (const double wall : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()}) {
+    const auto bad_wall = RunConfig::Builder().wall_seconds(wall).build();
+    ASSERT_FALSE(bad_wall.has_value()) << wall;
+    EXPECT_EQ(bad_wall.status().code, StatusCode::kInvalidInput);
+    EXPECT_NE(bad_wall.status().message.find("wall_seconds"),
+              std::string::npos);
+  }
+  EXPECT_TRUE(RunConfig::Builder().wall_seconds(1e10).build().has_value());
+
   EXPECT_TRUE(RunConfig::Builder().build().has_value());
 }
 

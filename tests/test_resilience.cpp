@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <limits>
 #include <vector>
 
 #include "benchdata/generator.hpp"
@@ -64,6 +66,23 @@ TEST(Resilience, ArmedDeadlineExpires) {
   EXPECT_TRUE(d.expired());
 }
 
+// A budget past steady_clock's range (about 292 years of nanoseconds)
+// must not overflow into a deadline in the past.
+TEST(Resilience, HugeDeadlineSaturatesAndNeverExpires) {
+  for (const double seconds :
+       {1e10, 1e300, std::numeric_limits<double>::infinity()}) {
+    const Deadline d = Deadline::after(seconds);
+    EXPECT_TRUE(d.armed()) << seconds;
+    EXPECT_FALSE(d.expired()) << seconds;
+    EXPECT_EQ(d.time_point(), std::chrono::steady_clock::time_point::max())
+        << seconds;
+  }
+  const Deadline year = Deadline::after(365.0 * 24 * 3600);
+  EXPECT_TRUE(year.armed());
+  EXPECT_FALSE(year.expired());
+  EXPECT_LT(year.time_point(), std::chrono::steady_clock::time_point::max());
+}
+
 TEST(Resilience, ReportClassifiesDegradation) {
   ResilienceReport r;
   EXPECT_FALSE(r.degraded());
@@ -94,7 +113,8 @@ TEST(Resilience, SimplexHonoursIterationAndTimeBudgets) {
   lp::LpProblem p;
   const int x = p.add_variable(0.0, 1.0, 1.0);
   const int y = p.add_variable(0.0, 1.0, 1.0);
-  p.add_constraint({{x, 1.0}, {y, 1.0}}, lp::Relation::kGe, 1.0);
+  p.add_constraint(std::vector<lp::LpProblem::Term>{{x, 1.0}, {y, 1.0}},
+                   lp::Relation::kGe, 1.0);
 
   lp::SolverOptions normal;
   const lp::LpResult ok = lp::solve(p, normal);

@@ -772,6 +772,31 @@ TEST_F(ServeTest, PerRequestDeadlinePropagatesIntoRun) {
   server.drain();
 }
 
+// A deadline past steady_clock's range (1e16 ms is about 317,000 years)
+// saturates instead of overflowing into a deadline in the past, so the
+// request gets the scheme a request without a deadline gets. Stateless,
+// so both requests run.
+TEST_F(ServeTest, HugeDeadlineGetsTheUndegradedScheme) {
+  ServerOptions opts = base_options();
+  opts.store_dir.clear();
+  Server server(opts);
+  ASSERT_TRUE(server.start().ok());
+  Client client(client_options());
+  Request req = protect_request(benchdata::handwritten_kiss("traffic"));
+  auto plain = client.call_once(req);
+  ASSERT_TRUE(plain.has_value()) << plain.status().to_text();
+  ASSERT_EQ(plain->code, Code::kOk) << plain->error;
+  req.deadline_ms = 1e16;
+  auto huge = client.call_once(req);
+  ASSERT_TRUE(huge.has_value()) << huge.status().to_text();
+  EXPECT_EQ(huge->code, Code::kOk) << huge->error;
+  EXPECT_FALSE(huge->degraded);
+  EXPECT_FALSE(huge->cached);
+  EXPECT_EQ(huge->q, plain->q);
+  EXPECT_EQ(huge->parities, plain->parities);
+  server.drain();
+}
+
 TEST_F(ServeTest, MalformedWireCorpusNeverKillsTheDaemon) {
   Server server(base_options());
   ASSERT_TRUE(server.start().ok());
