@@ -17,14 +17,14 @@
 #include "core/extract.hpp"
 #include "core/run.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace ced;
-  if (!bench::flags_known(argc, argv, "bench_area_aware",
-                          {"--quick", "--circuits="})) {
-    return 2;
-  }
+  cli::reject_unknown_flags(argc, argv, "bench_area_aware",
+                            {bench::kSuiteFlags});
   auto circuits = bench::circuits_from_args(argc, argv);
-  if (!bench::has_flag(argc, argv, "--quick") && circuits.size() > 10) {
+  if (!cli::has_flag(argc, argv, "--quick") && circuits.size() > 10) {
     circuits.resize(10);  // each evaluation synthesizes the full checker
   }
 
@@ -87,4 +87,10 @@ int main(int argc, char** argv) {
       "on top of Algorithm 1's count minimization, confirming that count\n"
       "and area are correlated but not interchangeable objectives)\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ced::cli::run_main(run, argc, argv);
 }

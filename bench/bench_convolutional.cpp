@@ -69,16 +69,12 @@ ConvOutcome measure_conv(const fsm::FsmCircuit& circuit,
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace ced;
-  if (!bench::flags_known(argc, argv, "bench_convolutional",
-                          {"--quick", "--circuits="})) {
-    return 2;
-  }
+  cli::reject_unknown_flags(argc, argv, "bench_convolutional",
+                            {bench::kSuiteFlags});
   auto circuits = bench::circuits_from_args(argc, argv);
-  if (!bench::has_flag(argc, argv, "--quick") && circuits.size() > 10) {
+  if (!cli::has_flag(argc, argv, "--quick") && circuits.size() > 10) {
     circuits.resize(10);
   }
 
@@ -129,4 +125,10 @@ int main(int argc, char** argv) {
       "grows, while the paper's scheme sheds parity trees; this is the\n"
       "cost comparison the paper said was missing from [14].\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ced::cli::run_main(run, argc, argv);
 }

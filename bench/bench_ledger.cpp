@@ -470,14 +470,13 @@ int report(const std::string& path) {
   return 0;
 }
 
-}  // namespace
+/// The ledger's modes; the suite flags pick circuits for --check/--write.
+constexpr std::string_view kModeFlags[] = {"--check=", "--write=",
+                                           "--report="};
 
-int main(int argc, char** argv) {
-  if (!ced::bench::flags_known(argc, argv, "bench_ledger",
-                               {"--check=", "--write=", "--report=",
-                                "--quick", "--circuits="})) {
-    return 2;
-  }
+int run(int argc, char** argv) {
+  ced::cli::reject_unknown_flags(argc, argv, "bench_ledger",
+                                 {kModeFlags, ced::bench::kSuiteFlags});
   const auto given = [&](std::string_view flag) {
     return std::any_of(argv + 1, argv + argc, [&](const char* arg) {
       return std::string_view(arg).starts_with(flag);
@@ -493,10 +492,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (report_mode) {
-    return report(ced::bench::arg_value(argc, argv, "--report"));
+    return report(ced::cli::arg_value(argc, argv, "--report"));
   }
-  const std::string check = ced::bench::arg_value(argc, argv, "--check");
-  const std::string write = ced::bench::arg_value(argc, argv, "--write");
+  const std::string check = ced::cli::arg_value(argc, argv, "--check");
+  const std::string write = ced::cli::arg_value(argc, argv, "--write");
   const auto circuits = ced::bench::circuits_from_args(argc, argv);
 
   std::vector<std::string> computed;
@@ -544,4 +543,10 @@ int main(int argc, char** argv) {
   std::printf("ledger: %zu lines checked, %d mismatched\n", computed.size(),
               mismatches);
   return mismatches == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ced::cli::run_main(run, argc, argv);
 }

@@ -28,8 +28,8 @@
 // Every circuit also gets a kernel-throughput microbench on its p=2 table
 // (case-evaluations/s, the harness's only timer) with one row per
 // evaluation path: the per-case core::covers reference loop, the
-// runtime-dispatched vector engine (per-beta queries), and the
-// cache-blocked batch pass (CoverBatch).
+// runtime-dispatched vector engine asked one beta at a time, and the same
+// engine given the whole beta set in one cache-blocked pass.
 //
 // --kernel-smoke runs only the backend identity gate (small suite by
 // default, no ladder, no JSON): at p=2, the parities selected on the SIMD
@@ -107,8 +107,9 @@ struct Run {
 
 /// One kernel-throughput microbench row (million case-evals per second):
 ///   covers     — per-case core::covers reference loop (core/parity.hpp)
-///   simd       — runtime-dispatched vector engine (per-beta queries)
-///   simd-batch — CoverBatch: the whole beta set in one blocked pass
+///   simd       — runtime-dispatched vector engine, one beta per query
+///   simd-batch — CoverKernel::counts on the whole beta set in one
+///                blocked pass
 struct KernelRow {
   std::string mode;
   double mcps = 0;
@@ -263,16 +264,17 @@ KernelBench bench_kernel(const ced::core::DetectabilityTable& table) {
   const double t_simd = time_per_call([&] {
     std::size_t acc = 0;
     for (const core::ParityFunc beta : betas) {
-      acc += kernel->coverage_count(beta);
+      std::size_t c = 0;
+      kernel->counts({&beta, 1}, {&c, 1});
+      acc += c;
     }
     sink = acc;
   });
   kb.rows.push_back({"simd", mcps(t_simd)});
 
-  core::CoverBatch batch(*kernel);
   std::vector<std::size_t> counts(betas.size());
   const double t_batch = time_per_call([&] {
-    batch.counts(betas, counts);
+    kernel->counts(betas, counts);
     sink = counts.back();
   });
   kb.rows.push_back({"simd-batch", mcps(t_batch)});
@@ -393,19 +395,24 @@ void write_json(std::FILE* out, int p_max, int hardware_threads,
   std::fprintf(out, "  ]\n}\n");
 }
 
-}  // namespace
+constexpr std::string_view kFlags[] = {"--kernel-smoke", "--threads=",
+                                       "--latency=", "--out="};
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace ced;
-  if (!bench::flags_known(argc, argv, "bench_perf",
-                          {"--kernel-smoke", "--quick", "--circuits=",
-                           "--threads=", "--latency=", "--out="})) {
-    return 2;
-  }
-  const bool kernel_smoke = bench::has_flag(argc, argv, "--kernel-smoke");
+  cli::reject_unknown_flags(argc, argv, "bench_perf",
+                            {kFlags, bench::kSuiteFlags});
+  const bool kernel_smoke = cli::has_flag(argc, argv, "--kernel-smoke");
+  // 0 or a negative count means "auto" (resolve_threads).
+  const int threads =
+      std::max(cli::numeric_flag(argc, argv, "--threads", 0), 0);
+  const int p_max =
+      std::max(cli::numeric_flag(argc, argv, "--latency", 3), 1);
+  const std::string out_path =
+      cli::arg_value(argc, argv, "--out", "BENCH_perf.json");
   const auto circuits =
-      kernel_smoke && !bench::has_flag(argc, argv, "--quick") &&
-              bench::arg_value(argc, argv, "--circuits").empty()
+      kernel_smoke && !cli::has_flag(argc, argv, "--quick") &&
+              cli::arg_value(argc, argv, "--circuits").empty()
           ? benchdata::small_suite_names()
           : bench::circuits_from_args(argc, argv);
 
@@ -425,8 +432,7 @@ int main(int argc, char** argv) {
     return ok ? 0 : 1;
   }
 
-  const int max_threads =
-      resolve_threads(bench::threads_from_args(argc, argv));
+  const int max_threads = resolve_threads(threads);
   const int hardware_threads =
       static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
   if (max_threads > hardware_threads) {
@@ -436,10 +442,6 @@ int main(int argc, char** argv) {
                  max_threads, hardware_threads, hardware_threads);
     return 2;
   }
-  const int p_max = std::max(
-      std::atoi(bench::arg_value(argc, argv, "--latency", "3").c_str()), 1);
-  const std::string out_path =
-      bench::arg_value(argc, argv, "--out", "BENCH_perf.json");
   std::vector<int> ps;
   for (int p = 1; p <= p_max; ++p) ps.push_back(p);
   const auto ladder = thread_ladder(max_threads);
@@ -553,4 +555,10 @@ int main(int argc, char** argv) {
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
   return failed ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ced::cli::run_main(run, argc, argv);
 }

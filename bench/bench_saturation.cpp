@@ -19,12 +19,12 @@
 #include "core/run.hpp"
 #include "sim/faults.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace ced;
-  if (!bench::flags_known(argc, argv, "bench_saturation",
-                          {"--quick", "--circuits="})) {
-    return 2;
-  }
+  cli::reject_unknown_flags(argc, argv, "bench_saturation",
+                            {bench::kSuiteFlags});
   const auto circuits = bench::circuits_from_args(argc, argv);
   const std::vector<int> ps{1, 2, 3, 4};
 
@@ -62,4 +62,10 @@ int main(int argc, char** argv) {
       "\nReading: q(p) flattens at or before the shortest-loop bound;\n"
       "self-loop-heavy profiles (donfile, s27, s386) flatten earliest.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ced::cli::run_main(run, argc, argv);
 }

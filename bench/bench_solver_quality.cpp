@@ -29,11 +29,9 @@ ced::core::DetectabilityTable table_for(const ced::fsm::Fsm& f, int p) {
   return core::extract_cases(c, faults, opts);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace ced;
-  if (!bench::flags_known(argc, argv, "bench_solver_quality", {})) return 2;
+  cli::reject_unknown_flags(argc, argv, "bench_solver_quality", {});
 
   std::printf("Solver quality on exactly solvable instances (p = 2)\n");
   std::printf("%-12s | %5s | %7s | %7s | %7s\n", "Circuit", "n", "exact",
@@ -127,4 +125,10 @@ int main(int argc, char** argv) {
       "optimum. It is on in the headline comparison above, where the\n"
       "solver matches the exact optimum on every instance.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ced::cli::run_main(run, argc, argv);
 }

@@ -1,56 +1,13 @@
 #include "common.hpp"
 
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 #include "core/run.hpp"
 
 namespace ced::bench {
 
-std::string arg_value(int argc, char** argv, const char* key,
-                      const char* fallback) {
-  const std::size_t len = std::strlen(key);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], key, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
-    }
-  }
-  return fallback;
-}
-
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
-
-bool flags_known(int argc, char** argv, const char* program,
-                 std::initializer_list<std::string_view> known) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (!arg.starts_with("--")) continue;
-    bool found = false;
-    for (const std::string_view f : known) {
-      found = found || (f.ends_with('=') ? arg.starts_with(f) : arg == f);
-    }
-    if (!found) {
-      std::fprintf(stderr, "error: unknown flag '%s' for %s\n", argv[i],
-                   program);
-      return false;
-    }
-  }
-  return true;
-}
-
-int threads_from_args(int argc, char** argv) {
-  const int v = std::atoi(arg_value(argc, argv, "--threads", "0").c_str());
-  return v >= 1 ? v : 0;
-}
-
 std::vector<std::string> circuits_from_args(int argc, char** argv) {
-  const std::string list = arg_value(argc, argv, "--circuits", "");
+  const std::string list = cli::arg_value(argc, argv, "--circuits");
   if (!list.empty()) {
     std::vector<std::string> out;
     std::istringstream in(list);
@@ -59,7 +16,9 @@ std::vector<std::string> circuits_from_args(int argc, char** argv) {
     }
     return out;
   }
-  if (has_flag(argc, argv, "--quick")) return benchdata::small_suite_names();
+  if (cli::has_flag(argc, argv, "--quick")) {
+    return benchdata::small_suite_names();
+  }
   std::vector<std::string> all;
   for (const auto& e : benchdata::mcnc_suite()) all.push_back(e.name);
   return all;

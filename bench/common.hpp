@@ -1,16 +1,17 @@
 #pragma once
 
-// Shared helpers for the experiment harnesses: flag parsing, suite
-// selection via argv and per-circuit pipeline sweeps.
+// Shared helpers for the experiment harnesses: suite selection via argv
+// and per-circuit pipeline sweeps. Flags are read through flags.hpp, the
+// parser the command-line tools share.
 
 #include <cstdio>
-#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "benchdata/suite.hpp"
 #include "core/pipeline.hpp"
+#include "flags.hpp"
 
 namespace ced::bench {
 
@@ -21,32 +22,14 @@ namespace ced::bench {
 /// fixed one keeps the results independent of the host.
 inline constexpr int kLedgerThreads = 4;
 
-/// The VALUE of the first `KEY=VALUE` argument (pass `key` without the
-/// '='), or `fallback` when there is none.
-std::string arg_value(int argc, char** argv, const char* key,
-                      const char* fallback = "");
-
-/// True when `flag` is one of the arguments, e.g. --quick (run only the
-/// small circuits).
-bool has_flag(int argc, char** argv, const char* flag);
-
-/// True when every `--...` argument is one of `known`; otherwise prints
-/// "error: unknown flag '<arg>' for <program>" and returns false (the
-/// harness exits 2). An entry ending in '=' takes a value (`--circuits=`
-/// matches `--circuits=s27`); any other entry must match exactly.
-bool flags_known(int argc, char** argv, const char* program,
-                 std::initializer_list<std::string_view> known);
-
 /// Parses harness arguments:
 ///   --quick            run only the small circuits (fast smoke mode)
 ///   --circuits=a,b,c   explicit circuit list
 /// Default: the full 16-circuit Table 1 suite.
 std::vector<std::string> circuits_from_args(int argc, char** argv);
 
-/// Parses --threads=N (how many workers the harness may use). Returns 0
-/// when absent or non-positive, meaning "auto": the CED_THREADS environment
-/// variable if set, otherwise hardware concurrency.
-int threads_from_args(int argc, char** argv);
+/// The flags circuits_from_args reads, for cli::reject_unknown_flags.
+inline constexpr std::string_view kSuiteFlags[] = {"--quick", "--circuits="};
 
 /// Runs the shared-extraction latency sweep for one circuit with the given
 /// latencies, printing progress to stderr.

@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "benchdata/suite.hpp"
+#include "core/coverkernel.hpp"
 #include "core/extract.hpp"
-#include "core/parity.hpp"
 #include "core/run.hpp"
 #include "sim/campaign.hpp"
 
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   core::ExtractOptions e1;
   e1.latency = 1;
   const auto t1 = core::extract_cases(circuit, faults, e1);
-  const auto deferred = core::uncovered_cases(rep.parities, t1);
+  const auto deferred = core::CoverKernel(t1).uncovered(rep.parities);
   std::printf("%s at latency bound p=%d: q=%d trees (latency-1 needs %d); "
               "%zu/%zu step-1 patterns deferred to step 2\n",
               name, p, rep.num_trees, reps[0].num_trees, deferred.size(),

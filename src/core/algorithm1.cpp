@@ -319,8 +319,7 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
       Trial& tr = trials[it];
       tr.betas = round_once(x, blend, trial_rng);
       // Screen the trial's whole candidate set in one blocked pass.
-      CoverBatch batch(screen_kernel);
-      tr.uncov = batch.uncovered_count(tr.betas);
+      tr.uncov = screen_kernel.uncovered_count(tr.betas);
       tr.ran = true;
       executed.fetch_add(1, std::memory_order_relaxed);
     });
@@ -351,7 +350,7 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
         continue;
       }
       if (tr.uncov == 0 && full_check(tr.betas)) {
-        return prune_redundant(tr.betas, table, &ctx->kernel);
+        return prune_redundant(tr.betas, ctx->kernel);
       }
       if (tr.uncov < best_uncovered &&
           tr.betas.size() <= static_cast<std::size_t>(q)) {
@@ -403,7 +402,7 @@ std::optional<std::vector<ParityFunc>> solve_for_q(
         break;
       }
       if (full_check(best_attempt)) {
-        return prune_redundant(best_attempt, table, &ctx->kernel);
+        return prune_redundant(best_attempt, ctx->kernel);
       }
       // full_check extended the sample with missed cases; repair again.
     }
@@ -452,7 +451,7 @@ void drop_and_repair(std::vector<ParityFunc>& best,
         }
       }
       if (covered) {
-        best = prune_redundant(cand, table, &ctx.kernel);
+        best = prune_redundant(cand, ctx.kernel);
         improved = true;
         break;
       }
@@ -511,7 +510,7 @@ std::vector<ParityFunc> minimize_parity_functions(
                            ctx.kernel.covers_all(warm_start);
   if (warm_covers) {
     best.assign(warm_start.begin(), warm_start.end());
-    best = prune_redundant(best, table, &ctx.kernel);
+    best = prune_redundant(best, ctx.kernel);
     from_greedy = false;
   }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/coverkernel.hpp"
 #include "core/rng.hpp"
 
 namespace ced::core {
@@ -20,6 +21,8 @@ AreaAwareResult minimize_parity_area(const fsm::FsmCircuit& circuit,
   // One serial synthesizer scores every candidate: the golden rows are
   // simulated once per refinement, not once per evaluation.
   CedSynthesizer ced(circuit, opts.ced, 1);
+  // Every single-bit edit is checked against the whole table on one kernel.
+  const CoverKernel kernel(table);
   const auto cost_of = [&](const std::vector<ParityFunc>& parities) {
     return ced.synthesize(parities).cost(opts.library).area;
   };
@@ -50,7 +53,7 @@ AreaAwareResult minimize_parity_area(const fsm::FsmCircuit& circuit,
         }
         const ParityFunc saved = res.parities[t];
         res.parities[t] ^= std::uint64_t{1} << j;
-        if (res.parities[t] == 0 || !covers_all(res.parities, table)) {
+        if (res.parities[t] == 0 || !kernel.covers_all(res.parities)) {
           res.parities[t] = saved;
           continue;
         }

@@ -100,35 +100,10 @@ std::uint64_t last_word_mask(std::size_t m) {
   return rem == 0 ? ~std::uint64_t{0} : ((std::uint64_t{1} << rem) - 1);
 }
 
-/// Decomposes a (pre-masked) beta into ascending bit indices for the
-/// engine's BetaBits form. `bits` must hold 64 ints.
-int decompose_beta(std::uint64_t beta, int* bits) {
-  int c = 0;
-  while (beta != 0) {
-    bits[c++] = std::countr_zero(beta);
-    beta &= beta - 1;
-  }
-  return c;
-}
-
 }  // namespace
 
 detail::KernelShape CoverKernel::shape() const {
   return detail::KernelShape{cols_.data(), n_, steps_, words_, stride_};
-}
-
-void CoverKernel::covered_bitmap(ParityFunc beta, std::uint64_t* out) const {
-  std::fill(out, out + words_, 0);
-  accumulate_covered(beta, out);
-}
-
-void CoverKernel::accumulate_covered(ParityFunc beta,
-                                     std::uint64_t* acc) const {
-  beta &= beta_mask_;
-  if (beta == 0 || m_ == 0) return;
-  int bits[64];
-  const detail::BetaBits bb{bits, decompose_beta(beta, bits)};
-  engine_->or_covered(shape(), &bb, 1, acc);
 }
 
 std::size_t CoverKernel::count(const std::uint64_t* bits) const {
@@ -139,14 +114,20 @@ std::size_t CoverKernel::count(const std::uint64_t* bits) const {
   return c;
 }
 
-std::size_t CoverKernel::coverage_count(ParityFunc beta) const {
-  const ParityFunc masked = beta & beta_mask_;
-  if (m_ == 0 || masked == 0) return 0;
-  int bits[64];
-  const detail::BetaBits bb{bits, decompose_beta(masked, bits)};
-  std::size_t c = 0;
-  engine_->counts(shape(), &bb, 1, &c);
-  return c;
+void CoverKernel::counts(std::span<const ParityFunc> betas,
+                         std::span<std::size_t> out) const {
+  assert(out.size() >= betas.size());
+  engine_->counts(shape(), betas.data(), betas.size(), out.data());
+}
+
+void CoverKernel::bitmaps(std::span<const ParityFunc> betas,
+                          std::uint64_t* out) const {
+  engine_->bitmaps(shape(), betas.data(), betas.size(), out);
+}
+
+void CoverKernel::or_covered(std::span<const ParityFunc> betas,
+                             std::uint64_t* acc) const {
+  engine_->or_covered(shape(), betas.data(), betas.size(), acc);
 }
 
 bool CoverKernel::covers_all(std::span<const ParityFunc> betas) const {
@@ -155,9 +136,8 @@ bool CoverKernel::covers_all(std::span<const ParityFunc> betas) const {
 
 std::size_t CoverKernel::uncovered_count(
     std::span<const ParityFunc> betas) const {
-  if (m_ == 0) return 0;
-  std::vector<std::uint64_t> acc(words_);
-  for (const ParityFunc b : betas) accumulate_covered(b, acc.data());
+  std::vector<std::uint64_t> acc(words_, 0);
+  or_covered(betas, acc.data());
   return m_ - count(acc.data());
 }
 
@@ -165,8 +145,8 @@ std::vector<std::uint32_t> CoverKernel::uncovered(
     std::span<const ParityFunc> betas) const {
   std::vector<std::uint32_t> out;
   if (m_ == 0) return out;
-  std::vector<std::uint64_t> acc(words_);
-  for (const ParityFunc b : betas) accumulate_covered(b, acc.data());
+  std::vector<std::uint64_t> acc(words_, 0);
+  or_covered(betas, acc.data());
   acc[words_ - 1] |= ~last_word_mask(m_);  // padding reads as covered
   for (std::size_t w = 0; w < words_; ++w) {
     std::uint64_t miss = ~acc[w];
@@ -232,86 +212,6 @@ void BetaCursor::neighbor_counts(std::span<std::size_t> out,
                                  const std::uint64_t* base) const {
   assert(out.size() >= static_cast<std::size_t>(k_->num_bits()));
   k_->engine().neighbor_counts(k_->shape(), steps_.data(), base, out.data());
-}
-
-// ---------------------------------------------------------------------------
-// CoverBatch
-// ---------------------------------------------------------------------------
-
-CoverBatch::CoverBatch(const CoverKernel& kernel)
-    : k_(&kernel), ops_(&kernel.engine()) {}
-
-void CoverBatch::prepare(std::span<const ParityFunc> betas) {
-  bits_.clear();
-  bit_count_.assign(betas.size(), 0);
-  const std::uint64_t mask =
-      k_->num_bits() >= 64
-          ? ~std::uint64_t{0}
-          : ((std::uint64_t{1} << k_->num_bits()) - 1);
-  for (std::size_t i = 0; i < betas.size(); ++i) {
-    std::uint64_t b = betas[i] & mask;
-    bit_count_[i] = static_cast<std::size_t>(std::popcount(b));
-    while (b != 0) {
-      bits_.push_back(std::countr_zero(b));
-      b &= b - 1;
-    }
-  }
-}
-
-namespace {
-
-/// Builds the engine descriptors over CoverBatch's flattened scratch.
-std::vector<detail::BetaBits> beta_descs(const std::vector<int>& bits,
-                                         const std::vector<std::size_t>& cnt) {
-  std::vector<detail::BetaBits> descs(cnt.size());
-  std::size_t at = 0;
-  for (std::size_t i = 0; i < cnt.size(); ++i) {
-    descs[i] = detail::BetaBits{bits.data() + at, static_cast<int>(cnt[i])};
-    at += cnt[i];
-  }
-  return descs;
-}
-
-}  // namespace
-
-void CoverBatch::counts(std::span<const ParityFunc> betas,
-                        std::span<std::size_t> out) {
-  assert(out.size() >= betas.size());
-  if (betas.empty()) return;
-  if (k_->num_rows() == 0) {
-    std::fill(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(
-                                             betas.size()),
-              0);
-    return;
-  }
-  prepare(betas);
-  const auto descs = beta_descs(bits_, bit_count_);
-  ops_->counts(k_->shape(), descs.data(), descs.size(), out.data());
-}
-
-void CoverBatch::bitmaps(std::span<const ParityFunc> betas,
-                         std::uint64_t* out) {
-  if (betas.empty()) return;
-  std::fill(out, out + betas.size() * k_->num_words(), 0);
-  if (k_->num_rows() == 0) return;
-  prepare(betas);
-  const auto descs = beta_descs(bits_, bit_count_);
-  ops_->bitmaps(k_->shape(), descs.data(), descs.size(), out);
-}
-
-void CoverBatch::or_covered(std::span<const ParityFunc> betas,
-                            std::uint64_t* acc) {
-  if (betas.empty() || k_->num_rows() == 0) return;
-  prepare(betas);
-  const auto descs = beta_descs(bits_, bit_count_);
-  ops_->or_covered(k_->shape(), descs.data(), descs.size(), acc);
-}
-
-std::size_t CoverBatch::uncovered_count(std::span<const ParityFunc> betas) {
-  if (k_->num_rows() == 0) return 0;
-  std::vector<std::uint64_t> acc(k_->num_words(), 0);
-  or_covered(betas, acc.data());
-  return k_->num_rows() - k_->count(acc.data());
 }
 
 // ---------------------------------------------------------------------------

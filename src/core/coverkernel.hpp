@@ -16,13 +16,16 @@ struct KernelShape;
 }  // namespace detail
 
 /// Bit-sliced (transposed) view of a DetectabilityTable, built once and
-/// queried many times by the Statement-4 solvers. Every query runs on the
-/// runtime-dispatched vector engine (AVX2 / NEON, see common/cpu.hpp —
-/// the plain 64-bit word loop on hosts without a vector unit or under
-/// ScopedSimdLevel(kNone)). The per-case core::covers loop
-/// (core/parity.hpp) stays the reference oracle: all backends compute the
-/// same exact GF(2) quantities, so q and the selected parity functions
-/// never depend on the backend.
+/// queried many times: the library's one way to ask Statement 4's
+/// question of a set of parity functions (the solvers' screens and
+/// full-table checks, prune_redundant, the area-aware refinement). Every
+/// query runs on the runtime-dispatched vector engine (AVX2 / NEON, see
+/// common/cpu.hpp — the plain 64-bit word loop on hosts without a vector
+/// unit or under ScopedSimdLevel(kNone)). The per-case core::covers check
+/// (core/parity.hpp) stays the reference: the tests compare every query
+/// with it and with its set loops (tests/oracle/covers.hpp). All backends
+/// compute the same exact GF(2) quantities, so q and the selected parity
+/// functions never depend on the backend.
 ///
 /// Layout: for every (step k, observable bit j) there is a column of
 /// `num_words()` 64-bit words whose bit r is V(row r, j, k) — 64 cases per
@@ -88,15 +91,24 @@ class CoverKernel {
     return rows_.empty() ? local : rows_[local];
   }
 
-  /// Number of local rows covered by `beta`.
-  std::size_t coverage_count(ParityFunc beta) const;
+  // Set queries. Each makes one blocked engine pass over the column store
+  // for the whole span of betas (a one-element span asks about one beta),
+  // so candidates share column loads instead of each re-streaming the
+  // table. A beta's bits at or above num_bits() are ignored, and a zero
+  // beta covers no row.
 
-  /// Writes the covered bitmap of `beta` (num_words() words; padding bits
-  /// beyond num_rows() are 0) into `out`.
-  void covered_bitmap(ParityFunc beta, std::uint64_t* out) const;
+  /// Per-beta covered-row counts: out[i] = rows covered by betas[i].
+  /// out.size() must be >= betas.size().
+  void counts(std::span<const ParityFunc> betas,
+              std::span<std::size_t> out) const;
 
-  /// ORs the covered bitmap of `beta` into `acc` (num_words() words).
-  void accumulate_covered(ParityFunc beta, std::uint64_t* acc) const;
+  /// Per-beta covered bitmaps: out + i*num_words() holds the rows betas[i]
+  /// covers (padding bits beyond num_rows() are 0). `out` must hold
+  /// betas.size() * num_words() words.
+  void bitmaps(std::span<const ParityFunc> betas, std::uint64_t* out) const;
+
+  /// acc |= the rows some beta covers (num_words() words).
+  void or_covered(std::span<const ParityFunc> betas, std::uint64_t* acc) const;
 
   /// True iff the set covers every local row (exact Statement-4 test).
   bool covers_all(std::span<const ParityFunc> betas) const;
@@ -176,51 +188,6 @@ class BetaCursor {
   ParityFunc beta_ = 0;
   /// steps * num_words() words: steps_[k*W + w].
   std::vector<std::uint64_t> steps_;
-};
-
-/// Batched cover evaluation over a CoverKernel: per-beta coverage counts
-/// and/or bitmaps for a whole candidate set in one cache-blocked pass
-/// over the (step x bit) column layout, so candidates share column loads
-/// instead of each re-streaming the table (the per-beta loop costs
-/// ~|betas| table walks; the batch costs one). Used by the Algorithm-1
-/// concurrent-rounding trial screen and by prune_redundant; the batch is
-/// defined by the same GF(2) math as the per-beta queries, so
-/// batch-vs-loop results are identical (tests rely on this).
-///
-/// A CoverBatch borrows its kernel and owns only scratch; it is cheap to
-/// construct and NOT thread-safe — give each thread its own.
-class CoverBatch {
- public:
-  /// Runs on the kernel's captured engine.
-  explicit CoverBatch(const CoverKernel& kernel);
-
-  const CoverKernel& kernel() const { return *k_; }
-
-  /// Per-beta covered-row counts: out[i] = coverage_count(betas[i]).
-  void counts(std::span<const ParityFunc> betas,
-              std::span<std::size_t> out);
-
-  /// Per-beta covered bitmaps: out + i*num_words() = covered_bitmap of
-  /// betas[i]. `out` must hold betas.size() * num_words() words.
-  void bitmaps(std::span<const ParityFunc> betas, std::uint64_t* out);
-
-  /// acc |= union over betas of covered(beta) — the covers_all /
-  /// uncovered_count screen for a whole candidate set in one pass.
-  void or_covered(std::span<const ParityFunc> betas, std::uint64_t* acc);
-
-  /// Rows NOT covered by the union of `betas` (the batched
-  /// CoverKernel::uncovered_count).
-  std::size_t uncovered_count(std::span<const ParityFunc> betas);
-
- private:
-  /// Decomposes betas (masked to num_bits()) into the engine's bit-list
-  /// form in owned scratch.
-  void prepare(std::span<const ParityFunc> betas);
-
-  const CoverKernel* k_;
-  const detail::KernelOps* ops_;
-  std::vector<int> bits_;               ///< flattened selected-bit indices
-  std::vector<std::size_t> bit_count_;  ///< per beta
 };
 
 /// A detectability table with subset-dominated rows removed, plus the

@@ -78,14 +78,14 @@ void cover_subset(const DetectabilityTable& table, const GreedyOptions& opts,
       // against surprises to avoid an infinite loop.
       const std::uint64_t w = table.cases[pending.front()].diff[0];
       if (w != 0) best_beta = w & (~w + 1);
-      best_cov = sub.coverage_count(best_beta);
+      sub.counts({&best_beta, 1}, {&best_cov, 1});
     }
 
     solution.push_back(best_beta);
     std::vector<std::uint32_t> still;
     still.reserve(pending.size() - best_cov);
     std::vector<std::uint64_t> cov(sub.num_words());
-    sub.covered_bitmap(best_beta, cov.data());
+    sub.bitmaps({&best_beta, 1}, cov.data());
     for (std::size_t r = 0; r < pending.size(); ++r) {
       if (!((cov[r >> 6] >> (r & 63)) & 1u)) still.push_back(pending[r]);
     }
@@ -147,7 +147,7 @@ std::vector<ParityFunc> greedy_cover_impl(const DetectabilityTable& table,
     pending = full.uncovered(solution);
   }
 
-  return prune_redundant(solution, table, &full);
+  return prune_redundant(solution, full);
 }
 
 }  // namespace

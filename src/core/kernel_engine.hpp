@@ -45,25 +45,19 @@ struct KernelShape {
   }
 };
 
-/// One evaluation-ready beta: its selected bit indices, ascending.
-struct BetaBits {
-  const int* bits = nullptr;
-  int count = 0;
-};
-
 /// The per-backend entry points CoverKernel dispatches through. All
-/// functions are exact; `nb` may be 1 (the batch layer is also the
-/// single-beta path).
+/// functions are exact. The set passes take `nb` betas (any nb, 0 and 1
+/// included); a beta's bits at or above the shape's n select no column.
 struct KernelOps {
   /// acc[w] |= OR over betas of covered(beta), one blocked pass.
-  void (*or_covered)(const KernelShape&, const BetaBits*, std::size_t nb,
-                     std::uint64_t* acc);
+  void (*or_covered)(const KernelShape&, const std::uint64_t* betas,
+                     std::size_t nb, std::uint64_t* acc);
   /// out + b*words = covered bitmap of beta b, one blocked pass.
-  void (*bitmaps)(const KernelShape&, const BetaBits*, std::size_t nb,
-                  std::uint64_t* out);
+  void (*bitmaps)(const KernelShape&, const std::uint64_t* betas,
+                  std::size_t nb, std::uint64_t* out);
   /// out[b] = popcount(covered(beta b)), one blocked pass.
-  void (*counts)(const KernelShape&, const BetaBits*, std::size_t nb,
-                 std::size_t* out);
+  void (*counts)(const KernelShape&, const std::uint64_t* betas,
+                 std::size_t nb, std::size_t* out);
   /// dst[w] ^= src[w] (BetaCursor flip).
   void (*xor_into)(std::uint64_t* dst, const std::uint64_t* src,
                    std::size_t words);
@@ -101,11 +95,15 @@ struct ScalarVec {
 
 /// Flattened per-(beta, step) column pointer lists: the passes iterate
 /// selected columns by pointer instead of re-deriving (step*n + bit) *
-/// words per access. One allocation per pass.
+/// words per access. Each beta is masked to the shape's n bits and its
+/// columns listed in ascending bit order. One allocation per pass.
 struct ColPlan {
   std::vector<const std::uint64_t*> ptrs;
   std::vector<std::size_t> start;  ///< (b*steps + k) -> index into ptrs
-  void build(const KernelShape& s, const BetaBits* betas, std::size_t nb) {
+  void build(const KernelShape& s, const std::uint64_t* betas,
+             std::size_t nb) {
+    const std::uint64_t mask =
+        s.n >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << s.n) - 1);
     ptrs.clear();
     start.assign(nb * static_cast<std::size_t>(s.steps) + 1, 0);
     std::size_t at = 0;
@@ -113,8 +111,8 @@ struct ColPlan {
       for (int k = 0; k < s.steps; ++k) {
         start[b * static_cast<std::size_t>(s.steps) +
               static_cast<std::size_t>(k)] = at;
-        for (int i = 0; i < betas[b].count; ++i) {
-          ptrs.push_back(s.column(k, betas[b].bits[i]));
+        for (std::uint64_t x = betas[b] & mask; x != 0; x &= x - 1) {
+          ptrs.push_back(s.column(k, std::countr_zero(x)));
           ++at;
         }
       }
@@ -173,7 +171,7 @@ struct Engine {
     return cov;
   }
 
-  static void or_covered(const KernelShape& s, const BetaBits* betas,
+  static void or_covered(const KernelShape& s, const std::uint64_t* betas,
                          std::size_t nb, std::uint64_t* acc) {
     ColPlan plan;
     plan.build(s, betas, nb);
@@ -194,7 +192,7 @@ struct Engine {
     }
   }
 
-  static void bitmaps(const KernelShape& s, const BetaBits* betas,
+  static void bitmaps(const KernelShape& s, const std::uint64_t* betas,
                       std::size_t nb, std::uint64_t* out) {
     ColPlan plan;
     plan.build(s, betas, nb);
@@ -211,7 +209,7 @@ struct Engine {
     }
   }
 
-  static void counts(const KernelShape& s, const BetaBits* betas,
+  static void counts(const KernelShape& s, const std::uint64_t* betas,
                      std::size_t nb, std::size_t* out) {
     ColPlan plan;
     plan.build(s, betas, nb);

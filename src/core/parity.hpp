@@ -23,7 +23,11 @@ inline bool covers(ParityFunc beta, const ErroneousCase& ec) {
   return (odd & 1) != 0;
 }
 
-/// True iff some function in the set covers the erroneous case.
+/// True iff some function in the set covers the erroneous case. A set's
+/// questions about a whole table (does it cover every case, which does it
+/// miss) go to a CoverKernel (core/coverkernel.hpp), one engine pass per
+/// set; the per-case loops over this check are test oracles
+/// (tests/oracle/covers.hpp).
 inline bool covers(std::span<const ParityFunc> betas,
                    const ErroneousCase& ec) {
   for (ParityFunc b : betas) {
@@ -32,30 +36,16 @@ inline bool covers(std::span<const ParityFunc> betas,
   return false;
 }
 
-/// True iff the parity set covers every case (the integer feasibility test
-/// of Statement 4, evaluated exactly in GF(2)).
-bool covers_all(std::span<const ParityFunc> betas,
-                const DetectabilityTable& table);
-
-/// Indices of cases not covered by the set.
-std::vector<std::uint32_t> uncovered_cases(std::span<const ParityFunc> betas,
-                                           const DetectabilityTable& table);
-
 class CoverKernel;
 
 /// Drops parity functions that cover no case not already covered by the
-/// rest (cheap post-pass; keeps earlier functions preferentially). Runs in
-/// one pass over per-tree coverage bitmaps on the bit-sliced kernel
-/// (core/coverkernel.hpp) and drops exactly the functions the O(q^2 * m)
-/// back-to-front re-verification loop would (the tests keep that loop as
-/// the reference).
+/// rest (cheap post-pass; keeps earlier functions preferentially).
+/// `kernel` is the table's full kernel (core/coverkernel.hpp), which the
+/// solvers build once per table: one pass over its per-tree coverage
+/// bitmaps drops exactly the functions the O(q^2 * m) back-to-front
+/// re-verification loop would (the tests keep that loop as the
+/// reference).
 std::vector<ParityFunc> prune_redundant(std::span<const ParityFunc> betas,
-                                        const DetectabilityTable& table);
-
-/// Variant reusing a caller-held full-table kernel (built once per table by
-/// the solvers); `kernel` may be null to build one internally.
-std::vector<ParityFunc> prune_redundant(std::span<const ParityFunc> betas,
-                                        const DetectabilityTable& table,
-                                        const CoverKernel* kernel);
+                                        const CoverKernel& kernel);
 
 }  // namespace ced::core

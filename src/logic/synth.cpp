@@ -1,6 +1,6 @@
 #include "logic/synth.hpp"
 
-#include <deque>
+#include <algorithm>
 #include <stdexcept>
 
 namespace ced::logic {
@@ -25,16 +25,19 @@ std::uint32_t SynthContext::tree(GateType type,
                                  std::vector<std::uint32_t> nets,
                                  bool empty_value) {
   if (nets.empty()) return constant(empty_value);
-  std::deque<std::uint32_t> q(nets.begin(), nets.end());
-  while (q.size() > 1) {
-    std::vector<std::uint32_t> group;
-    for (int i = 0; i < kMaxFanin && !q.empty(); ++i) {
-      group.push_back(q.front());
-      q.pop_front();
-    }
-    q.push_back(nl_.add_gate(type, std::move(group)));
+  // A FIFO kept in `nets` from `head` on: each gate takes up to kMaxFanin
+  // nets from the front and appends its output at the back.
+  std::size_t head = 0;
+  while (nets.size() - head > 1) {
+    const std::size_t take =
+        std::min(nets.size() - head, static_cast<std::size_t>(kMaxFanin));
+    const auto first = nets.begin() + static_cast<std::ptrdiff_t>(head);
+    std::vector<std::uint32_t> group(
+        first, first + static_cast<std::ptrdiff_t>(take));
+    head += take;
+    nets.push_back(nl_.add_gate(type, std::move(group)));
   }
-  return q.front();
+  return nets[head];
 }
 
 std::uint32_t SynthContext::and_tree(std::vector<std::uint32_t> nets) {

@@ -6,6 +6,7 @@
 #include "core/algorithm1.hpp"
 #include "core/extract.hpp"
 #include "kiss/kiss.hpp"
+#include "oracle/covers.hpp"
 #include "sim/faults.hpp"
 
 namespace ced::core {

@@ -42,6 +42,7 @@
 #include "core/parity_synth.hpp"
 #include "core/run.hpp"
 #include "core/rng.hpp"
+#include "oracle/covers.hpp"
 #include "sim/fault_sim.hpp"
 #include "sim/faults.hpp"
 #include "storage/format.hpp"

@@ -15,6 +15,7 @@
 #include <random>
 #include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "benchdata/suite.hpp"
@@ -27,6 +28,7 @@
 #include "core/parity.hpp"
 #include "core/pipeline.hpp"
 #include "fsm/synthesize.hpp"
+#include "oracle/covers.hpp"
 #include "oracle/exact.hpp"
 #include "sim/faults.hpp"
 
@@ -99,37 +101,56 @@ TEST(CoverKernel, MatchesScalarOnRandomTables) {
   std::mt19937_64 rng(1);
   for (const Shape& s : kShapes) {
     const DetectabilityTable t = random_table(rng, s.n, s.m, s.max_len);
-    const CoverKernel kernel(t);
-    ASSERT_EQ(kernel.num_rows(), t.cases.size());
-    ASSERT_EQ(kernel.num_bits(), s.n);
-
+    // Random betas, a zero beta, and one with every bit at or above n set
+    // (the kernel masks those off).
     std::vector<ParityFunc> set;
-    for (int i = 0; i < 16; ++i) {
-      const ParityFunc beta = random_beta(rng, s.n);
-      set.push_back(beta);
-      EXPECT_EQ(kernel.coverage_count(beta), scalar_count(beta, t))
-          << "n=" << s.n << " m=" << s.m << " beta=" << beta;
-      std::vector<std::uint64_t> bitmap(kernel.num_words());
-      kernel.covered_bitmap(beta, bitmap.data());
-      for (std::size_t r = 0; r < t.cases.size(); ++r) {
-        EXPECT_EQ((bitmap[r >> 6] >> (r & 63)) & 1,
-                  covers(beta, t.cases[r]) ? 1u : 0u);
+    for (int i = 0; i < 16; ++i) set.push_back(random_beta(rng, s.n));
+    set.push_back(0);
+    set.push_back(random_beta(rng, s.n) |
+                  (s.n >= 64 ? 0 : ~((std::uint64_t{1} << s.n) - 1)));
+
+    for (const SimdLevel level : {detected_simd_level(), SimdLevel::kNone}) {
+      SCOPED_TRACE(std::string(to_string(level)) + " n=" +
+                   std::to_string(s.n) + " m=" + std::to_string(s.m));
+      const ScopedSimdLevel cap(level);
+      const CoverKernel kernel(t);
+      ASSERT_EQ(kernel.num_rows(), t.cases.size());
+      ASSERT_EQ(kernel.num_bits(), s.n);
+
+      std::vector<std::size_t> counts(set.size());
+      kernel.counts(set, counts);
+      std::vector<std::uint64_t> bitmaps(set.size() * kernel.num_words());
+      kernel.bitmaps(set, bitmaps.data());
+      for (std::size_t i = 0; i < set.size(); ++i) {
+        const ParityFunc beta = set[i];
+        EXPECT_EQ(counts[i], scalar_count(beta, t)) << "beta=" << beta;
+        std::size_t one = 0;
+        kernel.counts({&beta, 1}, {&one, 1});
+        EXPECT_EQ(one, counts[i]) << "beta=" << beta;
+        const std::uint64_t* bitmap = bitmaps.data() + i * kernel.num_words();
+        for (std::size_t r = 0; r < t.cases.size(); ++r) {
+          EXPECT_EQ((bitmap[r >> 6] >> (r & 63)) & 1,
+                    covers(beta, t.cases[r]) ? 1u : 0u);
+        }
+        // Padding bits beyond num_rows stay zero.
+        if (t.cases.size() % 64 != 0) {
+          EXPECT_EQ(bitmap[kernel.num_words() - 1] >> (t.cases.size() % 64),
+                    0u);
+        }
       }
-      // Padding bits beyond num_rows stay zero.
-      if (t.cases.size() % 64 != 0) {
-        EXPECT_EQ(bitmap.back() >> (t.cases.size() % 64), 0u);
+      // Set queries against the per-case oracle, for the set and for the
+      // empty set (which covers nothing).
+      for (const std::span<const ParityFunc> betas :
+           {std::span<const ParityFunc>(set), std::span<const ParityFunc>()}) {
+        const std::vector<std::uint32_t> want = uncovered_cases(betas, t);
+        EXPECT_EQ(kernel.covers_all(betas), covers_all(betas, t));
+        EXPECT_EQ(kernel.uncovered(betas), want);
+        EXPECT_EQ(kernel.uncovered_count(betas), want.size());
+        std::vector<std::uint64_t> acc(kernel.num_words(), 0);
+        kernel.or_covered(betas, acc.data());
+        EXPECT_EQ(kernel.count(acc.data()), t.cases.size() - want.size());
       }
     }
-    // Set queries against the per-case oracle.
-    std::vector<std::uint32_t> want;
-    for (std::size_t r = 0; r < t.cases.size(); ++r) {
-      if (!covers(set, t.cases[r])) {
-        want.push_back(static_cast<std::uint32_t>(r));
-      }
-    }
-    EXPECT_EQ(kernel.covers_all(set), want.empty());
-    EXPECT_EQ(kernel.uncovered(set), want);
-    EXPECT_EQ(kernel.uncovered_count(set), want.size());
   }
 }
 
@@ -156,6 +177,24 @@ TEST(CoverKernel, SubsetKernelMatchesScalarAmong) {
       if (!covers(set, t.cases[r])) want.push_back(r);
     }
     EXPECT_EQ(got, want);
+  }
+  // A subset kernel with no rows: every query answers for zero rows.
+  const std::vector<ParityFunc> set = {random_beta(rng, 20), 0};
+  for (const SimdLevel level : {detected_simd_level(), SimdLevel::kNone}) {
+    const ScopedSimdLevel cap(level);
+    const CoverKernel empty(t, std::vector<std::uint32_t>{});
+    ASSERT_EQ(empty.num_rows(), 0u) << to_string(level);
+    ASSERT_EQ(empty.num_words(), 0u) << to_string(level);
+    std::vector<std::size_t> counts(set.size(), 7);
+    empty.counts(set, counts);
+    EXPECT_EQ(counts, std::vector<std::size_t>(set.size(), 0))
+        << to_string(level);
+    empty.bitmaps(set, nullptr);
+    empty.or_covered(set, nullptr);
+    EXPECT_TRUE(empty.covers_all(set)) << to_string(level);
+    EXPECT_TRUE(empty.covers_all({})) << to_string(level);
+    EXPECT_EQ(empty.uncovered_count(set), 0u) << to_string(level);
+    EXPECT_TRUE(empty.uncovered(set).empty()) << to_string(level);
   }
 }
 
@@ -310,7 +349,7 @@ void on_every_backend(Fn&& fn) {
 
 /// Every observable of `got` (built by appends) equals that of `want` (one
 /// fresh kernel over the same rows): shape, each column's words, row
-/// back-map, and per-beta, batch and cursor queries.
+/// back-map, and the set and cursor queries.
 void expect_same_kernel(const CoverKernel& got, const CoverKernel& want,
                         std::mt19937_64& rng) {
   ASSERT_EQ(got.num_rows(), want.num_rows());
@@ -332,22 +371,23 @@ void expect_same_kernel(const CoverKernel& got, const CoverKernel& want,
   const int n = want.num_bits();
   std::vector<ParityFunc> set;
   for (int i = 0; i < 6; ++i) set.push_back(random_beta(rng, n));
-  for (const ParityFunc beta : set) {
-    EXPECT_EQ(got.coverage_count(beta), want.coverage_count(beta));
-  }
   EXPECT_EQ(got.uncovered(set), want.uncovered(set));
   EXPECT_EQ(got.uncovered_count(set), want.uncovered_count(set));
 
-  CoverBatch gb(got), wb(want);
   std::vector<std::size_t> gc(set.size()), wc(set.size());
-  gb.counts(set, gc);
-  wb.counts(set, wc);
+  got.counts(set, gc);
+  want.counts(set, wc);
   EXPECT_EQ(gc, wc);
   std::vector<std::uint64_t> gm(set.size() * got.num_words());
   std::vector<std::uint64_t> wm(set.size() * want.num_words());
-  gb.bitmaps(set, gm.data());
-  wb.bitmaps(set, wm.data());
+  got.bitmaps(set, gm.data());
+  want.bitmaps(set, wm.data());
   EXPECT_EQ(gm, wm);
+  std::vector<std::uint64_t> ga(got.num_words(), 0);
+  std::vector<std::uint64_t> wa(want.num_words(), 0);
+  got.or_covered(set, ga.data());
+  want.or_covered(set, wa.data());
+  EXPECT_EQ(ga, wa);
 
   const BetaCursor gcur(got, set[0]), wcur(want, set[0]);
   std::vector<std::size_t> gn(static_cast<std::size_t>(n));
@@ -356,7 +396,7 @@ void expect_same_kernel(const CoverKernel& got, const CoverKernel& want,
   wcur.neighbor_counts(wn);
   EXPECT_EQ(gn, wn);
   std::vector<std::uint64_t> base(want.num_words(), 0);
-  want.covered_bitmap(set[1], base.data());
+  want.bitmaps({&set[1], 1}, base.data());
   gcur.neighbor_counts(gn, base.data());
   wcur.neighbor_counts(wn, base.data());
   EXPECT_EQ(gn, wn);
@@ -473,7 +513,7 @@ TEST(KernelScalar, PruneRedundantIdentical) {
 
     const std::vector<ParityFunc> want = prune_reference(betas, t);
     on_every_backend([&](SimdLevel level, int threads) {
-      EXPECT_EQ(prune_redundant(betas, t), want)
+      EXPECT_EQ(prune_redundant(betas, CoverKernel(t)), want)
           << to_string(level) << " threads=" << threads;
     });
   }

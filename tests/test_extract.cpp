@@ -12,6 +12,7 @@
 #include "core/parity.hpp"
 #include "core/pipeline.hpp"
 #include "kiss/kiss.hpp"
+#include "oracle/covers.hpp"
 #include "sim/faults.hpp"
 
 namespace ced::core {

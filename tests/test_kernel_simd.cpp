@@ -1,8 +1,9 @@
 // Cover-kernel engine (core/kernel_engine.hpp, common/cpu.hpp) against the
-// per-case core::covers oracle. Every query — counts, bitmaps, uncovered
-// lists, cursor flips, batched neighborhood probes, whole-set batch passes
-// — must return exactly the bits a per-case loop gives, on tail-word
-// shapes (rows % 64 != 0) and the n = 64 full-mask edge, both on the
+// per-case core::covers oracle. Every query — counts, bitmaps, unions,
+// uncovered lists, cursor flips, batched neighborhood probes — must return
+// exactly the bits a per-case loop gives, on tail-word shapes (rows % 64
+// != 0), the n = 64 full-mask edge, tables and subset kernels with no
+// rows, the empty beta set, a zero beta and bits above n, both on the
 // backend this host dispatches to and with the vector unit forcibly
 // disabled (ScopedSimdLevel) so the fallback word loop is proven on every
 // host. The solvers must select the same parity functions on both
@@ -14,6 +15,7 @@
 #include <random>
 #include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/cpu.hpp"
@@ -49,11 +51,24 @@ DetectabilityTable random_table(std::mt19937_64& rng, int n, std::size_t m,
   return t;
 }
 
+std::uint64_t low_mask(int n) {
+  return n >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << n) - 1);
+}
+
 ParityFunc random_beta(std::mt19937_64& rng, int n) {
-  const std::uint64_t mask =
-      n >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << n) - 1);
-  const std::uint64_t beta = rng() & mask;
+  const std::uint64_t beta = rng() & low_mask(n);
   return beta != 0 ? beta : 1;
+}
+
+/// `count` random betas plus the edge inputs every query takes: a zero
+/// beta (it covers nothing) and a beta with every bit at or above n set
+/// (the kernel masks them off; the oracle's case words have none).
+std::vector<ParityFunc> query_betas(std::mt19937_64& rng, int n, int count) {
+  std::vector<ParityFunc> betas;
+  for (int i = 0; i < count; ++i) betas.push_back(random_beta(rng, n));
+  betas.push_back(0);
+  betas.push_back(random_beta(rng, n) | ~low_mask(n));
+  return betas;
 }
 
 /// Oracle covered bitmap: bit r set iff core::covers(betas, case r).
@@ -84,46 +99,71 @@ std::size_t popcount_all(const std::vector<std::uint64_t>& bits) {
 /// unit).
 const SimdLevel kLevels[] = {detected_simd_level(), SimdLevel::kNone};
 
-// Tail words (rows % 64 != 0), a single-row table, and the n = 64
-// full-mask edge; lengths span 1..kMaxLatency.
+// Tail words (rows % 64 != 0), a single-row table, a table with no rows,
+// and the n = 64 full-mask edge; lengths span 1..kMaxLatency.
 struct Shape {
   int n;
   std::size_t m;
   int max_len;
 };
 const Shape kShapes[] = {
-    {5, 9, 1},  {13, 64, 2},          {31, 130, 3},
-    {64, 1, 4}, {64, 193, kMaxLatency},
+    {5, 9, 1},  {13, 64, 2},           {31, 130, 3},
+    {64, 1, 4}, {64, 193, kMaxLatency}, {7, 0, 2},
 };
+
+/// The set queries on `k` (built over the rows `rows` of `t`) against the
+/// per-case loop: for `betas` and for the empty set, which covers nothing.
+void expect_set_queries(const CoverKernel& k, const DetectabilityTable& t,
+                        std::span<const std::uint32_t> rows,
+                        std::span<const ParityFunc> betas,
+                        const std::string& where) {
+  for (const std::span<const ParityFunc> set :
+       {betas, std::span<const ParityFunc>()}) {
+    std::vector<std::uint32_t> want;
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      if (!covers(set, t.cases[rows[r]])) {
+        want.push_back(static_cast<std::uint32_t>(r));
+      }
+    }
+    EXPECT_EQ(k.uncovered(set), want) << where << " |set|=" << set.size();
+    EXPECT_EQ(k.uncovered_count(set), want.size()) << where;
+    EXPECT_EQ(k.covers_all(set), want.empty()) << where;
+  }
+}
+
+std::vector<std::uint32_t> all_rows(const DetectabilityTable& t) {
+  std::vector<std::uint32_t> rows(t.cases.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    rows[r] = static_cast<std::uint32_t>(r);
+  }
+  return rows;
+}
 
 TEST(KernelSimd, CountsAndBitmapsMatchPerCaseOracle) {
   std::mt19937_64 rng(41);
   for (const Shape& s : kShapes) {
     const DetectabilityTable t = random_table(rng, s.n, s.m, s.max_len);
-    std::vector<ParityFunc> betas;
-    for (int i = 0; i < 24; ++i) betas.push_back(random_beta(rng, s.n));
+    const std::vector<ParityFunc> betas = query_betas(rng, s.n, 24);
 
     for (const SimdLevel level : kLevels) {
       const ScopedSimdLevel cap(level);
       const CoverKernel k(t);
       std::vector<std::uint64_t> bits(k.num_words());
       for (const ParityFunc beta : betas) {
+        // A one-element span asks about one beta.
         const auto want = oracle_bitmap(beta, t);
-        EXPECT_EQ(k.coverage_count(beta), popcount_all(want))
+        std::size_t count = 0;
+        k.counts({&beta, 1}, {&count, 1});
+        EXPECT_EQ(count, popcount_all(want))
             << to_string(level) << " n=" << s.n << " m=" << s.m;
-        k.covered_bitmap(beta, bits.data());
+        k.bitmaps({&beta, 1}, bits.data());
         EXPECT_EQ(bits, want) << to_string(level) << " n=" << s.n
                               << " beta=" << beta;
       }
-      std::vector<std::uint32_t> want_unc;
-      for (std::size_t r = 0; r < t.cases.size(); ++r) {
-        if (!covers(betas, t.cases[r])) {
-          want_unc.push_back(static_cast<std::uint32_t>(r));
-        }
-      }
-      EXPECT_EQ(k.uncovered(betas), want_unc) << to_string(level);
-      EXPECT_EQ(k.uncovered_count(betas), want_unc.size()) << to_string(level);
-      EXPECT_EQ(k.covers_all(betas), want_unc.empty()) << to_string(level);
+      expect_set_queries(k, t, all_rows(t), betas,
+                         std::string(to_string(level)) +
+                             " n=" + std::to_string(s.n) +
+                             " m=" + std::to_string(s.m));
     }
   }
 }
@@ -132,21 +172,19 @@ TEST(KernelSimd, BatchMatchesPerCaseOracle) {
   std::mt19937_64 rng(43);
   for (const Shape& s : kShapes) {
     const DetectabilityTable t = random_table(rng, s.n, s.m, s.max_len);
-    std::vector<ParityFunc> betas;
-    for (int i = 0; i < 17; ++i) betas.push_back(random_beta(rng, s.n));
+    const std::vector<ParityFunc> betas = query_betas(rng, s.n, 17);
 
     for (const SimdLevel level : kLevels) {
       const ScopedSimdLevel cap(level);
       const CoverKernel k(t);
       const std::size_t W = k.num_words();
-      CoverBatch batch(k);
 
       std::vector<std::size_t> got_counts(betas.size());
-      batch.counts(betas, got_counts);
+      k.counts(betas, got_counts);
       std::vector<std::uint64_t> got_bits(betas.size() * W);
-      batch.bitmaps(betas, got_bits.data());
+      k.bitmaps(betas, got_bits.data());
       std::vector<std::uint64_t> got_acc(W, 0);
-      batch.or_covered(betas, got_acc.data());
+      k.or_covered(betas, got_acc.data());
 
       for (std::size_t i = 0; i < betas.size(); ++i) {
         const auto want = oracle_bitmap(betas[i], t);
@@ -159,9 +197,17 @@ TEST(KernelSimd, BatchMatchesPerCaseOracle) {
       }
       const auto want_union = oracle_bitmap(betas, t);
       EXPECT_EQ(got_acc, want_union) << to_string(level);
-      EXPECT_EQ(batch.uncovered_count(betas),
+      EXPECT_EQ(k.uncovered_count(betas),
                 t.cases.size() - popcount_all(want_union))
           << to_string(level);
+
+      // An empty span leaves the outputs alone: no counts, no bitmaps, and
+      // the accumulator keeps what it held.
+      std::vector<std::uint64_t> acc = want_union;
+      k.or_covered({}, acc.data());
+      EXPECT_EQ(acc, want_union) << to_string(level);
+      k.counts({}, {});
+      k.bitmaps({}, nullptr);
     }
   }
 }
@@ -222,10 +268,9 @@ TEST(KernelSimd, ForcedFallbackMatchesVectorBackend) {
   std::vector<std::uint64_t> native_bits;
   {
     const CoverKernel k(t);
-    CoverBatch batch(k);
-    batch.counts(betas, native_counts);
+    k.counts(betas, native_counts);
     native_bits.resize(betas.size() * k.num_words());
-    batch.bitmaps(betas, native_bits.data());
+    k.bitmaps(betas, native_bits.data());
   }
   {
     // Cap the dispatch at kNone: the kernel must run the universal word
@@ -233,12 +278,11 @@ TEST(KernelSimd, ForcedFallbackMatchesVectorBackend) {
     const ScopedSimdLevel cap(SimdLevel::kNone);
     ASSERT_EQ(simd_level(), SimdLevel::kNone);
     const CoverKernel k(t);
-    CoverBatch batch(k);
     std::vector<std::size_t> counts(betas.size());
-    batch.counts(betas, counts);
+    k.counts(betas, counts);
     EXPECT_EQ(counts, native_counts);
     std::vector<std::uint64_t> bits(betas.size() * k.num_words());
-    batch.bitmaps(betas, bits.data());
+    k.bitmaps(betas, bits.data());
     EXPECT_EQ(bits, native_bits);
   }
   // The cap is restored on scope exit.
@@ -255,19 +299,26 @@ TEST(KernelSimd, SubsetKernelMatchesPerCaseOracle) {
   std::vector<ParityFunc> betas = {random_beta(rng, 18),
                                    random_beta(rng, 18),
                                    random_beta(rng, 18)};
-  // Local (position-in-rows) indices of the rows the set misses.
-  std::vector<std::uint32_t> want;
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    if (!covers(betas, t.cases[rows[r]])) {
-      want.push_back(static_cast<std::uint32_t>(r));
+  // The sampled rows, and a subset kernel with no rows at all.
+  for (const std::vector<std::uint32_t>& subset :
+       {rows, std::vector<std::uint32_t>{}}) {
+    for (const SimdLevel level : kLevels) {
+      const ScopedSimdLevel cap(level);
+      const CoverKernel k(t, subset);
+      ASSERT_EQ(k.num_rows(), subset.size());
+      expect_set_queries(k, t, subset, betas,
+                         std::string(to_string(level)) +
+                             " rows=" + std::to_string(subset.size()));
+      std::vector<std::size_t> counts(betas.size());
+      k.counts(betas, counts);
+      for (std::size_t i = 0; i < betas.size(); ++i) {
+        std::size_t want = 0;
+        for (const std::uint32_t r : subset) {
+          want += covers(betas[i], t.cases[r]) ? 1 : 0;
+        }
+        EXPECT_EQ(counts[i], want) << to_string(level) << " i=" << i;
+      }
     }
-  }
-  for (const SimdLevel level : kLevels) {
-    const ScopedSimdLevel cap(level);
-    const CoverKernel k(t, rows);
-    EXPECT_EQ(k.uncovered(betas), want) << to_string(level);
-    CoverBatch batch(k);
-    EXPECT_EQ(batch.uncovered_count(betas), want.size()) << to_string(level);
   }
 }
 

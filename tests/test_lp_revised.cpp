@@ -34,6 +34,7 @@
 #include "lp/basis.hpp"
 #include "lp/simplex.hpp"
 #include "lp/sparse.hpp"
+#include "oracle/covers.hpp"
 #include "oracle/dense_simplex.hpp"
 #include "sim/faults.hpp"
 

@@ -21,6 +21,7 @@
 #include "core/run.hpp"
 #include "kiss/kiss.hpp"
 #include "lp/simplex.hpp"
+#include "oracle/covers.hpp"
 #include "sim/faults.hpp"
 
 namespace ced::core {

@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
 #include "benchdata/handwritten.hpp"
+#include "benchdata/suite.hpp"
 #include "core/algorithm1.hpp"
 #include "core/coverkernel.hpp"
 #include "core/extract.hpp"
 #include "core/greedy.hpp"
 #include "core/ilp.hpp"
 #include "core/parity.hpp"
+#include "core/pipeline.hpp"
 #include "kiss/kiss.hpp"
+#include "oracle/covers.hpp"
 #include "oracle/exact.hpp"
 #include "oracle/statement5.hpp"
 #include "sim/faults.hpp"
@@ -24,6 +27,18 @@ DetectabilityTable table_for(const std::string& name, int p) {
   ExtractOptions opts;
   opts.latency = p;
   return extract_cases(c, faults, opts);
+}
+
+/// dk14's machine-level p=3 table (4,266 cases in bench/ledger.txt): more
+/// than 1024 rows, so the per-case oracle re-checks covers the solvers
+/// verified on their full-table kernels.
+DetectabilityTable dk14_machine_p3() {
+  const Design d = derive_design(benchdata::suite_fsm("dk14"), {});
+  ExtractOptions opts;
+  opts.latency = 3;
+  opts.semantics = DiffSemantics::kMachineLevel;
+  opts.threads = 1;
+  return extract_cases(d.circuit, d.faults, opts);
 }
 
 /// Hand-crafted table for unit-level checks.
@@ -86,7 +101,7 @@ TEST(ParityCover, UncoveredAmongSubset) {
 TEST(ParityCover, PruneDropsRedundantTrees) {
   const DetectabilityTable t = tiny_table();
   const std::vector<ParityFunc> betas{0b0001, 0b0010, 0b1000};
-  const auto pruned = prune_redundant(betas, t);
+  const auto pruned = prune_redundant(betas, CoverKernel(t));
   EXPECT_EQ(pruned.size(), 2u);
   EXPECT_TRUE(covers_all(pruned, t));
 }
@@ -100,6 +115,9 @@ TEST(Greedy, CoversEverything) {
       EXPECT_GE(sol.size(), 1u);
     }
   }
+  const DetectabilityTable big = dk14_machine_p3();
+  ASSERT_GT(big.cases.size(), 1024u);
+  EXPECT_TRUE(covers_all(greedy_cover(big), big));
 }
 
 TEST(Greedy, SamplingPathStillCompletes) {
@@ -224,6 +242,12 @@ TEST(Algorithm1, NeverWorseThanGreedy) {
       EXPECT_LE(a.size(), g.size()) << name << " p=" << p;
     }
   }
+  const DetectabilityTable big = dk14_machine_p3();
+  ASSERT_GT(big.cases.size(), 1024u);
+  const auto g = greedy_cover(big);
+  const auto a = minimize_parity_functions(big);
+  EXPECT_TRUE(covers_all(a, big));
+  EXPECT_LE(a.size(), g.size());
 }
 
 TEST(Algorithm1, EmptyTable) {

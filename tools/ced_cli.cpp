@@ -46,9 +46,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -59,13 +57,13 @@
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <type_traits>
 
 #include "benchdata/generator.hpp"
 #include "benchdata/suite.hpp"
 #include "common/parallel.hpp"
 #include "core/latency.hpp"
 #include "core/run.hpp"
+#include "flags.hpp"
 #include "fsm/analysis.hpp"
 #include "fsm/minimize_states.hpp"
 #include "kiss/kiss.hpp"
@@ -76,18 +74,12 @@
 namespace {
 
 using namespace ced;
+using namespace ced::cli;
 
 constexpr int kExitOk = 0;
 constexpr int kExitDegraded = 1;
 constexpr int kExitInvalidInput = 2;
 constexpr int kExitInternal = 3;
-
-/// Thrown for problems in what the user handed us (files, flags, KISS2
-/// text) so main() can map them to kExitInvalidInput instead of the
-/// blanket internal-error path.
-struct InvalidInputError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
 
 /// SIGINT handling for long runs: the handler only sets this flag (the one
 /// async-signal-safe thing it may do); the pipeline polls it through
@@ -266,74 +258,6 @@ int cmd_help() {
   return kExitOk;
 }
 
-/// The value of `key=VALUE` among the arguments after the subcommand;
-/// nullopt when the flag is absent.
-std::optional<std::string> flag_value(int argc, char** argv, const char* key) {
-  const std::size_t len = std::strlen(key);
-  for (int i = 2; i < argc; ++i) {
-    if (std::strncmp(argv[i], key, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
-    }
-  }
-  return std::nullopt;
-}
-
-std::string arg_value(int argc, char** argv, const char* key,
-                      const char* fallback) {
-  return flag_value(argc, argv, key).value_or(fallback);
-}
-
-/// The number a numeric flag spells, or `fallback` when the flag is absent.
-/// The whole value must parse, so `--max-cases=1e6` or `--threads=four` is
-/// invalid input naming the flag (as named_flag does for names), not a
-/// 1-case cap or the default thread count. Base 0 reads a 0x prefix as hex
-/// and a leading 0 as octal, as strtoull does; a floating-point value must
-/// be finite.
-template <typename T>
-T numeric_flag(int argc, char** argv, const char* key, T fallback,
-               int base = 10) {
-  const std::optional<std::string> text = flag_value(argc, argv, key);
-  if (!text) return fallback;
-  std::string_view digits = *text;
-  if (base == 0) {
-    base = 10;
-    if (digits.starts_with("0x") || digits.starts_with("0X")) {
-      base = 16;
-      digits.remove_prefix(2);
-    } else if (digits.size() > 1 && digits.front() == '0') {
-      base = 8;
-      digits.remove_prefix(1);
-    }
-  }
-  T value{};
-  const char* const last = digits.data() + digits.size();
-  std::from_chars_result r{};
-  if constexpr (std::is_floating_point_v<T>) {
-    r = std::from_chars(digits.data(), last, value);
-  } else {
-    r = std::from_chars(digits.data(), last, value, base);
-  }
-  bool ok = !digits.empty() && r.ec == std::errc{} && r.ptr == last;
-  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
-  if (!ok) {
-    throw InvalidInputError(std::string(key) + " must be a number, got '" +
-                            *text + "'");
-  }
-  return value;
-}
-
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
-
-/// The flags a subcommand reads. An entry ending in '=' takes a value
-/// (`--latency=` matches `--latency=3`); any other entry is a switch and
-/// must match exactly.
-using Flags = std::span<const std::string_view>;
-
 /// Read by every command that keys a stored scheme (shape_from_args) and
 /// by those that load the machine (machine_from_args).
 constexpr std::string_view kShapeFlags[] = {
@@ -343,27 +267,6 @@ constexpr std::string_view kShapeFlags[] = {
 constexpr std::string_view kBudgetFlags[] = {
     "--budget-seconds=", "--max-cases=", "--max-lp-iters=",
     "--max-roundings="};
-
-/// Throws InvalidInputError on the first `--...` argument after the
-/// subcommand that none of `lists` names, so a misspelled flag is invalid
-/// input instead of a silently ignored one.
-void reject_unknown_flags(int argc, char** argv,
-                          std::initializer_list<Flags> lists) {
-  for (int i = 2; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (!arg.starts_with("--")) continue;
-    bool known = false;
-    for (const Flags flags : lists) {
-      for (const std::string_view f : flags) {
-        known = known || (f.ends_with('=') ? arg.starts_with(f) : arg == f);
-      }
-    }
-    if (!known) {
-      throw InvalidInputError("unknown flag '" + std::string(arg) + "' for " +
-                              argv[1]);
-    }
-  }
-}
 
 fsm::Fsm load_machine(const std::string& path) {
   std::string text;
@@ -391,7 +294,7 @@ fsm::Fsm load_machine(const std::string& path) {
 
 int cmd_analyze(int argc, char** argv) {
   if (argc < 3) return usage();
-  reject_unknown_flags(argc, argv, {});
+  reject_unknown_flags(argc, argv, argv[1], {});
   const fsm::Fsm f = load_machine(argv[2]);
   const fsm::StgStats st = fsm::analyze_stg(f);
   std::printf("inputs=%d outputs=%d states=%d edges=%d\n", f.num_inputs(),
@@ -432,21 +335,6 @@ core::RunBudget budget_from_args(int argc, char** argv) {
   b.max_lp_iterations = static_cast<int>(count("--max-lp-iters"));
   b.max_rounding_attempts = static_cast<int>(count("--max-roundings"));
   return b;
-}
-
-/// The value a name-valued flag spells in `table`, or `fallback` when the
-/// flag is absent; an unknown name is invalid input naming the flag.
-template <typename E, std::size_t N>
-E named_flag(int argc, char** argv, const char* key,
-             const NameTable<E, N>& table, E fallback) {
-  const std::string name =
-      arg_value(argc, argv, key, std::string(name_of(table, fallback)).c_str());
-  const std::optional<E> value = enum_from_name(table, name);
-  if (!value) {
-    throw InvalidInputError(std::string(key) + " must be " +
-                            names_joined(table) + ", got '" + name + "'");
-  }
-  return *value;
 }
 
 /// The shape flags protect, verify and campaign share: a stored scheme is
@@ -577,7 +465,8 @@ int cmd_protect(int argc, char** argv) {
       "--threads=",     "--verify",      "--store=",
       "--resume",       "--max-new-shards=", "--metrics-out=",
       "--trace-out=",   "--prom-out=",   "--explain"};
-  reject_unknown_flags(argc, argv, {kShapeFlags, kBudgetFlags, kFlags});
+  reject_unknown_flags(argc, argv, argv[1],
+                       {kShapeFlags, kBudgetFlags, kFlags});
   const fsm::Fsm f = machine_from_args(argc, argv);
 
   // Observability: collectors are off unless an export flag asks for them
@@ -716,7 +605,7 @@ int cmd_protect(int argc, char** argv) {
 int cmd_verify(int argc, char** argv) {
   if (argc < 3) return usage();
   static constexpr std::string_view kFlags[] = {"--store="};
-  reject_unknown_flags(argc, argv, {kShapeFlags, kFlags});
+  reject_unknown_flags(argc, argv, argv[1], {kShapeFlags, kFlags});
   storage::ArtifactStore store(required_store(argc, argv, "verify"));
   const StoredDesign d = load_stored_design(argc, argv, store);
   return prove_bound(d.design.circuit, d.hw, d.design.faults, d.latency, 0)
@@ -809,7 +698,8 @@ int cmd_campaign(int argc, char** argv) {
       "--k=",        "--walks=",     "--walk-length=", "--seed=",
       "--horizon=",  "--threads=",   "--soak",         "--json-out=",
       "--resume",    "--max-new-shards=", "--metrics-out=", "--trace-out="};
-  reject_unknown_flags(argc, argv, {kShapeFlags, kBudgetFlags, kFlags});
+  reject_unknown_flags(argc, argv, argv[1],
+                       {kShapeFlags, kBudgetFlags, kFlags});
   const std::string metrics_out = arg_value(argc, argv, "--metrics-out", "");
   const std::string trace_out = arg_value(argc, argv, "--trace-out", "");
   const bool observing = !metrics_out.empty() || !trace_out.empty();
@@ -916,7 +806,7 @@ int cmd_campaign(int argc, char** argv) {
 int cmd_store(int argc, char** argv) {
   if (argc < 3) return usage();
   static constexpr std::string_view kFlags[] = {"--store="};
-  reject_unknown_flags(argc, argv, {kFlags});
+  reject_unknown_flags(argc, argv, argv[1], {kFlags});
   const std::string sub = argv[2];
   const std::string store_dir = arg_value(argc, argv, "--store", "");
   if (store_dir.empty()) {
@@ -992,7 +882,7 @@ int cmd_generate(int argc, char** argv) {
   static constexpr std::string_view kFlags[] = {
       "--suite=", "--states=",     "--inputs=",  "--outputs=",
       "--seed=",  "--self-loops=", "--branches="};
-  reject_unknown_flags(argc, argv, {kFlags});
+  reject_unknown_flags(argc, argv, argv[1], {kFlags});
   // --suite=NAME emits the exact KISS2 text of one Table-1 suite circuit
   // (the profile-matched stand-ins are generated, so the text is
   // reproducible); this is how CI hands suite circuits to `protect`.

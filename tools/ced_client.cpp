@@ -33,21 +33,24 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "benchdata/generator.hpp"
+#include "flags.hpp"
 #include "serve/client.hpp"
 
 namespace {
 
 using namespace ced;
+using namespace ced::cli;
 using namespace ced::serve;
 
 constexpr int kExitOk = 0;
@@ -55,23 +58,18 @@ constexpr int kExitDegraded = 1;
 constexpr int kExitInvalidInput = 2;
 constexpr int kExitInternal = 3;
 
-std::string arg_value(int argc, char** argv, const char* key,
-                      const char* fallback) {
-  const std::size_t len = std::strlen(key);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], key, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
-    }
-  }
-  return fallback;
-}
-
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
+/// Read by every subcommand (endpoint_from_args).
+constexpr std::string_view kEndpointFlags[] = {"--socket=", "--tcp-port=",
+                                               "--retries=", "--seed="};
+/// Read by the one-request subcommands (run_simple, request_from_args).
+constexpr std::string_view kRequestFlags[] = {
+    "--id=", "--tenant=", "--latency=", "--solver=", "--encoding=",
+    "--semantics=", "--deadline-ms=", "--request-seed=", "--latencies=",
+    "--json"};
+/// Read by loadgen.
+constexpr std::string_view kLoadgenFlags[] = {
+    "--out=", "--concurrency=", "--requests=", "--states=", "--latency=",
+    "--tenant-per-thread"};
 
 int usage() {
   std::fprintf(stderr,
@@ -87,13 +85,11 @@ int usage() {
 
 ClientOptions endpoint_from_args(int argc, char** argv) {
   ClientOptions copts;
-  copts.unix_socket = arg_value(argc, argv, "--socket", "");
-  copts.tcp_port = std::atoi(arg_value(argc, argv, "--tcp-port", "-1").c_str());
-  const int retries = std::atoi(arg_value(argc, argv, "--retries", "5").c_str());
-  copts.retry.max_attempts = std::max(1, retries);
-  copts.seed = std::strtoull(arg_value(argc, argv, "--seed", "0").c_str(),
-                             nullptr, 10) |
-               1;
+  copts.unix_socket = arg_value(argc, argv, "--socket");
+  copts.tcp_port = numeric_flag(argc, argv, "--tcp-port", -1);
+  copts.retry.max_attempts =
+      std::max(1, numeric_flag(argc, argv, "--retries", 5));
+  copts.seed = numeric_flag<std::uint64_t>(argc, argv, "--seed", 0) | 1;
   return copts;
 }
 
@@ -112,12 +108,15 @@ std::string read_machine(const std::string& path) {
   return ss.str();
 }
 
-std::vector<int> parse_int_list(const std::string& csv) {
+/// The comma-separated numbers a list flag spells (`fallback` when the
+/// flag is absent); each must parse whole (parse_number).
+std::vector<int> int_list_flag(int argc, char** argv, const char* key,
+                               const char* fallback) {
   std::vector<int> out;
-  std::stringstream ss(csv);
+  std::stringstream ss(arg_value(argc, argv, key, fallback));
   std::string item;
   while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(std::atoi(item.c_str()));
+    if (!item.empty()) out.push_back(parse_number<int>(key, item));
   }
   return out;
 }
@@ -125,18 +124,15 @@ std::vector<int> parse_int_list(const std::string& csv) {
 Request request_from_args(int argc, char** argv, const std::string& op) {
   Request req;
   req.op = op;
-  req.id = arg_value(argc, argv, "--id", "");
-  req.tenant = arg_value(argc, argv, "--tenant", "");
-  req.latency = std::atoi(arg_value(argc, argv, "--latency", "2").c_str());
+  req.id = arg_value(argc, argv, "--id");
+  req.tenant = arg_value(argc, argv, "--tenant");
+  req.latency = numeric_flag(argc, argv, "--latency", 2);
   req.solver = arg_value(argc, argv, "--solver", "lp");
   req.encoding = arg_value(argc, argv, "--encoding", "binary");
   req.semantics = arg_value(argc, argv, "--semantics", "impl");
-  req.deadline_ms =
-      std::atof(arg_value(argc, argv, "--deadline-ms", "0").c_str());
-  req.seed = std::strtoull(
-      arg_value(argc, argv, "--request-seed", "0").c_str(), nullptr, 10);
-  req.latencies =
-      parse_int_list(arg_value(argc, argv, "--latencies", ""));
+  req.deadline_ms = numeric_flag(argc, argv, "--deadline-ms", 0.0);
+  req.seed = numeric_flag<std::uint64_t>(argc, argv, "--request-seed", 0);
+  req.latencies = int_list_flag(argc, argv, "--latencies", "");
   return req;
 }
 
@@ -189,8 +185,11 @@ void print_response(const Response& resp) {
 int run_simple(int argc, char** argv, const std::string& op,
                bool needs_machine) {
   if (needs_machine && argc < 3) return usage();
-  Client client(endpoint_from_args(argc, argv));
+  reject_unknown_flags(argc, argv, "ced_client " + op,
+                       {kEndpointFlags, kRequestFlags});
+  const ClientOptions copts = endpoint_from_args(argc, argv);
   Request req = request_from_args(argc, argv, op);
+  Client client(copts);
   if (needs_machine) req.kiss = read_machine(argv[2]);
   if (op == "sweep" && req.latencies.empty()) {
     std::fprintf(stderr, "error: sweep needs --latencies=1,2,...\n");
@@ -297,14 +296,15 @@ PhaseStats run_phase(const ClientOptions& copts, const std::string& phase,
 }
 
 int cmd_loadgen(int argc, char** argv) {
+  reject_unknown_flags(argc, argv, "ced_client loadgen",
+                       {kEndpointFlags, kLoadgenFlags});
   const ClientOptions copts = endpoint_from_args(argc, argv);
   const std::vector<int> levels =
-      parse_int_list(arg_value(argc, argv, "--concurrency", "1,4,8"));
-  const int per_level =
-      std::max(1, std::atoi(arg_value(argc, argv, "--requests", "8").c_str()));
-  const int states = std::atoi(arg_value(argc, argv, "--states", "12").c_str());
-  const int latency = std::atoi(arg_value(argc, argv, "--latency", "2").c_str());
-  const std::string out_path = arg_value(argc, argv, "--out", "");
+      int_list_flag(argc, argv, "--concurrency", "1,4,8");
+  const int per_level = std::max(1, numeric_flag(argc, argv, "--requests", 8));
+  const int states = numeric_flag(argc, argv, "--states", 12);
+  const int latency = numeric_flag(argc, argv, "--latency", 2);
+  const std::string out_path = arg_value(argc, argv, "--out");
   const bool tenant_per_thread = has_flag(argc, argv, "--tenant-per-thread");
   if (levels.empty()) return usage();
 
@@ -387,9 +387,7 @@ int cmd_loadgen(int argc, char** argv) {
   return errors == 0 ? kExitOk : kExitDegraded;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int client_main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   if (cmd == "protect" || cmd == "verify" || cmd == "sweep") {
@@ -401,3 +399,7 @@ int main(int argc, char** argv) {
   if (cmd == "loadgen") return cmd_loadgen(argc, argv);
   return usage();
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return run_main(client_main, argc, argv); }

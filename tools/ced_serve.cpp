@@ -23,13 +23,16 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <string_view>
 #include <thread>
 
+#include "flags.hpp"
 #include "serve/server.hpp"
 
 namespace {
+
+using namespace ced::cli;
 
 std::atomic<bool> g_shutdown{false};
 
@@ -37,23 +40,13 @@ extern "C" void on_shutdown_signal(int) {
   g_shutdown.store(true, std::memory_order_relaxed);
 }
 
-std::string arg_value(int argc, char** argv, const char* key,
-                      const char* fallback) {
-  const std::size_t len = std::strlen(key);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], key, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
-    }
-  }
-  return fallback;
-}
-
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
+/// The flags ced_serve reads.
+constexpr std::string_view kFlags[] = {
+    "--socket=", "--tcp-port=", "--metrics-port=", "--store=", "--workers=",
+    "--queue-depth=", "--threads-per-request=", "--checkpoint-shards=",
+    "--degrade-on-overload", "--degraded-budget-seconds=",
+    "--default-deadline-seconds=", "--drain-grace-seconds=",
+    "--chaos-job-delay-ms=", "--chaos-shard-delay-ms="};
 
 int usage() {
   std::fprintf(
@@ -70,35 +63,30 @@ int usage() {
   return 2;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int serve(int argc, char** argv) {
   if (has_flag(argc, argv, "--help")) return usage();
-
+  // Every flag is read and checked before a listener binds or a worker
+  // starts.
+  reject_unknown_flags(argc, argv, "ced_serve", {kFlags});
   ced::serve::ServerOptions opts;
-  opts.unix_socket = arg_value(argc, argv, "--socket", "");
-  opts.tcp_port = std::atoi(arg_value(argc, argv, "--tcp-port", "-1").c_str());
-  opts.metrics_port =
-      std::atoi(arg_value(argc, argv, "--metrics-port", "-1").c_str());
-  opts.store_dir = arg_value(argc, argv, "--store", "");
-  opts.workers = std::atoi(arg_value(argc, argv, "--workers", "2").c_str());
-  opts.queue_depth =
-      std::atoi(arg_value(argc, argv, "--queue-depth", "16").c_str());
+  opts.unix_socket = arg_value(argc, argv, "--socket");
+  opts.tcp_port = numeric_flag(argc, argv, "--tcp-port", -1);
+  opts.metrics_port = numeric_flag(argc, argv, "--metrics-port", -1);
+  opts.store_dir = arg_value(argc, argv, "--store");
+  opts.workers = numeric_flag(argc, argv, "--workers", 2);
+  opts.queue_depth = numeric_flag(argc, argv, "--queue-depth", 16);
   opts.threads_per_request =
-      std::atoi(arg_value(argc, argv, "--threads-per-request", "1").c_str());
-  opts.checkpoint_shards =
-      std::atoi(arg_value(argc, argv, "--checkpoint-shards", "0").c_str());
+      numeric_flag(argc, argv, "--threads-per-request", 1);
+  opts.checkpoint_shards = numeric_flag(argc, argv, "--checkpoint-shards", 0);
   opts.degrade_on_overload = has_flag(argc, argv, "--degrade-on-overload");
-  opts.degraded_budget_s = std::atof(
-      arg_value(argc, argv, "--degraded-budget-seconds", "0.5").c_str());
-  opts.default_deadline_s = std::atof(
-      arg_value(argc, argv, "--default-deadline-seconds", "0").c_str());
-  opts.drain_grace_s =
-      std::atof(arg_value(argc, argv, "--drain-grace-seconds", "5").c_str());
-  opts.chaos_job_delay_ms =
-      std::atoi(arg_value(argc, argv, "--chaos-job-delay-ms", "0").c_str());
+  opts.degraded_budget_s =
+      numeric_flag(argc, argv, "--degraded-budget-seconds", 0.5);
+  opts.default_deadline_s =
+      numeric_flag(argc, argv, "--default-deadline-seconds", 0.0);
+  opts.drain_grace_s = numeric_flag(argc, argv, "--drain-grace-seconds", 5.0);
+  opts.chaos_job_delay_ms = numeric_flag(argc, argv, "--chaos-job-delay-ms", 0);
   opts.chaos_shard_delay_ms =
-      std::atoi(arg_value(argc, argv, "--chaos-shard-delay-ms", "0").c_str());
+      numeric_flag(argc, argv, "--chaos-shard-delay-ms", 0);
   if (opts.unix_socket.empty() && opts.tcp_port < 0) return usage();
 
   // Signals before start(): a supervisor that SIGTERMs immediately after
@@ -134,3 +122,7 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "ced_serve: drained, exiting\n");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return run_main(serve, argc, argv); }

@@ -97,6 +97,33 @@ expect_invalid "--max-cases must be a number" \
 # ignored one: a misspelled --threads must not fall back to the default.
 expect_invalid "unknown flag '--thread=1' for protect" \
     protect "$obs_tmp/s1488.kiss" --thread=1
+# The daemon and its client read flags the same way, and refuse a bad one
+# before binding a socket, starting a thread or creating the store.
+# expect_refused PROGRAM WHAT ARGS...: `PROGRAM ARGS` exits 2 naming WHAT
+# and never prints READY; the timeout keeps a regression from leaving a
+# daemon running.
+expect_refused() {
+  local prog=$1 what=$2 status=0
+  shift 2
+  timeout 10 "./build/tools/$prog" "$@" > "$obs_tmp/flag.out" \
+      2> "$obs_tmp/flag.err" || status=$?
+  [[ "$status" == 2 ]] && grep -qF -- "$what" "$obs_tmp/flag.err" \
+    && ! grep -q '^READY' "$obs_tmp/flag.out" \
+    || { echo "$prog $* exited $status, not 2 naming $what"; exit 1; }
+}
+expect_refused ced_serve "unknown flag '--store-dir=$obs_tmp/d' for ced_serve" \
+    --socket="$obs_tmp/refused.sock" --store-dir="$obs_tmp/d"
+expect_refused ced_serve "--workers must be a number" \
+    --socket="$obs_tmp/refused.sock" --workers=3x --store="$obs_tmp/d"
+expect_refused ced_serve "--tcp-port must be a number" --tcp-port=abc
+[[ ! -e "$obs_tmp/d" && ! -e "$obs_tmp/refused.sock" ]] \
+  || { echo "a refused ced_serve created its store or socket"; exit 1; }
+expect_refused ced_client "unknown flag '--retry=1' for ced_client health" \
+    health --socket="$obs_tmp/refused.sock" --retry=1
+expect_refused ced_client "--retries must be a number" \
+    health --socket="$obs_tmp/refused.sock" --retries=x
+expect_refused ced_client "--latency must be a number" \
+    protect "$obs_tmp/s1488.kiss" --socket="$obs_tmp/refused.sock" --latency=2x
 status=0
 ./build/bench/bench_perf --kernel-smoke --circuit=s1488 \
     > /dev/null 2>&1 || status=$?
