@@ -35,7 +35,6 @@ Outcome measure(const fsm::FsmCircuit& circuit, const core::CedHardware& hw,
                 int duration) {
   sim::CampaignOptions opts;
   opts.model = sim::FaultModel::kStuckAt;
-  opts.policy = sim::CampaignPolicy::kExhaustive;
   opts.latency_bound = bound;
   opts.horizon = bound;
   opts.persistence = duration;

@@ -20,6 +20,15 @@ namespace {
 /// Sentinel for "no path detects within the remaining depth".
 constexpr int kNever = 1 << 20;
 
+/// The most upset units one campaign judges, every mask of a 20-bit
+/// register: it bounds the unit list's memory and the run's length.
+constexpr std::uint64_t kMaxUpsetUnits = (std::uint64_t{1} << 20) - 1;
+
+/// The walk length the key and the report record. No engine reads it (an
+/// upset walk ends at detection, reconvergence or the horizon); it stays a
+/// fixed word so keys and stored reports keep their bytes.
+constexpr int kWalkLengthWord = 96;
+
 void classify_episode(FaultVerdict& v, int first_detection, int bound,
                       int horizon) {
   ++v.activations;
@@ -118,69 +127,6 @@ FaultVerdict judge_stuck_exhaustive(const ProtectedMachine& pm,
   return v;
 }
 
-FaultVerdict judge_stuck_walks(const ProtectedMachine& pm,
-                               const StuckAtFault& fault, std::uint64_t unit,
-                               std::uint64_t unit_index,
-                               const CampaignOptions& opts, int horizon,
-                               SimCounters& counters) {
-  FaultVerdict v;
-  v.unit = unit;
-  v.histogram.assign(static_cast<std::size_t>(horizon), 0);
-  const logic::Injection inj = fault.injection();
-  FaultSession session(pm, &inj);
-  const fsm::FsmCircuit& circuit = pm.circuit();
-  const std::uint64_t input_mask = pm.num_inputs() - 1;
-  const core::Rng unit_rng = core::Rng(opts.seed).stream(unit_index);
-  const auto& reach = pm.reachable();
-
-  for (std::size_t si = 0; si < reach.size(); ++si) {
-    for (int w = 0; w < opts.walks; ++w) {
-      core::Rng rng = unit_rng.stream(
-          static_cast<std::uint64_t>(si) *
-              static_cast<std::uint64_t>(opts.walks) +
-          static_cast<std::uint64_t>(w));
-      std::uint64_t state = reach[si];
-      int pending = -1;  // cycle of the episode's activation, -1 = none
-      // The walk runs `walk_length` transitions but never abandons an open
-      // episode: it extends (at most `horizon` cycles) until the episode
-      // resolves, so every activation is classified, never dropped.
-      for (int t = 0; t < opts.walk_length || pending >= 0; ++t) {
-        const std::uint64_t a = rng.next() & input_mask;
-        // The fault re-arms after every resolved episode (intermittent
-        // model); within an episode it stays active for `persistence`
-        // cycles after the activation (0 = permanent).
-        const bool active = pending < 0 || opts.persistence <= 0 ||
-                            (t - pending) < opts.persistence;
-        const TransitionRow& row =
-            active ? session.faulty_row(state) : session.golden_row(state);
-        const std::uint64_t obs = row.response[a];
-        if (pending < 0 && active &&
-            obs != session.golden_row(state).response[a]) {
-          pending = t;
-        }
-        if (row.error_at(a)) {
-          if (pending >= 0) {
-            classify_episode(v, t - pending + 1, opts.latency_bound, horizon);
-            pending = -1;
-          }
-          state = circuit.enc.reset_code;  // system-level recovery
-          continue;
-        }
-        if (pending >= 0 && t - pending + 1 >= horizon) {
-          ++v.activations;
-          ++v.silent_escape;
-          pending = -1;
-          state = circuit.enc.reset_code;
-          continue;
-        }
-        state = circuit.next_state_of(obs);
-      }
-    }
-  }
-  counters += session.counters();
-  return v;
-}
-
 FaultVerdict judge_flip_walks(const ProtectedMachine& pm, std::uint64_t mask,
                               std::uint64_t unit_index,
                               const CampaignOptions& opts, int horizon) {
@@ -240,18 +186,56 @@ FaultVerdict judge_unit(const ProtectedMachine& pm,
                         int horizon, SimCounters& counters) {
   const std::uint64_t unit = units[unit_index];
   if (opts.model == FaultModel::kStuckAt) {
-    const StuckAtFault& fault = faults[unit_index];
-    if (opts.policy == CampaignPolicy::kExhaustive) {
-      return judge_stuck_exhaustive(pm, fault, unit, opts, horizon, counters);
-    }
-    return judge_stuck_walks(pm, fault, unit, unit_index, opts, horizon,
-                             counters);
+    return judge_stuck_exhaustive(pm, faults[unit_index], unit, opts, horizon,
+                                  counters);
   }
   return judge_flip_walks(pm, unit, unit_index, opts, horizon);
 }
 
-void validate_options(const fsm::FsmCircuit& circuit,
-                      const CampaignOptions& opts) {
+/// The model's unit list, in canonical order: stuck-at faults as
+/// net << 1 | stuck_value (enumerate_stuck_at order), upsets as every mask
+/// of 1..flip_bits state bits, ascending. Throws past kMaxUpsetUnits.
+std::vector<std::uint64_t> campaign_units(const fsm::FsmCircuit& circuit,
+                                          std::span<const StuckAtFault> faults,
+                                          const CampaignOptions& opts) {
+  std::vector<std::uint64_t> units;
+  if (opts.model == FaultModel::kStuckAt) {
+    units.reserve(faults.size());
+    for (const StuckAtFault& f : faults) {
+      units.push_back((static_cast<std::uint64_t>(f.net) << 1) |
+                      (f.stuck_value ? 1u : 0u));
+    }
+    return units;
+  }
+  // From each mask, step to the next number; while that has too many bits,
+  // carry its lowest set bit up. No number skipped has fewer bits, since
+  // each keeps every bit of the one it was skipped from.
+  for (std::uint64_t mask = 1;
+       mask != 0 && static_cast<int>(std::bit_width(mask)) <= circuit.s();) {
+    if (units.size() == kMaxUpsetUnits) {
+      throw std::invalid_argument(
+          "run_campaign: upsets of 1.." + std::to_string(opts.flip_bits) +
+          " of " + std::to_string(circuit.s()) +
+          " state bits number more than 2^20 - 1");
+    }
+    units.push_back(mask);
+    ++mask;
+    while (std::popcount(mask) > opts.flip_bits) mask += mask & (~mask + 1);
+  }
+  return units;
+}
+
+/// A campaign's unit list and the shard count it resolves to.
+struct Partition {
+  std::vector<std::uint64_t> units;
+  int num_shards = 0;
+};
+
+/// The partition, after the checks run_campaign and campaign_digest share
+/// (std::invalid_argument for malformed options).
+Partition partition(const fsm::FsmCircuit& circuit,
+                    std::span<const StuckAtFault> faults,
+                    const CampaignOptions& opts, const ShardPlan& plan) {
   if (opts.latency_bound < 1 || opts.latency_bound > core::kMaxLatency) {
     throw std::invalid_argument("run_campaign: latency bound out of range");
   }
@@ -263,32 +247,33 @@ void validate_options(const fsm::FsmCircuit& circuit,
   if (opts.persistence < 0) {
     throw std::invalid_argument("run_campaign: negative persistence");
   }
-  if (opts.model != FaultModel::kStuckAt &&
-      opts.policy == CampaignPolicy::kExhaustive) {
+  if (opts.policy != policy_of(opts.model)) {
     throw std::invalid_argument(
-        "run_campaign: the exhaustive policy covers stuck-at models only; "
-        "flip models use --policy=walks");
+        "run_campaign: stuck-at faults take the exhaustive policy and state "
+        "upsets the walks");
   }
-  if (opts.policy == CampaignPolicy::kExhaustive && circuit.s() > 48) {
-    throw std::invalid_argument(
-        "run_campaign: exhaustive policy needs <= 48 state bits");
-  }
-  if (opts.policy == CampaignPolicy::kRandomWalks &&
-      (opts.walks < 1 || opts.walk_length < 1)) {
-    throw std::invalid_argument(
-        "run_campaign: walks and walk_length must be >= 1");
-  }
-  if (opts.model == FaultModel::kAdversarialFlip) {
+  if (opts.model == FaultModel::kStuckAt) {
+    if (circuit.s() > 48) {
+      throw std::invalid_argument(
+          "run_campaign: exhaustive policy needs <= 48 state bits");
+    }
+  } else {
+    if (opts.walks < 1) {
+      throw std::invalid_argument("run_campaign: walks must be >= 1");
+    }
     if (opts.flip_bits < 1 || opts.flip_bits > circuit.s()) {
       throw std::invalid_argument(
           "run_campaign: flip_bits must be in [1, state bits]");
     }
-    if (circuit.s() > 20) {
-      throw std::invalid_argument(
-          "run_campaign: adversarial flip enumeration needs <= 20 state "
-          "bits");
-    }
   }
+  if (plan.num_shards < 0 || plan.max_new_shards < 0) {
+    throw std::invalid_argument(
+        "run_campaign: num_shards and max_new_shards must be >= 0");
+  }
+  Partition part{campaign_units(circuit, faults, opts)};
+  part.num_shards =
+      core::resolve_checkpoint_shards(plan.num_shards, part.units.size());
+  return part;
 }
 
 }  // namespace
@@ -297,7 +282,6 @@ const char* to_string(FaultModel m) {
   switch (m) {
     case FaultModel::kStuckAt: return "stuck-at";
     case FaultModel::kTransientFlip: return "transient-flip";
-    case FaultModel::kAdversarialFlip: return "adversarial-flip";
   }
   return "?";
 }
@@ -312,34 +296,6 @@ const char* to_string(CampaignPolicy p) {
 
 int resolved_horizon(const CampaignOptions& opts) {
   return opts.horizon > 0 ? opts.horizon : opts.latency_bound + 2;
-}
-
-std::vector<std::uint64_t> campaign_units(const fsm::FsmCircuit& circuit,
-                                          std::span<const StuckAtFault> faults,
-                                          const CampaignOptions& opts) {
-  std::vector<std::uint64_t> units;
-  switch (opts.model) {
-    case FaultModel::kStuckAt:
-      units.reserve(faults.size());
-      for (const StuckAtFault& f : faults) {
-        units.push_back((static_cast<std::uint64_t>(f.net) << 1) |
-                        (f.stuck_value ? 1u : 0u));
-      }
-      break;
-    case FaultModel::kTransientFlip:
-      for (int b = 0; b < circuit.s(); ++b) {
-        units.push_back(std::uint64_t{1} << b);
-      }
-      break;
-    case FaultModel::kAdversarialFlip: {
-      const std::uint64_t limit = std::uint64_t{1} << circuit.s();
-      for (std::uint64_t mask = 1; mask < limit; ++mask) {
-        if (std::popcount(mask) <= opts.flip_bits) units.push_back(mask);
-      }
-      break;
-    }
-  }
-  return units;
 }
 
 std::string unit_label(FaultModel model, std::uint64_t unit) {
@@ -357,7 +313,9 @@ std::string unit_label(FaultModel model, std::uint64_t unit) {
 std::string campaign_digest(const fsm::FsmCircuit& circuit,
                             const core::CedHardware& hw,
                             std::span<const StuckAtFault> faults,
-                            const CampaignOptions& opts, int num_shards) {
+                            const CampaignOptions& opts,
+                            const ShardPlan& plan) {
+  const int num_shards = partition(circuit, faults, opts, plan).num_shards;
   Digest128 d;
   d.absorb(std::uint64_t{2});  // digest schema version; bump on change
   // Functional circuit: interface, encoding, the reference netlist.
@@ -390,7 +348,7 @@ std::string campaign_digest(const fsm::FsmCircuit& circuit,
   d.absorb(static_cast<std::uint64_t>(opts.persistence));
   d.absorb(static_cast<std::uint64_t>(opts.flip_bits));
   d.absorb(static_cast<std::uint64_t>(opts.walks));
-  d.absorb(static_cast<std::uint64_t>(opts.walk_length));
+  d.absorb(static_cast<std::uint64_t>(kWalkLengthWord));
   d.absorb(opts.seed);
   d.absorb(static_cast<std::uint64_t>(num_shards));
   return d.hex();
@@ -402,7 +360,8 @@ CampaignReport run_campaign(const fsm::FsmCircuit& circuit,
                             const CampaignOptions& opts,
                             const ShardPlan& plan,
                             const ShardHooks<CampaignShard>& hooks) {
-  validate_options(circuit, opts);
+  const Partition part = partition(circuit, faults, opts, plan);
+  const std::vector<std::uint64_t>& units = part.units;
   const int horizon = resolved_horizon(opts);
 
   obs::ScopedSpan span(opts.obs, "campaign");
@@ -424,16 +383,12 @@ CampaignReport run_campaign(const fsm::FsmCircuit& circuit,
     sinks.metrics->set_gauge(kGoldenTraceBytesGauge,
                              static_cast<double>(pm.trace().bytes()));
   }
-  const std::vector<std::uint64_t> units =
-      campaign_units(circuit, faults, opts);
   span.attr("units", static_cast<std::uint64_t>(units.size()));
-  const int num_shards =
-      core::resolve_checkpoint_shards(plan.num_shards, units.size());
   const std::vector<std::size_t> bounds =
-      shard_bounds(units.size(), num_shards);
+      shard_bounds(units.size(), part.num_shards);
 
   ShardRun<CampaignShard> run(
-      plan, num_shards, hooks, [&](std::uint32_t s, const CampaignShard& sh) {
+      plan, part.num_shards, hooks, [&](std::uint32_t s, const CampaignShard& sh) {
         return sh.verdicts.size() == bounds[s + 1] - bounds[s];
       });
   // The deadline is polled at unit boundaries: a trip leaves a partial
@@ -482,7 +437,7 @@ CampaignReport run_campaign(const fsm::FsmCircuit& circuit,
   rep.persistence = opts.persistence;
   rep.flip_bits = opts.flip_bits;
   rep.walks = opts.walks;
-  rep.walk_length = opts.walk_length;
+  rep.walk_length = kWalkLengthWord;
   rep.seed = opts.seed;
   rep.num_units = units.size();
   rep.false_alarms = false_alarms;

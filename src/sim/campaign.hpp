@@ -5,44 +5,37 @@
 // (sim/protected_machine.hpp) under injected faults and recording when the
 // checker actually fires.
 //
-// Fault models:
+// Each fault class has one engine (CampaignPolicy), fixed by the model:
 //   kStuckAt         persistent stuck-at on a netlist net, active for
 //                    `persistence` cycles after its first activation
-//                    (0 = permanent). With persistence 0 or >= the latency
-//                    bound this is the paper's §2 fault class, and the
-//                    campaign's verdict is a hard guarantee check: any
+//                    (0 = permanent), judged by the exhaustive engine:
+//                    every activation scenario (fault, reachable state,
+//                    input), then the worst case over ALL input paths up to
+//                    the horizon (memoized). With persistence 0 or >= the
+//                    latency bound this is the paper's §2 fault class, and
+//                    a clean run is a proof over every bounded path: any
 //                    detected_late or silent_escape episode falsifies the
 //                    scheme (CampaignReport::hard_guarantee()).
-//   kTransientFlip   single-cycle upsets of one state-register bit (the
-//                    OpenSEA-style SEU model). The logic stays fault-free;
-//                    only the register is corrupted, which the Fig. 3
-//                    checker cannot in general see (the paper excludes SEUs
-//                    for p > 1) — the campaign *measures* the escape rate
-//                    instead of asserting a bound.
-//   kAdversarialFlip all k-bit state-register flips with 1 <= popcount <=
-//                    flip_bits (the SCFI-style fault attacker). Diagnostics
-//                    like kTransientFlip.
-//
-// Policies:
-//   kExhaustive      every activation scenario (fault, reachable state,
-//                    input), then the worst case over ALL input paths up to
-//                    the horizon (memoized; stuck-at models only). This is
-//                    the strongest statement the engine makes: a clean
-//                    exhaustive run is a proof over every bounded path.
-//   kRandomWalks     seeded random input walks from every reachable
-//                    activation state (all models). Deterministic per seed
-//                    at any thread count: walk w from activation-state
-//                    index si of unit u draws from
-//                    Rng(seed).stream(u).stream(si * walks + w).
+//   kTransientFlip   single-cycle upsets of 1..flip_bits state-register
+//                    bits (the OpenSEA-style single-bit SEU at k = 1, the
+//                    SCFI-style multi-bit attacker above), judged by seeded
+//                    random walks from every reachable state. The logic
+//                    stays fault-free; only the register is corrupted,
+//                    which the Fig. 3 checker cannot in general see (the
+//                    paper excludes SEUs for p > 1) — the campaign
+//                    *measures* the escape rate instead of asserting a
+//                    bound. Deterministic per seed at any thread count:
+//                    walk w from reachable-state index si of unit u draws
+//                    from Rng(seed).stream(u).stream(si * walks + w).
 //
 // Episode taxonomy (one episode per activation):
 //   detected_in_bound  checker fired within latency_bound cycles
 //   detected_late      fired after the bound but within the horizon
 //   silent_escape      observable divergence, never flagged within the
-//                      horizon (flip models: also unreconverged latent
-//                      state corruption at the horizon)
+//                      horizon (upsets: also unreconverged latent state
+//                      corruption at the horizon)
 //   benign             a unit with no activation at all (stuck-at faults
-//                      masked by the logic; flips that reconverge silently)
+//                      masked by the logic; upsets that reconverge silently)
 //
 // Independently of the model, every campaign sweeps the fault-free design
 // over every reachable (state, input): each transition on which the checker
@@ -68,17 +61,17 @@
 
 namespace ced::sim {
 
+/// Stored in campaign reports; 2 (a separate multi-bit flip model) is
+/// retired and never reused.
 enum class FaultModel {
   kStuckAt = 0,
   kTransientFlip = 1,
-  kAdversarialFlip = 2,
 };
 
 /// How the CLI's --model spells each fault model (common/names.hpp).
-inline constexpr NameTable<FaultModel, 3> kFaultModelNames{{
+inline constexpr NameTable<FaultModel, 2> kFaultModelNames{{
     {"stuck", FaultModel::kStuckAt},
     {"transient", FaultModel::kTransientFlip},
-    {"adversarial", FaultModel::kAdversarialFlip},
 }};
 
 enum class CampaignPolicy {
@@ -86,11 +79,12 @@ enum class CampaignPolicy {
   kRandomWalks = 1,
 };
 
-/// How the CLI's --policy spells each policy (common/names.hpp).
-inline constexpr NameTable<CampaignPolicy, 2> kCampaignPolicyNames{{
-    {"exhaustive", CampaignPolicy::kExhaustive},
-    {"walks", CampaignPolicy::kRandomWalks},
-}};
+/// The one engine that judges each fault model: the exhaustive proof for
+/// stuck-at faults, the seeded walks for state upsets.
+constexpr CampaignPolicy policy_of(FaultModel m) {
+  return m == FaultModel::kStuckAt ? CampaignPolicy::kExhaustive
+                                   : CampaignPolicy::kRandomWalks;
+}
 
 /// The labels a campaign report prints ("stuck-at", "transient-flip", ...):
 /// the JSON's field values, not flag spellings.
@@ -99,6 +93,7 @@ const char* to_string(CampaignPolicy p);
 
 struct CampaignOptions {
   FaultModel model = FaultModel::kStuckAt;
+  /// Must be policy_of(model); run_campaign refuses any other.
   CampaignPolicy policy = CampaignPolicy::kExhaustive;
   /// Latency bound p the scheme was selected for (1 .. kMaxLatency).
   int latency_bound = 2;
@@ -109,11 +104,11 @@ struct CampaignOptions {
   /// kStuckAt: cycles the fault stays active after first activation;
   /// 0 = permanent. The §2 guarantee needs persistence >= latency_bound.
   int persistence = 0;
-  /// kAdversarialFlip: maximum simultaneously flipped state bits.
+  /// kTransientFlip: the most state bits one upset flips (1 .. state bits).
   int flip_bits = 1;
-  /// kRandomWalks: walks per (unit, activation state) and their length.
+  /// kTransientFlip: walks per (unit, reachable state), and their seed. A
+  /// walk ends at detection, at reconvergence or at the horizon.
   int walks = 8;
-  int walk_length = 96;
   std::uint64_t seed = 0xca4a16e;
   /// Worker threads for the shard fan-out (0 = CED_THREADS env or hardware
   /// concurrency). Verdicts are byte-identical at any count.
@@ -161,12 +156,14 @@ struct CampaignShard {
 /// report is byte-identical across reruns, thread counts and resumes.
 struct CampaignReport {
   FaultModel model = FaultModel::kStuckAt;
-  CampaignPolicy policy = CampaignPolicy::kExhaustive;
+  CampaignPolicy policy = CampaignPolicy::kExhaustive;  ///< policy_of(model)
   int latency_bound = 0;
   int horizon = 0;
   int persistence = 0;
   int flip_bits = 0;
   int walks = 0;
+  /// Always 96: a fixed word of the key and the stored report (no engine
+  /// reads a walk length).
   int walk_length = 0;
   std::uint64_t seed = 0;
 
@@ -204,31 +201,30 @@ struct CampaignReport {
   }
 };
 
-/// The model's unit list, in canonical order: stuck-at faults as
-/// net << 1 | stuck_value (enumerate_stuck_at order), flip masks ascending
-/// (popcount 1 for kTransientFlip, 1..flip_bits for kAdversarialFlip).
-std::vector<std::uint64_t> campaign_units(const fsm::FsmCircuit& circuit,
-                                          std::span<const StuckAtFault> faults,
-                                          const CampaignOptions& opts);
-
 /// Human-readable unit name ("net7/SA1", "flip:0x4", ...).
 std::string unit_label(FaultModel model, std::uint64_t unit);
 
 /// Content digest (32 hex chars) of everything the verdicts depend on: the
 /// functional netlist + encoding, the checker netlist + parities, the fault
-/// list, every result-shaping campaign option and the shard partition.
-/// Budget valves (deadline, threads, max_new_shards) are excluded —
-/// truncated results are never cached. This is the campaign's artifact key.
+/// list, every result-shaping campaign option and the shard partition,
+/// which it resolves from `plan` as run_campaign does. Budget valves
+/// (deadline, threads, max_new_shards) are excluded — truncated results
+/// are never cached. This is the campaign's artifact key. Throws what
+/// run_campaign throws for the same options and plan.
 std::string campaign_digest(const fsm::FsmCircuit& circuit,
                             const core::CedHardware& hw,
                             std::span<const StuckAtFault> faults,
-                            const CampaignOptions& opts, int num_shards);
+                            const CampaignOptions& opts,
+                            const ShardPlan& plan = {});
 
-/// Runs the campaign: shards the unit list, loads checkpointed shards via
-/// `hooks`, fans the rest out over opts.threads workers, persists every
-/// newly completed shard, and merges verdicts in fixed unit order. Throws
-/// std::invalid_argument for malformed options (flip models under
-/// kExhaustive, horizon below the bound, latency out of range, a negative
+/// Runs the campaign: shards the unit list (stuck-at faults as
+/// net << 1 | stuck_value in enumerate_stuck_at order; upsets as every
+/// mask of 1..flip_bits state bits, ascending), loads checkpointed shards
+/// via `hooks`, fans the rest out over opts.threads workers, persists
+/// every newly completed shard, and merges verdicts in fixed unit order.
+/// Throws std::invalid_argument for malformed options (a policy that is
+/// not policy_of(model), horizon below the bound, latency out of range,
+/// flip_bits outside 1..state bits, more than 2^20 - 1 upsets, a negative
 /// plan field).
 CampaignReport run_campaign(const fsm::FsmCircuit& circuit,
                             const core::CedHardware& hw,

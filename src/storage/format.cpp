@@ -681,11 +681,12 @@ Result<sim::CampaignReport> decode_campaign_report(const ArtifactReader& art) {
   rep.benign_units = r.u64();
   rep.false_alarms = r.u64();
   rep.max_latency = static_cast<int>(r.u32());
-  if (!r.ok() || model > 2 || policy > 1) {
-    return corrupt("campaign report header malformed");
-  }
+  // Model 2 is retired, and each model has one policy.
   rep.model = static_cast<sim::FaultModel>(model);
   rep.policy = static_cast<sim::CampaignPolicy>(policy);
+  if (!r.ok() || model > 1 || rep.policy != sim::policy_of(rep.model)) {
+    return corrupt("campaign report header malformed");
+  }
   const std::uint32_t hist = r.u32();
   if (!r.ok() || hist > 64) return corrupt("campaign report histogram malformed");
   for (std::uint32_t i = 0; i < hist; ++i) rep.histogram.push_back(r.u64());

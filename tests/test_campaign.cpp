@@ -1,25 +1,34 @@
-// Differential oracle and determinism harness for the fault-injection
-// campaign engine (sim/campaign.hpp).
+// Differential oracles and determinism harness for the fault-injection
+// campaign engine (sim/campaign.hpp), one oracle per engine.
 //
-// The central test re-derives campaign verdicts through a second,
-// independent implementation path: the campaign drives the synthesized
-// checker *netlist* through ProtectedMachine/FaultSession, while the oracle
-// here replays the same seeded walks with nothing but direct functional-
-// netlist evaluation and GF(2) parity arithmetic. With dc_unreachable=false
-// the prediction logic is fully specified from the golden netlist at every
-// state code, so the two must agree transition-for-transition:
+// The campaign drives the synthesized checker *netlist* through
+// ProtectedMachine/FaultSession: batched rows, a memoized worst-case
+// search for stuck-at faults, seeded walks for state upsets. The oracles
+// here re-derive its verdicts one transition at a time, sharing none of
+// that code:
 //
-//   checker fires on (input a, state c, observed response w)
-//     <=>  exists parity beta with odd popcount(beta & (w ^ golden(a, c)))
+//   * stuck-at (exhaustive): every input path up to the horizon, simulated
+//     with direct functional-netlist evaluation, with the checker replaced
+//     by GF(2) parity arithmetic. With dc_unreachable=false the prediction
+//     logic is fully specified from the golden netlist at every state
+//     code, so the two must agree:
+//
+//       checker fires on (input a, state c, observed response w)
+//         <=>  exists parity beta with odd popcount(beta & (w ^ golden(a, c)))
+//
+//   * upsets (walks): the documented walk RNG contract replayed through the
+//     FSM and checker netlists (eval_single), on a checker synthesized
+//     with dc_unreachable=true, whose don't-care fill lets some upsets be
+//     detected.
 //
 // Any divergence — in the checker synthesis, the batched evaluation, the
-// walk RNG contract, episode bookkeeping, or shard merging — breaks the
-// verdict-by-verdict comparison.
+// search's memo, the walk RNG contract, episode bookkeeping, or shard
+// merging — breaks the verdict-by-verdict comparison.
 //
 // The rest pins the determinism contracts the storage layer depends on:
 // byte-identical encoded reports across thread counts and checkpoint
-// resumes, the canonical enumerate_stuck_at order, and canonical codec
-// round-trips for the campaign artifact kinds.
+// resumes, the canonical unit orders, and canonical codec round-trips for
+// the campaign artifact kinds.
 
 #include "sim/campaign.hpp"
 
@@ -86,7 +95,7 @@ Design suite_design(const std::string& name, int p) {
 }
 
 // ---------------------------------------------------------------------------
-// The independent oracle.
+// The independent oracles, one per engine.
 
 /// Checker semantics re-derived from first principles (no checker netlist):
 /// the compaction trees see the actual observable word `obs`, the predictor
@@ -116,23 +125,78 @@ void oracle_classify(FaultVerdict& v, int first, int bound, int horizon) {
   }
 }
 
-/// Replays the documented walk contract — walk w from activation-state
-/// index si of unit u draws inputs from Rng(seed).stream(u).stream(
-/// si * walks + w) — against direct netlist evaluation, classifying
-/// episodes with the documented taxonomy. Deliberately shares no code with
-/// judge_stuck_walks.
-FaultVerdict oracle_stuck_walks(const Design& d, const StuckAtFault& fault,
-                                std::uint64_t unit_index,
-                                const CampaignOptions& opts) {
+/// No path detects within the horizon.
+constexpr int kNever = 1 << 20;
+
+/// The exhaustive judge's verdict for one stuck-at fault, by brute force:
+/// every activation (reachable state c, input a whose faulty response
+/// differs from the golden one) is followed down every input path of the
+/// horizon's length, and its episode is classified by its slowest first
+/// detection. The fault stays active for `persistence` cycles from the
+/// activation (0 = always). Deliberately shares no code with
+/// judge_stuck_exhaustive or its memoized search.
+FaultVerdict oracle_stuck_exhaustive(const Design& d,
+                                     const StuckAtFault& fault,
+                                     const CampaignOptions& opts) {
   const int horizon = resolved_horizon(opts);
   FaultVerdict v;
   v.unit = (std::uint64_t{fault.net} << 1) | (fault.stuck_value ? 1 : 0);
   v.histogram.assign(static_cast<std::size_t>(horizon), 0);
   const logic::Injection inj = fault.injection();
-  const auto reach =
-      reachable_codes(d.circuit, d.circuit.enc.reset_code);
-  const std::uint64_t input_mask =
-      (std::uint64_t{1} << d.circuit.r()) - 1;
+  const std::uint64_t num_inputs = std::uint64_t{1} << d.circuit.r();
+  std::uint64_t num_paths = 1;  // input sequences after the activating one
+  for (int t = 1; t < horizon; ++t) num_paths *= num_inputs;
+
+  for (const std::uint64_t c :
+       reachable_codes(d.circuit, d.circuit.enc.reset_code)) {
+    for (std::uint64_t a = 0; a < num_inputs; ++a) {
+      if (d.circuit.eval(a, c, &inj) == d.circuit.eval(a, c)) continue;
+      int worst = 0;
+      for (std::uint64_t path = 0; path < num_paths && worst < kNever;
+           ++path) {
+        int first = kNever;
+        std::uint64_t state = c;
+        std::uint64_t input = a;
+        std::uint64_t rest = path;  // the later inputs, base num_inputs
+        for (int t = 1; t <= horizon; ++t) {
+          const bool active = opts.persistence <= 0 || t <= opts.persistence;
+          const std::uint64_t obs =
+              d.circuit.eval(input, state, active ? &inj : nullptr);
+          if (oracle_error(d, input, state, obs)) {
+            first = t;
+            break;
+          }
+          state = d.circuit.next_state_of(obs);
+          input = rest % num_inputs;
+          rest /= num_inputs;
+        }
+        worst = std::max(worst, first);
+      }
+      oracle_classify(v, worst, opts.latency_bound, horizon);
+    }
+  }
+  return v;
+}
+
+/// The walk judge's verdict for the upset `mask` at unit index
+/// `unit_index`, replaying the documented walk contract — walk w from
+/// reachable-state index si of unit u draws inputs from
+/// Rng(seed).stream(u).stream(si * walks + w) — one transition at a time
+/// through the FSM netlist and the checker netlist. A walk ends at the
+/// first alarm, when the upset and golden states reconverge, or at the
+/// horizon; an undetected walk escapes when an output diverged or the
+/// states never reconverged. Deliberately shares no code with
+/// judge_flip_walks or ProtectedMachine.
+FaultVerdict oracle_upset_walks(const fsm::FsmCircuit& circuit,
+                                const core::CedHardware& hw,
+                                std::uint64_t mask, std::uint64_t unit_index,
+                                const CampaignOptions& opts) {
+  const int horizon = resolved_horizon(opts);
+  FaultVerdict v;
+  v.unit = mask;
+  v.histogram.assign(static_cast<std::size_t>(horizon), 0);
+  const auto reach = reachable_codes(circuit, circuit.enc.reset_code);
+  const std::uint64_t input_mask = (std::uint64_t{1} << circuit.r()) - 1;
   const core::Rng unit_rng = core::Rng(opts.seed).stream(unit_index);
 
   for (std::size_t si = 0; si < reach.size(); ++si) {
@@ -141,37 +205,52 @@ FaultVerdict oracle_stuck_walks(const Design& d, const StuckAtFault& fault,
           static_cast<std::uint64_t>(si) *
               static_cast<std::uint64_t>(opts.walks) +
           static_cast<std::uint64_t>(w));
-      std::uint64_t state = reach[si];
-      int pending = -1;
-      for (int t = 0; t < opts.walk_length || pending >= 0; ++t) {
+      std::uint64_t golden = reach[si];
+      std::uint64_t upset = golden ^ mask;
+      bool output_diverged = false;
+      int detected = 0;
+      for (int t = 1; t <= horizon; ++t) {
         const std::uint64_t a = rng.next() & input_mask;
-        const bool active = pending < 0 || opts.persistence <= 0 ||
-                            (t - pending) < opts.persistence;
-        const std::uint64_t obs =
-            d.circuit.eval(a, state, active ? &inj : nullptr);
-        if (pending < 0 && active && obs != d.circuit.eval(a, state)) {
-          pending = t;
+        const std::uint64_t upset_obs = circuit.eval(a, upset);
+        if (hw.error_asserted(a, upset, upset_obs)) {
+          detected = t;
+          break;
         }
-        if (oracle_error(d, a, state, obs)) {
-          if (pending >= 0) {
-            oracle_classify(v, t - pending + 1, opts.latency_bound, horizon);
-            pending = -1;
-          }
-          state = d.circuit.enc.reset_code;
-          continue;
-        }
-        if (pending >= 0 && t - pending + 1 >= horizon) {
-          ++v.activations;
-          ++v.silent_escape;
-          pending = -1;
-          state = d.circuit.enc.reset_code;
-          continue;
-        }
-        state = d.circuit.next_state_of(obs);
+        const std::uint64_t golden_obs = circuit.eval(a, golden);
+        output_diverged = output_diverged ||
+                          ((upset_obs ^ golden_obs) >> circuit.s()) != 0;
+        upset = circuit.next_state_of(upset_obs);
+        golden = circuit.next_state_of(golden_obs);
+        if (upset == golden) break;
+      }
+      if (detected > 0) {
+        oracle_classify(v, detected, opts.latency_bound, horizon);
+      } else if (output_diverged || upset != golden) {
+        ++v.activations;
+        ++v.silent_escape;
       }
     }
   }
   return v;
+}
+
+/// Every mask of 1..k of the s state bits, ascending, by scanning all 2^s.
+std::vector<std::uint64_t> masks_up_to(int s, int k) {
+  std::vector<std::uint64_t> masks;
+  for (std::uint64_t m = 1; m < (std::uint64_t{1} << s); ++m) {
+    if (std::popcount(m) <= k) masks.push_back(m);
+  }
+  return masks;
+}
+
+/// Options for an upset campaign of at most `k` bits per upset.
+CampaignOptions upset_options(int k) {
+  CampaignOptions opts;
+  opts.model = FaultModel::kTransientFlip;
+  opts.policy = policy_of(opts.model);
+  opts.latency_bound = 2;
+  opts.flip_bits = k;
+  return opts;
 }
 
 /// Small randomized machines for the differential sweep. Shapes chosen to
@@ -202,33 +281,72 @@ std::vector<benchdata::SyntheticSpec> oracle_specs() {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite 1: table <-> simulation differential oracle.
+// Engine <-> oracle and table <-> simulation differential checks.
 
-TEST(CampaignOracle, WalkVerdictsMatchParityMathOnRandomMachines) {
+TEST(CampaignOracle, ExhaustiveVerdictsMatchBruteForceOnRandomMachines) {
+  // The solved p=2 schemes detect every activation on its first cycle, so
+  // each machine also runs its scheme cut to the first two trees, at bound
+  // 1: there some detections come a cycle late and some activations
+  // escape, and persistence 1 differs from 0.
+  std::uint64_t late = 0;
+  std::uint64_t silent = 0;
   for (const auto& spec : oracle_specs()) {
-    for (const int persistence : {0, 1}) {
-      const Design d = build_design(benchdata::generate_fsm(spec), 2);
-      CampaignOptions opts;
-      opts.model = FaultModel::kStuckAt;
-      opts.policy = CampaignPolicy::kRandomWalks;
-      opts.latency_bound = 2;
-      opts.persistence = persistence;
-      opts.walks = 2;
-      opts.walk_length = 40;
-      opts.seed = 0xfeed0000 + spec.seed;
-      const CampaignReport rep =
-          run_campaign(d.circuit, d.hw, d.faults, opts);
-      ASSERT_EQ(rep.verdicts.size(), d.faults.size());
-      ASSERT_FALSE(rep.truncated);
-      for (std::size_t i = 0; i < d.faults.size(); ++i) {
-        const FaultVerdict expect =
-            oracle_stuck_walks(d, d.faults[i], i, opts);
-        EXPECT_EQ(rep.verdicts[i], expect)
-            << spec.name << " persistence=" << persistence << " fault "
-            << d.faults[i].to_string();
+    const Design solved = build_design(benchdata::generate_fsm(spec), 2);
+    Design cut = solved;
+    cut.parities.resize(2);
+    core::CedSynthOptions specified;
+    specified.dc_unreachable = false;
+    cut.hw = core::synthesize_ced(cut.circuit, cut.parities, specified);
+    const std::pair<const Design*, int> schemes[] = {{&solved, 2}, {&cut, 1}};
+    for (const auto& [d, bound] : schemes) {
+      for (const int persistence : {0, 1}) {
+        CampaignOptions opts;
+        opts.latency_bound = bound;
+        opts.horizon = 3;
+        opts.persistence = persistence;
+        const CampaignReport rep =
+            run_campaign(d->circuit, d->hw, d->faults, opts);
+        ASSERT_EQ(rep.verdicts.size(), d->faults.size());
+        ASSERT_FALSE(rep.truncated);
+        for (std::size_t i = 0; i < d->faults.size(); ++i) {
+          EXPECT_EQ(rep.verdicts[i],
+                    oracle_stuck_exhaustive(*d, d->faults[i], opts))
+              << spec.name << " q=" << d->parities.size()
+              << " persistence=" << persistence << " fault "
+              << d->faults[i].to_string();
+        }
+        late += rep.detected_late;
+        silent += rep.silent_escape;
       }
     }
   }
+  EXPECT_GT(late, 0u);
+  EXPECT_GT(silent, 0u);
+}
+
+TEST(CampaignOracle, UpsetWalkVerdictsMatchNetlistReplayOnRandomMachines) {
+  std::uint64_t detected = 0;
+  for (const auto& spec : oracle_specs()) {
+    const Design d = build_design(benchdata::generate_fsm(spec), 2);
+    const core::CedHardware hw =
+        core::synthesize_ced(d.circuit, d.parities, core::CedSynthOptions{});
+    for (const int k : {1, 2}) {
+      CampaignOptions opts = upset_options(k);
+      opts.walks = 2;
+      opts.seed = 0xfeed0000 + spec.seed;
+      const CampaignReport rep = run_campaign(d.circuit, hw, {}, opts);
+      const std::vector<std::uint64_t> masks = masks_up_to(d.circuit.s(), k);
+      ASSERT_EQ(rep.verdicts.size(), masks.size());
+      ASSERT_FALSE(rep.truncated);
+      for (std::size_t i = 0; i < masks.size(); ++i) {
+        EXPECT_EQ(rep.verdicts[i],
+                  oracle_upset_walks(d.circuit, hw, masks[i], i, opts))
+            << spec.name << " k=" << k << " mask " << masks[i];
+      }
+      detected += rep.detected_in_bound + rep.detected_late;
+    }
+  }
+  EXPECT_GT(detected, 0u);
 }
 
 TEST(CampaignOracle, TableCoverageImpliesExhaustiveBoundHolds) {
@@ -421,7 +539,7 @@ TEST(CampaignOracle, StuckErrorCheckerIsFalsified) {
 }
 
 // ---------------------------------------------------------------------------
-// Verdict accounting invariants and diagnostic (flip) models.
+// Verdict accounting invariants and the diagnostic upset model.
 
 void expect_consistent(const CampaignReport& rep) {
   EXPECT_EQ(rep.activations,
@@ -451,15 +569,12 @@ void expect_consistent(const CampaignReport& rep) {
 
 TEST(CampaignFlips, TransientModelMeasuresWithoutAsserting) {
   const Design d = suite_design("dk16", 2);
-  CampaignOptions opts;
-  opts.model = FaultModel::kTransientFlip;
-  opts.policy = CampaignPolicy::kRandomWalks;
-  opts.latency_bound = 2;
+  CampaignOptions opts = upset_options(1);
   opts.walks = 3;
-  opts.walk_length = 48;
   const CampaignReport rep = run_campaign(d.circuit, d.hw, {}, opts);
   EXPECT_FALSE(rep.hard_guarantee());
   EXPECT_EQ(rep.num_units, static_cast<std::uint64_t>(d.circuit.s()));
+  EXPECT_EQ(rep.walk_length, 96);  // a fixed word, as in earlier reports
   expect_consistent(rep);
 
   // Deterministic: an identical rerun produces identical bytes.
@@ -468,25 +583,77 @@ TEST(CampaignFlips, TransientModelMeasuresWithoutAsserting) {
             storage::encode_campaign_report(again));
 }
 
-TEST(CampaignFlips, AdversarialUnitCountIsAllMasksUpToK) {
+/// The units a report judged, in report order.
+std::vector<std::uint64_t> judged_units(const CampaignReport& rep) {
+  std::vector<std::uint64_t> units;
+  for (const FaultVerdict& v : rep.verdicts) units.push_back(v.unit);
+  return units;
+}
+
+TEST(CampaignFlips, UpsetUnitsAreEveryMaskOfUpToKBitsAscending) {
   const Design d = suite_design("dk16", 2);
-  CampaignOptions opts;
-  opts.model = FaultModel::kAdversarialFlip;
-  opts.policy = CampaignPolicy::kRandomWalks;
-  opts.latency_bound = 2;
-  opts.flip_bits = 2;
-  opts.walks = 1;
-  opts.walk_length = 24;
   const int s = d.circuit.s();
-  std::uint64_t expect_units = 0;
-  for (std::uint64_t m = 1; m < (std::uint64_t{1} << s); ++m) {
-    if (std::popcount(m) <= 2) ++expect_units;
+  for (const int k : {1, 2, s}) {
+    CampaignOptions opts = upset_options(k);
+    opts.walks = 1;
+    const CampaignReport rep = run_campaign(d.circuit, d.hw, {}, opts);
+    const std::vector<std::uint64_t> units = judged_units(rep);
+    EXPECT_TRUE(std::is_sorted(units.begin(), units.end())) << "k=" << k;
+    EXPECT_EQ(std::adjacent_find(units.begin(), units.end()), units.end());
+    EXPECT_EQ(units, masks_up_to(s, k)) << "k=" << k;
+    EXPECT_EQ(rep.num_units, units.size());
+    expect_consistent(rep);
   }
-  const auto units = campaign_units(d.circuit, {}, opts);
-  EXPECT_EQ(units.size(), expect_units);
-  const CampaignReport rep = run_campaign(d.circuit, d.hw, {}, opts);
-  EXPECT_EQ(rep.num_units, expect_units);
-  expect_consistent(rep);
+  // k = 1 upsets one state bit at a time: one unit per bit.
+  const CampaignReport single =
+      run_campaign(d.circuit, d.hw, {}, upset_options(1));
+  std::vector<std::uint64_t> bits;
+  for (int b = 0; b < s; ++b) bits.push_back(std::uint64_t{1} << b);
+  EXPECT_EQ(judged_units(single), bits);
+}
+
+TEST(CampaignFlips, OneHotDesignPastTwentyStateBits) {
+  // One state bit per state: 21 bits, past the 20 the old scan over every
+  // mask allowed. Upsets of up to 10 of 21 bits number exactly 2^20 - 1
+  // (half of 2^21, less the empty mask), the most a campaign judges.
+  benchdata::SyntheticSpec spec;
+  spec.name = "onehot21";
+  spec.inputs = 1;  // r + s stays within the truth tables' 22 variables
+  spec.states = 21;
+  spec.outputs = 2;
+  spec.branches = 3;
+  spec.seed = 7;
+  const fsm::FsmCircuit circuit = fsm::synthesize_fsm(
+      benchdata::generate_fsm(spec), fsm::EncodingKind::kOneHot);
+  const int s = circuit.s();
+  ASSERT_EQ(s, 21);
+  const core::ParityFunc all = (core::ParityFunc{1} << circuit.n()) - 1;
+  const std::vector<core::ParityFunc> parities = {all,
+                                                  all & 0x5555555555555555ull};
+  const core::CedHardware hw = core::synthesize_ced(circuit, parities);
+
+  for (const int k : {1, 2}) {
+    CampaignOptions opts = upset_options(k);
+    opts.walks = 1;
+    const CampaignReport rep = run_campaign(circuit, hw, {}, opts);
+    EXPECT_FALSE(rep.truncated);
+    EXPECT_EQ(rep.num_units,
+              static_cast<std::uint64_t>(k == 1 ? s : s + s * (s - 1) / 2));
+    const std::vector<std::uint64_t> units = judged_units(rep);
+    EXPECT_TRUE(std::is_sorted(units.begin(), units.end()));
+    for (const std::uint64_t u : units) {
+      EXPECT_LE(std::popcount(u), k);
+      EXPECT_LT(u, std::uint64_t{1} << s);
+    }
+    expect_consistent(rep);
+  }
+  // The key resolves the unit list without judging it: the cap is allowed,
+  // one more bit per upset is refused by the key and the run alike.
+  EXPECT_EQ(campaign_digest(circuit, hw, {}, upset_options(10)).size(), 32u);
+  EXPECT_THROW(campaign_digest(circuit, hw, {}, upset_options(11)),
+               std::invalid_argument);
+  EXPECT_THROW(run_campaign(circuit, hw, {}, upset_options(11)),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -494,20 +661,26 @@ TEST(CampaignFlips, AdversarialUnitCountIsAllMasksUpToK) {
 // encoded report.
 
 TEST(CampaignDeterminism, ByteIdenticalAcrossThreadCounts) {
+  // Both engines: the exhaustive stuck-at proof and the upset walks.
   const Design d = suite_design("dk16", 2);
-  CampaignOptions opts;
-  opts.policy = CampaignPolicy::kRandomWalks;
-  opts.latency_bound = 2;
-  opts.walks = 2;
-  opts.walk_length = 32;
-  opts.threads = 1;
-  const CampaignReport serial =
-      run_campaign(d.circuit, d.hw, d.faults, opts);
-  opts.threads = 4;
-  const CampaignReport parallel =
-      run_campaign(d.circuit, d.hw, d.faults, opts);
-  EXPECT_EQ(storage::encode_campaign_report(serial),
-            storage::encode_campaign_report(parallel));
+  for (const FaultModel model :
+       {FaultModel::kStuckAt, FaultModel::kTransientFlip}) {
+    CampaignOptions opts = upset_options(2);
+    opts.model = model;
+    opts.policy = policy_of(model);
+    if (model == FaultModel::kStuckAt) opts.flip_bits = 1;
+    opts.walks = 2;
+    opts.threads = 1;
+    const CampaignReport serial =
+        run_campaign(d.circuit, d.hw, d.faults, opts);
+    opts.threads = 4;
+    const CampaignReport parallel =
+        run_campaign(d.circuit, d.hw, d.faults, opts);
+    EXPECT_GT(serial.activations, 0u) << to_string(model);
+    EXPECT_EQ(storage::encode_campaign_report(serial),
+              storage::encode_campaign_report(parallel))
+        << to_string(model);
+  }
 }
 
 class CampaignStoreTest : public ::testing::Test {
@@ -536,7 +709,7 @@ TEST_F(CampaignStoreTest, CheckpointResumeIsByteIdentical) {
       run_campaign(d.circuit, d.hw, d.faults, opts, sharding));
 
   const std::string key =
-      campaign_digest(d.circuit, d.hw, d.faults, opts, sharding.num_shards);
+      campaign_digest(d.circuit, d.hw, d.faults, opts, sharding);
   storage::ArtifactStore store(dir_);
   const ShardHooks<CampaignShard> hooks =
       storage::make_campaign_hooks(store, key);
@@ -577,7 +750,7 @@ TEST_F(CampaignStoreTest, CorruptShardIsQuarantinedAndRecomputed) {
   ShardPlan sharding;
   sharding.num_shards = 3;
   const std::string key =
-      campaign_digest(d.circuit, d.hw, d.faults, opts, sharding.num_shards);
+      campaign_digest(d.circuit, d.hw, d.faults, opts, sharding);
   storage::ArtifactStore store(dir_);
   const ShardHooks<CampaignShard> hooks =
       storage::make_campaign_hooks(store, key);
@@ -624,26 +797,49 @@ TEST(CampaignDigest, TracksResultShapingOptionsOnly) {
   const Design d = suite_design("dk16", 2);
   CampaignOptions opts;
   opts.latency_bound = 2;
-  const std::string base =
-      campaign_digest(d.circuit, d.hw, d.faults, opts, 4);
+  const ShardPlan four{4};
+  const std::string base = campaign_digest(d.circuit, d.hw, d.faults, opts, four);
   EXPECT_EQ(base.size(), 32u);
 
   CampaignOptions valves = opts;
   valves.threads = 7;
   valves.deadline = core::Deadline::after(1e6);
-  EXPECT_EQ(campaign_digest(d.circuit, d.hw, d.faults, valves, 4), base);
+  EXPECT_EQ(campaign_digest(d.circuit, d.hw, d.faults, valves, four), base);
+  EXPECT_EQ(campaign_digest(d.circuit, d.hw, d.faults, opts, ShardPlan{4, 2}),
+            base);
 
   CampaignOptions seed = opts;
   seed.seed ^= 1;
-  EXPECT_NE(campaign_digest(d.circuit, d.hw, d.faults, seed, 4), base);
-  CampaignOptions pol = opts;
-  pol.policy = CampaignPolicy::kRandomWalks;
-  EXPECT_NE(campaign_digest(d.circuit, d.hw, d.faults, pol, 4), base);
-  EXPECT_NE(campaign_digest(d.circuit, d.hw, d.faults, opts, 5), base);
+  EXPECT_NE(campaign_digest(d.circuit, d.hw, d.faults, seed, four), base);
+  const CampaignOptions upsets = upset_options(1);
+  EXPECT_NE(campaign_digest(d.circuit, d.hw, d.faults, upsets, four), base);
+  EXPECT_NE(campaign_digest(d.circuit, d.hw, d.faults, opts, ShardPlan{5}),
+            base);
+
+  // The partition resolves as the run resolves it: the default plan is
+  // the default shard count, and a count past the unit count keys as one
+  // shard per unit.
+  EXPECT_EQ(campaign_digest(d.circuit, d.hw, d.faults, opts),
+            campaign_digest(d.circuit, d.hw, d.faults, opts,
+                            ShardPlan{core::kDefaultCheckpointShards}));
+  const auto units = static_cast<int>(masks_up_to(d.circuit.s(), 1).size());
+  EXPECT_EQ(campaign_digest(d.circuit, d.hw, {}, upsets, ShardPlan{units}),
+            campaign_digest(d.circuit, d.hw, {}, upsets, ShardPlan{units + 9}));
+
+  // ...and it refuses what the run refuses.
+  CampaignOptions walks = opts;
+  walks.policy = CampaignPolicy::kRandomWalks;
+  EXPECT_THROW(campaign_digest(d.circuit, d.hw, d.faults, walks),
+               std::invalid_argument);
+  EXPECT_THROW(campaign_digest(d.circuit, d.hw, d.faults, opts, ShardPlan{-1}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      campaign_digest(d.circuit, d.hw, d.faults, opts, ShardPlan{4, -1}),
+      std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
-// Satellite 3: the canonical enumerate_stuck_at order is a pinned contract.
+// The canonical enumerate_stuck_at order is a pinned contract.
 
 TEST(FaultEnumeration, CanonicalOrderIsPinned) {
   logic::Netlist nl;
@@ -722,7 +918,7 @@ TEST(CampaignCodec, ShardAndReportRoundTripByteIdentical) {
   EXPECT_EQ(storage::encode_campaign_shard(*decoded), bytes);
 
   CampaignReport rep;
-  rep.model = FaultModel::kAdversarialFlip;
+  rep.model = FaultModel::kTransientFlip;
   rep.policy = CampaignPolicy::kRandomWalks;
   rep.latency_bound = 2;
   rep.horizon = 4;
@@ -752,32 +948,53 @@ TEST(CampaignCodec, ShardAndReportRoundTripByteIdentical) {
   EXPECT_TRUE(rdecoded->hard_guarantee() == rep.hard_guarantee());
 }
 
+TEST(CampaignCodec, DecoderRefusesRetiredModelAndForeignPolicy) {
+  // Model 2 (the old multi-bit flip model) is retired, and each model has
+  // one policy: a report claiming anything else is corrupt.
+  const auto decodes = [](FaultModel model, CampaignPolicy policy) {
+    CampaignReport rep;
+    rep.model = model;
+    rep.policy = policy;
+    rep.latency_bound = 2;
+    rep.horizon = 4;
+    rep.histogram.assign(4, 0);
+    return storage::decode_campaign_report(
+               storage::encode_campaign_report(rep))
+        .has_value();
+  };
+  EXPECT_TRUE(decodes(FaultModel::kStuckAt, CampaignPolicy::kExhaustive));
+  EXPECT_TRUE(
+      decodes(FaultModel::kTransientFlip, CampaignPolicy::kRandomWalks));
+  EXPECT_FALSE(decodes(static_cast<FaultModel>(2),
+                       CampaignPolicy::kRandomWalks));
+  EXPECT_FALSE(decodes(FaultModel::kStuckAt, CampaignPolicy::kRandomWalks));
+  EXPECT_FALSE(decodes(FaultModel::kTransientFlip, CampaignPolicy::kExhaustive));
+  EXPECT_FALSE(decodes(FaultModel::kStuckAt, static_cast<CampaignPolicy>(2)));
+}
+
 // ---------------------------------------------------------------------------
 // Flag names.
 
 TEST(CampaignNames, FlagTablesRefuseMisspellings) {
-  // ced_cli campaign reads --model and --policy through these tables, so a
-  // misspelled value is refused rather than read as another campaign. The
+  // ced_cli campaign reads --model through this table, so a misspelled or
+  // retired value is refused rather than read as another campaign. The
   // report's labels (to_string, which BENCH_campaign.json holds) are not
   // flag spellings.
-  EXPECT_EQ(names_joined(kFaultModelNames), "stuck|transient|adversarial");
-  EXPECT_EQ(names_joined(kCampaignPolicyNames), "exhaustive|walks");
+  EXPECT_EQ(names_joined(kFaultModelNames), "stuck|transient");
   for (const auto& e : kFaultModelNames) {
     EXPECT_EQ(enum_from_name(kFaultModelNames, e.name), e.value) << e.name;
     EXPECT_EQ(name_of(kFaultModelNames, e.value), e.name);
   }
-  for (const auto& e : kCampaignPolicyNames) {
-    EXPECT_EQ(enum_from_name(kCampaignPolicyNames, e.name), e.value) << e.name;
-    EXPECT_EQ(name_of(kCampaignPolicyNames, e.value), e.name);
-  }
   EXPECT_FALSE(enum_from_name(kFaultModelNames, "transeint").has_value());
-  EXPECT_FALSE(enum_from_name(kCampaignPolicyNames, "exhaustve").has_value());
   EXPECT_FALSE(enum_from_name(kFaultModelNames, "stuck-at").has_value());
+  EXPECT_FALSE(enum_from_name(kFaultModelNames, "adversarial").has_value());
   EXPECT_STREQ(to_string(FaultModel::kStuckAt), "stuck-at");
   EXPECT_STREQ(to_string(FaultModel::kTransientFlip), "transient-flip");
-  EXPECT_STREQ(to_string(FaultModel::kAdversarialFlip), "adversarial-flip");
   EXPECT_STREQ(to_string(CampaignPolicy::kExhaustive), "exhaustive");
   EXPECT_STREQ(to_string(CampaignPolicy::kRandomWalks), "walks");
+  EXPECT_EQ(policy_of(FaultModel::kStuckAt), CampaignPolicy::kExhaustive);
+  EXPECT_EQ(policy_of(FaultModel::kTransientFlip),
+            CampaignPolicy::kRandomWalks);
 }
 
 // ---------------------------------------------------------------------------
@@ -787,8 +1004,14 @@ TEST(CampaignOptionsValidation, MalformedOptionsThrow) {
   const Design d = suite_design("dk16", 2);
   {
     CampaignOptions opts;  // exhaustive policy...
-    opts.model = FaultModel::kTransientFlip;  // ...cannot judge flips
+    opts.model = FaultModel::kTransientFlip;  // ...cannot judge upsets
     EXPECT_THROW(run_campaign(d.circuit, d.hw, {}, opts),
+                 std::invalid_argument);
+  }
+  {
+    CampaignOptions opts;  // stuck-at faults...
+    opts.policy = CampaignPolicy::kRandomWalks;  // ...take the proof only
+    EXPECT_THROW(run_campaign(d.circuit, d.hw, d.faults, opts),
                  std::invalid_argument);
   }
   {
@@ -805,11 +1028,15 @@ TEST(CampaignOptionsValidation, MalformedOptionsThrow) {
                  std::invalid_argument);
   }
   {
-    CampaignOptions opts;
-    opts.policy = CampaignPolicy::kRandomWalks;
+    CampaignOptions opts = upset_options(1);
     opts.walks = 0;
-    EXPECT_THROW(run_campaign(d.circuit, d.hw, d.faults, opts),
+    EXPECT_THROW(run_campaign(d.circuit, d.hw, {}, opts),
                  std::invalid_argument);
+  }
+  for (const int k : {0, d.circuit.s() + 1}) {  // outside 1..state bits
+    EXPECT_THROW(run_campaign(d.circuit, d.hw, {}, upset_options(k)),
+                 std::invalid_argument)
+        << "k=" << k;
   }
   {
     ShardPlan plan;

@@ -10,10 +10,11 @@
 //   ced_cli analyze  <machine.kiss>
 //   ced_cli generate --states=N --inputs=N --outputs=N [--seed=N] [--self-loops=F]
 //   ced_cli verify   <machine.kiss> --store=DIR [--latency=N] [--solver=...]
-//   ced_cli campaign <machine.kiss> --store=DIR [--model=stuck|transient|adversarial]
-//                    [--policy=exhaustive|walks] [--persistence=N] [--k=N]
-//                    [--walks=N] [--walk-length=N] [--seed=N] [--horizon=N]
-//                    [--soak] [--json-out=FILE] [--resume] [--max-new-shards=N]
+//   ced_cli campaign <machine.kiss> --store=DIR [--model=stuck|transient]
+//                    [--horizon=N] [--budget-seconds=F] [--json-out=FILE]
+//                    [--resume] [--max-new-shards=N]
+//                    stuck only:     [--persistence=N]
+//                    transient only: [--k=N] [--walks=N] [--seed=N]
 //   ced_cli store    verify|gc|list --store=DIR
 //   ced_cli store    show <name> --store=DIR
 //   ced_cli help
@@ -132,13 +133,12 @@ int usage() {
                "  ced_cli verify <machine.kiss> --store=DIR [--latency=N] "
                "[--solver=...]\n"
                "  ced_cli campaign <machine.kiss> --store=DIR "
-               "[--model=stuck|transient|adversarial]\n"
-               "          [--policy=exhaustive|walks] [--persistence=N] "
-               "[--k=N] [--walks=N]\n"
-               "          [--walk-length=N] [--seed=N] [--horizon=N] "
-               "[--threads=N] [--soak]\n"
-               "          [--json-out=FILE] [--resume] [--checkpoint-shards=N] "
-               "[--max-new-shards=N]\n"
+               "[--model=stuck|transient] [--horizon=N]\n"
+               "          [--threads=N] [--budget-seconds=F] "
+               "[--json-out=FILE] [--resume]\n"
+               "          [--checkpoint-shards=N] [--max-new-shards=N]\n"
+               "          stuck only: [--persistence=N]\n"
+               "          transient only: [--k=N] [--walks=N] [--seed=N]\n"
                "  ced_cli store verify|gc|list --store=DIR\n"
                "  ced_cli store show <name> --store=DIR\n"
                "  ced_cli help      full flag reference incl. budget table\n");
@@ -220,24 +220,29 @@ int cmd_help() {
       "      detected_late or silent_escape. Pass the same shape flags\n"
       "      (--latency/--solver/--encoding/--semantics) as the protect run\n"
       "      that stored the scheme.\n"
-      "  --model=KIND         stuck      stuck | transient | adversarial\n"
-      "  --policy=KIND        exhaustive exhaustive (stuck only: worst case\n"
-      "                                  over every bounded input path — a\n"
-      "                                  proof) | walks (seeded random walks\n"
-      "                                  from every reachable state)\n"
-      "  --persistence=N      0          cycles a stuck fault stays active\n"
-      "                                  after activation (0 = permanent)\n"
-      "  --k=N                1          adversarial model: max flipped bits\n"
-      "  --walks=N --walk-length=N       walk count per (fault, state) and\n"
-      "                                  walk length (soak: 32 x 512)\n"
+      "  --model=KIND         stuck      stuck: stuck-at faults, judged by\n"
+      "                                  the worst case over every bounded\n"
+      "                                  input path (a proof) | transient:\n"
+      "                                  state-register upsets, judged by\n"
+      "                                  seeded random walks from every\n"
+      "                                  reachable state\n"
       "  --horizon=N          p+2        escape cutoff in cycles\n"
-      "  --seed=N                        campaign seed (part of the key;\n"
-      "                                  0x... reads as hex)\n"
-      "  --soak                          long randomized sweep: walks policy\n"
-      "                                  over all three fault models\n"
+      "  --budget-seconds=F   unlimited  wall-clock budget; the campaign\n"
+      "                                  stops at the next unit boundary\n"
+      "  --persistence=N      0          stuck only: cycles a fault stays\n"
+      "                                  active after activation\n"
+      "                                  (0 = permanent)\n"
+      "  --k=N                1          transient only: most bits one\n"
+      "                                  upset flips (every mask of 1..k)\n"
+      "  --walks=N            8          transient only: walks per (upset,\n"
+      "                                  state); a longer sweep: --walks=32\n"
+      "  --seed=N                        transient only: walk seed (part of\n"
+      "                                  the key; 0x... reads as hex)\n"
       "  --json-out=FILE                 write the verdict totals and\n"
       "                                  latency histogram there as JSON\n"
       "  --resume                        reuse checkpointed campaign shards\n"
+      "  A flag the model does not read (--walks on a stuck-at campaign,\n"
+      "  --persistence on a transient one) is invalid input.\n"
       "  For stuck-at faults with persistence 0 or >= p the campaign checks\n"
       "  the paper's hard guarantee: any late/silent episode exits 1. The\n"
       "  verdict sheet is stored under camp-<key> and is byte-identical at\n"
@@ -324,16 +329,18 @@ int cmd_analyze(int argc, char** argv) {
 
 core::RunBudget budget_from_args(int argc, char** argv) {
   // 0 or a negative value means "no limit" rather than wrapping to a huge
-  // unsigned cap; a value that is not a number is invalid input.
-  const auto count = [&](const char* key) {
-    return std::max(numeric_flag<long long>(argc, argv, key, 0), 0LL);
-  };
+  // unsigned cap. Each count parses in its field's own type, so a value
+  // that is not a number, or one the field cannot hold, is invalid input
+  // naming the flag.
   core::RunBudget b;
   b.wall_seconds =
       std::max(numeric_flag(argc, argv, "--budget-seconds", 0.0), 0.0);
-  b.max_cases = static_cast<std::size_t>(count("--max-cases"));
-  b.max_lp_iterations = static_cast<int>(count("--max-lp-iters"));
-  b.max_rounding_attempts = static_cast<int>(count("--max-roundings"));
+  b.max_cases = static_cast<std::size_t>(
+      std::max(numeric_flag<long long>(argc, argv, "--max-cases", 0), 0LL));
+  b.max_lp_iterations =
+      std::max(numeric_flag(argc, argv, "--max-lp-iters", 0), 0);
+  b.max_rounding_attempts =
+      std::max(numeric_flag(argc, argv, "--max-roundings", 0), 0);
   return b;
 }
 
@@ -613,28 +620,75 @@ int cmd_verify(int argc, char** argv) {
              : kExitDegraded;
 }
 
-/// Runs one campaign, prints its verdict summary, persists the verdict
-/// sheet, and appends its JSON entry. Returns the worst exit code observed.
-int run_one_campaign(const fsm::FsmCircuit& circuit,
-                     const core::CedHardware& hw,
-                     const std::vector<sim::StuckAtFault>& faults,
-                     const sim::CampaignOptions& copts,
-                     const ShardPlan& plan,
-                     storage::ArtifactStore& store, bool resume,
-                     const std::string& label,
-                     std::vector<std::string>& json_entries) {
-  const auto units = sim::campaign_units(circuit, faults, copts);
-  const int num_shards =
-      core::resolve_checkpoint_shards(plan.num_shards, units.size());
-  const std::string ckey =
-      sim::campaign_digest(circuit, hw, faults, copts, num_shards);
+/// `ced_cli campaign <machine.kiss> --store=DIR`: close the loop on the
+/// paper's claim by injecting faults into the full protected design and
+/// watching the checker fire. Loads the scheme stored by a `protect
+/// --store` run (same shape flags), builds the Fig. 3 hardware, and runs
+/// the fault-injection campaign: stuck-at faults get the exhaustive proof
+/// (violations exit 1), state upsets the seeded walks, whose coverage is
+/// measured. Prints the verdict summary and stores the verdict sheet.
+int cmd_campaign(int argc, char** argv) {
+  if (argc < 3) return usage();
+  static constexpr std::string_view kFlags[] = {
+      "--store=",          "--model=",    "--horizon=",
+      "--threads=",        "--json-out=", "--resume",
+      "--max-new-shards=", "--metrics-out=", "--trace-out=",
+      "--budget-seconds="};
+  // Read by one model's engine only; the other model refuses them.
+  static constexpr std::string_view kStuckFlags[] = {"--persistence="};
+  static constexpr std::string_view kUpsetFlags[] = {
+      "--k=", "--walks=", "--seed="};
+  // The model parses before the stored design loads, so a misspelled name
+  // or a flag the model's engine does not read fails fast.
+  const sim::FaultModel model = named_flag(
+      argc, argv, "--model", sim::kFaultModelNames, sim::FaultModel::kStuckAt);
+  const bool stuck = model == sim::FaultModel::kStuckAt;
+  reject_unknown_flags(
+      argc, argv,
+      std::string(argv[1]) + " --model=" +
+          std::string(name_of(sim::kFaultModelNames, model)),
+      {kShapeFlags, kFlags, stuck ? Flags(kStuckFlags) : Flags(kUpsetFlags)});
+  const std::string metrics_out = arg_value(argc, argv, "--metrics-out", "");
+  const std::string trace_out = arg_value(argc, argv, "--trace-out", "");
+  const bool observing = !metrics_out.empty() || !trace_out.empty();
+  obs::Tracer tracer;
+  obs::MetricsRegistry metrics;
+  const obs::Sinks sinks =
+      observing ? obs::Sinks{&tracer, &metrics, 0} : obs::Sinks{};
 
+  storage::ArtifactStore store(required_store(argc, argv, "campaign"));
+  store.set_sinks(sinks);
+  const StoredDesign d = load_stored_design(argc, argv, store);
+
+  sim::CampaignOptions copts;
+  copts.model = model;
+  copts.policy = sim::policy_of(model);
+  copts.latency_bound = d.latency;
+  copts.horizon = numeric_flag(argc, argv, "--horizon", 0);
+  copts.persistence = numeric_flag(argc, argv, "--persistence", 0);
+  copts.flip_bits = numeric_flag(argc, argv, "--k", 1);
+  copts.walks = numeric_flag(argc, argv, "--walks", 8);
+  copts.seed = numeric_flag<std::uint64_t>(argc, argv, "--seed", 212250478, 0);
+  copts.threads = numeric_flag(argc, argv, "--threads", 0);
+  core::RunBudget budget = budget_from_args(argc, argv);
+  budget.interrupt = &g_interrupted;
+  copts.deadline = core::Deadline::from(budget);
+  copts.obs = sinks;
+
+  ShardPlan plan;
+  plan.num_shards = numeric_flag(argc, argv, "--checkpoint-shards", 0);
+  plan.max_new_shards = numeric_flag(argc, argv, "--max-new-shards", 0);
+
+  // Malformed options throw std::invalid_argument, which main() reports as
+  // invalid input.
+  ScopedSigint sigint_guard;
+  const std::string ckey = sim::campaign_digest(
+      d.design.circuit, d.hw, d.design.faults, copts, plan);
   auto hooks = storage::make_campaign_hooks(store, ckey);
-  if (!resume) hooks.load = {};  // checkpoint reuse is opt-in, like protect
-
+  if (!has_flag(argc, argv, "--resume")) hooks.load = {};  // opt-in reuse
   const auto t0 = std::chrono::steady_clock::now();
-  const sim::CampaignReport rep =
-      sim::run_campaign(circuit, hw, faults, copts, plan, hooks);
+  const sim::CampaignReport rep = sim::run_campaign(
+      d.design.circuit, d.hw, d.design.faults, copts, plan, hooks);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -672,118 +726,21 @@ int run_one_campaign(const fsm::FsmCircuit& circuit,
                 "(diagnostic model)\n",
                 covered);
   }
-
   if (!rep.truncated) {
     storage::store_campaign_report(store, storage::campaign_report_name(ckey),
                                    rep);
     storage::drop_campaign_shards(store, ckey);
   }
-  json_entries.push_back(sim::campaign_report_json(
-      rep, label, wall, resolve_threads(copts.threads)));
-
-  if (rep.hard_guarantee() && !rep.bound_holds()) return kExitDegraded;
-  return rep.truncated ? kExitDegraded : kExitOk;
-}
-
-/// `ced_cli campaign <machine.kiss> --store=DIR`: close the loop on the
-/// paper's claim by injecting faults into the full protected design and
-/// watching the checker fire. Loads the scheme stored by a `protect
-/// --store` run (same shape flags), builds the Fig. 3 hardware, and runs
-/// the fault-injection campaign; for §2-class stuck-at faults the bound is
-/// asserted (violations exit 1), for flip models coverage is measured.
-int cmd_campaign(int argc, char** argv) {
-  if (argc < 3) return usage();
-  static constexpr std::string_view kFlags[] = {
-      "--store=",    "--model=",     "--policy=",      "--persistence=",
-      "--k=",        "--walks=",     "--walk-length=", "--seed=",
-      "--horizon=",  "--threads=",   "--soak",         "--json-out=",
-      "--resume",    "--max-new-shards=", "--metrics-out=", "--trace-out="};
-  reject_unknown_flags(argc, argv, argv[1],
-                       {kShapeFlags, kBudgetFlags, kFlags});
-  const std::string metrics_out = arg_value(argc, argv, "--metrics-out", "");
-  const std::string trace_out = arg_value(argc, argv, "--trace-out", "");
-  const bool observing = !metrics_out.empty() || !trace_out.empty();
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  const obs::Sinks sinks =
-      observing ? obs::Sinks{&tracer, &metrics, 0} : obs::Sinks{};
-  // Names parse before the stored design loads, so a misspelled one fails
-  // fast. The policy defaults to the stuck-at proof or to walks otherwise.
-  const sim::FaultModel model = named_flag(
-      argc, argv, "--model", sim::kFaultModelNames, sim::FaultModel::kStuckAt);
-  const sim::CampaignPolicy policy =
-      named_flag(argc, argv, "--policy", sim::kCampaignPolicyNames,
-                 model == sim::FaultModel::kStuckAt
-                     ? sim::CampaignPolicy::kExhaustive
-                     : sim::CampaignPolicy::kRandomWalks);
-
-  storage::ArtifactStore store(required_store(argc, argv, "campaign"));
-  store.set_sinks(sinks);
-  const StoredDesign d = load_stored_design(argc, argv, store);
-
-  const bool soak = has_flag(argc, argv, "--soak");
-  sim::CampaignOptions base;
-  base.latency_bound = d.latency;
-  base.horizon = numeric_flag(argc, argv, "--horizon", 0);
-  base.persistence = numeric_flag(argc, argv, "--persistence", 0);
-  base.flip_bits = numeric_flag(argc, argv, "--k", 1);
-  base.walks = numeric_flag(argc, argv, "--walks", soak ? 32 : 8);
-  base.walk_length = numeric_flag(argc, argv, "--walk-length", soak ? 512 : 96);
-  base.seed = numeric_flag<std::uint64_t>(argc, argv, "--seed", 212250478, 0);
-  base.threads = numeric_flag(argc, argv, "--threads", 0);
-  core::RunBudget budget = budget_from_args(argc, argv);
-  budget.interrupt = &g_interrupted;
-  base.deadline = core::Deadline::from(budget);
-  base.obs = sinks;
-
-  ShardPlan plan;
-  plan.num_shards = numeric_flag(argc, argv, "--checkpoint-shards", 0);
-  plan.max_new_shards = numeric_flag(argc, argv, "--max-new-shards", 0);
-  const bool resume = has_flag(argc, argv, "--resume");
-
-  // Which (model, policy) pairs run: one, or the full soak sweep.
-  std::vector<sim::CampaignOptions> runs;
-  if (soak) {
-    for (const sim::FaultModel m :
-         {sim::FaultModel::kStuckAt, sim::FaultModel::kTransientFlip,
-          sim::FaultModel::kAdversarialFlip}) {
-      sim::CampaignOptions o = base;
-      o.model = m;
-      o.policy = sim::CampaignPolicy::kRandomWalks;
-      runs.push_back(o);
-    }
-  } else {
-    sim::CampaignOptions o = base;
-    o.model = model;
-    o.policy = policy;
-    runs.push_back(o);
-  }
-
-  ScopedSigint sigint_guard;
-  std::vector<std::string> json_entries;
-  int exit_code = kExitOk;
-  try {
-    for (const sim::CampaignOptions& copts : runs) {
-      exit_code = std::max(
-          exit_code, run_one_campaign(d.design.circuit, d.hw, d.design.faults,
-                                      copts, plan, store, resume, argv[2],
-                                      json_entries));
-    }
-  } catch (const std::invalid_argument& e) {
-    throw InvalidInputError(e.what());
-  }
 
   const std::string json_out = arg_value(argc, argv, "--json-out", "");
   if (!json_out.empty()) {
-    std::string doc = "{\"schema\":\"ced-campaign-v1\",\"campaigns\":[";
-    for (std::size_t i = 0; i < json_entries.size(); ++i) {
-      if (i != 0) doc += ",";
-      doc += json_entries[i];
-    }
-    doc += "]}\n";
-    write_text_file(json_out, doc);
-    std::printf("wrote %s (%zu campaign%s)\n", json_out.c_str(),
-                json_entries.size(), json_entries.size() == 1 ? "" : "s");
+    write_text_file(json_out,
+                    "{\"schema\":\"ced-campaign-v1\",\"campaigns\":[" +
+                        sim::campaign_report_json(
+                            rep, argv[2], wall,
+                            resolve_threads(copts.threads)) +
+                        "]}\n");
+    std::printf("wrote %s (1 campaign)\n", json_out.c_str());
   }
   if (!metrics_out.empty()) {
     write_text_file(metrics_out, obs::metrics_json(metrics.snapshot()));
@@ -798,7 +755,8 @@ int cmd_campaign(int argc, char** argv) {
                  "completed shards are durable — rerun with --resume\n");
     return kExitInternal;
   }
-  return exit_code;
+  if (rep.hard_guarantee() && !rep.bound_holds()) return kExitDegraded;
+  return rep.truncated ? kExitDegraded : kExitOk;
 }
 
 /// `ced_cli store verify|gc --store=DIR`: maintenance passes over the

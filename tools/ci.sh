@@ -87,12 +87,36 @@ expect_invalid "--solver must be lp|greedy" \
 # for.
 expect_invalid "--solver must be lp|greedy" \
     protect "$obs_tmp/s1488.kiss" --solver=exact
-# A misspelled campaign model is refused, not run as a stuck-at campaign.
-expect_invalid "--model must be stuck|transient|adversarial" \
+# A misspelled campaign model is refused, not run as a stuck-at campaign,
+# and so is the retired multi-bit model (now --model=transient --k=N).
+expect_invalid "--model must be stuck|transient" \
     campaign "$obs_tmp/s1488.kiss" --store="$obs_tmp/none" --model=transeint
-# A number parses whole: 1e6 cases is not read as a 1-case cap.
+expect_invalid "--model must be stuck|transient, got 'adversarial'" \
+    campaign "$obs_tmp/s1488.kiss" --store="$obs_tmp/none" --model=adversarial
+# The model picks the engine, so there is no policy to pick or sweep, and
+# a campaign refuses the flags its model's engine does not read: the walk
+# flags on a stuck-at proof, a walk length anywhere (an upset walk ends at
+# detection, reconvergence or the horizon), the solver's budget caps
+# anywhere.
+expect_invalid "unknown flag '--policy=walks' for campaign" \
+    campaign "$obs_tmp/s1488.kiss" --store="$obs_tmp/none" --policy=walks
+expect_invalid "unknown flag '--soak' for campaign" \
+    campaign "$obs_tmp/s1488.kiss" --store="$obs_tmp/none" --soak
+expect_invalid "unknown flag '--walks=8' for campaign --model=stuck" \
+    campaign "$obs_tmp/s1488.kiss" --store="$obs_tmp/none" --walks=8
+expect_invalid "unknown flag '--walk-length=512' for campaign --model=transient" \
+    campaign "$obs_tmp/s1488.kiss" --store="$obs_tmp/none" --model=transient \
+    --walk-length=512
+expect_invalid "unknown flag '--max-cases=1' for campaign" \
+    campaign "$obs_tmp/s1488.kiss" --store="$obs_tmp/none" --max-cases=1
+[[ ! -e "$obs_tmp/none" ]] \
+  || { echo "a refused campaign created its store"; exit 1; }
+# A number parses whole: 1e6 cases is not read as a 1-case cap, and an
+# int cap past INT_MAX is refused, not wrapped to a 1-pivot cap.
 expect_invalid "--max-cases must be a number" \
     protect "$obs_tmp/s1488.kiss" --max-cases=1e6
+expect_invalid "--max-lp-iters is out of range" \
+    protect "$obs_tmp/s1488.kiss" --max-lp-iters=4294967297
 # A flag the command does not read is invalid input too, not a silently
 # ignored one: a misspelled --threads must not fall back to the default.
 expect_invalid "unknown flag '--thread=1' for protect" \
@@ -241,7 +265,7 @@ serve_pid=""
     --store="$obs_tmp/serve-store" > "$obs_tmp/serve-verify.out" \
   || { echo "ced_cli verify rejected the daemon's stored scheme"; exit 1; }
 
-echo "== campaign smoke: empirical bounded-latency gate =="
+echo "== campaign smoke: empirical bounded-latency gate, upset walks =="
 # Protect a small Table-1 circuit, then *prove the bound empirically*: the
 # exhaustive campaign drives every persistent stuck-at fault over every
 # bounded input path and must classify zero episodes detected_late or
@@ -297,6 +321,43 @@ fi
     --json-out="$obs_tmp/camp-resume.json" > "$obs_tmp/camp-resume.out"
 cmp "$obs_tmp"/camp-r/camp-*.ced "$obs_tmp"/camp-1/camp-*.ced \
   || { echo "resumed campaign verdicts diverge from the clean run"; exit 1; }
+# The upset engine, in stores of its own: single-bit and up-to-two-bit
+# state upsets judged by the seeded walks. Their coverage is measured, not
+# asserted, so the verdicts are pinned (the walks' RNG contract and episode
+# taxonomy must not move), and each artifact must be byte-identical at 1
+# vs 4 threads.
+for t in 1 4; do
+  ./build/tools/ced_cli protect "$obs_tmp/dk16.kiss" --latency=2 \
+      --store="$obs_tmp/upset-$t" > /dev/null
+  for k in 1 2; do
+    ./build/tools/ced_cli campaign "$obs_tmp/dk16.kiss" --latency=2 \
+        --store="$obs_tmp/upset-$t" --model=transient --k="$k" \
+        --threads="$t" --json-out="$obs_tmp/upset-k$k-$t.json" > /dev/null
+  done
+done
+upset_reports=("$obs_tmp"/upset-1/camp-*.ced)
+[[ ${#upset_reports[@]} == 2 ]] \
+  || { echo "expected 2 upset reports, found ${#upset_reports[@]}"; exit 1; }
+for f in "${upset_reports[@]}"; do
+  cmp "$f" "$obs_tmp/upset-4/${f##*/}" \
+    || { echo "upset verdicts differ across thread counts"; exit 1; }
+done
+python3 - "$obs_tmp" <<'PYEOF'
+import json, sys
+d = sys.argv[1]
+# k: (units, activations, in bound, silent escapes)
+want = {1: (5, 1058, 120, 938), 2: (15, 3212, 456, 2756)}
+for k, w in want.items():
+    c = json.load(open("%s/upset-k%d-1.json" % (d, k)))["campaigns"][0]
+    assert c["model"] == "transient-flip" and c["policy"] == "walks", c
+    assert not c["hard_guarantee"] and not c["truncated"], c
+    got = (c["units_judged"], c["activations"], c["detected_in_bound"],
+           c["silent_escape"])
+    assert got == w and c["detected_late"] == 0, \
+        "dk16 p=2 k=%d upsets moved: %r, pinned %r" % (k, got, w)
+    print("upset gate k=%d: %d units, %d activations, %d in bound, %d silent"
+          % ((k,) + got))
+PYEOF
 
 echo "== campaign verdict pin: s1488 p=2 reproduces BENCH_campaign.json =="
 # The dk16 gate compares verdicts across thread counts and resumes, and the

@@ -52,9 +52,10 @@ inline std::string arg_value(int argc, char** argv, const char* key,
 }
 
 /// The number `text`, the value of flag `key`, spells. The whole value
-/// must parse, so `--max-cases=1e6` or `--threads=four` is invalid input
-/// naming the flag (as named_flag does for names), not a 1-case cap or the
-/// default thread count. Base 0 reads a 0x prefix as hex and a leading 0
+/// must parse, in T's range, so `--max-cases=1e6`, `--threads=four` or an
+/// int flag's `4294967297` is invalid input naming the flag (as named_flag
+/// does for names), not a 1-case cap, the default thread count or a
+/// wrapped value. Base 0 reads a 0x prefix as hex and a leading 0
 /// as octal, as strtoull does; a floating-point value must be finite.
 template <typename T>
 T parse_number(const char* key, std::string_view text, int base = 10) {
@@ -80,8 +81,10 @@ T parse_number(const char* key, std::string_view text, int base = 10) {
   bool ok = !digits.empty() && r.ec == std::errc{} && r.ptr == last;
   if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
   if (!ok) {
-    throw InvalidInputError(std::string(key) + " must be a number, got '" +
-                            std::string(text) + "'");
+    const bool range = r.ec == std::errc::result_out_of_range && r.ptr == last;
+    throw InvalidInputError(std::string(key) +
+                            (range ? " is out of range" : " must be a number") +
+                            ", got '" + std::string(text) + "'");
   }
   return value;
 }
