@@ -4,9 +4,12 @@
 // the fault-injection campaign (sim::run_campaign). A run splits its units
 // into a fixed number of contiguous shards (shard_bounds), and a shard's
 // result is a pure function of its block, so a completed shard is a
-// durable unit of work.
+// durable unit of work. The partition is not the scheduling grain: an
+// engine may split each shard into items, which workers claim one at a
+// time across shard boundaries.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
@@ -41,6 +44,12 @@ struct ShardHooks {
 /// trace only when a shard is left to compute.
 template <typename Shard>
 class ShardRun {
+  /// The default finish step: nothing to do once a shard's items end.
+  struct NoFinish {
+    template <typename... Args>
+    void operator()(Args&&...) const {}
+  };
+
  public:
   /// The load step over `num_shards` (plan.num_shards resolved against the
   /// unit count): keeps each checkpoint that names shard s of num_shards
@@ -83,20 +92,49 @@ class ShardRun {
   /// Shards the compute step will run.
   std::size_t pending() const { return todo_.size(); }
 
-  /// The compute step: compute(s, shard) fills every listed shard (index
-  /// and num_shards already set) under parallel_for(threads) and returns
-  /// whether it completed. Only complete shards go to hooks.save; a partial
-  /// one (stopped by a valve) stays in this run's result.
-  template <typename Compute>
-  void compute(int threads, Compute&& compute) {
-    parallel_for(threads, todo_.size(), [&](std::size_t i) {
-      const std::uint32_t s = todo_[i];
-      Shard& shard = shards_[s];
-      shard.index = s;
-      shard.num_shards = static_cast<std::uint32_t>(shards_.size());
-      const bool complete = compute(s, shard);
-      if (complete && hooks_.save) hooks_.save(shard);
+  /// The compute step. split(s, shard) runs on the calling thread for each
+  /// listed shard in index order, with index and num_shards already set,
+  /// and returns the shard's item count. Workers under
+  /// parallel_for(threads) then claim (shard, item) pairs in ascending
+  /// order; compute(s, item, shard) runs one item and returns whether it
+  /// completed (false: a valve stopped it). Items of one shard run
+  /// concurrently, so each writes only its own part of the shard. The
+  /// worker that ends a shard's last item calls finish(s, shard, complete)
+  /// and then hands a complete shard to hooks.save; a partial one stays in
+  /// this run's result. A shard of no items is complete at once.
+  template <typename Split, typename Compute, typename Finish = NoFinish>
+  void compute(int threads, Split&& split, Compute&& compute,
+               Finish&& finish = {}) {
+    const auto end_shard = [&](std::uint32_t s, bool complete) {
+      finish(s, shards_[s], complete);
+      if (complete && hooks_.save) hooks_.save(shards_[s]);
       state_[s] = complete ? kComplete : kPartial;
+    };
+    // Item k of the claim order is item k - first[j] of shard todo_[j].
+    std::vector<std::size_t> first(todo_.size() + 1, 0);
+    std::vector<std::atomic<std::size_t>> left(todo_.size());
+    std::vector<std::atomic<bool>> stopped(todo_.size());
+    for (std::size_t j = 0; j < todo_.size(); ++j) {
+      const std::uint32_t s = todo_[j];
+      shards_[s].index = s;
+      shards_[s].num_shards = static_cast<std::uint32_t>(shards_.size());
+      const std::size_t items = split(s, shards_[s]);
+      first[j + 1] = first[j] + items;
+      left[j].store(items, std::memory_order_relaxed);
+      if (items == 0) end_shard(s, true);
+    }
+    parallel_for(threads, first.back(), [&](std::size_t k) {
+      const auto j = static_cast<std::size_t>(
+          std::upper_bound(first.begin(), first.end(), k) - first.begin() -
+          1);
+      const std::uint32_t s = todo_[j];
+      if (!compute(s, k - first[j], shards_[s])) {
+        stopped[j].store(true, std::memory_order_relaxed);
+      }
+      // The last item to end sees every other item's writes.
+      if (left[j].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        end_shard(s, !stopped[j].load(std::memory_order_relaxed));
+      }
     });
   }
 
@@ -123,7 +161,7 @@ class ShardRun {
 
   const ShardHooks<Shard>& hooks_;
   std::vector<Shard> shards_;
-  std::vector<char> state_;  ///< one slot per shard, written by its worker
+  std::vector<char> state_;  ///< one slot per shard, written as it ends
   std::vector<std::uint32_t> todo_;
   std::size_t resumed_ = 0;
   std::size_t skipped_ = 0;

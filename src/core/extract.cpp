@@ -496,18 +496,6 @@ void check_options(const fsm::FsmCircuit& circuit, const ExtractOptions& opts) {
   }
 }
 
-/// The activation states: the codes reachable from reset, or every s-bit
-/// code.
-std::vector<std::uint64_t> activation_codes(const fsm::FsmCircuit& circuit,
-                                            const ExtractOptions& opts) {
-  if (opts.restrict_to_reachable) {
-    return sim::reachable_codes(circuit, circuit.enc.reset_code);
-  }
-  std::vector<std::uint64_t> codes;
-  for (std::uint64_t c = 0; c <= circuit.state_mask(); ++c) codes.push_back(c);
-  return codes;
-}
-
 /// The fixed-order merge of extraction. `parts` holds the present shards
 /// in shard order; the table for bound p receives the union of the parts'
 /// cases, compacted to the subset-minimal antichain and sorted, their
@@ -661,15 +649,21 @@ std::vector<DetectabilityTable> extract_cases_sharded(
     // (Faulty walks can still reach codes outside this set; those take the
     // full pass, with golden rows from each shard's GoldenView overlay.)
     obs::ScopedSpan trace_span(opts.obs, "extract-trace");
-    const std::vector<std::uint64_t> codes = activation_codes(circuit, opts);
-    const sim::GoldenTrace trace(circuit, codes);
+    const sim::GoldenTrace trace =
+        sim::activation_trace(circuit, opts.restrict_to_reachable);
+    const std::vector<std::uint64_t>& codes = trace.codes();
     trace_span.attr("states", static_cast<std::uint64_t>(codes.size()));
     trace_span.end();
     if (opts.obs.metrics != nullptr) {
       opts.obs.metrics->set_gauge(sim::kGoldenTraceBytesGauge,
                                   static_cast<double>(trace.bytes()));
     }
-    run.compute(opts.threads, [&](std::uint32_t s, ExtractShard& sh) {
+    // One item per shard: a shard's faults share its worker's case sets.
+    const auto one_item = [](std::uint32_t, ExtractShard&) {
+      return std::size_t{1};
+    };
+    run.compute(opts.threads, one_item, [&](std::uint32_t s, std::size_t,
+                                            ExtractShard& sh) {
       // Shard spans parent under the caller's extract-stage span via the
       // explicit parent id — no thread-local ambient state (obs/trace.hpp).
       obs::ScopedSpan span(opts.obs, "extract-shard");

@@ -53,15 +53,9 @@ LatencyAnalysis analyze_useful_latency(
   LatencyAnalysis out;
   out.shortest_loop_per_fault.reserve(faults.size());
 
-  std::vector<std::uint64_t> activation_codes;
-  if (opts.restrict_to_reachable) {
-    activation_codes = sim::reachable_codes(circuit, circuit.enc.reset_code);
-  } else {
-    for (std::uint64_t c = 0; c <= circuit.state_mask(); ++c) {
-      activation_codes.push_back(c);
-    }
-  }
-  const sim::GoldenTrace trace(circuit, activation_codes);
+  const sim::GoldenTrace trace =
+      sim::activation_trace(circuit, opts.restrict_to_reachable);
+  const std::vector<std::uint64_t>& activation_codes = trace.codes();
   sim::GoldenView golden(trace);
 
   for (const auto& f : faults) {

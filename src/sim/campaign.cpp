@@ -46,28 +46,25 @@ void classify_episode(FaultVerdict& v, int first_detection, int bound,
 }
 
 /// Memoized worst-case first-detection search for the exhaustive policy.
-/// worst(state, age, depth) is the maximum over all input paths of the
-/// number of further transitions until the checker first fires (>= 1), or
-/// kNever when some path survives `depth` transitions undetected. The memo
-/// key folds age through min(age, persistence): once the fault has aged
-/// out, all ages behave identically, which is what makes the recursion
-/// terminate in O(states * persistence * horizon) table entries.
+/// worst(state, depth) is the maximum over all input paths of the number of
+/// further transitions until the checker first fires (>= 1), or kNever when
+/// some path survives `depth` transitions undetected. Every search starts
+/// one transition after the activation, at age 1 and depth horizon - 1, and
+/// each step adds one to the age and takes one from the depth, so the
+/// fault's age is horizon - depth and (state, depth) keys the memo: at most
+/// states * horizon entries.
 struct ExhaustiveSearch {
   FaultSession& session;
   const fsm::FsmCircuit& circuit;
   int persistence = 0;
+  int horizon = 0;
   std::unordered_map<std::uint64_t, int> memo;
 
-  int age_key(int age) const {
-    return persistence <= 0 ? 0 : std::min(age, persistence);
-  }
-
-  int worst(std::uint64_t state, int age, int depth) {
+  int worst(std::uint64_t state, int depth) {
     const std::uint64_t key =
-        (state << 12) | (static_cast<std::uint64_t>(age_key(age)) << 6) |
-        static_cast<std::uint64_t>(depth);
+        (state << 6) | static_cast<std::uint64_t>(depth);
     if (const auto it = memo.find(key); it != memo.end()) return it->second;
-    const bool active = persistence <= 0 || age < persistence;
+    const bool active = persistence <= 0 || horizon - depth < persistence;
     const TransitionRow& row =
         active ? session.faulty_row(state) : session.golden_row(state);
     const std::uint64_t num_inputs = row.response.size();
@@ -80,7 +77,7 @@ struct ExhaustiveSearch {
         cand = kNever;
       } else {
         const int sub =
-            worst(circuit.next_state_of(row.response[a]), age + 1, depth - 1);
+            worst(circuit.next_state_of(row.response[a]), depth - 1);
         cand = sub >= kNever ? kNever : 1 + sub;
       }
       if (cand > worst_val) worst_val = cand;
@@ -101,7 +98,8 @@ FaultVerdict judge_stuck_exhaustive(const ProtectedMachine& pm,
   v.histogram.assign(static_cast<std::size_t>(horizon), 0);
   const logic::Injection inj = fault.injection();
   FaultSession session(pm, &inj);
-  ExhaustiveSearch search{session, pm.circuit(), opts.persistence, {}};
+  ExhaustiveSearch search{session, pm.circuit(), opts.persistence, horizon,
+                          {}};
   const std::uint64_t num_inputs = pm.num_inputs();
 
   for (const std::uint64_t c : pm.reachable()) {
@@ -117,7 +115,7 @@ FaultVerdict judge_stuck_exhaustive(const ProtectedMachine& pm,
         first = kNever;
       } else {
         const int sub = search.worst(
-            pm.circuit().next_state_of(faulty.response[a]), 1, horizon - 1);
+            pm.circuit().next_state_of(faulty.response[a]), horizon - 1);
         first = sub >= kNever ? kNever : 1 + sub;
       }
       classify_episode(v, first, opts.latency_bound, horizon);
@@ -370,6 +368,9 @@ CampaignReport run_campaign(const fsm::FsmCircuit& circuit,
   const obs::Sinks sinks =
       span.id() != 0 ? opts.obs.under(span.id()) : opts.obs;
 
+  // The serial set-up: one golden pass finds, traces and judges the
+  // reachable states.
+  obs::ScopedSpan setup_span(sinks, "campaign-setup");
   const ProtectedMachine pm(circuit, hw);
   // The fault-free sweep: the golden rows already hold the checker's
   // verdict for every reachable (state, input), tail bits masked.
@@ -379,6 +380,8 @@ CampaignReport run_campaign(const fsm::FsmCircuit& circuit,
       false_alarms += static_cast<std::uint64_t>(std::popcount(word));
     }
   }
+  setup_span.attr("states", static_cast<std::uint64_t>(pm.reachable().size()));
+  setup_span.end();
   if (sinks.metrics != nullptr) {
     sinks.metrics->set_gauge(kGoldenTraceBytesGauge,
                              static_cast<double>(pm.trace().bytes()));
@@ -391,40 +394,74 @@ CampaignReport run_campaign(const fsm::FsmCircuit& circuit,
       plan, part.num_shards, hooks, [&](std::uint32_t s, const CampaignShard& sh) {
         return sh.verdicts.size() == bounds[s + 1] - bounds[s];
       });
-  // The deadline is polled at unit boundaries: a trip leaves a partial
-  // shard holding its completed units.
-  run.compute(opts.threads, [&](std::uint32_t i, CampaignShard& sh) {
-    obs::ScopedSpan shard_span(sinks, "campaign-shard");
-    shard_span.attr("shard", static_cast<std::uint64_t>(i));
-    obs::MetricsShard ms(sinks.metrics);
-    SimCounters sim_counters;
-    bool complete = true;
-    for (std::size_t u = bounds[i]; u < bounds[i + 1]; ++u) {
-      if (opts.deadline.expired()) {
-        complete = false;
-        break;
-      }
-      FaultVerdict v =
-          judge_unit(pm, faults, units, static_cast<std::uint64_t>(u), opts,
-                     horizon, sim_counters);
-      ms.add("ced_campaign_units_total");
-      ms.add("ced_campaign_activations_total", v.activations);
-      ms.add("ced_campaign_detected_in_bound_total", v.detected_in_bound);
-      ms.add("ced_campaign_detected_late_total", v.detected_late);
-      ms.add("ced_campaign_silent_escapes_total", v.silent_escape);
-      // One weighted observation per latency bucket, not one per episode.
-      for (std::size_t b = 0; b < v.histogram.size(); ++b) {
-        if (v.histogram[b] != 0) {
-          ms.observe("ced_campaign_latency", static_cast<double>(b + 1),
-                     v.histogram[b]);
+  // Workers claim single units across shard boundaries, so no shard's
+  // share of the work decides the run's length. Each unit writes its own
+  // verdict slot, and its simulator counters when metrics are on; the
+  // worker that ends a shard's last unit records the shard's span and
+  // metrics.
+  std::vector<SimCounters> unit_counters(
+      sinks.metrics != nullptr ? units.size() : 0);
+  std::vector<obs::Tracer::clock::time_point> shard_start(
+      sinks.tracer != nullptr ? bounds.size() - 1 : 0,
+      obs::Tracer::clock::now());
+  run.compute(
+      opts.threads,
+      [&](std::uint32_t s, CampaignShard& sh) {
+        sh.verdicts.resize(bounds[s + 1] - bounds[s]);
+        return sh.verdicts.size();
+      },
+      [&](std::uint32_t s, std::size_t i, CampaignShard& sh) {
+        if (i == 0 && sinks.tracer != nullptr) {
+          shard_start[s] = obs::Tracer::clock::now();
         }
-      }
-      sh.verdicts.push_back(std::move(v));
-    }
-    sim_counters.for_each(
-        [&](const char* name, std::uint64_t n) { ms.add(name, n); });
-    return complete;
-  });
+        // The deadline is polled at unit boundaries.
+        if (opts.deadline.expired()) return false;
+        const std::size_t u = bounds[s] + i;
+        SimCounters counters;
+        sh.verdicts[i] = judge_unit(pm, faults, units, u, opts, horizon,
+                                    counters);
+        if (sinks.metrics != nullptr) unit_counters[u] = counters;
+        return true;
+      },
+      [&](std::uint32_t s, CampaignShard& sh, bool complete) {
+        // A partial shard keeps the units judged before the deadline
+        // tripped, in unit order (a judged verdict has a histogram).
+        if (!complete) {
+          std::erase_if(sh.verdicts, [](const FaultVerdict& v) {
+            return v.histogram.empty();
+          });
+        }
+        if (sinks.tracer != nullptr) {
+          const std::uint64_t id = sinks.tracer->begin_span(
+              "campaign-shard", sinks.parent_span, shard_start[s]);
+          sinks.tracer->attr(id, "shard", std::to_string(s));
+          sinks.tracer->attr(id, "units", std::to_string(sh.verdicts.size()));
+          sinks.tracer->end_span(id);
+        }
+        obs::MetricsShard ms(sinks.metrics);
+        if (!ms.enabled()) return;
+        SimCounters sim_counters;
+        for (std::size_t u = bounds[s]; u < bounds[s + 1]; ++u) {
+          sim_counters += unit_counters[u];
+        }
+        for (const FaultVerdict& v : sh.verdicts) {
+          ms.add("ced_campaign_units_total");
+          ms.add("ced_campaign_activations_total", v.activations);
+          ms.add("ced_campaign_detected_in_bound_total", v.detected_in_bound);
+          ms.add("ced_campaign_detected_late_total", v.detected_late);
+          ms.add("ced_campaign_silent_escapes_total", v.silent_escape);
+          // One weighted observation per latency bucket, not one per
+          // episode.
+          for (std::size_t b = 0; b < v.histogram.size(); ++b) {
+            if (v.histogram[b] != 0) {
+              ms.observe("ced_campaign_latency", static_cast<double>(b + 1),
+                         v.histogram[b]);
+            }
+          }
+        }
+        sim_counters.for_each(
+            [&](const char* name, std::uint64_t n) { ms.add(name, n); });
+      });
 
   // Deterministic merge in fixed shard (= unit) order. Partial shards
   // contribute their completed units; skipped shards contribute nothing

@@ -189,12 +189,19 @@ std::vector<std::uint64_t> GoldenCache::reachable(std::uint64_t reset_code) {
 
 GoldenTrace::GoldenTrace(const fsm::FsmCircuit& c,
                          std::span<const std::uint64_t> state_codes)
+    : GoldenTrace(c, state_codes, false) {}
+
+GoldenTrace::GoldenTrace(const fsm::FsmCircuit& c, std::uint64_t reset_code)
+    : GoldenTrace(c, std::span<const std::uint64_t>(&reset_code, 1), true) {}
+
+GoldenTrace::GoldenTrace(const fsm::FsmCircuit& c,
+                         std::span<const std::uint64_t> state_codes,
+                         bool follow)
     : circuit_(c) {
   const logic::Netlist& nl = c.netlist;
   num_nets_ = nl.num_nets();
   const std::uint64_t num_inputs = std::uint64_t{1} << c.r();
   batches_ = static_cast<std::size_t>((num_inputs + 63) / 64);
-  const std::size_t num_states = std::min(state_codes.size(), kMaxStates);
 
   fanout_begin_.assign(num_nets_ + 1, 0);
   for (std::uint32_t g = 0; g < num_nets_; ++g) {
@@ -212,32 +219,58 @@ GoldenTrace::GoldenTrace(const fsm::FsmCircuit& c,
 
   // Stream the states through one full pass per batch, interning each net's
   // per-state vector as soon as the state is done: the raw trace is never
-  // held at once.
+  // held at once. The work list holds the given codes in order; a search
+  // adds each successor the first time a row shows it, and lists the codes
+  // in increasing order at the end (the traced ones keep the order it found
+  // them in).
   std::vector<InternPool> pools(num_nets_);
-  rows_.resize(num_states);
-  index_.resize(num_states * num_nets_);
   std::vector<std::uint64_t> words(static_cast<std::size_t>(c.r() + c.s()));
   std::vector<std::uint64_t> values;
   std::vector<std::uint64_t> state_values(num_nets_ * batches_);
-  for (std::size_t si = 0; si < num_states; ++si) {
-    const std::uint64_t code = state_codes[si];
-    slot_.emplace(code, static_cast<std::uint32_t>(si));
-    std::vector<std::uint64_t>& row = rows_[si];
-    row.resize(num_inputs);
-    for (std::size_t b = 0; b < batches_; ++b) {
-      batch_input_words(c.r(), c.s(), code, b, words);
-      nl.eval(words, values);
-      for (std::size_t net = 0; net < num_nets_; ++net) {
-        state_values[net * batches_ + b] = values[net];
+  std::vector<std::uint64_t> work(state_codes.rbegin(), state_codes.rend());
+  std::unordered_set<std::uint64_t> seen;
+  if (follow) seen.insert(state_codes.begin(), state_codes.end());
+  std::vector<std::uint64_t> untraced;  // a searched row past kMaxStates
+  // Room for the given codes, or for as many as the machine has states:
+  // the reachable set rarely has more, and growing the index past it
+  // would briefly hold two copies.
+  const std::size_t expected = std::min(
+      follow ? c.enc.encoding.codes.size() : state_codes.size(), kMaxStates);
+  rows_.reserve(expected);
+  index_.reserve(expected * num_nets_);
+  while (!work.empty()) {
+    const std::uint64_t code = work.back();
+    work.pop_back();
+    codes_.push_back(code);
+    const std::vector<std::uint64_t>* row = &untraced;
+    if (rows_.size() < kMaxStates) {
+      const std::size_t si = rows_.size();
+      slot_.emplace(code, static_cast<std::uint32_t>(si));
+      row = &rows_.emplace_back(num_inputs);
+      for (std::size_t b = 0; b < batches_; ++b) {
+        batch_input_words(c.r(), c.s(), code, b, words);
+        nl.eval(words, values);
+        for (std::size_t net = 0; net < num_nets_; ++net) {
+          state_values[net * batches_ + b] = values[net];
+        }
+        store_batch_row(nl, c.n(), values, b, rows_[si]);
       }
-      store_batch_row(nl, c.n(), values, b, row);
+      index_.resize((si + 1) * num_nets_);
+      for (std::size_t net = 0; net < num_nets_; ++net) {
+        // At most kMaxStates distinct vectors per net: the id fits 16 bits.
+        index_[si * num_nets_ + net] = static_cast<std::uint16_t>(
+            pools[net].intern(&state_values[net * batches_], batches_));
+      }
+    } else if (follow) {
+      untraced = simulate_all_inputs(c, code);
     }
-    for (std::size_t net = 0; net < num_nets_; ++net) {
-      // At most kMaxStates distinct vectors per net: the id fits 16 bits.
-      index_[si * num_nets_ + net] = static_cast<std::uint16_t>(
-          pools[net].intern(&state_values[net * batches_], batches_));
+    if (!follow) continue;
+    for (const std::uint64_t obs : *row) {
+      const std::uint64_t succ = c.next_state_of(obs);
+      if (seen.insert(succ).second) work.push_back(succ);
     }
   }
+  if (follow) std::sort(codes_.begin(), codes_.end());
 
   net_base_.resize(num_nets_);
   std::size_t total = 0;
@@ -249,6 +282,15 @@ GoldenTrace::GoldenTrace(const fsm::FsmCircuit& c,
                    pools[net].words.end());
     pools[net] = InternPool{};
   }
+}
+
+GoldenTrace activation_trace(const fsm::FsmCircuit& c, bool reachable_only) {
+  if (reachable_only) return GoldenTrace(c, c.enc.reset_code);
+  std::vector<std::uint64_t> codes;
+  for (std::uint64_t code = 0; code <= c.state_mask(); ++code) {
+    codes.push_back(code);
+  }
+  return GoldenTrace(c, codes);
 }
 
 const std::vector<std::uint64_t>* GoldenTrace::find(
@@ -315,8 +357,10 @@ FaultyCache::FaultyCache(const GoldenTrace& trace,
   if (trace.batches_ > 1) ins_.resize(srcs_.size());
 }
 
-std::vector<std::uint64_t> FaultyCache::build(std::uint64_t state_code) {
+std::vector<std::uint64_t> FaultyCache::build(std::uint64_t state_code,
+                                              RowWords* words) {
   const auto it = trace_.slot_.find(state_code);
+  if (words != nullptr) words->traced = it != trace_.slot_.end();
   if (it == trace_.slot_.end()) {
     ++counters_.full_rows;
     return simulate_all_inputs(trace_.circuit(), state_code, &injection_);
@@ -397,6 +441,30 @@ std::vector<std::uint64_t> FaultyCache::build(std::uint64_t state_code) {
     }
   }
   if (row.empty()) ++counters_.dormant_rows;
+  if (words != nullptr && !row.empty()) {
+    // The checker's inputs in each changed batch: the cone's words for the
+    // bits it drives (the forced value itself on a faulty observable
+    // net), the trace's for the rest.
+    words->batches.clear();
+    words->words.clear();
+    for (std::size_t b = lo; b < hi; ++b) {
+      const auto differs = [&](const std::pair<int, std::uint32_t>& out) {
+        const std::uint32_t slot = out.second;
+        return ((val_[slot * batches + b] ^ trace_.words(si, cone_[slot])[b]) &
+                lane_mask(num_inputs, b)) != 0;
+      };
+      if (std::none_of(outs_.begin(), outs_.end(), differs)) continue;
+      words->batches.push_back(static_cast<std::uint32_t>(b));
+      const std::size_t base = words->words.size();
+      for (const std::uint32_t net : trace_.circuit().netlist.outputs()) {
+        words->words.push_back(trace_.words(si, net)[b]);
+      }
+      for (const auto& [o, slot] : outs_) {
+        words->words[base + static_cast<std::size_t>(o)] =
+            val_[slot * batches + b];
+      }
+    }
+  }
   return row;
 }
 

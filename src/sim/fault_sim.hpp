@@ -121,9 +121,19 @@ class GoldenTrace {
   GoldenTrace(const fsm::FsmCircuit& c,
               std::span<const std::uint64_t> state_codes);
 
+  /// Traces the codes reachable from `reset_code` under every input
+  /// sequence, found in the same netlist passes that trace them: the
+  /// reachable_codes set, simulated once. Past kMaxStates codes the search
+  /// goes on with full passes and traces no more.
+  GoldenTrace(const fsm::FsmCircuit& c, std::uint64_t reset_code);
+
   static constexpr std::size_t kMaxStates = std::size_t{1} << 16;
 
   const fsm::FsmCircuit& circuit() const { return circuit_; }
+
+  /// The codes the trace was built for, untraced ones included: the given
+  /// list, or the reachable set in increasing order.
+  const std::vector<std::uint64_t>& codes() const { return codes_; }
 
   /// Golden row of a traced code; nullptr for any other code.
   const std::vector<std::uint64_t>* find(std::uint64_t state_code) const;
@@ -140,9 +150,15 @@ class GoldenTrace {
            std::size_t{index_[std::size_t{si} * num_nets_ + net]} * batches_;
   }
 
+  /// Both constructors: traces `state_codes` in order, or, when `follow`,
+  /// the codes reachable from state_codes[0] as the search finds them.
+  GoldenTrace(const fsm::FsmCircuit& c,
+              std::span<const std::uint64_t> state_codes, bool follow);
+
   const fsm::FsmCircuit& circuit_;
   std::size_t num_nets_ = 0;
   std::size_t batches_ = 0;
+  std::vector<std::uint64_t> codes_;
   std::unordered_map<std::uint64_t, std::uint32_t> slot_;  ///< code -> si
   std::vector<std::vector<std::uint64_t>> rows_;           ///< per si
   std::vector<std::size_t> net_base_;   ///< net -> first word in values_
@@ -151,6 +167,24 @@ class GoldenTrace {
   /// Fanout lists in CSR form (net -> nets reading it), for cone building.
   std::vector<std::uint32_t> fanout_begin_;
   std::vector<std::uint32_t> fanouts_;
+};
+
+/// The golden trace of a run's activation states: the codes reachable from
+/// reset, found as they are traced (GoldenTrace(c, reset_code)), or, with
+/// `reachable_only` false, every s-bit code in increasing order.
+GoldenTrace activation_trace(const fsm::FsmCircuit& c, bool reachable_only);
+
+/// One faulty row's observable bits as pattern words, the checker's inputs
+/// (sim/protected_machine.hpp): FaultyCache::build fills it at a traced
+/// code, where the cone already holds them, for every 64-input batch in
+/// which the row differs from the golden row.
+struct RowWords {
+  /// False for a row built by the full pass: no words were kept.
+  bool traced = false;
+  std::vector<std::uint32_t> batches;  ///< the changed batches, ascending
+  /// words[k * n + o]: observable bit o's word in batches[k] (n observable
+  /// bits; lanes past the last input are unspecified).
+  std::vector<std::uint64_t> words;
 };
 
 /// Faulty transition rows of one fault, memoized per state code. At a code
@@ -176,8 +210,11 @@ class FaultyCache {
 
   /// The row at `state_code` built afresh, for a caller that memoizes rows
   /// itself: empty where row() gives nullptr, row()'s row otherwise. The
-  /// cache's memo is neither read nor filled; the counters count it.
-  std::vector<std::uint64_t> build(std::uint64_t state_code);
+  /// cache's memo is neither read nor filled; the counters count it. With
+  /// `words`, a non-empty row also gets its pattern words there (`traced`
+  /// false at a code outside the trace).
+  std::vector<std::uint64_t> build(std::uint64_t state_code,
+                                   RowWords* words = nullptr);
 
   const SimCounters& counters() const { return counters_; }
 

@@ -69,8 +69,7 @@ ProtectedMachine::ProtectedMachine(const fsm::FsmCircuit& circuit,
                                    const core::CedHardware& hw)
     : circuit_(checked(circuit, hw)),
       hw_(hw),
-      reachable_(reachable_codes(circuit, circuit.enc.reset_code)),
-      trace_(circuit, reachable_) {
+      trace_(circuit, circuit.enc.reset_code) {
   // The response cone. Net ids are topologically ordered, so one ascending
   // pass finds every gate downstream of an observable bit, and each cone
   // gate's fan-ins already have their slots.
@@ -111,7 +110,7 @@ ProtectedMachine::ProtectedMachine(const fsm::FsmCircuit& circuit,
   const std::uint64_t batches = (num_inputs() + 63) / 64;
   std::vector<std::uint64_t> words;
   std::vector<std::uint64_t> values;
-  for (const std::uint64_t code : reachable_) {
+  for (const std::uint64_t code : reachable()) {
     Golden g;
     const std::vector<std::uint64_t>* traced = trace_.find(code);
     g.row.response = traced != nullptr ? *traced
@@ -129,36 +128,28 @@ ProtectedMachine::ProtectedMachine(const fsm::FsmCircuit& circuit,
 
 std::vector<std::uint64_t> ProtectedMachine::faulty_verdicts(
     std::uint64_t state_code, std::span<const std::uint64_t> responses,
-    SimCounters& counters) const {
-  const auto it = golden_.find(state_code);
-  if (it == golden_.end()) {
+    const RowWords& words, SimCounters& counters) const {
+  if (!words.traced) {
     counters.checker_full_batches += (responses.size() + 63) / 64;
     return checker_error_mask(hw_, state_code, responses);
   }
-  const Golden& golden = it->second;
+  // The trace holds reachable codes only, each with its golden pass.
+  const Golden& golden = golden_.find(state_code)->second;
   std::vector<std::uint64_t> mask = golden.row.error;
-  std::vector<std::uint64_t> cone(static_cast<std::size_t>(hw_.n) +
-                                  cone_.size());
-  for (std::uint64_t b = 0; b < mask.size(); ++b) {
-    const std::uint64_t base = b * 64;
-    const auto batch = responses.subspan(
-        base, std::min<std::uint64_t>(64, responses.size() - base));
-    if (std::equal(batch.begin(), batch.end(),
-                   golden.row.response.begin() +
-                       static_cast<std::ptrdiff_t>(base))) {
-      continue;  // the checker sees the golden inputs: golden verdict
-    }
-    ++counters.checker_cone_batches;
-    const std::array<std::uint64_t, 64> block =
-        observable_words(responses, b);
-    std::copy_n(block.begin(), hw_.n, cone.begin());
+  const auto n = static_cast<std::size_t>(hw_.n);
+  std::vector<std::uint64_t> cone(n + cone_.size());
+  counters.checker_cone_batches += words.batches.size();
+  for (std::size_t k = 0; k < words.batches.size(); ++k) {
+    const std::uint64_t b = words.batches[k];
+    std::copy_n(words.words.begin() + static_cast<std::ptrdiff_t>(k * n), n,
+                cone.begin());
     const std::size_t outside = b * outside_.size();
     const auto word = [&](std::uint32_t e) {
       return (e & 1) != 0 ? golden.outside[outside + (e >> 1)] : cone[e >> 1];
     };
     for (std::size_t i = 0; i < cone_.size(); ++i) {
       const ConeGate& g = cone_[i];
-      cone[static_cast<std::size_t>(hw_.n) + i] = logic::gate_word(
+      cone[n + i] = logic::gate_word(
           g.type,
           std::span<const std::uint32_t>(srcs_.data() + g.begin,
                                          g.end - g.begin),
@@ -190,10 +181,10 @@ const TransitionRow& FaultSession::faulty_row(std::uint64_t state_code) {
     // Built for this memo alone, so the row moves in without a copy.
     // Empty at a traced code the fault leaves golden: no checker pass.
     TransitionRow row;
-    row.response = faulty_sim_->build(state_code);
+    row.response = faulty_sim_->build(state_code, &words_);
     if (!row.response.empty()) {
-      row.error =
-          pm_.faulty_verdicts(state_code, row.response, checker_counters_);
+      row.error = pm_.faulty_verdicts(state_code, row.response, words_,
+                                      checker_counters_);
     }
     it = faulty_.emplace(state_code, std::move(row)).first;
   }

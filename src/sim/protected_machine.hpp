@@ -8,12 +8,14 @@
 // here is batched the same way as the extraction fault simulator — 64
 // concrete input values per netlist pass. A faulty row at a reachable state
 // comes from the cone-restricted FaultyCache over the machine's golden
-// trace. Its checker verdict is the golden verdict word on every 64-input
-// batch whose response equals the golden one, since the checker sees
-// identical inputs there; on the other batches only the checker's response
-// cone (the compaction trees and the comparator) is re-evaluated, reading
-// every other checker net from the golden pass. Where the fault changes no
-// response at all, the session hands out the golden row itself.
+// trace, which also finds the reachable set in the same netlist passes. Its
+// checker verdict is the golden verdict word on every 64-input batch whose
+// response equals the golden one, since the checker sees identical inputs
+// there; on the other batches only the checker's response cone (the
+// compaction trees and the comparator) is re-evaluated, from the pattern
+// words the FaultyCache cone already holds, reading every other checker net
+// from the golden pass. Where the fault changes no response at all, the
+// session hands out the golden row itself.
 //
 // The split mirrors fault_sim.hpp: a ProtectedMachine holds the shared,
 // immutable golden data (reachable set, golden trace, fault-free response
@@ -71,7 +73,10 @@ class ProtectedMachine {
 
   const fsm::FsmCircuit& circuit() const { return circuit_; }
   const core::CedHardware& hw() const { return hw_; }
-  const std::vector<std::uint64_t>& reachable() const { return reachable_; }
+  /// The reachable codes in increasing order.
+  const std::vector<std::uint64_t>& reachable() const {
+    return trace_.codes();
+  }
   const GoldenTrace& trace() const { return trace_; }
   std::uint64_t num_inputs() const {
     return std::uint64_t{1} << circuit_.r();
@@ -101,19 +106,19 @@ class ProtectedMachine {
   };
 
   /// Checker verdicts of a faulty response row at `state_code`, equal to
-  /// checker_error_mask's. At a reachable code a batch whose responses
-  /// equal the golden row's keeps the golden verdict word and any other
-  /// batch evaluates the response cone alone; at any other code every
-  /// batch is a full checker pass. `counters` counts the cone and full
-  /// batches.
+  /// checker_error_mask's, given the row's pattern words from
+  /// FaultyCache::build. At a traced code a batch whose responses equal the
+  /// golden row's keeps the golden verdict word and each changed batch
+  /// evaluates the response cone alone on its words; at any other code
+  /// every batch is a full checker pass. `counters` counts the cone and
+  /// full batches.
   std::vector<std::uint64_t> faulty_verdicts(
       std::uint64_t state_code, std::span<const std::uint64_t> responses,
-      SimCounters& counters) const;
+      const RowWords& words, SimCounters& counters) const;
 
   const fsm::FsmCircuit& circuit_;
   const core::CedHardware& hw_;
-  std::vector<std::uint64_t> reachable_;
-  GoldenTrace trace_;
+  GoldenTrace trace_;  ///< the reachable codes, traced
   /// The checker's response cone: every gate with a transitive fan-in
   /// among the observable-bit inputs, in net order, and the nets outside
   /// it that its gates or the error output read.
@@ -160,6 +165,7 @@ class FaultSession {
  private:
   const ProtectedMachine& pm_;
   std::optional<FaultyCache> faulty_sim_;
+  RowWords words_;  ///< the last faulty row's pattern words
   SimCounters checker_counters_;
   /// code -> row; an empty row marks a code where the fault is dormant.
   std::unordered_map<std::uint64_t, TransitionRow> faulty_;

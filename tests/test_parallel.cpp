@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <set>
@@ -90,12 +92,16 @@ TEST(ResolveThreads, ExplicitRequestWinsOverEnvironment) {
 // ---------------------------------------------------------- shard runner
 
 /// A checkpointable shard for the runner tests; a computed one holds
-/// 10 * index.
+/// 10 * index, and a shard split into items holds one slot per item.
 struct FakeShard {
   std::uint32_t index = 0;
   std::uint32_t num_shards = 0;
   int value = 0;
+  std::vector<int> items;
 };
+
+/// The split step of a shard computed as a single item.
+std::size_t one_item(std::uint32_t, FakeShard&) { return 1; }
 
 /// In-memory checkpoints: `checkpoints` feeds load, and every save is
 /// recorded (workers save concurrently, hence the mutex).
@@ -103,6 +109,7 @@ struct FakeStore {
   std::map<std::uint32_t, FakeShard> checkpoints;
   std::mutex mu;
   std::set<std::uint32_t> saved;
+  std::vector<FakeShard> saved_shards;  ///< as each save saw it
 
   ShardHooks<FakeShard> hooks() {
     ShardHooks<FakeShard> h;
@@ -115,6 +122,7 @@ struct FakeStore {
     h.save = [this](const FakeShard& sh) {
       std::lock_guard<std::mutex> lock(mu);
       saved.insert(sh.index);
+      saved_shards.push_back(sh);
     };
     return h;
   }
@@ -133,15 +141,17 @@ std::vector<std::uint32_t> indices(const std::vector<FakeShard>& shards) {
 TEST(ParallelShardRun, QuotaComputesTheFirstMissingShards) {
   for (const int threads : {1, 4}) {
     FakeStore store;
-    store.checkpoints[1] = {1, 5, 11};
-    store.checkpoints[3] = {3, 5, 33};
+    store.checkpoints[1] = {1, 5, 11, {}};
+    store.checkpoints[3] = {3, 5, 33, {}};
     const ShardHooks<FakeShard> hooks = store.hooks();
     ShardRun<FakeShard> run({.num_shards = 5, .max_new_shards = 2}, 5,
                             hooks, usable_fake);
     EXPECT_EQ(run.pending(), 2u);
     std::mutex mu;
     std::set<std::uint32_t> computed;
-    run.compute(threads, [&](std::uint32_t s, FakeShard& sh) {
+    run.compute(threads, one_item, [&](std::uint32_t s, std::size_t item,
+                                       FakeShard& sh) {
+      EXPECT_EQ(item, 0u);
       EXPECT_EQ(sh.index, s);
       EXPECT_EQ(sh.num_shards, 5u);
       sh.value = static_cast<int>(10 * s);
@@ -164,17 +174,18 @@ TEST(ParallelShardRun, QuotaComputesTheFirstMissingShards) {
 TEST(ParallelShardRun, ForeignOrUnusableCheckpointsAreRecomputed) {
   for (const int threads : {1, 4}) {
     FakeStore store;
-    store.checkpoints[0] = {2, 4, 0};   // names another index
-    store.checkpoints[1] = {1, 8, 0};   // names another shard count
-    store.checkpoints[2] = {2, 4, -1};  // rejected by usable
-    store.checkpoints[3] = {3, 4, 33};  // kept
+    store.checkpoints[0] = {2, 4, 0, {}};   // names another index
+    store.checkpoints[1] = {1, 8, 0, {}};   // names another shard count
+    store.checkpoints[2] = {2, 4, -1, {}};  // rejected by usable
+    store.checkpoints[3] = {3, 4, 33, {}};  // kept
     const ShardHooks<FakeShard> hooks = store.hooks();
     ShardRun<FakeShard> run({.num_shards = 4}, 4, hooks, usable_fake);
     EXPECT_EQ(run.pending(), 3u);
-    run.compute(threads, [](std::uint32_t s, FakeShard& sh) {
-      sh.value = static_cast<int>(10 * s);
-      return true;
-    });
+    run.compute(threads, one_item,
+                [](std::uint32_t s, std::size_t, FakeShard& sh) {
+                  sh.value = static_cast<int>(10 * s);
+                  return true;
+                });
     EXPECT_EQ(run.resumed(), 1u);
     EXPECT_EQ(run.skipped(), 0u);
     EXPECT_EQ(store.saved, (std::set<std::uint32_t>{0, 1, 2})) << threads;
@@ -192,15 +203,107 @@ TEST(ParallelShardRun, PartialShardIsKeptButNeverSaved) {
     FakeStore store;
     const ShardHooks<FakeShard> hooks = store.hooks();
     ShardRun<FakeShard> run({.num_shards = 4}, 4, hooks, usable_fake);
-    run.compute(threads, [](std::uint32_t s, FakeShard& sh) {
-      sh.value = static_cast<int>(10 * s);
-      return s != 2;  // a valve stops shard 2
-    });
+    run.compute(threads, one_item,
+                [](std::uint32_t s, std::size_t, FakeShard& sh) {
+                  sh.value = static_cast<int>(10 * s);
+                  return s != 2;  // a valve stops shard 2
+                });
     EXPECT_EQ(run.partial(), 1u);
     EXPECT_EQ(store.saved, (std::set<std::uint32_t>{0, 1, 3})) << threads;
     EXPECT_EQ(indices(run.take()),
               (std::vector<std::uint32_t>{0, 1, 2, 3}));
   }
+}
+
+/// Runs shards of 5, 0, 1 and 7 items over `threads` workers; item i of
+/// shard s writes 100 * s + i into its slot and completes unless
+/// skip(s, i). Returns the finish calls as (shard, complete, slots filled).
+std::vector<std::tuple<std::uint32_t, bool, std::size_t>> run_items(
+    int threads, FakeStore& store,
+    const std::function<bool(std::uint32_t, std::size_t)>& skip) {
+  const std::size_t sizes[] = {5, 0, 1, 7};
+  const ShardHooks<FakeShard> hooks = store.hooks();
+  ShardRun<FakeShard> run({.num_shards = 4}, 4, hooks, usable_fake);
+  std::mutex mu;
+  std::vector<std::tuple<std::uint32_t, bool, std::size_t>> finished;
+  run.compute(
+      threads,
+      [&](std::uint32_t s, FakeShard& sh) {
+        sh.items.assign(sizes[s], -1);
+        return sizes[s];
+      },
+      [&](std::uint32_t s, std::size_t i, FakeShard& sh) {
+        if (skip(s, i)) return false;
+        sh.items[i] = static_cast<int>(100 * s + i);
+        return true;
+      },
+      [&](std::uint32_t s, FakeShard& sh, bool complete) {
+        const auto filled = static_cast<std::size_t>(
+            std::count_if(sh.items.begin(), sh.items.end(),
+                          [](int v) { return v >= 0; }));
+        std::lock_guard<std::mutex> lock(mu);
+        finished.emplace_back(s, complete, filled);
+      });
+  EXPECT_EQ(indices(run.take()), (std::vector<std::uint32_t>{0, 1, 2, 3}));
+  std::sort(finished.begin(), finished.end());
+  return finished;
+}
+
+TEST(ParallelShardRun, MultiItemShardIsSavedOnceByTheWorkerThatEndsIt) {
+  for (const int threads : {1, 3, 4}) {
+    SCOPED_TRACE(threads);
+    FakeStore store;
+    const auto finished =
+        run_items(threads, store, [](std::uint32_t, std::size_t) {
+          return false;
+        });
+    // Each shard ends once, after every one of its items.
+    EXPECT_EQ(finished, (std::vector<std::tuple<std::uint32_t, bool,
+                                                std::size_t>>{{0, true, 5},
+                                                              {1, true, 0},
+                                                              {2, true, 1},
+                                                              {3, true, 7}}));
+    ASSERT_EQ(store.saved_shards.size(), 4u);
+    for (const FakeShard& sh : store.saved_shards) {
+      for (std::size_t i = 0; i < sh.items.size(); ++i) {
+        EXPECT_EQ(sh.items[i], static_cast<int>(100 * sh.index + i));
+      }
+    }
+  }
+}
+
+TEST(ParallelShardRun, ShardWithASkippedItemIsPartial) {
+  for (const int threads : {1, 3, 4}) {
+    SCOPED_TRACE(threads);
+    FakeStore store;
+    const auto finished =
+        run_items(threads, store, [](std::uint32_t s, std::size_t i) {
+          return s == 3 && i == 2;  // a valve stops one item of shard 3
+        });
+    EXPECT_EQ(finished, (std::vector<std::tuple<std::uint32_t, bool,
+                                                std::size_t>>{{0, true, 5},
+                                                              {1, true, 0},
+                                                              {2, true, 1},
+                                                              {3, false, 6}}));
+    EXPECT_EQ(store.saved, (std::set<std::uint32_t>{0, 1, 2}));
+    EXPECT_EQ(store.saved_shards.size(), 3u);
+  }
+}
+
+TEST(ParallelShardRun, SerialClaimsRunInShardThenItemOrder) {
+  FakeStore store;
+  const ShardHooks<FakeShard> hooks = store.hooks();
+  store.checkpoints[1] = {1, 3, 11, {}};
+  ShardRun<FakeShard> run({.num_shards = 3}, 3, hooks, usable_fake);
+  std::vector<std::pair<std::uint32_t, std::size_t>> order;
+  run.compute(
+      1, [](std::uint32_t s, FakeShard&) { return std::size_t{s + 2}; },
+      [&](std::uint32_t s, std::size_t i, FakeShard&) {
+        order.emplace_back(s, i);
+        return true;
+      });
+  EXPECT_EQ(order, (std::vector<std::pair<std::uint32_t, std::size_t>>{
+                       {0, 0}, {0, 1}, {2, 0}, {2, 1}, {2, 2}, {2, 3}}));
 }
 
 TEST(ParallelShardRun, NegativePlanFieldsThrow) {

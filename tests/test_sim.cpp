@@ -268,6 +268,43 @@ bool expect_row_matches(FaultyCache& cache, const GoldenTrace& trace,
   return dormant;
 }
 
+/// FaultyCache::build's pattern words against the oracle row: at a traced
+/// code, one entry per batch where the oracle differs from the golden row,
+/// ascending, holding each observable bit's word of the transposed oracle
+/// on the batch's live lanes; at an untraced code, no words.
+void expect_row_words_match(FaultyCache& cache, const GoldenTrace& trace,
+                            std::uint64_t code,
+                            const std::vector<std::uint64_t>& oracle, int n) {
+  RowWords words;
+  const std::vector<std::uint64_t> row = cache.build(code, &words);
+  const std::vector<std::uint64_t>* golden = trace.find(code);
+  EXPECT_EQ(words.traced, golden != nullptr);
+  if (row.empty() || golden == nullptr) return;
+  std::vector<std::uint32_t> changed;
+  for (std::uint64_t a = 0; a < oracle.size(); ++a) {
+    const auto b = static_cast<std::uint32_t>(a / 64);
+    if (oracle[a] != (*golden)[a] && (changed.empty() || changed.back() != b)) {
+      changed.push_back(b);
+    }
+  }
+  ASSERT_EQ(words.batches, changed);
+  const auto width = static_cast<std::size_t>(n);
+  ASSERT_EQ(words.words.size(), changed.size() * width);
+  for (std::size_t k = 0; k < changed.size(); ++k) {
+    std::array<std::uint64_t, 64> block{};
+    const std::uint64_t base = std::uint64_t{changed[k]} * 64;
+    std::copy_n(oracle.begin() + static_cast<std::ptrdiff_t>(base),
+                std::min<std::uint64_t>(64, oracle.size() - base),
+                block.begin());
+    transpose64(block);
+    const std::uint64_t live = lane_mask(oracle.size(), changed[k]);
+    for (std::size_t o = 0; o < width; ++o) {
+      EXPECT_EQ(words.words[k * width + o] & live, block[o] & live)
+          << "batch " << changed[k] << " bit " << o;
+    }
+  }
+}
+
 /// FaultyCache::row against the full-pass oracle simulate_all_inputs for
 /// every fault of the uncollapsed list (a superset of the collapsed one,
 /// with faults on every net) at every s-bit code: once over a trace of
@@ -276,7 +313,9 @@ bool expect_row_matches(FaultyCache& cache, const GoldenTrace& trace,
 /// others). A returned row equals the oracle; nullptr comes back exactly at
 /// the traced codes whose oracle row is the golden row; a repeated call
 /// returns the memoized row; the row, dormant, skipped-batch and cone-gate
-/// counters equal the ones worked out from full passes.
+/// counters equal the ones worked out from full passes. The reachable trace
+/// is the one that finds its codes as it traces them, and each row's
+/// pattern words match the oracle's.
 void expect_cone_rows_match_oracle(const fsm::FsmCircuit& c,
                                    FaultSites& sites) {
   const auto faults = enumerate_stuck_at(c.netlist, FaultListOptions{false});
@@ -286,7 +325,9 @@ void expect_cone_rows_match_oracle(const fsm::FsmCircuit& c,
   }
   const auto reachable = reachable_codes(c, c.enc.reset_code);
   const GoldenTrace every(c, codes);
-  const GoldenTrace reach(c, reachable);
+  const GoldenTrace reach(c, c.enc.reset_code);
+  EXPECT_EQ(every.codes(), codes);
+  EXPECT_EQ(reach.codes(), reachable);
   for (const std::uint64_t code : codes) {
     ASSERT_NE(every.find(code), nullptr);
     EXPECT_EQ(*every.find(code), simulate_all_inputs(c, code));
@@ -308,12 +349,16 @@ void expect_cone_rows_match_oracle(const fsm::FsmCircuit& c,
     const logic::Injection inj = f.injection();
     FaultyCache cone(every, inj);
     FaultyCache mixed(reach, inj);
+    FaultyCache worded(every, inj);
+    FaultyCache mixed_worded(reach, inj);
     std::uint64_t cone_dormant = 0, mixed_dormant = 0;
     for (const std::uint64_t code : codes) {
       SCOPED_TRACE(f.to_string() + " code " + std::to_string(code));
       const auto oracle = simulate_all_inputs(c, code, &inj);
       cone_dormant += expect_row_matches(cone, every, code, oracle);
       mixed_dormant += expect_row_matches(mixed, reach, code, oracle);
+      expect_row_words_match(worded, every, code, oracle, c.n());
+      expect_row_words_match(mixed_worded, reach, code, oracle, c.n());
     }
     EXPECT_EQ(cone.counters().cone_rows, codes.size());
     EXPECT_EQ(cone.counters().full_rows, 0u);

@@ -271,12 +271,13 @@ echo "== campaign smoke: empirical bounded-latency gate, upset walks =="
 # bounded input path and must classify zero episodes detected_late or
 # silent_escape, and its fault-free sweep must see zero false alarms;
 # `ced_cli verify` runs the same proof and must exit 0. The verdict
-# artifact must be byte-identical at 1 vs 4 threads, and a campaign
+# artifact must be byte-identical at 1, 3 and 4 threads (at 3, workers
+# claim units across shard boundaries unevenly), and a campaign
 # interrupted by the deterministic shard valve (the reproducible analogue
 # of the kill -9 chaos_serve.sh throws at the daemon) must resume from its
 # checkpoints to the same bytes.
 ./build/tools/ced_cli generate --suite=dk16 > "$obs_tmp/dk16.kiss"
-for t in 1 4; do
+for t in 1 3 4; do
   ./build/tools/ced_cli protect "$obs_tmp/dk16.kiss" --latency=2 \
       --store="$obs_tmp/camp-$t" > /dev/null
   ./build/tools/ced_cli campaign "$obs_tmp/dk16.kiss" --latency=2 \
@@ -296,8 +297,10 @@ print("campaign gate: %d units, %d activations, max latency %d <= p=%d"
       % (c["units_judged"], c["activations"], c["max_latency"],
          c["latency_bound"]))
 PYEOF
-cmp "$obs_tmp"/camp-1/camp-*.ced "$obs_tmp"/camp-4/camp-*.ced \
-  || { echo "campaign verdicts differ across thread counts"; exit 1; }
+for t in 3 4; do
+  cmp "$obs_tmp"/camp-1/camp-*.ced "$obs_tmp"/camp-$t/camp-*.ced \
+    || { echo "campaign verdicts differ at $t threads"; exit 1; }
+done
 # The JSON is written only where --json-out says: a campaign run without it
 # leaves its working directory as it found it (run from the repo root, it
 # must not overwrite the BENCH_campaign.json verdict pin).
